@@ -4,7 +4,6 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -118,7 +117,6 @@ fn bench_server_roundtrip(c: &mut Criterion) {
         Arc::clone(&registry),
         BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
             workers: 2,
         },
     );
@@ -168,7 +166,6 @@ fn bench_sharded_burst(c: &mut Criterion) {
                 shards,
                 batch: BatchConfig {
                     max_batch: 64,
-                    max_wait: Duration::from_micros(200),
                     workers: 1,
                 },
                 routing: ShardRouting::FeatureHash,

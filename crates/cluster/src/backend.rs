@@ -67,10 +67,11 @@ struct NodeShared {
     /// `Learn` frames for models without one are refused.
     learners: Vec<Arc<OnlineLearner>>,
     shutdown: AtomicBool,
-    /// Clones of every accepted connection, so a kill can sever streams
-    /// that handler threads are blocked on.
-    conns: Mutex<Vec<TcpStream>>,
 }
+
+/// One live connection: its handler thread, and a clone of its stream so a
+/// kill can sever it while the handler is blocked on it.
+type Conn = (JoinHandle<()>, Option<TcpStream>);
 
 impl NodeShared {
     fn learner(&self, model: &str) -> Option<&Arc<OnlineLearner>> {
@@ -84,7 +85,7 @@ pub struct BackendNode {
     local_addr: SocketAddr,
     shared: Arc<NodeShared>,
     accept: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
 
 impl BackendNode {
@@ -113,22 +114,21 @@ impl BackendNode {
             artifact_root: config.artifact_root,
             learners,
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
         });
-        let handlers = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
+            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name(format!("bcpnn-backend-accept-{local_addr}"))
-                .spawn(move || run_accept(&listener, &shared, &handlers))
+                .spawn(move || run_accept(&listener, &shared, &conns))
                 .expect("failed to spawn backend accept thread")
         };
         Ok(BackendNode {
             local_addr,
             shared,
             accept: Some(accept),
-            handlers,
+            conns,
         })
     }
 
@@ -153,10 +153,11 @@ impl Drop for BackendNode {
         }
         // Sever every live connection mid-whatever-it-was-doing: in-flight
         // requests fail on the router side, which is the point.
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
+        for stream in conns.iter().filter_map(|(_, stream)| stream.as_ref()) {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        for handler in self.handlers.lock().unwrap().drain(..) {
+        for (handler, _) in conns {
             let _ = handler.join();
         }
     }
@@ -170,11 +171,7 @@ impl std::fmt::Debug for BackendNode {
     }
 }
 
-fn run_accept(
-    listener: &TcpListener,
-    shared: &Arc<NodeShared>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn run_accept(listener: &TcpListener, shared: &Arc<NodeShared>, conns: &Arc<Mutex<Vec<Conn>>>) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -186,15 +183,17 @@ fn run_accept(
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().unwrap().push(clone);
-        }
+        let severable = stream.try_clone().ok();
         let shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("bcpnn-backend-conn".into())
             .spawn(move || handle_connection(&shared, stream))
             .expect("failed to spawn backend connection thread");
-        handlers.lock().unwrap().push(handle);
+        // Reap before tracking: a finished handler keeps its stack mapped,
+        // and its stream clone open, until the entry is dropped.
+        let mut conns = conns.lock().unwrap();
+        conns.retain(|(handler, _)| !handler.is_finished());
+        conns.push((handle, severable));
     }
 }
 
@@ -499,6 +498,20 @@ mod tests {
             2,
             DEFAULT_MAX_PAYLOAD,
         )
+    }
+
+    #[test]
+    fn closed_connections_are_reaped_not_kept_until_shutdown() {
+        let (node, _reference, _data) = node_with_model(10);
+        // 300 connections, one after the other, each closed when its pool
+        // drops.
+        for nonce in 0..300 {
+            assert!(pool_for(&node).ping(nonce, Duration::from_secs(2)));
+        }
+        // A handler may still be on its way out when the next connection
+        // is accepted, so a few are tracked — not all 300.
+        let tracked = node.conns.lock().unwrap().len();
+        assert!(tracked < 50, "{tracked} of 300 connections still tracked");
     }
 
     #[test]

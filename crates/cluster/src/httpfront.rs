@@ -157,7 +157,12 @@ fn run_accept(
             .name("bcpnn-cluster-http-conn".into())
             .spawn(move || handle_connection(&shared, stream))
             .expect("failed to spawn cluster HTTP connection thread");
-        handlers.lock().unwrap().push(handle);
+        // Reap before tracking: a finished handler's stack stays mapped
+        // until its handle is dropped, so the list must not grow with the
+        // number of connections ever served.
+        let mut handlers = handlers.lock().unwrap();
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handle);
     }
 }
 
@@ -554,4 +559,33 @@ fn handle_learn(
         ("results".into(), Json::Arr(results)),
     ]);
     Ok(Response::json(status, body.render()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::ClusterConfig;
+    use bcpnn_gateway::client;
+
+    #[test]
+    fn finished_handlers_are_reaped_not_kept_until_shutdown() {
+        // No backends: `/healthz` answers 503 "degraded", which is still a
+        // served request on a connection of its own.
+        let router = Arc::new(ClusterRouter::start(ClusterConfig {
+            health_interval: Duration::from_secs(3600),
+            ..ClusterConfig::default()
+        }));
+        let front = RouterHttp::start(router, RouterHttpConfig::default()).unwrap();
+        for _ in 0..300 {
+            let reply = client::request(front.local_addr(), "GET", "/healthz", &[], b"").unwrap();
+            assert_eq!(reply.status, 503);
+        }
+        // A handler may still be on its way out when the next connection
+        // is accepted, so a few are tracked — not all 300.
+        let tracked = front.handlers.lock().unwrap().len();
+        assert!(
+            tracked < 50,
+            "{tracked} of 300 handler threads still tracked"
+        );
+    }
 }

@@ -248,6 +248,12 @@ impl ClusterRouter {
         if replicas.is_empty() {
             return Err(ServeError::Io("no backend nodes are configured".into()));
         }
+        // A budget that is already spent is answered here: on the wire 0
+        // means "no deadline", so `encode_options` would send it as 1 ms
+        // and a backend with an idle worker would beat that.
+        if options.deadline == Some(Duration::ZERO) {
+            return Err(ServeError::DeadlineExceeded);
+        }
         // Healthy members first, ring order preserved; unhealthy ones
         // still get a shot afterwards in case the prober is stale.
         let ordered: Vec<usize> = replicas
@@ -681,6 +687,26 @@ bcpnn_serve_queue_depth 0
         assert_eq!(router.replicas_for("wide").len(), 3);
         // Nothing is listening on those ports: everything probes down.
         assert_eq!(router.cluster_metrics().backends_up(), 0);
+    }
+
+    #[test]
+    fn an_elapsed_deadline_is_answered_before_the_hop() {
+        // Nothing listens on the backend address: any attempt to make the
+        // hop would come back as an I/O error instead.
+        let router = ClusterRouter::start(ClusterConfig {
+            backends: vec!["127.0.0.1:1".parse().unwrap()],
+            probe_timeout: Duration::from_millis(50),
+            connect_timeout: Duration::from_millis(50),
+            health_interval: Duration::from_secs(3600),
+            ..ClusterConfig::default()
+        });
+        let rows = RowBlock {
+            n_cols: 2,
+            data: vec![0.0, 1.0],
+        };
+        let options = SubmitOptions::new().deadline(Duration::ZERO);
+        let err = router.predict_rows("higgs", rows, &options).unwrap_err();
+        assert_eq!(err, ServeError::DeadlineExceeded);
     }
 
     #[test]

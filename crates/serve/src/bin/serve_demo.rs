@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! bcpnn-serve [--clients N] [--requests N] [--train-samples N]
-//!             [--max-batch N] [--max-wait-us N] [--workers N]
+//!             [--max-batch N] [--workers N]
 //!             [--shards N] [--prometheus]
 //! ```
 
@@ -24,7 +24,6 @@ struct Args {
     requests_per_client: usize,
     train_samples: usize,
     max_batch: usize,
-    max_wait: Duration,
     workers: usize,
     shards: usize,
     prometheus: bool,
@@ -37,7 +36,6 @@ impl Args {
             requests_per_client: 250,
             train_samples: 2000,
             max_batch: 64,
-            max_wait: Duration::from_millis(2),
             workers: 2,
             shards: 2,
             prometheus: false,
@@ -55,7 +53,6 @@ impl Args {
                 "--requests" => args.requests_per_client = value("count") as usize,
                 "--train-samples" => args.train_samples = value("count") as usize,
                 "--max-batch" => args.max_batch = value("size") as usize,
-                "--max-wait-us" => args.max_wait = Duration::from_micros(value("duration")),
                 "--workers" => args.workers = value("count") as usize,
                 "--shards" => args.shards = value("count") as usize,
                 "--prometheus" => args.prometheus = true,
@@ -115,18 +112,16 @@ fn main() {
             shards: args.shards,
             batch: BatchConfig {
                 max_batch: args.max_batch,
-                max_wait: args.max_wait,
                 workers: args.workers,
             },
             routing: ShardRouting::FeatureHash,
         },
     );
     println!(
-        "serving {:?} across {} shard(s) with max_batch={} max_wait={:?} workers={}/shard",
+        "serving {:?} across {} shard(s) with max_batch={} workers={}/shard",
         registry.model_names(),
         args.shards,
         args.max_batch,
-        args.max_wait,
         args.workers
     );
 

@@ -18,10 +18,12 @@
 //!   `Arc<ServedModel>`, with atomic zero-downtime **hot-swap**: in-flight
 //!   batches finish on the version they started with.
 //! * [`InferenceServer`] — the micro-batching scheduler: a collector thread
-//!   coalesces single-vector requests into batches (bounded by
-//!   [`BatchConfig::max_batch`] / [`BatchConfig::max_wait`]) and worker
-//!   threads run each batch as one vectorized encode → forward → readout
-//!   pass.
+//!   coalesces single-vector requests into batches of at most
+//!   [`BatchConfig::max_batch`] rows and worker threads run each batch as
+//!   one vectorized encode → forward → readout pass. Worker-driven: a
+//!   pending batch leaves when a worker is idle and its oldest row has
+//!   waited a fixed 600 µs coalescing window; past that no clock closes a
+//!   batch — it grows while every worker is busy.
 //! * [`ShardedServer`] — one model partitioned across `N` independent
 //!   collector+worker pools sharing a registry, routed by a stable hash of
 //!   the feature vector, round-robin, or live pending-queue depth
@@ -102,8 +104,7 @@ mod metrics;
 mod registry;
 mod server;
 mod shard;
-#[cfg(test)]
-mod testutil;
+pub mod testutil;
 
 /// The serving artifact: re-exported from `bcpnn_core::model`, where the
 /// unified estimator/transformer API lives.

@@ -368,12 +368,10 @@ mod tests {
         assert_eq!(report.errors, 0);
         assert_eq!(report.invalid, 0);
         assert!(report.throughput_rps() > 0.0);
+        // How the 100 rows were batched depends on the load; the policy is
+        // pinned down in `server::tests` with a gated predictor.
         let m = server.metrics();
         assert_eq!(m.responses, 100);
-        assert!(
-            m.mean_batch_size > 1.0,
-            "4 concurrent clients must co-batch at least sometimes (mean {})",
-            m.mean_batch_size
-        );
+        assert_eq!(m.batch_size_hist.iter().sum::<u64>(), m.batches);
     }
 }

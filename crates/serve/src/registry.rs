@@ -59,9 +59,11 @@ impl ServedModel {
         }
     }
 
-    /// Attach a per-model batching policy. The collector applies this
-    /// model's `max_batch`/`max_wait` instead of the server defaults (the
-    /// policy's `workers` field is ignored — the worker pool is shared).
+    /// Attach a per-model batching policy. The collector cuts this
+    /// model's batches at its own `max_batch` instead of the server default
+    /// (the policy's `workers` field is ignored — the worker pool is shared,
+    /// and a ripe batch of any model leaves as soon as one of its workers
+    /// is idle).
     /// Publishing a new version with a different policy changes batching
     /// live, with no server restart.
     #[must_use]
@@ -265,7 +267,6 @@ mod tests {
 
         let policy = BatchConfig {
             max_batch: 4,
-            max_wait: std::time::Duration::from_micros(100),
             workers: 1,
         };
         registry.publish(ServedModel::new("higgs", 2, v2).with_batch_policy(policy));
@@ -280,7 +281,6 @@ mod tests {
         let (v1, _) = tiny_pipeline(15);
         let policy = BatchConfig {
             max_batch: 3,
-            max_wait: std::time::Duration::from_micros(50),
             workers: 1,
         };
         registry.publish_with_policy(ServedModel::new("higgs", 1, v1), Some(policy));

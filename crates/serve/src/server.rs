@@ -1,9 +1,9 @@
 //! The micro-batching inference server.
 //!
 //! Callers submit single raw feature vectors through a synchronous API; a
-//! *collector* thread coalesces them into per-model batches bounded by
-//! [`BatchConfig::max_batch`] and [`BatchConfig::max_wait`], and a pool of
-//! *worker* threads runs each batch as one vectorized
+//! *collector* thread coalesces them into per-model batches of at most
+//! [`BatchConfig::max_batch`] rows, and a pool of *worker* threads runs
+//! each batch as one vectorized
 //! [`Predictor::predict_proba`](bcpnn_core::model::Predictor::predict_proba)
 //! pass — for a [`Pipeline`](crate::Pipeline), encode → hidden-layer
 //! forward → readout — then fans the per-row results back to the callers
@@ -12,10 +12,21 @@
 //! workload. The scheduler only talks to models through the
 //! `Predictor` trait, so any fitted artifact serves.
 //!
+//! The batching policy is **worker-driven**: workers report every finished
+//! batch to the collector, which keeps `outstanding = dispatched − done`
+//! and, while that is below the worker count (a worker is idle), sends the
+//! oldest *ripe* slot, whatever its size. A slot is ripe once its oldest
+//! row has waited the fixed 600 µs coalescing window — so the rows of one
+//! multi-row request share a batch, and a lone row on an idle server costs
+//! the window plus one forward pass. Past the window no clock closes a
+//! batch: while every worker is busy the slot grows to whatever arrives
+//! during the forward passes, and a slot that reaches `max_batch` ships
+//! regardless.
+//!
 //! Per-model policy: a [`ServedModel`] published with
 //! [`with_batch_policy`](crate::ServedModel::with_batch_policy) overrides
-//! the server-wide `max_batch`/`max_wait` for its own requests, and a
-//! hot-swap that changes the policy takes effect on the next batch.
+//! the server-wide `max_batch` for its own requests, and a hot-swap that
+//! changes the policy takes effect on the next batch.
 //!
 //! Requests carry [`SubmitOptions`]: the collector drains high-[`Priority`]
 //! requests first when a dispatch cannot take everything pending, and
@@ -28,6 +39,7 @@
 //! versions finish their in-flight batches before being dropped.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,19 +56,17 @@ use crate::registry::{ModelRegistry, ServedModel};
 /// Micro-batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Dispatch a batch as soon as it holds this many requests.
+    /// Largest batch a worker runs: a slot that holds this many requests
+    /// is dispatched even when every worker is busy. Smaller slots leave
+    /// when a worker is idle and their oldest row has waited 600 µs.
     pub max_batch: usize,
-    /// Dispatch a partial batch once its oldest request has waited this
-    /// long.
-    pub max_wait: Duration,
     /// Number of worker threads running batches. Ignored when the config
     /// is used as a *per-model* policy (the worker pool is shared).
     pub workers: usize,
 }
 
 impl BatchConfig {
-    /// Latency-leaning defaults: batches of up to 64, 2 ms linger, 2
-    /// workers.
+    /// Defaults: batches of up to 64, 2 workers.
     pub fn new() -> Self {
         Self::default()
     }
@@ -66,7 +76,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_millis(2),
             workers: 2,
         }
     }
@@ -174,6 +183,28 @@ struct Request {
     reply: Sender<ServeResult<Vec<f32>>>,
 }
 
+/// What the collector receives on the submit channel. Workers report back
+/// on the same channel the callers submit on (the channel shim has no
+/// `select`), so the channel never disconnects by itself: `Drop` says
+/// [`Msg::Shutdown`].
+enum Msg {
+    Request(Request),
+    /// A worker is finished with one dispatched batch.
+    Done,
+    Shutdown,
+}
+
+/// Reports [`Msg::Done`] when the worker lets go of a batch — from `drop`,
+/// so a panic while running it cannot leave the collector's count stuck.
+struct DoneGuard<'a>(&'a Sender<Msg>);
+
+impl Drop for DoneGuard<'_> {
+    fn drop(&mut self) {
+        // Fails only once the collector is gone, when nobody counts.
+        let _ = self.0.send(Msg::Done);
+    }
+}
+
 /// A dispatched batch: one resolved model version plus its requests.
 struct Batch {
     model: Arc<ServedModel>,
@@ -275,8 +306,7 @@ impl PredictionHandle {
 pub struct InferenceServer {
     registry: Arc<ModelRegistry>,
     metrics: Arc<ServingMetrics>,
-    // Option so Drop can disconnect the channel before joining.
-    submit_tx: Option<Sender<Request>>,
+    submit_tx: Sender<Msg>,
     collector: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -287,7 +317,7 @@ impl InferenceServer {
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.workers > 0, "need at least one worker");
         let metrics = Arc::new(ServingMetrics::new());
-        let (submit_tx, submit_rx) = unbounded::<Request>();
+        let (submit_tx, submit_rx) = unbounded::<Msg>();
         let (batch_tx, batch_rx) = unbounded::<Batch>();
 
         let collector = {
@@ -302,6 +332,7 @@ impl InferenceServer {
         let workers = (0..config.workers)
             .map(|i| {
                 let batch_rx = batch_rx.clone();
+                let done_tx = submit_tx.clone();
                 let metrics = Arc::clone(&metrics);
                 std::thread::Builder::new()
                     .name(format!("bcpnn-serve-worker-{i}"))
@@ -310,6 +341,7 @@ impl InferenceServer {
                         // batch loop runs allocation-free after warmup.
                         let mut state = WorkerState::new();
                         while let Ok(batch) = batch_rx.recv() {
+                            let _done = DoneGuard(&done_tx);
                             run_batch(batch, &metrics, &mut state);
                         }
                     })
@@ -320,7 +352,7 @@ impl InferenceServer {
         Self {
             registry,
             metrics,
-            submit_tx: Some(submit_tx),
+            submit_tx,
             collector: Some(collector),
             workers,
         }
@@ -367,9 +399,7 @@ impl InferenceServer {
             reply: reply_tx,
         };
         self.submit_tx
-            .as_ref()
-            .ok_or(ServeError::Disconnected)?
-            .send(request)
+            .send(Msg::Request(request))
             .map_err(|_| ServeError::Disconnected)?;
         self.metrics.record_submit();
         Ok(PredictionHandle { rx: reply_rx })
@@ -412,9 +442,9 @@ impl InferenceServer {
 
 impl Drop for InferenceServer {
     fn drop(&mut self) {
-        // Disconnect the submit channel; the collector flushes what it
-        // holds, drops the batch channel, and the workers drain and exit.
-        drop(self.submit_tx.take());
+        // The collector flushes what it holds and drops the batch channel;
+        // the workers drain it and exit.
+        let _ = self.submit_tx.send(Msg::Shutdown);
         if let Some(collector) = self.collector.take() {
             let _ = collector.join();
         }
@@ -433,13 +463,29 @@ impl std::fmt::Debug for InferenceServer {
     }
 }
 
+/// How long a slot's oldest row waits before the slot may leave for an idle
+/// worker (a full slot leaves at once). Long enough for the rows a front
+/// submits one by one for the same request to share a batch, and it keeps
+/// the latency of a lone row on an idle server set by the clock: without
+/// it that latency is a chain of thread wake-ups whose cost differs from
+/// run to run by more than the repo benchmark's `gateway_single` bound
+/// allows. Not an option — nothing in the repo needs another value.
+const COALESCE_WINDOW: Duration = Duration::from_micros(600);
+
 /// A model's requests accumulating toward a dispatch, under that model's
 /// effective batching policy (resolved when the slot was opened).
 struct Pending {
     requests: Vec<Request>,
-    deadline: Instant,
     max_batch: usize,
-    max_wait: Duration,
+}
+
+impl Pending {
+    /// When the slot may leave for an idle worker: [`COALESCE_WINDOW`]
+    /// after its oldest row arrived.
+    fn ripe_at(&self) -> Instant {
+        let oldest = self.requests.iter().map(|r| r.enqueued).min();
+        oldest.expect("a pending slot holds a request") + COALESCE_WINDOW
+    }
 }
 
 /// Stable-sort pending requests into drain order: priority first, FIFO
@@ -482,112 +528,97 @@ fn enqueue(
     registry: &ModelRegistry,
     config: BatchConfig,
 ) {
-    let enqueued = request.enqueued;
     let slot = pending
         .entry(request.model.clone())
         .or_insert_with_key(|model| {
-            let policy = registry.batch_policy(model).unwrap_or(config);
+            let max_batch = registry.batch_policy(model).unwrap_or(config).max_batch;
             Pending {
-                requests: Vec::with_capacity(policy.max_batch),
-                deadline: enqueued + policy.max_wait,
-                max_batch: policy.max_batch.max(1),
-                max_wait: policy.max_wait,
+                requests: Vec::with_capacity(max_batch),
+                max_batch: max_batch.max(1),
             }
         });
     slot.requests.push(request);
 }
 
-/// Collector loop: coalesce requests into per-model batches and dispatch
-/// them when full (the model's `max_batch`) or ripe (its `max_wait`).
+/// Collector loop: coalesce requests into per-model slots; ship a slot when
+/// it is full (the model's `max_batch`), and ship the oldest ripe slot
+/// whenever a worker has nothing to do.
 fn run_collector(
-    submit_rx: &Receiver<Request>,
+    submit_rx: &Receiver<Msg>,
     batch_tx: &Sender<Batch>,
     registry: &ModelRegistry,
     metrics: &ServingMetrics,
     config: BatchConfig,
 ) {
-    // Idle poll period when nothing is pending (bounds shutdown latency in
-    // the absence of a deadline to wake for).
-    const IDLE_WAIT: Duration = Duration::from_millis(50);
     let mut pending: HashMap<String, Pending> = HashMap::new();
-    loop {
-        let now = Instant::now();
-        let timeout = pending
-            .values()
-            .map(|p| p.deadline.saturating_duration_since(now))
-            .min()
-            .unwrap_or(IDLE_WAIT);
-        match submit_rx.recv_timeout(timeout) {
-            Ok(request) => {
-                // Drain the whole burst before dispatching, so a slot can
-                // hold more than max_batch and priority ordering has
-                // something to choose between.
-                enqueue(&mut pending, request, registry, config);
-                while let Ok(more) = submit_rx.try_recv() {
-                    enqueue(&mut pending, more, registry, config);
-                }
-                let full: Vec<String> = pending
-                    .iter()
-                    .filter(|(_, p)| p.requests.len() >= p.max_batch)
-                    .map(|(name, _)| name.clone())
-                    .collect();
-                for model in full {
-                    let slot = pending.get_mut(&model).expect("slot is full");
-                    while slot.requests.len() >= slot.max_batch {
-                        let batch = take_batch(&mut slot.requests, slot.max_batch);
-                        dispatch(batch_tx, registry, metrics, &model, batch);
-                    }
-                    if slot.requests.is_empty() {
-                        pending.remove(&model);
-                    } else {
-                        // The leftovers (lowest-priority tail) linger under
-                        // a window anchored at their oldest member.
-                        let oldest = slot
-                            .requests
-                            .iter()
-                            .map(|r| r.enqueued)
-                            .min()
-                            .expect("slot is non-empty");
-                        slot.deadline = oldest + slot.max_wait;
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Shutdown: flush everything still pending, then stop.
-                for (model, slot) in pending.drain() {
-                    dispatch(batch_tx, registry, metrics, &model, slot.requests);
-                }
-                return;
+    // Batches handed to the workers and not yet reported `Done`.
+    let mut outstanding = 0usize;
+    let mut shutdown = false;
+    while !shutdown {
+        // Sleep until a message arrives or, when a worker is idle, until
+        // the next slot ripens (with every worker busy the next `Done` is
+        // the wake-up). `recv` cannot fail: the server keeps a sender until
+        // it has said `Shutdown`.
+        let idle_worker = outstanding < config.workers;
+        let next_ripe = pending.values().map(Pending::ripe_at).min();
+        let first = match next_ripe.filter(|_| idle_worker) {
+            Some(at) => submit_rx
+                .recv_timeout(at.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => Some(submit_rx.recv().unwrap_or(Msg::Shutdown)),
+        };
+        // Drain the whole burst before dispatching, so a slot can hold
+        // more than max_batch and priority ordering has something to
+        // choose between.
+        let rest = std::iter::from_fn(|| submit_rx.try_recv().ok());
+        for msg in first.into_iter().chain(rest) {
+            match msg {
+                Msg::Request(request) => enqueue(&mut pending, request, registry, config),
+                Msg::Done => outstanding -= 1,
+                Msg::Shutdown => shutdown = true,
             }
         }
-        // Flush every batch whose linger window has expired.
-        let now = Instant::now();
-        let ripe: Vec<String> = pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(name, _)| name.clone())
-            .collect();
-        for model in ripe {
-            let slot = pending.remove(&model).expect("ripe slot exists");
-            dispatch(batch_tx, registry, metrics, &model, slot.requests);
+        for (model, slot) in &mut pending {
+            while slot.requests.len() >= slot.max_batch {
+                let batch = take_batch(&mut slot.requests, slot.max_batch);
+                outstanding += usize::from(dispatch(batch_tx, registry, metrics, model, batch));
+            }
+        }
+        // The leftovers (lowest-priority tail) wait for a worker like any
+        // other partial slot; shutdown flushes everything.
+        pending.retain(|_, slot| !slot.requests.is_empty());
+        while shutdown || outstanding < config.workers {
+            let now = Instant::now();
+            let Some(model) = pending
+                .iter()
+                .map(|(model, slot)| (slot.ripe_at(), model))
+                .filter(|(ripe_at, _)| shutdown || *ripe_at <= now)
+                .min()
+                .map(|(_, model)| model.clone())
+            else {
+                break;
+            };
+            let slot = pending.remove(&model).expect("slot was just found");
+            outstanding +=
+                usize::from(dispatch(batch_tx, registry, metrics, &model, slot.requests));
         }
     }
 }
 
 /// Expire dead requests, order the rest by priority, resolve the model's
-/// *current* version, and hand the batch to a worker.
+/// *current* version, and hand the batch to a worker. Returns whether a
+/// batch went out (a worker will report it `Done`).
 fn dispatch(
     batch_tx: &Sender<Batch>,
     registry: &ModelRegistry,
     metrics: &ServingMetrics,
     model: &str,
     requests: Vec<Request>,
-) {
+) -> bool {
     let (mut live, expired) = split_expired(requests, Instant::now());
     expire(expired, metrics);
     if live.is_empty() {
-        return;
+        return false;
     }
     order_for_dispatch(&mut live);
     match registry.get(model) {
@@ -595,10 +626,12 @@ fn dispatch(
             // Workers exiting early (server drop) orphans the batch; the
             // per-request reply channels then disconnect, which callers
             // observe as `Disconnected`.
-            let _ = batch_tx.send(Batch {
-                model: served,
-                requests: live,
-            });
+            batch_tx
+                .send(Batch {
+                    model: served,
+                    requests: live,
+                })
+                .is_ok()
         }
         Err(err) => {
             // The model was removed after the requests were accepted. Count
@@ -608,6 +641,7 @@ fn dispatch(
                 metrics.record_error();
                 let _ = request.reply.send(Err(err.clone()));
             }
+            false
         }
     }
 }
@@ -664,8 +698,15 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
     for (r, &i) in state.valid.iter().enumerate() {
         x.row_mut(r).copy_from_slice(&requests[i].features);
     }
-    match state.executor.run(predictor) {
-        Ok(proba) => {
+    // A predictor that panics fails its own batch like one that returns an
+    // error, and the worker lives on (its buffers are plain scratch, resized
+    // by the next pass).
+    let outcome = catch_unwind(AssertUnwindSafe(|| state.executor.run(predictor).map(drop)))
+        .map_err(|_| ServeError::Model("the predictor panicked".into()))
+        .and_then(|result| result.map_err(ServeError::from));
+    match outcome {
+        Ok(()) => {
+            let proba = &state.executor.proba;
             let now = Instant::now();
             for (r, &i) in state.valid.iter().enumerate() {
                 let request = &requests[i];
@@ -683,7 +724,6 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
             }
         }
         Err(err) => {
-            let err = ServeError::from(err);
             for &i in &state.valid {
                 metrics.record_error();
                 let _ = requests[i].reply.send(Err(err.clone()));
@@ -696,7 +736,7 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
 mod tests {
     use super::*;
     use crate::registry::ServedModel;
-    use crate::testutil::tiny_pipeline;
+    use crate::testutil::{tiny_pipeline, GatePredictor};
 
     fn server_with_model(seed: u64) -> (InferenceServer, bcpnn_data::Dataset) {
         let (pipeline, data) = tiny_pipeline(seed);
@@ -706,7 +746,6 @@ mod tests {
             registry,
             BatchConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 workers: 2,
             },
         );
@@ -802,6 +841,138 @@ mod tests {
         );
     }
 
+    /// One worker behind a closed gate, `max_batch` 4. The first row goes
+    /// straight to the idle worker and parks there, so everything submitted
+    /// afterwards is queued by policy, not by timing.
+    fn gated_server() -> (InferenceServer, GatePredictor, PredictionHandle) {
+        let gate = GatePredictor::new(1);
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new("gate", 1, gate.clone()));
+        let server = InferenceServer::start(
+            registry,
+            BatchConfig {
+                max_batch: 4,
+                workers: 1,
+            },
+        );
+        let first = server.submit("gate", vec![-1.0]).unwrap();
+        gate.wait_entered(1);
+        (server, gate, first)
+    }
+
+    #[test]
+    fn rows_queued_behind_busy_workers_leave_as_one_batch_in_priority_order() {
+        let (server, gate, first) = gated_server();
+        let handles: Vec<_> = [
+            (Priority::Low, 0.0),
+            (Priority::Normal, 1.0),
+            (Priority::High, 2.0),
+        ]
+        .into_iter()
+        .map(|(priority, tag)| {
+            server
+                .submit_with_options("gate", vec![tag], SubmitOptions::new().priority(priority))
+                .unwrap()
+        })
+        .collect();
+        assert_eq!(server.queue_depth(), 4);
+        assert_eq!(gate.batches(), vec![vec![-1.0]], "the worker is busy");
+        gate.open();
+        for handle in handles.into_iter().chain([first]) {
+            assert_eq!(handle.wait().unwrap(), vec![0.5, 0.5]);
+        }
+        // Three rows waited for the one worker and left together, High
+        // first: no clock closed the batch early.
+        assert_eq!(gate.batches(), vec![vec![-1.0], vec![2.0, 1.0, 0.0]]);
+        assert_eq!(server.metrics().batches, 2);
+        assert_eq!(server.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_full_slot_ships_at_max_batch_even_when_every_worker_is_busy() {
+        let (server, gate, first) = gated_server();
+        // Nine rows behind the busy worker at max_batch 4: two full batches
+        // are cut without waiting for it, the ninth row waits.
+        let handles: Vec<_> = (0..9)
+            .map(|i| server.submit("gate", vec![i as f32]).unwrap())
+            .collect();
+        gate.open();
+        for handle in handles.into_iter().chain([first]) {
+            handle.wait().unwrap();
+        }
+        assert_eq!(
+            gate.batches(),
+            vec![
+                vec![-1.0],
+                vec![0.0, 1.0, 2.0, 3.0],
+                vec![4.0, 5.0, 6.0, 7.0],
+                vec![8.0]
+            ]
+        );
+    }
+
+    #[test]
+    fn one_row_on_an_idle_server_is_answered_without_filling_the_batch() {
+        let (pipeline, data) = tiny_pipeline(42);
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new("higgs", 1, pipeline));
+        let server = InferenceServer::start(
+            registry,
+            BatchConfig {
+                max_batch: 1024,
+                workers: 1,
+            },
+        );
+        // Nothing will ever fill the batch: the row leaves because it has
+        // waited the coalescing window and the worker is idle.
+        let handle = server
+            .submit("higgs", data.features.row(0).to_vec())
+            .unwrap();
+        let proba = handle
+            .wait_timeout(Duration::from_secs(5))
+            .expect("an idle worker takes the ripe row")
+            .unwrap();
+        assert_eq!(proba.len(), 2);
+        assert_eq!(server.metrics().batches, 1);
+    }
+
+    /// Panics on a row whose first feature is negative.
+    struct PanicsOnNegative;
+
+    impl Predictor for PanicsOnNegative {
+        fn predict_proba(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
+            assert!(x.iter_rows().all(|row| row[0] >= 0.0), "negative feature");
+            Ok(Matrix::filled(x.rows(), 2, 0.5))
+        }
+        fn n_inputs(&self) -> usize {
+            1
+        }
+        fn n_classes(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn a_panicking_predictor_fails_its_own_batch_only() {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new("touchy", 1, PanicsOnNegative));
+        let server = InferenceServer::start(
+            registry,
+            BatchConfig {
+                max_batch: 8,
+                workers: 1,
+            },
+        );
+        let err = server.predict("touchy", vec![-1.0]).unwrap_err();
+        assert!(matches!(err, ServeError::Model(_)), "{err:?}");
+        // The only worker survived, the collector's count is not stuck, and
+        // the failed row is not left pending.
+        assert_eq!(server.predict("touchy", vec![1.0]).unwrap(), vec![0.5, 0.5]);
+        let m = server.metrics();
+        assert_eq!((m.errors, m.responses), (1, 1));
+        assert_eq!(server.queue_depth(), 0);
+    }
+
     #[test]
     fn per_model_batch_policy_overrides_server_default() {
         let (pipeline, data) = tiny_pipeline(37);
@@ -810,7 +981,6 @@ mod tests {
         registry.publish(
             ServedModel::new("higgs", 1, pipeline).with_batch_policy(BatchConfig {
                 max_batch: 2,
-                max_wait: Duration::from_millis(1),
                 workers: 1,
             }),
         );
@@ -1026,7 +1196,7 @@ mod tests {
     #[test]
     fn removing_a_model_errors_queued_requests() {
         let (server, data) = server_with_model(36);
-        // Race removal against the linger window; whichever side wins, the
+        // Race removal against the dispatch; whichever side wins, the
         // caller must get a terminal answer.
         let handle = server
             .submit("higgs", data.features.row(0).to_vec())

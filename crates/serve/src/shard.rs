@@ -285,7 +285,7 @@ mod tests {
     use super::*;
     use crate::registry::ServedModel;
     use crate::server::Priority;
-    use crate::testutil::tiny_pipeline;
+    use crate::testutil::{tiny_pipeline, GatePredictor};
     use crate::ServeError;
     use std::time::Duration;
 
@@ -299,7 +299,6 @@ mod tests {
                 shards: 4,
                 batch: BatchConfig {
                     max_batch: 8,
-                    max_wait: Duration::from_millis(1),
                     workers: 1,
                 },
                 routing,
@@ -343,51 +342,39 @@ mod tests {
 
     #[test]
     fn least_loaded_routing_avoids_the_busy_shard() {
-        // A model policy that holds requests pending for a long linger
-        // window, so submitted work stays visibly queued.
-        let (pipeline, data) = tiny_pipeline(56);
+        // A gated model: each shard's one worker parks inside the forward
+        // pass, so submitted work stays pending until the gate opens.
+        let gate = GatePredictor::new(1);
         let registry = Arc::new(ModelRegistry::new());
-        registry.publish(ServedModel::new("higgs", 1, pipeline));
+        registry.publish(ServedModel::new("gate", 1, gate.clone()));
         let server = ShardedServer::start(
             registry,
             ShardConfig {
                 shards: 3,
                 batch: BatchConfig {
-                    max_batch: 1024,
-                    max_wait: Duration::from_secs(30),
+                    max_batch: 8,
                     workers: 1,
                 },
                 routing: ShardRouting::LeastLoaded,
             },
         );
         // All depths are zero: ties break toward shard 0.
-        assert_eq!(server.route(data.features.row(0)), 0);
+        assert_eq!(server.route(&[0.0]), 0);
         assert_eq!(server.queue_depths(), vec![0, 0, 0]);
         // One pending request on shard 0 steers the next one to shard 1,
         // the next to shard 2, then back to 0 — queue depth, not rotation.
-        let h0 = server
-            .submit("higgs", data.features.row(0).to_vec())
-            .unwrap();
+        let h0 = server.submit("gate", vec![0.0]).unwrap();
         assert_eq!(server.queue_depths(), vec![1, 0, 0]);
-        assert_eq!(server.route(data.features.row(0)), 1);
-        let h1 = server
-            .submit("higgs", data.features.row(1).to_vec())
-            .unwrap();
-        let h2 = server
-            .submit("higgs", data.features.row(2).to_vec())
-            .unwrap();
+        assert_eq!(server.route(&[0.0]), 1);
+        let h1 = server.submit("gate", vec![1.0]).unwrap();
+        let h2 = server.submit("gate", vec![2.0]).unwrap();
         assert_eq!(server.queue_depths(), vec![1, 1, 1]);
-        assert_eq!(server.route(data.features.row(3)), 0);
-        // Shutdown flushes the lingering batches; every caller still gets a
-        // terminal answer.
-        drop(server);
+        assert_eq!(server.route(&[3.0]), 0);
+        gate.open();
         for handle in [h0, h1, h2] {
-            match handle.wait() {
-                Ok(proba) => assert_eq!(proba.len(), 2),
-                Err(ServeError::Disconnected) => {}
-                Err(other) => panic!("unexpected error {other}"),
-            }
+            assert_eq!(handle.wait().unwrap(), vec![0.5, 0.5]);
         }
+        assert_eq!(server.queue_depths(), vec![0, 0, 0]);
     }
 
     #[test]

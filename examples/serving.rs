@@ -113,11 +113,10 @@ fn main() {
 
     // 6. Scale out: shard the model across 4 independent pools. Requests
     //    route by a stable hash of their feature vector; the per-model
-    //    batch policy (small batches, short linger) overrides the
-    //    server-wide defaults and can itself be hot-swapped.
+    //    batch policy (small batches) overrides the server-wide default
+    //    and can itself be hot-swapped.
     let policy = BatchConfig {
         max_batch: 16,
-        max_wait: Duration::from_micros(500),
         workers: 1,
     };
     registry.publish(ServedModel::new("higgs", 3, train(3)).with_batch_policy(policy));

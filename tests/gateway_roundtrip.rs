@@ -56,7 +56,6 @@ fn gateway_over(registry: Arc<ModelRegistry>) -> (Gateway, Arc<ShardedServer>) {
             shards: 2,
             batch: BatchConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 workers: 1,
             },
             ..ShardConfig::default()

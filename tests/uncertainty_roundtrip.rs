@@ -24,7 +24,6 @@ use bcpnn_serve::{
     BatchConfig, ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer,
 };
 use bcpnn_tensor::Matrix;
-use std::time::Duration;
 
 /// Train a tiny synthetic-Higgs pipeline on the given backend.
 fn tiny_pipeline(seed: u64, backend: BackendKind) -> (Pipeline, Dataset) {
@@ -61,7 +60,6 @@ fn gateway_over(registry: Arc<ModelRegistry>) -> (Gateway, Arc<ShardedServer>) {
             shards: 2,
             batch: BatchConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 workers: 1,
             },
             ..ShardConfig::default()
