@@ -7,10 +7,6 @@ use crate::parallel::ParallelBackend;
 use crate::traits::Backend;
 use crate::vectorized::VectorizedBackend;
 
-/// Environment variable used by [`BackendKind::from_env`] to pick a backend
-/// (values: `naive`, `parallel`, `vectorized`).
-pub const BACKEND_ENV: &str = "BCPNN_BACKEND";
-
 /// The available compute backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
@@ -24,25 +20,35 @@ pub enum BackendKind {
     Vectorized,
 }
 
+const NAMES: [(&str, BackendKind); 11] = [
+    ("naive", BackendKind::Naive),
+    ("parallel", BackendKind::Parallel),
+    ("vectorized", BackendKind::Vectorized),
+    ("reference", BackendKind::Naive),
+    ("numpy", BackendKind::Naive),
+    ("openmp", BackendKind::Parallel),
+    ("cpu", BackendKind::Parallel),
+    ("threaded", BackendKind::Parallel),
+    ("simd", BackendKind::Vectorized),
+    ("avx", BackendKind::Vectorized),
+    ("lanes", BackendKind::Vectorized),
+];
+
 impl BackendKind {
     /// Parse a backend name (`"naive"` / `"parallel"` / `"vectorized"`,
     /// case-insensitive).
     pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "naive" | "reference" | "numpy" => Some(Self::Naive),
-            "parallel" | "openmp" | "cpu" | "threaded" => Some(Self::Parallel),
-            "vectorized" | "simd" | "avx" | "lanes" => Some(Self::Vectorized),
-            _ => None,
-        }
+        let name = name.trim().to_ascii_lowercase();
+        NAMES
+            .iter()
+            .find(|(accepted, _)| *accepted == name)
+            .map(|&(_, kind)| kind)
     }
 
-    /// Pick the backend from the `BCPNN_BACKEND` environment variable,
-    /// falling back to [`BackendKind::Parallel`].
-    pub fn from_env() -> Self {
-        std::env::var(BACKEND_ENV)
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
+    /// Every name [`BackendKind::parse`] accepts, canonical names first —
+    /// for error messages that must not drift from the parser.
+    pub fn accepted_names() -> impl Iterator<Item = &'static str> {
+        NAMES.iter().map(|&(name, _)| name)
     }
 
     /// Instantiate the backend.

@@ -43,7 +43,7 @@ mod parallel;
 mod traits;
 mod vectorized;
 
-pub use dispatch::{default_backend, BackendKind, BACKEND_ENV};
+pub use dispatch::{default_backend, BackendKind};
 pub use naive::NaiveBackend;
 pub use parallel::ParallelBackend;
 pub use traits::Backend;

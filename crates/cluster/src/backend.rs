@@ -4,11 +4,13 @@
 //! A [`BackendNode`] wraps any [`ServeTarget`] (in practice a
 //! [`ShardedServer`](bcpnn_serve::ShardedServer)) behind a
 //! `std::net::TcpListener` speaking [`crate::wire::Frame`]
-//! request/reply, one handler thread per connection. A multi-row
-//! `Predict` frame is submitted row by row before any row is waited on,
-//! so the node's micro-batcher coalesces rows *across router
-//! connections* exactly as the single-node gateway does across HTTP
-//! connections.
+//! request/reply, one handler thread per connection. The operations
+//! behind the frames are the single-node gateway's own
+//! ([`bcpnn_gateway::LocalNode`]); this module decodes requests and
+//! encodes the typed results. A multi-row `Predict` frame is therefore
+//! submitted row by row before any row is waited on, so the node's
+//! micro-batcher coalesces rows *across router connections* exactly as
+//! the gateway does across HTTP connections.
 //!
 //! Dropping the node is a **hard kill**, not a graceful drain: the
 //! listener closes and every live connection is shut down mid-flight.
@@ -23,9 +25,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_gateway::artifact;
-use bcpnn_learn::{LearnError, OnlineLearner};
-use bcpnn_serve::{Pipeline, ServeTarget, ServedModel};
+use bcpnn_gateway::api::{ApiBackend, Prediction, PublishRequest};
+use bcpnn_gateway::front::wake_and_join;
+use bcpnn_gateway::{ApiError, LocalNode};
+use bcpnn_learn::OnlineLearner;
+use bcpnn_serve::ServeTarget;
 
 use crate::wire::{
     decode_options, encode_serve_error, ErrorCode, Frame, ModelInfo, RowBlock, WireError,
@@ -59,25 +63,17 @@ impl Default for BackendConfig {
 }
 
 struct NodeShared {
-    target: Arc<dyn ServeTarget>,
+    /// The serving stack, its learners (`Learn` frames for models without
+    /// one are refused) and the publish allowlist.
+    local: LocalNode,
     max_payload: usize,
     io_timeout: Duration,
-    artifact_root: Option<PathBuf>,
-    /// Online learners attached to this node, one per learnable model;
-    /// `Learn` frames for models without one are refused.
-    learners: Vec<Arc<OnlineLearner>>,
     shutdown: AtomicBool,
 }
 
 /// One live connection: its handler thread, and a clone of its stream so a
 /// kill can sever it while the handler is blocked on it.
 type Conn = (JoinHandle<()>, Option<TcpStream>);
-
-impl NodeShared {
-    fn learner(&self, model: &str) -> Option<&Arc<OnlineLearner>> {
-        self.learners.iter().find(|l| l.model() == model)
-    }
-}
 
 /// A running backend node. Dropping it hard-kills the listener and every
 /// live connection.
@@ -108,11 +104,13 @@ impl BackendNode {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(NodeShared {
-            target,
+            local: LocalNode {
+                target,
+                learners,
+                artifact_root: config.artifact_root,
+            },
             max_payload: config.max_payload,
             io_timeout: config.io_timeout,
-            artifact_root: config.artifact_root,
-            learners,
             shutdown: AtomicBool::new(false),
         });
         let conns = Arc::new(Mutex::new(Vec::new()));
@@ -139,17 +137,15 @@ impl BackendNode {
 
     /// The serving stack behind this node.
     pub fn target(&self) -> &Arc<dyn ServeTarget> {
-        &self.shared.target
+        &self.shared.local.target
     }
 }
 
 impl Drop for BackendNode {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
         if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+            wake_and_join(self.local_addr, accept);
         }
         // Sever every live connection mid-whatever-it-was-doing: in-flight
         // requests fail on the router side, which is the point.
@@ -211,11 +207,7 @@ fn handle_connection(shared: &NodeShared, mut stream: TcpStream) {
             // the stream position cannot be trusted.
             Err(WireError::Io(_)) => return,
             Err(err) => {
-                let _ = Frame::Error {
-                    code: ErrorCode::BadRequest,
-                    message: err.to_string(),
-                }
-                .write_to(&mut stream);
+                let _ = bad_request(err.to_string()).write_to(&mut stream);
                 return;
             }
         };
@@ -226,8 +218,10 @@ fn handle_connection(shared: &NodeShared, mut stream: TcpStream) {
     }
 }
 
-/// One request frame → one reply frame.
+/// One request frame → one reply frame: decode, run the node-local
+/// operation, encode its typed result.
 fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
+    let local = &shared.local;
     match request {
         Frame::Ping { nonce } => Frame::Pong { nonce },
         Frame::Predict {
@@ -236,213 +230,128 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
             deadline_ms,
             abstain,
             rows,
-        } => handle_predict(shared, &model, priority, deadline_ms, abstain, &rows),
+        } => {
+            let options = decode_options(priority, deadline_ms, abstain);
+            match local.predict(&model, rows.to_rows(), options) {
+                Ok(prediction) => encode_prediction(local, &model, prediction),
+                Err(failure) => {
+                    let (code, message) = encode_serve_error(&failure.error);
+                    Frame::Error { code, message }
+                }
+            }
+        }
         Frame::Publish {
             model,
             path,
             version,
             backend,
-        } => handle_publish(shared, &model, &path, version, backend),
+        } => {
+            let backend = match backend {
+                0 => BackendKind::Naive,
+                1 => BackendKind::Parallel,
+                other => return bad_request(format!("unknown compute backend byte {other}")),
+            };
+            let request = PublishRequest {
+                path,
+                version,
+                backend,
+            };
+            local
+                .publish(&model, &request)
+                .map_or_else(error_frame, |p| Frame::PublishOk {
+                    version: p.version,
+                    displaced: p.displaced,
+                })
+        }
         Frame::Learn {
             model,
             rows,
             labels,
-        } => handle_learn(shared, &model, &rows, &labels),
+        } => local
+            .learn(&model, &rows.to_rows(), &labels)
+            .map_or_else(error_frame, |l| Frame::LearnOk {
+                accepted: l.accepted,
+                queue_depth: l.queue_depth,
+            }),
         Frame::MetricsReq => Frame::MetricsOk {
-            text: handle_metrics(shared),
+            text: local.scrape(),
         },
-        Frame::ModelsReq => handle_models(shared),
+        Frame::ModelsReq => Frame::ModelsOk {
+            models: local
+                .models()
+                .into_iter()
+                .map(|m| ModelInfo {
+                    name: m.name,
+                    version: m.version,
+                    n_inputs: m.n_inputs as u32,
+                    n_classes: m.n_classes as u32,
+                })
+                .collect(),
+        },
         // Reply opcodes arriving as requests are protocol misuse.
-        other => Frame::Error {
-            code: ErrorCode::BadRequest,
-            message: format!("frame {other:?} is not a request"),
-        },
+        other => bad_request(format!("frame {other:?} is not a request")),
     }
 }
 
-fn handle_predict(
-    shared: &NodeShared,
-    model: &str,
-    priority: u8,
-    deadline_ms: u64,
-    abstain: Option<f32>,
-    rows: &RowBlock,
-) -> Frame {
-    let options = decode_options(priority, deadline_ms, abstain);
-    // Advisory, same semantics as the single-node gateway: the current
-    // version at accept time (each micro-batch resolves its own).
-    let version = shared.target.registry().lookup(model).map(|m| m.version());
+fn bad_request(message: String) -> Frame {
+    Frame::Error {
+        code: ErrorCode::BadRequest,
+        message,
+    }
+}
 
-    // Submit every row before waiting on any, so the rows of one frame —
-    // and of concurrent router connections — co-batch in the collector.
-    let mut handles = Vec::with_capacity(rows.n_rows());
-    for i in 0..rows.n_rows() {
-        match shared
-            .target
-            .submit_with_options(model, rows.row(i).to_vec(), options)
-        {
-            Ok(handle) => handles.push(handle),
-            Err(err) => {
-                let (code, message) = encode_serve_error(&err);
-                return Frame::Error { code, message };
-            }
-        }
+/// A refused publish or learn as an error frame: the inverse of the
+/// router front's `ErrorCode` → status tables.
+fn error_frame(err: ApiError) -> Frame {
+    Frame::Error {
+        code: match err.status {
+            403 => ErrorCode::Forbidden,
+            422 => ErrorCode::Io,
+            404 => ErrorCode::UnknownModel,
+            429 => ErrorCode::Overloaded,
+            503 => ErrorCode::Disconnected,
+            _ => ErrorCode::BadRequest,
+        },
+        message: err.message,
     }
-    let mut width = 0u32;
-    let mut results: Vec<Option<Vec<f32>>> = Vec::with_capacity(rows.n_rows());
-    let mut abstained: Vec<u32> = Vec::new();
-    for (i, handle) in handles.into_iter().enumerate() {
-        match handle.wait() {
-            Ok(proba) => {
-                if width == 0 {
-                    width = proba.len() as u32;
-                } else if proba.len() as u32 != width {
-                    // A hot-swap to a model with a different class count
-                    // landed mid-frame; the reply cannot be rectangular.
-                    return Frame::Error {
-                        code: ErrorCode::Model,
-                        message: "class count changed mid-request; retry".into(),
-                    };
+}
+
+/// Abstention is per-row and in-band: the row zero-fills and its index
+/// rides in the reply's abstained list, so one low-confidence row does not
+/// fail its siblings. When every row abstained the class count comes from
+/// the registry, so the zero-filled reply still has its rectangular width.
+fn encode_prediction(local: &LocalNode, model: &str, prediction: Prediction) -> Frame {
+    let width = match prediction.rows.iter().flatten().next() {
+        Some(proba) => proba.len(),
+        None => local.target.n_classes_of(model).unwrap_or(0),
+    };
+    let mut data = Vec::with_capacity(prediction.rows.len() * width);
+    let mut abstained = Vec::new();
+    for (i, row) in prediction.rows.iter().enumerate() {
+        match row {
+            Some(proba) if proba.len() == width => data.extend_from_slice(proba),
+            // A hot-swap to a model with a different class count landed
+            // mid-frame; the reply cannot be rectangular.
+            Some(_) => {
+                return Frame::Error {
+                    code: ErrorCode::Model,
+                    message: "class count changed mid-request; retry".into(),
                 }
-                results.push(Some(proba));
             }
-            // Abstention is per-row and in-band: the row zero-fills and
-            // its index rides in the reply's abstained list, so one
-            // low-confidence row does not fail its siblings.
-            Err(bcpnn_serve::ServeError::Abstained) => {
+            None => {
                 abstained.push(i as u32);
-                results.push(None);
+                data.extend(std::iter::repeat_n(0.0f32, width));
             }
-            Err(err) => {
-                let (code, message) = encode_serve_error(&err);
-                return Frame::Error { code, message };
-            }
-        }
-    }
-    if width == 0 && !results.is_empty() {
-        // Every row abstained: recover the class count from the registry
-        // so the zero-filled reply still has its rectangular width.
-        width = shared.target.n_classes_of(model).unwrap_or(0) as u32;
-    }
-    let mut data = Vec::with_capacity(results.len() * width as usize);
-    for result in results {
-        match result {
-            Some(proba) => data.extend_from_slice(&proba),
-            None => data.extend(std::iter::repeat_n(0.0f32, width as usize)),
         }
     }
     Frame::PredictOk {
-        version,
+        version: prediction.version,
         rows: RowBlock {
-            n_cols: width,
+            n_cols: width as u32,
             data,
         },
         abstained,
     }
-}
-
-fn handle_publish(
-    shared: &NodeShared,
-    model: &str,
-    path: &str,
-    version: u64,
-    backend: u8,
-) -> Frame {
-    let kind = match backend {
-        0 => BackendKind::Naive,
-        1 => BackendKind::Parallel,
-        other => {
-            return Frame::Error {
-                code: ErrorCode::BadRequest,
-                message: format!("unknown compute backend byte {other}"),
-            }
-        }
-    };
-    if let Some(root) = &shared.artifact_root {
-        if !artifact::path_allowed(root, std::path::Path::new(path)) {
-            return Frame::Error {
-                code: ErrorCode::Forbidden,
-                message: format!("artifact path {path:?} is outside the allowed root"),
-            };
-        }
-    }
-    let pipeline = match Pipeline::load(path, kind) {
-        Ok(pipeline) => pipeline,
-        Err(err) => {
-            return Frame::Error {
-                code: ErrorCode::Io,
-                message: format!("cannot load artifact at {path:?}: {err}"),
-            }
-        }
-    };
-    let (handle, displaced) = shared
-        .target
-        .registry()
-        .publish(ServedModel::new(model, version, pipeline));
-    Frame::PublishOk {
-        version: handle.version(),
-        displaced: displaced.map(|m| m.version()),
-    }
-}
-
-fn handle_learn(shared: &NodeShared, model: &str, rows: &RowBlock, labels: &[u32]) -> Frame {
-    let Some(learner) = shared.learner(model) else {
-        return Frame::Error {
-            code: ErrorCode::UnknownModel,
-            message: format!("no online learner is attached for model {model:?}"),
-        };
-    };
-    let row_vecs: Vec<Vec<f32>> = (0..rows.n_rows()).map(|i| rows.row(i).to_vec()).collect();
-    let label_vec: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-    match learner.submit(&row_vecs, &label_vec) {
-        Ok(accepted) => Frame::LearnOk {
-            accepted: accepted as u64,
-            queue_depth: learner.metrics().queue_depth,
-        },
-        Err(err) => {
-            let code = match err {
-                LearnError::QueueFull { .. } => ErrorCode::Overloaded,
-                LearnError::ShuttingDown => ErrorCode::Disconnected,
-                _ => ErrorCode::BadRequest,
-            };
-            Frame::Error {
-                code,
-                message: err.to_string(),
-            }
-        }
-    }
-}
-
-/// The node's serving exposition plus every attached learner's
-/// `bcpnn_learn_*` families, still one valid scrape.
-fn handle_metrics(shared: &NodeShared) -> String {
-    let mut text = shared.target.to_prometheus();
-    if !shared.learners.is_empty() {
-        let snapshots: Vec<(&str, bcpnn_learn::LearnSnapshot)> = shared
-            .learners
-            .iter()
-            .map(|l| (l.model(), l.metrics()))
-            .collect();
-        text.push_str(&bcpnn_learn::prometheus_exposition(&snapshots));
-    }
-    text
-}
-
-fn handle_models(shared: &NodeShared) -> Frame {
-    let registry = shared.target.registry();
-    let mut names = registry.model_names();
-    names.sort_unstable();
-    let models = names
-        .into_iter()
-        .filter_map(|name| registry.lookup(&name))
-        .map(|m| ModelInfo {
-            name: m.name().to_string(),
-            version: m.version(),
-            n_inputs: m.predictor().n_inputs() as u32,
-            n_classes: m.predictor().n_classes() as u32,
-        })
-        .collect();
-    Frame::ModelsOk { models }
 }
 
 #[cfg(test)]
@@ -452,7 +361,7 @@ mod tests {
     use bcpnn_core::model::Predictor;
     use bcpnn_core::{Network, ReadoutKind, TrainingParams};
     use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-    use bcpnn_serve::{ModelRegistry, ShardConfig, ShardedServer};
+    use bcpnn_serve::{ModelRegistry, Pipeline, ServedModel, ShardConfig, ShardedServer};
 
     fn tiny_pipeline(seed: u64) -> (Pipeline, bcpnn_data::Dataset) {
         let data = generate(&SyntheticHiggsConfig {

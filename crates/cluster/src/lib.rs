@@ -8,15 +8,14 @@
 //! binary protocol to the backends.
 //!
 //! ```text
-//!   client ──HTTP/1.1 (JSON)──▶ RouterHttp ─▶ ClusterRouter
-//!                                                │  consistent-hash ring
-//!                                                │  (FNV-1a, vnodes)
-//!                                ┌───────────────┼───────────────┐
-//!                          binary frames    binary frames   binary frames
-//!                                ▼               ▼               ▼
-//!                          BackendNode     BackendNode     BackendNode
-//!                                │               │               │
-//!                          ShardedServer   ShardedServer   ShardedServer
+//!   client ──HTTP/1.1 (JSON)──▶ HttpFront (bcpnn-gateway's, unchanged)
+//!                                   │ ApiBackend
+//!                     ┌─────────────┴──────────────┐
+//!              LocalNode (= Gateway)         ClusterRouter (= RouterHttp)
+//!                     │                            │ consistent-hash ring
+//!               ShardedServer            binary frames, per replica
+//!                                                  ▼
+//!                                     BackendNode ─▶ LocalNode ─▶ ShardedServer
 //! ```
 //!
 //! ## Pieces
@@ -26,11 +25,12 @@
 //! * [`placement`] — the consistent-hash ring; each model lands on a
 //!   replica group of `replication` distinct backends.
 //! * [`pool`] — per-backend TCP connection pools with health state.
-//! * [`backend`] — a node: TCP listener in front of a
-//!   [`bcpnn_serve::ServeTarget`].
-//! * [`router`] — fan-out, failover, cluster-wide publish, merged
+//! * [`backend`] — a node: TCP listener decoding frames into the
+//!   gateway's node-local operations ([`bcpnn_gateway::LocalNode`]).
+//! * [`router`] — fan-out, failover, cluster-wide broadcast, merged
 //!   metrics.
-//! * [`httpfront`] — the exterior HTTP surface (the gateway protocol).
+//! * [`httpfront`] — the router as an [`bcpnn_gateway::ApiBackend`], and
+//!   the gateway's HTTP front started over it.
 //! * [`metrics`] — `bcpnn_cluster_*` Prometheus counters.
 //!
 //! ## Failure model
@@ -59,5 +59,5 @@ pub use httpfront::{RouterHttp, RouterHttpConfig};
 pub use metrics::ClusterMetrics;
 pub use placement::Ring;
 pub use pool::BackendPool;
-pub use router::{merge_expositions, ClusterConfig, ClusterRouter, LearnOutcome, PublishOutcome};
+pub use router::{merge_expositions, ClusterConfig, ClusterRouter};
 pub use wire::{ErrorCode, Frame, ModelInfo, RowBlock, WireError};

@@ -28,10 +28,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bcpnn_serve::{
-    MetricsSnapshot, ModelRegistry, PredictionHandle, ServeError, ServeResult, ServeTarget,
-    ServingMetrics, SubmitOptions,
-};
+use bcpnn_gateway::api::NodeResult;
+use bcpnn_gateway::ApiError;
+use bcpnn_serve::{ServeError, SubmitOptions};
 
 use crate::metrics::ClusterMetrics;
 use crate::placement::Ring;
@@ -99,40 +98,14 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Per-node outcome of a cluster-wide publish broadcast.
-#[derive(Debug, Clone)]
-pub struct PublishOutcome {
-    /// Backend index the outcome is for.
-    pub backend: usize,
-    /// That backend's address.
-    pub addr: SocketAddr,
-    /// `Ok((version, displaced))` or the node's typed refusal.
-    pub result: Result<(u64, Option<u64>), (ErrorCode, String)>,
-}
-
-/// Per-node outcome of a learn broadcast to a model's replica group.
-#[derive(Debug, Clone)]
-pub struct LearnOutcome {
-    /// Backend index the outcome is for.
-    pub backend: usize,
-    /// That backend's address.
-    pub addr: SocketAddr,
-    /// `Ok((accepted, queue_depth))` or the node's typed refusal.
-    pub result: Result<(u64, u64), (ErrorCode, String)>,
-}
-
 /// The running router tier (no HTTP listener of its own — see
-/// [`crate::httpfront::RouterHttp`] for the exterior surface).
+/// [`crate::httpfront::RouterHttp`] for the exterior surface, which
+/// drives it through [`bcpnn_gateway::ApiBackend`]).
 pub struct ClusterRouter {
     config: ClusterConfig,
     ring: Ring,
     pools: Vec<Arc<BackendPool>>,
     metrics: Arc<ClusterMetrics>,
-    /// Local placeholder so the [`ServeTarget`] surface has a registry to
-    /// hand out; models live on the backends, not here.
-    placeholder: Arc<ModelRegistry>,
-    /// Zeroed local serving counters backing [`ServeTarget::metrics`].
-    local: ServingMetrics,
     nonce: AtomicU64,
     shutdown: Arc<AtomicBool>,
     health: Option<JoinHandle<()>>,
@@ -164,8 +137,6 @@ impl ClusterRouter {
             ring,
             pools,
             metrics,
-            placeholder: Arc::new(ModelRegistry::new()),
-            local: ServingMetrics::default(),
             nonce: AtomicU64::new(1),
             shutdown,
             health: None,
@@ -351,84 +322,41 @@ impl ClusterRouter {
         self.metrics.set_backend_up(backend, false);
     }
 
-    /// Broadcast a hot-swap to every backend holding a replica of
-    /// `model`, reporting each node's outcome. `backend_kind` is the wire
-    /// byte (`0` naive, `1` parallel).
-    pub fn publish(
+    /// Send `request` to every backend holding a replica of `model` and
+    /// report each node's outcome: `decode` picks the expected reply frame
+    /// apart, `failure_status` maps a refusal to its HTTP status. A
+    /// broadcast never fails over — every replica must swap to, or fold,
+    /// the same thing to stay bit-identical — so a node that cannot be
+    /// reached is reported as [`ErrorCode::Disconnected`] ("the node is
+    /// unreachable"; one that refuses answers with its own code) and, for
+    /// learn, falls behind until its next published generation
+    /// resynchronizes it.
+    pub(crate) fn broadcast<T>(
         &self,
         model: &str,
-        path: &str,
-        version: u64,
-        backend_kind: u8,
-    ) -> Vec<PublishOutcome> {
-        self.metrics.record_publish();
-        let request = Frame::Publish {
-            model: model.to_string(),
-            path: path.to_string(),
-            version,
-            backend: backend_kind,
-        };
+        request: &Frame,
+        decode: fn(Frame) -> Result<T, Frame>,
+        failure_status: fn(ErrorCode) -> u16,
+    ) -> Vec<NodeResult<T>> {
         self.replicas_for(model)
             .into_iter()
             .map(|b| {
-                let result = match self.pools[b].call(&request, self.config.request_timeout) {
-                    Ok(Frame::PublishOk { version, displaced }) => Ok((version, displaced)),
+                let result = match self.pools[b].call(request, self.config.request_timeout) {
                     Ok(Frame::Error { code, message }) => Err((code, message)),
-                    Ok(other) => Err((
-                        ErrorCode::BadRequest,
-                        format!("unexpected reply frame {other:?}"),
-                    )),
-                    // Transport failure ≠ load failure: Disconnected says
-                    // "the node is unreachable", while a node that could
-                    // not load the artifact answers ErrorCode::Io itself.
+                    Ok(reply) => decode(reply).map_err(|other| {
+                        let message = format!("unexpected reply frame {other:?}");
+                        (ErrorCode::BadRequest, message)
+                    }),
                     Err(err) => {
                         self.mark_down(b);
                         Err((ErrorCode::Disconnected, err.to_string()))
                     }
                 };
-                PublishOutcome {
+                NodeResult {
                     backend: b,
                     addr: self.pools[b].addr(),
-                    result,
-                }
-            })
-            .collect()
-    }
-
-    /// Broadcast labeled rows to every backend holding a replica of
-    /// `model`, reporting each node's outcome. Every replica must fold
-    /// the same rows to stay bit-identical, so — unlike predict — learn
-    /// never fails over: a node that cannot be reached is reported as
-    /// [`ErrorCode::Disconnected`] and its learner falls behind until its
-    /// next published generation resynchronizes it.
-    pub fn learn(&self, model: &str, rows: RowBlock, labels: Vec<u32>) -> Vec<LearnOutcome> {
-        let request = Frame::Learn {
-            model: model.to_string(),
-            rows,
-            labels,
-        };
-        self.replicas_for(model)
-            .into_iter()
-            .map(|b| {
-                let result = match self.pools[b].call(&request, self.config.request_timeout) {
-                    Ok(Frame::LearnOk {
-                        accepted,
-                        queue_depth,
-                    }) => Ok((accepted, queue_depth)),
-                    Ok(Frame::Error { code, message }) => Err((code, message)),
-                    Ok(other) => Err((
-                        ErrorCode::BadRequest,
-                        format!("unexpected reply frame {other:?}"),
-                    )),
-                    Err(err) => {
-                        self.mark_down(b);
-                        Err((ErrorCode::Disconnected, err.to_string()))
-                    }
-                };
-                LearnOutcome {
-                    backend: b,
-                    addr: self.pools[b].addr(),
-                    result,
+                    result: result
+                        .map_err(|(code, message)| ApiError::new(failure_status(code), message)),
                 }
             })
             .collect()
@@ -515,56 +443,6 @@ fn probe(
     }
 }
 
-/// The router *is* a [`ServeTarget`]: the serve crate's load generator —
-/// and anything else written against the trait — can drive a whole
-/// cluster without knowing it is one. The interior round trip completes
-/// eagerly inside `submit_with_options`; the returned handle is
-/// pre-resolved ([`PredictionHandle::ready`]).
-impl ServeTarget for ClusterRouter {
-    fn submit_with_options(
-        &self,
-        model: &str,
-        features: Vec<f32>,
-        options: SubmitOptions,
-    ) -> ServeResult<PredictionHandle> {
-        let rows = RowBlock {
-            n_cols: features.len() as u32,
-            data: features,
-        };
-        let result =
-            self.predict_rows(model, rows, &options)
-                .and_then(|(_version, rows, abstained)| {
-                    // A single-row submission that came back abstained maps to
-                    // the typed error, matching in-process submit semantics.
-                    if abstained.contains(&0) {
-                        Err(ServeError::Abstained)
-                    } else {
-                        Ok(rows.data)
-                    }
-                });
-        Ok(PredictionHandle::ready(result))
-    }
-
-    fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.placeholder
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.local.snapshot()
-    }
-
-    fn to_prometheus(&self) -> String {
-        self.merged_prometheus()
-    }
-
-    fn n_classes_of(&self, model: &str) -> Option<usize> {
-        self.models()
-            .into_iter()
-            .find(|m| m.name == model)
-            .map(|m| m.n_classes as usize)
-    }
-}
-
 /// Merge per-node Prometheus expositions into one valid scrape: the
 /// first `# HELP`/`# TYPE` declaration of each metric is kept, duplicates
 /// from later nodes are dropped, and every sample line gains a
@@ -622,6 +500,7 @@ fn label_sample(line: &str, label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcpnn_serve::ServingMetrics;
 
     #[test]
     fn merged_expositions_dedupe_declarations_and_label_nodes() {

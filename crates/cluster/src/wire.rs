@@ -240,6 +240,11 @@ impl RowBlock {
         let w = self.n_cols as usize;
         &self.data[i * w..(i + 1) * w]
     }
+
+    /// The block as one owned `Vec` per row.
+    pub fn to_rows(&self) -> Vec<Vec<f32>> {
+        (0..self.n_rows()).map(|i| self.row(i).to_vec()).collect()
+    }
 }
 
 /// One listed model in a [`Frame::ModelsOk`] reply.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use bcpnn_backend::BackendKind;
 use bcpnn_core::{Network, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-use bcpnn_gateway::{client, Gateway, GatewayConfig};
+use bcpnn_gateway::{client, FrontConfig, Gateway, GatewayConfig};
 use bcpnn_learn::{LearnerConfig, OnlineLearner};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_serve::{ModelRegistry, Pipeline, ServeTarget, ServedModel, ShardConfig, ShardedServer};
@@ -153,9 +153,12 @@ fn main() {
     let gateway = Gateway::start_with_learners(
         Arc::clone(&server) as Arc<dyn ServeTarget>,
         GatewayConfig {
-            addr: args.addr.clone(),
-            workers: args.workers,
-            ..GatewayConfig::default()
+            front: FrontConfig {
+                addr: args.addr.clone(),
+                workers: args.workers,
+                ..FrontConfig::default()
+            },
+            artifact_root: None,
         },
         vec![Arc::clone(&learner)],
     )

@@ -301,17 +301,6 @@ impl Response {
         }
     }
 
-    /// A plain-text response (the Prometheus exposition content type for
-    /// `/metrics` is set by the caller via [`Response::text_with_type`]).
-    pub fn text(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into_bytes(),
-            extra_headers: Vec::new(),
-        }
-    }
-
     /// A response with an explicit content type.
     pub fn text_with_type(status: u16, content_type: &'static str, body: String) -> Response {
         Response {

@@ -234,11 +234,16 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 /// Parse a request body that must be a JSON array of equal-length arrays
-/// of finite numbers — the predict endpoint's rows. Numbers are parsed
-/// directly to `f32` (no `f64` detour), empty bodies and ragged or empty
-/// rows are rejected.
+/// of finite numbers — the predict endpoint's rows; see [`f32_rows`].
 pub fn parse_f32_rows(input: &str) -> Result<Vec<Vec<f32>>, ParseError> {
-    let doc = parse(input)?;
+    f32_rows(&parse(input)?)
+}
+
+/// Feature rows out of a parsed value that must be an array of
+/// equal-length arrays of finite numbers. Numbers are parsed directly to
+/// `f32` (no `f64` detour); an empty array and ragged or empty rows are
+/// rejected.
+pub fn f32_rows(doc: &Json) -> Result<Vec<Vec<f32>>, ParseError> {
     let outer = doc.as_array().ok_or_else(|| ParseError {
         message: "expected a JSON array of feature rows".into(),
         offset: 0,

@@ -6,34 +6,40 @@
 //!
 //! Everything is `std`: `std::net::TcpListener`, a hand-rolled HTTP
 //! parser ([`http`]), a hand-rolled JSON module ([`json`]) with bit-exact
-//! `f32` round trips, and a bounded accept/worker thread pool
-//! ([`Gateway`]). The build is offline — no hyper, no serde — and the
-//! wire surface is small enough that owning it outright is cheaper than
-//! shimming a framework.
+//! `f32` round trips, and a bounded accept/worker thread pool. The build
+//! is offline — no hyper, no serde — and the wire surface is small enough
+//! that owning it outright is cheaper than shimming a framework.
+//!
+//! One front, swappable backends: [`HttpFront`] ([`front`]) serves the
+//! endpoints below over any [`ApiBackend`] ([`api`]). [`Gateway`] is that
+//! front over [`LocalNode`] ([`local`]), the operations of one in-process
+//! serving stack; `bcpnn-cluster` starts the same front over its router
+//! and runs the same `LocalNode` operations on every backend node.
 //!
 //! ## Endpoints
 //!
 //! | Method & path | Purpose |
 //! |---|---|
-//! | `POST /v1/models/{name}/predict` | Rows in (JSON array of arrays), probabilities out |
-//! | `GET /metrics` | Prometheus scrape: serving (per-shard + aggregate) **and** gateway counters |
-//! | `GET /healthz` | Liveness probe |
+//! | `POST /v1/models/{name}/predict` | Rows in (JSON array of arrays), probabilities, uncertainty and abstention out |
+//! | `POST /v1/models/{name}/learn` | Labeled rows into the model's online learner |
+//! | `PUT /v1/models/{name}` | Hot-swap a persisted `v4` (or older) artifact from a path |
 //! | `GET /v1/models` | Registry listing with versions and shapes |
-//! | `PUT /v1/models/{name}` | Hot-swap a persisted `v1`–`v3` artifact from a path |
+//! | `GET /metrics` | Prometheus scrape: the backend's exposition **and** the front's counters |
+//! | `GET /healthz` | Liveness probe |
 //!
 //! Scheduling options thread through headers — `X-Priority:
-//! high|normal|low`, `X-Deadline-Ms: <millis>` — and
-//! [`ServeError`](bcpnn_serve::ServeError) variants map to proper status
-//! codes (`DeadlineExceeded` → 504, unknown model → 404; see [`error`]).
+//! high|normal|low`, `X-Deadline-Ms: <millis>`, `X-Abstain-Below:
+//! <margin in [0,1]>` — and [`ServeError`](bcpnn_serve::ServeError)
+//! variants map to proper status codes (`DeadlineExceeded` → 504, unknown
+//! model → 404; see [`error`]).
 //!
 //! ## Micro-batching still amortizes
 //!
 //! The gateway does not run models. Every feature row from every
 //! connection is submitted individually to the shared
-//! [`ServeTarget`](bcpnn_serve::ServeTarget) — the same object-safe sink
-//! the load generator drives — so the serving stack's collector coalesces
-//! rows *across HTTP connections* into vectorized batches, and one
-//! slow-to-send client never blocks another's batch.
+//! [`ServeTarget`](bcpnn_serve::ServeTarget), so the serving stack's
+//! collector coalesces rows *across HTTP connections* into vectorized
+//! batches, and one slow-to-send client never blocks another's batch.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -50,15 +56,21 @@
 
 #![warn(missing_docs)]
 
+pub mod api;
 pub mod artifact;
 pub mod client;
 pub mod error;
+pub mod front;
 pub mod http;
 pub mod json;
+pub mod local;
 pub mod metrics;
 pub mod router;
 mod server;
 
+pub use api::ApiBackend;
 pub use error::{status_of, ApiError};
+pub use front::{FrontConfig, HttpFront};
+pub use local::LocalNode;
 pub use metrics::{GatewayMetrics, GatewaySnapshot};
 pub use server::{Gateway, GatewayConfig};

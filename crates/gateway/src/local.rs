@@ -1,0 +1,198 @@
+//! The node-local model operations: predict, publish, learn, listing and
+//! scrape over one in-process serving stack.
+//!
+//! [`LocalNode`] is what [`crate::Gateway`] fronts over HTTP and what the
+//! cluster's `BackendNode` fronts over the interior protocol: the typed
+//! results are rendered to JSON by the one and to frames by the other, so
+//! neither carries a second copy of an operation.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use bcpnn_learn::{LearnError, OnlineLearner};
+use bcpnn_serve::{Pipeline, ServeError, ServeTarget, ServedModel, SubmitOptions};
+
+use crate::api::{
+    ApiBackend, Learned, ModelEntry, Outcome, PredictFailure, Prediction, PublishRequest, Published,
+};
+use crate::error::ApiError;
+
+/// One in-process serving stack with its online learners and publish
+/// allowlist.
+pub struct LocalNode {
+    /// The serving stack.
+    pub target: Arc<dyn ServeTarget>,
+    /// Online learners, each serving learn requests for the registry
+    /// model it feeds.
+    pub learners: Vec<Arc<OnlineLearner>>,
+    /// When set, publishes naming a path that resolves outside this
+    /// directory are refused before the filesystem entry is touched.
+    pub artifact_root: Option<PathBuf>,
+}
+
+impl LocalNode {
+    /// Load a persisted artifact from a path on this host and publish it
+    /// — the registry's atomic hot-swap. A path outside the allowlisted
+    /// root is `403`; a bad artifact is the client's problem (`422`
+    /// unprocessable content), not an internal error.
+    pub fn publish(&self, model: &str, request: &PublishRequest) -> Result<Published, ApiError> {
+        let path = &request.path;
+        if let Some(root) = &self.artifact_root {
+            if !crate::artifact::path_allowed(root, Path::new(path)) {
+                return Err(ApiError::new(
+                    403,
+                    format!("artifact path {path:?} is outside the allowed root"),
+                ));
+            }
+        }
+        let pipeline = Pipeline::load(path, request.backend)
+            .map_err(|e| ApiError::new(422, format!("cannot load artifact at {path:?}: {e}")))?;
+        let (handle, displaced) =
+            self.target
+                .registry()
+                .publish(ServedModel::new(model, request.version, pipeline));
+        Ok(Published {
+            version: handle.version(),
+            displaced: displaced.map(|m| m.version()),
+        })
+    }
+
+    /// Feed labeled rows to the model's online learner.
+    ///
+    /// Acceptance is durability, not training: `Ok` means every row is in
+    /// the learner's bounded queue and will be written to the replay log
+    /// before it is folded. A full queue is backpressure (`429`); a model
+    /// with no learner attached is `404`.
+    pub fn learn(
+        &self,
+        model: &str,
+        rows: &[Vec<f32>],
+        labels: &[u32],
+    ) -> Result<Learned, ApiError> {
+        let learner = self
+            .learners
+            .iter()
+            .find(|l| l.model() == model)
+            .ok_or_else(|| {
+                ApiError::new(
+                    404,
+                    format!("no online learner is attached to model {model:?}"),
+                )
+            })?;
+        let labels: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+        let accepted = learner.submit(rows, &labels).map_err(|err| {
+            let status = match err {
+                LearnError::QueueFull { .. } => 429,
+                LearnError::ShuttingDown => 503,
+                _ => 400,
+            };
+            ApiError::new(status, err.to_string())
+        })?;
+        let snapshot = learner.metrics();
+        Ok(Learned {
+            accepted: accepted as u64,
+            queue_depth: snapshot.queue_depth,
+            publishes: Some(snapshot.publishes),
+        })
+    }
+}
+
+impl ApiBackend for LocalNode {
+    /// Registry listing with versions and shapes, sorted by name.
+    fn models(&self) -> Vec<ModelEntry> {
+        let registry = self.target.registry();
+        registry
+            .model_names()
+            .into_iter()
+            .filter_map(|name| registry.lookup(&name))
+            .map(|model| ModelEntry {
+                name: model.name().to_string(),
+                version: model.version(),
+                n_inputs: model.predictor().n_inputs() as u64,
+                n_classes: model.predictor().n_classes() as u64,
+                replicas: None,
+            })
+            .collect()
+    }
+
+    /// Submit every row before waiting on any, so the rows of one request
+    /// — and of concurrent connections — coalesce in the serving stack's
+    /// micro-batches.
+    ///
+    /// Swap semantics: each *batch* resolves the model version at
+    /// dispatch, so every row is served by one consistent model, but the
+    /// rows of a multi-row request batch independently — a request
+    /// straddling a hot-swap may get some rows from the old version and
+    /// some from the new. Clients that need version-atomic responses send
+    /// one row per request.
+    fn predict(
+        &self,
+        model: &str,
+        rows: Vec<Vec<f32>>,
+        options: SubmitOptions,
+    ) -> Result<Prediction, PredictFailure> {
+        let version = self.target.registry().lookup(model).map(|m| m.version());
+        let mut handles = Vec::with_capacity(rows.len());
+        for features in rows {
+            match self.target.submit_with_options(model, features, options) {
+                Ok(handle) => handles.push(handle),
+                Err(error) => {
+                    return Err(PredictFailure {
+                        submitted: handles.len(),
+                        error,
+                    })
+                }
+            }
+        }
+        let submitted = handles.len();
+        let mut answers = Vec::with_capacity(submitted);
+        for handle in handles {
+            match handle.wait() {
+                Ok(proba) => answers.push(Some(proba)),
+                // Abstention is per row and in-band: one low-confidence
+                // row does not fail its siblings.
+                Err(ServeError::Abstained) => answers.push(None),
+                Err(error) => return Err(PredictFailure { submitted, error }),
+            }
+        }
+        Ok(Prediction {
+            version,
+            rows: answers,
+        })
+    }
+
+    fn publish(
+        &self,
+        model: &str,
+        request: &PublishRequest,
+    ) -> Result<Outcome<Published>, ApiError> {
+        Ok(Outcome::Local(LocalNode::publish(self, model, request)?))
+    }
+
+    fn learn(
+        &self,
+        model: &str,
+        rows: Vec<Vec<f32>>,
+        labels: Vec<u32>,
+    ) -> Result<Outcome<Learned>, ApiError> {
+        Ok(Outcome::Local(LocalNode::learn(
+            self, model, &rows, &labels,
+        )?))
+    }
+
+    /// The serving stack's exposition (per-shard + aggregate) followed by
+    /// every attached learner's `bcpnn_learn_*` families — disjoint
+    /// metric names, so the text stays one valid scrape.
+    fn scrape(&self) -> String {
+        let mut text = self.target.to_prometheus();
+        if !self.learners.is_empty() {
+            let snapshots: Vec<(&str, bcpnn_learn::LearnSnapshot)> = self
+                .learners
+                .iter()
+                .map(|l| (l.model(), l.metrics()))
+                .collect();
+            text.push_str(&bcpnn_learn::prometheus_exposition(&snapshots));
+        }
+        text
+    }
+}

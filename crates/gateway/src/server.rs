@@ -1,164 +1,45 @@
-//! The gateway server: a bounded accept/worker thread pool over
-//! `std::net::TcpListener`, feeding the in-process serving stack.
-//!
-//! One *accept* thread pulls connections off the listener and pushes them
-//! onto a bounded queue; when the queue is full the connection is answered
-//! `503` immediately (load shedding at the edge, before any parsing).
-//! `workers` *connection* threads pop, parse one HTTP request each
-//! ([`crate::http`]), route it ([`crate::router`]), and run the endpoint.
+//! The gateway: the HTTP front ([`crate::front`]) over the in-process
+//! serving stack ([`crate::LocalNode`]).
 //!
 //! The predict path preserves the serving stack's micro-batching: every
 //! row of every in-flight HTTP request is submitted individually to the
 //! shared [`ServeTarget`], so the collector coalesces rows *across
 //! connections* into vectorized batches exactly as in-process callers do.
-//! [`SubmitOptions`] thread through headers: `X-Priority:
-//! high|normal|low`, `X-Deadline-Ms: <millis>`, and
-//! `X-Abstain-Below: <margin in [0,1]>` (low-confidence rows come back
-//! abstained instead of answered).
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::Arc;
 
-use bcpnn_backend::BackendKind;
-use bcpnn_learn::{LearnError, OnlineLearner};
-use bcpnn_serve::{Pipeline, Priority, ServeTarget, ServedModel, SubmitOptions};
+use bcpnn_learn::OnlineLearner;
+use bcpnn_serve::ServeTarget;
 
-use crate::error::ApiError;
-use crate::http::{read_request, Limits, Request, Response};
-use crate::json::{self, Json};
-use crate::metrics::{GatewayMetrics, GatewaySnapshot};
-use crate::router::{route, Route, RouteError};
+use crate::front::{FrontConfig, HttpFront};
+use crate::local::LocalNode;
+use crate::metrics::GatewaySnapshot;
 
 /// Gateway configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GatewayConfig {
-    /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port; read the
-    /// result from [`Gateway::local_addr`]).
-    pub addr: String,
-    /// Connection worker threads (each serves one request at a time).
-    pub workers: usize,
-    /// Bounded queue of accepted, not-yet-served connections; connections
-    /// beyond it are answered `503` immediately.
-    pub max_pending: usize,
-    /// Request head/body byte ceilings.
-    pub limits: Limits,
-    /// Socket read timeout while parsing a request.
-    pub read_timeout: Duration,
+    /// Listener, worker pool, byte ceilings and timeouts.
+    pub front: FrontConfig,
     /// Allowlisted root for `PUT /v1/models/{name}` artifact paths: when
     /// set, publish requests naming a path that resolves outside this
     /// directory are answered `403` without touching the filesystem
-    /// entry. `None` (the default) keeps the historical allow-anything
-    /// behavior for trusted single-host deployments.
-    pub artifact_root: Option<std::path::PathBuf>,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            max_pending: 64,
-            limits: Limits::default(),
-            read_timeout: Duration::from_secs(10),
-            artifact_root: None,
-        }
-    }
-}
-
-/// Bounded MPMC queue of accepted connections (std `Mutex` + `Condvar`;
-/// the gateway stays dependency-free).
-struct ConnQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-struct QueueState {
-    queue: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueue a connection; hands it back when the queue is full.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut state = self.state.lock().unwrap();
-        if state.closed || state.queue.len() >= self.capacity {
-            return Err(stream);
-        }
-        state.queue.push_back(stream);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue, blocking; `None` once the queue is closed *and* drained,
-    /// so queued connections are still served through shutdown.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(stream) = state.queue.pop_front() {
-                return Some(stream);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.ready.notify_all();
-    }
-}
-
-/// State shared by the accept thread and the connection workers.
-struct Shared {
-    target: Arc<dyn ServeTarget>,
-    metrics: GatewayMetrics,
-    queue: ConnQueue,
-    limits: Limits,
-    read_timeout: Duration,
-    artifact_root: Option<std::path::PathBuf>,
-    /// Online learners behind `POST /v1/models/{name}/learn`, keyed by the
-    /// registry model name each one feeds.
-    learners: Vec<Arc<OnlineLearner>>,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    fn learner(&self, model: &str) -> Option<&Arc<OnlineLearner>> {
-        self.learners.iter().find(|l| l.model() == model)
-    }
+    /// entry. `None` (the default) allows any path, for trusted
+    /// single-host deployments.
+    pub artifact_root: Option<PathBuf>,
 }
 
 /// The running HTTP gateway. Dropping it shuts the listener down
 /// gracefully: queued connections are served, then the threads join.
+#[derive(Debug)]
 pub struct Gateway {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    front: HttpFront,
 }
 
 impl Gateway {
-    /// Bind `config.addr` and start the accept + worker threads over
-    /// `target` (an [`bcpnn_serve::InferenceServer`] or
+    /// Bind `config.front.addr` and start the accept + worker threads
+    /// over `target` (an [`bcpnn_serve::InferenceServer`] or
     /// [`bcpnn_serve::ShardedServer`], shared as a trait object).
     pub fn start(target: Arc<dyn ServeTarget>, config: GatewayConfig) -> std::io::Result<Gateway> {
         Self::start_with_learners(target, config, Vec::new())
@@ -173,496 +54,33 @@ impl Gateway {
         config: GatewayConfig,
         learners: Vec<Arc<OnlineLearner>>,
     ) -> std::io::Result<Gateway> {
-        assert!(config.workers > 0, "need at least one connection worker");
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
+        let node = LocalNode {
             target,
-            metrics: GatewayMetrics::new(),
-            queue: ConnQueue::new(config.max_pending),
-            limits: config.limits,
-            read_timeout: config.read_timeout,
-            artifact_root: config.artifact_root,
             learners,
-            shutdown: AtomicBool::new(false),
-        });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("bcpnn-gateway-accept".into())
-                .spawn(move || run_accept(&listener, &shared))
-                .expect("failed to spawn gateway accept thread")
+            artifact_root: config.artifact_root,
         };
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("bcpnn-gateway-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = shared.queue.pop() {
-                            handle_connection(&shared, stream);
-                        }
-                    })
-                    .expect("failed to spawn gateway worker thread")
-            })
-            .collect();
-
-        Ok(Gateway {
-            local_addr,
-            shared,
-            accept: Some(accept),
-            workers,
-        })
+        let front = HttpFront::start(Arc::new(node), config.front)?;
+        Ok(Gateway { front })
     }
 
     /// The address the gateway actually bound (resolves `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Point-in-time copy of the gateway-level counters (the serving
     /// stack's own metrics live on the target).
     #[must_use]
     pub fn metrics(&self) -> GatewaySnapshot {
-        self.shared.metrics.snapshot()
+        self.front.metrics()
     }
-}
-
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection; it checks
-        // the flag after every accept (and after every accept *error*, so
-        // even a failed wake-up is only a backoff interval away from being
-        // noticed). Connect to loopback when bound to a wildcard address —
-        // connecting to 0.0.0.0 is not universally routable to self.
-        let mut wake_addr = self.local_addr;
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(match wake_addr.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let woke = TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1)).is_ok();
-        if let Some(accept) = self.accept.take() {
-            if woke {
-                let _ = accept.join();
-            }
-            // If the wake-up connection failed (fd exhaustion, odd
-            // platform), detach the accept thread rather than hanging the
-            // dropping thread: it exits at its next accept/error cycle.
-        }
-        self.shared.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for Gateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gateway")
-            .field("local_addr", &self.local_addr)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-fn run_accept(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // Listener-level errors (EMFILE and friends): back off briefly
-            // instead of spinning a core exactly when the process is
-            // already resource-starved, then retry unless shutting down.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Err(mut rejected) = shared.queue.push(stream) {
-            // Shed load at the edge: a full queue answers 503 from the
-            // accept thread without reading the request. The short write
-            // timeout keeps a non-reading client from stalling accepts.
-            let _ = rejected.set_write_timeout(Some(Duration::from_secs(1)));
-            shared.metrics.record_request();
-            shared.metrics.record_rejected_busy();
-            shared.metrics.record_status(503);
-            let response =
-                ApiError::new(503, "gateway accept queue is full; retry later").into_response();
-            if let Ok(n) = response.write_to(&mut rejected) {
-                shared.metrics.record_bytes_out(n);
-            }
-        }
-    }
-}
-
-/// Serve exactly one request on `stream` and close it.
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
-    // A write timeout too: a client that never reads its response must
-    // not wedge this worker in write_all forever.
-    let _ = stream.set_write_timeout(Some(shared.read_timeout));
-    let _ = stream.set_nodelay(true);
-    shared.metrics.record_request();
-    let response = match read_request(&mut stream, shared.limits) {
-        Ok(request) => {
-            shared.metrics.record_bytes_in(request.body.len() as u64);
-            dispatch(shared, &request)
-        }
-        Err(err) => ApiError::new(err.status(), err.message()).into_response(),
-    };
-    shared.metrics.record_status(response.status);
-    if let Ok(n) = response.write_to(&mut stream) {
-        shared.metrics.record_bytes_out(n);
-    }
-}
-
-/// Route and run one parsed request.
-fn dispatch(shared: &Shared, request: &Request) -> Response {
-    let endpoint = match route(&request.method, &request.path) {
-        Ok(endpoint) => endpoint,
-        Err(RouteError::NotFound) => {
-            return ApiError::new(404, format!("no endpoint at {:?}", request.path)).into_response()
-        }
-        Err(RouteError::MethodNotAllowed(allow)) => {
-            let mut err = ApiError::new(
-                405,
-                format!("{} is not allowed here (allow: {allow})", request.method),
-            );
-            err.allow = Some(allow);
-            return err.into_response();
-        }
-        Err(RouteError::BadModelName(name)) => {
-            return ApiError::new(400, format!("invalid model name {name:?}")).into_response()
-        }
-    };
-    match endpoint {
-        Route::Healthz => Response::json(200, "{\"status\":\"ok\"}".to_string()),
-        Route::Metrics => handle_metrics(shared),
-        Route::ListModels => handle_list_models(shared),
-        Route::Predict(name) => {
-            handle_predict(shared, &name, request).unwrap_or_else(ApiError::into_response)
-        }
-        Route::Publish(name) => {
-            handle_publish(shared, &name, request).unwrap_or_else(ApiError::into_response)
-        }
-        Route::Learn(name) => {
-            handle_learn(shared, &name, request).unwrap_or_else(ApiError::into_response)
-        }
-    }
-}
-
-/// `GET /metrics`: the serving stack's exposition (per-shard + aggregate)
-/// followed by the gateway's own counters — disjoint metric names, so the
-/// combined text stays a valid single scrape.
-fn handle_metrics(shared: &Shared) -> Response {
-    let mut text = shared.target.to_prometheus();
-    text.push_str(&shared.metrics.snapshot().to_prometheus());
-    if !shared.learners.is_empty() {
-        let snapshots: Vec<(&str, bcpnn_learn::LearnSnapshot)> = shared
-            .learners
-            .iter()
-            .map(|l| (l.model(), l.metrics()))
-            .collect();
-        text.push_str(&bcpnn_learn::prometheus_exposition(&snapshots));
-    }
-    Response::text_with_type(200, "text/plain; version=0.0.4; charset=utf-8", text)
-}
-
-/// `GET /v1/models`: registry listing with versions and shapes.
-fn handle_list_models(shared: &Shared) -> Response {
-    let registry = shared.target.registry();
-    let models: Vec<Json> = registry
-        .model_names()
-        .into_iter()
-        .filter_map(|name| registry.lookup(&name))
-        .map(|model| {
-            Json::Obj(vec![
-                ("name".into(), Json::str(model.name())),
-                ("version".into(), Json::u64(model.version())),
-                (
-                    "n_inputs".into(),
-                    Json::u64(model.predictor().n_inputs() as u64),
-                ),
-                (
-                    "n_classes".into(),
-                    Json::u64(model.predictor().n_classes() as u64),
-                ),
-            ])
-        })
-        .collect();
-    Response::json(
-        200,
-        Json::Obj(vec![("models".into(), Json::Arr(models))]).render(),
-    )
-}
-
-/// Parse `X-Priority` / `X-Deadline-Ms` / `X-Abstain-Below` into
-/// [`SubmitOptions`]. Malformed headers are rejected with `400` here,
-/// before any row is submitted — a bad threshold never costs a forward
-/// pass.
-fn options_from_headers(request: &Request) -> Result<SubmitOptions, ApiError> {
-    let mut options = SubmitOptions::new();
-    if let Some(priority) = request.header("x-priority") {
-        options = options.priority(match priority.to_ascii_lowercase().as_str() {
-            "high" => Priority::High,
-            "normal" => Priority::Normal,
-            "low" => Priority::Low,
-            other => {
-                return Err(ApiError::new(
-                    400,
-                    format!("invalid X-Priority {other:?} (use high, normal, or low)"),
-                ))
-            }
-        });
-    }
-    if let Some(deadline) = request.header("x-deadline-ms") {
-        let millis: u64 = deadline.parse().map_err(|_| {
-            ApiError::new(
-                400,
-                format!("invalid X-Deadline-Ms {deadline:?} (use integer milliseconds)"),
-            )
-        })?;
-        options = options.deadline(Duration::from_millis(millis));
-    }
-    if let Some(threshold) = request.header("x-abstain-below") {
-        let parsed: f32 = threshold.trim().parse().map_err(|_| {
-            ApiError::new(
-                400,
-                format!("invalid X-Abstain-Below {threshold:?} (use a number in [0, 1])"),
-            )
-        })?;
-        if !parsed.is_finite() || !(0.0..=1.0).contains(&parsed) {
-            return Err(ApiError::new(
-                400,
-                format!("invalid X-Abstain-Below {threshold:?} (must be finite and in [0, 1])"),
-            ));
-        }
-        options = options.abstain_below(parsed);
-    }
-    Ok(options)
-}
-
-/// `POST /v1/models/{name}/predict`: JSON rows in, probabilities out.
-///
-/// All rows are submitted before any is waited on, so one HTTP request's
-/// rows — and rows from concurrent connections — coalesce into the
-/// serving stack's micro-batches.
-///
-/// Swap semantics: each *batch* resolves the model version at dispatch,
-/// so every row is served by one consistent model, but the rows of a
-/// multi-row request batch independently — a request straddling a
-/// hot-swap may get some rows from the old version and some from the
-/// new. The response's `version` field is likewise advisory: the current
-/// version at accept time. Clients that need version-atomic responses
-/// send one row per request.
-fn handle_predict(shared: &Shared, name: &str, request: &Request) -> Result<Response, ApiError> {
-    let options = options_from_headers(request)?;
-    let body = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::new(400, "request body is not valid UTF-8"))?;
-    let rows = json::parse_f32_rows(body).map_err(|e| ApiError::new(400, e.to_string()))?;
-
-    let version = shared
-        .target
-        .registry()
-        .lookup(name)
-        .map(|model| model.version());
-
-    // Submit one by one and count exactly what reached the stack, so
-    // bcpnn_gateway_predict_rows_total reconciles with the serve-side
-    // per-row requests counter even when a mid-request submit fails.
-    let mut handles = Vec::with_capacity(rows.len());
-    let mut submit_err = None;
-    for features in rows {
-        match shared.target.submit_with_options(name, features, options) {
-            Ok(handle) => handles.push(handle),
-            Err(err) => {
-                submit_err = Some(err);
-                break;
-            }
-        }
-    }
-    shared.metrics.record_predict_rows(handles.len() as u64);
-    if let Some(err) = submit_err {
-        return Err(ApiError::from(err));
-    }
-
-    // Abstention is reported in-band: an abstained row gets a `null`
-    // prediction and `"abstained": true`, so one low-confidence row does
-    // not turn its siblings' answers into an error response. Uncertainty
-    // (entropy and top-2 margin) is recomputed here from the returned
-    // probabilities with the same `bcpnn_core::uncertainty` kernels every
-    // layer uses, so the JSON numbers are bit-identical to a direct
-    // in-process call.
-    let mut predictions = Vec::with_capacity(handles.len());
-    let mut uncertainty = Vec::with_capacity(handles.len());
-    let mut abstained = Vec::with_capacity(handles.len());
-    for handle in handles {
-        match handle.wait() {
-            Ok(proba) => {
-                uncertainty.push(Json::Obj(vec![
-                    (
-                        "entropy".into(),
-                        Json::f32(bcpnn_core::uncertainty::entropy(&proba)),
-                    ),
-                    (
-                        "margin".into(),
-                        Json::f32(bcpnn_core::uncertainty::margin(&proba)),
-                    ),
-                ]));
-                predictions.push(Json::Arr(proba.into_iter().map(Json::f32).collect()));
-                abstained.push(Json::Bool(false));
-            }
-            Err(bcpnn_serve::ServeError::Abstained) => {
-                predictions.push(Json::Null);
-                uncertainty.push(Json::Null);
-                abstained.push(Json::Bool(true));
-            }
-            Err(err) => return Err(ApiError::from(err)),
-        }
-    }
-    let body = Json::Obj(vec![
-        ("model".into(), Json::str(name)),
-        ("version".into(), version.map_or(Json::Null, Json::u64)),
-        ("predictions".into(), Json::Arr(predictions)),
-        ("uncertainty".into(), Json::Arr(uncertainty)),
-        ("abstained".into(), Json::Arr(abstained)),
-    ]);
-    Ok(Response::json(200, body.render()))
-}
-
-/// `PUT /v1/models/{name}`: load a persisted `v1`–`v3` artifact from a
-/// path on the gateway host and publish it — the registry's atomic
-/// hot-swap, over the wire. Body:
-/// `{"path": "...", "version": N, "backend": "naive"|"parallel"}`
-/// (backend optional, default parallel).
-fn handle_publish(shared: &Shared, name: &str, request: &Request) -> Result<Response, ApiError> {
-    let body = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::new(400, "request body is not valid UTF-8"))?;
-    let doc = json::parse(body).map_err(|e| ApiError::new(400, e.to_string()))?;
-    let path = doc
-        .get("path")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::new(400, "missing string field \"path\""))?;
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ApiError::new(400, "missing integer field \"version\""))?;
-    let backend = match doc.get("backend") {
-        None | Some(Json::Null) => BackendKind::Parallel,
-        Some(value) => value.as_str().and_then(BackendKind::parse).ok_or_else(|| {
-            ApiError::new(400, "field \"backend\" must be \"naive\" or \"parallel\"")
-        })?,
-    };
-
-    // Allowlist first: with an artifact root configured, a path resolving
-    // outside it is forbidden before the filesystem entry is touched.
-    if let Some(root) = &shared.artifact_root {
-        if !crate::artifact::path_allowed(root, std::path::Path::new(path)) {
-            return Err(ApiError::new(
-                403,
-                format!("artifact path {path:?} is outside the allowed root"),
-            ));
-        }
-    }
-
-    // A bad artifact is the client's problem (unprocessable content), not
-    // an internal error: the gateway stays healthy and says what failed.
-    let pipeline = Pipeline::load(path, backend)
-        .map_err(|e| ApiError::new(422, format!("cannot load artifact at {path:?}: {e}")))?;
-    let (handle, displaced) = shared
-        .target
-        .registry()
-        .publish(ServedModel::new(name, version, pipeline));
-    let body = Json::Obj(vec![
-        ("name".into(), Json::str(name)),
-        ("version".into(), Json::u64(handle.version())),
-        (
-            "displaced_version".into(),
-            displaced.map_or(Json::Null, |m| Json::u64(m.version())),
-        ),
-    ]);
-    Ok(Response::json(200, body.render()))
-}
-
-/// `POST /v1/models/{name}/learn`: feed labeled rows to the model's
-/// online learner. Body:
-/// `{"rows": [[...], ...], "labels": [0, 1, ...]}` — the same
-/// array-of-arrays row encoding (and bit-exact f32 parsing) as the
-/// predict endpoint, plus one integer class label per row.
-///
-/// Acceptance is durability, not training: a 200 means every row is in
-/// the learner's bounded queue and will be written to the replay log
-/// before it is folded. A full queue is backpressure (429); models with
-/// no learner attached answer 404.
-fn handle_learn(shared: &Shared, name: &str, request: &Request) -> Result<Response, ApiError> {
-    let learner = shared.learner(name).ok_or_else(|| {
-        ApiError::new(
-            404,
-            format!("no online learner is attached to model {name:?}"),
-        )
-    })?;
-    let body = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::new(400, "request body is not valid UTF-8"))?;
-    let doc = json::parse(body).map_err(|e| ApiError::new(400, e.to_string()))?;
-    let rows_json = doc
-        .get("rows")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ApiError::new(400, "missing array field \"rows\""))?;
-    let mut rows = Vec::with_capacity(rows_json.len());
-    for row in rows_json {
-        let cells = row
-            .as_array()
-            .ok_or_else(|| ApiError::new(400, "\"rows\" must be an array of arrays"))?;
-        let mut features = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let value = match cell {
-                Json::Num(n) => n.as_f32(),
-                _ => None,
-            };
-            features
-                .push(value.ok_or_else(|| ApiError::new(400, "rows must contain finite numbers"))?);
-        }
-        rows.push(features);
-    }
-    let labels_json = doc
-        .get("labels")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ApiError::new(400, "missing array field \"labels\""))?;
-    let mut labels = Vec::with_capacity(labels_json.len());
-    for label in labels_json {
-        labels.push(label.as_u64().ok_or_else(|| {
-            ApiError::new(400, "\"labels\" must be an array of non-negative integers")
-        })? as usize);
-    }
-
-    let accepted = learner.submit(&rows, &labels).map_err(|err| {
-        let status = match &err {
-            LearnError::QueueFull { .. } => 429,
-            LearnError::ShuttingDown => 503,
-            _ => 400,
-        };
-        ApiError::new(status, err.to_string())
-    })?;
-    let snapshot = learner.metrics();
-    let body = Json::Obj(vec![
-        ("model".into(), Json::str(name)),
-        ("accepted".into(), Json::u64(accepted as u64)),
-        ("queue_depth".into(), Json::u64(snapshot.queue_depth)),
-        ("publishes".into(), Json::u64(snapshot.publishes)),
-    ]);
-    Ok(Response::json(200, body.render()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client;
+    use crate::http::Limits;
     use bcpnn_serve::{ModelRegistry, ShardConfig, ShardedServer};
 
     /// A gateway over an empty registry: everything but training.
@@ -672,8 +90,11 @@ mod tests {
         let gateway = Gateway::start(
             Arc::clone(&server) as Arc<dyn ServeTarget>,
             GatewayConfig {
-                workers: 2,
-                ..GatewayConfig::default()
+                front: FrontConfig {
+                    workers: 2,
+                    ..FrontConfig::default()
+                },
+                artifact_root: None,
             },
         )
         .expect("gateway binds an ephemeral port");
@@ -854,7 +275,6 @@ mod tests {
         let gateway = Gateway::start(
             Arc::clone(&server) as Arc<dyn ServeTarget>,
             GatewayConfig {
-                workers: 1,
                 artifact_root: Some(root.clone()),
                 ..GatewayConfig::default()
             },
@@ -902,13 +322,15 @@ mod tests {
         let gateway = Gateway::start(
             Arc::clone(&server) as Arc<dyn ServeTarget>,
             GatewayConfig {
-                workers: 1,
-                limits: Limits {
-                    max_head_bytes: 4096,
-                    max_body_bytes: 32,
-                    ..Limits::default()
+                front: FrontConfig {
+                    limits: Limits {
+                        max_head_bytes: 4096,
+                        max_body_bytes: 32,
+                        ..Limits::default()
+                    },
+                    ..FrontConfig::default()
                 },
-                ..GatewayConfig::default()
+                artifact_root: None,
             },
         )
         .unwrap();

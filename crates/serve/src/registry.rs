@@ -121,28 +121,6 @@ impl ModelRegistry {
         (handle, previous)
     }
 
-    /// Publish a model with an optional per-model batching policy; `None`
-    /// keeps whatever policy `model` already carries.
-    ///
-    /// **Deprecated**: the policy belongs on the model itself — build it
-    /// with [`ServedModel::with_batch_policy`] and call
-    /// [`ModelRegistry::publish`]. This shim forwards and will be removed.
-    #[deprecated(
-        since = "0.1.0",
-        note = "attach the policy on the builder path instead: \
-                `registry.publish(model.with_batch_policy(policy))`"
-    )]
-    pub fn publish_with_policy(
-        &self,
-        model: ServedModel,
-        policy: Option<BatchConfig>,
-    ) -> (Arc<ServedModel>, Option<Arc<ServedModel>>) {
-        match policy {
-            Some(p) => self.publish(model.with_batch_policy(p)),
-            None => self.publish(model),
-        }
-    }
-
     /// The current version's batching policy for a model, if the model is
     /// registered and carries one.
     pub fn batch_policy(&self, name: &str) -> Option<BatchConfig> {
@@ -272,19 +250,6 @@ mod tests {
         registry.publish(ServedModel::new("higgs", 2, v2).with_batch_policy(policy));
         assert_eq!(registry.batch_policy("higgs"), Some(policy));
         assert_eq!(registry.get("higgs").unwrap().batch_policy(), Some(policy));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn publish_with_policy_shim_still_forwards() {
-        let registry = ModelRegistry::new();
-        let (v1, _) = tiny_pipeline(15);
-        let policy = BatchConfig {
-            max_batch: 3,
-            workers: 1,
-        };
-        registry.publish_with_policy(ServedModel::new("higgs", 1, v1), Some(policy));
-        assert_eq!(registry.batch_policy("higgs"), Some(policy));
     }
 
     #[test]

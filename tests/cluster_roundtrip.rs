@@ -7,6 +7,8 @@
 //! model while an unreplicated model on the killed node fails with a clean
 //! 502.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,38 +18,11 @@ use bcpnn_cluster::{
     BackendConfig, BackendNode, ClusterConfig, ClusterRouter, RouterHttp, RouterHttpConfig,
 };
 use bcpnn_core::model::Predictor;
-use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams};
-use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-use bcpnn_data::Dataset;
+use bcpnn_core::Pipeline;
 use bcpnn_gateway::{client, json};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
 
-/// Train a tiny synthetic-Higgs pipeline on the given backend.
-fn tiny_pipeline(seed: u64, backend: BackendKind) -> (Pipeline, Dataset) {
-    let data = generate(&SyntheticHiggsConfig {
-        n_samples: 400,
-        seed,
-        ..Default::default()
-    });
-    let (pipeline, _) = Pipeline::fit(
-        &data,
-        10,
-        Network::builder()
-            .hidden(2, 4, 0.3)
-            .classes(2)
-            .readout(ReadoutKind::Hybrid)
-            .backend(backend)
-            .seed(seed),
-        TrainingParams {
-            unsupervised_epochs: 1,
-            supervised_epochs: 1,
-            batch_size: 50,
-            ..Default::default()
-        },
-    )
-    .expect("tiny pipeline trains");
-    (pipeline, data)
-}
+use common::{predictions_of, rows_body, tiny_pipeline};
 
 /// A running test cluster. Backends are `Option` so a test can hard-kill
 /// one (drop severs its live connections) while the tier keeps serving.
@@ -128,37 +103,6 @@ impl Drop for TestCluster {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.artifact_root);
     }
-}
-
-/// Serialize feature rows the way a JSON client would.
-fn rows_body(data: &Dataset, rows: std::ops::Range<usize>) -> String {
-    let rows: Vec<String> = rows
-        .map(|r| {
-            let cells: Vec<String> = data.features.row(r).iter().map(|v| v.to_string()).collect();
-            format!("[{}]", cells.join(","))
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-/// Pull `predictions` out of a predict response as exact `f32`s.
-fn predictions_of(body: &str) -> Vec<Vec<f32>> {
-    let doc = json::parse(body).expect("response body is valid JSON");
-    doc.get("predictions")
-        .and_then(json::Json::as_array)
-        .expect("response carries predictions")
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .expect("prediction row is an array")
-                .iter()
-                .map(|cell| match cell {
-                    json::Json::Num(n) => n.as_f32().expect("finite probability"),
-                    other => panic!("non-numeric probability {other:?}"),
-                })
-                .collect()
-        })
-        .collect()
 }
 
 fn assert_cluster_matches_direct(kind: BackendKind, tag: &str) {

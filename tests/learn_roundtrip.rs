@@ -5,6 +5,8 @@
 //! predict traffic never sees an error or a paused response. The learn
 //! metric families must join the `/metrics` scrape and stay valid.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,6 +18,8 @@ use bcpnn_data::Dataset;
 use bcpnn_gateway::{client, json, Gateway, GatewayConfig};
 use bcpnn_learn::{LearnerConfig, OnlineLearner};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
+
+use common::rows_body;
 
 /// A deliberately under-trained base: few samples, one epoch each —
 /// plenty of headroom for the online stream to improve on.
@@ -45,23 +49,13 @@ fn weak_base(seed: u64) -> Pipeline {
     pipeline
 }
 
-fn rows_json(data: &Dataset, rows: std::ops::Range<usize>) -> String {
-    let rows: Vec<String> = rows
-        .map(|r| {
-            let cells: Vec<String> = data.features.row(r).iter().map(|v| v.to_string()).collect();
-            format!("[{}]", cells.join(","))
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
 /// Accuracy of the served model on `eval`, measured through HTTP predict.
 fn served_accuracy(addr: std::net::SocketAddr, eval: &Dataset) -> f64 {
     let n = eval.labels.len();
     let mut hits = 0usize;
     for start in (0..n).step_by(50) {
         let end = (start + 50).min(n);
-        let body = rows_json(eval, start..end);
+        let body = rows_body(eval, start..end);
         let response = client::request(
             addr,
             "POST",
@@ -140,10 +134,7 @@ fn posted_rows_improve_the_served_model_with_zero_downtime() {
     );
     let gateway = Gateway::start_with_learners(
         Arc::clone(&server) as Arc<dyn ServeTarget>,
-        GatewayConfig {
-            workers: 4,
-            ..GatewayConfig::default()
-        },
+        GatewayConfig::default(),
         vec![Arc::clone(&learner)],
     )
     .expect("gateway binds an ephemeral port");
@@ -165,7 +156,7 @@ fn posted_rows_improve_the_served_model_with_zero_downtime() {
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
                     let r = i % 100;
-                    let body = rows_json(eval, r..r + 1);
+                    let body = rows_body(eval, r..r + 1);
                     let response = client::request(
                         addr,
                         "POST",
@@ -191,7 +182,7 @@ fn posted_rows_improve_the_served_model_with_zero_downtime() {
         for start in (0..2000).step_by(100) {
             let body = format!(
                 "{{\"rows\":{},\"labels\":[{}]}}",
-                rows_json(&stream, start..start + 100),
+                rows_body(&stream, start..start + 100),
                 stream.labels[start..start + 100]
                     .iter()
                     .map(ToString::to_string)
