@@ -1,9 +1,14 @@
-//! Scalar kernels shared by every backend implementation.
+//! Kernels shared by the backend implementations.
 //!
-//! These are the per-element formulas of the BCPNN learning rule
+//! The per-element formulas of the BCPNN learning rule
 //! (Ravichandran et al. 2020, eq. 4–8; Podobas et al. 2021 §3): the
 //! log-odds weight, the log-probability bias, and the per-connection
-//! mutual-information score used by structural plasticity.
+//! mutual-information score used by structural plasticity — plus the
+//! unit-trace (`pi` / `pj`) column scan the vectorized and parallel
+//! backends share.
+
+use bcpnn_tensor::simd::{F32x8, LANES};
+use bcpnn_tensor::Matrix;
 
 /// BCPNN weight for one connection: `w_ij = ln(p_ij / (p_i · p_j))`,
 /// with all probabilities floored at `eps` so silent units stay finite.
@@ -55,6 +60,32 @@ pub fn mutual_information_term(pi: f32, pj: f32, pij: f32, eps: f32) -> f32 {
 #[inline(always)]
 pub fn trace_update(trace: f32, observation: f32, rate: f32) -> f32 {
     (1.0 - rate) * trace + rate * observation
+}
+
+/// `trace[c] ← trace_update(trace[c], col_sum_c(m) · inv_b, rate)` with the
+/// batch sum of each column accumulated rows-ascending (the naive order),
+/// eight columns per step.
+pub(crate) fn column_mean_traces(m: &Matrix<f32>, rate: f32, inv_b: f32, traces: &mut [f32]) {
+    let cols = m.cols();
+    let mut col = 0;
+    while col + LANES <= cols {
+        let mut acc = F32x8::zero();
+        for b in 0..m.rows() {
+            acc += F32x8::load(&m.row(b)[col..col + LANES]);
+        }
+        let sums = acc.to_array();
+        for (p, s) in traces[col..col + LANES].iter_mut().zip(sums) {
+            *p = trace_update(*p, s * inv_b, rate);
+        }
+        col += LANES;
+    }
+    for (c, p) in traces.iter_mut().enumerate().skip(col) {
+        let mut s = 0.0f32;
+        for b in 0..m.rows() {
+            s += m.get(b, c);
+        }
+        *p = trace_update(*p, s * inv_b, rate);
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use bcpnn_parallel::par_chunks_mut;
 use bcpnn_tensor::{gemm, gemm_tn, Matrix};
 
-use crate::kernels::{bcpnn_bias, bcpnn_weight, mutual_information_term, trace_update};
+use crate::kernels::{bcpnn_bias, bcpnn_weight, column_mean_traces, mutual_information_term};
 use crate::traits::{check_forward_shapes, check_mask_shapes, check_trace_shapes, Backend};
 
 /// Multi-threaded GEMM-based implementation of every kernel.
@@ -67,26 +67,11 @@ impl Backend for ParallelBackend {
             return;
         }
         let inv_b = 1.0 / batch as f32;
-        // pi / pj: EMA towards the batch column means, accumulated straight
-        // into the trace vectors. Summing rows top-to-bottom per column is
-        // the same addition order `reduce::col_sums` uses, so this stays
-        // bit-identical to the previous temporary-vector formulation while
-        // keeping the kernel allocation-free (these sums are O(B·N) next to
-        // the O(B·N·U) GEMM below, so serial is fine).
-        for (i, p) in pi.iter_mut().enumerate() {
-            let mut s = 0.0f32;
-            for b in 0..batch {
-                s += x.get(b, i);
-            }
-            *p = trace_update(*p, s * inv_b, rate);
-        }
-        for (j, p) in pj.iter_mut().enumerate() {
-            let mut s = 0.0f32;
-            for b in 0..batch {
-                s += act.get(b, j);
-            }
-            *p = trace_update(*p, s * inv_b, rate);
-        }
+        // pi / pj: EMA towards the batch column means, rows ascending per
+        // column (the naive order; O(B·N) next to the O(B·N·U) GEMM below,
+        // so serial is fine).
+        column_mean_traces(x, rate, inv_b, pi);
+        column_mean_traces(act, rate, inv_b, pj);
         // pij: EMA towards (xᵀ·act)/B, computed as a transposed GEMM with
         // alpha = rate/B and beta = (1 - rate), i.e. the whole trace update
         // is a single GEMM call — the formulation the paper highlights as
@@ -136,9 +121,16 @@ impl Backend for ParallelBackend {
         par_chunks_mut(out.as_mut_slice(), n_units.max(1), |start, out_row| {
             let i = start / n_units.max(1);
             let w_row = &w_slice[start..start + out_row.len()];
-            for (j, (o, &w)) in out_row.iter_mut().zip(w_row.iter()).enumerate() {
-                let h = j / n_mcu;
-                *o = w * mask.get(h, i);
+            // One mask value per (input, HCU): hoisted out of the MCU loop.
+            for (h, (o_seg, w_seg)) in out_row
+                .chunks_mut(n_mcu)
+                .zip(w_row.chunks(n_mcu))
+                .enumerate()
+            {
+                let m = mask.get(h, i);
+                for (o, &w) in o_seg.iter_mut().zip(w_seg) {
+                    *o = w * m;
+                }
             }
         });
     }

@@ -38,7 +38,7 @@ use bcpnn_tensor::simd::dispatch::{self, SimdTier};
 use bcpnn_tensor::simd::{F32x8, LANES};
 use bcpnn_tensor::Matrix;
 
-use crate::kernels::trace_update;
+use crate::kernels::{column_mean_traces, trace_update};
 use crate::naive::NaiveBackend;
 use crate::traits::{check_forward_shapes, check_trace_shapes, Backend};
 
@@ -222,32 +222,6 @@ impl Backend for VectorizedBackend {
         out: &mut Matrix<f32>,
     ) {
         NaiveBackend::new().mutual_information(pi, pj, pij, n_mcu, out);
-    }
-}
-
-/// `trace[c] ← trace_update(trace[c], col_sum_c(m) · inv_b, rate)` with the
-/// batch sum of each column accumulated rows-ascending (the naive order),
-/// eight columns per step.
-fn column_mean_traces(m: &Matrix<f32>, rate: f32, inv_b: f32, traces: &mut [f32]) {
-    let cols = m.cols();
-    let mut col = 0;
-    while col + LANES <= cols {
-        let mut acc = F32x8::zero();
-        for b in 0..m.rows() {
-            acc += F32x8::load(&m.row(b)[col..col + LANES]);
-        }
-        let sums = acc.to_array();
-        for (p, s) in traces[col..col + LANES].iter_mut().zip(sums) {
-            *p = trace_update(*p, s * inv_b, rate);
-        }
-        col += LANES;
-    }
-    for (c, p) in traces.iter_mut().enumerate().skip(col) {
-        let mut s = 0.0f32;
-        for b in 0..m.rows() {
-            s += m.get(b, c);
-        }
-        *p = trace_update(*p, s * inv_b, rate);
     }
 }
 

@@ -9,6 +9,12 @@
 //!   once per batch *row*.)
 //! * `backend_traces/*` — same comparison for the training-side trace
 //!   update, the other bandwidth-bound hot kernel.
+//! * `backend_traces_readout/*` — the trace update at the shape a supervised
+//!   batch of the paper model runs it: 128 rows of 1000 softmax
+//!   activations against 2 one-hot classes, i.e. a 1000 x 2 joint trace
+//!   whose rows are two floats wide. `backend_traces` (64 x 280 → 1024,
+//!   uniform activations) says nothing about this one: here the work per
+//!   output row is tiny, so scheduling overhead is what gets measured.
 //! * `backend_forward/tier_*` — the same forward pass with the SIMD
 //!   dispatch tier pinned to scalar / lanes / avx2, isolating what the
 //!   explicit-intrinsics tier buys over the autovectorized one.
@@ -155,27 +161,24 @@ fn bench_softmax_exp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_backend_traces(c: &mut Criterion) {
-    let mut rng = MatrixRng::seed_from(22);
-    let x = sparse_input(BATCH);
-    let act = rng.uniform(BATCH, TRACE_OUT, 0.0, 1.0);
-
+/// `update_traces` of `x` against `act` on every backend, as one group.
+fn bench_traces_group(c: &mut Criterion, group: &str, x: &Matrix<f32>, act: &Matrix<f32>) {
     let backends: [(&str, Box<dyn Backend>); 3] = [
         ("naive", Box::new(NaiveBackend::new())),
         ("parallel", Box::new(ParallelBackend::new())),
         ("vectorized", Box::new(VectorizedBackend::new())),
     ];
-    let mut group = c.benchmark_group("backend_traces");
-    group.throughput(Throughput::Elements(BATCH as u64));
+    let mut group = c.benchmark_group(group);
+    group.throughput(Throughput::Elements(x.rows() as u64));
     for (name, backend) in &backends {
-        let mut pi = vec![0.01f32; N_IN];
-        let mut pj = vec![0.01f32; TRACE_OUT];
-        let mut pij = Matrix::filled(N_IN, TRACE_OUT, 0.001);
+        let mut pi = vec![0.01f32; x.cols()];
+        let mut pj = vec![0.01f32; act.cols()];
+        let mut pij = Matrix::filled(x.cols(), act.cols(), 0.001);
         group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
             b.iter(|| {
                 backend.update_traces(
-                    black_box(&x),
-                    black_box(&act),
+                    black_box(x),
+                    black_box(act),
                     0.01,
                     &mut pi,
                     &mut pj,
@@ -186,6 +189,25 @@ fn bench_backend_traces(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_backend_traces(c: &mut Criterion) {
+    let mut rng = MatrixRng::seed_from(22);
+    let x = sparse_input(BATCH);
+    let act = rng.uniform(BATCH, TRACE_OUT, 0.0, 1.0);
+    bench_traces_group(c, "backend_traces", &x, &act);
+}
+
+fn bench_backend_traces_readout(c: &mut Criterion) {
+    const ROWS: usize = 128;
+    const HIDDEN: usize = 1000;
+    const CLASSES: usize = 2;
+    let mut rng = MatrixRng::seed_from(24);
+    // One softmax over the whole hidden row, as 1 HCU x 1000 MCU emits it.
+    let mut x = rng.normal(ROWS, HIDDEN, 0.0, 2.0);
+    NaiveBackend::new().grouped_softmax(&mut x, HIDDEN);
+    let targets = Matrix::from_fn(ROWS, CLASSES, |r, c| f32::from(r % CLASSES == c));
+    bench_traces_group(c, "backend_traces_readout", &x, &targets);
 }
 
 /// A pipeline shaped so the int8 weight-footprint advantage is visible:
@@ -320,6 +342,7 @@ criterion_group!(
     backends,
     bench_backend_forward,
     bench_backend_traces,
+    bench_backend_traces_readout,
     bench_softmax_exp,
     bench_quantized_forward,
     bench_quantized_predict

@@ -14,6 +14,11 @@ use crate::params::{HiddenLayerParams, SgdParams};
 use crate::sgd::SgdClassifier;
 use crate::workspace::Workspace;
 
+/// Rows per block of a predict over more rows than this: bounds the hidden
+/// scratch (4,000 held-out rows x 1000 units would be 16 MB) while leaving
+/// every serving batch on the single-pass path.
+const PREDICT_BLOCK: usize = 512;
+
 /// Which classification head produces the network's predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadoutKind {
@@ -185,7 +190,41 @@ impl Network {
     /// Class probabilities from a specific head written into `out`: the one
     /// authoritative encode → readout kernel sequence every predict
     /// spelling routes through.
+    ///
+    /// More than 512 rows are walked in 512-row blocks, so the hidden
+    /// scratch stays at `512 x n_units` however many rows the caller scores
+    /// at once. Rows are independent, so the result is bit-identical to a
+    /// single pass.
     pub fn predict_proba_with_into(
+        &self,
+        head: ReadoutKind,
+        x: &Matrix<f32>,
+        ws: &mut Workspace,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
+        if x.rows() <= PREDICT_BLOCK {
+            return self.predict_block(head, x, ws, out);
+        }
+        let (n_in, n_out) = (x.cols(), self.n_classes);
+        let mut xb = std::mem::take(&mut ws.batch);
+        let mut pb = std::mem::take(&mut ws.proba);
+        out.resize(x.rows(), n_out);
+        let result = (0..x.rows()).step_by(PREDICT_BLOCK).try_for_each(|r0| {
+            let r1 = (r0 + PREDICT_BLOCK).min(x.rows());
+            xb.resize(r1 - r0, n_in);
+            xb.as_mut_slice()
+                .copy_from_slice(&x.as_slice()[r0 * n_in..r1 * n_in]);
+            self.predict_block(head, &xb, ws, &mut pb)?;
+            out.as_mut_slice()[r0 * n_out..r1 * n_out].copy_from_slice(pb.as_slice());
+            Ok(())
+        });
+        ws.batch = xb;
+        ws.proba = pb;
+        result
+    }
+
+    /// Encode → readout for one block of rows, hidden scratch from `ws`.
+    fn predict_block(
         &self,
         head: ReadoutKind,
         x: &Matrix<f32>,

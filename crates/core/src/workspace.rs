@@ -76,7 +76,8 @@ pub struct Workspace {
     pub(crate) hidden: Matrix<f32>,
     /// Gaussian support noise for training forward passes.
     pub(crate) noise: Matrix<f32>,
-    /// Readout probabilities / logits scratch (`batch x n_classes`).
+    /// Readout probabilities / logits scratch (`batch x n_classes`); also
+    /// one block's probabilities in a predict over more than one block.
     pub(crate) proba: Matrix<f32>,
     /// One-hot target scratch for the BCPNN readout (`batch x n_classes`).
     pub(crate) targets: Matrix<f32>,
@@ -84,7 +85,8 @@ pub struct Workspace {
     pub(crate) grad_w: Matrix<f32>,
     /// SGD bias-gradient scratch (`n_classes`).
     pub(crate) grad_b: Vec<f32>,
-    /// Batch-assembly scratch for epoch loops (`batch x features`).
+    /// Batch-assembly scratch for epoch loops (`batch x features`); also
+    /// one block's input rows in a predict over more than one block.
     pub(crate) batch: Matrix<f32>,
     /// Label-assembly scratch for epoch loops.
     pub(crate) labels: Vec<usize>,

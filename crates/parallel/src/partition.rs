@@ -66,6 +66,21 @@ pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range> {
     out
 }
 
+/// Group the `chunk`-sized pieces of `[0, len)` into at most `parts`
+/// contiguous bands of whole chunks, returned as element ranges: every band
+/// starts on a multiple of `chunk`, and only the last can end on a short
+/// chunk. The chunk counts of two bands differ by at most one.
+pub(crate) fn chunk_bands(len: usize, chunk: usize, parts: usize) -> Vec<Range> {
+    let chunk = chunk.max(1);
+    // Ranges over the chunk count, scaled back to elements in place.
+    let mut bands = even_ranges(len.div_ceil(chunk), parts);
+    for band in &mut bands {
+        band.start *= chunk;
+        band.end = (band.end * chunk).min(len);
+    }
+    bands
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,9 +125,39 @@ mod tests {
     }
 
     #[test]
+    fn chunk_bands_hold_whole_chunks() {
+        // Includes a short last chunk (1001 / 7), a chunk count the bands do
+        // not divide (143 chunks over 8), fewer chunks than bands, and one
+        // chunk longer than the data.
+        for len in [0usize, 1, 6, 7, 8, 64, 1000, 1001, 2000] {
+            for chunk in [1usize, 2, 7, 64, 1000, 4096] {
+                for parts in [1usize, 3, 8, 12, 200] {
+                    let bands = chunk_bands(len, chunk, parts);
+                    covers_exactly(&bands, len);
+                    assert!(
+                        bands.len() <= parts,
+                        "len={len} chunk={chunk} parts={parts}"
+                    );
+                    for b in &bands {
+                        assert_eq!(b.start % chunk, 0, "band must start on a chunk");
+                        assert!(b.end % chunk == 0 || b.end == len);
+                    }
+                    if let (Some(max), Some(min)) = (
+                        bands.iter().map(|b| b.len().div_ceil(chunk)).max(),
+                        bands.iter().map(|b| b.len().div_ceil(chunk)).min(),
+                    ) {
+                        assert!(max - min <= 1, "bands must be balanced in chunks");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_parts_and_zero_chunk_are_clamped() {
         covers_exactly(&even_ranges(10, 0), 10);
         covers_exactly(&chunk_ranges(10, 0), 10);
+        covers_exactly(&chunk_bands(10, 0, 0), 10);
     }
 
     #[test]

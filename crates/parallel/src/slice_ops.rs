@@ -4,7 +4,7 @@
 //! small or when the global pool has a single thread, so they are safe to
 //! call unconditionally from inner layers of the library.
 
-use crate::partition::{chunk_ranges, even_ranges, Range};
+use crate::partition::{chunk_bands, chunk_ranges, even_ranges, Range};
 use crate::pool::global_pool;
 
 /// Problems smaller than this run sequentially: the work per element in the
@@ -75,6 +75,11 @@ where
 /// Apply `f(start_index, chunk)` to disjoint mutable chunks of `data` in
 /// parallel. `start_index` is the index of the first element of the chunk in
 /// the original slice.
+///
+/// Consecutive chunks are grouped into at most `num_threads × 4` contiguous
+/// bands and one task runs per band, calling `f` for each of its chunks in
+/// order — a caller may pass one matrix row as the chunk without paying one
+/// task per row.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
 where
     T: Send,
@@ -94,14 +99,22 @@ where
     }
     let f = &f;
     pool.scope(|s| {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
-            s.spawn(move || f(ci * chunk, c));
+        let mut rest = data;
+        for band in chunk_bands(len, chunk, pool.num_threads() * 4) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(band.len());
+            rest = tail;
+            s.spawn(move || {
+                for (ci, c) in head.chunks_mut(chunk).enumerate() {
+                    f(band.start + ci * chunk, c);
+                }
+            });
         }
     });
 }
 
 /// Apply `f(start_index, a_chunk, b_chunk)` to aligned chunks of a mutable
-/// slice `a` and a shared slice `b` in parallel.
+/// slice `a` and a shared slice `b` in parallel, banded like
+/// [`par_chunks_mut`].
 ///
 /// # Panics
 /// Panics if the two slices have different lengths.
@@ -116,26 +129,8 @@ where
         b.len(),
         "par_zip_chunks_mut requires equally sized slices"
     );
-    let len = a.len();
-    if len == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let pool = global_pool();
-    if len <= chunk || pool.num_threads() == 1 {
-        for (ci, ac) in a.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            f(start, ac, &b[start..start + ac.len()]);
-        }
-        return;
-    }
-    let f = &f;
-    pool.scope(|s| {
-        for (ci, ac) in a.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            let bc = &b[start..start + ac.len()];
-            s.spawn(move || f(start, ac, bc));
-        }
+    par_chunks_mut(a, chunk, |start, ac| {
+        f(start, ac, &b[start..start + ac.len()])
     });
 }
 

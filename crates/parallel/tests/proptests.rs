@@ -1,7 +1,12 @@
 //! Property-based tests for the data-parallel substrate: the parallel
 //! helpers must always agree with their sequential counterparts.
 
-use bcpnn_parallel::{chunk_ranges, even_ranges, par_map_collect, parallel_map_reduce, Range};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use bcpnn_parallel::{
+    chunk_ranges, even_ranges, par_chunks_mut, par_map_collect, par_zip_chunks_mut,
+    parallel_map_reduce, Range,
+};
 use proptest::prelude::*;
 
 fn covers(ranges: &[Range], len: usize) -> bool {
@@ -34,6 +39,40 @@ proptest! {
         let rs = chunk_ranges(len, chunk);
         prop_assert!(covers(&rs, len));
         prop_assert!(rs.iter().all(|r| r.len() <= chunk));
+    }
+
+    // Ragged on both ends: chunk counts the bands do not divide, a short
+    // last chunk, fewer chunks than bands, one chunk longer than the data.
+    #[test]
+    fn par_chunks_mut_visits_every_chunk_once(len in 0usize..6000, chunk in 1usize..700) {
+        let mut data = vec![0usize; len];
+        let calls = AtomicUsize::new(0);
+        par_chunks_mut(&mut data, chunk, |start, c| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(start % chunk, 0, "start must be a chunk boundary");
+            assert_eq!(c.len(), chunk.min(len - start), "only the last chunk is short");
+            for (k, v) in c.iter_mut().enumerate() {
+                *v += start + k + 1;
+            }
+        });
+        prop_assert_eq!(calls.into_inner(), len.div_ceil(chunk));
+        // A second visit would double the value, a missed one leaves 0.
+        prop_assert!(data.iter().enumerate().all(|(i, &v)| v == i + 1));
+    }
+
+    #[test]
+    fn par_zip_chunks_mut_keeps_pairs_aligned(len in 0usize..6000, chunk in 1usize..700) {
+        let mut a = vec![0usize; len];
+        let b: Vec<usize> = (0..len).map(|i| i * 3).collect();
+        par_zip_chunks_mut(&mut a, &b, chunk, |start, ac, bc| {
+            assert_eq!(start % chunk, 0, "start must be a chunk boundary");
+            assert_eq!(ac.len(), bc.len());
+            for (k, (x, &y)) in ac.iter_mut().zip(bc).enumerate() {
+                assert_eq!(y, (start + k) * 3, "b chunk must start where the a chunk does");
+                *x += y + 1;
+            }
+        });
+        prop_assert!(a.iter().enumerate().all(|(i, &v)| v == i * 3 + 1));
     }
 
     #[test]

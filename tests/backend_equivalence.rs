@@ -7,9 +7,10 @@
 //! tests across ragged shapes live next to the kernels, in
 //! `crates/backend/src/vectorized.rs`.)
 
-use bcpnn_backend::BackendKind;
+use bcpnn_backend::{Backend, BackendKind, NaiveBackend, ParallelBackend, VectorizedBackend};
 use bcpnn_bench::{build_network, build_trainer, prepare_higgs, BcpnnRunConfig, HiggsDataConfig};
 use bcpnn_core::ReadoutKind;
+use bcpnn_tensor::{Matrix, MatrixRng};
 
 fn run_with_backend(backend: BackendKind) -> (f64, f64) {
     let data = prepare_higgs(&HiggsDataConfig {
@@ -75,6 +76,119 @@ fn vectorized_backend_learns_a_bit_identical_model_to_naive() {
         auc_vec.to_bits(),
         "vectorized AUC diverged from naive: {auc_naive} vs {auc_vec}"
     );
+}
+
+/// What the three training kernels leave behind for one problem (vectors
+/// as `1 x n` matrices).
+#[derive(Debug, PartialEq)]
+struct KernelOutputs {
+    forward: Matrix<f32>,
+    pi: Matrix<f32>,
+    pj: Matrix<f32>,
+    pij: Matrix<f32>,
+    weights: Matrix<f32>,
+    bias: Matrix<f32>,
+}
+
+/// `linear_forward`, `update_traces` and `recompute_weights` on a 128-row
+/// batch of the paper model. `one_hot_input` picks the layer: the hidden
+/// layer sees quantile one-hot rows and emits one softmax over its units,
+/// the readout sees those softmax rows and is taught one-hot targets.
+fn run_kernels(
+    backend: &dyn Backend,
+    n_in: usize,
+    n_units: usize,
+    one_hot_input: bool,
+) -> KernelOutputs {
+    const BATCH: usize = 128;
+    let mut rng = MatrixRng::seed_from(16);
+    let softmax_rows = |rng: &mut MatrixRng, cols: usize| {
+        let mut m = rng.normal(BATCH, cols, 0.0, 2.0);
+        NaiveBackend::new().grouped_softmax(&mut m, cols);
+        m
+    };
+    let (x, act) = if one_hot_input {
+        (
+            Matrix::from_fn(BATCH, n_in, |r, c| {
+                f32::from(c % 10 == (r * 7 + c / 10 * 3) % 10)
+            }),
+            softmax_rows(&mut rng, n_units),
+        )
+    } else {
+        (
+            softmax_rows(&mut rng, n_in),
+            Matrix::from_fn(BATCH, n_units, |r, c| f32::from(r % n_units == c)),
+        )
+    };
+    let mut weights = rng.normal(n_in, n_units, 0.0, 0.5);
+    let mut bias = rng.uniform(1, n_units, -1.0, 0.0);
+    let mut forward = Matrix::zeros(BATCH, n_units);
+    backend.linear_forward(&x, &weights, bias.as_slice(), &mut forward);
+
+    let mut pi = rng.uniform(1, n_in, 0.001, 0.2);
+    let mut pj = rng.uniform(1, n_units, 0.001, 0.2);
+    let mut pij = rng.uniform(n_in, n_units, 0.0, 0.01);
+    backend.update_traces(
+        &x,
+        &act,
+        0.05,
+        pi.as_mut_slice(),
+        pj.as_mut_slice(),
+        &mut pij,
+    );
+    backend.recompute_weights(
+        pi.as_slice(),
+        pj.as_slice(),
+        &pij,
+        1e-8,
+        0.7,
+        &mut weights,
+        bias.as_mut_slice(),
+    );
+    KernelOutputs {
+        forward,
+        pi,
+        pj,
+        pij,
+        weights,
+        bias,
+    }
+}
+
+/// The paper model's two layer shapes at its batch size. The readout's
+/// joint trace is 1000 rows of two floats and the hidden layer's 280 rows of
+/// a thousand: the row counts the parallel backend splits across threads,
+/// which the small shapes of the per-kernel unit tests never made it do.
+#[test]
+fn kernels_agree_at_the_paper_models_shapes() {
+    for (n_in, n_units, one_hot_input) in [(1000, 2, false), (280, 1000, true)] {
+        let shape = format!("128 x {n_in} -> {n_units}");
+        let naive = run_kernels(&NaiveBackend::new(), n_in, n_units, one_hot_input);
+        let vectorized = run_kernels(&VectorizedBackend::new(), n_in, n_units, one_hot_input);
+        assert_eq!(
+            naive, vectorized,
+            "vectorized must equal naive bit for bit at {shape}"
+        );
+
+        let parallel = run_kernels(&ParallelBackend::new(), n_in, n_units, one_hot_input);
+        let again = run_kernels(&ParallelBackend::new(), n_in, n_units, one_hot_input);
+        assert_eq!(
+            parallel, again,
+            "parallel must repeat itself bit for bit at {shape}"
+        );
+        // The tolerances of the parallel backend's own unit tests.
+        for (what, a, b, tolerance) in [
+            ("forward", &naive.forward, &parallel.forward, 1e-4),
+            ("pi", &naive.pi, &parallel.pi, 1e-5),
+            ("pj", &naive.pj, &parallel.pj, 1e-5),
+            ("pij", &naive.pij, &parallel.pij, 1e-4),
+            ("weights", &naive.weights, &parallel.weights, 1e-5),
+            ("bias", &naive.bias, &parallel.bias, 1e-6),
+        ] {
+            let diff = a.max_abs_diff(b);
+            assert!(diff < tolerance, "{what} differs by {diff} at {shape}");
+        }
+    }
 }
 
 #[test]

@@ -99,6 +99,44 @@ fn network_and_heads_into_variants_are_bit_identical_on_both_backends() {
 }
 
 #[test]
+fn predicts_over_one_block_equal_the_same_rows_scored_in_small_batches() {
+    // More than 512 rows are walked in 512-row blocks to bound the hidden
+    // scratch; 1,100 is two whole blocks and a ragged third. Scored 100 at
+    // a time, every batch takes the single-pass path, so equality here pins
+    // the blocked walk to the unblocked kernels row for row — through the
+    // same workspace, after it has already served a small batch.
+    for backend in [BackendKind::Naive, BackendKind::Parallel] {
+        let (pipeline, _) = fit_pipeline(backend, 65);
+        let data = higgs(1100, 66);
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(0, 0);
+        let mut small = Matrix::zeros(0, 0);
+        let encoded = pipeline.encode(&data.features).unwrap();
+        let net = pipeline.network();
+        for head in [ReadoutKind::Bcpnn, ReadoutKind::Sgd] {
+            net.predict_proba_with_into(head, &encoded, &mut ws, &mut out)
+                .unwrap();
+            assert_eq!(out.shape(), (1100, 2));
+            for r0 in (0..1100).step_by(100) {
+                let rows: Vec<usize> = (r0..r0 + 100).collect();
+                net.predict_proba_with_into(head, &encoded.select_rows(&rows), &mut ws, &mut small)
+                    .unwrap();
+                assert_eq!(
+                    &out.as_slice()[r0 * 2..(r0 + 100) * 2],
+                    small.as_slice(),
+                    "{backend:?} {head:?} rows from {r0}"
+                );
+            }
+        }
+        // And through the pipeline spelling the servers use.
+        pipeline
+            .predict_proba_into(&data.features, &mut ws, &mut out)
+            .unwrap();
+        assert_eq!(out, pipeline.predict_proba(&data.features).unwrap());
+    }
+}
+
+#[test]
 fn transformer_into_variants_are_bit_identical() {
     let data = higgs(200, 62);
     let enc = QuantileEncoder::fit_matrix(&data.features, 10);
