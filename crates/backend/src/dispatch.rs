@@ -5,7 +5,6 @@ use std::sync::Arc;
 use crate::naive::NaiveBackend;
 use crate::parallel::ParallelBackend;
 use crate::traits::Backend;
-use crate::vectorized::VectorizedBackend;
 
 /// The available compute backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -15,27 +14,20 @@ pub enum BackendKind {
     /// Multi-threaded GEMM-based kernels (the default).
     #[default]
     Parallel,
-    /// Single-threaded hand-vectorized 8-lane kernels, bit-exact against
-    /// [`BackendKind::Naive`] — the per-core fast path.
-    Vectorized,
 }
 
-const NAMES: [(&str, BackendKind); 11] = [
+const NAMES: [(&str, BackendKind); 7] = [
     ("naive", BackendKind::Naive),
     ("parallel", BackendKind::Parallel),
-    ("vectorized", BackendKind::Vectorized),
     ("reference", BackendKind::Naive),
     ("numpy", BackendKind::Naive),
     ("openmp", BackendKind::Parallel),
     ("cpu", BackendKind::Parallel),
     ("threaded", BackendKind::Parallel),
-    ("simd", BackendKind::Vectorized),
-    ("avx", BackendKind::Vectorized),
-    ("lanes", BackendKind::Vectorized),
 ];
 
 impl BackendKind {
-    /// Parse a backend name (`"naive"` / `"parallel"` / `"vectorized"`,
+    /// Parse a backend name (`"naive"` / `"parallel"` or an alias,
     /// case-insensitive).
     pub fn parse(name: &str) -> Option<Self> {
         let name = name.trim().to_ascii_lowercase();
@@ -56,7 +48,6 @@ impl BackendKind {
         match self {
             Self::Naive => Arc::new(NaiveBackend::new()),
             Self::Parallel => Arc::new(ParallelBackend::new()),
-            Self::Vectorized => Arc::new(VectorizedBackend::new()),
         }
     }
 
@@ -65,7 +56,6 @@ impl BackendKind {
         match self {
             Self::Naive => "naive",
             Self::Parallel => "parallel",
-            Self::Vectorized => "vectorized",
         }
     }
 }
@@ -94,19 +84,16 @@ mod tests {
             Some(BackendKind::Parallel)
         );
         assert_eq!(BackendKind::parse("openmp"), Some(BackendKind::Parallel));
-        assert_eq!(BackendKind::parse("SIMD"), Some(BackendKind::Vectorized));
-        assert_eq!(
-            BackendKind::parse("vectorized"),
-            Some(BackendKind::Vectorized)
-        );
         assert_eq!(BackendKind::parse("cuda"), None);
+        // A SIMD tier (`BCPNN_SIMD`) is not a backend.
+        assert_eq!(BackendKind::parse("lanes"), None);
+        assert_eq!(BackendKind::parse("SIMD"), None);
     }
 
     #[test]
     fn create_returns_matching_backend() {
         assert_eq!(BackendKind::Naive.create().name(), "naive");
         assert_eq!(BackendKind::Parallel.create().name(), "parallel");
-        assert_eq!(BackendKind::Vectorized.create().name(), "vectorized");
         assert_eq!(default_backend().name(), "parallel");
     }
 
@@ -114,6 +101,5 @@ mod tests {
     fn display_matches_name() {
         assert_eq!(BackendKind::Naive.to_string(), "naive");
         assert_eq!(BackendKind::Parallel.to_string(), "parallel");
-        assert_eq!(BackendKind::Vectorized.to_string(), "vectorized");
     }
 }

@@ -4,8 +4,7 @@
 //! (Ravichandran et al. 2020, eq. 4–8; Podobas et al. 2021 §3): the
 //! log-odds weight, the log-probability bias, and the per-connection
 //! mutual-information score used by structural plasticity — plus the
-//! unit-trace (`pi` / `pj`) column scan the vectorized and parallel
-//! backends share.
+//! unit-trace (`pi` / `pj`) column scan of the parallel backend.
 
 use bcpnn_tensor::simd::{F32x8, LANES};
 use bcpnn_tensor::Matrix;

@@ -11,13 +11,12 @@
 //! * [`NaiveBackend`] — single-threaded reference loops (StreamBrain's plain
 //!   NumPy backend; used as the correctness oracle),
 //! * [`ParallelBackend`] — multi-threaded, GEMM-based kernels on top of
-//!   `bcpnn-tensor` and `bcpnn-parallel` (StreamBrain's OpenMP/MKL backend),
-//! * [`VectorizedBackend`] — single-threaded, hand-vectorized 8-lane
-//!   kernels (cache-blocked, input-major, zero-skipping) that are bit-exact
-//!   against [`NaiveBackend`] — the per-core fast path.
+//!   `bcpnn-tensor` and `bcpnn-parallel` (StreamBrain's OpenMP/MKL backend;
+//!   the default, and the one every binary and benchmark workload runs).
 //!
 //! The paper's CUDA and FPGA backends are hardware we substitute with the
-//! threaded CPU backend; see DESIGN.md §2 for the substitution rationale.
+//! threaded CPU backend; ARCHITECTURE.md ("Compute backends and
+//! precision") has the contract the two are held to.
 //!
 //! ```
 //! use bcpnn_backend::{Backend, BackendKind};
@@ -41,10 +40,8 @@ pub mod kernels;
 mod naive;
 mod parallel;
 mod traits;
-mod vectorized;
 
 pub use dispatch::{default_backend, BackendKind};
 pub use naive::NaiveBackend;
 pub use parallel::ParallelBackend;
 pub use traits::Backend;
-pub use vectorized::VectorizedBackend;

@@ -48,7 +48,7 @@ impl Backend for ParallelBackend {
 
     fn grouped_softmax(&self, m: &mut Matrix<f32>, group: usize) {
         // Rows in parallel, each segment through the shared dispatch kernel
-        // (same per-segment numerics as the naive/vectorized backends).
+        // (same per-segment numerics as the naive backend).
         bcpnn_tensor::simd::dispatch::softmax_row_groups_par(m, group);
     }
 
@@ -204,9 +204,11 @@ mod tests {
         let mut rng = MatrixRng::seed_from(1);
         let (x, w, bias, _mask) = random_problem(&mut rng, 17, 23, 3, 5);
         let mut out_n = Matrix::zeros(17, 15);
-        let mut out_p = Matrix::zeros(17, 15);
+        // `out` is overwritten, never read: a recycled buffer may hold NaN.
+        let mut out_p = Matrix::filled(17, 15, f32::NAN);
         NaiveBackend::new().linear_forward(&x, &w, &bias, &mut out_n);
         ParallelBackend::new().linear_forward(&x, &w, &bias, &mut out_p);
+        assert!(out_p.all_finite());
         assert!(out_n.max_abs_diff(&out_p) < 1e-4);
     }
 

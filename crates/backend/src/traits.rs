@@ -30,7 +30,8 @@ pub trait Backend: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Dense forward pass: `out = x · weights + bias` (bias broadcast over
-    /// rows). `out` must be pre-allocated as `B x U`.
+    /// rows). `out` must be pre-allocated as `B x U`; its previous contents
+    /// are overwritten, never read.
     fn linear_forward(
         &self,
         x: &Matrix<f32>,

@@ -1,23 +1,19 @@
 //! Backend and precision benchmarks behind the CI `bench-regression` gate.
 //!
-//! Three questions, one machine-readable answer each (set `BENCH_JSON` to
-//! collect them as JSONL for `bench_compare`):
+//! One machine-readable answer per question (set `BENCH_JSON` to collect
+//! them as JSONL for `bench_compare`):
 //!
-//! * `backend_forward/*` — does the cache-blocked, lane-unrolled
-//!   [`VectorizedBackend`] beat the scalar [`NaiveBackend`] on the batched
-//!   forward pass? (It streams each weight row once per *batch* instead of
-//!   once per batch *row*.)
+//! * `backend_forward/*` — the batched forward pass at the paper model's
+//!   shape (64 x 280 one-hot inputs → 1000 units) on the [`NaiveBackend`]
+//!   row loop and the [`ParallelBackend`] blocked GEMM.
 //! * `backend_traces/*` — same comparison for the training-side trace
-//!   update, the other bandwidth-bound hot kernel.
+//!   update, the kernel `train_higgs` stands on.
 //! * `backend_traces_readout/*` — the trace update at the shape a supervised
 //!   batch of the paper model runs it: 128 rows of 1000 softmax
 //!   activations against 2 one-hot classes, i.e. a 1000 x 2 joint trace
 //!   whose rows are two floats wide. `backend_traces` (64 x 280 → 1024,
 //!   uniform activations) says nothing about this one: here the work per
 //!   output row is tiny, so scheduling overhead is what gets measured.
-//! * `backend_forward/tier_*` — the same forward pass with the SIMD
-//!   dispatch tier pinned to scalar / lanes / avx2, isolating what the
-//!   explicit-intrinsics tier buys over the autovectorized one.
 //! * `softmax_exp/*` — the grouped-softmax kernel per dispatch tier; this
 //!   is where the polynomial `exp_approx` replaces libm `expf`.
 //! * `quantized_predict/*` — tokens-per-core: end-to-end single-threaded
@@ -33,7 +29,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion, Throughput};
 
-use bcpnn_backend::{Backend, BackendKind, NaiveBackend, ParallelBackend, VectorizedBackend};
+use bcpnn_backend::{Backend, BackendKind, NaiveBackend, ParallelBackend};
 use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
@@ -51,19 +47,11 @@ const TIERS: [(&str, SimdTier); 3] = [
 ];
 
 /// Serving-shaped forward problem: quantile-encoded sparse binary input
-/// (28 active columns of 280) into a hidden layer big enough that weight
-/// traffic, not arithmetic, is the bottleneck. The forward matrix
-/// (280 x 8192 ≈ 9 MB of f32) deliberately exceeds L2: the batch-major
-/// naive kernel re-streams every active weight row once per batch row,
-/// while the input-major blocked kernel streams the matrix once per batch —
-/// that traffic gap is what `backend_forward` exists to show. The trace
-/// matrix stays smaller because the naive trace update walks all of
-/// `n_in x n_out` regardless of sparsity.
+/// (28 active columns of 280) into the paper model's 1 x 1000 hidden layer,
+/// whose weights (280 x 1000 ≈ 1.1 MB of f32) are L2-resident.
 const BATCH: usize = 64;
 const N_IN: usize = 280;
-const FWD_OUT: usize = 8192;
-const TIER_BATCH: usize = 16;
-const TIER_OUT: usize = 1024;
+const FWD_OUT: usize = 1000;
 const TRACE_OUT: usize = 1024;
 
 fn sparse_input(rows: usize) -> Matrix<f32> {
@@ -82,10 +70,9 @@ fn bench_backend_forward(c: &mut Criterion) {
     let bias: Vec<f32> = rng.uniform(1, FWD_OUT, -0.1, 0.1).into_vec();
     let mut out = Matrix::zeros(BATCH, FWD_OUT);
 
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 2] = [
         ("naive", Box::new(NaiveBackend::new())),
         ("parallel", Box::new(ParallelBackend::new())),
-        ("vectorized", Box::new(VectorizedBackend::new())),
     ];
     let mut group = c.benchmark_group("backend_forward");
     group.throughput(Throughput::Elements(BATCH as u64));
@@ -96,37 +83,6 @@ fn bench_backend_forward(c: &mut Criterion) {
                 black_box(&out);
             });
         });
-    }
-    // The same blocked kernel with the dispatch tier pinned, so the CI
-    // relative claim `tier_avx2 < tier_lanes` measures the intrinsics
-    // against the autovectorized lanes. Unlike the streaming comparison
-    // above, this one is shaped to be *compute*-bound — a small batch whose
-    // active output blocks stay L1-resident (16 rows x 2 KiB) over a
-    // moderate 280 x 1024 weight matrix: at the 9 MB streaming shape every
-    // tier saturates memory bandwidth and the ordering is noise, while here
-    // the arithmetic width of the axpy kernel is what's measured.
-    group.throughput(Throughput::Elements(TIER_BATCH as u64));
-    let tier_x = sparse_input(TIER_BATCH);
-    let tier_weights = rng.uniform(N_IN, TIER_OUT, -0.5, 0.5);
-    let tier_bias: Vec<f32> = rng.uniform(1, TIER_OUT, -0.1, 0.1).into_vec();
-    let mut tier_out = Matrix::zeros(TIER_BATCH, TIER_OUT);
-    for (name, tier) in TIERS {
-        let backend = VectorizedBackend::with_tier(tier);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("tier_{name}")),
-            &backend,
-            |b, backend| {
-                b.iter(|| {
-                    backend.linear_forward(
-                        black_box(&tier_x),
-                        &tier_weights,
-                        &tier_bias,
-                        &mut tier_out,
-                    );
-                    black_box(&tier_out);
-                });
-            },
-        );
     }
     group.finish();
 }
@@ -163,10 +119,9 @@ fn bench_softmax_exp(c: &mut Criterion) {
 
 /// `update_traces` of `x` against `act` on every backend, as one group.
 fn bench_traces_group(c: &mut Criterion, group: &str, x: &Matrix<f32>, act: &Matrix<f32>) {
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 2] = [
         ("naive", Box::new(NaiveBackend::new())),
         ("parallel", Box::new(ParallelBackend::new())),
-        ("vectorized", Box::new(VectorizedBackend::new())),
     ];
     let mut group = c.benchmark_group(group);
     group.throughput(Throughput::Elements(x.rows() as u64));

@@ -6,7 +6,7 @@
 //! (`{"schema":"bcpnn-bench/v1","benches":{...}}`), diffs it against a
 //! committed baseline with a percentage threshold, renders the diff as a
 //! GitHub-flavoured markdown table, and checks *relative* speed claims
-//! ("vectorized must beat naive") that hold on any machine even though
+//! ("int8 must beat f32") that hold on any machine even though
 //! absolute nanoseconds do not.
 //!
 //! The `bench_compare` binary is the CLI over these functions; the CI

@@ -7,7 +7,7 @@
 //! cargo run -p bcpnn-bench --bin bench_compare -- \
 //!     --current bench.jsonl --baseline ci/bench-baseline.json \
 //!     --threshold 40 \
-//!     --assert-faster "backend_forward/vectorized<backend_forward/naive"
+//!     --assert-faster "backend_traces/parallel<backend_traces/naive"
 //!
 //! # Refresh the committed baseline in one command:
 //! ci/refresh-bench-baseline.sh

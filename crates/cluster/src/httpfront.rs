@@ -138,15 +138,6 @@ impl ApiBackend for ClusterRouter {
         let backend = match request.backend {
             BackendKind::Naive => 0,
             BackendKind::Parallel => 1,
-            other => {
-                return Err(ApiError::new(
-                    400,
-                    format!(
-                        "backend \"{other}\" cannot be published through the cluster: \
-                         the interior protocol carries \"naive\" or \"parallel\""
-                    ),
-                ))
-            }
         };
         self.cluster_metrics().record_publish();
         let frame = Frame::Publish {

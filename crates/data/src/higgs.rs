@@ -7,7 +7,7 @@
 //! signal (a process producing a Higgs boson) or background.
 //!
 //! That 2 GB download is not available in this environment, so this module
-//! generates a *statistically analogous* dataset (see DESIGN.md §2):
+//! generates a *statistically analogous* dataset:
 //!
 //! * the same 28-feature schema and feature names,
 //! * class-conditional latent "process" variables whose separation is

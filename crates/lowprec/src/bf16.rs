@@ -3,9 +3,7 @@
 //!
 //! bfloat16 keeps the full `f32` exponent range, so BCPNN's log-odds weights
 //! (which span several orders of magnitude around zero) never overflow; what
-//! it loses is mantissa precision (~2–3 decimal digits). It is the least
-//! aggressive of the formats in this crate and the natural first step of the
-//! precision ablation.
+//! it loses is mantissa precision (~2–3 decimal digits).
 
 /// A bfloat16 value stored as its 16 raw bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,8 +56,7 @@ impl Bf16 {
         self.to_f32().is_nan()
     }
 
-    /// Round an `f32` through bfloat16 and back (the quantization operator
-    /// used by [`crate::NumericFormat::Bf16`]).
+    /// Round an `f32` through bfloat16 and back.
     pub fn round_f32(value: f32) -> f32 {
         Self::from_f32(value).to_f32()
     }

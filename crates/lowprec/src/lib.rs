@@ -1,57 +1,32 @@
 //! # bcpnn-lowprec
 //!
-//! Reduced-precision numerics for BCPNN / StreamBrain-rs.
+//! Reduced-precision inference for BCPNN / StreamBrain-rs.
 //!
-//! The StreamBrain paper (§III-A) lists an FPGA backend whose purpose is
-//! *architectural exploration* — in particular "reduced/different numerical
-//! representation (e.g., Posits)". We do not have an FPGA, but the part of
-//! that exploration that matters for the machine-learning result — *what
-//! happens to BCPNN accuracy when the arithmetic carries fewer bits* — is a
-//! pure numerics question, so this crate reproduces it in software:
+//! The StreamBrain paper (§III-A) lists an FPGA backend for exploring
+//! "reduced/different numerical representation". The part of that
+//! exploration this repo serves is narrow weight *storage* behind a wide
+//! accumulator:
 //!
-//! * [`Posit`] — software emulation of the posit number format (any width up
-//!   to 32 bits, any exponent-field size), with the standard `posit<16,1>`
-//!   and `posit<8,0>` configurations used by FPGA implementations.
-//! * [`Bf16`] — bfloat16 (truncated IEEE-754 single precision with
-//!   round-to-nearest-even), the format most ML accelerators provide.
-//! * [`FixedFormat`] — signed Qm.n fixed-point with saturation, the classic
-//!   DSP/FPGA representation.
-//! * [`NumericFormat`] / [`Quantizer`] — a uniform "round this `f32` through
-//!   format X" interface plus error statistics ([`QuantizationError`]).
-//! * [`LowPrecisionBackend`] — a [`bcpnn_backend::Backend`] adapter that
-//!   runs every BCPNN kernel in `f32` and then rounds the results through a
-//!   chosen format, which is the standard way to model "compute units keep a
-//!   wide accumulator, storage is narrow" FPGA datapaths at algorithm level.
-//! * [`analysis`] — dynamic-range reports and format sweeps used by the
-//!   precision-ablation benchmark.
-//! * [`QuantizedPipeline`] — the *servable* counterpart: quantize a fitted
-//!   `bcpnn_core::Pipeline`'s weights to int8 or bf16 once, then run
+//! * [`QuantizedPipeline`] — quantize a fitted `bcpnn_core::Pipeline`'s
+//!   weights to int8 or bf16 once ([`QuantPrecision`]), then run
 //!   allocation-free `predict_proba_into` inference with `f32` accumulation
 //!   and narrow weight storage, persist as a stage-tagged artifact, and
 //!   publish to the serving registry like any other model.
+//! * [`Bf16`] — bfloat16 (truncated IEEE-754 single precision with
+//!   round-to-nearest-even), the storage format of the bf16 precision.
 //!
 //! ```
-//! use bcpnn_lowprec::{NumericFormat, Quantizer};
+//! use bcpnn_lowprec::Bf16;
 //!
-//! let q = NumericFormat::Posit16.quantizer();
 //! let x = 0.123_f32;
-//! let rounded = q.quantize_scalar(x);
+//! let rounded = Bf16::round_f32(x);
 //! assert!((rounded - x).abs() < 1e-3);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod analysis;
-mod backend;
 mod bf16;
-mod fixed;
-mod posit;
-mod quantize;
 mod quantized;
 
-pub use backend::{LowPrecisionBackend, QuantizePolicy};
 pub use bf16::Bf16;
-pub use fixed::FixedFormat;
-pub use posit::{Posit, PositFormat};
-pub use quantize::{NumericFormat, QuantizationError, Quantizer};
 pub use quantized::{QuantPrecision, QuantizedPipeline};

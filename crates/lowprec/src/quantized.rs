@@ -1,12 +1,8 @@
 //! A servable quantized inference artifact: [`QuantizedPipeline`].
 //!
-//! [`LowPrecisionBackend`](crate::LowPrecisionBackend) answers the
-//! *numerics* question ("what happens to BCPNN accuracy with fewer bits")
-//! by rounding every kernel result; this module answers the *systems*
-//! question: take a fitted [`Pipeline`], quantize the tensors its
-//! predictions actually depend on — the hidden layer's masked weights and
-//! the readout head it predicts with — and produce a standalone
-//! [`Predictor`] that
+//! Take a fitted [`Pipeline`], quantize the tensors its predictions
+//! actually depend on — the hidden layer's masked weights and the readout
+//! head it predicts with — and produce a standalone [`Predictor`] that
 //!
 //! * stores weights as int8 codes with a per-output-column scale
 //!   ([`QuantPrecision::Int8`], 4x smaller) or as bfloat16 bit patterns

@@ -11,7 +11,9 @@
 //!   output into row bands executed on the `bcpnn-parallel` pool.
 //!
 //! All kernels compute `C = alpha * op(A) · op(B) + beta * C` with row-major
-//! storage.
+//! storage and BLAS semantics for `beta == 0`: `C` is overwritten, never
+//! read, so a NaN or Inf in a recycled output buffer cannot reach the
+//! product.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -55,6 +57,17 @@ fn check_gemm_dims<S: Scalar>(
     );
 }
 
+/// `beta * c`, except that `beta == 0` yields `+0` without reading `c`
+/// (`0 * NaN` is NaN).
+#[inline(always)]
+fn scaled<S: Scalar>(c: S, beta: S) -> S {
+    if beta == S::ZERO {
+        S::ZERO
+    } else {
+        c * beta
+    }
+}
+
 /// Reference GEMM: `C = alpha * A·B + beta * C`. Triple loop, no blocking.
 pub fn gemm_naive<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut Matrix<S>) {
     let (m, k) = a.shape();
@@ -64,7 +77,7 @@ pub fn gemm_naive<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c:
         let a_row = a.row(i);
         let c_row = c.row_mut(i);
         for v in c_row.iter_mut() {
-            *v *= beta;
+            *v = scaled(*v, beta);
         }
         for (p, &av) in a_row.iter().enumerate() {
             let aik = alpha * av;
@@ -94,7 +107,7 @@ fn gemm_block_panel<S: Scalar>(
     // Scale the panel by beta once up front.
     if beta != S::ONE {
         for v in c_panel.iter_mut() {
-            *v *= beta;
+            *v = scaled(*v, beta);
         }
     }
     let mut i0 = row_start;
@@ -201,7 +214,7 @@ pub fn gemm_tn<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &m
     let run_row = |i: usize, c_row: &mut [S]| {
         if beta != S::ONE {
             for v in c_row.iter_mut() {
-                *v *= beta;
+                *v = scaled(*v, beta);
             }
         }
         for p in 0..k {
@@ -250,7 +263,7 @@ pub fn gemm_nt<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &m
             for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
                 acc += av * bv;
             }
-            *cv = *cv * beta + alpha * acc;
+            *cv = scaled(*cv, beta) + alpha * acc;
         }
     };
     if work < PARALLEL_FLOP_CUTOFF || m < 2 {
@@ -277,7 +290,7 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S]) {
             for (&av, &xv) in row.iter().zip(x.iter()) {
                 acc += av * xv;
             }
-            *yv = beta * *yv + alpha * acc;
+            *yv = scaled(*yv, beta) + alpha * acc;
         }
     });
 }

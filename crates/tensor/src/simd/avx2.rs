@@ -8,18 +8,15 @@
 //!
 //! # Numerical contract
 //!
-//! The elementwise kernels ([`axpy`], [`accumulate`], [`accumulate_i8`],
-//! [`axpy_i8`], [`axpy_bf16`]) and the index kernel ([`argmax`]) are
-//! **bit-identical** to their scalar counterparts: multiplies and adds stay
-//! two distinct roundings (`_mm256_mul_ps` + `_mm256_add_ps`, never
-//! `_mm256_fmadd_ps`), per-element order is preserved, and integer-to-float
-//! conversions are exact. Only two kernels trade bits for speed, both under
-//! the documented tolerance of `simd::exp`:
-//!
-//! * [`sum`] accumulates eight partial sums and reduces them in lane order,
-//!   which reassociates the addition;
-//! * [`softmax_seg`] evaluates the shared `exp_approx` polynomial with
-//!   fused multiply-adds (one rounding where the portable tier has two).
+//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`], [`axpy_bf16`])
+//! and the index kernel ([`argmax`]) are **bit-identical** to their scalar
+//! counterparts: multiplies and adds stay two distinct roundings
+//! (`_mm256_mul_ps` + `_mm256_add_ps`, never `_mm256_fmadd_ps`),
+//! per-element order is preserved, and integer-to-float conversions are
+//! exact. Only [`softmax_seg`] trades bits for speed, under the documented
+//! tolerance of `simd::exp`: it evaluates the shared `exp_approx`
+//! polynomial with fused multiply-adds (one rounding where the portable
+//! tier has two).
 
 #![allow(unsafe_code)]
 // Every unsafe block in this module must say why it is sound.
@@ -28,90 +25,6 @@
 use core::arch::x86_64::*;
 
 use super::exp::{exp_approx, C0, C1, C2, C3, C4, C5, EXP_LO, LN2_HI, LN2_LO, LOG2E};
-
-/// `dst[j] += a · x[j]`, eight lanes per step, two-rounding semantics —
-/// bit-identical to the scalar loop.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA. Slices must be equal length (asserted).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-    assert_eq!(dst.len(), x.len(), "axpy: length mismatch");
-    let av = _mm256_set1_ps(a);
-    let n = dst.len() / 8 * 8;
-    let mut i = 0;
-    while i < n {
-        // SAFETY: i + 8 <= n <= len for both equal-length slices, so the
-        // unaligned 8-float loads and store stay in bounds.
-        unsafe {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(
-                dst.as_mut_ptr().add(i),
-                _mm256_add_ps(d, _mm256_mul_ps(av, s)),
-            );
-        }
-        i += 8;
-    }
-    for (d, &s) in dst[n..].iter_mut().zip(&x[n..]) {
-        *d += a * s;
-    }
-}
-
-/// `dst[j] += src[j]`, eight lanes per step — bit-identical to the scalar
-/// loop.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA. Slices must be equal length (asserted).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn accumulate(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "accumulate: length mismatch");
-    let n = dst.len() / 8 * 8;
-    let mut i = 0;
-    while i < n {
-        // SAFETY: i + 8 <= n <= len for both equal-length slices.
-        unsafe {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-        }
-        i += 8;
-    }
-    for (d, &s) in dst[n..].iter_mut().zip(&src[n..]) {
-        *d += s;
-    }
-}
-
-/// Sum with eight parallel accumulators reduced in lane order, then the
-/// scalar tail. **Not** bit-identical to the sequential sum (the
-/// reassociation changes last-bit rounding); use where the dispatch layer's
-/// tolerance contract applies.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn sum(x: &[f32]) -> f32 {
-    let n = x.len() / 8 * 8;
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: i + 8 <= n <= x.len(), so the 8-float load is in bounds.
-        unsafe {
-            acc = _mm256_add_ps(acc, _mm256_loadu_ps(x.as_ptr().add(i)));
-        }
-        i += 8;
-    }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut s = 0.0f32;
-    for l in lanes {
-        s += l;
-    }
-    for &v in &x[n..] {
-        s += v;
-    }
-    s
-}
 
 /// Index of the first maximum (0 for empty), with the exact semantics of the
 /// scalar scan: strict `>`, NaNs never win. Eight candidates are prescreened
@@ -241,7 +154,7 @@ pub unsafe fn axpy_bf16(dst: &mut [f32], a: f32, codes: &[u16]) {
     }
 }
 
-/// Vectorized `exp_approx` of eight max-subtracted supports: the shared
+/// Eight-lane `exp_approx` of max-subtracted supports: the shared
 /// Cephes polynomial of `simd::exp` with the multiply-adds fused.
 ///
 /// Callers must have subtracted the segment maximum first (arguments are

@@ -5,7 +5,7 @@
 //! | tier | implementation | `exp` |
 //! |------|----------------|-------|
 //! | [`SimdTier::Scalar`] | plain loops, the pre-dispatch reference | libm |
-//! | [`SimdTier::Lanes`]  | portable 8-lane kernels (`simd::{axpy, …}`) | [`exp::exp_approx`] |
+//! | [`SimdTier::Lanes`]  | portable 8-lane kernels (`simd::argmax`, lane softmax) | [`exp::exp_approx`] |
 //! | [`SimdTier::Avx2`]   | explicit AVX2+FMA intrinsics (`simd::avx2`) | same polynomial, fused |
 //!
 //! Selection runs once, at the first dispatched call: the `BCPNN_SIMD` env
@@ -19,17 +19,15 @@
 //!
 //! # Numerical contract
 //!
-//! The elementwise kernels ([`axpy`], [`accumulate`], [`accumulate_i8`],
-//! [`axpy_i8`], [`axpy_bf16`]) and the index kernels ([`argmax`],
-//! [`col_sums_into`], [`row_argmax_into`]) return **bit-identical** results
-//! on every tier — multiply-then-add stays two roundings everywhere, even
-//! in the AVX2 tier. Only [`sum`] (reassociated on AVX2) and the softmax
-//! kernels ([`softmax_slice`], [`softmax_groups_into`],
-//! [`softmax_row_groups_par`]) differ across tiers, and those only within
-//! the `exp_approx` tolerance documented in [`exp`]: the scalar tier keeps
-//! the legacy libm loop bit-for-bit, the other two use the shared
-//! polynomial (relative error ≤ 1e-6). `tests/simd_dispatch_equivalence.rs`
-//! holds every tier to this table.
+//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`], [`axpy_bf16`])
+//! and the index kernels ([`argmax`], [`row_argmax_into`]) return
+//! **bit-identical** results on every tier — multiply-then-add stays two
+//! roundings everywhere, even in the AVX2 tier. Only the softmax kernels
+//! ([`softmax_groups_into`], [`softmax_row_groups_par`]) differ across
+//! tiers, and those only within the `exp_approx` tolerance documented in
+//! [`exp`]: the scalar tier keeps the legacy libm loop bit-for-bit, the
+//! other two use the shared polynomial (relative error ≤ 1e-6).
+//! `tests/simd_dispatch_equivalence.rs` holds every tier to this table.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;
@@ -49,15 +47,6 @@ use super::avx2;
 /// off x86-64.
 #[cfg(not(target_arch = "x86_64"))]
 mod avx2 {
-    pub unsafe fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-        crate::simd::axpy(dst, a, x);
-    }
-    pub unsafe fn accumulate(dst: &mut [f32], src: &[f32]) {
-        crate::simd::accumulate(dst, src);
-    }
-    pub unsafe fn sum(x: &[f32]) -> f32 {
-        crate::simd::sum(x)
-    }
     pub unsafe fn argmax(x: &[f32]) -> usize {
         crate::simd::argmax(x)
     }
@@ -86,7 +75,7 @@ pub enum SimdTier {
     /// Plain scalar loops with libm `exp` — the pre-dispatch reference
     /// numerics, bit-for-bit.
     Scalar,
-    /// Portable fixed-width lane kernels (`simd::{axpy, …}`,
+    /// Portable fixed-width lane kernels (`simd::argmax`,
     /// [`exp::exp_approx_x8`]); compiles on every target and relies on the
     /// auto-vectorizer for width.
     Lanes,
@@ -255,20 +244,6 @@ pub fn set_tier(tier: SimdTier) -> SimdTier {
 // AVX2 stubs).
 // ---------------------------------------------------------------------------
 
-fn scalar_axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-    assert_eq!(dst.len(), x.len(), "axpy: length mismatch");
-    for (d, &s) in dst.iter_mut().zip(x) {
-        *d += a * s;
-    }
-}
-
-fn scalar_accumulate(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "accumulate: length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
 /// `dst[j] += codes[j] as f32` — i8→f32 conversion is exact, so every tier
 /// is bit-identical. The plain loop is the scalar *and* lane tier (the
 /// auto-vectorizer widens it); AVX2 uses `_mm256_cvtepi8_epi32`.
@@ -367,55 +342,6 @@ fn softmax_seg_lanes(seg: &mut [f32]) {
 // re-resolved, so passing `Avx2` is safe on any machine).
 // ---------------------------------------------------------------------------
 
-/// `dst[j] += a · x[j]` on the given tier (bit-identical across tiers).
-pub fn axpy_with(tier: SimdTier, dst: &mut [f32], a: f32, x: &[f32]) {
-    match tier.resolved() {
-        SimdTier::Scalar => scalar_axpy(dst, a, x),
-        SimdTier::Lanes => super::axpy(dst, a, x),
-        // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
-        SimdTier::Avx2 => unsafe { avx2::axpy(dst, a, x) },
-    }
-}
-
-/// `dst[j] += a · x[j]` on the active tier.
-pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-    axpy_with(active_tier(), dst, a, x);
-}
-
-/// `dst[j] += src[j]` on the given tier (bit-identical across tiers).
-pub fn accumulate_with(tier: SimdTier, dst: &mut [f32], src: &[f32]) {
-    match tier.resolved() {
-        SimdTier::Scalar => scalar_accumulate(dst, src),
-        SimdTier::Lanes => super::accumulate(dst, src),
-        // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
-        SimdTier::Avx2 => unsafe { avx2::accumulate(dst, src) },
-    }
-}
-
-/// `dst[j] += src[j]` on the active tier.
-pub fn accumulate(dst: &mut [f32], src: &[f32]) {
-    accumulate_with(active_tier(), dst, src);
-}
-
-/// Slice sum on the given tier. Scalar and lane tiers sum sequentially
-/// (bit-identical); the AVX2 tier reassociates into eight partial sums, so
-/// its result may differ in the last bits.
-pub fn sum_with(tier: SimdTier, x: &[f32]) -> f32 {
-    match tier.resolved() {
-        SimdTier::Scalar | SimdTier::Lanes => super::sum(x),
-        // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
-        SimdTier::Avx2 => unsafe { avx2::sum(x) },
-    }
-}
-
-/// Slice sum on the active tier.
-pub fn sum(x: &[f32]) -> f32 {
-    sum_with(active_tier(), x)
-}
-
 /// Index of the first maximum (0 for empty) on the given tier. All tiers
 /// implement the exact scalar-scan semantics — strict `>`, first
 /// occurrence, NaNs never win — so the index is identical everywhere.
@@ -432,29 +358,6 @@ pub fn argmax_with(tier: SimdTier, x: &[f32]) -> usize {
 /// Index of the first maximum on the active tier.
 pub fn argmax(x: &[f32]) -> usize {
     argmax_with(active_tier(), x)
-}
-
-/// Per-column sums into a reused buffer on the given tier (bit-identical:
-/// every tier accumulates rows top to bottom).
-pub fn col_sums_into_with(tier: SimdTier, m: &Matrix<f32>, out: &mut Vec<f32>) {
-    match tier.resolved() {
-        SimdTier::Scalar => reduce::col_sums_into(m, out),
-        SimdTier::Lanes => super::col_sums_into(m, out),
-        SimdTier::Avx2 => {
-            out.clear();
-            out.resize(m.cols(), 0.0);
-            for row in m.iter_rows() {
-                // SAFETY: `resolved()` returns Avx2 only when the runtime
-                // probe confirmed avx2+fma on this CPU (never off x86-64).
-                unsafe { avx2::accumulate(out, row) };
-            }
-        }
-    }
-}
-
-/// Per-column sums into a reused buffer on the active tier.
-pub fn col_sums_into(m: &Matrix<f32>, out: &mut Vec<f32>) {
-    col_sums_into_with(active_tier(), m, out);
 }
 
 /// Per-row argmax into a reused buffer on the given tier (bit-identical,
@@ -540,7 +443,7 @@ pub fn axpy_bf16(dst: &mut [f32], a: f32, codes: &[u16]) {
 /// The scalar tier is bit-for-bit the legacy libm loop; the lane and AVX2
 /// tiers use the shared [`exp::exp_approx`] polynomial and agree with the
 /// scalar tier within its documented ≤ 1e-6 relative error.
-pub fn softmax_slice_with(tier: SimdTier, seg: &mut [f32]) {
+fn softmax_seg(tier: SimdTier, seg: &mut [f32]) {
     match tier.resolved() {
         SimdTier::Scalar => softmax_seg_scalar(seg),
         SimdTier::Lanes => softmax_seg_lanes(seg),
@@ -550,14 +453,9 @@ pub fn softmax_slice_with(tier: SimdTier, seg: &mut [f32]) {
     }
 }
 
-/// Softmax one contiguous group in place on the active tier.
-pub fn softmax_slice(seg: &mut [f32]) {
-    softmax_slice_with(active_tier(), seg);
-}
-
 /// Grouped softmax over a matrix in place (the hypercolumn normalisation):
 /// every row is split into `group`-wide segments and each segment softmaxed
-/// independently via [`softmax_slice_with`]. Sequential over rows — the
+/// independently on the given tier. Sequential over rows — the
 /// shared definition behind `NaiveBackend::grouped_softmax` and the
 /// quantized pipeline.
 ///
@@ -574,7 +472,7 @@ pub fn softmax_groups_into_with(tier: SimdTier, m: &mut Matrix<f32>, group: usiz
     let tier = tier.resolved();
     for r in 0..m.rows() {
         for seg in m.row_mut(r).chunks_mut(group) {
-            softmax_slice_with(tier, seg);
+            softmax_seg(tier, seg);
         }
     }
 }
@@ -605,7 +503,7 @@ pub fn softmax_row_groups_par(m: &mut Matrix<f32>, group: usize) {
     let tier = active_tier().resolved();
     par_chunks_mut(m.as_mut_slice(), cols, |_, row| {
         for seg in row.chunks_mut(group) {
-            softmax_slice_with(tier, seg);
+            softmax_seg(tier, seg);
         }
     });
 }

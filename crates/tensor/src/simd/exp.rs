@@ -1,7 +1,7 @@
 //! Polynomial `exp` approximation for the softmax hot path.
 //!
 //! Profiling the serving shapes showed scalar libm `expf` dominating
-//! end-to-end `predict` once the linear forward was vectorized: the grouped
+//! end-to-end `predict` next to the linear forward: the grouped
 //! softmax calls `exp` once per hidden unit per row, and libm's `expf`
 //! neither inlines nor vectorizes. This module supplies the classic
 //! Cephes-style alternative — range reduction to `[-½ln2, ½ln2]`, a

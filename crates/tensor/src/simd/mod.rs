@@ -5,17 +5,14 @@
 //! lane struct ([`F32x8`]) whose operations are written so the optimiser's
 //! auto-vectoriser has no excuse — fixed-length arrays, no bounds checks in
 //! the lane body, one operation per lane per statement — plus the
-//! lane-friendly kernel variants the vectorized backend is built from
-//! ([`axpy`], [`accumulate`], [`sum`], [`argmax`], [`col_sums_into`],
-//! [`row_argmax_into`]).
+//! lane-tier index kernels ([`argmax`], [`row_argmax_into`]).
 //!
 //! **Numerical contract:** every kernel here performs *exactly* the same
 //! floating-point operations in *exactly* the same per-element order as its
 //! scalar counterpart (`a * x + dst` stays two roundings — never a fused
 //! multiply-add), so results are bit-identical to the naive loops. The
-//! speed comes from unrolling, bounds-check elimination and cache blocking,
-//! not from reassociating sums. `tests/backend_equivalence.rs` holds the
-//! backends to that contract.
+//! speed comes from unrolling and bounds-check elimination, not from
+//! reassociating sums.
 //!
 //! The portable lane kernels in this module are one *tier* of a three-tier
 //! runtime story. [`dispatch`] probes the CPU once at startup (or honours
@@ -36,7 +33,7 @@ use crate::matrix::Matrix;
 pub const LANES: usize = 8;
 
 /// A fixed 8-lane bundle of `f32`s: the portable-SIMD-shaped building block
-/// of the vectorized backend.
+/// of the lane tier.
 ///
 /// ```
 /// use bcpnn_tensor::simd::F32x8;
@@ -138,66 +135,6 @@ impl std::ops::Mul for F32x8 {
     }
 }
 
-/// `dst[j] += a · x[j]` for every `j`, eight lanes at a time.
-///
-/// Per-element operation order is identical to the scalar loop, so the
-/// result is bit-exact; only the remainder tail (fewer than eight trailing
-/// elements) runs scalar.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-    assert_eq!(dst.len(), x.len(), "axpy: length mismatch");
-    let av = F32x8::splat(a);
-    let mut dst_chunks = dst.chunks_exact_mut(LANES);
-    let mut x_chunks = x.chunks_exact(LANES);
-    for (d, s) in dst_chunks.by_ref().zip(x_chunks.by_ref()) {
-        F32x8::load(d).mul_add(av, F32x8::load(s)).store(d);
-    }
-    for (d, &s) in dst_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(x_chunks.remainder())
-    {
-        *d += a * s;
-    }
-}
-
-/// `dst[j] += src[j]` for every `j`, eight lanes at a time (bit-exact).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn accumulate(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "accumulate: length mismatch");
-    let mut dst_chunks = dst.chunks_exact_mut(LANES);
-    let mut src_chunks = src.chunks_exact(LANES);
-    for (d, s) in dst_chunks.by_ref().zip(src_chunks.by_ref()) {
-        (F32x8::load(d) + F32x8::load(s)).store(d);
-    }
-    for (d, &s) in dst_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(src_chunks.remainder())
-    {
-        *d += s;
-    }
-}
-
-/// Left-to-right sum of a slice — same order as `vector::sum`, unrolled only
-/// in address computation (a sequential sum cannot change association and
-/// stay bit-exact, so this exists for the tail-free inner loops that want a
-/// slice sum without an iterator chain).
-#[inline]
-pub fn sum(x: &[f32]) -> f32 {
-    let mut s = 0.0f32;
-    for &v in x {
-        s += v;
-    }
-    s
-}
-
 /// Index of the first maximum of `x` (0 for an empty slice) with the exact
 /// semantics of `vector::argmax`, but scanning eight candidates per step:
 /// a chunk whose maximum does not beat the current best is skipped without
@@ -239,17 +176,6 @@ pub fn argmax(x: &[f32]) -> usize {
     best
 }
 
-/// Per-column sums via lane-wide row accumulation: bit-identical to
-/// `reduce::col_sums_into` (both accumulate rows top to bottom), but eight
-/// columns per step.
-pub fn col_sums_into(m: &Matrix<f32>, out: &mut Vec<f32>) {
-    out.clear();
-    out.resize(m.cols(), 0.0);
-    for row in m.iter_rows() {
-        accumulate(out, row);
-    }
-}
-
 /// Per-row argmax via [`argmax`]: bit-identical to
 /// `reduce::row_argmax_into`, with the eight-wide prescreen.
 pub fn row_argmax_into(m: &Matrix<f32>, out: &mut Vec<usize>) {
@@ -280,32 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_is_bit_exact_vs_scalar_on_ragged_lengths() {
-        let mut rng = MatrixRng::seed_from(7);
-        for len in [0usize, 1, 7, 8, 9, 16, 33, 250] {
-            let x: Vec<f32> = rng.uniform(1, len.max(1), -1.0, 1.0).into_vec();
-            let x = &x[..len];
-            let base: Vec<f32> = rng.uniform(1, len.max(1), -1.0, 1.0).into_vec();
-            let base = &base[..len];
-            let a = 0.37f32;
-            let mut fast = base.to_vec();
-            axpy(&mut fast, a, x);
-            let mut slow = base.to_vec();
-            for (d, &s) in slow.iter_mut().zip(x) {
-                *d += a * s;
-            }
-            assert_eq!(fast, slow, "len {len}");
-            let mut acc_fast = base.to_vec();
-            accumulate(&mut acc_fast, x);
-            let mut acc_slow = base.to_vec();
-            for (d, &s) in acc_slow.iter_mut().zip(x) {
-                *d += s;
-            }
-            assert_eq!(acc_fast, acc_slow, "accumulate len {len}");
-        }
-    }
-
-    #[test]
     fn argmax_matches_vector_argmax() {
         let mut rng = MatrixRng::seed_from(11);
         for len in [0usize, 1, 3, 8, 9, 17, 64, 100] {
@@ -325,22 +225,9 @@ mod tests {
         let mut rng = MatrixRng::seed_from(13);
         for (rows, cols) in [(0, 5), (3, 0), (1, 1), (4, 7), (5, 8), (6, 19), (9, 64)] {
             let m: Matrix<f32> = rng.uniform(rows, cols, -2.0, 2.0);
-            let mut fast = Vec::new();
-            col_sums_into(&m, &mut fast);
-            assert_eq!(fast, reduce::col_sums(&m), "{rows}x{cols}");
             let mut idx = Vec::new();
             row_argmax_into(&m, &mut idx);
             assert_eq!(idx, reduce::row_argmax(&m), "{rows}x{cols}");
         }
-    }
-
-    #[test]
-    fn sum_matches_sequential_order() {
-        let v = [0.1f32, 0.7, -0.3, 1e-8, 4.0, -2.5, 0.25, 0.5, 0.125];
-        let mut s = 0.0f32;
-        for &x in &v {
-            s += x;
-        }
-        assert_eq!(sum(&v), s);
     }
 }

@@ -11,6 +11,12 @@ fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
     })
 }
 
+/// An output buffer no `beta == 0` product may read: any element that leaks
+/// into the result makes it non-finite.
+fn poisoned(rows: usize, cols: usize) -> Matrix<f64> {
+    Matrix::filled(rows, cols, f64::NAN)
+}
+
 /// Strategy: a compatible (A, B) pair for GEMM with bounded dimensions.
 fn gemm_pair(max_dim: usize) -> impl Strategy<Value = (Matrix<f64>, Matrix<f64>)> {
     (1..=max_dim, 1..=max_dim, 1..=max_dim).prop_flat_map(|(m, k, n)| {
@@ -33,18 +39,20 @@ proptest! {
     #[test]
     fn blocked_gemm_matches_naive((a, b) in gemm_pair(24)) {
         let mut c1 = Matrix::zeros(a.rows(), b.cols());
-        let mut c2 = Matrix::zeros(a.rows(), b.cols());
+        let mut c2 = poisoned(a.rows(), b.cols());
         gemm_naive(1.0, &a, &b, 0.0, &mut c1);
         gemm_blocked(1.0, &a, &b, 0.0, &mut c2);
+        prop_assert!(c2.all_finite());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-9);
     }
 
     #[test]
     fn parallel_gemm_matches_naive((a, b) in gemm_pair(24)) {
-        let mut c1 = Matrix::zeros(a.rows(), b.cols());
-        let mut c2 = Matrix::zeros(a.rows(), b.cols());
+        let mut c1 = poisoned(a.rows(), b.cols());
+        let mut c2 = poisoned(a.rows(), b.cols());
         gemm_naive(1.0, &a, &b, 0.0, &mut c1);
         gemm(1.0, &a, &b, 0.0, &mut c2);
+        prop_assert!(c1.all_finite() && c2.all_finite());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-9);
     }
 
@@ -55,8 +63,9 @@ proptest! {
         let a_t = a.transposed();
         let mut expected = Matrix::zeros(a.rows(), b.cols());
         gemm_naive(1.0, &a, &b, 0.0, &mut expected);
-        let mut got = Matrix::zeros(a.rows(), b.cols());
+        let mut got = poisoned(a.rows(), b.cols());
         gemm_tn(1.0, &a_t, &b, 0.0, &mut got);
+        prop_assert!(got.all_finite());
         prop_assert!(expected.max_abs_diff(&got) < 1e-9);
     }
 
@@ -66,8 +75,9 @@ proptest! {
         let bt = b.transposed(); // n x k with n = b.cols()
         let mut expected = Matrix::zeros(a.rows(), b.cols());
         gemm_naive(1.0, &a, &b, 0.0, &mut expected);
-        let mut got = Matrix::zeros(a.rows(), b.cols());
+        let mut got = poisoned(a.rows(), b.cols());
         gemm_nt(1.0, &a, &bt, 0.0, &mut got);
+        prop_assert!(got.all_finite());
         prop_assert!(expected.max_abs_diff(&got) < 1e-9);
     }
 

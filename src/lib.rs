@@ -15,7 +15,7 @@
 //! * [`core`] — the BCPNN network, training loop, and persistence.
 //! * [`data`] — synthetic Higgs data, quantile one-hot encoding, splits.
 //! * [`hyperopt`] — random and evolutionary hyperparameter search.
-//! * [`lowprec`] — posit/bfloat16/fixed-point precision ablations.
+//! * [`lowprec`] — int8 / bfloat16 quantized serving (`QuantizedPipeline`).
 //! * [`viz`] — receptive-field and in-situ visualization.
 //! * [`serve`] — micro-batched inference serving with model hot-swap.
 

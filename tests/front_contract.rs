@@ -106,7 +106,7 @@ fn refusals(inside: &str) -> Vec<Case> {
             b"{\"path\":\"x\",\"version\":2,\"backend\":3}",
             400,
         )
-        .mentions("naive, parallel, vectorized"),
+        .mentions("naive, parallel, reference"),
         Case::new(
             "PUT",
             PUBLISH,
@@ -235,29 +235,36 @@ fn cluster_refusals_never_reach_the_serving_stack() {
 }
 
 #[test]
-fn a_backend_kind_the_interior_protocol_cannot_carry_is_refused_not_defaulted() {
+fn both_fronts_accept_the_same_backend_names() {
     let root = std::env::temp_dir().join(format!("bcpnn-front-kinds-{}", std::process::id()));
     let (pipeline, _) = tiny_pipeline(91, BackendKind::Naive);
     let artifact = root.join("higgs-v2");
     pipeline.save(&artifact).unwrap();
-    let body = format!(
-        "{{\"path\":{:?},\"version\":2,\"backend\":\"simd\"}}",
-        artifact.to_str().unwrap()
-    );
-    for (front, status) in [(Front::Gateway, 200), (Front::Cluster, 400)] {
-        let stack = front.start(FrontConfig::default(), Some(root.clone()), &|_| {});
-        let reply = client::request(
-            stack.addr(),
-            "PUT",
-            "/v1/models/higgs",
-            &[],
-            body.as_bytes(),
-        )
-        .unwrap();
-        assert_eq!(reply.status, status, "{front:?}: {}", reply.body_str());
-        // Published on the vectorized backend, or not at all.
-        let published = stack.server.registry().lookup("higgs").is_some();
-        assert_eq!(published, status == 200, "{front:?}");
+    // An alias of `parallel` is published; a SIMD tier is not a backend.
+    for (name, status) in [("openmp", 200), ("simd", 400)] {
+        let body = format!(
+            "{{\"path\":{:?},\"version\":2,\"backend\":{name:?}}}",
+            artifact.to_str().unwrap()
+        );
+        for front in Front::BOTH {
+            let stack = front.start(FrontConfig::default(), Some(root.clone()), &|_| {});
+            let reply = client::request(
+                stack.addr(),
+                "PUT",
+                "/v1/models/higgs",
+                &[],
+                body.as_bytes(),
+            )
+            .unwrap();
+            assert_eq!(
+                reply.status,
+                status,
+                "{front:?} {name}: {}",
+                reply.body_str()
+            );
+            let published = stack.server.registry().lookup("higgs").is_some();
+            assert_eq!(published, status == 200, "{front:?} {name}");
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,5 +1,5 @@
-//! Ablation of the structural-plasticity design choices called out in
-//! DESIGN.md: mutual-information-scored rewiring must end up on more
+//! Ablation of the structural-plasticity design choices:
+//! mutual-information-scored rewiring must end up on more
 //! informative inputs than a frozen random mask of the same density, and
 //! the per-HCU connection budget must be an invariant of training.
 

@@ -2,8 +2,8 @@
 //! (`bcpnn_tensor::simd::dispatch`), in the spirit of
 //! `into_equivalence.rs`: every dispatch tier must agree with the scalar
 //! reference — **bit-for-bit** for the elementwise and index kernels
-//! (axpy / accumulate / i8 / bf16 / argmax / column sums), and within the
-//! documented `exp_approx` tolerance for the softmax and sum kernels.
+//! (i8 / bf16 / argmax), and within the documented `exp_approx` tolerance
+//! for the softmax kernels.
 //! On top of the kernel checks, a fitted pipeline must predict the same
 //! classes (accuracy delta ≤ 1e-5) on every tier.
 //!
@@ -11,7 +11,7 @@
 //! the process-wide tier with `set_tier`; separate tests would race each
 //! other's global state under the parallel test runner.
 
-use bcpnn_backend::{Backend, BackendKind, NaiveBackend, VectorizedBackend};
+use bcpnn_backend::{Backend, BackendKind, NaiveBackend, ParallelBackend};
 use bcpnn_core::metrics::accuracy;
 use bcpnn_core::{Network, Pipeline, Predictor, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
@@ -39,10 +39,6 @@ fn elementwise_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
         let codes_bf16: Vec<u16> = x.iter().map(|v| (v.to_bits() >> 16) as u16).collect();
         let a = 0.37f32;
 
-        let mut want_axpy = base.clone();
-        dispatch::axpy_with(SimdTier::Scalar, &mut want_axpy, a, &x);
-        let mut want_acc = base.clone();
-        dispatch::accumulate_with(SimdTier::Scalar, &mut want_acc, &x);
         let mut want_i8acc = base.clone();
         dispatch::accumulate_i8_with(SimdTier::Scalar, &mut want_i8acc, &codes_i8);
         let mut want_i8axpy = base.clone();
@@ -52,14 +48,6 @@ fn elementwise_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
         let want_argmax = dispatch::argmax_with(SimdTier::Scalar, &x);
 
         for tier in [SimdTier::Lanes, SimdTier::Avx2] {
-            let mut got = base.clone();
-            dispatch::axpy_with(tier, &mut got, a, &x);
-            assert_eq!(bits(&got), bits(&want_axpy), "axpy {tier:?} len {len}");
-
-            let mut got = base.clone();
-            dispatch::accumulate_with(tier, &mut got, &x);
-            assert_eq!(bits(&got), bits(&want_acc), "accumulate {tier:?} len {len}");
-
             let mut got = base.clone();
             dispatch::accumulate_i8_with(tier, &mut got, &codes_i8);
             assert_eq!(
@@ -97,36 +85,12 @@ fn elementwise_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
 fn matrix_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
     for (rows, cols) in [(0, 5), (1, 1), (4, 7), (5, 8), (6, 19), (9, 64)] {
         let m: Matrix<f32> = rng.uniform(rows, cols, -3.0, 3.0);
-        let mut want_sums = Vec::new();
-        dispatch::col_sums_into_with(SimdTier::Scalar, &m, &mut want_sums);
         let mut want_idx = Vec::new();
         dispatch::row_argmax_into_with(SimdTier::Scalar, &m, &mut want_idx);
         for tier in [SimdTier::Lanes, SimdTier::Avx2] {
-            let mut sums = Vec::new();
-            dispatch::col_sums_into_with(tier, &m, &mut sums);
-            assert_eq!(
-                bits(&sums),
-                bits(&want_sums),
-                "col_sums {tier:?} {rows}x{cols}"
-            );
             let mut idx = Vec::new();
             dispatch::row_argmax_into_with(tier, &m, &mut idx);
             assert_eq!(idx, want_idx, "row_argmax {tier:?} {rows}x{cols}");
-        }
-    }
-}
-
-fn sum_stays_within_tolerance(rng: &mut MatrixRng) {
-    for len in [9usize, 100, 1000] {
-        let x: Vec<f32> = rng.uniform(1, len, -1.0, 1.0).into_vec();
-        let want = dispatch::sum_with(SimdTier::Scalar, &x);
-        let abs: f32 = x.iter().map(|v| v.abs()).sum();
-        for tier in [SimdTier::Lanes, SimdTier::Avx2] {
-            let got = dispatch::sum_with(tier, &x);
-            assert!(
-                (got - want).abs() <= 1e-6 * abs.max(1.0),
-                "sum {tier:?} len {len}: {got} vs {want}"
-            );
         }
     }
 }
@@ -188,8 +152,8 @@ fn softmax_matches_scalar_reference(rng: &mut MatrixRng) {
     }
 }
 
-/// Naive and vectorized backends must stay bit-identical on *every* forced
-/// tier — they route through the same dispatch kernels.
+/// Naive and parallel backends must stay bit-identical on *every* forced
+/// tier — they share the per-segment softmax kernel.
 fn backends_agree_per_tier(rng: &mut MatrixRng) {
     let prev = dispatch::active_tier();
     for tier in TIERS {
@@ -198,11 +162,11 @@ fn backends_agree_per_tier(rng: &mut MatrixRng) {
         let mut a = m.clone();
         let mut b = m;
         NaiveBackend::new().grouped_softmax(&mut a, 4);
-        VectorizedBackend::new().grouped_softmax(&mut b, 4);
+        ParallelBackend::new().grouped_softmax(&mut b, 4);
         assert_eq!(
             bits(a.as_slice()),
             bits(b.as_slice()),
-            "naive vs vectorized on {installed:?}"
+            "naive vs parallel on {installed:?}"
         );
     }
     dispatch::set_tier(prev);
@@ -268,7 +232,6 @@ fn every_dispatch_tier_agrees_with_scalar() {
     let mut rng = MatrixRng::seed_from(77);
     elementwise_kernels_are_bit_exact_across_tiers(&mut rng);
     matrix_kernels_are_bit_exact_across_tiers(&mut rng);
-    sum_stays_within_tolerance(&mut rng);
     softmax_matches_scalar_reference(&mut rng);
     backends_agree_per_tier(&mut rng);
     end_to_end_predict_agrees_across_tiers();
