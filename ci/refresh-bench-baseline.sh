@@ -21,9 +21,10 @@ json="$(mktemp -t bench-json.XXXXXX)"
 rm -f "$json"
 
 BENCH_JSON="$json" cargo bench -p bcpnn-bench --bench backends
-# The cascade group only (the criterion shim takes substring filters), so
-# the baseline stays scoped to what CI's bench-regression job re-runs.
-BENCH_JSON="$json" cargo bench -p bcpnn-bench --bench serving -- serve_cascade
+# The cascade and block groups only (the criterion shim takes substring
+# filters), so the baseline stays scoped to what CI's bench-regression job
+# re-runs.
+BENCH_JSON="$json" cargo bench -p bcpnn-bench --bench serving -- serve_cascade serve_block64
 cargo run --release -q -p bcpnn-bench --bin bench_compare -- \
     --current "$json" --write-baseline ci/bench-baseline.json
 rm -f "$json"

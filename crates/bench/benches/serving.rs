@@ -15,8 +15,8 @@ use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_serve::loadgen::request_stream;
 use bcpnn_serve::{
-    BatchConfig, CascadeModel, InferenceServer, ModelRegistry, Pipeline, ServedModel, ShardConfig,
-    ShardRouting, ShardedServer,
+    BatchConfig, CascadeModel, InferenceServer, ModelRegistry, Pipeline, RowBlock, ServedModel,
+    ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
 };
 use bcpnn_tensor::Matrix;
 
@@ -190,6 +190,45 @@ fn bench_sharded_burst(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 64-row request through a default two-shard server, both ways a front
+/// can hand it over: row by row — 64 submissions that hash over both
+/// shards, so neither slot fills and both wait out the coalescing window,
+/// then 64 waits — against one block, which is one submission, fills its
+/// shard's slot and leaves at once. CI's bench-regression job asserts
+/// `serve_block64/block < serve_block64/per_row`.
+fn bench_block_vs_rows(c: &mut Criterion) {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish(ServedModel::new("higgs", 1, trained_pipeline()));
+    let server = ShardedServer::start(Arc::clone(&registry), ShardConfig::new(2));
+    let stream = request_stream(64, 16);
+
+    let mut group = c.benchmark_group("serve_block64");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("per_row", |b| {
+        b.iter(|| {
+            let handles: Vec<_> = stream
+                .iter()
+                .map(|row| server.submit("higgs", row.to_vec()).unwrap())
+                .collect();
+            for handle in handles {
+                black_box(handle.wait().unwrap());
+            }
+        });
+    });
+    group.bench_function("block", |b| {
+        b.iter(|| {
+            let rows = RowBlock {
+                n_cols: stream.width() as u32,
+                data: stream.features().as_slice().to_vec(),
+            };
+            let handle = server.submit_block("higgs", rows, SubmitOptions::default());
+            black_box(handle.unwrap().wait().unwrap())
+        });
+    });
+    group.finish();
+}
+
 /// The compact cascade front: the same training data as
 /// [`trained_pipeline`], but a coarser quantile encode and a quarter of
 /// the hidden units — then int8-quantized. This is the deployment shape
@@ -311,6 +350,7 @@ criterion_group!(
     bench_forward_into_vs_alloc,
     bench_server_roundtrip,
     bench_sharded_burst,
+    bench_block_vs_rows,
     bench_cascade
 );
 criterion_main!(serving);

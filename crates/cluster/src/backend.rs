@@ -7,10 +7,10 @@
 //! request/reply, one handler thread per connection. The operations
 //! behind the frames are the single-node gateway's own
 //! ([`bcpnn_gateway::LocalNode`]); this module decodes requests and
-//! encodes the typed results. A multi-row `Predict` frame is therefore
-//! submitted row by row before any row is waited on, so the node's
-//! micro-batcher coalesces rows *across router connections* exactly as
-//! the gateway does across HTTP connections.
+//! encodes the typed results. A `Predict` frame's row block is submitted
+//! as it was decoded and the answer's probability block is encoded as it
+//! came back, so the node's micro-batcher coalesces blocks *across router
+//! connections* exactly as the gateway does across HTTP connections.
 //!
 //! Dropping the node is a **hard kill**, not a graceful drain: the
 //! listener closes and every live connection is shut down mid-flight.
@@ -25,15 +25,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_gateway::api::{ApiBackend, Prediction, PublishRequest};
+use bcpnn_gateway::api::{ApiBackend, PublishRequest};
 use bcpnn_gateway::front::wake_and_join;
 use bcpnn_gateway::{ApiError, LocalNode};
 use bcpnn_learn::OnlineLearner;
 use bcpnn_serve::ServeTarget;
 
 use crate::wire::{
-    decode_options, encode_serve_error, ErrorCode, Frame, ModelInfo, RowBlock, WireError,
-    DEFAULT_MAX_PAYLOAD,
+    decode_options, encode_serve_error, ErrorCode, Frame, ModelInfo, WireError, DEFAULT_MAX_PAYLOAD,
 };
 
 /// Backend node configuration.
@@ -232,8 +231,12 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
             rows,
         } => {
             let options = decode_options(priority, deadline_ms, abstain);
-            match local.predict(&model, rows.to_rows(), options) {
-                Ok(prediction) => encode_prediction(local, &model, prediction),
+            match local.predict(&model, rows, options) {
+                Ok(prediction) => Frame::PredictOk {
+                    version: prediction.version,
+                    rows: prediction.proba,
+                    abstained: prediction.abstained,
+                },
                 Err(failure) => {
                     let (code, message) = encode_serve_error(&failure.error);
                     Frame::Error { code, message }
@@ -316,48 +319,11 @@ fn error_frame(err: ApiError) -> Frame {
     }
 }
 
-/// Abstention is per-row and in-band: the row zero-fills and its index
-/// rides in the reply's abstained list, so one low-confidence row does not
-/// fail its siblings. When every row abstained the class count comes from
-/// the registry, so the zero-filled reply still has its rectangular width.
-fn encode_prediction(local: &LocalNode, model: &str, prediction: Prediction) -> Frame {
-    let width = match prediction.rows.iter().flatten().next() {
-        Some(proba) => proba.len(),
-        None => local.target.n_classes_of(model).unwrap_or(0),
-    };
-    let mut data = Vec::with_capacity(prediction.rows.len() * width);
-    let mut abstained = Vec::new();
-    for (i, row) in prediction.rows.iter().enumerate() {
-        match row {
-            Some(proba) if proba.len() == width => data.extend_from_slice(proba),
-            // A hot-swap to a model with a different class count landed
-            // mid-frame; the reply cannot be rectangular.
-            Some(_) => {
-                return Frame::Error {
-                    code: ErrorCode::Model,
-                    message: "class count changed mid-request; retry".into(),
-                }
-            }
-            None => {
-                abstained.push(i as u32);
-                data.extend(std::iter::repeat_n(0.0f32, width));
-            }
-        }
-    }
-    Frame::PredictOk {
-        version: prediction.version,
-        rows: RowBlock {
-            n_cols: width as u32,
-            data,
-        },
-        abstained,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::BackendPool;
+    use crate::wire::RowBlock;
     use bcpnn_core::model::Predictor;
     use bcpnn_core::{Network, ReadoutKind, TrainingParams};
     use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};

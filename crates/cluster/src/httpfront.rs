@@ -109,25 +109,26 @@ impl ApiBackend for ClusterRouter {
             .collect()
     }
 
-    /// One interior frame per request, failover per the router's rules.
-    /// Rows count as submitted once a backend has answered for them.
+    /// One interior frame per request, failover per the router's rules;
+    /// the backend's `PredictOk` is the reply as is. Rows count as
+    /// submitted once a backend has answered for them.
     fn predict(
         &self,
         model: &str,
-        rows: Vec<Vec<f32>>,
+        rows: RowBlock,
         options: SubmitOptions,
     ) -> Result<Prediction, PredictFailure> {
-        let (version, proba, abstained) = self
-            .predict_rows(model, RowBlock::from_rows(&rows), &options)
-            .map_err(|error| PredictFailure {
-                submitted: 0,
-                error,
-            })?;
-        // Abstained rows travel zero-filled with their indices listed.
-        let rows = (0..proba.n_rows())
-            .map(|i| (!abstained.contains(&(i as u32))).then(|| proba.row(i).to_vec()))
-            .collect();
-        Ok(Prediction { version, rows })
+        let (version, proba, abstained) =
+            self.predict_rows(model, rows, &options)
+                .map_err(|error| PredictFailure {
+                    submitted: 0,
+                    error,
+                })?;
+        Ok(Prediction {
+            version,
+            proba,
+            abstained,
+        })
     }
 
     fn publish(

@@ -205,10 +205,10 @@ impl ClusterRouter {
     }
 
     /// Fan one batch of rows out to `model`'s replica group with
-    /// failover. Returns the answering backend's model version, the
-    /// probability rows, and the indices of rows the backend abstained
-    /// on (empty unless [`SubmitOptions::abstain_below`] is set;
-    /// abstained rows are zero-filled in the block).
+    /// failover. Returns the version of the model that answered every
+    /// row, the probability rows, and the indices of rows the backend
+    /// abstained on (empty unless [`SubmitOptions::abstain_below`] is
+    /// set; abstained rows are zero-filled in the block).
     pub fn predict_rows(
         &self,
         model: &str,

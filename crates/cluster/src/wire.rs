@@ -35,6 +35,10 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
+/// The block of `f32` rows the frames carry (features on the way in, class
+/// probabilities on the way out): the serving stack's own carrier, so a
+/// decoded block is submitted, and an answer encoded, without a copy.
+pub use bcpnn_serve::RowBlock;
 use bcpnn_serve::{Priority, ServeError, SubmitOptions};
 
 /// The 4 magic bytes opening every frame.
@@ -197,56 +201,6 @@ pub fn decode_serve_error(code: ErrorCode, message: &str) -> ServeError {
     }
 }
 
-/// A rectangular block of `f32` rows travelling on the wire (features on
-/// the way in, class probabilities on the way out). Stored flat so one
-/// `Vec` holds the whole block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowBlock {
-    /// Width of every row.
-    pub n_cols: u32,
-    /// Row-major cells; `len == n_rows * n_cols`.
-    pub data: Vec<f32>,
-}
-
-impl RowBlock {
-    /// Build a block from equal-width rows.
-    ///
-    /// # Panics
-    /// Panics if the rows are ragged.
-    pub fn from_rows(rows: &[Vec<f32>]) -> RowBlock {
-        let n_cols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows.len() * n_cols);
-        for row in rows {
-            assert_eq!(row.len(), n_cols, "ragged rows cannot form a RowBlock");
-            data.extend_from_slice(row);
-        }
-        RowBlock {
-            n_cols: n_cols as u32,
-            data,
-        }
-    }
-
-    /// Number of rows in the block.
-    pub fn n_rows(&self) -> usize {
-        if self.n_cols == 0 {
-            0
-        } else {
-            self.data.len() / self.n_cols as usize
-        }
-    }
-
-    /// Borrowed view of row `i`.
-    pub fn row(&self, i: usize) -> &[f32] {
-        let w = self.n_cols as usize;
-        &self.data[i * w..(i + 1) * w]
-    }
-
-    /// The block as one owned `Vec` per row.
-    pub fn to_rows(&self) -> Vec<Vec<f32>> {
-        (0..self.n_rows()).map(|i| self.row(i).to_vec()).collect()
-    }
-}
-
 /// One listed model in a [`Frame::ModelsOk`] reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelInfo {
@@ -292,8 +246,9 @@ pub enum Frame {
     },
     /// Successful predict reply.
     PredictOk {
-        /// Version of the model that answered (`None` if it vanished
-        /// between dispatch and the version read).
+        /// Version of the model that answered every row: the serving
+        /// batch's, not a later registry read (a node of this build
+        /// always names it; the format keeps `None`).
         version: Option<u64>,
         /// One probability row per request row. Abstained rows are
         /// zero-filled; their indices are listed in `abstained`.

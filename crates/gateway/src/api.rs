@@ -7,7 +7,7 @@
 use std::net::SocketAddr;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_serve::{ServeError, SubmitOptions};
+use bcpnn_serve::{RowBlock, ServeError, SubmitOptions};
 
 use crate::error::ApiError;
 
@@ -26,20 +26,24 @@ pub struct ModelEntry {
     pub replicas: Option<Vec<usize>>,
 }
 
-/// A predict reply: one entry per request row, in order.
+/// A predict reply — the interior protocol's `PredictOk`, field for field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
-    /// Advisory model version: the current one at accept time (each
-    /// micro-batch resolves its own).
+    /// Version of the model that answered every row of the request
+    /// (`None` only from a backend node that could not name it).
     pub version: Option<u64>,
-    /// Class probabilities per row; `None` is an abstained row.
-    pub rows: Vec<Option<Vec<f32>>>,
+    /// One row of class probabilities per request row, in order;
+    /// abstained rows are zero-filled.
+    pub proba: RowBlock,
+    /// Indices of the abstained rows.
+    pub abstained: Vec<u32>,
 }
 
 /// A failed predict, with how far it got.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictFailure {
-    /// Rows that reached the serving stack before the failure.
+    /// Rows that reached the serving stack before the failure: all of the
+    /// request's or none.
     pub submitted: usize,
     /// What failed; maps to a status through [`crate::status_of`].
     pub error: ServeError,
@@ -112,12 +116,11 @@ pub trait ApiBackend: Send + Sync {
     /// `GET /v1/models`, sorted by name.
     fn models(&self) -> Vec<ModelEntry>;
 
-    /// `POST /v1/models/{name}/predict`: `rows` is non-empty and
-    /// rectangular.
+    /// `POST /v1/models/{name}/predict`: `rows` is non-empty.
     fn predict(
         &self,
         model: &str,
-        rows: Vec<Vec<f32>>,
+        rows: RowBlock,
         options: SubmitOptions,
     ) -> Result<Prediction, PredictFailure>;
 

@@ -11,6 +11,7 @@
 //! client can observe except the backend call is this module, so it is
 //! the same on [`crate::Gateway`] and on the cluster's router front.
 
+use std::fmt::Write as _;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -19,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_serve::{Priority, SubmitOptions};
+use bcpnn_serve::{Priority, RowBlock, SubmitOptions};
 
 use crate::api::{ApiBackend, Learned, Outcome, Prediction, PublishRequest, Published};
 use crate::error::ApiError;
@@ -394,64 +395,115 @@ fn options_from_headers(request: &Request) -> Result<SubmitOptions, ApiError> {
 }
 
 /// `POST /v1/models/{name}/predict`: JSON rows in, probabilities out.
-///
-/// Abstention is reported in-band: an abstained row gets a `null`
-/// prediction and `"abstained": true`, so one low-confidence row does not
-/// turn its siblings' answers into an error response. Uncertainty
-/// (entropy and top-2 margin) is recomputed here from the returned
-/// probabilities with the same `bcpnn_core::uncertainty` kernels every
-/// layer uses, so the JSON numbers are bit-identical to a direct
-/// in-process call whichever backend answered. The `version` field is
-/// advisory: the current version at accept time.
 fn handle_predict(shared: &Shared, name: &str, request: &Request) -> Result<Response, ApiError> {
     let options = options_from_headers(request)?;
-    let rows =
-        json::parse_f32_rows(body_text(request)?).map_err(|e| ApiError::new(400, e.to_string()))?;
+    let rows = json::parse_f32_block(body_text(request)?)
+        .map_err(|e| ApiError::new(400, e.to_string()))?;
 
     // Count exactly what reached the stack, so
     // bcpnn_gateway_predict_rows_total reconciles with the serve-side
-    // per-row requests counter even when a mid-request submit fails.
+    // per-row requests counter.
     let result = shared.backend.predict(name, rows, options);
     let submitted = match &result {
-        Ok(prediction) => prediction.rows.len(),
+        Ok(prediction) => prediction.proba.n_rows(),
         Err(failure) => failure.submitted,
     };
     shared.metrics.record_predict_rows(submitted as u64);
-    let Prediction { version, rows } = result.map_err(|failure| ApiError::from(failure.error))?;
+    let prediction = result.map_err(|failure| ApiError::from(failure.error))?;
+    Ok(Response::json(200, render_prediction(name, &prediction)))
+}
 
-    let mut predictions = Vec::with_capacity(rows.len());
-    let mut uncertainty = Vec::with_capacity(rows.len());
-    let mut abstained = Vec::with_capacity(rows.len());
-    for row in rows {
-        abstained.push(Json::Bool(row.is_none()));
-        match row {
-            Some(proba) => {
-                uncertainty.push(Json::Obj(vec![
-                    (
-                        "entropy".into(),
-                        Json::f32(bcpnn_core::uncertainty::entropy(&proba)),
-                    ),
-                    (
-                        "margin".into(),
-                        Json::f32(bcpnn_core::uncertainty::margin(&proba)),
-                    ),
-                ]));
-                predictions.push(Json::Arr(proba.into_iter().map(Json::f32).collect()));
-            }
-            None => {
-                predictions.push(Json::Null);
-                uncertainty.push(Json::Null);
-            }
+/// The predict reply body, appended to one `String`:
+/// `{"model", "version", "predictions", "uncertainty", "abstained"}`, the
+/// three arrays one entry per request row.
+///
+/// Abstention is reported in-band: an abstained row gets a `null`
+/// prediction, `null` uncertainty and `"abstained": true`, so one
+/// low-confidence row does not turn its siblings' answers into an error
+/// response. Uncertainty (entropy and top-2 margin) is recomputed here
+/// from the returned probabilities with the same
+/// `bcpnn_core::uncertainty` kernels every layer uses, so the JSON numbers
+/// are bit-identical to a direct in-process call whichever backend
+/// answered. `version` is the model version that answered every row.
+fn render_prediction(name: &str, prediction: &Prediction) -> String {
+    let Prediction {
+        version,
+        proba,
+        abstained,
+    } = prediction;
+    let n_rows = proba.n_rows();
+    let mut is_abstained = vec![false; n_rows];
+    for &row in abstained {
+        if let Some(flag) = is_abstained.get_mut(row as usize) {
+            *flag = true;
         }
     }
-    let body = Json::Obj(vec![
-        ("model".into(), Json::str(name)),
-        ("version".into(), version.map_or(Json::Null, Json::u64)),
-        ("predictions".into(), Json::Arr(predictions)),
-        ("uncertainty".into(), Json::Arr(uncertainty)),
-        ("abstained".into(), Json::Arr(abstained)),
-    ]);
-    Ok(Response::json(200, body.render()))
+
+    let mut out = String::with_capacity(64 + n_rows * (16 * proba.n_cols as usize + 64));
+    out.push_str("{\"model\":");
+    json::write_escaped(&mut out, name);
+    out.push_str(",\"version\":");
+    match version {
+        Some(version) => {
+            let _ = write!(out, "{version}");
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"predictions\":");
+    write_answered_rows(&mut out, proba, &is_abstained, |out, proba| {
+        write_array(out, proba, |out, &p| json::write_f32(out, p));
+    });
+    out.push_str(",\"uncertainty\":");
+    write_answered_rows(&mut out, proba, &is_abstained, |out, proba| {
+        out.push_str("{\"entropy\":");
+        json::write_f32(out, bcpnn_core::uncertainty::entropy(proba));
+        out.push_str(",\"margin\":");
+        json::write_f32(out, bcpnn_core::uncertainty::margin(proba));
+        out.push('}');
+    });
+    out.push_str(",\"abstained\":");
+    write_array(&mut out, &is_abstained, |out, &abstained| {
+        out.push_str(if abstained { "true" } else { "false" });
+    });
+    out.push('}');
+    out
+}
+
+/// Append `[item,item,...]`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    item: impl Fn(&mut String, T),
+) {
+    out.push('[');
+    for (i, value) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, value);
+    }
+    out.push(']');
+}
+
+/// Append one array entry per row of `proba`: `null` for an abstained row,
+/// what `answered` writes from the row's probabilities otherwise.
+fn write_answered_rows(
+    out: &mut String,
+    proba: &RowBlock,
+    is_abstained: &[bool],
+    answered: impl Fn(&mut String, &[f32]),
+) {
+    write_array(
+        out,
+        is_abstained.iter().enumerate(),
+        |out, (r, &abstained)| {
+            if abstained {
+                out.push_str("null");
+            } else {
+                answered(out, proba.row(r));
+            }
+        },
+    );
 }
 
 /// The `PUT /v1/models/{name}` body:
@@ -579,4 +631,119 @@ fn render_outcome<T>(
         }
     }
     Response::json(status, Json::Obj(body).render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The predict reply as a `Json` tree, rendered: the form
+    /// [`render_prediction`] replaced and must keep producing, byte for
+    /// byte.
+    fn render_through_the_tree(name: &str, prediction: &Prediction) -> String {
+        let mut predictions = Vec::new();
+        let mut uncertainty = Vec::new();
+        let mut abstained = Vec::new();
+        for r in 0..prediction.proba.n_rows() {
+            let row =
+                (!prediction.abstained.contains(&(r as u32))).then(|| prediction.proba.row(r));
+            abstained.push(Json::Bool(row.is_none()));
+            match row {
+                Some(proba) => {
+                    uncertainty.push(Json::Obj(vec![
+                        (
+                            "entropy".into(),
+                            Json::f32(bcpnn_core::uncertainty::entropy(proba)),
+                        ),
+                        (
+                            "margin".into(),
+                            Json::f32(bcpnn_core::uncertainty::margin(proba)),
+                        ),
+                    ]));
+                    predictions.push(Json::Arr(proba.iter().copied().map(Json::f32).collect()));
+                }
+                None => {
+                    predictions.push(Json::Null);
+                    uncertainty.push(Json::Null);
+                }
+            }
+        }
+        Json::Obj(vec![
+            ("model".into(), Json::str(name)),
+            (
+                "version".into(),
+                prediction.version.map_or(Json::Null, Json::u64),
+            ),
+            ("predictions".into(), Json::Arr(predictions)),
+            ("uncertainty".into(), Json::Arr(uncertainty)),
+            ("abstained".into(), Json::Arr(abstained)),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn predict_reply_shape_is_pinned() {
+        let prediction = Prediction {
+            version: Some(3),
+            proba: RowBlock::from_rows(&[vec![0.25, 0.75], vec![0.0, 0.0], vec![f32::NAN, 1.0]]),
+            abstained: vec![1],
+        };
+        let reply = render_prediction("hi\"ggs\n", &prediction);
+        assert_eq!(
+            reply,
+            "{\"model\":\"hi\\\"ggs\\n\",\"version\":3,\
+             \"predictions\":[[0.25,0.75],null,[null,1]],\
+             \"uncertainty\":[{\"entropy\":0.56233513,\"margin\":0.5},null,\
+             {\"entropy\":0,\"margin\":1}],\
+             \"abstained\":[false,true,false]}"
+        );
+        assert_eq!(reply, render_through_the_tree("hi\"ggs\n", &prediction));
+        let unnamed = Prediction {
+            version: None,
+            ..prediction
+        };
+        assert!(render_prediction("m", &unnamed).starts_with("{\"model\":\"m\",\"version\":null,"));
+    }
+
+    /// Model names with everything `write_escaped` has a case for.
+    fn name_strategy() -> impl Strategy<Value = String> {
+        const CHARS: [char; 12] = [
+            'a', 'Z', '7', '-', '"', '\\', '\n', '\r', '\t', '\u{1}', 'é', '😀',
+        ];
+        prop::collection::vec(0..CHARS.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+    }
+
+    /// Replies of 0–20 rows by 1–5 classes over every `f32` bit pattern
+    /// (NaN and the infinities render `null`), any subset abstained.
+    fn prediction_strategy() -> impl Strategy<Value = Prediction> {
+        (0usize..=20, 1u32..=5).prop_flat_map(|(n_rows, n_cols)| {
+            (
+                prop::collection::vec(prop::num::f32::ANY, n_rows * n_cols as usize),
+                prop::collection::vec(prop::bool::ANY, n_rows),
+                (prop::bool::ANY, 0..=u64::MAX),
+            )
+                .prop_map(move |(data, abstains, (named, version))| Prediction {
+                    version: named.then_some(version),
+                    proba: RowBlock { n_cols, data },
+                    abstained: (0..n_rows as u32)
+                        .filter(|&r| abstains[r as usize])
+                        .collect(),
+                })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn flat_reply_writer_equals_the_rendered_tree(
+            name in name_strategy(),
+            prediction in prediction_strategy(),
+        ) {
+            prop_assert_eq!(
+                render_prediction(&name, &prediction),
+                render_through_the_tree(&name, &prediction)
+            );
+        }
+    }
 }

@@ -19,8 +19,11 @@
 //! Object keys keep insertion order (a `Vec` of pairs, not a map): output
 //! is deterministic and duplicate keys are a parse error.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::str::FromStr;
+
+use bcpnn_serve::RowBlock;
 
 /// Maximum nesting depth the parser accepts.
 pub const MAX_DEPTH: usize = 64;
@@ -182,7 +185,18 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `v` as [`Json::f32`] renders it: the shortest decimal that parses
+/// back to the same bits, `null` for a non-finite value.
+pub(crate) fn write_f32(out: &mut String, v: f32) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -234,9 +248,78 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 /// Parse a request body that must be a JSON array of equal-length arrays
-/// of finite numbers — the predict endpoint's rows; see [`f32_rows`].
+/// of finite numbers — the predict endpoint's rows — straight into one
+/// flat row-major block: a single pass over the bytes, no tree and no
+/// allocation per number. Each number is `f32::from_str` of its own token,
+/// as in [`Number::as_f32`], so the round trip stays bit-exact.
+///
+/// A body that is anything but that is handed to the tree: the result,
+/// error message and offset included, is always what
+/// `f32_rows(&parse(input)?)` gives.
+pub fn parse_f32_block(input: &str) -> Result<RowBlock, ParseError> {
+    match flat_f32_block(input) {
+        Some(block) => Ok(block),
+        None => f32_rows(&parse(input)?).map(|rows| RowBlock::from_rows(&rows)),
+    }
+}
+
+/// [`parse_f32_block`], one `Vec` per row.
 pub fn parse_f32_rows(input: &str) -> Result<Vec<Vec<f32>>, ParseError> {
-    f32_rows(&parse(input)?)
+    parse_f32_block(input).map(|block| block.to_rows())
+}
+
+/// The single pass of [`parse_f32_block`]: `None` as soon as the body is
+/// not a non-empty array of equal-length, non-empty arrays of finite
+/// numbers.
+fn flat_f32_block(input: &str) -> Option<RowBlock> {
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    // `,` continues the array, `]` closes it, anything else is not ours.
+    let more = |p: &mut Parser| {
+        p.skip_ws();
+        let b = p.peek()?;
+        p.pos += 1;
+        match b {
+            b',' => Some(true),
+            b']' => Some(false),
+            _ => None,
+        }
+    };
+    let mut data = Vec::new();
+    let mut n_cols = 0;
+    p.skip_ws();
+    p.expect(b'[').ok()?;
+    loop {
+        p.skip_ws();
+        p.expect(b'[').ok()?;
+        let row_start = data.len();
+        loop {
+            p.skip_ws();
+            // (A number token is ASCII: the range lies on `char` boundaries.)
+            let token = &input[p.number_token().ok()?];
+            data.push(f32::from_str(token).ok().filter(|v| v.is_finite())?);
+            if !more(&mut p)? {
+                break;
+            }
+        }
+        let width = data.len() - row_start;
+        if row_start == 0 {
+            n_cols = width;
+        } else if width != n_cols {
+            return None;
+        }
+        if !more(&mut p)? {
+            break;
+        }
+    }
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return None;
+    }
+    let n_cols = u32::try_from(n_cols).ok()?;
+    Some(RowBlock { n_cols, data })
 }
 
 /// Feature rows out of a parsed value that must be an array of
@@ -500,6 +583,15 @@ impl<'a> Parser<'a> {
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
+        let token = &self.bytes[self.number_token()?];
+        Ok(Json::Num(Number(
+            std::str::from_utf8(token).unwrap().to_string(),
+        )))
+    }
+
+    /// Scan one number by the RFC 8259 grammar and return where its token
+    /// lies in the input.
+    fn number_token(&mut self) -> Result<Range<usize>, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -527,8 +619,7 @@ impl<'a> Parser<'a> {
             }
             self.digits();
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Ok(Json::Num(Number(raw.to_string())))
+        Ok(start..self.pos)
     }
 
     fn digits(&mut self) {
@@ -541,6 +632,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -649,6 +741,161 @@ mod tests {
             "[[1e999]]",        // overflows to infinity
         ] {
             assert!(parse_f32_rows(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    /// What [`parse_f32_block`] must always equal: the tree, then the rows
+    /// out of it.
+    fn rows_through_the_tree(input: &str) -> Result<Vec<Vec<f32>>, ParseError> {
+        f32_rows(&parse(input)?)
+    }
+
+    fn assert_flat_equals_tree(input: &str) {
+        match (parse_f32_block(input), rows_through_the_tree(input)) {
+            (Ok(block), Ok(rows)) => {
+                assert_eq!(block.n_rows(), rows.len(), "{input:?}");
+                for (r, row) in rows.iter().enumerate() {
+                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(block.row(r)), bits(row), "row {r} of {input:?}");
+                }
+            }
+            // Same message, same offset.
+            (Err(flat), Err(tree)) => assert_eq!(flat, tree, "{input:?}"),
+            (flat, tree) => panic!("{input:?}: flat {flat:?}, tree {tree:?}"),
+        }
+    }
+
+    #[test]
+    fn flat_rows_parser_takes_the_whole_number_grammar() {
+        let body = " [ [ -0 , 0 , 1E+2 , 25e-1 , -0.0e-0 ] ,\r\n\t[ 1 , 2.5 , 3e0 , 4 , 5 ] ] ";
+        assert_flat_equals_tree(body);
+        let block = parse_f32_block(body).unwrap();
+        assert_eq!((block.n_rows(), block.n_cols), (2, 5));
+        assert_eq!(block.row(0)[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(&block.row(0)[1..], [0.0, 100.0, 2.5, -0.0]);
+        assert_eq!(parse_f32_rows(body).unwrap(), block.to_rows());
+    }
+
+    /// JSON whitespace, and none.
+    const GAPS: [&str; 6] = ["", "", " ", "\n", "\t ", "\r\n"];
+
+    /// One cell's token: mostly `Display` of the bit pattern (the form a
+    /// client sends), some exponent forms. An infinity or NaN pattern has
+    /// no JSON form and is pulled into range.
+    fn number_token(bits: u32, style: u8) -> String {
+        let value = Some(f32::from_bits(bits))
+            .filter(|v| v.is_finite())
+            .unwrap_or(f32::from_bits(bits & !(1 << 30)));
+        match style {
+            0 => format!("{value:e}"),
+            1 => format!("{value:E}"),
+            2 => "-0".to_string(),
+            3 => format!("{}e+{}", bits % 97, bits % 30),
+            _ => format!("{value}"),
+        }
+    }
+
+    /// Bytes worth swapping in: they can open, close, split or spoil a token.
+    const SPOILERS: &[u8] = b"[],-+.eE019 \t\"n{}:x";
+
+    /// A valid predict body of `rows x cols` generated cells with generated
+    /// whitespace, then damaged as `damage` says.
+    fn body(
+        (rows, cols): (usize, usize),
+        cells: &[(u32, u8)],
+        gaps: &[usize],
+        damage: (u8, usize, &[(usize, usize)]),
+    ) -> String {
+        let mut table: Vec<Vec<String>> = cells
+            .chunks(cols)
+            .map(|row| {
+                row.iter()
+                    .map(|&(v, style)| number_token(v, style))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(table.len(), rows);
+        let (kind, at, edits) = damage;
+        let (r, c) = (at % rows, at % cols);
+        match kind {
+            0 => table[r].push("1".to_string()),
+            1 => table[r].clear(),
+            2 => table[r][c] = "null".to_string(),
+            3 => table[r][c] = "\"7\"".to_string(),
+            4 => table[r][c] = "[1]".to_string(),
+            5 => table[r][c] = "1e999".to_string(),
+            _ => {}
+        }
+        let mut gap = gaps.iter().cycle().map(|&g| GAPS[g]);
+        let mut text = String::new();
+        let mut put = |token: &str| {
+            text.push_str(gap.next().unwrap());
+            text.push_str(token);
+        };
+        put("[");
+        for (r, row) in table.iter().enumerate() {
+            put(if r > 0 { "," } else { "" });
+            put("[");
+            for (c, cell) in row.iter().enumerate() {
+                put(if c > 0 { "," } else { "" });
+                put(cell);
+            }
+            put("]");
+        }
+        put("]");
+        put("");
+        // The text is ASCII, and stays ASCII.
+        let mut bytes = text.into_bytes();
+        match kind {
+            6 => bytes.truncate(at % (bytes.len() + 1)),
+            7 => {
+                for &(at, with) in edits {
+                    let at = at % bytes.len();
+                    bytes[at] = SPOILERS[with % SPOILERS.len()];
+                }
+            }
+            _ => {}
+        }
+        String::from_utf8(bytes).unwrap()
+    }
+
+    /// `(shape, cells, whitespace choices)` of 1–80 rows by 1–40 columns.
+    #[allow(clippy::type_complexity)]
+    fn table_strategy() -> impl Strategy<Value = ((usize, usize), Vec<(u32, u8)>, Vec<usize>)> {
+        (1usize..=80, 1usize..=40).prop_flat_map(|(rows, cols)| {
+            (
+                Just((rows, cols)),
+                prop::collection::vec((0..=u32::MAX, 0u8..24), rows * cols),
+                prop::collection::vec(0..GAPS.len(), 1..64),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Equivalence of the flat parser and the tree on generated bodies.
+        #[test]
+        fn flat_rows_parser_equals_the_tree_on_generated_bodies(
+            (shape, cells, gaps) in table_strategy(),
+        ) {
+            let body = body(shape, &cells, &gaps, (u8::MAX, 0, &[]));
+            let block = parse_f32_block(&body).expect("the generated body is valid");
+            prop_assert_eq!((block.n_rows(), block.n_cols as usize), shape);
+            assert_flat_equals_tree(&body);
+        }
+
+        /// ...and on the same bodies with a ragged or empty row, a cell that
+        /// is `null`, a string, an array or out of range, a truncation, or
+        /// 1–3 bytes overwritten.
+        #[test]
+        fn flat_rows_parser_equals_the_tree_on_damaged_bodies(
+            (shape, cells, gaps) in table_strategy(),
+            kind in 0u8..8,
+            at in 0usize..1_000_000,
+            edits in prop::collection::vec((0usize..1_000_000, 0usize..64), 1..=3),
+        ) {
+            assert_flat_equals_tree(&body(shape, &cells, &gaps, (kind, at, &edits)));
         }
     }
 

@@ -35,11 +35,13 @@
 //!
 //! ## Micro-batching still amortizes
 //!
-//! The gateway does not run models. Every feature row from every
-//! connection is submitted individually to the shared
-//! [`ServeTarget`](bcpnn_serve::ServeTarget), so the serving stack's
-//! collector coalesces rows *across HTTP connections* into vectorized
-//! batches, and one slow-to-send client never blocks another's batch.
+//! The gateway does not run models. The rows of a request are parsed in
+//! one pass into one flat [`RowBlock`](bcpnn_serve::RowBlock) and submitted
+//! as that block to the shared [`ServeTarget`](bcpnn_serve::ServeTarget),
+//! so the serving stack's collector coalesces blocks *across HTTP
+//! connections* into vectorized batches, one slow-to-send client never
+//! blocks another's batch, and — a block is never split — one model
+//! version answers every row of a reply.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bcpnn_learn::{LearnError, OnlineLearner};
-use bcpnn_serve::{Pipeline, ServeError, ServeTarget, ServedModel, SubmitOptions};
+use bcpnn_serve::{Pipeline, RowBlock, ServeTarget, ServedModel, SubmitOptions};
 
 use crate::api::{
     ApiBackend, Learned, ModelEntry, Outcome, PredictFailure, Prediction, PublishRequest, Published,
@@ -115,49 +115,32 @@ impl ApiBackend for LocalNode {
             .collect()
     }
 
-    /// Submit every row before waiting on any, so the rows of one request
-    /// — and of concurrent connections — coalesce in the serving stack's
-    /// micro-batches.
-    ///
-    /// Swap semantics: each *batch* resolves the model version at
-    /// dispatch, so every row is served by one consistent model, but the
-    /// rows of a multi-row request batch independently — a request
-    /// straddling a hot-swap may get some rows from the old version and
-    /// some from the new. Clients that need version-atomic responses send
-    /// one row per request.
+    /// One submission and one wait for the whole request: its rows stay
+    /// one block through the serving stack, which never splits a block
+    /// across batches — so one model version answers every row, and
+    /// `version` names it, also across a hot-swap.
     fn predict(
         &self,
         model: &str,
-        rows: Vec<Vec<f32>>,
+        rows: RowBlock,
         options: SubmitOptions,
     ) -> Result<Prediction, PredictFailure> {
-        let version = self.target.registry().lookup(model).map(|m| m.version());
-        let mut handles = Vec::with_capacity(rows.len());
-        for features in rows {
-            match self.target.submit_with_options(model, features, options) {
-                Ok(handle) => handles.push(handle),
-                Err(error) => {
-                    return Err(PredictFailure {
-                        submitted: handles.len(),
-                        error,
-                    })
-                }
-            }
-        }
-        let submitted = handles.len();
-        let mut answers = Vec::with_capacity(submitted);
-        for handle in handles {
-            match handle.wait() {
-                Ok(proba) => answers.push(Some(proba)),
-                // Abstention is per row and in-band: one low-confidence
-                // row does not fail its siblings.
-                Err(ServeError::Abstained) => answers.push(None),
-                Err(error) => return Err(PredictFailure { submitted, error }),
-            }
-        }
+        let n_rows = rows.n_rows();
+        let handle = self
+            .target
+            .submit_block(model, rows, options)
+            .map_err(|error| PredictFailure {
+                submitted: 0,
+                error,
+            })?;
+        let answer = handle.wait().map_err(|error| PredictFailure {
+            submitted: n_rows,
+            error,
+        })?;
         Ok(Prediction {
-            version,
-            rows: answers,
+            version: Some(answer.version),
+            proba: answer.proba,
+            abstained: answer.abstained,
         })
     }
 

@@ -17,16 +17,21 @@
 //! * [`ModelRegistry`] — named, versioned models shared as
 //!   `Arc<ServedModel>`, with atomic zero-downtime **hot-swap**: in-flight
 //!   batches finish on the version they started with.
+//! * [`RowBlock`] — the flat row-major block that carries a request's rows
+//!   (and the answer's probabilities): one allocation, one message to the
+//!   scheduler and one reply, whatever the row count.
 //! * [`InferenceServer`] — the micro-batching scheduler: a collector thread
-//!   coalesces single-vector requests into batches of at most
-//!   [`BatchConfig::max_batch`] rows and worker threads run each batch as
-//!   one vectorized encode → forward → readout pass. Worker-driven: a
-//!   pending batch leaves when a worker is idle and its oldest row has
-//!   waited a fixed 600 µs coalescing window; past that no clock closes a
-//!   batch — it grows while every worker is busy.
+//!   coalesces submitted blocks (a single vector is a one-row block) into
+//!   batches of at most [`BatchConfig::max_batch`] rows and worker threads
+//!   run each batch as one vectorized encode → forward → readout pass.
+//!   Worker-driven: a pending batch leaves when it holds `max_batch` rows,
+//!   or when a worker is idle and its oldest block has waited a fixed
+//!   600 µs coalescing window; past that no clock closes a batch — it
+//!   grows while every worker is busy. A block is never split, so one
+//!   model version answers all of it ([`BlockPrediction::version`]).
 //! * [`ShardedServer`] — one model partitioned across `N` independent
 //!   collector+worker pools sharing a registry, routed by a stable hash of
-//!   the feature vector, round-robin, or live pending-queue depth
+//!   the (block's first) feature vector, round-robin, or live pending-queue depth
 //!   ([`ShardRouting::LeastLoaded`]), with per-shard and aggregated
 //!   metrics.
 //! * [`BatchExecutor`] — each worker's persistent batch-assembly matrix +
@@ -36,10 +41,10 @@
 //! * [`SubmitOptions`] — per-request [`Priority`] (high-priority requests
 //!   drain first), deadline (expired requests fail with
 //!   [`ServeError::DeadlineExceeded`] instead of wasting a forward pass),
-//!   and a confidence floor ([`SubmitOptions::abstain_below`]): requests
-//!   whose prediction margin falls below it fail with
-//!   [`ServeError::Abstained`] instead of returning a low-confidence
-//!   answer.
+//!   and a confidence floor ([`SubmitOptions::abstain_below`]): rows
+//!   whose prediction margin falls below it are reported abstained
+//!   ([`BlockPrediction::abstained`]; [`ServeError::Abstained`] to a
+//!   single-row caller) instead of answered with low confidence.
 //! * [`CascadeModel`] — the quantized→f32 **cascade**: a cheap tier
 //!   answers the confident rows and only low-margin rows escalate to the
 //!   full-precision parent, bit-identically to running it alone
@@ -50,8 +55,8 @@
 //!   ([`MetricsSnapshot::to_prometheus`], structural validity checkable
 //!   with [`validate_prometheus`]).
 //! * [`ServeTarget`] — the object-safe submission surface both server
-//!   shapes share (options-carrying submit, registry access, metrics
-//!   export); the load generator drives one and the `bcpnn-gateway` HTTP
+//!   shapes share (options-carrying `submit_block`, registry access,
+//!   metrics export); the load generator drives one and the `bcpnn-gateway` HTTP
 //!   front-end exposes one on the wire.
 //! * [`loadgen`] — a synthetic-Higgs load generator used by the
 //!   `bcpnn-serve` demo binary and the serving benchmarks.
@@ -97,6 +102,7 @@
 
 #![warn(missing_docs)]
 
+mod block;
 pub mod cascade;
 mod error;
 pub mod loadgen;
@@ -112,12 +118,14 @@ pub use bcpnn_core::model::Pipeline;
 /// Per-worker scratch for the zero-allocation data plane: re-exported from
 /// `bcpnn_core::workspace`.
 pub use bcpnn_core::Workspace;
+pub use block::RowBlock;
 pub use cascade::{CascadeModel, CascadeStats};
 pub use error::{ServeError, ServeResult};
 pub use loadgen::ServeTarget;
 pub use metrics::{validate_prometheus, MetricsSnapshot, ServingMetrics};
 pub use registry::{ModelRegistry, ServedModel};
 pub use server::{
-    BatchConfig, BatchExecutor, InferenceServer, PredictionHandle, Priority, SubmitOptions,
+    BatchConfig, BatchExecutor, BlockHandle, BlockPrediction, InferenceServer, PredictionHandle,
+    Priority, SubmitOptions,
 };
 pub use shard::{RouteMode, ShardConfig, ShardRouting, ShardedServer};

@@ -22,10 +22,11 @@ use std::time::{Duration, Instant};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_tensor::Matrix;
 
+use crate::block::RowBlock;
 use crate::error::ServeResult;
 use crate::metrics::MetricsSnapshot;
 use crate::registry::ModelRegistry;
-use crate::server::{InferenceServer, PredictionHandle, SubmitOptions};
+use crate::server::{BlockHandle, InferenceServer, PredictionHandle, SubmitOptions};
 use crate::shard::ShardedServer;
 
 /// A submission sink over the serving stack: the single-pool
@@ -39,14 +40,30 @@ use crate::shard::ShardedServer;
 /// option-carrying submissions, report its shared [`ModelRegistry`] (for
 /// listings and hot-swap), and export its metrics.
 pub trait ServeTarget: Send + Sync {
-    /// Enqueue one raw feature vector with explicit priority/deadline
-    /// options; returns a handle to wait on.
+    /// Enqueue a block of raw feature rows with explicit
+    /// priority/deadline/abstention options: one hand-off and one reply
+    /// for the whole block, answered by one model version.
+    fn submit_block(
+        &self,
+        model: &str,
+        rows: RowBlock,
+        options: SubmitOptions,
+    ) -> ServeResult<BlockHandle>;
+
+    /// Enqueue one raw feature vector — a one-row
+    /// [`ServeTarget::submit_block`]; returns a handle to wait on.
     fn submit_with_options(
         &self,
         model: &str,
         features: Vec<f32>,
         options: SubmitOptions,
-    ) -> ServeResult<PredictionHandle>;
+    ) -> ServeResult<PredictionHandle> {
+        let row = RowBlock {
+            n_cols: features.len() as u32,
+            data: features,
+        };
+        Ok(self.submit_block(model, row, options)?.into())
+    }
 
     /// The registry this target resolves models from. Publishing to it
     /// hot-swaps what subsequent batches use.
@@ -74,13 +91,13 @@ pub trait ServeTarget: Send + Sync {
 }
 
 impl ServeTarget for InferenceServer {
-    fn submit_with_options(
+    fn submit_block(
         &self,
         model: &str,
-        features: Vec<f32>,
+        rows: RowBlock,
         options: SubmitOptions,
-    ) -> ServeResult<PredictionHandle> {
-        InferenceServer::submit_with_options(self, model, features, options)
+    ) -> ServeResult<BlockHandle> {
+        InferenceServer::submit_block(self, model, rows, options)
     }
 
     fn registry(&self) -> &Arc<ModelRegistry> {
@@ -97,13 +114,13 @@ impl ServeTarget for InferenceServer {
 }
 
 impl ServeTarget for ShardedServer {
-    fn submit_with_options(
+    fn submit_block(
         &self,
         model: &str,
-        features: Vec<f32>,
+        rows: RowBlock,
         options: SubmitOptions,
-    ) -> ServeResult<PredictionHandle> {
-        ShardedServer::submit_with_options(self, model, features, options)
+    ) -> ServeResult<BlockHandle> {
+        ShardedServer::submit_block(self, model, rows, options)
     }
 
     fn registry(&self) -> &Arc<ModelRegistry> {

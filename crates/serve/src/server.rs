@@ -1,13 +1,16 @@
 //! The micro-batching inference server.
 //!
-//! Callers submit single raw feature vectors through a synchronous API; a
-//! *collector* thread coalesces them into per-model batches of at most
-//! [`BatchConfig::max_batch`] rows, and a pool of *worker* threads runs
-//! each batch as one vectorized
+//! Callers submit [`RowBlock`]s of raw feature rows through a synchronous
+//! API — a whole request through [`InferenceServer::submit_block`], a
+//! single vector (a one-row block) through [`InferenceServer::submit`]. A
+//! *collector* thread coalesces the blocks into per-model batches of at
+//! most [`BatchConfig::max_batch`] rows, and a pool of *worker* threads
+//! runs each batch as one vectorized
 //! [`Predictor::predict_proba`](bcpnn_core::model::Predictor::predict_proba)
 //! pass — for a [`Pipeline`](crate::Pipeline), encode → hidden-layer
-//! forward → readout — then fans the per-row results back to the callers
-//! over channels. This is the same amortization the paper applies to
+//! forward → readout — then sends each block its rows of the result over
+//! the block's own channel: one message in, one message out, whatever the
+//! row count. This is the same amortization the paper applies to
 //! training (batch-parallel HCU updates) turned toward the serving
 //! workload. The scheduler only talks to models through the
 //! `Predictor` trait, so any fitted artifact serves.
@@ -16,12 +19,14 @@
 //! batch to the collector, which keeps `outstanding = dispatched − done`
 //! and, while that is below the worker count (a worker is idle), sends the
 //! oldest *ripe* slot, whatever its size. A slot is ripe once its oldest
-//! row has waited the fixed 600 µs coalescing window — so the rows of one
-//! multi-row request share a batch, and a lone row on an idle server costs
-//! the window plus one forward pass. Past the window no clock closes a
-//! batch: while every worker is busy the slot grows to whatever arrives
-//! during the forward passes, and a slot that reaches `max_batch` ships
-//! regardless.
+//! block has waited the fixed 600 µs coalescing window — so small requests
+//! that arrive together share a batch, and a lone row on an idle server
+//! costs the window plus one forward pass. Past the window no clock closes
+//! a batch: while every worker is busy the slot grows to whatever arrives
+//! during the forward passes, and a slot that holds `max_batch` rows ships
+//! regardless — a request of `max_batch` rows never waits. A block is
+//! never split across batches; one that alone exceeds `max_batch` is its
+//! own batch.
 //!
 //! Per-model policy: a [`ServedModel`] published with
 //! [`with_batch_policy`](crate::ServedModel::with_batch_policy) overrides
@@ -34,11 +39,12 @@
 //! [`ServeError::DeadlineExceeded`] instead of wasting forward-pass work.
 //!
 //! Hot-swap safety: the model `Arc` is resolved from the registry once per
-//! batch, at dispatch time. Every request in a batch therefore sees one
-//! consistent model version, swaps never stall the pipeline, and displaced
-//! versions finish their in-flight batches before being dropped.
+//! batch, at dispatch time. Every row of a block therefore sees one model
+//! version — the one its reply names — swaps never stall the pipeline, and
+//! displaced versions finish their in-flight batches before being dropped.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,16 +55,19 @@ use bcpnn_core::{CoreResult, Workspace};
 use bcpnn_tensor::Matrix;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
+use crate::block::RowBlock;
 use crate::error::{ServeError, ServeResult};
+use crate::loadgen::ServeTarget;
 use crate::metrics::{MetricsSnapshot, ServingMetrics};
 use crate::registry::{ModelRegistry, ServedModel};
 
 /// Micro-batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Largest batch a worker runs: a slot that holds this many requests
-    /// is dispatched even when every worker is busy. Smaller slots leave
-    /// when a worker is idle and their oldest row has waited 600 µs.
+    /// Largest batch a worker runs: a slot that holds this many rows is
+    /// dispatched even when every worker is busy. Smaller slots leave
+    /// when a worker is idle and their oldest block has waited 600 µs. A
+    /// single block with more rows than this runs as its own batch.
     pub max_batch: usize,
     /// Number of worker threads running batches. Ignored when the config
     /// is used as a *per-model* policy (the worker pool is shared).
@@ -105,8 +114,9 @@ impl Priority {
     }
 }
 
-/// Per-request scheduling options for
-/// [`InferenceServer::submit_with_options`].
+/// Per-request scheduling options for [`InferenceServer::submit_block`]
+/// and [`InferenceServer::submit_with_options`]; they apply to every row
+/// of the block.
 ///
 /// ```
 /// use std::time::Duration;
@@ -132,8 +142,9 @@ pub struct SubmitOptions {
     pub deadline: Option<Duration>,
     /// Abstain instead of answering when the prediction's top-2
     /// probability margin ([`bcpnn_core::uncertainty::margin`]) is below
-    /// this threshold: the caller receives [`ServeError::Abstained`]
-    /// rather than a low-confidence probability vector. The forward pass
+    /// this threshold: the row is listed in [`BlockPrediction::abstained`]
+    /// (a single-row caller receives [`ServeError::Abstained`]) rather than
+    /// answered with a low-confidence probability vector. The forward pass
     /// still runs (the margin comes from its output); only the answer is
     /// withheld. Sensible thresholds lie in `[0, 1]`; `0` (and `None`)
     /// never abstain.
@@ -169,18 +180,33 @@ impl SubmitOptions {
     }
 }
 
-/// One queued request.
+/// One queued request: a block of rows for one model, scheduled, run and
+/// answered as a whole.
 struct Request {
-    model: String,
-    features: Vec<f32>,
+    model: Arc<str>,
+    rows: RowBlock,
     enqueued: Instant,
     priority: Priority,
     /// Absolute expiry instant, if the caller set a deadline.
     deadline: Option<Instant>,
-    /// Confidence floor: reply `Abstained` when the prediction's top-2
-    /// margin falls below this.
+    /// Confidence floor: a row whose top-2 margin falls below this is
+    /// reported abstained.
     abstain_below: Option<f32>,
-    reply: Sender<ServeResult<Vec<f32>>>,
+    reply: Sender<ServeResult<BlockPrediction>>,
+}
+
+impl Request {
+    fn expired_at(&self, now: Instant) -> bool {
+        matches!(self.deadline, Some(deadline) if now >= deadline)
+    }
+
+    /// Answer the whole block with `error`; every row counts as failed.
+    fn fail(&self, error: ServeError, metrics: &ServingMetrics) {
+        for _ in 0..self.rows.n_rows() {
+            metrics.record_error();
+        }
+        let _ = self.reply.send(Err(error));
+    }
 }
 
 /// What the collector receives on the submit channel. Workers report back
@@ -250,12 +276,13 @@ impl BatchExecutor {
 }
 
 /// Everything one worker thread reuses across batches: the compute
-/// executor plus the valid-row index scratch.
+/// executor plus the valid-block scratch.
 struct WorkerState {
     executor: BatchExecutor,
-    /// Indices (into the batch's request list) of requests whose feature
-    /// width matched the model at execution time.
-    valid: Vec<usize>,
+    /// The requests whose feature width matched the model at execution
+    /// time: index into the batch's request list, and the rows of the
+    /// assembly matrix the block was copied to.
+    valid: Vec<(usize, Range<usize>)>,
 }
 
 impl WorkerState {
@@ -267,38 +294,76 @@ impl WorkerState {
     }
 }
 
-/// Handle to one in-flight prediction.
-#[derive(Debug)]
-pub struct PredictionHandle {
-    rx: Receiver<ServeResult<Vec<f32>>>,
+/// The answer to one submitted block — the shape of the interior wire
+/// protocol's `PredictOk` frame, so a backend node passes it on as is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockPrediction {
+    /// Version of the model that answered every row of the block.
+    pub version: u64,
+    /// One row of class probabilities per submitted row, in order;
+    /// abstained rows are zero-filled.
+    pub proba: RowBlock,
+    /// Indices of the rows whose top-2 margin fell below
+    /// [`SubmitOptions::abstain_below`], ascending.
+    pub abstained: Vec<u32>,
 }
 
-impl PredictionHandle {
-    /// A handle that is already resolved. For [`ServeTarget`]
-    /// implementations whose round trip completes eagerly inside the
-    /// submit call — a remote fan-out that already has the reply by the
-    /// time it returns — so they can satisfy the handle-returning trait
-    /// surface without a scheduler behind them.
-    ///
-    /// [`ServeTarget`]: crate::ServeTarget
-    pub fn ready(result: ServeResult<Vec<f32>>) -> PredictionHandle {
-        let (tx, rx) = unbounded();
-        let _ = tx.send(result);
-        PredictionHandle { rx }
-    }
+/// Handle to one in-flight block.
+#[derive(Debug)]
+pub struct BlockHandle {
+    rx: Receiver<ServeResult<BlockPrediction>>,
+}
 
-    /// Block until the prediction (class probabilities) arrives.
-    pub fn wait(self) -> ServeResult<Vec<f32>> {
+impl BlockHandle {
+    /// Block until the answer arrives. Abstention is per row and in-band
+    /// ([`BlockPrediction::abstained`]); an `Err` is the whole block's.
+    pub fn wait(self) -> ServeResult<BlockPrediction> {
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
     }
 
     /// Block for at most `timeout`; `None` means it is still in flight.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServeResult<Vec<f32>>> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServeResult<BlockPrediction>> {
         match self.rx.recv_timeout(timeout) {
             Ok(result) => Some(result),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(Err(ServeError::Disconnected)),
         }
+    }
+}
+
+/// Handle to one in-flight single-row prediction: a one-row block.
+#[derive(Debug)]
+pub struct PredictionHandle {
+    block: BlockHandle,
+}
+
+impl From<BlockHandle> for PredictionHandle {
+    /// View the handle of a **one-row** block as that row's prediction.
+    fn from(block: BlockHandle) -> Self {
+        PredictionHandle { block }
+    }
+}
+
+/// A one-row block's answer as that row's: its probabilities, or
+/// [`ServeError::Abstained`].
+fn one_row(answer: ServeResult<BlockPrediction>) -> ServeResult<Vec<f32>> {
+    let answer = answer?;
+    if answer.abstained.is_empty() {
+        Ok(answer.proba.data)
+    } else {
+        Err(ServeError::Abstained)
+    }
+}
+
+impl PredictionHandle {
+    /// Block until the prediction (class probabilities) arrives.
+    pub fn wait(self) -> ServeResult<Vec<f32>> {
+        one_row(self.block.wait())
+    }
+
+    /// Block for at most `timeout`; `None` means it is still in flight.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServeResult<Vec<f32>>> {
+        self.block.wait_timeout(timeout).map(one_row)
     }
 }
 
@@ -364,6 +429,58 @@ impl InferenceServer {
         &self.registry
     }
 
+    /// Enqueue a block of raw feature rows for the named model — one
+    /// message to the collector and one reply, whatever the row count.
+    /// The block is never split across batches, so one model version
+    /// answers all of it. Unknown models and wrong feature widths fail
+    /// fast, before entering the batch queue.
+    pub fn submit_block(
+        &self,
+        model: &str,
+        rows: RowBlock,
+        options: SubmitOptions,
+    ) -> ServeResult<BlockHandle> {
+        let served = self.registry.get(model)?;
+        let expected = served.predictor().n_inputs();
+        if rows.n_cols as usize != expected {
+            return Err(ServeError::ShapeMismatch {
+                expected,
+                got: rows.n_cols as usize,
+            });
+        }
+        let (reply, rx) = unbounded();
+        let n_rows = rows.n_rows();
+        if n_rows == 0 {
+            // Nothing to schedule: the empty answer is known here.
+            let _ = reply.send(Ok(BlockPrediction {
+                version: served.version(),
+                proba: RowBlock {
+                    n_cols: served.predictor().n_classes() as u32,
+                    data: Vec::new(),
+                },
+                abstained: Vec::new(),
+            }));
+            return Ok(BlockHandle { rx });
+        }
+        let enqueued = Instant::now();
+        let request = Request {
+            model: Arc::from(model),
+            rows,
+            enqueued,
+            priority: options.priority,
+            deadline: options.deadline.map(|d| enqueued + d),
+            abstain_below: options.abstain_below,
+            reply,
+        };
+        self.submit_tx
+            .send(Msg::Request(request))
+            .map_err(|_| ServeError::Disconnected)?;
+        for _ in 0..n_rows {
+            self.metrics.record_submit();
+        }
+        Ok(BlockHandle { rx })
+    }
+
     /// Enqueue one raw feature vector for the named model with default
     /// [`SubmitOptions`]; returns a handle to wait on. Unknown models and
     /// wrong feature widths fail fast, before entering the batch queue.
@@ -372,37 +489,15 @@ impl InferenceServer {
     }
 
     /// Enqueue one raw feature vector with explicit priority/deadline
-    /// options; returns a handle to wait on.
+    /// options — a one-row [`InferenceServer::submit_block`]; returns a
+    /// handle to wait on.
     pub fn submit_with_options(
         &self,
         model: &str,
         features: Vec<f32>,
         options: SubmitOptions,
     ) -> ServeResult<PredictionHandle> {
-        let served = self.registry.get(model)?;
-        let expected = served.predictor().n_inputs();
-        if features.len() != expected {
-            return Err(ServeError::ShapeMismatch {
-                expected,
-                got: features.len(),
-            });
-        }
-        let (reply_tx, reply_rx) = unbounded();
-        let enqueued = Instant::now();
-        let request = Request {
-            model: model.to_string(),
-            features,
-            enqueued,
-            priority: options.priority,
-            deadline: options.deadline.map(|d| enqueued + d),
-            abstain_below: options.abstain_below,
-            reply: reply_tx,
-        };
-        self.submit_tx
-            .send(Msg::Request(request))
-            .map_err(|_| ServeError::Disconnected)?;
-        self.metrics.record_submit();
-        Ok(PredictionHandle { rx: reply_rx })
+        ServeTarget::submit_with_options(self, model, features, options)
     }
 
     /// Submit and block until the class probabilities arrive.
@@ -416,7 +511,7 @@ impl InferenceServer {
         self.metrics.snapshot()
     }
 
-    /// Number of accepted requests that have not yet reached a terminal
+    /// Number of accepted rows that have not yet reached a terminal
     /// outcome (response, error, or expiry): the pending-queue depth
     /// load-aware routing balances on. Cheap — three relaxed atomic loads
     /// — so it can sit on the submit path.
@@ -463,13 +558,13 @@ impl std::fmt::Debug for InferenceServer {
     }
 }
 
-/// How long a slot's oldest row waits before the slot may leave for an idle
-/// worker (a full slot leaves at once). Long enough for the rows a front
-/// submits one by one for the same request to share a batch, and it keeps
-/// the latency of a lone row on an idle server set by the clock: without
-/// it that latency is a chain of thread wake-ups whose cost differs from
-/// run to run by more than the repo benchmark's `gateway_single` bound
-/// allows. Not an option — nothing in the repo needs another value.
+/// How long a slot's oldest block waits before the slot may leave for an
+/// idle worker (a full slot leaves at once). Long enough for small requests
+/// that arrive together to share a batch, and it keeps the latency of a
+/// lone row on an idle server set by the clock: without it that latency is
+/// a chain of thread wake-ups whose cost differs from run to run by more
+/// than the repo benchmark's `gateway_single` bound allows. Not an option
+/// — nothing in the repo needs another value.
 const COALESCE_WINDOW: Duration = Duration::from_micros(600);
 
 /// A model's requests accumulating toward a dispatch, under that model's
@@ -480,8 +575,13 @@ struct Pending {
 }
 
 impl Pending {
+    /// Rows waiting in the slot: what `max_batch` is measured against.
+    fn rows(&self) -> usize {
+        self.requests.iter().map(|r| r.rows.n_rows()).sum()
+    }
+
     /// When the slot may leave for an idle worker: [`COALESCE_WINDOW`]
-    /// after its oldest row arrived.
+    /// after its oldest block arrived.
     fn ripe_at(&self) -> Instant {
         let oldest = self.requests.iter().map(|r| r.enqueued).min();
         oldest.expect("a pending slot holds a request") + COALESCE_WINDOW
@@ -494,27 +594,35 @@ fn order_for_dispatch(requests: &mut [Request]) {
     requests.sort_by_key(|r| r.priority.rank());
 }
 
-/// Split one batch off an over-full slot: the highest-priority `max_batch`
-/// requests leave (FIFO within a priority); lower-priority requests stay
-/// queued for a later dispatch. This is where [`Priority`] bites — a burst
-/// bigger than one batch drains High before Normal before Low.
+/// Split one batch off a full slot: whole blocks in drain order while
+/// they fit in `max_batch` rows — at least the first, so a block that alone
+/// exceeds the cap is its own batch; what does not fit stays queued for a
+/// later dispatch. This is where [`Priority`] bites — a burst bigger than
+/// one batch drains High before Normal before Low.
 fn take_batch(requests: &mut Vec<Request>, max_batch: usize) -> Vec<Request> {
     order_for_dispatch(requests);
-    let take = requests.len().min(max_batch);
-    requests.drain(..take).collect()
+    let mut rows = 0;
+    let fit = requests
+        .iter()
+        .take_while(|r| {
+            rows += r.rows.n_rows();
+            rows <= max_batch
+        })
+        .count();
+    requests.drain(..fit.max(1)).collect()
 }
 
 /// Split off the requests whose deadline has already passed.
 fn split_expired(requests: Vec<Request>, now: Instant) -> (Vec<Request>, Vec<Request>) {
-    requests
-        .into_iter()
-        .partition(|r| !matches!(r.deadline, Some(d) if now >= d))
+    requests.into_iter().partition(|r| !r.expired_at(now))
 }
 
-/// Reply `DeadlineExceeded` to every expired request and count it.
+/// Reply `DeadlineExceeded` to every expired request and count its rows.
 fn expire(requests: Vec<Request>, metrics: &ServingMetrics) {
     for request in requests {
-        metrics.record_expired();
+        for _ in 0..request.rows.n_rows() {
+            metrics.record_expired();
+        }
         let _ = request.reply.send(Err(ServeError::DeadlineExceeded));
     }
 }
@@ -523,17 +631,17 @@ fn expire(requests: Vec<Request>, metrics: &ServingMetrics) {
 /// model's effective batching policy (which a hot-swap may have just
 /// changed) if this is its first request.
 fn enqueue(
-    pending: &mut HashMap<String, Pending>,
+    pending: &mut HashMap<Arc<str>, Pending>,
     request: Request,
     registry: &ModelRegistry,
     config: BatchConfig,
 ) {
     let slot = pending
-        .entry(request.model.clone())
+        .entry(Arc::clone(&request.model))
         .or_insert_with_key(|model| {
             let max_batch = registry.batch_policy(model).unwrap_or(config).max_batch;
             Pending {
-                requests: Vec::with_capacity(max_batch),
+                requests: Vec::new(),
                 max_batch: max_batch.max(1),
             }
         });
@@ -541,7 +649,7 @@ fn enqueue(
 }
 
 /// Collector loop: coalesce requests into per-model slots; ship a slot when
-/// it is full (the model's `max_batch`), and ship the oldest ripe slot
+/// it is full (the model's `max_batch` rows), and ship the oldest ripe slot
 /// whenever a worker has nothing to do.
 fn run_collector(
     submit_rx: &Receiver<Msg>,
@@ -550,7 +658,7 @@ fn run_collector(
     metrics: &ServingMetrics,
     config: BatchConfig,
 ) {
-    let mut pending: HashMap<String, Pending> = HashMap::new();
+    let mut pending: HashMap<Arc<str>, Pending> = HashMap::new();
     // Batches handed to the workers and not yet reported `Done`.
     let mut outstanding = 0usize;
     let mut shutdown = false;
@@ -579,7 +687,7 @@ fn run_collector(
             }
         }
         for (model, slot) in &mut pending {
-            while slot.requests.len() >= slot.max_batch {
+            while slot.rows() >= slot.max_batch {
                 let batch = take_batch(&mut slot.requests, slot.max_batch);
                 outstanding += usize::from(dispatch(batch_tx, registry, metrics, model, batch));
             }
@@ -594,7 +702,7 @@ fn run_collector(
                 .map(|(model, slot)| (slot.ripe_at(), model))
                 .filter(|(ripe_at, _)| shutdown || *ripe_at <= now)
                 .min()
-                .map(|(_, model)| model.clone())
+                .map(|(_, model)| Arc::clone(model))
             else {
                 break;
             };
@@ -635,11 +743,10 @@ fn dispatch(
         }
         Err(err) => {
             // The model was removed after the requests were accepted. Count
-            // each as a terminal error so the pending-queue depth (requests
-            // minus terminal outcomes) does not leak.
+            // their rows as terminal errors so the pending-queue depth
+            // (rows accepted minus terminal outcomes) does not leak.
             for request in live {
-                metrics.record_error();
-                let _ = request.reply.send(Err(err.clone()));
+                request.fail(err.clone(), metrics);
             }
             false
         }
@@ -647,22 +754,19 @@ fn dispatch(
 }
 
 /// Worker body: run one batch as a single vectorized pass through the
-/// worker's persistent [`BatchExecutor`] and fan out the per-row results.
+/// worker's persistent [`BatchExecutor`] and send every block its answer.
 /// Requests whose deadline passed while the batch sat in the queue are
 /// expired here, before any forward-pass work is spent on them.
 ///
 /// The compute plane — assembly into the reusable batch matrix plus the
 /// `predict_proba_into` pass through the persistent workspace — performs
-/// zero heap allocations after warmup; only the per-request reply payloads
-/// (owned `Vec<f32>`s handed to the callers) still allocate.
+/// zero heap allocations after warmup; only the reply payloads (one owned
+/// probability block per request, handed to the caller) still allocate.
 fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
     let Batch { model, requests } = batch;
     // Only pay the partition allocation when something actually expired.
     let now = Instant::now();
-    let has_expired = requests
-        .iter()
-        .any(|r| matches!(r.deadline, Some(d) if now >= d));
-    let requests = if has_expired {
+    let requests = if requests.iter().any(|r| r.expired_at(now)) {
         let (live, expired) = split_expired(requests, now);
         expire(expired, metrics);
         live
@@ -672,31 +776,33 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
     if requests.is_empty() {
         return;
     }
-    metrics.record_batch(requests.len());
+    metrics.record_batch(requests.iter().map(|r| r.rows.n_rows()).sum());
     let predictor = model.predictor();
     let width = predictor.n_inputs();
 
     // A hot-swap may have changed the expected width between submit-time
-    // validation and dispatch; reject mismatching rows individually.
+    // validation and dispatch; reject mismatching blocks individually.
     state.valid.clear();
+    let mut rows = 0;
     for (i, request) in requests.iter().enumerate() {
-        if request.features.len() == width {
-            state.valid.push(i);
+        if request.rows.n_cols as usize == width {
+            let end = rows + request.rows.n_rows();
+            state.valid.push((i, rows..end));
+            rows = end;
         } else {
-            metrics.record_error();
-            let _ = request.reply.send(Err(ServeError::ShapeMismatch {
-                expected: width,
-                got: request.features.len(),
-            }));
+            let got = request.rows.n_cols as usize;
+            let expected = width;
+            request.fail(ServeError::ShapeMismatch { expected, got }, metrics);
         }
     }
     if state.valid.is_empty() {
         return;
     }
 
-    let x = state.executor.begin(state.valid.len(), width);
-    for (r, &i) in state.valid.iter().enumerate() {
-        x.row_mut(r).copy_from_slice(&requests[i].features);
+    let x = state.executor.begin(rows, width).as_mut_slice();
+    for (i, at) in &state.valid {
+        let block = &requests[*i].rows.data;
+        x[at.start * width..at.end * width].copy_from_slice(&block[..at.len() * width]);
     }
     // A predictor that panics fails its own batch like one that returns an
     // error, and the worker lives on (its buffers are plain scratch, resized
@@ -704,31 +810,46 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
     let outcome = catch_unwind(AssertUnwindSafe(|| state.executor.run(predictor).map(drop)))
         .map_err(|_| ServeError::Model("the predictor panicked".into()))
         .and_then(|result| result.map_err(ServeError::from));
-    match outcome {
-        Ok(()) => {
-            let proba = &state.executor.proba;
-            let now = Instant::now();
-            for (r, &i) in state.valid.iter().enumerate() {
-                let request = &requests[i];
-                // Abstention gate: the forward pass already ran (margins
-                // come from its output); only the reply is withheld.
-                if let Some(threshold) = request.abstain_below {
-                    if bcpnn_core::uncertainty::margin(proba.row(r)) < threshold {
-                        metrics.record_abstained();
-                        let _ = request.reply.send(Err(ServeError::Abstained));
-                        continue;
-                    }
+    if let Err(err) = outcome {
+        for (i, _) in &state.valid {
+            requests[*i].fail(err.clone(), metrics);
+        }
+        return;
+    }
+
+    let proba = &state.executor.proba;
+    let classes = proba.cols();
+    let now = Instant::now();
+    for (i, at) in &state.valid {
+        let request = &requests[*i];
+        let mut data = proba.as_slice()[at.start * classes..at.end * classes].to_vec();
+        // Abstention gate: the forward pass already ran (margins come from
+        // its output); only the row's answer is withheld.
+        let mut abstained = Vec::new();
+        if let Some(threshold) = request.abstain_below {
+            for r in 0..at.len() {
+                let row = &mut data[r * classes..(r + 1) * classes];
+                if bcpnn_core::uncertainty::margin(row) < threshold {
+                    row.fill(0.0);
+                    abstained.push(r as u32);
                 }
-                metrics.record_response(now.saturating_duration_since(request.enqueued));
-                let _ = request.reply.send(Ok(proba.row(r).to_vec()));
             }
         }
-        Err(err) => {
-            for &i in &state.valid {
-                metrics.record_error();
-                let _ = requests[i].reply.send(Err(err.clone()));
-            }
+        let latency = now.saturating_duration_since(request.enqueued);
+        for _ in 0..abstained.len() {
+            metrics.record_abstained();
         }
+        for _ in abstained.len()..at.len() {
+            metrics.record_response(latency);
+        }
+        let _ = request.reply.send(Ok(BlockPrediction {
+            version: model.version(),
+            proba: RowBlock {
+                n_cols: classes as u32,
+                data,
+            },
+            abstained,
+        }));
     }
 }
 
@@ -841,17 +962,17 @@ mod tests {
         );
     }
 
-    /// One worker behind a closed gate, `max_batch` 4. The first row goes
-    /// straight to the idle worker and parks there, so everything submitted
-    /// afterwards is queued by policy, not by timing.
-    fn gated_server() -> (InferenceServer, GatePredictor, PredictionHandle) {
+    /// One worker behind a closed gate. The first row goes straight to the
+    /// idle worker and parks there, so everything submitted afterwards is
+    /// queued by policy, not by timing.
+    fn gated_server(max_batch: usize) -> (InferenceServer, GatePredictor, PredictionHandle) {
         let gate = GatePredictor::new(1);
         let registry = Arc::new(ModelRegistry::new());
         registry.publish(ServedModel::new("gate", 1, gate.clone()));
         let server = InferenceServer::start(
             registry,
             BatchConfig {
-                max_batch: 4,
+                max_batch,
                 workers: 1,
             },
         );
@@ -860,9 +981,193 @@ mod tests {
         (server, gate, first)
     }
 
+    /// The first `n` rows of the fixture's data as one block.
+    fn first_rows(data: &bcpnn_data::Dataset, n: usize) -> RowBlock {
+        let width = data.features.cols();
+        RowBlock {
+            n_cols: width as u32,
+            data: data.features.as_slice()[..n * width].to_vec(),
+        }
+    }
+
+    /// `n` one-feature rows tagged `from, from + 1, ...` for the gate model.
+    fn tagged(from: usize, n: usize) -> RowBlock {
+        RowBlock {
+            n_cols: 1,
+            data: (from..from + n).map(|tag| tag as f32).collect(),
+        }
+    }
+
+    /// Submit blocks to the gated server, open the gate, wait for every
+    /// answer, and return what each forward pass after the parked row saw.
+    fn run_gated(max_batch: usize, blocks: Vec<(RowBlock, Priority)>) -> Vec<Vec<f32>> {
+        let (server, gate, first) = gated_server(max_batch);
+        let handles: Vec<_> = blocks
+            .into_iter()
+            .map(|(rows, priority)| {
+                let n_rows = rows.n_rows();
+                let options = SubmitOptions::new().priority(priority);
+                (server.submit_block("gate", rows, options).unwrap(), n_rows)
+            })
+            .collect();
+        gate.open();
+        assert_eq!(first.wait().unwrap(), vec![0.5, 0.5]);
+        for (handle, n_rows) in handles {
+            let answer = handle.wait().unwrap();
+            assert_eq!((answer.version, answer.proba.n_rows()), (1, n_rows));
+            assert!(answer.abstained.is_empty());
+        }
+        assert_eq!(server.queue_depth(), 0);
+        gate.batches().split_off(1)
+    }
+
+    #[test]
+    fn a_block_of_max_batch_rows_is_exactly_one_batch() {
+        let (pipeline, data) = tiny_pipeline(43);
+        let direct = pipeline.predict_proba(&data.features).unwrap();
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new("higgs", 7, pipeline));
+        let server = InferenceServer::start(registry, BatchConfig::default());
+        let rows = first_rows(&data, 64);
+        let answer = server
+            .submit_block("higgs", rows, SubmitOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(answer.version, 7);
+        assert_eq!((answer.proba.n_rows(), answer.proba.n_cols), (64, 2));
+        for r in 0..64 {
+            for c in 0..2 {
+                assert_eq!(answer.proba.row(r)[c].to_bits(), direct.get(r, c).to_bits());
+            }
+        }
+        let m = server.metrics();
+        assert_eq!((m.requests, m.responses), (64, 64));
+        assert_eq!((m.batches, m.batched_requests), (1, 64));
+    }
+
+    #[test]
+    fn a_full_block_leaves_while_a_smaller_one_is_still_pending() {
+        // The 63 rows wait for the worker; the 64 that jump them (High)
+        // fill a batch by themselves and are cut at once.
+        let batches = run_gated(
+            64,
+            vec![
+                (tagged(100, 63), Priority::Normal),
+                (tagged(200, 64), Priority::High),
+            ],
+        );
+        assert_eq!(batches, vec![tagged(200, 64).data, tagged(100, 63).data]);
+    }
+
+    #[test]
+    fn a_block_and_a_later_row_fill_one_batch() {
+        let (server, gate, first) = gated_server(64);
+        let block = server
+            .submit_block("gate", tagged(0, 63), SubmitOptions::default())
+            .unwrap();
+        let row = server.submit("gate", vec![63.0]).unwrap();
+        gate.open();
+        assert_eq!(block.wait().unwrap().proba.n_rows(), 63);
+        assert_eq!(row.wait().unwrap(), vec![0.5, 0.5]);
+        first.wait().unwrap();
+        assert_eq!(gate.batches(), vec![vec![-1.0], tagged(0, 64).data]);
+        let m = server.metrics();
+        assert_eq!((m.batches, m.batched_requests, m.responses), (2, 65, 65));
+    }
+
+    #[test]
+    fn blocks_are_never_split_and_a_batch_never_exceeds_the_cap() {
+        // 80 rows under a cap of 64 are two batches of 40, and the High
+        // block submitted last runs first.
+        let batches = run_gated(
+            64,
+            vec![
+                (tagged(0, 40), Priority::Normal),
+                (tagged(40, 40), Priority::High),
+            ],
+        );
+        assert_eq!(batches, vec![tagged(40, 40).data, tagged(0, 40).data]);
+    }
+
+    #[test]
+    fn a_block_over_the_cap_is_its_own_batch() {
+        let batches = run_gated(
+            64,
+            vec![
+                (tagged(0, 10), Priority::Normal),
+                (tagged(10, 200), Priority::Normal),
+            ],
+        );
+        assert_eq!(batches, vec![tagged(0, 10).data, tagged(10, 200).data]);
+    }
+
+    #[test]
+    fn an_expired_block_replies_once_and_counts_its_rows() {
+        let (server, data) = server_with_model(44);
+        let rows = first_rows(&data, 5);
+        let handle = server
+            .submit_block("higgs", rows, SubmitOptions::new().deadline(Duration::ZERO))
+            .unwrap();
+        assert!(matches!(
+            handle.wait_timeout(Duration::from_secs(5)),
+            Some(Err(ServeError::DeadlineExceeded))
+        ));
+        assert!(matches!(handle.wait(), Err(ServeError::Disconnected)));
+        let m = server.metrics();
+        assert_eq!((m.requests, m.expired, m.errors), (5, 5, 5));
+        assert_eq!((m.responses, m.batches), (0, 0));
+        assert_eq!(server.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_block_reports_abstention_per_row_in_band() {
+        let (server, data) = server_with_model(45);
+        let rows = first_rows(&data, 6);
+        // The top-2 margin never exceeds 1: every row abstains, and the
+        // block still gets an answer rather than an error.
+        let answer = server
+            .submit_block("higgs", rows, SubmitOptions::new().abstain_below(1.5))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(answer.abstained, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!((answer.proba.n_rows(), answer.proba.n_cols), (6, 2));
+        assert!(answer.proba.data.iter().all(|&p| p == 0.0));
+        let m = server.metrics();
+        assert_eq!((m.abstained, m.errors, m.responses), (6, 6, 0));
+    }
+
+    #[test]
+    fn a_block_is_checked_before_it_is_queued() {
+        let (server, _) = server_with_model(46);
+        let submit = |model, rows| server.submit_block(model, rows, SubmitOptions::default());
+        let narrow = RowBlock::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        assert!(matches!(
+            submit("higgs", narrow.clone()),
+            Err(ServeError::ShapeMismatch {
+                expected: 28,
+                got: 2
+            })
+        ));
+        assert!(matches!(
+            submit("nope", narrow),
+            Err(ServeError::UnknownModel(_))
+        ));
+        // No rows: nothing to run, answered without a batch.
+        let empty = RowBlock {
+            n_cols: 28,
+            data: Vec::new(),
+        };
+        let answer = submit("higgs", empty).unwrap().wait().unwrap();
+        assert_eq!((answer.version, answer.proba.n_rows()), (1, 0));
+        let m = server.metrics();
+        assert_eq!((m.requests, m.batches), (0, 0));
+    }
+
     #[test]
     fn rows_queued_behind_busy_workers_leave_as_one_batch_in_priority_order() {
-        let (server, gate, first) = gated_server();
+        let (server, gate, first) = gated_server(4);
         let handles: Vec<_> = [
             (Priority::Low, 0.0),
             (Priority::Normal, 1.0),
@@ -890,7 +1195,7 @@ mod tests {
 
     #[test]
     fn a_full_slot_ships_at_max_batch_even_when_every_worker_is_busy() {
-        let (server, gate, first) = gated_server();
+        let (server, gate, first) = gated_server(4);
         // Nine rows behind the busy worker at max_batch 4: two full batches
         // are cut without waiting for it, the ninth row waits.
         let handles: Vec<_> = (0..9)
@@ -970,6 +1275,71 @@ mod tests {
         assert_eq!(server.predict("touchy", vec![1.0]).unwrap(), vec![0.5, 0.5]);
         let m = server.metrics();
         assert_eq!((m.errors, m.responses), (1, 1));
+        assert_eq!(server.queue_depth(), 0);
+    }
+
+    /// [`PanicsOnNegative`] behind a gate, so a test decides what shares a
+    /// batch.
+    struct GatedPanicsOnNegative(GatePredictor);
+
+    impl Predictor for GatedPanicsOnNegative {
+        fn predict_proba(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
+            self.0.predict_proba(x)?;
+            PanicsOnNegative.predict_proba(x)
+        }
+        fn n_inputs(&self) -> usize {
+            1
+        }
+        fn n_classes(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn a_panicking_predictor_fails_every_block_of_its_batch_and_only_those() {
+        let gate = GatePredictor::new(1);
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new(
+            "touchy",
+            1,
+            GatedPanicsOnNegative(gate.clone()),
+        ));
+        let server = InferenceServer::start(
+            registry,
+            BatchConfig {
+                max_batch: 4,
+                workers: 1,
+            },
+        );
+        let block = |data: &[f32]| {
+            let rows = RowBlock {
+                n_cols: 1,
+                data: data.to_vec(),
+            };
+            server
+                .submit_block("touchy", rows, SubmitOptions::default())
+                .unwrap()
+        };
+        let parked = block(&[0.0]);
+        gate.wait_entered(1);
+        // Four rows fill a batch: the good block shares the bad one's fate.
+        let good = block(&[1.0, 2.0]);
+        let bad = block(&[-1.0, 3.0]);
+        // The next batch is another pass.
+        let later = block(&[4.0]);
+        gate.open();
+        assert_eq!(parked.wait().unwrap().proba.n_rows(), 1);
+        for failed in [good, bad] {
+            let err = failed.wait().unwrap_err();
+            assert!(matches!(err, ServeError::Model(_)), "{err:?}");
+        }
+        assert_eq!(later.wait().unwrap().proba.data, vec![0.5, 0.5]);
+        assert_eq!(
+            gate.batches(),
+            vec![vec![0.0], vec![1.0, 2.0, -1.0, 3.0], vec![4.0]]
+        );
+        let m = server.metrics();
+        assert_eq!((m.errors, m.responses), (4, 2));
         assert_eq!(server.queue_depth(), 0);
     }
 
@@ -1096,7 +1466,10 @@ mod tests {
         let now = Instant::now();
         let mk = |priority: Priority, tag: f32| Request {
             model: "m".into(),
-            features: vec![tag],
+            rows: RowBlock {
+                n_cols: 1,
+                data: vec![tag],
+            },
             enqueued: now,
             priority,
             deadline: None,
@@ -1111,7 +1484,7 @@ mod tests {
             mk(Priority::High, 4.0),
         ];
         order_for_dispatch(&mut requests);
-        let tags: Vec<f32> = requests.iter().map(|r| r.features[0]).collect();
+        let tags: Vec<f32> = requests.iter().map(|r| r.rows.data[0]).collect();
         assert_eq!(tags, vec![2.0, 4.0, 1.0, 3.0, 0.0]);
     }
 
@@ -1121,7 +1494,10 @@ mod tests {
         let now = Instant::now();
         let mk = |priority: Priority, tag: f32| Request {
             model: "m".into(),
-            features: vec![tag],
+            rows: RowBlock {
+                n_cols: 1,
+                data: vec![tag],
+            },
             enqueued: now,
             priority,
             deadline: None,
@@ -1138,9 +1514,9 @@ mod tests {
         // A burst of 5 with room for 3: both Highs and the first Normal
         // leave; the Lows stay queued for the next dispatch.
         let batch = take_batch(&mut slot, 3);
-        let taken: Vec<f32> = batch.iter().map(|r| r.features[0]).collect();
+        let taken: Vec<f32> = batch.iter().map(|r| r.rows.data[0]).collect();
         assert_eq!(taken, vec![2.0, 4.0, 1.0]);
-        let left: Vec<f32> = slot.iter().map(|r| r.features[0]).collect();
+        let left: Vec<f32> = slot.iter().map(|r| r.rows.data[0]).collect();
         assert_eq!(left, vec![0.0, 3.0]);
         // The tail drains next, still in FIFO order.
         let rest = take_batch(&mut slot, 3);
@@ -1154,7 +1530,7 @@ mod tests {
         let now = Instant::now();
         let mk = |deadline: Option<Instant>| Request {
             model: "m".into(),
-            features: vec![],
+            rows: RowBlock::from_rows(&[]),
             enqueued: now,
             priority: Priority::Normal,
             deadline,

@@ -23,16 +23,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::block::RowBlock;
 use crate::error::ServeResult;
+use crate::loadgen::ServeTarget;
 use crate::metrics::MetricsSnapshot;
 use crate::registry::ModelRegistry;
-use crate::server::{BatchConfig, InferenceServer, PredictionHandle, SubmitOptions};
+use crate::server::{BatchConfig, BlockHandle, InferenceServer, PredictionHandle, SubmitOptions};
 
 /// How a [`ShardedServer`] assigns requests to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardRouting {
-    /// Stable FNV-1a hash of the request's feature bytes: identical
-    /// vectors always hit the same shard.
+    /// Stable FNV-1a hash of the feature bytes of the request's first
+    /// row: identical vectors always hit the same shard.
     #[default]
     FeatureHash,
     /// Strict rotation across shards: perfectly uniform load regardless of
@@ -181,21 +183,34 @@ impl ShardedServer {
             .collect()
     }
 
+    /// Enqueue a block of feature rows, whole, on the shard its first row
+    /// routes to: the block is one batch's worth of work for one pool, not
+    /// a handful of rows for each.
+    pub fn submit_block(
+        &self,
+        model: &str,
+        rows: RowBlock,
+        options: SubmitOptions,
+    ) -> ServeResult<BlockHandle> {
+        // A block with no rows has no first row; it routes as `&[]`.
+        let first = rows.data.get(..rows.n_cols as usize).unwrap_or(&[]);
+        self.shards[self.route(first)].submit_block(model, rows, options)
+    }
+
     /// Enqueue one feature vector with default options on its shard.
     pub fn submit(&self, model: &str, features: Vec<f32>) -> ServeResult<PredictionHandle> {
         self.submit_with_options(model, features, SubmitOptions::default())
     }
 
     /// Enqueue one feature vector with explicit priority/deadline options
-    /// on its shard.
+    /// on its shard — a one-row [`ShardedServer::submit_block`].
     pub fn submit_with_options(
         &self,
         model: &str,
         features: Vec<f32>,
         options: SubmitOptions,
     ) -> ServeResult<PredictionHandle> {
-        let shard = self.route(&features);
-        self.shards[shard].submit_with_options(model, features, options)
+        ServeTarget::submit_with_options(self, model, features, options)
     }
 
     /// Submit and block until the class probabilities arrive.
@@ -443,6 +458,36 @@ mod tests {
                 .map(|s| s.responses)
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn a_block_goes_whole_to_the_shard_of_its_first_row() {
+        let (server, data) = sharded(56, ShardRouting::FeatureHash);
+        let direct = server
+            .registry()
+            .get("higgs")
+            .unwrap()
+            .predictor()
+            .predict_proba(&data.features)
+            .unwrap();
+        let rows = RowBlock {
+            n_cols: 28,
+            data: data.features.as_slice()[..10 * 28].to_vec(),
+        };
+        let home = server.route(rows.row(0));
+        let answer = server
+            .submit_block("higgs", rows, SubmitOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        for r in 0..10 {
+            assert_eq!(answer.proba.row(r), direct.row(r), "row {r}");
+        }
+        // Ten distinct vectors would hash over several shards one by one.
+        for (shard, m) in server.shard_metrics().iter().enumerate() {
+            let expected = if shard == home { 10 } else { 0 };
+            assert_eq!(m.requests, expected, "shard {shard}");
+        }
     }
 
     #[test]

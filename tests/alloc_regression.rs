@@ -21,7 +21,10 @@ use bcpnn_core::model::Predictor;
 use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_serve::loadgen::{request_stream, RequestStream};
-use bcpnn_serve::BatchExecutor;
+use bcpnn_serve::{
+    BatchConfig, BatchExecutor, InferenceServer, ModelRegistry, RowBlock, ServedModel,
+    SubmitOptions,
+};
 use bcpnn_tensor::Matrix;
 
 thread_local! {
@@ -224,6 +227,50 @@ fn warmed_cascade_forward_allocates_nothing() {
         stats.cheap_hits() + stats.escalations(),
         52 * x.rows() as u64
     );
+}
+
+/// What a caller pays the allocator to hand a request to the server and
+/// take its answer back is per request, not per row: one message in, one
+/// message out. (Row by row it was three a row: the model name, the reply
+/// channel, the reply.) The worker's side — one probability block per
+/// request — is on its own thread and is not counted here.
+#[test]
+fn block_round_trip_allocations_do_not_grow_with_the_rows() {
+    init_single_thread_pool();
+    let (pipeline, stream) = tiny_pipeline(74);
+    let registry = std::sync::Arc::new(ModelRegistry::new());
+    registry.publish(ServedModel::new("higgs", 1, pipeline));
+    let server = InferenceServer::start(registry, BatchConfig::default());
+    let block = |rows: usize| RowBlock {
+        n_cols: stream.width() as u32,
+        data: (0..rows)
+            .flat_map(|r| stream.row(r % stream.len()).to_vec())
+            .collect(),
+    };
+    let round_trip = |rows: RowBlock| {
+        let n_rows = rows.n_rows();
+        let answer = server
+            .submit_block("higgs", rows, SubmitOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(answer.proba.n_rows(), n_rows);
+    };
+    // Warm-up: the submit queue reaches its steady size.
+    round_trip(block(256));
+    round_trip(block(256));
+    let counts: Vec<u64> = [8, 64, 256]
+        .into_iter()
+        .map(|rows| {
+            let rows = block(rows);
+            count_allocs(|| round_trip(rows)).0
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "allocations per round trip of 8, 64 and 256 rows: {counts:?}"
+    );
+    assert!(counts[0] <= 4, "a round trip allocated {} times", counts[0]);
 }
 
 #[test]

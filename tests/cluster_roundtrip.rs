@@ -22,7 +22,7 @@ use bcpnn_core::Pipeline;
 use bcpnn_gateway::{client, json};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
 
-use common::{predictions_of, rows_body, tiny_pipeline};
+use common::{assert_answered_by_one_version, predictions_of, rows_body, tiny_pipeline};
 
 /// A running test cluster. Backends are `Option` so a test can hard-kill
 /// one (drop severs its live connections) while the tier keeps serving.
@@ -186,10 +186,11 @@ fn cluster_wide_hot_swap_converges_every_replica_mid_flight() {
     let v2_dir = cluster.artifact_root.join("model-v2");
     v2.save(&v2_dir).expect("v2 artifact saves");
 
-    // Hammer single-row predictions while the cluster-wide swap lands:
-    // every response must be entirely v1 bits or entirely v2 bits —
-    // never a mixture, never an error — even though the two replicas
-    // swap at slightly different instants.
+    // Hammer 16-row predictions while the cluster-wide swap lands: all 16
+    // rows of a reply must be v1 bits or all v2 bits, as the `version` the
+    // answering backend put in its frame says — never a mixture, never an
+    // error — even though the two replicas swap at slightly different
+    // instants.
     let stop = Arc::new(AtomicBool::new(false));
     let saw_v2 = std::thread::scope(|scope| {
         let mut clients = Vec::new();
@@ -202,8 +203,8 @@ fn cluster_wide_hot_swap_converges_every_replica_mid_flight() {
                 let mut swapped_seen = false;
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
-                    let r = i % 40;
-                    let body = rows_body(data, r..r + 1);
+                    let rows = i % 40..i % 40 + 16;
+                    let body = rows_body(data, rows.clone());
                     let response = client::request(
                         addr,
                         "POST",
@@ -213,16 +214,13 @@ fn cluster_wide_hot_swap_converges_every_replica_mid_flight() {
                     )
                     .expect("predict keeps working through the swap");
                     assert_eq!(response.status, 200, "{}", response.body_str());
-                    let got = predictions_of(&response.body_str());
-                    let is_v1 =
-                        (0..2).all(|c| got[0][c].to_bits() == direct_v1.get(r, c).to_bits());
-                    let is_v2 =
-                        (0..2).all(|c| got[0][c].to_bits() == direct_v2.get(r, c).to_bits());
-                    assert!(
-                        is_v1 || is_v2,
-                        "row {r}: prediction matches neither version exactly"
+                    let version = assert_answered_by_one_version(
+                        &response.body_str(),
+                        rows,
+                        direct_v1,
+                        direct_v2,
                     );
-                    swapped_seen |= is_v2;
+                    swapped_seen |= version == 2;
                     i += 1;
                 }
                 swapped_seen

@@ -17,6 +17,7 @@ use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_data::Dataset;
 use bcpnn_gateway::{json, FrontConfig, Gateway, GatewayConfig, GatewaySnapshot};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ShardConfig, ShardedServer};
+use bcpnn_tensor::Matrix;
 
 /// Train a tiny synthetic-Higgs pipeline on the given backend.
 pub fn tiny_pipeline(seed: u64, backend: BackendKind) -> (Pipeline, Dataset) {
@@ -75,6 +76,41 @@ pub fn predictions_of(body: &str) -> Vec<Vec<f32>> {
                 .collect()
         })
         .collect()
+}
+
+/// The `version` a predict response names.
+pub fn version_of(body: &str) -> Option<u64> {
+    let doc = json::parse(body).expect("response body is valid JSON");
+    doc.get("version").and_then(json::Json::as_u64)
+}
+
+/// Check one predict reply sent while version 1 of a model was being
+/// hot-swapped for version 2: every row of it must equal, bit for bit,
+/// what **one** of the two answers in process for feature rows `rows` —
+/// the one the reply's `version` names. Returns that version.
+pub fn assert_answered_by_one_version(
+    body: &str,
+    rows: std::ops::Range<usize>,
+    direct_v1: &Matrix<f32>,
+    direct_v2: &Matrix<f32>,
+) -> u64 {
+    let version = version_of(body).expect("the reply names the version that answered");
+    let direct = match version {
+        1 => direct_v1,
+        2 => direct_v2,
+        other => panic!("the reply names version {other}, which was never published"),
+    };
+    let got = predictions_of(body);
+    assert_eq!(got.len(), rows.len());
+    for (answer, r) in got.iter().zip(rows) {
+        let bits = |row: &[f32]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(answer),
+            bits(direct.row(r)),
+            "row {r} of a reply that names version {version} is not version {version}'s"
+        );
+    }
+    version
 }
 
 /// Connect and write one request without reading the reply, so the

@@ -4,9 +4,8 @@
 //! forward pass (what the front refuses is `front_contract`'s table), the
 //! `/metrics` scrape must pass the Prometheus validity
 //! parser, and a hot-swap issued over HTTP mid-flight must be atomic per
-//! batch: every single-row response is served entirely by one model
-//! version (rows of a multi-row request batch independently, so that is
-//! the unit the guarantee covers).
+//! request: every row of a multi-row response is served by one model
+//! version, the one the response names.
 
 mod common;
 
@@ -20,7 +19,7 @@ use bcpnn_serve::{
 };
 use std::time::Duration;
 
-use common::{predictions_of, rows_body, tiny_pipeline};
+use common::{assert_answered_by_one_version, predictions_of, rows_body, tiny_pipeline};
 
 /// Gateway over a 2-shard server with small batches (so multi-row
 /// requests really exercise batching).
@@ -152,11 +151,10 @@ fn hot_swap_over_http_is_atomic_mid_flight() {
     let (gateway, server) = gateway_over(registry);
     let addr = gateway.local_addr();
 
-    // Hammer single-row predictions from several client threads while the
-    // swap PUT lands. Single-row responses are the atomicity unit: each
-    // must be entirely v1 bits or entirely v2 bits — never a mixture,
-    // never an error. (A multi-row request straddling the swap may mix
-    // versions *across* rows, which is why the clients send one row each.)
+    // Hammer 16-row predictions from several client threads while the swap
+    // PUT lands. The request is the atomicity unit: all 16 rows of a reply
+    // must be v1 bits or all v2 bits, as its `version` says — never a
+    // mixture, never an error.
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mix_seen = std::thread::scope(|scope| {
         let mut clients = Vec::new();
@@ -169,8 +167,8 @@ fn hot_swap_over_http_is_atomic_mid_flight() {
                 let mut swapped_seen = false;
                 let mut i = t;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let r = i % 40;
-                    let body = rows_body(data, r..r + 1);
+                    let rows = i % 40..i % 40 + 16;
+                    let body = rows_body(data, rows.clone());
                     let response = client::request(
                         addr,
                         "POST",
@@ -180,16 +178,13 @@ fn hot_swap_over_http_is_atomic_mid_flight() {
                     )
                     .expect("predict keeps working through the swap");
                     assert_eq!(response.status, 200, "{}", response.body_str());
-                    let got = predictions_of(&response.body_str());
-                    let is_v1 =
-                        (0..2).all(|c| got[0][c].to_bits() == direct_v1.get(r, c).to_bits());
-                    let is_v2 =
-                        (0..2).all(|c| got[0][c].to_bits() == direct_v2.get(r, c).to_bits());
-                    assert!(
-                        is_v1 || is_v2,
-                        "row {r}: prediction matches neither version exactly"
+                    let version = assert_answered_by_one_version(
+                        &response.body_str(),
+                        rows,
+                        direct_v1,
+                        direct_v2,
                     );
-                    swapped_seen |= is_v2;
+                    swapped_seen |= version == 2;
                     i += 1;
                 }
                 swapped_seen

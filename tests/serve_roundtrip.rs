@@ -14,8 +14,8 @@ use bcpnn_core::{Network, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_serve::testutil::GatePredictor;
 use bcpnn_serve::{
-    BatchConfig, InferenceServer, ModelRegistry, Pipeline, Priority, ServeError, ServedModel,
-    ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
+    BatchConfig, InferenceServer, ModelRegistry, Pipeline, Priority, RowBlock, ServeError,
+    ServedModel, ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
 };
 use bcpnn_tensor::Matrix;
 
@@ -90,6 +90,15 @@ fn request_matrix(n: usize) -> Matrix<f32> {
         ..Default::default()
     })
     .features
+}
+
+/// Rows `rows` of the request stream as one block.
+fn block_of(requests: &Matrix<f32>, rows: std::ops::Range<usize>) -> RowBlock {
+    let width = requests.cols();
+    RowBlock {
+        n_cols: width as u32,
+        data: requests.as_slice()[rows.start * width..rows.end * width].to_vec(),
+    }
 }
 
 fn rows_match(a: &[f32], b: &[f32], tol: f32) -> bool {
@@ -214,9 +223,9 @@ fn serve_roundtrip_parallel_backend() {
 }
 
 /// Sharded (4 pools) == single-pool == direct `predict_proba`, before and
-/// after a hot-swap, with the mid-flight swap itself crossed under
-/// concurrent load: every response matches one of the two published
-/// versions exactly, on every shard.
+/// after a hot-swap, with the rows sent as blocks and the mid-flight swap
+/// itself crossed under concurrent load: every row of every response
+/// matches the published version the response names, on every shard.
 #[test]
 fn sharded_equals_single_pool_equals_direct_across_hot_swap() {
     let backend = BackendKind::Parallel;
@@ -256,18 +265,34 @@ fn sharded_equals_single_pool_equals_direct_across_hot_swap() {
     );
     assert_eq!(sharded.n_shards(), 4);
 
-    // Pre-swap: sharded == single-pool == direct, row-exact.
-    for row in 0..32 {
-        let features = requests.row(row).to_vec();
-        let from_sharded = sharded.predict("higgs", features.clone()).unwrap();
-        let from_single = single.predict("higgs", features).unwrap();
-        assert!(rows_match(&from_sharded, direct_v1.row(row), 1e-5));
-        assert!(rows_match(&from_single, direct_v1.row(row), 1e-5));
-        assert!(rows_match(&from_sharded, &from_single, 1e-5));
-    }
+    // Both servers answer rows 0..32, sent as one block, from `direct`.
+    let both_answer_from = |direct: &Matrix<f32>, version: u64| {
+        let submit = SubmitOptions::default();
+        let from_sharded = sharded.submit_block("higgs", block_of(&requests, 0..32), submit);
+        let from_single = single.submit_block("higgs", block_of(&requests, 0..32), submit);
+        let from_sharded = from_sharded.unwrap().wait().unwrap();
+        let from_single = from_single.unwrap().wait().unwrap();
+        assert_eq!(
+            (from_sharded.version, from_single.version),
+            (version, version)
+        );
+        assert_eq!(from_sharded.proba, from_single.proba);
+        for row in 0..32 {
+            assert!(rows_match(
+                from_sharded.proba.row(row),
+                direct.row(row),
+                1e-5
+            ));
+        }
+    };
 
-    // Mid-flight: concurrent clients hammer the sharded server while v2 is
-    // hot-swapped in; every response matches v1 or v2 exactly.
+    // Pre-swap: sharded == single-pool == direct, row-exact.
+    both_answer_from(&direct_v1, 1);
+
+    // Mid-flight: concurrent clients hammer the sharded server with
+    // four-row blocks while v2 is hot-swapped in; every row of a response
+    // matches the version the response names.
+    const BLOCK: usize = 4;
     let matched_v1 = AtomicU64::new(0);
     let matched_v2 = AtomicU64::new(0);
     std::thread::scope(|scope| {
@@ -279,18 +304,30 @@ fn sharded_equals_single_pool_equals_direct_across_hot_swap() {
             let matched_v1 = &matched_v1;
             let matched_v2 = &matched_v2;
             scope.spawn(move || {
-                for i in 0..REQUESTS_PER_CLIENT {
-                    let row = client * REQUESTS_PER_CLIENT + i;
-                    let proba = sharded
-                        .predict("higgs", requests.row(row).to_vec())
+                for i in (0..REQUESTS_PER_CLIENT).step_by(BLOCK) {
+                    let first = client * REQUESTS_PER_CLIENT + i;
+                    let answer = sharded
+                        .submit_block(
+                            "higgs",
+                            block_of(requests, first..first + BLOCK),
+                            SubmitOptions::default(),
+                        )
+                        .and_then(|handle| handle.wait())
                         .expect("no request may be dropped or errored");
-                    if rows_match(&proba, direct_v1.row(row), 1e-5) {
-                        matched_v1.fetch_add(1, Ordering::Relaxed);
-                    } else if rows_match(&proba, direct_v2.row(row), 1e-5) {
-                        matched_v2.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        panic!("row {row}: response matches neither published version");
+                    let (direct, matched) = match answer.version {
+                        1 => (direct_v1, matched_v1),
+                        2 => (direct_v2, matched_v2),
+                        other => panic!("row {first}: version {other} was never published"),
+                    };
+                    for r in 0..BLOCK {
+                        assert!(
+                            rows_match(answer.proba.row(r), direct.row(first + r), 1e-5),
+                            "row {}: not the answer of version {}",
+                            first + r,
+                            answer.version
+                        );
                     }
+                    matched.fetch_add(BLOCK as u64, Ordering::Relaxed);
                 }
             });
         }
@@ -305,19 +342,7 @@ fn sharded_equals_single_pool_equals_direct_across_hot_swap() {
     );
 
     // Post-swap: both servers now agree with direct v2.
-    for row in 0..32 {
-        let features = requests.row(row).to_vec();
-        assert!(rows_match(
-            &sharded.predict("higgs", features.clone()).unwrap(),
-            direct_v2.row(row),
-            1e-5
-        ));
-        assert!(rows_match(
-            &single.predict("higgs", features).unwrap(),
-            direct_v2.row(row),
-            1e-5
-        ));
-    }
+    both_answer_from(&direct_v2, 2);
 
     // The shards really shared the load, and the aggregate adds up.
     let per_shard = sharded.shard_metrics();
@@ -407,6 +432,50 @@ fn queued_rows_leave_as_one_batch_in_priority_then_fifo_order() {
     assert_eq!(metrics.batches, 2 * SHARDS as u64);
     assert_eq!(metrics.responses, (SHARDS + N) as u64);
     assert_eq!(server.queue_depths(), vec![0; SHARDS]);
+}
+
+/// One block far over `max_batch`, and over the 512 rows a predict pass
+/// walks at a time, is one batch — and answers every row with the bits the
+/// same row gets when it is submitted alone.
+#[test]
+fn a_1100_row_block_equals_the_same_rows_submitted_one_by_one() {
+    const ROWS: usize = 1100;
+    let dir = temp_dir("big_block");
+    train_and_save(5, &dir);
+    let registry = Arc::new(ModelRegistry::new());
+    registry
+        .load_and_publish("higgs", 1, &dir, BackendKind::Parallel)
+        .unwrap();
+    let server = InferenceServer::start(Arc::clone(&registry), BatchConfig::default());
+    let requests = request_matrix(ROWS);
+
+    let block = server
+        .submit_block(
+            "higgs",
+            block_of(&requests, 0..ROWS),
+            SubmitOptions::default(),
+        )
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!((block.proba.n_rows(), block.abstained.len()), (ROWS, 0));
+    let m = server.metrics();
+    assert_eq!(
+        (m.batches, m.batched_requests, m.responses),
+        (1, 1100, 1100)
+    );
+
+    let handles: Vec<_> = (0..ROWS)
+        .map(|r| server.submit("higgs", requests.row(r).to_vec()).unwrap())
+        .collect();
+    for (r, handle) in handles.into_iter().enumerate() {
+        let alone: Vec<u32> = handle.wait().unwrap().iter().map(|p| p.to_bits()).collect();
+        let in_block: Vec<u32> = block.proba.row(r).iter().map(|p| p.to_bits()).collect();
+        assert_eq!(in_block, alone, "row {r}");
+    }
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Requests whose deadline has already passed error with
