@@ -17,8 +17,8 @@
 //! * `softmax_exp/*` — the grouped-softmax kernel per dispatch tier; this
 //!   is where the polynomial `exp_approx` replaces libm `expf`.
 //! * `quantized_predict/*` — tokens-per-core: end-to-end single-threaded
-//!   `predict_proba_into` for the f32 pipeline against its int8 and bf16
-//!   [`QuantizedPipeline`] counterparts, as rows/sec
+//!   `predict_proba_into` for the f32 pipeline against its int8
+//!   [`QuantizedPipeline`] counterpart, as rows/sec
 //!   (`Throughput::Elements`).
 //!
 //! When `BENCH_JSON` is set, the binary first emits a `{"meta":{...}}`
@@ -198,7 +198,7 @@ fn fitted_pipeline() -> Pipeline {
 }
 
 /// The narrow-weight kernel in isolation: the hidden-layer forward over the
-/// same fitted tensors at f32, int8 and bf16 storage. This is where the
+/// same fitted tensors at f32 and int8 storage. This is where the
 /// footprint advantage lives — the softmax and readout that end-to-end
 /// prediction adds on top cost the same at every precision.
 fn bench_quantized_forward(c: &mut Criterion) {
@@ -223,18 +223,13 @@ fn bench_quantized_forward(c: &mut Criterion) {
             black_box(&out);
         });
     });
-    for (name, precision) in [
-        ("int8", QuantPrecision::Int8),
-        ("bf16", QuantPrecision::Bf16),
-    ] {
-        let quantized = QuantizedPipeline::quantize(&pipeline, precision).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
-            b.iter(|| {
-                quantized.hidden_forward_into(black_box(&encoded), &mut out);
-                black_box(&out);
-            });
+    let quantized = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+    group.bench_function("int8", |b| {
+        b.iter(|| {
+            quantized.hidden_forward_into(black_box(&encoded), &mut out);
+            black_box(&out);
         });
-    }
+    });
     group.finish();
 }
 
@@ -273,23 +268,18 @@ fn bench_quantized_predict(c: &mut Criterion) {
             black_box(&out);
         });
     });
-    for (name, precision) in [
-        ("int8", QuantPrecision::Int8),
-        ("bf16", QuantPrecision::Bf16),
-    ] {
-        let quantized = QuantizedPipeline::quantize(&pipeline, precision).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
-            let mut ws = Workspace::new();
-            let mut out = Matrix::zeros(0, 0);
-            quantized.predict_proba_into(x, &mut ws, &mut out).unwrap();
-            b.iter(|| {
-                quantized
-                    .predict_proba_into(black_box(x), &mut ws, &mut out)
-                    .unwrap();
-                black_box(&out);
-            });
+    let quantized = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+    group.bench_function("int8", |b| {
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(0, 0);
+        quantized.predict_proba_into(x, &mut ws, &mut out).unwrap();
+        b.iter(|| {
+            quantized
+                .predict_proba_into(black_box(x), &mut ws, &mut out)
+                .unwrap();
+            black_box(&out);
         });
-    }
+    });
     group.finish();
 }
 

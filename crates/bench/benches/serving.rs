@@ -1,6 +1,7 @@
-//! Serving-path benchmarks: vectorized pipeline inference at different
-//! batch sizes (the amortization the micro-batcher exploits) and full
-//! request round-trips through the batching server.
+//! Serving-path benchmarks behind the CI `bench-regression` gate: one
+//! 64-row request as a block against the same rows one by one
+//! (`serve_block64`), and the quantized→f32 cascade against each of its
+//! tiers alone (`serve_cascade`).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -10,13 +11,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::Predictor;
 use bcpnn_core::uncertainty::margin;
-use bcpnn_core::{Network, ReadoutKind, TrainingParams, Workspace};
+use bcpnn_core::{Network, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_serve::loadgen::request_stream;
 use bcpnn_serve::{
-    BatchConfig, CascadeModel, InferenceServer, ModelRegistry, Pipeline, RowBlock, ServedModel,
-    ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
+    CascadeModel, ModelRegistry, Pipeline, RowBlock, ServedModel, ShardConfig, ShardedServer,
+    SubmitOptions,
 };
 use bcpnn_tensor::Matrix;
 
@@ -44,150 +45,6 @@ fn trained_pipeline() -> Pipeline {
     )
     .unwrap();
     pipeline
-}
-
-/// Per-request cost of one vectorized encode → forward → readout pass at
-/// growing batch sizes: the curve whose slope justifies micro-batching.
-fn bench_pipeline_batches(c: &mut Criterion) {
-    let pipeline = trained_pipeline();
-    let stream = request_stream(512, 11);
-    let mut group = c.benchmark_group("serve_pipeline_batch");
-    group.sample_size(10);
-    for &batch in &[1usize, 8, 64, 256] {
-        let mut x = Matrix::zeros(batch, 28);
-        for r in 0..batch {
-            x.row_mut(r).copy_from_slice(stream.row(r % stream.len()));
-        }
-        group.throughput(Throughput::Elements(batch as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, _| {
-            b.iter(|| black_box(pipeline.predict_proba(black_box(&x)).unwrap()));
-        });
-    }
-    group.finish();
-}
-
-/// The allocating `predict_proba` against the zero-allocation
-/// `predict_proba_into` (persistent workspace + output buffer) on the same
-/// batch — the tentpole data-plane comparison. Recorded by the CI
-/// bench-smoke job; `_into` must at least match the allocating path.
-fn bench_forward_into_vs_alloc(c: &mut Criterion) {
-    let pipeline = trained_pipeline();
-    let stream = request_stream(512, 14);
-    let mut group = c.benchmark_group("serve_forward_into_vs_alloc");
-    group.sample_size(10);
-    for &batch in &[1usize, 64, 256] {
-        let mut x = Matrix::zeros(batch, 28);
-        for r in 0..batch {
-            x.row_mut(r).copy_from_slice(stream.row(r % stream.len()));
-        }
-        group.throughput(Throughput::Elements(batch as u64));
-        group.bench_with_input(
-            BenchmarkId::new("alloc_predict_proba", batch),
-            &batch,
-            |b, _| {
-                b.iter(|| black_box(pipeline.predict_proba(black_box(&x)).unwrap()));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("into_predict_proba", batch),
-            &batch,
-            |b, _| {
-                let mut ws = Workspace::new();
-                let mut out = Matrix::zeros(0, 0);
-                // Warm the buffers so the measured loop is the steady state.
-                pipeline.predict_proba_into(&x, &mut ws, &mut out).unwrap();
-                b.iter(|| {
-                    pipeline
-                        .predict_proba_into(black_box(&x), &mut ws, &mut out)
-                        .unwrap();
-                    black_box(&out);
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Full round-trips through the micro-batching server: a single blocking
-/// request (latency floor) and a 64-request burst (amortized throughput).
-fn bench_server_roundtrip(c: &mut Criterion) {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.publish(ServedModel::new("higgs", 1, trained_pipeline()));
-    let server = InferenceServer::start(
-        Arc::clone(&registry),
-        BatchConfig {
-            max_batch: 64,
-            workers: 2,
-        },
-    );
-    let stream = request_stream(256, 12);
-
-    let mut group = c.benchmark_group("serve_roundtrip");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("single_blocking", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let features = stream.row(i % stream.len()).to_vec();
-            i += 1;
-            black_box(server.predict("higgs", features).unwrap())
-        });
-    });
-    group.throughput(Throughput::Elements(64));
-    group.bench_function("burst_64", |b| {
-        b.iter(|| {
-            let handles: Vec<_> = (0..64)
-                .map(|i| {
-                    server
-                        .submit("higgs", stream.row(i % stream.len()).to_vec())
-                        .unwrap()
-                })
-                .collect();
-            for handle in handles {
-                black_box(handle.wait().unwrap());
-            }
-        });
-    });
-    group.finish();
-}
-
-/// The same 64-request burst through 1, 2, and 4 shards: the scaling curve
-/// the sharded router buys once a single collector saturates.
-fn bench_sharded_burst(c: &mut Criterion) {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.publish(ServedModel::new("higgs", 1, trained_pipeline()));
-    let stream = request_stream(256, 13);
-    let mut group = c.benchmark_group("serve_sharded_burst_64");
-    group.sample_size(10);
-    for &shards in &[1usize, 2, 4] {
-        let server = ShardedServer::start(
-            Arc::clone(&registry),
-            ShardConfig {
-                shards,
-                batch: BatchConfig {
-                    max_batch: 64,
-                    workers: 1,
-                },
-                routing: ShardRouting::FeatureHash,
-            },
-        );
-        group.throughput(Throughput::Elements(64));
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, _| {
-            b.iter(|| {
-                let handles: Vec<_> = (0..64)
-                    .map(|i| {
-                        server
-                            .submit("higgs", stream.row(i % stream.len()).to_vec())
-                            .unwrap()
-                    })
-                    .collect();
-                for handle in handles {
-                    black_box(handle.wait().unwrap());
-                }
-            });
-        });
-    }
-    group.finish();
 }
 
 /// One 64-row request through a default two-shard server, both ways a front
@@ -344,13 +201,5 @@ fn bench_cascade(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    serving,
-    bench_pipeline_batches,
-    bench_forward_into_vs_alloc,
-    bench_server_roundtrip,
-    bench_sharded_burst,
-    bench_block_vs_rows,
-    bench_cascade
-);
+criterion_group!(serving, bench_block_vs_rows, bench_cascade);
 criterion_main!(serving);

@@ -1,25 +1,22 @@
 //! # bcpnn-bench
 //!
-//! Experiment harness reproducing every table and figure of
+//! Experiment harness reproducing the claims of
 //! *"Higgs Boson Classification: Brain-inspired BCPNN Learning with
 //! StreamBrain"* (CLUSTER 2021).
 //!
-//! Each figure has a dedicated binary (see `src/bin/`): `fig2_insitu`,
-//! `fig3_capacity`, `fig4_receptive_field`, `fig5_masks`, `headline`,
-//! `baselines`, and `hyperopt_search`. The binaries print the same
-//! rows/series the paper reports and write CSVs under `results/` (or
-//! `$BCPNN_RESULTS_DIR`). Criterion micro-benchmarks of the kernels live in
-//! `benches/`.
+//! [`experiments`] holds one function per experiment of the paper and the
+//! claims table they fill; the flag-less `reproduce` binary runs them all
+//! and prints `EXPERIMENTS.md` (`cargo run --release -p bcpnn-bench --bin
+//! reproduce > EXPERIMENTS.md`), and `tests/experiment_shapes.rs` asserts
+//! the same claims on miniature set-ups. Criterion micro-benchmarks of the
+//! kernels live in `benches/`; `bench_compare` gates them in CI.
 //!
-//! This library holds the pieces the binaries share: Higgs data
+//! This library root holds the pieces the experiments share: Higgs data
 //! preparation (synthetic generator → balanced subset → quantile one-hot
-//! encoding), a single-run driver, repetition/aggregation (the paper
-//! averages 10 repetitions per configuration), simple table printing and
-//! CSV output, and a tiny CLI-flag parser.
+//! encoding), a single-run driver and repetition/aggregation (the paper
+//! averages 10 repetitions per configuration).
 
 #![warn(missing_docs)]
-
-use std::path::PathBuf;
 
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::NetworkEstimator;
@@ -30,8 +27,8 @@ use bcpnn_data::split::{balanced_subset, stratified_split};
 use bcpnn_data::Dataset;
 use bcpnn_tensor::Matrix;
 
-pub mod args;
 pub mod benchjson;
+pub mod experiments;
 pub mod table;
 
 /// Seed mask applied to derive the shuffling seed from the run seed, so the
@@ -185,8 +182,7 @@ fn training_params(config: &BcpnnRunConfig, seed: u64) -> TrainingParams {
 }
 
 /// The [`NetworkEstimator`] (topology + training schedule) for a run
-/// configuration: the single spelling every binary and the hyperopt search
-/// train through.
+/// configuration: the single spelling every experiment trains through.
 pub fn build_estimator(config: &BcpnnRunConfig, input_width: usize, seed: u64) -> NetworkEstimator {
     let hidden = HiddenLayerParams {
         n_inputs: input_width,
@@ -209,7 +205,7 @@ pub fn build_estimator(config: &BcpnnRunConfig, input_width: usize, seed: u64) -
 }
 
 /// Build the (untrained) network for a run configuration (exposed so the
-/// Fig. 2 and Fig. 5 binaries can attach observers before training).
+/// Fig. 2 and Fig. 5 experiments can attach observers and read masks).
 pub fn build_network(config: &BcpnnRunConfig, input_width: usize, seed: u64) -> Network {
     build_estimator(config, input_width, seed)
         .builder
@@ -295,31 +291,6 @@ pub fn run_repeated(
     (outcomes, agg)
 }
 
-/// Directory experiment CSVs are written to (`results/` or
-/// `$BCPNN_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    std::env::var("BCPNN_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
-
-/// Write CSV rows (with a header) into `results_dir()/name`, returning the
-/// path written.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
-    let mut text = String::with_capacity(rows.len() * 64 + header.len() + 1);
-    text.push_str(header);
-    text.push('\n');
-    for row in rows {
-        text.push_str(row);
-        text.push('\n');
-    }
-    std::fs::write(&path, text)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,21 +360,5 @@ mod tests {
         assert!((agg.mean_auc - 0.70).abs() < 1e-12);
         assert_eq!(agg.repetitions, 2);
         assert!(agg.std_accuracy > 0.0);
-    }
-
-    #[test]
-    fn write_csv_places_files_under_results_dir() {
-        let dir = std::env::temp_dir().join(format!("bcpnn_results_{}", std::process::id()));
-        std::env::set_var("BCPNN_RESULTS_DIR", &dir);
-        let path = write_csv(
-            "unit_test.csv",
-            "a,b",
-            &["1,2".to_string(), "3,4".to_string()],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "a,b\n1,2\n3,4\n");
-        std::fs::remove_dir_all(&dir).ok();
-        std::env::remove_var("BCPNN_RESULTS_DIR");
     }
 }

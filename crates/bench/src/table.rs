@@ -1,78 +1,25 @@
-//! Plain-text table rendering for the experiment binaries (the printed
-//! counterpart of the paper's figures).
+//! The one markdown writer of the reproduction ledger: pipe tables and the
+//! number formats every `EXPERIMENTS.md` cell uses.
 
-/// A simple fixed-width text table builder.
-#[derive(Debug, Clone, Default)]
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
+use bcpnn_tensor::stats::{mean, std_dev};
 
-impl Table {
-    /// Create a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row (must have as many cells as the header).
-    ///
-    /// # Panics
-    /// Panics on a column-count mismatch.
-    pub fn add_row(&mut self, cells: &[String]) {
+/// A markdown pipe table. The header and every row are written with their
+/// cells separated by `" | "`, so a row is one `format!`.
+///
+/// # Panics
+/// Panics when a row does not have as many cells as the header.
+pub fn table(header: &str, rows: &[String]) -> String {
+    let columns = header.split(" | ").count();
+    let mut out = format!("| {header} |\n|{}\n", " --- |".repeat(columns));
+    for row in rows {
         assert_eq!(
-            cells.len(),
-            self.header.len(),
-            "row has {} cells, table has {} columns",
-            cells.len(),
-            self.header.len()
+            row.split(" | ").count(),
+            columns,
+            "row {row:?} does not have the {columns} cells of {header:?}"
         );
-        self.rows.push(cells.to_vec());
+        out.push_str(&format!("| {row} |\n"));
     }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Render the table with aligned columns.
-    pub fn render(&self) -> String {
-        let n_cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (c, cell) in row.iter().enumerate() {
-                widths[c] = widths[c].max(cell.len());
-            }
-        }
-        let render_row = |cells: &[String]| -> String {
-            let mut line = String::new();
-            for c in 0..n_cols {
-                if c > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{:width$}", cells[c], width = widths[c]));
-            }
-            line.trim_end().to_string()
-        };
-        let mut out = String::new();
-        out.push_str(&render_row(&self.header));
-        out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (n_cols - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&render_row(row));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Print the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
+    out
 }
 
 /// Format a fraction as a percentage with two decimals (`0.6858` → `68.58%`).
@@ -80,14 +27,25 @@ pub fn pct(v: f64) -> String {
     format!("{:.2}%", v * 100.0)
 }
 
-/// Format seconds with one decimal.
-pub fn secs(v: f64) -> String {
-    format!("{v:.1}s")
-}
-
 /// Format a mean ± standard deviation pair.
 pub fn mean_std(mean: f64, std: f64) -> String {
     format!("{mean:.3} ± {std:.3}")
+}
+
+/// Format a mean ± standard deviation pair of fractions as a percentage.
+pub fn pct_mean_std(mean: f64, std: f64) -> String {
+    format!("{:.2} ± {:.2}%", mean * 100.0, std * 100.0)
+}
+
+/// Mean ± sample standard deviation of fractions, as a percentage
+/// (`[0.68, 0.70]` → `69.00 ± 1.41%`).
+pub fn pct_spread(values: &[f64]) -> String {
+    pct_mean_std(mean(values), std_dev(values))
+}
+
+/// Mean ± sample standard deviation with three decimals (AUCs, seconds).
+pub fn spread(values: &[f64]) -> String {
+    mean_std(mean(values), std_dev(values))
 }
 
 #[cfg(test)]
@@ -95,41 +53,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned_columns() {
-        let mut t = Table::new(&["config", "accuracy", "time"]);
-        t.add_row(&[
-            "1 HCU".to_string(),
-            "68.58%".to_string(),
-            "86.6s".to_string(),
-        ]);
-        t.add_row(&[
-            "8 HCU x 3000 MCU".to_string(),
-            "69.15%".to_string(),
-            "606.0s".to_string(),
-        ]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("config"));
-        assert!(lines[1].chars().all(|c| c == '-'));
-        assert!(lines[3].contains("69.15%"));
-        // Columns align: "accuracy" starts at the same offset in all rows.
-        let col = lines[0].find("accuracy").unwrap();
-        assert_eq!(&lines[2][col..col + 6], "68.58%");
-        assert_eq!(t.n_rows(), 2);
+    fn renders_pipe_rows() {
+        let rows = ["1 HCU | 68.58%".to_string(), "8 HCU | 69.15%".to_string()];
+        assert_eq!(
+            table("config | accuracy", &rows),
+            "| config | accuracy |\n| --- | --- |\n| 1 HCU | 68.58% |\n| 8 HCU | 69.15% |\n"
+        );
     }
 
     #[test]
     #[should_panic(expected = "cells")]
-    fn add_row_validates_width() {
-        let mut t = Table::new(&["a", "b"]);
-        t.add_row(&["only one".to_string()]);
+    fn rejects_ragged_rows() {
+        table("a | b", &["only one".to_string()]);
     }
 
     #[test]
     fn formatters() {
         assert_eq!(pct(0.6858), "68.58%");
-        assert_eq!(secs(86.64), "86.6s");
         assert_eq!(mean_std(0.5, 0.01), "0.500 ± 0.010");
+        assert_eq!(pct_spread(&[0.68, 0.70]), "69.00 ± 1.41%");
+        assert_eq!(spread(&[0.75, 0.75]), "0.750 ± 0.000");
     }
 }

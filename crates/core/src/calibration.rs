@@ -24,7 +24,7 @@
 //! order-preserving IEEE operation — so calibrated rows never reorder
 //! classes (`crates/core/tests/calibration_prop.rs` property-tests this).
 //! A fitted calibration rides along in `v4` model directories (one
-//! `calibration.mat` state file; `v1`–`v3` directories still load) and
+//! `calibration.mat` state file) and
 //! round-trips persistence bit-exactly.
 
 use bcpnn_tensor::Matrix;

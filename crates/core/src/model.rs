@@ -20,7 +20,7 @@
 //! [`Pipeline`] is the deployable artifact: a chain of fitted transformer
 //! [`Stage`]s in front of a trained network, so raw feature vectors go in
 //! and class probabilities come out. It persists as a self-describing
-//! stage-tagged `v3` model directory (`v1`/`v2` directories still load);
+//! stage-tagged `v4` model directory;
 //! `bcpnn-serve` serves any `Predictor` — a loaded `Pipeline` being the
 //! common case.
 //!
@@ -491,7 +491,7 @@ impl Estimator for PipelineEstimator {
 
 /// A persistable transformer stage of a [`Pipeline`].
 ///
-/// The closed set of stage kinds is what makes the `v3` model-directory
+/// The closed set of stage kinds is what makes the `v4` model-directory
 /// format self-describing: each stage serializes under a stable tag
 /// ([`Stage::kind`]) so a loader can reconstruct the exact chain — and an
 /// unknown tag is a typed [`CoreError::Format`], never a panic.
@@ -580,7 +580,7 @@ pub(crate) fn validate_chain(stages: &[Stage], n_inputs: usize) -> CoreResult<()
 /// Offline experiments encode the whole dataset once and train on the
 /// binary code; a serving system cannot ask its clients to do that. The
 /// pipeline closes the gap — it is the artifact `bcpnn-serve` publishes,
-/// and it persists as a stage-tagged `v3` model directory
+/// and it persists as a stage-tagged `v4` model directory
 /// ([`Pipeline::save`] / [`Pipeline::load`]).
 /// `Clone` copies the fitted stages and the full trainable network state,
 /// so a clone learns independently of the original — the seam the
@@ -799,12 +799,12 @@ impl Pipeline {
         result
     }
 
-    /// Save the artifact as a stage-tagged (`v3`) model directory.
+    /// Save the artifact as a stage-tagged (`v4`) model directory.
     pub fn save<P: AsRef<std::path::Path>>(&self, dir: P) -> CoreResult<()> {
         crate::serialize::save_pipeline(self, dir)
     }
 
-    /// Load an artifact from a model directory (`v1`, `v2` or `v3`),
+    /// Load an artifact from a (`v4`) model directory,
     /// instantiating the network on the given backend (backends are
     /// runtime configuration, not model state).
     pub fn load<P: AsRef<std::path::Path>>(

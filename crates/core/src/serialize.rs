@@ -8,26 +8,19 @@
 //! both keeps the files small and guarantees the loaded model is internally
 //! consistent.
 //!
-//! ## Format versions
+//! ## Format
 //!
-//! * `v1` — network state only.
-//! * `v2` — additionally records whether a fitted input encoder ships with
-//!   the model (`encoder quantile` + `encoder.txt`), so a model directory
-//!   can be a complete raw-features-in → probabilities-out serving
-//!   artifact.
-//! * `v3` — self-describing **stage-tagged** format: the
-//!   manifest carries a `stages N` count plus one `stage<i> <kind>` line
-//!   per fitted transformer stage (kinds: `quantile`, `thermometer`,
-//!   `standardize`; state in `stage<i>.txt`), so an arbitrary
-//!   [`Pipeline`](crate::model::Pipeline) chain persists and reloads
-//!   exactly (see [`save_pipeline`] / [`load_pipeline`]). An unknown stage
-//!   tag is a typed [`CoreError::Format`], never a panic.
-//! * `v4` (current) — additionally persists an attached post-hoc
-//!   [`Calibration`]: a `calibration <kind>` manifest line (kinds:
-//!   `temperature`, `isotonic`) plus the fitted state in
-//!   `calibration.mat`, written **only when a calibration is attached** —
-//!   an uncalibrated `v4` directory differs from a `v3` one solely in the
-//!   header version. `v1`–`v3` directories still load.
+//! One format is written and read, `v4`: a self-describing
+//! **stage-tagged** manifest carrying a `stages N` count plus one
+//! `stage<i> <kind>` line per fitted transformer stage (kinds: `quantile`,
+//! `thermometer`, `standardize`; state in `stage<i>.txt`), so an arbitrary
+//! [`Pipeline`](crate::model::Pipeline) chain persists and reloads exactly
+//! (see [`save_pipeline`] / [`load_pipeline`]), and an attached post-hoc
+//! [`Calibration`] as a `calibration <kind>` line (kinds: `temperature`,
+//! `isotonic`) plus the fitted state in `calibration.mat`, written **only
+//! when a calibration is attached**. An unknown stage tag, and any other
+//! header version (`v1`–`v3` were never shipped in a model directory), is
+//! a typed [`CoreError::Format`], never a panic.
 
 use std::collections::HashMap;
 use std::fs;
@@ -48,17 +41,14 @@ use crate::params::{HiddenLayerParams, SgdParams};
 use crate::traces::ProbabilityTraces;
 
 const MANIFEST: &str = "manifest.txt";
-/// File the fitted input encoder is stored in (v2 directories only).
-const ENCODER_FILE: &str = "encoder.txt";
-/// File an attached calibration is stored in (v4 directories only).
+/// File an attached calibration is stored in.
 const CALIBRATION_FILE: &str = "calibration.mat";
 const MAGIC: &str = "bcpnn-network";
-/// Version written by [`save_network`] / [`save_pipeline`].
+/// The one version written by [`save_network`] / [`save_pipeline`] and
+/// accepted by [`load_network`] / [`load_pipeline`].
 const VERSION: &str = "v4";
-/// Versions [`load_network`] accepts.
-const READABLE_VERSIONS: [&str; 4] = ["v1", "v2", "v3", "v4"];
 
-/// File one fitted stage is stored in (v3 directories).
+/// File one fitted stage is stored in.
 fn stage_file(i: usize) -> String {
     format!("stage{i}.txt")
 }
@@ -66,7 +56,7 @@ fn stage_file(i: usize) -> String {
 /// Persist one fitted [`Stage`] to `path` (the per-stage state file of the
 /// stage-tagged directory formats). Public so sibling crates persisting
 /// their own stage-tagged artifacts — e.g. the quantized-pipeline format in
-/// `bcpnn-lowprec` — reuse the exact stage encodings of the `v3` model
+/// `bcpnn-lowprec` — reuse the exact stage encodings of the model
 /// directories instead of inventing parallel ones.
 pub fn save_stage(stage: &Stage, path: &Path) -> CoreResult<()> {
     match stage {
@@ -217,8 +207,7 @@ fn save_stages(
         save_stage(stage, &dir.join(stage_file(i)))?;
     }
     // The calibration key (and its state file) exists only when a
-    // calibration is attached, so uncalibrated v4 directories stay
-    // byte-identical to v3 ones apart from the header version.
+    // calibration is attached.
     if let Some(cal) = calibration {
         cal.validate()?;
         manifest.push_str(&format!("calibration {}\n", cal.kind()));
@@ -248,21 +237,18 @@ fn save_stages(
     Ok(())
 }
 
-fn parse_manifest(path: &Path) -> CoreResult<(String, HashMap<String, String>)> {
+fn parse_manifest(path: &Path) -> CoreResult<HashMap<String, String>> {
     let text = fs::read_to_string(path)?;
     let mut lines = text.lines();
     let header = lines
         .next()
         .ok_or_else(|| CoreError::Format("empty manifest".into()))?;
     let mut hp = header.split_whitespace();
-    let version = match (hp.next(), hp.next()) {
-        (Some(m), Some(v)) if m == MAGIC && READABLE_VERSIONS.contains(&v) => v.to_string(),
-        _ => {
-            return Err(CoreError::Format(format!(
-                "bad manifest header: {header:?}"
-            )))
-        }
-    };
+    if (hp.next(), hp.next()) != (Some(MAGIC), Some(VERSION)) {
+        return Err(CoreError::Format(format!(
+            "bad manifest header: {header:?}"
+        )));
+    }
     let mut map = HashMap::new();
     for line in lines {
         let line = line.trim();
@@ -274,7 +260,7 @@ fn parse_manifest(path: &Path) -> CoreResult<(String, HashMap<String, String>)> 
             .ok_or_else(|| CoreError::Format(format!("bad manifest line: {line:?}")))?;
         map.insert(k.to_string(), v.trim().to_string());
     }
-    Ok((version, map))
+    Ok(map)
 }
 
 fn get<T: std::str::FromStr>(map: &HashMap<String, String>, key: &str) -> CoreResult<T> {
@@ -293,17 +279,11 @@ pub fn load_network<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<
     Ok(load_stages(dir.as_ref(), backend)?.0)
 }
 
-/// Versions whose manifests are stage-tagged (`stages N` + `stage<i>`
-/// keys) rather than carrying the legacy `encoder` key.
-fn is_stage_tagged(version: &str) -> bool {
-    matches!(version, "v3" | "v4")
-}
-
 /// Load a network together with the fitted input encoder, if the directory
-/// carries the canonical single-encoder chain (`v2` directories written by
-/// [`save_network_with_encoder`], or `v3` directories whose only stage is
-/// a quantile encoder). `v1` directories and stage-less directories yield
-/// `None`; use [`load_pipeline`] for arbitrary stage chains.
+/// carries the canonical single-encoder chain (written by
+/// [`save_network_with_encoder`], or any directory whose only stage is a
+/// quantile encoder). Other directories yield `None`; use
+/// [`load_pipeline`] for arbitrary stage chains.
 pub fn load_network_with_encoder<P: AsRef<Path>>(
     dir: P,
     backend: BackendKind,
@@ -317,7 +297,7 @@ pub fn load_network_with_encoder<P: AsRef<Path>>(
 }
 
 /// Load a full [`Pipeline`] — the fitted stage chain, any attached
-/// calibration, plus the trained network — from a `v1`–`v4` model
+/// calibration, plus the trained network — from a model
 /// directory, instantiating the network on the given backend.
 pub fn load_pipeline<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<Pipeline> {
     let (network, stages, calibration) = load_stages(dir.as_ref(), backend)?;
@@ -331,35 +311,21 @@ fn load_stages(
     dir: &Path,
     backend: BackendKind,
 ) -> CoreResult<(Network, Vec<Stage>, Option<Calibration>)> {
-    let (version, manifest) = parse_manifest(&dir.join(MANIFEST))?;
-    let stages: Vec<Stage> = if is_stage_tagged(&version) {
-        let n_stages: usize = get(&manifest, "stages")?;
-        (0..n_stages)
-            .map(|i| {
-                let key = format!("stage{i}");
-                let kind = manifest
-                    .get(&key)
-                    .ok_or_else(|| CoreError::Format(format!("manifest missing key {key:?}")))?;
-                load_stage(kind, &dir.join(stage_file(i)))
-            })
-            .collect::<CoreResult<_>>()?
-    } else {
-        // v1 manifests have no `encoder` key at all; v2 tags one encoder.
-        match manifest.get("encoder").map(String::as_str) {
-            Some("quantile") => vec![Stage::Quantile(QuantileEncoder::load(
-                dir.join(ENCODER_FILE),
-            )?)],
-            Some("none") | None => Vec::new(),
-            Some(other) => {
-                return Err(CoreError::Format(format!("unknown encoder kind {other:?}")))
-            }
-        }
-    };
-    // Only v4 manifests may carry a calibration; the key is absent when no
-    // calibration was attached at save time.
-    let calibration = match (version.as_str(), manifest.get("calibration")) {
-        ("v4", Some(kind)) => Some(load_calibration(kind, &dir.join(CALIBRATION_FILE))?),
-        _ => None,
+    let manifest = parse_manifest(&dir.join(MANIFEST))?;
+    let n_stages: usize = get(&manifest, "stages")?;
+    let stages: Vec<Stage> = (0..n_stages)
+        .map(|i| {
+            let key = format!("stage{i}");
+            let kind = manifest
+                .get(&key)
+                .ok_or_else(|| CoreError::Format(format!("manifest missing key {key:?}")))?;
+            load_stage(kind, &dir.join(stage_file(i)))
+        })
+        .collect::<CoreResult<_>>()?;
+    // The key is absent when no calibration was attached at save time.
+    let calibration = match manifest.get("calibration") {
+        Some(kind) => Some(load_calibration(kind, &dir.join(CALIBRATION_FILE))?),
+        None => None,
     };
     let hidden = HiddenLayerParams {
         n_inputs: get(&manifest, "n_inputs")?,
@@ -532,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn encoder_rides_along_in_v2_directories() {
+    fn encoder_rides_along_as_the_single_stage() {
         use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 
         let data = generate(&SyntheticHiggsConfig {
@@ -563,7 +529,7 @@ mod tests {
         let dir = temp_dir("with_encoder");
         save_network_with_encoder(&net, Some(&encoder), &dir).unwrap();
         let (loaded, enc) = load_network_with_encoder(&dir, BackendKind::Naive).unwrap();
-        let enc = enc.expect("v2 directory must carry the encoder");
+        let enc = enc.expect("the directory must carry the encoder");
         assert_eq!(enc, encoder);
 
         // Raw features -> encoded -> predictions match the original model.
@@ -613,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_directories_still_load() {
+    fn older_headers_are_a_typed_format_error() {
         let (x, y) = toy_data(120, 16, 20);
         let mut net = Network::builder()
             .input(16)
@@ -632,88 +598,30 @@ mod tests {
         })
         .fit(&mut net, &x, &y)
         .unwrap();
-        let dir = temp_dir("v1_compat");
+        let dir = temp_dir("older_headers");
         save_network(&net, &dir).unwrap();
-
-        // Rewrite the manifest as a v1 writer would have produced it: v1
-        // header, no `encoder` or `stage*` keys.
-        let manifest_path = dir.join(MANIFEST);
-        let text = fs::read_to_string(&manifest_path).unwrap();
-        let v1_text: String = text
-            .lines()
-            .filter(|l| !l.starts_with("encoder ") && !l.starts_with("stage"))
-            .map(|l| {
-                if l.starts_with(MAGIC) {
-                    format!("{MAGIC} v1\n")
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        fs::write(&manifest_path, v1_text).unwrap();
-
-        let (loaded, enc) = load_network_with_encoder(&dir, BackendKind::Naive).unwrap();
-        assert!(enc.is_none(), "v1 directories carry no encoder");
-        let (xt, _) = toy_data(20, 16, 22);
-        assert!(
-            net.predict_proba(&xt)
-                .unwrap()
-                .max_abs_diff(&loaded.predict_proba(&xt).unwrap())
-                < 1e-4
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Write the directory the pre-v3 (`v2`) writer would have produced:
-    /// `v2` header, `encoder quantile` key, state in `encoder.txt`.
-    fn downgrade_to_v2(dir: &Path) {
-        let manifest_path = dir.join(MANIFEST);
-        let text = fs::read_to_string(&manifest_path).unwrap();
-        let v2_text: String = text
-            .lines()
-            .filter_map(|l| {
-                if l.starts_with(MAGIC) {
-                    Some(format!("{MAGIC} v2\n"))
-                } else if l == "stages 1" {
-                    Some("encoder quantile\n".into())
-                } else if l == "stages 0" {
-                    Some("encoder none\n".into())
-                } else if l.starts_with("stage0 ") {
-                    None
-                } else {
-                    Some(format!("{l}\n"))
-                }
-            })
-            .collect();
-        fs::write(&manifest_path, v2_text).unwrap();
-        if dir.join(stage_file(0)).exists() {
-            fs::rename(dir.join(stage_file(0)), dir.join(ENCODER_FILE)).unwrap();
-        }
-    }
-
-    #[test]
-    fn v2_directories_load_into_the_v3_world() {
-        let (pipeline, data) = crate::model::tests::tiny_pipeline(30);
-        let dir = temp_dir("v2_compat");
-        save_pipeline(&pipeline, &dir).unwrap();
-        downgrade_to_v2(&dir);
-        assert!(
-            fs::read_to_string(dir.join(MANIFEST))
-                .unwrap()
-                .contains("encoder quantile"),
-            "fixture must be a genuine v2 directory"
-        );
-
-        // Loads as a pipeline, as a (network, encoder) pair, and as a bare
-        // network — all agreeing with the original model.
-        let loaded = load_pipeline(&dir, BackendKind::Naive).unwrap();
-        assert_eq!(loaded.stages().len(), 1);
-        use crate::model::Predictor;
-        let a = pipeline.predict_proba(&data.features).unwrap();
-        let b = loaded.predict_proba(&data.features).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-6);
         let (_, enc) = load_network_with_encoder(&dir, BackendKind::Naive).unwrap();
-        assert_eq!(enc.as_ref(), pipeline.encoder());
+        assert!(enc.is_none(), "stage-less directories carry no encoder");
+
+        let manifest_path = dir.join(MANIFEST);
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        for version in ["v1", "v2", "v3"] {
+            fs::write(
+                &manifest_path,
+                text.replacen(
+                    &format!("{MAGIC} {VERSION}"),
+                    &format!("{MAGIC} {version}"),
+                    1,
+                ),
+            )
+            .unwrap();
+            match load_pipeline(&dir, BackendKind::Naive) {
+                Err(CoreError::Format(msg)) => {
+                    assert_eq!(msg, format!("bad manifest header: \"{MAGIC} {version}\""))
+                }
+                other => panic!("{version}: expected a Format error, got {other:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

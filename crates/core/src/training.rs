@@ -48,8 +48,8 @@ pub struct EpochStats {
 }
 
 /// Observer invoked at the end of every epoch — the hook behind the in-situ
-/// receptive-field visualization (the `bcpnn-viz` crate implements it with a
-/// VTI/PGM exporter playing the role of the ParaView Catalyst adaptor).
+/// receptive-field visualization (the `bcpnn-viz` crate implements it with an
+/// in-memory mask recorder playing the role of the ParaView Catalyst adaptor).
 pub trait TrainingObserver {
     /// Called after each epoch with the network state and the epoch stats.
     fn on_epoch_end(&mut self, network: &Network, stats: &EpochStats);

@@ -5,13 +5,12 @@
 //! head it predicts with — and produce a standalone [`Predictor`] that
 //!
 //! * stores weights as int8 codes with a per-output-column scale
-//!   ([`QuantPrecision::Int8`], 4x smaller) or as bfloat16 bit patterns
-//!   ([`QuantPrecision::Bf16`], 2x smaller),
+//!   ([`QuantPrecision::Int8`], 4x smaller),
 //! * implements the zero-allocation [`Predictor::predict_proba_into`]
 //!   discipline through [`Workspace::inference_scratch`],
 //! * persists as a stage-tagged artifact directory
 //!   ([`QuantizedPipeline::save`] / [`QuantizedPipeline::load`]) reusing
-//!   the `v3` stage encodings via [`bcpnn_core::save_stage`], and
+//!   the model-directory stage encodings via [`bcpnn_core::save_stage`], and
 //! * publishes to the serving `ModelRegistry` like any other model
 //!   (`examples/serving.rs` does exactly that).
 //!
@@ -28,8 +27,6 @@ use bcpnn_core::{load_stage, save_stage, CoreError, CoreResult, Pipeline, Readou
 use bcpnn_tensor::simd::dispatch;
 use bcpnn_tensor::{load_matrix, save_matrix, Matrix};
 
-use crate::bf16::Bf16;
-
 const MANIFEST: &str = "manifest.txt";
 const MAGIC: &str = "bcpnn-quantized";
 const VERSION: &str = "v1";
@@ -39,8 +36,6 @@ const VERSION: &str = "v1";
 pub enum QuantPrecision {
     /// Symmetric int8 codes with one `f32` scale per output column.
     Int8,
-    /// bfloat16 (round-to-nearest-even) bit patterns.
-    Bf16,
 }
 
 impl QuantPrecision {
@@ -48,7 +43,6 @@ impl QuantPrecision {
     pub fn name(self) -> &'static str {
         match self {
             Self::Int8 => "int8",
-            Self::Bf16 => "bf16",
         }
     }
 
@@ -56,7 +50,6 @@ impl QuantPrecision {
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "int8" | "i8" => Some(Self::Int8),
-            "bf16" | "bfloat16" => Some(Self::Bf16),
             _ => None,
         }
     }
@@ -68,63 +61,45 @@ impl std::fmt::Display for QuantPrecision {
     }
 }
 
-/// Quantized weight storage of one linear layer.
-#[derive(Debug, Clone)]
-enum QWeights {
-    /// Row-major `n_in x n_out` int8 codes; `w_ij ≈ codes[i][j] · scales[j]`.
-    Int8 { codes: Vec<i8>, scales: Vec<f32> },
-    /// Row-major `n_in x n_out` bfloat16 bit patterns.
-    Bf16 { codes: Vec<u16> },
-}
-
-/// One quantized linear layer: narrow weights, `f32` bias and accumulator.
+/// One quantized linear layer: int8 weights, `f32` bias and accumulator.
 #[derive(Debug, Clone)]
 struct QuantizedLinear {
     n_in: usize,
     n_out: usize,
-    weights: QWeights,
+    /// Row-major `n_in x n_out` int8 codes; `w_ij ≈ codes[i][j] · scales[j]`.
+    codes: Vec<i8>,
+    /// One scale per output column.
+    scales: Vec<f32>,
     bias: Vec<f32>,
 }
 
 impl QuantizedLinear {
     /// Quantize a dense `f32` layer (`n_in x n_out` weights + bias).
-    fn quantize(weights: &Matrix<f32>, bias: &[f32], precision: QuantPrecision) -> Self {
+    fn quantize(weights: &Matrix<f32>, bias: &[f32]) -> Self {
         let (n_in, n_out) = weights.shape();
-        let weights = match precision {
-            QuantPrecision::Int8 => {
-                // Symmetric per-output-column scaling: each column's dynamic
-                // range is set by the unit it feeds, so sharing one scale
-                // per column loses far less than one scale per tensor.
-                let mut scales = vec![0.0f32; n_out];
-                for i in 0..n_in {
-                    for (j, &w) in weights.row(i).iter().enumerate() {
-                        scales[j] = scales[j].max(w.abs());
-                    }
-                }
-                for s in scales.iter_mut() {
-                    *s = if *s > 0.0 { *s / 127.0 } else { 1.0 };
-                }
-                let mut codes = Vec::with_capacity(n_in * n_out);
-                for i in 0..n_in {
-                    for (j, &w) in weights.row(i).iter().enumerate() {
-                        codes.push((w / scales[j]).round().clamp(-127.0, 127.0) as i8);
-                    }
-                }
-                QWeights::Int8 { codes, scales }
+        // Symmetric per-output-column scaling: each column's dynamic
+        // range is set by the unit it feeds, so sharing one scale
+        // per column loses far less than one scale per tensor.
+        let mut scales = vec![0.0f32; n_out];
+        for i in 0..n_in {
+            for (j, &w) in weights.row(i).iter().enumerate() {
+                scales[j] = scales[j].max(w.abs());
             }
-            QuantPrecision::Bf16 => {
-                let codes = weights
-                    .as_slice()
-                    .iter()
-                    .map(|&w| Bf16::from_f32(w).to_bits())
-                    .collect();
-                QWeights::Bf16 { codes }
+        }
+        for s in scales.iter_mut() {
+            *s = if *s > 0.0 { *s / 127.0 } else { 1.0 };
+        }
+        let mut codes = Vec::with_capacity(n_in * n_out);
+        for i in 0..n_in {
+            for (j, &w) in weights.row(i).iter().enumerate() {
+                codes.push((w / scales[j]).round().clamp(-127.0, 127.0) as i8);
             }
-        };
+        }
         Self {
             n_in,
             n_out,
-            weights,
+            codes,
+            scales,
             bias: bias.to_vec(),
         }
     }
@@ -133,67 +108,46 @@ impl QuantizedLinear {
     /// major with zero skipping, like the naive backend: the `f32` output
     /// row stays cache-hot across one sample's active inputs, and the
     /// traffic that *is* re-streamed per sample — the weight rows — is
-    /// where the narrow codes pay (a 2–4x smaller footprint than `f32`
+    /// where the narrow codes pay (a 4x smaller footprint than `f32`
     /// weights). `out` is resized to `batch x n_out`.
     fn forward_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) {
         assert_eq!(x.cols(), self.n_in, "quantized forward: input width");
         let batch = x.rows();
         out.reset(batch, self.n_out);
         // Resolve the SIMD tier once per call; the decode-and-accumulate
-        // kernels are bit-identical across tiers (i8/bf16 decoding is exact
+        // kernels are bit-identical across tiers (i8 decoding is exact
         // and multiplies stay separate from adds), so quantized serving
         // output does not depend on which tier the host CPU lands on.
         let tier = dispatch::active_tier();
-        match &self.weights {
-            QWeights::Int8 { codes, scales } => {
-                for b in 0..batch {
-                    let x_row = x.row(b);
-                    let out_row = out.row_mut(b);
-                    // Accumulate raw code dot-products, then apply the
-                    // column scales and bias in one pass: one multiply per
-                    // output element instead of one per weight.
-                    for (i, &xv) in x_row.iter().enumerate() {
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        let code_row = &codes[i * self.n_out..(i + 1) * self.n_out];
-                        if xv == 1.0 {
-                            // Binary one-hot encodings dominate serving
-                            // input: the multiply disappears entirely.
-                            dispatch::accumulate_i8_with(tier, out_row, code_row);
-                        } else {
-                            dispatch::axpy_i8_with(tier, out_row, xv, code_row);
-                        }
-                    }
-                    for ((o, &s), &bias) in out_row.iter_mut().zip(scales).zip(&self.bias) {
-                        *o = s * *o + bias;
-                    }
+        for b in 0..batch {
+            let x_row = x.row(b);
+            let out_row = out.row_mut(b);
+            // Accumulate raw code dot-products, then apply the
+            // column scales and bias in one pass: one multiply per
+            // output element instead of one per weight.
+            for (i, &xv) in x_row.iter().enumerate() {
+                if xv == 0.0 {
+                    continue;
+                }
+                let code_row = &self.codes[i * self.n_out..(i + 1) * self.n_out];
+                if xv == 1.0 {
+                    // Binary one-hot encodings dominate serving
+                    // input: the multiply disappears entirely.
+                    dispatch::accumulate_i8_with(tier, out_row, code_row);
+                } else {
+                    dispatch::axpy_i8_with(tier, out_row, xv, code_row);
                 }
             }
-            QWeights::Bf16 { codes } => {
-                for b in 0..batch {
-                    let x_row = x.row(b);
-                    let out_row = out.row_mut(b);
-                    out_row.copy_from_slice(&self.bias);
-                    for (i, &xv) in x_row.iter().enumerate() {
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        let code_row = &codes[i * self.n_out..(i + 1) * self.n_out];
-                        dispatch::axpy_bf16_with(tier, out_row, xv, code_row);
-                    }
-                }
+            for ((o, &s), &bias) in out_row.iter_mut().zip(&self.scales).zip(&self.bias) {
+                *o = s * *o + bias;
             }
         }
     }
 
-    /// The codes as an exactly-roundtrippable `f32` text matrix (int8 and
-    /// u16 values are all exactly representable in `f32`).
+    /// The codes as an exactly-roundtrippable `f32` text matrix (int8
+    /// values are all exactly representable in `f32`).
     fn codes_matrix(&self) -> Matrix<f32> {
-        let data: Vec<f32> = match &self.weights {
-            QWeights::Int8 { codes, .. } => codes.iter().map(|&c| f32::from(c)).collect(),
-            QWeights::Bf16 { codes } => codes.iter().map(|&c| f32::from(c)).collect(),
-        };
+        let data: Vec<f32> = self.codes.iter().map(|&c| f32::from(c)).collect();
         Matrix::from_vec(self.n_in, self.n_out, data)
     }
 }
@@ -244,13 +198,9 @@ impl QuantizedPipeline {
         };
         Ok(Self {
             stages: pipeline.stages().to_vec(),
-            hidden: QuantizedLinear::quantize(
-                hidden_layer.masked_weights(),
-                hidden_layer.bias(),
-                precision,
-            ),
+            hidden: QuantizedLinear::quantize(hidden_layer.masked_weights(), hidden_layer.bias()),
             n_mcu: hidden_layer.params().n_mcu,
-            readout: QuantizedLinear::quantize(ro_weights, ro_bias, precision),
+            readout: QuantizedLinear::quantize(ro_weights, ro_bias),
             precision,
             input_width: pipeline.input_width(),
         })
@@ -281,11 +231,7 @@ impl QuantizedPipeline {
     /// tensors occupy in `f32` — the compression headline.
     pub fn weight_bytes(&self) -> (usize, usize) {
         let elems = self.hidden.n_in * self.hidden.n_out + self.readout.n_in * self.readout.n_out;
-        let narrow = match self.precision {
-            QuantPrecision::Int8 => elems,
-            QuantPrecision::Bf16 => elems * 2,
-        };
-        (narrow, elems * 4)
+        (elems, elems * 4)
     }
 
     /// Class probabilities for a batch of raw feature rows, written into
@@ -325,7 +271,7 @@ impl QuantizedPipeline {
 
     /// Save as a self-describing quantized artifact directory: a manifest,
     /// the code/scale/bias tensors as text matrices, and the fitted stages
-    /// under the same stage encodings as `v3` model directories.
+    /// under the same stage encodings as `v4` model directories.
     pub fn save<P: AsRef<Path>>(&self, dir: P) -> CoreResult<()> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
@@ -345,12 +291,10 @@ impl QuantizedPipeline {
                 &Matrix::from_vec(1, layer.bias.len(), layer.bias.clone()),
                 dir.join(format!("{name}_bias.txt")),
             )?;
-            if let QWeights::Int8 { scales, .. } = &layer.weights {
-                save_matrix(
-                    &Matrix::from_vec(1, scales.len(), scales.clone()),
-                    dir.join(format!("{name}_scales.txt")),
-                )?;
-            }
+            save_matrix(
+                &Matrix::from_vec(1, layer.scales.len(), layer.scales.clone()),
+                dir.join(format!("{name}_scales.txt")),
+            )?;
         }
         for (i, stage) in self.stages.iter().enumerate() {
             save_stage(stage, &dir.join(format!("stage{i}.txt")))?;
@@ -415,52 +359,31 @@ impl QuantizedPipeline {
                     bias.len()
                 )));
             }
-            let weights = match precision {
-                QuantPrecision::Int8 => {
-                    let scales =
-                        load_matrix::<f32, _>(dir.join(format!("{name}_scales.txt")))?.into_vec();
-                    if scales.len() != n_out {
-                        return Err(CoreError::Format(format!(
-                            "{name}: scale length {} does not match {n_out} outputs",
-                            scales.len()
-                        )));
+            let scales = load_matrix::<f32, _>(dir.join(format!("{name}_scales.txt")))?.into_vec();
+            if scales.len() != n_out {
+                return Err(CoreError::Format(format!(
+                    "{name}: scale length {} does not match {n_out} outputs",
+                    scales.len()
+                )));
+            }
+            let codes = codes_f32
+                .as_slice()
+                .iter()
+                .map(|&v| {
+                    if v.round() == v && (-127.0..=127.0).contains(&v) {
+                        Ok(v as i8)
+                    } else {
+                        Err(CoreError::Format(format!(
+                            "{name}: {v} is not an int8 code"
+                        )))
                     }
-                    let codes = codes_f32
-                        .as_slice()
-                        .iter()
-                        .map(|&v| {
-                            if v.round() == v && (-127.0..=127.0).contains(&v) {
-                                Ok(v as i8)
-                            } else {
-                                Err(CoreError::Format(format!(
-                                    "{name}: {v} is not an int8 code"
-                                )))
-                            }
-                        })
-                        .collect::<CoreResult<Vec<i8>>>()?;
-                    QWeights::Int8 { codes, scales }
-                }
-                QuantPrecision::Bf16 => {
-                    let codes = codes_f32
-                        .as_slice()
-                        .iter()
-                        .map(|&v| {
-                            if v.round() == v && (0.0..=f32::from(u16::MAX)).contains(&v) {
-                                Ok(v as u16)
-                            } else {
-                                Err(CoreError::Format(format!(
-                                    "{name}: {v} is not a bf16 bit pattern"
-                                )))
-                            }
-                        })
-                        .collect::<CoreResult<Vec<u16>>>()?;
-                    QWeights::Bf16 { codes }
-                }
-            };
+                })
+                .collect::<CoreResult<Vec<i8>>>()?;
             Ok(QuantizedLinear {
                 n_in,
                 n_out,
-                weights,
+                codes,
+                scales,
                 bias,
             })
         };
@@ -565,23 +488,18 @@ mod tests {
     fn quantized_predictions_track_f32_closely() {
         let (pipeline, data) = fitted_pipeline(1);
         let f32_proba = pipeline.predict_proba(&data.features).unwrap();
-        for precision in [QuantPrecision::Int8, QuantPrecision::Bf16] {
-            let q = QuantizedPipeline::quantize(&pipeline, precision).unwrap();
-            assert_eq!(q.n_inputs(), 28);
-            assert_eq!(q.n_classes(), 2);
-            let q_proba = q.predict_proba(&data.features).unwrap();
-            assert_eq!(q_proba.shape(), f32_proba.shape());
-            // Rows remain probability distributions.
-            for r in 0..q_proba.rows() {
-                let s: f32 = q_proba.row(r).iter().sum();
-                assert!((s - 1.0).abs() < 1e-4, "{precision}: row {r} sums to {s}");
-            }
-            let drift = q_proba.max_abs_diff(&f32_proba);
-            assert!(
-                drift < 0.05,
-                "{precision}: max probability drift {drift} too large"
-            );
+        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+        assert_eq!(q.n_inputs(), 28);
+        assert_eq!(q.n_classes(), 2);
+        let q_proba = q.predict_proba(&data.features).unwrap();
+        assert_eq!(q_proba.shape(), f32_proba.shape());
+        // Rows remain probability distributions.
+        for r in 0..q_proba.rows() {
+            let s: f32 = q_proba.row(r).iter().sum();
+            assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
         }
+        let drift = q_proba.max_abs_diff(&f32_proba);
+        assert!(drift < 0.05, "max probability drift {drift} too large");
     }
 
     #[test]
@@ -607,25 +525,42 @@ mod tests {
     #[test]
     fn save_load_roundtrip_is_bit_exact() {
         let (pipeline, data) = fitted_pipeline(3);
-        for precision in [QuantPrecision::Int8, QuantPrecision::Bf16] {
-            let q = QuantizedPipeline::quantize(&pipeline, precision).unwrap();
-            let dir = std::env::temp_dir().join(format!(
-                "bcpnn_quantized_roundtrip_{}_{}",
-                precision,
-                std::process::id()
-            ));
-            let _ = fs::remove_dir_all(&dir);
-            q.save(&dir).unwrap();
-            let loaded = QuantizedPipeline::load(&dir).unwrap();
-            assert_eq!(loaded.precision(), precision);
-            assert_eq!(loaded.stages().len(), q.stages().len());
-            assert_eq!(
-                loaded.predict_proba(&data.features).unwrap(),
-                q.predict_proba(&data.features).unwrap(),
-                "{precision}: loaded artifact must predict identically"
-            );
-            let _ = fs::remove_dir_all(&dir);
+        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("bcpnn_quantized_roundtrip_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        q.save(&dir).unwrap();
+        let loaded = QuantizedPipeline::load(&dir).unwrap();
+        assert_eq!(loaded.precision(), QuantPrecision::Int8);
+        assert_eq!(loaded.stages().len(), q.stages().len());
+        assert_eq!(
+            loaded.predict_proba(&data.features).unwrap(),
+            q.predict_proba(&data.features).unwrap(),
+            "loaded artifact must predict identically"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bf16_directory_is_a_typed_format_error() {
+        let (pipeline, _) = fitted_pipeline(6);
+        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+        let dir = std::env::temp_dir().join(format!("bcpnn_quantized_bf16_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        q.save(&dir).unwrap();
+        let manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        fs::write(
+            dir.join(MANIFEST),
+            manifest.replace("precision int8", "precision bf16"),
+        )
+        .unwrap();
+        match QuantizedPipeline::load(&dir) {
+            Err(CoreError::Format(msg)) => {
+                assert_eq!(msg, "unknown precision \"bf16\"")
+            }
+            other => panic!("expected a Format error, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -634,13 +569,8 @@ mod tests {
         let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
         let (narrow, wide) = q.weight_bytes();
         assert_eq!(wide, narrow * 4, "int8 stores 4x fewer weight bytes");
-        let qb = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Bf16).unwrap();
-        assert_eq!(qb.weight_bytes().1, qb.weight_bytes().0 * 2);
-        assert_eq!(
-            QuantPrecision::parse("bfloat16"),
-            Some(QuantPrecision::Bf16)
-        );
-        assert_eq!(QuantPrecision::parse("fp64"), None);
+        assert_eq!(QuantPrecision::parse("i8"), Some(QuantPrecision::Int8));
+        assert_eq!(QuantPrecision::parse("bf16"), None);
         // Loading a directory that is not a quantized artifact fails typed.
         let missing = std::env::temp_dir().join("bcpnn_quantized_missing");
         let _ = fs::remove_dir_all(&missing);
@@ -650,7 +580,7 @@ mod tests {
     #[test]
     fn predict_matches_argmax_of_probabilities() {
         let (pipeline, data) = fitted_pipeline(5);
-        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Bf16).unwrap();
+        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
         let proba = q.predict_proba(&data.features).unwrap();
         assert_eq!(
             q.predict(&data.features).unwrap(),

@@ -8,7 +8,7 @@
 //!
 //! # Numerical contract
 //!
-//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`], [`axpy_bf16`])
+//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`])
 //! and the index kernel ([`argmax`]) are **bit-identical** to their scalar
 //! counterparts: multiplies and adds stay two distinct roundings
 //! (`_mm256_mul_ps` + `_mm256_add_ps`, never `_mm256_fmadd_ps`),
@@ -120,37 +120,6 @@ pub unsafe fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
     }
     for (d, &c) in dst[n..].iter_mut().zip(&codes[n..]) {
         *d += a * f32::from(c);
-    }
-}
-
-/// `dst[j] += a · bf16_decode(codes[j])` — bfloat16 axpy. Decoding is a
-/// 16-bit left shift into the f32 bit pattern (exact), arithmetic keeps the
-/// two-rounding order: bit-identical to the scalar loop.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA. Slices must be equal length (asserted).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy_bf16(dst: &mut [f32], a: f32, codes: &[u16]) {
-    assert_eq!(dst.len(), codes.len(), "axpy_bf16: length mismatch");
-    let av = _mm256_set1_ps(a);
-    let n = dst.len() / 8 * 8;
-    let mut i = 0;
-    while i < n {
-        // SAFETY: i + 8 <= n <= len for both slices: the 16-byte load reads
-        // codes[i..i + 8] (8 u16s), the float load/store stay in bounds.
-        unsafe {
-            let c16 = _mm_loadu_si128(codes.as_ptr().add(i).cast());
-            let f = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(c16)));
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            _mm256_storeu_ps(
-                dst.as_mut_ptr().add(i),
-                _mm256_add_ps(d, _mm256_mul_ps(av, f)),
-            );
-        }
-        i += 8;
-    }
-    for (d, &c) in dst[n..].iter_mut().zip(&codes[n..]) {
-        *d += a * f32::from_bits(u32::from(c) << 16);
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! # Numerical contract
 //!
-//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`], [`axpy_bf16`])
+//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`])
 //! and the index kernels ([`argmax`], [`row_argmax_into`]) return
 //! **bit-identical** results on every tier — multiply-then-add stays two
 //! roundings everywhere, even in the AVX2 tier. Only the softmax kernels
@@ -55,9 +55,6 @@ mod avx2 {
     }
     pub unsafe fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
         super::portable_axpy_i8(dst, a, codes);
-    }
-    pub unsafe fn axpy_bf16(dst: &mut [f32], a: f32, codes: &[u16]) {
-        super::portable_axpy_bf16(dst, a, codes);
     }
     pub unsafe fn softmax_seg(seg: &mut [f32]) {
         super::softmax_seg_lanes(seg);
@@ -261,13 +258,6 @@ fn portable_axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
     }
 }
 
-fn portable_axpy_bf16(dst: &mut [f32], a: f32, codes: &[u16]) {
-    assert_eq!(dst.len(), codes.len(), "axpy_bf16: length mismatch");
-    for (d, &c) in dst.iter_mut().zip(codes) {
-        *d += a * f32::from_bits(u32::from(c) << 16);
-    }
-}
-
 /// The legacy softmax loop, bit-for-bit: libm `exp`, running total, divide
 /// (uniform fallback on a non-positive total). This *is* the pre-dispatch
 /// `NaiveBackend::grouped_softmax` body, hoisted here so every backend
@@ -418,22 +408,6 @@ pub fn axpy_i8_with(tier: SimdTier, dst: &mut [f32], a: f32, codes: &[i8]) {
 /// `dst[j] += a · (codes[j] as f32)` on the active tier.
 pub fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
     axpy_i8_with(active_tier(), dst, a, codes);
-}
-
-/// `dst[j] += a · bf16_decode(codes[j])` (bfloat16 axpy) on the given tier;
-/// bit-identical across tiers (decoding is an exact bit shift).
-pub fn axpy_bf16_with(tier: SimdTier, dst: &mut [f32], a: f32, codes: &[u16]) {
-    match tier.resolved() {
-        SimdTier::Scalar | SimdTier::Lanes => portable_axpy_bf16(dst, a, codes),
-        // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
-        SimdTier::Avx2 => unsafe { avx2::axpy_bf16(dst, a, codes) },
-    }
-}
-
-/// `dst[j] += a · bf16_decode(codes[j])` on the active tier.
-pub fn axpy_bf16(dst: &mut [f32], a: f32, codes: &[u16]) {
-    axpy_bf16_with(active_tier(), dst, a, codes);
 }
 
 /// Softmax one contiguous group in place on the given tier: subtract-max,

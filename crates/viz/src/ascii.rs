@@ -1,52 +1,5 @@
-//! ASCII rendering of receptive fields and masks, for terminal output in
-//! the examples (the paper's Fig. 1 / Fig. 5 rendered as characters).
-
-use bcpnn_tensor::Matrix;
-
-/// Character ramp used to render intensities from low to high.
-const RAMP: [char; 5] = [' ', '.', ':', 'o', '#'];
-
-/// Render a scalar field as ASCII art, one character per element, rows
-/// separated by newlines. Values are rescaled from the field's own range.
-pub fn render_field(field: &Matrix<f32>) -> String {
-    if field.rows() == 0 || field.cols() == 0 {
-        return String::new();
-    }
-    let lo = field
-        .as_slice()
-        .iter()
-        .copied()
-        .fold(f32::INFINITY, f32::min);
-    let hi = field
-        .as_slice()
-        .iter()
-        .copied()
-        .fold(f32::NEG_INFINITY, f32::max);
-    let span = (hi - lo).max(1e-12);
-    let mut out = String::with_capacity((field.cols() + 1) * field.rows());
-    for r in 0..field.rows() {
-        for &v in field.row(r) {
-            let t = ((v - lo) / span).clamp(0.0, 1.0);
-            let idx = (t * (RAMP.len() - 1) as f32).round() as usize;
-            out.push(RAMP[idx]);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render a binary mask with `#` for active connections and `.` for silent
-/// ones (more legible than the generic ramp for Fig. 5-style output).
-pub fn render_mask(mask: &Matrix<f32>) -> String {
-    let mut out = String::with_capacity((mask.cols() + 1) * mask.rows());
-    for r in 0..mask.rows() {
-        for &v in mask.row(r) {
-            out.push(if v >= 0.5 { '#' } else { '.' });
-        }
-        out.push('\n');
-    }
-    out
-}
+//! ASCII rendering of receptive-field masks for the reproduction ledger
+//! and the examples (the paper's Fig. 5 rendered as characters).
 
 /// Reshape one HCU's flat mask row over the 28-feature × `n_bins` input
 /// layout of the encoded Higgs data and render it, one text row per
@@ -102,30 +55,6 @@ pub fn sparkline(values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_field_has_one_line_per_row() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
-        let s = render_field(&m);
-        assert_eq!(s.lines().count(), 3);
-        assert!(s.lines().all(|l| l.chars().count() == 5));
-        // Lowest value renders as the lightest glyph, highest as the darkest.
-        assert!(s.starts_with(' '));
-        assert!(s.trim_end().ends_with('#'));
-    }
-
-    #[test]
-    fn render_field_handles_empty_and_constant_inputs() {
-        assert_eq!(render_field(&Matrix::zeros(0, 3)), "");
-        let c = render_field(&Matrix::filled(2, 2, 1.0f32));
-        assert_eq!(c.lines().count(), 2);
-    }
-
-    #[test]
-    fn render_mask_uses_hash_and_dot() {
-        let m = Matrix::from_vec(1, 4, vec![1.0f32, 0.0, 1.0, 0.0]);
-        assert_eq!(render_mask(&m), "#.#.\n");
-    }
 
     #[test]
     fn feature_mask_rendering_groups_by_feature() {

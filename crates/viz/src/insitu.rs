@@ -1,111 +1,14 @@
 //! In-situ training observation: the Rust counterpart of StreamBrain's
 //! ParaView Catalyst adaptor (§III-B).
 //!
-//! [`InSituObserver`] implements [`bcpnn_core::TrainingObserver`]: at the
-//! end of every epoch it snapshots the receptive-field masks and writes
-//! them as `.vti` (ParaView-loadable) and `.pgm` (directly viewable) files
-//! into a run directory, together with a `timeline.csv` of per-epoch
-//! statistics. [`MaskHistory`] is the in-memory variant used by tests and
-//! by the Fig. 2 harness to assert on the evolution without touching disk.
-
-use std::path::{Path, PathBuf};
+//! [`MaskHistory`] implements [`bcpnn_core::TrainingObserver`]: at the end
+//! of every unsupervised epoch it snapshots the receptive-field masks in
+//! memory, so the Fig. 2 experiment can report how far structural
+//! plasticity moved them.
 
 use bcpnn_core::{EpochStats, Network, TrainingObserver, TrainingPhase};
 use bcpnn_tensor::Matrix;
 use parking_lot::Mutex;
-
-use crate::pgm::save_pgm;
-use crate::vti::save_vti;
-
-/// File-writing in-situ observer (the Catalyst-adaptor stand-in).
-#[derive(Debug)]
-pub struct InSituObserver {
-    output_dir: PathBuf,
-    /// Also mirror each epoch's masks as PGM images.
-    write_pgm: bool,
-    timeline: Vec<String>,
-    errors: Vec<String>,
-}
-
-impl InSituObserver {
-    /// Create an observer writing into `output_dir` (created on first use).
-    pub fn new<P: AsRef<Path>>(output_dir: P) -> Self {
-        Self {
-            output_dir: output_dir.as_ref().to_path_buf(),
-            write_pgm: true,
-            timeline: vec!["phase,epoch,duration_s,plasticity_swaps,sgd_loss".to_string()],
-            errors: Vec::new(),
-        }
-    }
-
-    /// Disable the PGM mirror (VTI only).
-    pub fn vti_only(mut self) -> Self {
-        self.write_pgm = false;
-        self
-    }
-
-    /// Directory the observer writes into.
-    pub fn output_dir(&self) -> &Path {
-        &self.output_dir
-    }
-
-    /// I/O errors accumulated during observation (training is never aborted
-    /// because visualization failed — same policy as in-situ co-processing
-    /// in HPC codes).
-    pub fn errors(&self) -> &[String] {
-        &self.errors
-    }
-
-    /// Write the accumulated per-epoch timeline CSV. Call after training.
-    pub fn write_timeline(&self) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.output_dir)?;
-        let path = self.output_dir.join("timeline.csv");
-        std::fs::write(&path, self.timeline.join("\n") + "\n")?;
-        Ok(path)
-    }
-
-    fn epoch_dir(&self, stats: &EpochStats) -> PathBuf {
-        let phase = match stats.phase {
-            TrainingPhase::Unsupervised => "unsup",
-            TrainingPhase::Supervised => "sup",
-        };
-        self.output_dir
-            .join(format!("{phase}_epoch_{:03}", stats.epoch))
-    }
-}
-
-impl TrainingObserver for InSituObserver {
-    fn on_epoch_end(&mut self, network: &Network, stats: &EpochStats) {
-        self.timeline.push(format!(
-            "{},{},{:.6},{},{}",
-            stats.phase,
-            stats.epoch,
-            stats.duration.as_secs_f64(),
-            stats
-                .plasticity_swaps
-                .map(|s| s.to_string())
-                .unwrap_or_default(),
-            stats
-                .sgd_loss
-                .map(|l| format!("{l:.6}"))
-                .unwrap_or_default(),
-        ));
-        // Masks only change during unsupervised epochs.
-        if stats.phase != TrainingPhase::Unsupervised {
-            return;
-        }
-        let mask = network.hidden().receptive_field_snapshot();
-        let dir = self.epoch_dir(stats);
-        if let Err(e) = save_vti(&mask, "receptive_field", dir.join("mask.vti")) {
-            self.errors.push(format!("epoch {}: {e}", stats.epoch));
-        }
-        if self.write_pgm {
-            if let Err(e) = save_pgm(&mask, dir.join("mask.pgm")) {
-                self.errors.push(format!("epoch {}: {e}", stats.epoch));
-            }
-        }
-    }
-}
 
 /// In-memory mask recorder: keeps one mask snapshot per unsupervised epoch.
 /// Thread-safe so it can be shared with analysis code while training runs.
@@ -187,49 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_writes_one_snapshot_per_unsupervised_epoch() {
-        let (x, y) = toy_data(128, 20, 1);
-        let mut net = Network::builder()
-            .input(20)
-            .hidden(2, 3, 0.5)
-            .classes(2)
-            .readout(ReadoutKind::Sgd)
-            .backend(BackendKind::Naive)
-            .seed(2)
-            .build()
-            .unwrap();
-        let dir = std::env::temp_dir().join(format!("bcpnn_insitu_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut obs = InSituObserver::new(&dir);
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 3,
-            supervised_epochs: 2,
-            batch_size: 32,
-            seed: 3,
-            shuffle: true,
-        })
-        .fit_with_observers(&mut net, &x, &y, &mut [&mut obs])
-        .unwrap();
-        assert!(obs.errors().is_empty(), "viz errors: {:?}", obs.errors());
-        for epoch in 0..3 {
-            assert!(dir
-                .join(format!("unsup_epoch_{epoch:03}/mask.vti"))
-                .exists());
-            assert!(dir
-                .join(format!("unsup_epoch_{epoch:03}/mask.pgm"))
-                .exists());
-        }
-        assert!(
-            !dir.join("sup_epoch_000").exists(),
-            "no masks for supervised epochs"
-        );
-        let timeline = obs.write_timeline().unwrap();
-        let text = std::fs::read_to_string(timeline).unwrap();
-        assert_eq!(text.lines().count(), 1 + 5, "header + 5 epochs");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn mask_history_records_evolution() {
         let (x, y) = toy_data(200, 24, 4);
         let mut net = Network::builder()
@@ -261,34 +121,5 @@ mod tests {
         // The toy problem concentrates information in half the inputs, so
         // plasticity moves at least some connections over four epochs.
         assert!(history.total_change_fraction() >= 0.0);
-    }
-
-    #[test]
-    fn vti_only_mode_skips_pgm() {
-        let (x, y) = toy_data(64, 16, 7);
-        let mut net = Network::builder()
-            .input(16)
-            .hidden(1, 3, 0.5)
-            .classes(2)
-            .readout(ReadoutKind::Sgd)
-            .backend(BackendKind::Naive)
-            .seed(8)
-            .build()
-            .unwrap();
-        let dir = std::env::temp_dir().join(format!("bcpnn_insitu_vti_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut obs = InSituObserver::new(&dir).vti_only();
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 1,
-            supervised_epochs: 0,
-            batch_size: 16,
-            seed: 9,
-            shuffle: false,
-        })
-        .fit_with_observers(&mut net, &x, &y, &mut [&mut obs])
-        .unwrap();
-        assert!(dir.join("unsup_epoch_000/mask.vti").exists());
-        assert!(!dir.join("unsup_epoch_000/mask.pgm").exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,23 +1,16 @@
 //! # bcpnn-viz
 //!
-//! In-situ visualization substrate, standing in for StreamBrain's ParaView
-//! Catalyst integration (§III-B of the paper).
+//! What the reproduction ledger renders of the receptive fields, standing
+//! in for StreamBrain's ParaView Catalyst integration (§III-B of the paper).
 //!
-//! * [`vti`] — VTK ImageData (`.vti`) writer; the files load in ParaView.
-//! * [`pgm`] — portable graymap export/import for quick inspection.
 //! * [`ascii`] — terminal rendering of receptive fields and masks.
-//! * [`insitu`] — [`InSituObserver`], a [`bcpnn_core::TrainingObserver`]
-//!   that snapshots the receptive-field masks at the end of every
-//!   unsupervised epoch (Fig. 2), plus [`MaskHistory`] for in-memory
-//!   recording.
+//! * [`insitu`] — [`MaskHistory`], a [`bcpnn_core::TrainingObserver`] that
+//!   snapshots the receptive-field masks at the end of every unsupervised
+//!   epoch (Fig. 2).
 
 #![warn(missing_docs)]
 
 pub mod ascii;
 pub mod insitu;
-pub mod pgm;
-pub mod vti;
 
-pub use insitu::{InSituObserver, MaskHistory};
-pub use pgm::{read_pgm, save_pgm, write_pgm, PgmError};
-pub use vti::{save_vti, write_vti, VtiError};
+pub use insitu::MaskHistory;

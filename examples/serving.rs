@@ -1,5 +1,5 @@
 //! Serving walkthrough: train a model, save it as a self-contained
-//! stage-tagged (v3) artifact with its encoder, load it into a registry,
+//! stage-tagged (v4) artifact with its encoder, load it into a registry,
 //! and serve raw feature vectors through the micro-batching server —
 //! including a hot-swap to a retrained version, sharded serving with a
 //! per-model batch policy, priority/deadline requests, and a Prometheus

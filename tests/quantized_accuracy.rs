@@ -1,11 +1,11 @@
 //! The quantized serving path's accuracy contract, enforced by the CI
-//! `quantized-accuracy` gate: int8 and bf16 [`QuantizedPipeline`]s must
+//! `quantized-accuracy` gate: an int8 [`QuantizedPipeline`] must
 //! track the f32 pipeline within a stated held-out accuracy delta, and the
 //! quantized artifact must serve through the registry/server stack exactly
 //! like its in-process self.
 //!
 //! The delta bound is deliberately tight (3 accuracy points): per-column
-//! int8 scaling and bf16 rounding both perturb the log-odds weights far
+//! int8 scaling perturbs the log-odds weights far
 //! below the decision margins a trained BCPNN produces, so a larger drift
 //! means the quantization datapath broke, not that "quantization is lossy".
 
@@ -72,17 +72,15 @@ fn quantized_accuracy_tracks_f32_within_stated_delta() {
         f32_acc > 0.55,
         "f32 reference must beat chance, got {f32_acc}"
     );
-    for precision in [QuantPrecision::Int8, QuantPrecision::Bf16] {
-        let quantized =
-            QuantizedPipeline::quantize(&pipeline, precision).expect("quantization succeeds");
-        let q_acc = accuracy(&quantized, &holdout);
-        let delta = (f32_acc - q_acc).abs();
-        println!("{precision}: f32 {f32_acc:.4} vs quantized {q_acc:.4} (delta {delta:.4})");
-        assert!(
-            delta <= ACCURACY_DELTA,
-            "{precision}: held-out accuracy delta {delta:.4} exceeds {ACCURACY_DELTA}"
-        );
-    }
+    let quantized = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8)
+        .expect("quantization succeeds");
+    let q_acc = accuracy(&quantized, &holdout);
+    let delta = (f32_acc - q_acc).abs();
+    println!("int8: f32 {f32_acc:.4} vs quantized {q_acc:.4} (delta {delta:.4})");
+    assert!(
+        delta <= ACCURACY_DELTA,
+        "int8: held-out accuracy delta {delta:.4} exceeds {ACCURACY_DELTA}"
+    );
 }
 
 #[test]

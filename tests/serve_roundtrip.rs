@@ -1,8 +1,7 @@
-//! End-to-end serving test: train → save (stage-tagged v3 artifact) →
+//! End-to-end serving test: train → save (stage-tagged model directory) →
 //! load into the registry → concurrent batched predictions through the
 //! micro-batcher equal direct `predict_proba`, on both backends, across a
-//! mid-flight hot-swap, with no dropped or mismatched responses — plus a
-//! pre-v3 (`v2`) artifact serving correctly under the v3 code.
+//! mid-flight hot-swap, with no dropped or mismatched responses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,7 +22,7 @@ const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 100;
 
 /// Train a tiny Higgs pipeline through the shared `Pipeline::fit` entry
-/// point and save it as a (v3) model directory.
+/// point and save it as a model directory.
 fn train_and_save(seed: u64, dir: &std::path::Path) {
     let data = generate(&SyntheticHiggsConfig {
         n_samples: 500,
@@ -49,30 +48,6 @@ fn train_and_save(seed: u64, dir: &std::path::Path) {
     .unwrap();
     let _ = std::fs::remove_dir_all(dir);
     pipeline.save(dir).unwrap();
-}
-
-/// Rewrite a freshly saved (v3) model directory into the exact layout the
-/// pre-v3 (`v2`) writer produced: `v2` manifest header, `encoder quantile`
-/// key instead of `stage*` lines, encoder state in `encoder.txt`.
-fn downgrade_to_v2(dir: &std::path::Path) {
-    let manifest_path = dir.join("manifest.txt");
-    let text = std::fs::read_to_string(&manifest_path).unwrap();
-    let v2_text: String = text
-        .lines()
-        .filter_map(|line| {
-            if line.starts_with("bcpnn-network ") {
-                Some("bcpnn-network v2\n".to_string())
-            } else if line == "stages 1" {
-                Some("encoder quantile\n".to_string())
-            } else if line.starts_with("stage0 ") {
-                None
-            } else {
-                Some(format!("{line}\n"))
-            }
-        })
-        .collect();
-    std::fs::write(&manifest_path, v2_text).unwrap();
-    std::fs::rename(dir.join("stage0.txt"), dir.join("encoder.txt")).unwrap();
 }
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -525,59 +500,5 @@ fn expired_deadlines_error_without_execution() {
     assert_eq!(proba.len(), 2);
 
     drop(sharded);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A `v2` artifact saved before the stage-tagged format existed loads and
-/// serves correctly under the `v3` code: same predictions as the original
-/// pipeline, through the full micro-batching path.
-#[test]
-fn v2_artifact_loads_and_serves_under_v3_code() {
-    let backend = BackendKind::Naive;
-    let dir = temp_dir("v2_artifact");
-    train_and_save(7, &dir);
-
-    // Reference predictions from the artifact while it is still v3.
-    let requests = request_matrix(64);
-    let reference = Pipeline::load(&dir, backend)
-        .unwrap()
-        .predict_proba(&requests)
-        .unwrap();
-
-    // Rewrite the directory into the exact pre-v3 layout, then serve it.
-    downgrade_to_v2(&dir);
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
-    assert!(manifest.contains("bcpnn-network v2"));
-    assert!(manifest.contains("encoder quantile"));
-    assert!(!manifest.contains("stages"));
-
-    let loaded = Pipeline::load(&dir, backend).unwrap();
-    assert_eq!(loaded.stages().len(), 1, "v2 encoder becomes one stage");
-    assert!(reference.max_abs_diff(&loaded.predict_proba(&requests).unwrap()) < 1e-6);
-
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .load_and_publish("higgs", 1, &dir, backend)
-        .unwrap();
-    let server = InferenceServer::start(
-        Arc::clone(&registry),
-        BatchConfig {
-            max_batch: 8,
-            workers: 2,
-        },
-    );
-    let handles: Vec<_> = (0..requests.rows())
-        .map(|r| server.submit("higgs", requests.row(r).to_vec()).unwrap())
-        .collect();
-    for (r, handle) in handles.into_iter().enumerate() {
-        let proba = handle.wait().unwrap();
-        assert!(
-            rows_match(&proba, reference.row(r), 1e-5),
-            "row {r}: served response must match the pre-downgrade artifact"
-        );
-    }
-    assert_eq!(server.metrics().errors, 0);
-
-    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
