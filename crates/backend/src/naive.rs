@@ -9,7 +9,9 @@
 use bcpnn_tensor::Matrix;
 
 use crate::kernels::{bcpnn_bias, bcpnn_weight, mutual_information_term, trace_update};
-use crate::traits::{check_forward_shapes, check_mask_shapes, check_trace_shapes, Backend};
+use crate::traits::{
+    check_forward_shapes, check_hot_shapes, check_mask_shapes, check_trace_shapes, Backend,
+};
 
 /// Straightforward single-threaded implementation of every kernel.
 #[derive(Debug, Default, Clone, Copy)]
@@ -48,6 +50,28 @@ impl Backend for NaiveBackend {
                 let w_row = weights.row(i);
                 for j in 0..n_units {
                     out_row[j] += xv * w_row[j];
+                }
+            }
+        }
+    }
+
+    fn linear_forward_hot(
+        &self,
+        hot: &[u32],
+        weights: &Matrix<f32>,
+        mask: &Matrix<f32>,
+        bias: &[f32],
+        out: &mut Matrix<f32>,
+    ) {
+        let k = check_hot_shapes(hot, weights, mask, bias, out);
+        // `linear_forward`'s loop over the nonzero inputs only: bias first,
+        // then every hot weight row, masked or not.
+        for b in 0..out.rows() {
+            let out_row = out.row_mut(b);
+            out_row.copy_from_slice(bias);
+            for &i in &hot[b * k..(b + 1) * k] {
+                for (o, &w) in out_row.iter_mut().zip(weights.row(i as usize)) {
+                    *o += w;
                 }
             }
         }

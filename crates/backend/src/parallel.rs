@@ -10,7 +10,14 @@ use bcpnn_parallel::par_chunks_mut;
 use bcpnn_tensor::{gemm, gemm_tn, Matrix};
 
 use crate::kernels::{bcpnn_bias, bcpnn_weight, column_mean_traces, mutual_information_term};
-use crate::traits::{check_forward_shapes, check_mask_shapes, check_trace_shapes, Backend};
+use crate::traits::{
+    check_forward_shapes, check_hot_shapes, check_mask_shapes, check_trace_shapes, Backend,
+};
+
+/// Below this many element operations (`B · U · (k + 2)`: `k` hot-row
+/// adds, the zero fill and the bias) a hot-column forward runs on the
+/// calling thread; the pool's hand-off costs more than it saves.
+const HOT_PARALLEL_CUTOFF: usize = 1 << 19;
 
 /// Multi-threaded GEMM-based implementation of every kernel.
 #[derive(Debug, Default, Clone, Copy)]
@@ -44,6 +51,48 @@ impl Backend for ParallelBackend {
                 *v += b;
             }
         });
+    }
+
+    fn linear_forward_hot(
+        &self,
+        hot: &[u32],
+        weights: &Matrix<f32>,
+        mask: &Matrix<f32>,
+        bias: &[f32],
+        out: &mut Matrix<f32>,
+    ) {
+        let k = check_hot_shapes(hot, weights, mask, bias, out);
+        let n_units = out.cols();
+        let n_mcu = n_units / mask.rows();
+        // Per HCU segment, the order the GEMM gives every element of `out`:
+        // +0, then the weight rows of the inputs that are on, ascending,
+        // then the bias — but only the rows inside the segment's field.
+        let row = |start: usize, out_row: &mut [f32]| {
+            let cols = &hot[start / n_units * k..][..k];
+            let segments = out_row.chunks_mut(n_mcu).zip(bias.chunks(n_mcu));
+            for (h, (seg, seg_bias)) in segments.enumerate() {
+                seg.fill(0.0);
+                for &i in cols {
+                    let i = i as usize;
+                    if mask.get(h, i) == 1.0 {
+                        let w = &weights.row(i)[h * n_mcu..(h + 1) * n_mcu];
+                        for (o, &w) in seg.iter_mut().zip(w) {
+                            *o += w;
+                        }
+                    }
+                }
+                for (o, &b) in seg.iter_mut().zip(seg_bias) {
+                    *o += b;
+                }
+            }
+        };
+        if out.len() * (k + 2) < HOT_PARALLEL_CUTOFF {
+            for (r, out_row) in out.as_mut_slice().chunks_mut(n_units.max(1)).enumerate() {
+                row(r * n_units, out_row);
+            }
+        } else {
+            par_chunks_mut(out.as_mut_slice(), n_units.max(1), row);
+        }
     }
 
     fn grouped_softmax(&self, m: &mut Matrix<f32>, group: usize) {

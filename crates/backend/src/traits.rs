@@ -40,6 +40,28 @@ pub trait Backend: Send + Sync {
         out: &mut Matrix<f32>,
     );
 
+    /// [`Backend::linear_forward`] for one-hot rows given by their hot
+    /// columns: row `r` of `x` is 1.0 at the `k = hot.len() / B` columns
+    /// `hot[r·k..(r+1)·k]` (strictly ascending) and 0.0 everywhere else.
+    /// `mask` (`H x N`) is the receptive field `weights` was masked with by
+    /// [`Backend::apply_mask`], so a weight row outside HCU `h`'s field holds
+    /// only ±0 in `h`'s columns and an implementation may skip it. `out`
+    /// must be pre-allocated as `B x U`; its previous contents are
+    /// overwritten, never read.
+    ///
+    /// `to_bits()`-equal to `linear_forward` on the dense rows: with every
+    /// input 1.0 the product `x · w` is `w` exactly, the dense kernels
+    /// already skip zero inputs, and adding ±0 to an accumulator that never
+    /// holds -0 leaves it unchanged.
+    fn linear_forward_hot(
+        &self,
+        hot: &[u32],
+        weights: &Matrix<f32>,
+        mask: &Matrix<f32>,
+        bias: &[f32],
+        out: &mut Matrix<f32>,
+    );
+
     /// Apply an independent softmax to every contiguous group of `group`
     /// columns of every row of `m` (minicolumn competition inside each
     /// hypercolumn).
@@ -132,6 +154,51 @@ pub(crate) fn check_forward_shapes(
         weights.cols(),
         out.shape()
     );
+}
+
+/// Validate the shapes of [`Backend::linear_forward_hot`] and return the
+/// number of hot columns per row.
+pub(crate) fn check_hot_shapes(
+    hot: &[u32],
+    weights: &Matrix<f32>,
+    mask: &Matrix<f32>,
+    bias: &[f32],
+    out: &Matrix<f32>,
+) -> usize {
+    assert_eq!(
+        weights.cols(),
+        bias.len(),
+        "forward: weights has {} columns but bias has length {}",
+        weights.cols(),
+        bias.len()
+    );
+    assert_eq!(
+        out.cols(),
+        weights.cols(),
+        "forward: out has {} columns but weights has {}",
+        out.cols(),
+        weights.cols()
+    );
+    assert!(
+        mask.rows() > 0
+            && mask.cols() == weights.rows()
+            && weights.cols().is_multiple_of(mask.rows()),
+        "forward: mask {:?} does not fit weights {:?}",
+        mask.shape(),
+        weights.shape()
+    );
+    if out.rows() == 0 {
+        assert!(hot.is_empty(), "forward: hot columns for zero rows");
+        return 0;
+    }
+    assert_eq!(
+        hot.len() % out.rows(),
+        0,
+        "forward: {} hot columns do not split over {} rows",
+        hot.len(),
+        out.rows()
+    );
+    hot.len() / out.rows()
 }
 
 /// Validate trace-update shapes (see [`check_forward_shapes`]).

@@ -5,7 +5,9 @@
 //!
 //! * `backend_forward/*` — the batched forward pass at the paper model's
 //!   shape (64 x 280 one-hot inputs → 1000 units) on the [`NaiveBackend`]
-//!   row loop and the [`ParallelBackend`] blocked GEMM.
+//!   row loop and the [`ParallelBackend`] blocked GEMM, and `active`: the
+//!   served forward, the parallel backend gathering the weight rows of
+//!   the same rows' hot columns inside a 40 % receptive field.
 //! * `backend_traces/*` — same comparison for the training-side trace
 //!   update, the kernel `train_higgs` stands on.
 //! * `backend_traces_readout/*` — the trace update at the shape a supervised
@@ -70,6 +72,20 @@ fn bench_backend_forward(c: &mut Criterion) {
     let bias: Vec<f32> = rng.uniform(1, FWD_OUT, -0.1, 0.1).into_vec();
     let mut out = Matrix::zeros(BATCH, FWD_OUT);
 
+    // The served forward: the same rows as their hot columns, gathered from
+    // weights masked to the paper's 40 % receptive field.
+    let mut mask = Matrix::zeros(1, N_IN);
+    for i in rng.choose_indices(N_IN, N_IN * 2 / 5) {
+        mask.set(0, i, 1.0);
+    }
+    let mut masked = Matrix::zeros(N_IN, FWD_OUT);
+    ParallelBackend::new().apply_mask(&weights, &mask, FWD_OUT, &mut masked);
+    let x_ref = &x;
+    let hot: Vec<u32> = (0..BATCH)
+        .flat_map(|r| (0..N_IN).filter(move |&c| x_ref.get(r, c) == 1.0))
+        .map(|c| c as u32)
+        .collect();
+
     let backends: [(&str, Box<dyn Backend>); 2] = [
         ("naive", Box::new(NaiveBackend::new())),
         ("parallel", Box::new(ParallelBackend::new())),
@@ -84,6 +100,18 @@ fn bench_backend_forward(c: &mut Criterion) {
             });
         });
     }
+    group.bench_function("active", |b| {
+        b.iter(|| {
+            ParallelBackend::new().linear_forward_hot(
+                black_box(&hot),
+                &masked,
+                &mask,
+                &bias,
+                &mut out,
+            );
+            black_box(&out);
+        });
+    });
     group.finish();
 }
 

@@ -202,6 +202,46 @@ impl HiddenLayer {
         Ok(())
     }
 
+    /// [`HiddenLayer::forward_into`] for `rows` one-hot rows given by their
+    /// hot columns (`hot.len() / rows` per row, strictly ascending, as
+    /// `QuantileEncoder::transform_rows_hot_into` writes them): only the
+    /// weight rows of the inputs that are on, and of those only the ones
+    /// inside each HCU's receptive field, are read. `to_bits()`-equal to
+    /// `forward_into` on the dense one-hot rows.
+    pub fn forward_hot_into(
+        &self,
+        hot: &[u32],
+        rows: usize,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
+        let n_in = self.params.n_inputs;
+        let per_row = hot.len().checked_div(rows).unwrap_or(0);
+        if per_row * rows != hot.len() {
+            return Err(CoreError::DataMismatch(format!(
+                "{} hot columns do not split over {rows} rows",
+                hot.len()
+            )));
+        }
+        for cols in hot.chunks_exact(per_row.max(1)) {
+            let ascending = cols.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || cols.last().is_some_and(|&c| c as usize >= n_in) {
+                return Err(CoreError::DataMismatch(format!(
+                    "hot columns {cols:?} are not strictly ascending below {n_in}"
+                )));
+            }
+        }
+        out.resize(rows, self.n_units());
+        self.backend.linear_forward_hot(
+            hot,
+            &self.masked_weights,
+            self.mask.as_matrix(),
+            &self.bias,
+            out,
+        );
+        self.backend.grouped_softmax(out, self.params.n_mcu);
+        Ok(())
+    }
+
     /// Training forward pass: like [`HiddenLayer::forward_into`] but with
     /// Gaussian support noise for symmetry breaking between minicolumns.
     /// `noise` is scratch (resized and fully overwritten when support noise

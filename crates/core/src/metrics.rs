@@ -46,8 +46,9 @@ pub fn confusion_matrix(
     cm
 }
 
-/// Binary-classification counts derived from a confusion matrix with class 1
-/// treated as "positive".
+/// Binary-classification counts with class 1 treated as "positive" and
+/// every other class as "negative" (one-vs-rest), so a network with more
+/// than two classes still gets a report: class 1 against the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinaryCounts {
     /// True positives.
@@ -61,7 +62,7 @@ pub struct BinaryCounts {
 }
 
 impl BinaryCounts {
-    /// Compute the counts from hard predictions.
+    /// Compute the counts from hard predictions (class 1 against the rest).
     pub fn from_predictions(predictions: &[usize], labels: &[usize]) -> Self {
         assert_eq!(predictions.len(), labels.len(), "length mismatch");
         let mut c = Self {
@@ -71,12 +72,11 @@ impl BinaryCounts {
             fn_: 0,
         };
         for (&p, &l) in predictions.iter().zip(labels.iter()) {
-            match (l, p) {
-                (1, 1) => c.tp += 1,
-                (0, 1) => c.fp += 1,
-                (0, 0) => c.tn += 1,
-                (1, 0) => c.fn_ += 1,
-                _ => panic!("binary counts require 0/1 labels and predictions"),
+            match (l == 1, p == 1) {
+                (true, true) => c.tp += 1,
+                (false, true) => c.fp += 1,
+                (false, false) => c.tn += 1,
+                (true, false) => c.fn_ += 1,
             }
         }
         c
@@ -214,7 +214,9 @@ pub fn log_loss(proba: &Matrix<f32>, labels: &[usize]) -> f64 {
 }
 
 /// Summary of a binary-classification evaluation: the numbers the paper
-/// reports per configuration.
+/// reports per configuration. With more than two classes, accuracy and
+/// log-loss still cover every class, while AUC, precision, recall and F1
+/// score class 1 against the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Classification accuracy in [0, 1].
@@ -294,6 +296,27 @@ mod tests {
         assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.recall() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.f1() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn more_than_two_classes_count_class_one_against_the_rest() {
+        let c = BinaryCounts::from_predictions(&[1, 2, 0, 1, 2, 1], &[1, 2, 1, 0, 0, 2]);
+        assert_eq!((c.tp, c.fp, c.tn, c.fn_), (1, 2, 2, 1));
+        // A 3-class report: accuracy over all classes, the rest one-vs-rest.
+        let proba = Matrix::from_vec(
+            4,
+            3,
+            vec![
+                0.7, 0.2, 0.1, // -> 0
+                0.1, 0.8, 0.1, // -> 1
+                0.1, 0.1, 0.8, // -> 2
+                0.2, 0.6, 0.2, // -> 1
+            ],
+        );
+        let r = EvalReport::from_probabilities(&proba, &[0, 1, 2, 2]);
+        assert_eq!(r.accuracy, 0.75);
+        assert_eq!((r.precision, r.recall), (0.5, 1.0));
+        assert!(r.auc > 0.5 && r.log_loss.is_finite());
     }
 
     #[test]

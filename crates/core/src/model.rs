@@ -573,6 +573,28 @@ pub(crate) fn validate_chain(stages: &[Stage], n_inputs: usize) -> CoreResult<()
     Ok(())
 }
 
+/// Run `stages` over `x`, ping-ponging through two buffers: the first stage
+/// fills `src`, every later stage reads `src` and writes `dst`, then the two
+/// swap, so the freshest encoding always ends up in `src` and a one-stage
+/// chain touches only `src`. An empty chain returns `x` itself, with no
+/// copy.
+fn run_chain<'a>(
+    stages: &[Stage],
+    x: &'a Matrix<f32>,
+    src: &'a mut Matrix<f32>,
+    dst: &mut Matrix<f32>,
+) -> CoreResult<&'a Matrix<f32>> {
+    let Some((first, rest)) = stages.split_first() else {
+        return Ok(x);
+    };
+    first.transform_into(x, src)?;
+    for stage in rest {
+        stage.transform_into(src, dst)?;
+        std::mem::swap(src, dst);
+    }
+    Ok(src)
+}
+
 /// A complete inference artifact: a chain of fitted transformer stages in
 /// front of a trained network, so raw feature vectors go in and class
 /// probabilities come out in one call.
@@ -725,33 +747,23 @@ impl Pipeline {
                 x.cols()
             )));
         }
-        // Stage-less pipelines feed the rows straight through — no copy on
-        // the serving hot path.
-        if self.stages.is_empty() {
-            self.network.predict_proba_into(x, ws, out)?;
-            if let Some(cal) = &self.calibration {
-                cal.apply_rows(out);
-            }
-            return Ok(());
-        }
-        // Ping-pong the chain through the two workspace encode buffers:
-        // stage 0 fills `src`, every later stage reads `src` and writes
-        // `dst`, then the two swap — so the freshest encoding always ends
-        // up in `src`, and the common single-stage chain touches only one
-        // buffer.
         let mut src = std::mem::take(&mut ws.encode_a);
         let mut dst = std::mem::take(&mut ws.encode_b);
-        let chained = (|| -> CoreResult<()> {
-            self.stages[0].transform_into(x, &mut src)?;
-            for stage in &self.stages[1..] {
-                stage.transform_into(&src, &mut dst)?;
-                std::mem::swap(&mut src, &mut dst);
-            }
-            Ok(())
-        })();
-        let result = chained.and_then(|()| self.network.predict_proba_into(&src, ws, out));
+        let mut hot = std::mem::take(&mut ws.hot);
+        // A chain that ends in the quantile encoder hands the network the
+        // hot columns of its one-hot code; any other ends in a dense matrix.
+        let result = match self.stages.split_last() {
+            Some((Stage::Quantile(encoder), earlier)) => run_chain(earlier, x, &mut src, &mut dst)
+                .and_then(|encoded| {
+                    encoder.transform_rows_hot_into(encoded, &mut hot);
+                    self.network.predict_proba_hot_into(&hot, x.rows(), ws, out)
+                }),
+            _ => run_chain(&self.stages, x, &mut src, &mut dst)
+                .and_then(|encoded| self.network.predict_proba_into(encoded, ws, out)),
+        };
         ws.encode_a = src;
         ws.encode_b = dst;
+        ws.hot = hot;
         result?;
         if let Some(cal) = &self.calibration {
             cal.apply_rows(out);
@@ -780,20 +792,10 @@ impl Pipeline {
                 x.cols()
             )));
         }
-        if self.stages.is_empty() {
-            return self.network.learn_batch(x, labels, ws);
-        }
         let mut src = std::mem::take(&mut ws.encode_a);
         let mut dst = std::mem::take(&mut ws.encode_b);
-        let chained = (|| -> CoreResult<()> {
-            self.stages[0].transform_into(x, &mut src)?;
-            for stage in &self.stages[1..] {
-                stage.transform_into(&src, &mut dst)?;
-                std::mem::swap(&mut src, &mut dst);
-            }
-            Ok(())
-        })();
-        let result = chained.and_then(|()| self.network.learn_batch(&src, labels, ws));
+        let result = run_chain(&self.stages, x, &mut src, &mut dst)
+            .and_then(|encoded| self.network.learn_batch(encoded, labels, ws));
         ws.encode_a = src;
         ws.encode_b = dst;
         result

@@ -19,6 +19,23 @@ use crate::workspace::Workspace;
 /// every serving batch on the single-pass path.
 const PREDICT_BLOCK: usize = 512;
 
+/// The input rows of a predict: dense encoded rows, or one-hot rows given
+/// by their hot columns (`cols.len() / rows` per row).
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    Dense(&'a Matrix<f32>),
+    Hot { cols: &'a [u32], rows: usize },
+}
+
+impl Rows<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Rows::Dense(x) => x.rows(),
+            Rows::Hot { rows, .. } => *rows,
+        }
+    }
+}
+
 /// Which classification head produces the network's predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadoutKind {
@@ -202,19 +219,60 @@ impl Network {
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
-        if x.rows() <= PREDICT_BLOCK {
-            return self.predict_block(head, x, ws, out);
+        self.predict_rows(head, Rows::Dense(x), ws, out)
+    }
+
+    /// [`Network::predict_proba_into`] for `rows` one-hot rows given by
+    /// their hot columns (see [`HiddenLayer::forward_hot_into`]): the
+    /// serving path of a pipeline whose last stage is the quantile encoder.
+    pub(crate) fn predict_proba_hot_into(
+        &self,
+        hot: &[u32],
+        rows: usize,
+        ws: &mut Workspace,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
+        let input = Rows::Hot { cols: hot, rows };
+        self.predict_rows(self.readout_kind, input, ws, out)
+    }
+
+    /// The blocked walk behind every predict: more than [`PREDICT_BLOCK`]
+    /// rows go through [`Network::predict_block`] one block at a time.
+    fn predict_rows(
+        &self,
+        head: ReadoutKind,
+        input: Rows<'_>,
+        ws: &mut Workspace,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
+        let n_rows = input.rows();
+        if n_rows <= PREDICT_BLOCK {
+            return self.predict_block(head, input, ws, out);
         }
-        let (n_in, n_out) = (x.cols(), self.n_classes);
+        let n_out = self.n_classes;
         let mut xb = std::mem::take(&mut ws.batch);
         let mut pb = std::mem::take(&mut ws.proba);
-        out.resize(x.rows(), n_out);
-        let result = (0..x.rows()).step_by(PREDICT_BLOCK).try_for_each(|r0| {
-            let r1 = (r0 + PREDICT_BLOCK).min(x.rows());
-            xb.resize(r1 - r0, n_in);
-            xb.as_mut_slice()
-                .copy_from_slice(&x.as_slice()[r0 * n_in..r1 * n_in]);
-            self.predict_block(head, &xb, ws, &mut pb)?;
+        out.resize(n_rows, n_out);
+        let result = (0..n_rows).step_by(PREDICT_BLOCK).try_for_each(|r0| {
+            let r1 = (r0 + PREDICT_BLOCK).min(n_rows);
+            let block = match input {
+                Rows::Dense(x) => {
+                    let n_in = x.cols();
+                    xb.resize(r1 - r0, n_in);
+                    xb.as_mut_slice()
+                        .copy_from_slice(&x.as_slice()[r0 * n_in..r1 * n_in]);
+                    Rows::Dense(&xb)
+                }
+                // Hot columns are a flat slice: a block is a sub-slice.
+                Rows::Hot { cols, rows } => {
+                    let k = cols.len() / rows;
+                    Rows::Hot {
+                        cols: &cols[r0 * k..r1 * k],
+                        rows: r1 - r0,
+                    }
+                }
+            };
+            self.predict_block(head, block, ws, &mut pb)?;
             out.as_mut_slice()[r0 * n_out..r1 * n_out].copy_from_slice(pb.as_slice());
             Ok(())
         });
@@ -227,26 +285,27 @@ impl Network {
     fn predict_block(
         &self,
         head: ReadoutKind,
-        x: &Matrix<f32>,
+        input: Rows<'_>,
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
         let mut hidden = std::mem::take(&mut ws.hidden);
-        let result = self
-            .hidden
-            .forward_into(x, &mut hidden)
-            .and_then(|()| match head {
-                ReadoutKind::Bcpnn => self
-                    .bcpnn_readout
-                    .as_ref()
-                    .ok_or_else(|| CoreError::InvalidParams("network has no BCPNN readout".into()))?
-                    .predict_proba_into(&hidden, out),
-                ReadoutKind::Sgd | ReadoutKind::Hybrid => self
-                    .sgd_readout
-                    .as_ref()
-                    .ok_or_else(|| CoreError::InvalidParams("network has no SGD readout".into()))?
-                    .predict_proba_into(&hidden, out),
-            });
+        let forward = match input {
+            Rows::Dense(x) => self.hidden.forward_into(x, &mut hidden),
+            Rows::Hot { cols, rows } => self.hidden.forward_hot_into(cols, rows, &mut hidden),
+        };
+        let result = forward.and_then(|()| match head {
+            ReadoutKind::Bcpnn => self
+                .bcpnn_readout
+                .as_ref()
+                .ok_or_else(|| CoreError::InvalidParams("network has no BCPNN readout".into()))?
+                .predict_proba_into(&hidden, out),
+            ReadoutKind::Sgd | ReadoutKind::Hybrid => self
+                .sgd_readout
+                .as_ref()
+                .ok_or_else(|| CoreError::InvalidParams("network has no SGD readout".into()))?
+                .predict_proba_into(&hidden, out),
+        });
         ws.hidden = hidden;
         result
     }

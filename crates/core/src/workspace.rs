@@ -68,10 +68,17 @@ use bcpnn_tensor::Matrix;
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Stage-chain ping buffer (first/odd stage outputs).
+    /// Stage-chain ping buffer (first/odd stage outputs). A predict through
+    /// a chain that ends in the quantile encoder uses it only for the
+    /// stages before the encoder.
     pub(crate) encode_a: Matrix<f32>,
     /// Stage-chain pong buffer (even stage outputs of multi-stage chains).
     pub(crate) encode_b: Matrix<f32>,
+    /// Hot columns of the one-hot code a predict's quantile encoder
+    /// writes instead of a dense matrix (`batch x n_features`, row-major,
+    /// ascending within a row); the hidden layer adds only those weight
+    /// rows. Training never fills it.
+    pub(crate) hot: Vec<u32>,
     /// Hidden activations (`batch x n_units`).
     pub(crate) hidden: Matrix<f32>,
     /// Gaussian support noise for training forward passes.
@@ -86,7 +93,8 @@ pub struct Workspace {
     /// SGD bias-gradient scratch (`n_classes`).
     pub(crate) grad_b: Vec<f32>,
     /// Batch-assembly scratch for epoch loops (`batch x features`); also
-    /// one block's input rows in a predict over more than one block.
+    /// one block's input rows in a dense predict over more than one block
+    /// (a hot-column predict takes each block as a sub-slice of `hot`).
     pub(crate) batch: Matrix<f32>,
     /// Label-assembly scratch for epoch loops.
     pub(crate) labels: Vec<usize>,
@@ -147,13 +155,14 @@ impl Workspace {
         self.cascade_rows = rows;
     }
 
-    /// Total number of `f32` scratch elements reserved across all buffers
-    /// — capacity, not current shape, so it tracks the never-shrinking
-    /// high-water mark (diagnostic: watch it plateau after warmup even as
-    /// batch sizes vary).
+    /// Total number of 4-byte (`f32` and `u32`) scratch elements reserved
+    /// across all buffers — capacity, not current shape, so it tracks the
+    /// never-shrinking high-water mark (diagnostic: watch it plateau after
+    /// warmup even as batch sizes vary).
     pub fn allocated_elems(&self) -> usize {
         self.encode_a.capacity()
             + self.encode_b.capacity()
+            + self.hot.capacity()
             + self.hidden.capacity()
             + self.noise.capacity()
             + self.proba.capacity()

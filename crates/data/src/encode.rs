@@ -162,6 +162,25 @@ impl QuantileEncoder {
         }
     }
 
+    /// Encode a bare feature matrix as the hot columns of its one-hot code:
+    /// `out` is resized to `n_rows · n_features` and row `r`'s columns land
+    /// in `out[r * n_features..(r + 1) * n_features]`, ascending. This is
+    /// the serving encoding: a row of the paper's code is 28 ones among 280
+    /// columns, so the hidden layer reads at most 28 weight rows instead of
+    /// scanning 252 zeros.
+    ///
+    /// # Panics
+    /// Panics if the feature count differs from the fitted one.
+    pub fn transform_rows_hot_into(&self, features: &Matrix<f32>, out: &mut Vec<u32>) {
+        let k = self.n_features();
+        out.resize(features.rows() * k, 0);
+        for (r, cols) in out.chunks_exact_mut(k.max(1)).enumerate() {
+            for (c, hot) in cols.iter_mut().zip(self.hot_columns(features.row(r))) {
+                *c = hot as u32;
+            }
+        }
+    }
+
     /// Encode one raw feature vector into its binary one-hot code.
     ///
     /// # Panics
@@ -172,9 +191,17 @@ impl QuantileEncoder {
         out
     }
 
-    /// The single authoritative one-hot layout: bit `f * n_bins + bin(f, v)`
-    /// of `out` goes hot for every feature value.
+    /// The dense one-hot code: 1.0 at every hot column of `features`.
     fn encode_into(&self, features: &[f32], out: &mut [f32]) {
+        for c in self.hot_columns(features) {
+            out[c] = 1.0;
+        }
+    }
+
+    /// The single authoritative one-hot layout: column `f * n_bins +
+    /// bin(f, v)` is hot for every feature value, one per feature, so the
+    /// columns come out ascending.
+    fn hot_columns<'a>(&'a self, features: &'a [f32]) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(
             features.len(),
             self.binner.n_features(),
@@ -183,9 +210,10 @@ impl QuantileEncoder {
             features.len()
         );
         let k = self.n_bins();
-        for (f, &v) in features.iter().enumerate() {
-            out[f * k + self.binner.bin_of(f, v as f64)] = 1.0;
-        }
+        features
+            .iter()
+            .enumerate()
+            .map(move |(f, &v)| f * k + self.binner.bin_of(f, v as f64))
     }
 
     /// Number of raw features the encoder was fitted on.
@@ -565,6 +593,24 @@ mod tests {
         for r in 0..5 {
             assert_eq!(enc.encode_row(d.features.row(r)), via_dataset.row(r));
         }
+    }
+
+    #[test]
+    fn hot_columns_are_the_ones_of_the_dense_code() {
+        let d = higgs(120, 16);
+        let enc = QuantileEncoder::fit(&d, 10);
+        let dense = enc.transform_rows(&d.features);
+        let mut hot = vec![u32::MAX; 3]; // stale, wrong length
+        enc.transform_rows_hot_into(&d.features, &mut hot);
+        assert_eq!(hot.len(), 120 * 28);
+        for r in 0..d.n_samples() {
+            let ones: Vec<u32> = (0..enc.encoded_width() as u32)
+                .filter(|&c| dense.get(r, c as usize) == 1.0)
+                .collect();
+            assert_eq!(&hot[r * 28..(r + 1) * 28], ones.as_slice(), "row {r}");
+        }
+        enc.transform_rows_hot_into(&Matrix::zeros(0, 28), &mut hot);
+        assert!(hot.is_empty());
     }
 
     #[test]

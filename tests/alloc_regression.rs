@@ -18,8 +18,9 @@ use std::sync::Once;
 
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::Predictor;
-use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
+use bcpnn_core::{Network, Pipeline, ReadoutKind, Stage, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
+use bcpnn_data::{QuantileEncoder, Standardizer};
 use bcpnn_serve::loadgen::{request_stream, RequestStream};
 use bcpnn_serve::{
     BatchConfig, BatchExecutor, InferenceServer, ModelRegistry, RowBlock, ServedModel,
@@ -87,6 +88,10 @@ fn init_single_thread_pool() {
 /// A small Naive-backend pipeline: every kernel is a plain loop and the SGD
 /// readout GEMM stays far under the parallel-dispatch cutoff.
 fn tiny_pipeline(seed: u64) -> (Pipeline, RequestStream) {
+    tiny_pipeline_on(BackendKind::Naive, seed)
+}
+
+fn tiny_pipeline_on(backend: BackendKind, seed: u64) -> (Pipeline, RequestStream) {
     let data = generate(&SyntheticHiggsConfig {
         n_samples: 300,
         seed,
@@ -99,7 +104,7 @@ fn tiny_pipeline(seed: u64) -> (Pipeline, RequestStream) {
             .hidden(2, 4, 0.4)
             .classes(2)
             .readout(ReadoutKind::Hybrid)
-            .backend(BackendKind::Naive)
+            .backend(backend)
             .seed(seed),
         TrainingParams {
             unsupervised_epochs: 1,
@@ -178,6 +183,47 @@ fn warmed_predict_proba_into_allocates_nothing() {
     assert!(alloc_path > 0, "sanity: the allocating path is counted");
     // And both paths agree bit-for-bit.
     assert_eq!(out, pipeline.predict_proba(&x).unwrap());
+}
+
+/// A chain that ends in the quantile encoder serves through hot column
+/// indices in the workspace, which the hidden layer gathers weight rows
+/// from. Behind a standardizer, on both backends and past the 512-row
+/// predict block, a warmed predict still allocates nothing.
+#[test]
+fn warmed_hot_column_predict_allocates_nothing() {
+    init_single_thread_pool();
+    for backend in [BackendKind::Naive, BackendKind::Parallel] {
+        let (fitted, stream) = tiny_pipeline_on(backend, 75);
+        let mut x = Matrix::zeros(600, stream.width());
+        for r in 0..x.rows() {
+            x.row_mut(r).copy_from_slice(stream.row(r % stream.len()));
+        }
+        let standardizer = Standardizer::fit_matrix(&x);
+        let encoder = QuantileEncoder::fit_matrix(&standardizer.transform_rows(&x), 10);
+        let chained = Pipeline::from_stages(
+            vec![Stage::Standardize(standardizer), Stage::Quantile(encoder)],
+            fitted.network().clone(),
+        )
+        .unwrap();
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(0, 0);
+        chained.predict_proba_into(&x, &mut ws, &mut out).unwrap();
+        let warmed = ws.allocated_elems();
+        let small = x.select_rows(&(0..16).collect::<Vec<_>>());
+        let (allocs, ()) = count_allocs(|| {
+            for round in 0..20 {
+                let batch = if round % 2 == 0 { &x } else { &small };
+                chained
+                    .predict_proba_into(batch, &mut ws, &mut out)
+                    .unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{backend:?}: a warmed hot-column predict allocated"
+        );
+        assert_eq!(ws.allocated_elems(), warmed, "{backend:?}");
+    }
 }
 
 #[test]

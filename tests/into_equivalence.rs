@@ -9,9 +9,9 @@
 
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::{Predictor, Transformer};
-use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
+use bcpnn_core::{Network, Pipeline, ReadoutKind, Stage, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-use bcpnn_data::{Dataset, QuantileEncoder};
+use bcpnn_data::{Dataset, QuantileEncoder, Standardizer};
 use bcpnn_serve::BatchExecutor;
 use bcpnn_tensor::Matrix;
 
@@ -133,6 +133,43 @@ fn predicts_over_one_block_equal_the_same_rows_scored_in_small_batches() {
             .predict_proba_into(&data.features, &mut ws, &mut out)
             .unwrap();
         assert_eq!(out, pipeline.predict_proba(&data.features).unwrap());
+    }
+}
+
+#[test]
+fn a_chain_ending_in_the_quantile_encoder_serves_the_dense_answer() {
+    // The last stage hands the network the hot columns of its one-hot
+    // code, not the dense matrix; the standardizer before it still runs
+    // densely. The answer must be the network's dense predict on the
+    // encoded rows, bit for bit, through one workspace across batch
+    // sizes on both sides of the 512-row predict block.
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for backend in [BackendKind::Naive, BackendKind::Parallel] {
+        let (fitted, data) = fit_pipeline(backend, 67);
+        let standardizer = Standardizer::fit_matrix(&data.features);
+        let encoder = QuantileEncoder::fit_matrix(&standardizer.transform_rows(&data.features), 10);
+        let chained = Pipeline::from_stages(
+            vec![Stage::Standardize(standardizer), Stage::Quantile(encoder)],
+            fitted.network().clone(),
+        )
+        .unwrap();
+        let rows = higgs(1100, 68).features;
+        let dense = chained
+            .network()
+            .predict_proba(&chained.encode(&rows).unwrap())
+            .unwrap();
+        let mut ws = Workspace::new();
+        let mut out = Matrix::filled(3, 3, f32::NAN); // stale, wrong shape
+        for n in [1100, 1, 64, 513, 17] {
+            let x = rows.select_rows(&(0..n).collect::<Vec<_>>());
+            chained.predict_proba_into(&x, &mut ws, &mut out).unwrap();
+            assert_eq!(out.shape(), (n, 2));
+            assert_eq!(
+                bits(out.as_slice()),
+                bits(&dense.as_slice()[..n * 2]),
+                "{backend:?} batch of {n}"
+            );
+        }
     }
 }
 
