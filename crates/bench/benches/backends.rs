@@ -8,6 +8,11 @@
 //!   row loop and the [`ParallelBackend`] blocked GEMM, and `active`: the
 //!   served forward, the parallel backend gathering the weight rows of
 //!   the same rows' hot columns inside a 40 % receptive field.
+//! * `backend_forward_readout/*` — the readout's forward at the paper
+//!   model's shape: 256 rows of a 1000-wide softmax code into 2 classes.
+//!   `C` is two floats wide, so this times the narrow-output GEMM path
+//!   (eight rows of sums in flight) against the naive row loop; CI asserts
+//!   `parallel < naive`.
 //! * `backend_traces/*` — same comparison for the training-side trace
 //!   update, the kernel `train_higgs` stands on.
 //! * `backend_traces_readout/*` — the trace update at the shape a supervised
@@ -193,6 +198,34 @@ fn bench_backend_traces_readout(c: &mut Criterion) {
     bench_traces_group(c, "backend_traces_readout", &x, &targets);
 }
 
+fn bench_backend_forward_readout(c: &mut Criterion) {
+    const ROWS: usize = 256;
+    const HIDDEN: usize = 1000;
+    const CLASSES: usize = 2;
+    let mut rng = MatrixRng::seed_from(27);
+    let mut x = rng.normal(ROWS, HIDDEN, 0.0, 2.0);
+    NaiveBackend::new().grouped_softmax(&mut x, HIDDEN);
+    let weights = rng.uniform(HIDDEN, CLASSES, -0.5, 0.5);
+    let bias: Vec<f32> = rng.uniform(1, CLASSES, -0.1, 0.1).into_vec();
+    let mut out = Matrix::zeros(ROWS, CLASSES);
+
+    let backends: [(&str, Box<dyn Backend>); 2] = [
+        ("naive", Box::new(NaiveBackend::new())),
+        ("parallel", Box::new(ParallelBackend::new())),
+    ];
+    let mut group = c.benchmark_group("backend_forward_readout");
+    group.throughput(Throughput::Elements(ROWS as u64));
+    for (name, backend) in &backends {
+        group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
+            b.iter(|| {
+                backend.linear_forward(black_box(&x), &weights, &bias, &mut out);
+                black_box(&out);
+            });
+        });
+    }
+    group.finish();
+}
+
 /// A pipeline shaped so the int8 weight-footprint advantage is visible:
 /// 40 quantile bins x 28 features = 1120 encoded inputs into 32x32 hidden
 /// units puts the f32 hidden weights at ~4.6 MB (spilling a typical L2)
@@ -314,6 +347,7 @@ fn bench_quantized_predict(c: &mut Criterion) {
 criterion_group!(
     backends,
     bench_backend_forward,
+    bench_backend_forward_readout,
     bench_backend_traces,
     bench_backend_traces_readout,
     bench_softmax_exp,

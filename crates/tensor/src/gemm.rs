@@ -14,6 +14,17 @@
 //! storage and BLAS semantics for `beta == 0`: `C` is overwritten, never
 //! read, so a NaN or Inf in a recycled output buffer cannot reach the
 //! product.
+//!
+//! **Narrow outputs.** When `C` is 1–4 columns wide (the readout: 1000
+//! hidden units into 2 classes), a row of `C` is one long dependent add
+//! chain per column. The blocked kernel then keeps 8 rows of `C` in local
+//! sums and walks `p` once for all of them, so 8 × n independent chains
+//! are in flight; rows left over after the last full block of 8 take the
+//! row-at-a-time loop. This is bit-exact with [`gemm_naive`]: every
+//! element of `C` still starts from `beta * c` (or `+0` when `beta == 0`),
+//! adds its products `alpha * a[i][p] * b[p][j]` in ascending `p`, and
+//! skips a zero `alpha * a[i][p]`, so a NaN in `B` behind a zero in `A`
+//! never reaches it and a `-0.0` in `C` is kept.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -110,7 +121,13 @@ fn gemm_block_panel<S: Scalar>(
             *v = scaled(*v, beta);
         }
     }
-    let mut i0 = row_start;
+    let mut i0 = match n {
+        1 => narrow_rows::<S, 1>(alpha, a, b, c_panel, row_start, row_end),
+        2 => narrow_rows::<S, 2>(alpha, a, b, c_panel, row_start, row_end),
+        3 => narrow_rows::<S, 3>(alpha, a, b, c_panel, row_start, row_end),
+        4 => narrow_rows::<S, 4>(alpha, a, b, c_panel, row_start, row_end),
+        _ => row_start,
+    };
     while i0 < row_end {
         let i1 = (i0 + BLOCK_M).min(row_end);
         let mut p0 = 0;
@@ -139,6 +156,54 @@ fn gemm_block_panel<S: Scalar>(
         }
         i0 = i1;
     }
+}
+
+/// Rows of C that [`narrow_rows`] accumulates side by side.
+const NARROW_ROWS: usize = 8;
+
+/// Narrow-output kernel for `N = b.cols()` in `1..=4`, on a panel already
+/// scaled by beta: full blocks of [`NARROW_ROWS`] rows of C, held in
+/// registers while `p` walks `0..k` once in ascending order, so
+/// `NARROW_ROWS * N` independent add chains are in flight instead of `N`.
+/// A zero `alpha * a[i][p]` is skipped as in [`gemm_naive`]. Returns the
+/// first row left to the row-at-a-time loop (fewer than [`NARROW_ROWS`]
+/// remain).
+fn narrow_rows<S: Scalar, const N: usize>(
+    alpha: S,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    c_panel: &mut [S],
+    row_start: usize,
+    row_end: usize,
+) -> usize {
+    let k = a.cols();
+    let b_data = &b.as_slice()[..k * N];
+    let mut i0 = row_start;
+    while i0 + NARROW_ROWS <= row_end {
+        let c_block = &mut c_panel[(i0 - row_start) * N..(i0 - row_start + NARROW_ROWS) * N];
+        let a_rows: [&[S]; NARROW_ROWS] = std::array::from_fn(|r| &a.row(i0 + r)[..k]);
+        let mut acc = [[S::ZERO; N]; NARROW_ROWS];
+        for (acc_row, c_row) in acc.iter_mut().zip(c_block.chunks_exact(N)) {
+            acc_row.copy_from_slice(c_row);
+        }
+        for p in 0..k {
+            let b_row = &b_data[p * N..p * N + N];
+            for (acc_row, a_row) in acc.iter_mut().zip(a_rows.iter()) {
+                let aik = alpha * a_row[p];
+                if aik == S::ZERO {
+                    continue;
+                }
+                for (cv, &bv) in acc_row.iter_mut().zip(b_row.iter()) {
+                    *cv += aik * bv;
+                }
+            }
+        }
+        for (acc_row, c_row) in acc.iter().zip(c_block.chunks_exact_mut(N)) {
+            c_row.copy_from_slice(acc_row);
+        }
+        i0 += NARROW_ROWS;
+    }
+    i0
 }
 
 /// Single-threaded cache-blocked GEMM: `C = alpha * A·B + beta * C`.

@@ -136,3 +136,94 @@ proptest! {
         }
     }
 }
+
+/// splitmix64: the deterministic source behind [`edge_case_operands`].
+fn next_u64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A uniform draw in `[lo, hi)`.
+fn uniform(state: &mut u64, lo: f32, hi: f32) -> f32 {
+    lo + (hi - lo) * (next_u64(state) >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// `A` (m x k), `B` (k x n) and `C` (m x n) for a bit-exactness check,
+/// drawn from `seed`. `A` mixes exact zeros, `-0.0`, subnormals near
+/// `1e-40` and magnitudes near `1e18` into `[-1, 1)`, and every fifth
+/// column of `A` is zero (alternating sign) with the matching row of `B`
+/// all NaN, which only a skipped zero keeps out of `C`. With `beta == 0`
+/// `C` is NaN (never read); otherwise half its entries are `-0.0`, which
+/// `+0` accumulation would turn into `+0`.
+fn edge_case_operands(
+    m: usize,
+    k: usize,
+    n: usize,
+    beta: f32,
+    seed: u64,
+) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
+    let mut state = seed;
+    let a = Matrix::from_fn(m, k, |_, p| {
+        let class = next_u64(&mut state) % 10;
+        match (p % 5, class) {
+            (0, _) => [0.0, -0.0][p / 5 % 2],
+            (_, 0..=2) => 0.0,
+            (_, 3) => -0.0,
+            (_, 4) => uniform(&mut state, -2.0, 2.0) * 1e-40,
+            (_, 5) => uniform(&mut state, -4.0, 4.0) * 1e18,
+            _ => uniform(&mut state, -1.0, 1.0),
+        }
+    });
+    let b = Matrix::from_fn(k, n, |p, _| {
+        if p % 5 == 0 {
+            f32::NAN
+        } else {
+            uniform(&mut state, -4.0, 4.0)
+        }
+    });
+    let c = Matrix::from_fn(m, n, |_, _| {
+        if beta == 0.0 {
+            f32::NAN
+        } else if next_u64(&mut state) & 1 == 0 {
+            -0.0
+        } else {
+            uniform(&mut state, -1.0, 1.0)
+        }
+    });
+    (a, b, c)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `gemm` and `gemm_blocked` equal `gemm_naive` bit for bit on every
+    /// width the narrow-output path takes (n <= 4) and the first it does
+    /// not (5), on row counts around its 8-row blocks, the 64-row bands
+    /// and the parallel cut-off.
+    #[test]
+    fn gemm_is_bit_exact_with_naive(
+        m_at in 0usize..9,
+        k in 0usize..=1100,
+        n in 1usize..=5,
+        alpha_at in 0usize..2,
+        beta_at in 0usize..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let m = [0, 1, 7, 8, 9, 63, 64, 65, 257][m_at];
+        let (alpha, beta) = ([1.0f32, -0.75][alpha_at], [0.0f32, 0.5][beta_at]);
+        let (a, b, c) = edge_case_operands(m, k, n, beta, seed);
+        let mut expected = c.clone();
+        gemm_naive(alpha, &a, &b, beta, &mut expected);
+        prop_assert!(expected.all_finite());
+        let mut blocked = c.clone();
+        gemm_blocked(alpha, &a, &b, beta, &mut blocked);
+        let mut parallel = c;
+        gemm(alpha, &a, &b, beta, &mut parallel);
+        let bits = |x: &Matrix<f32>| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&blocked), bits(&expected));
+        prop_assert_eq!(bits(&parallel), bits(&expected));
+    }
+}
