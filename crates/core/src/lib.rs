@@ -77,15 +77,12 @@ pub use error::{CoreError, CoreResult};
 pub use hcu::HiddenLayer;
 pub use mask::ReceptiveFieldMask;
 pub use metrics::EvalReport;
-pub use model::{
-    Estimator, NetworkEstimator, Pipeline, PipelineEstimator, Predictor, Stage, Transformer,
-};
+pub use model::{Estimator, NetworkEstimator, Pipeline, PipelineEstimator, Predictor};
 pub use network::{Network, NetworkBuilder, ReadoutKind};
 pub use params::{HiddenLayerParams, SgdParams, TrainingParams};
 pub use plasticity::{PlasticityConfig, PlasticityReport, StructuralPlasticity};
 pub use serialize::{
-    load_calibration, load_network, load_network_with_encoder, load_pipeline, load_stage,
-    save_calibration, save_network, save_network_with_encoder, save_pipeline, save_stage,
+    load_calibration, load_network, load_pipeline, save_calibration, save_network, save_pipeline,
 };
 pub use sgd::SgdClassifier;
 pub use traces::ProbabilityTraces;

@@ -1,28 +1,24 @@
-//! The unified estimator/transformer model API: one `fit → predict`
+//! The unified estimator/predictor model API: one `fit → predict`
 //! surface from core training to serving.
 //!
-//! Every layer of the reproduction talks to models through three small
+//! Every layer of the reproduction talks to models through two small
 //! traits, in the scikit-learn tradition of separating the *estimation
 //! procedure* from the *fitted model*:
 //!
-//! * [`Transformer`] — a fittable feature map (`fit` / `transform` /
-//!   `fit_transform`). The `bcpnn-data` encoders ([`QuantileEncoder`],
-//!   [`ThermometerEncoder`], [`Standardizer`]) all implement it.
 //! * [`Estimator`] — a configuration that consumes training data and
 //!   yields a fitted [`Predictor`]. [`NetworkEstimator`] (builder +
 //!   training schedule → [`Network`]) and [`PipelineEstimator`] (encoder
-//!   parameters + network estimator → [`Pipeline`]) implement it.
+//!   bin count + network estimator → [`Pipeline`]) implement it.
 //! * [`Predictor`] — a fitted model: `predict_proba` / `predict` /
 //!   `n_inputs` / `n_classes` (plus a default `evaluate`). Implemented by
 //!   [`Network`], by the readout heads ([`BcpnnClassifier`],
 //!   [`SgdClassifier`] over hidden activations), and by [`Pipeline`].
 //!
-//! [`Pipeline`] is the deployable artifact: a chain of fitted transformer
-//! [`Stage`]s in front of a trained network, so raw feature vectors go in
-//! and class probabilities come out. It persists as a self-describing
-//! stage-tagged `v4` model directory;
-//! `bcpnn-serve` serves any `Predictor` — a loaded `Pipeline` being the
-//! common case.
+//! [`Pipeline`] is the deployable artifact: the paper's fitted quantile
+//! encoder (§V) in front of a trained network, plus an optional post-hoc
+//! calibration, so raw feature vectors go in and class probabilities come
+//! out. It persists as a `v4` model directory; `bcpnn-serve` serves any
+//! `Predictor` — a loaded `Pipeline` being the common case.
 //!
 //! # Fitting an estimator
 //!
@@ -59,23 +55,14 @@
 //! assert!(report.accuracy > 0.5);
 //! ```
 //!
-//! # Transformers and pipelines
+//! # Pipelines
 //!
 //! ```
-//! use bcpnn_core::model::{Predictor, Transformer};
+//! use bcpnn_core::model::Predictor;
 //! use bcpnn_core::{Network, Pipeline, TrainingParams};
 //! use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-//! use bcpnn_data::QuantileEncoder;
 //!
 //! let data = generate(&SyntheticHiggsConfig { n_samples: 200, ..Default::default() });
-//!
-//! // A fitted transformer maps 28 raw features to 280 binary inputs.
-//! // (`Transformer::transform` works on bare matrices; the inherent
-//! // `transform` keeps its dataset-level spelling.)
-//! let mut encoder = QuantileEncoder::fit_matrix(&data.features, 10);
-//! let encoded = Transformer::transform(&encoder, &data.features).unwrap();
-//! assert_eq!(encoded.cols(), encoder.output_width());
-//! encoder.fit(&data.features).unwrap(); // transformers re-fit in place
 //!
 //! // Pipeline::fit is the one-call spelling: encoder + network together.
 //! let (pipeline, _report) = Pipeline::fit(
@@ -93,11 +80,15 @@
 //!     },
 //! )
 //! .unwrap();
+//!
+//! // The fitted encoder maps 28 raw features to 280 binary inputs.
+//! let encoded = pipeline.encode(&data.features).unwrap();
+//! assert_eq!(encoded.cols(), 280);
 //! let proba = pipeline.predict_proba(&data.features).unwrap();
 //! assert_eq!(proba.shape(), (200, 2));
 //! ```
 
-use bcpnn_data::encode::{QuantileEncoder, Standardizer, ThermometerEncoder};
+use bcpnn_data::encode::QuantileEncoder;
 use bcpnn_data::Dataset;
 use bcpnn_tensor::Matrix;
 
@@ -111,41 +102,6 @@ use crate::sgd::SgdClassifier;
 use crate::training::{FitReport, Trainer};
 use crate::workspace::Workspace;
 
-/// A fittable feature map: `fit` learns parameters from training rows,
-/// `transform` applies them to any rows with the same schema.
-pub trait Transformer {
-    /// Re-fit the transformer's parameters on training rows (keeping its
-    /// structural configuration, e.g. an encoder's bin count).
-    fn fit(&mut self, x: &Matrix<f32>) -> CoreResult<()>;
-
-    /// Apply the fitted map to a batch of rows.
-    fn transform(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>>;
-
-    /// Apply the fitted map into a caller-provided buffer (resized to
-    /// `rows x output_width`, every element overwritten).
-    ///
-    /// The default implementation falls back to the allocating
-    /// [`Transformer::transform`], so foreign transformers keep working;
-    /// the built-in encoders override it with true in-place encoding, which
-    /// is what keeps the serving data plane allocation-free.
-    fn transform_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) -> CoreResult<()> {
-        *out = self.transform(x)?;
-        Ok(())
-    }
-
-    /// Fit on `x`, then transform it.
-    fn fit_transform(&mut self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
-        self.fit(x)?;
-        self.transform(x)
-    }
-
-    /// Number of input columns the fitted transformer expects.
-    fn input_width(&self) -> usize;
-
-    /// Number of output columns the fitted transformer produces.
-    fn output_width(&self) -> usize;
-}
-
 /// A fitted classification model: probabilities in, decisions out.
 ///
 /// Object safe — the serving subsystem stores models as
@@ -157,7 +113,7 @@ pub trait Predictor {
     fn predict_proba(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>>;
 
     /// Class probabilities written into a caller-provided buffer, drawing
-    /// all intermediate scratch (stage encodings, hidden activations) from
+    /// all intermediate scratch (encoded rows, hidden activations) from
     /// `ws`. A warmed-up `(workspace, out)` pair makes repeated batched
     /// inference allocation-free — the serving workers' steady state.
     ///
@@ -215,102 +171,6 @@ pub trait Estimator {
 // ---------------------------------------------------------------------------
 // Trait retrofits for the existing surface.
 // ---------------------------------------------------------------------------
-
-/// Both quantile-binner-backed encoders carry the same `fit_matrix` /
-/// `transform_rows` / `n_features` / `n_bins` surface; one macro keeps
-/// their trait retrofits from diverging.
-macro_rules! impl_transformer_for_binned_encoder {
-    ($encoder:ty) => {
-        impl Transformer for $encoder {
-            fn fit(&mut self, x: &Matrix<f32>) -> CoreResult<()> {
-                if x.rows() == 0 {
-                    return Err(CoreError::DataMismatch(
-                        "cannot fit an encoder on an empty matrix".into(),
-                    ));
-                }
-                *self = <$encoder>::fit_matrix(x, self.n_bins());
-                Ok(())
-            }
-
-            fn transform(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
-                if x.cols() != self.n_features() {
-                    return Err(CoreError::DataMismatch(format!(
-                        "encoder was fitted on {} features, matrix has {}",
-                        self.n_features(),
-                        x.cols()
-                    )));
-                }
-                Ok(self.transform_rows(x))
-            }
-
-            fn transform_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) -> CoreResult<()> {
-                if x.cols() != self.n_features() {
-                    return Err(CoreError::DataMismatch(format!(
-                        "encoder was fitted on {} features, matrix has {}",
-                        self.n_features(),
-                        x.cols()
-                    )));
-                }
-                self.transform_rows_into(x, out);
-                Ok(())
-            }
-
-            fn input_width(&self) -> usize {
-                self.n_features()
-            }
-
-            fn output_width(&self) -> usize {
-                self.encoded_width()
-            }
-        }
-    };
-}
-
-impl_transformer_for_binned_encoder!(QuantileEncoder);
-impl_transformer_for_binned_encoder!(ThermometerEncoder);
-
-impl Transformer for Standardizer {
-    fn fit(&mut self, x: &Matrix<f32>) -> CoreResult<()> {
-        if x.rows() == 0 {
-            return Err(CoreError::DataMismatch(
-                "cannot fit a standardizer on an empty matrix".into(),
-            ));
-        }
-        *self = Standardizer::fit_matrix(x);
-        Ok(())
-    }
-
-    fn transform(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
-        if x.cols() != self.n_features() {
-            return Err(CoreError::DataMismatch(format!(
-                "standardizer was fitted on {} features, matrix has {}",
-                self.n_features(),
-                x.cols()
-            )));
-        }
-        Ok(self.transform_rows(x))
-    }
-
-    fn transform_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) -> CoreResult<()> {
-        if x.cols() != self.n_features() {
-            return Err(CoreError::DataMismatch(format!(
-                "standardizer was fitted on {} features, matrix has {}",
-                self.n_features(),
-                x.cols()
-            )));
-        }
-        self.transform_rows_into(x, out);
-        Ok(())
-    }
-
-    fn input_width(&self) -> usize {
-        self.n_features()
-    }
-
-    fn output_width(&self) -> usize {
-        self.n_features()
-    }
-}
 
 impl Predictor for Network {
     fn predict_proba(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
@@ -473,7 +333,7 @@ impl PipelineEstimator {
             self.network.training.clone(),
         );
         let (network, report) = network.fit_report(&encoded, labels)?;
-        Ok((Pipeline::new(network, Some(encoder))?, report))
+        Ok((Pipeline::new(network, encoder)?, report))
     }
 }
 
@@ -486,130 +346,24 @@ impl Estimator for PipelineEstimator {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline: a chain of fitted transformer stages + a trained network.
+// Pipeline: the fitted quantile encoder + a trained network.
 // ---------------------------------------------------------------------------
 
-/// A persistable transformer stage of a [`Pipeline`].
-///
-/// The closed set of stage kinds is what makes the `v4` model-directory
-/// format self-describing: each stage serializes under a stable tag
-/// ([`Stage::kind`]) so a loader can reconstruct the exact chain — and an
-/// unknown tag is a typed [`CoreError::Format`], never a panic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Stage {
-    /// One-hot quantile encoding (the paper's preprocessing).
-    Quantile(QuantileEncoder),
-    /// Cumulative (thermometer) quantile encoding.
-    Thermometer(ThermometerEncoder),
-    /// Zero-mean / unit-variance standardization.
-    Standardize(Standardizer),
-}
-
-impl Stage {
-    /// The stable persistence tag of this stage kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Stage::Quantile(_) => "quantile",
-            Stage::Thermometer(_) => "thermometer",
-            Stage::Standardize(_) => "standardize",
-        }
-    }
-
-    fn as_transformer(&self) -> &dyn Transformer {
-        match self {
-            Stage::Quantile(t) => t,
-            Stage::Thermometer(t) => t,
-            Stage::Standardize(t) => t,
-        }
-    }
-}
-
-impl Transformer for Stage {
-    fn fit(&mut self, x: &Matrix<f32>) -> CoreResult<()> {
-        match self {
-            Stage::Quantile(t) => t.fit(x),
-            Stage::Thermometer(t) => t.fit(x),
-            Stage::Standardize(t) => t.fit(x),
-        }
-    }
-
-    fn transform(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
-        self.as_transformer().transform(x)
-    }
-
-    fn transform_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) -> CoreResult<()> {
-        self.as_transformer().transform_into(x, out)
-    }
-
-    fn input_width(&self) -> usize {
-        self.as_transformer().input_width()
-    }
-
-    fn output_width(&self) -> usize {
-        self.as_transformer().output_width()
-    }
-}
-
-/// Validate that a stage chain's widths connect — each stage's output
-/// width feeds the next stage's input width — and that the chain ends at
-/// `n_inputs`. Shared by [`Pipeline::from_stages`] and the serializer.
-pub(crate) fn validate_chain(stages: &[Stage], n_inputs: usize) -> CoreResult<()> {
-    let mut width = stages.first().map_or(n_inputs, Transformer::input_width);
-    for (i, stage) in stages.iter().enumerate() {
-        if stage.input_width() != width {
-            return Err(CoreError::DataMismatch(format!(
-                "stage {i} ({}) expects {} columns but receives {width}",
-                stage.kind(),
-                stage.input_width()
-            )));
-        }
-        width = stage.output_width();
-    }
-    if width != n_inputs {
-        return Err(CoreError::DataMismatch(format!(
-            "pipeline stages produce {width} columns but the network expects {n_inputs}"
-        )));
-    }
-    Ok(())
-}
-
-/// Run `stages` over `x`, ping-ponging through two buffers: the first stage
-/// fills `src`, every later stage reads `src` and writes `dst`, then the two
-/// swap, so the freshest encoding always ends up in `src` and a one-stage
-/// chain touches only `src`. An empty chain returns `x` itself, with no
-/// copy.
-fn run_chain<'a>(
-    stages: &[Stage],
-    x: &'a Matrix<f32>,
-    src: &'a mut Matrix<f32>,
-    dst: &mut Matrix<f32>,
-) -> CoreResult<&'a Matrix<f32>> {
-    let Some((first, rest)) = stages.split_first() else {
-        return Ok(x);
-    };
-    first.transform_into(x, src)?;
-    for stage in rest {
-        stage.transform_into(src, dst)?;
-        std::mem::swap(src, dst);
-    }
-    Ok(src)
-}
-
-/// A complete inference artifact: a chain of fitted transformer stages in
-/// front of a trained network, so raw feature vectors go in and class
-/// probabilities come out in one call.
+/// A complete inference artifact: the fitted quantile encoder in front of
+/// a trained network, so raw feature vectors go in and class probabilities
+/// come out in one call.
 ///
 /// Offline experiments encode the whole dataset once and train on the
 /// binary code; a serving system cannot ask its clients to do that. The
 /// pipeline closes the gap — it is the artifact `bcpnn-serve` publishes,
-/// and it persists as a stage-tagged `v4` model directory
-/// ([`Pipeline::save`] / [`Pipeline::load`]).
-/// `Clone` copies the fitted stages and the full trainable network state,
+/// and it persists as a `v4` model directory ([`Pipeline::save`] /
+/// [`Pipeline::load`]).
+/// `Clone` copies the fitted encoder and the full trainable network state,
 /// so a clone learns independently of the original — the seam the
 /// online-learning shadow trainer publishes through.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
-    stages: Vec<Stage>,
+    encoder: QuantileEncoder,
     network: Network,
     /// Optional post-hoc probability calibration, applied to every
     /// `predict_proba` row after the readout (see [`crate::calibration`]).
@@ -617,22 +371,19 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Bundle a network with an optional fitted quantile encoder (the
-    /// common chain). Fails if the encoder's output width does not match
-    /// the network's input width.
-    pub fn new(network: Network, encoder: Option<QuantileEncoder>) -> CoreResult<Self> {
-        let stages = encoder.map(Stage::Quantile).into_iter().collect();
-        Self::from_stages(stages, network)
-    }
-
-    /// Bundle a network with an arbitrary chain of fitted stages. Fails
-    /// unless the stage widths chain: each stage's output width must equal
-    /// the next stage's input width, and the final output width must equal
-    /// the network's input width.
-    pub fn from_stages(stages: Vec<Stage>, network: Network) -> CoreResult<Self> {
-        validate_chain(&stages, network.hidden().params().n_inputs)?;
+    /// Bundle a network with the fitted quantile encoder in front of it.
+    /// Fails if the encoder's output width does not match the network's
+    /// input width.
+    pub fn new(network: Network, encoder: QuantileEncoder) -> CoreResult<Self> {
+        let n_inputs = network.hidden().params().n_inputs;
+        if encoder.encoded_width() != n_inputs {
+            return Err(CoreError::DataMismatch(format!(
+                "the encoder produces {} columns but the network expects {n_inputs}",
+                encoder.encoded_width()
+            )));
+        }
         Ok(Self {
-            stages,
+            encoder,
             network,
             calibration: None,
         })
@@ -656,12 +407,7 @@ impl Pipeline {
             .fit_report(&data.features, &data.labels)
     }
 
-    /// The transformer stages, in application order.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
-    }
-
-    /// The trained network behind the stages.
+    /// The trained network behind the encoder.
     pub fn network(&self) -> &Network {
         &self.network
     }
@@ -703,66 +449,53 @@ impl Pipeline {
         Ok(())
     }
 
-    /// The fitted quantile encoder, when the chain is the canonical
-    /// single-encoder one (used by receptive-field introspection).
+    /// The fitted quantile encoder. Always `Some`: every pipeline has one;
+    /// the `Option` stays for callers written against the earlier
+    /// signature.
     pub fn encoder(&self) -> Option<&QuantileEncoder> {
-        match self.stages.as_slice() {
-            [Stage::Quantile(enc)] => Some(enc),
-            _ => None,
-        }
+        Some(&self.encoder)
     }
 
-    /// Width of the feature vectors callers must supply: the first stage's
-    /// input width, or the network's input width for a stage-less pipeline.
+    /// Width of the raw feature vectors callers must supply.
     pub fn input_width(&self) -> usize {
-        self.stages
-            .first()
-            .map_or(self.network.hidden().params().n_inputs, |s| s.input_width())
+        self.encoder.n_features()
     }
 
-    /// Run the stage chain (without the network) on a batch of rows.
-    pub fn encode(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
-        let mut current = None;
-        for stage in &self.stages {
-            let out = stage.transform(current.as_ref().unwrap_or(x))?;
-            current = Some(out);
+    /// A typed error unless `x` has [`Pipeline::input_width`] columns; the
+    /// encoder itself panics on a wrong width.
+    fn check_width(&self, x: &Matrix<f32>, what: &str) -> CoreResult<()> {
+        if x.cols() != self.input_width() {
+            return Err(CoreError::DataMismatch(format!(
+                "pipeline expects {} columns, {what} have {}",
+                self.input_width(),
+                x.cols()
+            )));
         }
-        Ok(current.unwrap_or_else(|| x.clone()))
+        Ok(())
+    }
+
+    /// The dense one-hot code of a batch of rows (the encoder without the
+    /// network).
+    pub fn encode(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
+        self.check_width(x, "rows")?;
+        Ok(self.encoder.transform_rows(x))
     }
 
     /// Class probabilities written into `out`, drawing every intermediate
-    /// (stage encodings, hidden activations) from `ws`: the zero-allocation
+    /// (hot columns, hidden activations) from `ws`: the zero-allocation
     /// spelling of [`Predictor::predict_proba`] the serving workers run.
-    /// Bit-identical to the allocating path.
+    /// The network reads the hot columns of the one-hot code, never the
+    /// dense matrix.
     pub fn predict_proba_into(
         &self,
         x: &Matrix<f32>,
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
-        if x.cols() != self.input_width() {
-            return Err(CoreError::DataMismatch(format!(
-                "pipeline expects {} columns, rows have {}",
-                self.input_width(),
-                x.cols()
-            )));
-        }
-        let mut src = std::mem::take(&mut ws.encode_a);
-        let mut dst = std::mem::take(&mut ws.encode_b);
+        self.check_width(x, "rows")?;
         let mut hot = std::mem::take(&mut ws.hot);
-        // A chain that ends in the quantile encoder hands the network the
-        // hot columns of its one-hot code; any other ends in a dense matrix.
-        let result = match self.stages.split_last() {
-            Some((Stage::Quantile(encoder), earlier)) => run_chain(earlier, x, &mut src, &mut dst)
-                .and_then(|encoded| {
-                    encoder.transform_rows_hot_into(encoded, &mut hot);
-                    self.network.predict_proba_hot_into(&hot, x.rows(), ws, out)
-                }),
-            _ => run_chain(&self.stages, x, &mut src, &mut dst)
-                .and_then(|encoded| self.network.predict_proba_into(encoded, ws, out)),
-        };
-        ws.encode_a = src;
-        ws.encode_b = dst;
+        self.encoder.transform_rows_hot_into(x, &mut hot);
+        let result = self.network.predict_proba_hot_into(&hot, x.rows(), ws, out);
         ws.hot = hot;
         result?;
         if let Some(cal) = &self.calibration {
@@ -772,36 +505,28 @@ impl Pipeline {
     }
 
     /// Fold one labeled batch of *raw* feature rows into the trained
-    /// network — [`Network::learn_batch`] behind the fitted stage chain.
+    /// network — [`Network::learn_batch`] behind the fitted encoder.
     ///
-    /// The stages themselves stay frozen (they were fitted offline and
-    /// describe the input encoding, which must not drift under the served
-    /// model); only the network's counters move. Rows are encoded through
-    /// the same workspace ping-pong as [`Pipeline::predict_proba_into`],
-    /// so a warmed-up online trainer allocates nothing per fold.
+    /// The encoder itself stays frozen (it was fitted offline and describes
+    /// the input encoding, which must not drift under the served model);
+    /// only the network's counters move. Rows are encoded into the
+    /// workspace's `encoded` buffer, so a warmed-up online trainer
+    /// allocates nothing per fold.
     pub fn learn_batch(
         &mut self,
         x: &Matrix<f32>,
         labels: &[usize],
         ws: &mut Workspace,
     ) -> CoreResult<()> {
-        if x.cols() != self.input_width() {
-            return Err(CoreError::DataMismatch(format!(
-                "pipeline expects {} columns, learn rows have {}",
-                self.input_width(),
-                x.cols()
-            )));
-        }
-        let mut src = std::mem::take(&mut ws.encode_a);
-        let mut dst = std::mem::take(&mut ws.encode_b);
-        let result = run_chain(&self.stages, x, &mut src, &mut dst)
-            .and_then(|encoded| self.network.learn_batch(encoded, labels, ws));
-        ws.encode_a = src;
-        ws.encode_b = dst;
+        self.check_width(x, "learn rows")?;
+        let mut encoded = std::mem::take(&mut ws.encoded);
+        self.encoder.transform_rows_into(x, &mut encoded);
+        let result = self.network.learn_batch(&encoded, labels, ws);
+        ws.encoded = encoded;
         result
     }
 
-    /// Save the artifact as a stage-tagged (`v4`) model directory.
+    /// Save the artifact as a `v4` model directory.
     pub fn save<P: AsRef<std::path::Path>>(&self, dir: P) -> CoreResult<()> {
         crate::serialize::save_pipeline(self, dir)
     }
@@ -917,25 +642,19 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stageless_pipeline_feeds_rows_straight_through() {
-        let net = tiny_builder().input(20).build().unwrap();
-        let pipeline = Pipeline::from_stages(Vec::new(), net).unwrap();
-        assert_eq!(pipeline.input_width(), 20);
-        assert!(pipeline.encoder().is_none());
-        let x = Matrix::from_fn(5, 20, |r, c| f32::from((r + c) % 3 == 0));
-        let via_pipeline = pipeline.predict_proba(&x).unwrap();
-        let via_network = pipeline.network().predict_proba(&x).unwrap();
-        assert_eq!(via_pipeline, via_network);
-        // encode() on a stage-less pipeline is the identity.
-        assert_eq!(pipeline.encode(&x).unwrap(), x);
-    }
-
-    #[test]
     fn wrong_width_is_a_typed_error() {
-        let (pipeline, _) = tiny_pipeline(3);
+        let (mut pipeline, _) = tiny_pipeline(3);
         let bad = Matrix::zeros(2, 5);
         assert!(matches!(
             pipeline.predict_proba(&bad),
+            Err(CoreError::DataMismatch(_))
+        ));
+        assert!(matches!(
+            pipeline.encode(&bad),
+            Err(CoreError::DataMismatch(_))
+        ));
+        assert!(matches!(
+            pipeline.learn_batch(&bad, &[0, 1], &mut Workspace::new()),
             Err(CoreError::DataMismatch(_))
         ));
     }
@@ -951,68 +670,10 @@ pub(crate) mod tests {
             .build()
             .unwrap();
         let enc = other.encoder().unwrap().clone();
-        assert!(Pipeline::new(narrow_net, Some(enc)).is_err());
-    }
-
-    #[test]
-    fn multi_stage_chain_standardize_then_quantile() {
-        let data = higgs(300, 5);
-        let standardizer = Standardizer::fit_matrix(&data.features);
-        let z = standardizer.transform_rows(&data.features);
-        let encoder = QuantileEncoder::fit_matrix(&z, 10);
-        let encoded = encoder.transform_rows(&z);
-        let estimator = NetworkEstimator::new(
-            tiny_builder().input(encoder.encoded_width()),
-            tiny_training(),
-        );
-        let network = estimator.fit(&encoded, &data.labels).unwrap();
-        let pipeline = Pipeline::from_stages(
-            vec![
-                Stage::Standardize(standardizer),
-                Stage::Quantile(encoder.clone()),
-            ],
-            network,
-        )
-        .unwrap();
-        assert_eq!(pipeline.stages().len(), 2);
-        assert_eq!(pipeline.input_width(), 28);
-        assert!(pipeline.encoder().is_none(), "not the canonical chain");
-        let via_pipeline = pipeline.predict_proba(&data.features).unwrap();
-        let via_manual = pipeline.network().predict_proba(&encoded).unwrap();
-        assert!(via_pipeline.max_abs_diff(&via_manual) < 1e-6);
-        // An out-of-order chain fails construction: quantile output (280
-        // binary columns) does not chain into a 28-wide standardizer.
-        let (p2, _) = tiny_pipeline(6);
-        let stages = vec![
-            Stage::Quantile(encoder),
-            Stage::Standardize(Standardizer::fit_matrix(&data.features)),
-        ];
         assert!(matches!(
-            Pipeline::from_stages(stages, /* any net */ p2.network),
+            Pipeline::new(narrow_net, enc),
             Err(CoreError::DataMismatch(_))
         ));
-    }
-
-    #[test]
-    fn transformer_trait_fit_transform_roundtrip() {
-        let data = higgs(200, 7);
-        let mut enc = QuantileEncoder::fit_matrix(&data.features, 10);
-        let fresh = higgs(150, 8);
-        let refit = enc.fit_transform(&fresh.features).unwrap();
-        assert_eq!(
-            refit,
-            QuantileEncoder::fit_matrix(&fresh.features, 10).transform_rows(&fresh.features)
-        );
-        assert_eq!(enc.input_width(), 28);
-        assert_eq!(enc.output_width(), 280);
-        // Schema mismatches are typed errors.
-        assert!(Transformer::transform(&enc, &Matrix::zeros(2, 3)).is_err());
-        let mut therm = ThermometerEncoder::fit_matrix(&data.features, 8);
-        assert_eq!(therm.output_width(), 28 * 8);
-        assert!(therm.fit(&Matrix::<f32>::zeros(0, 28)).is_err());
-        let mut std = Standardizer::fit_matrix(&data.features);
-        assert_eq!(std.input_width(), std.output_width());
-        assert!(std.fit(&fresh.features).is_ok());
     }
 
     #[test]
@@ -1072,7 +733,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn pipeline_predict_proba_into_is_bit_identical_including_multi_stage() {
+    fn pipeline_predict_proba_into_is_bit_identical() {
         let (pipeline, data) = tiny_pipeline(20);
         let mut ws = Workspace::new();
         let mut out = Matrix::filled(1, 1, f32::NAN);
@@ -1087,36 +748,14 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(ws.allocated_elems(), warmed);
 
-        // Multi-stage chain: standardize → quantile ping-pongs through both
-        // encode buffers and still matches the allocating path exactly.
-        let standardizer = Standardizer::fit_matrix(&data.features);
-        let z = standardizer.transform_rows(&data.features);
-        let encoder = QuantileEncoder::fit_matrix(&z, 10);
-        let encoded = encoder.transform_rows(&z);
-        let network = NetworkEstimator::new(
-            tiny_builder().input(encoder.encoded_width()),
-            tiny_training(),
-        )
-        .fit(&encoded, &data.labels)
-        .unwrap();
-        let chained = Pipeline::from_stages(
-            vec![Stage::Standardize(standardizer), Stage::Quantile(encoder)],
-            network,
-        )
-        .unwrap();
-        chained
-            .predict_proba_into(&data.features, &mut ws, &mut out)
-            .unwrap();
-        assert_eq!(out, chained.predict_proba(&data.features).unwrap());
-
         // Wrong widths stay typed errors and leave the workspace reusable.
-        assert!(chained
+        assert!(pipeline
             .predict_proba_into(&Matrix::zeros(2, 3), &mut ws, &mut out)
             .is_err());
-        chained
+        pipeline
             .predict_proba_into(&data.features, &mut ws, &mut out)
             .unwrap();
-        assert_eq!(out, chained.predict_proba(&data.features).unwrap());
+        assert_eq!(out, pipeline.predict_proba(&data.features).unwrap());
     }
 
     #[test]
@@ -1144,25 +783,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn transform_into_matches_transform_for_every_stage_kind() {
-        let data = higgs(120, 21);
-        let stages = vec![
-            Stage::Quantile(QuantileEncoder::fit_matrix(&data.features, 8)),
-            Stage::Thermometer(ThermometerEncoder::fit_matrix(&data.features, 8)),
-            Stage::Standardize(Standardizer::fit_matrix(&data.features)),
-        ];
-        let mut out = Matrix::filled(2, 2, f32::NAN);
-        for stage in &stages {
-            stage.transform_into(&data.features, &mut out).unwrap();
-            assert_eq!(out, stage.transform(&data.features).unwrap());
-            // Schema mismatches are typed errors through _into too.
-            assert!(stage
-                .transform_into(&Matrix::zeros(2, 3), &mut out)
-                .is_err());
-        }
-    }
-
-    #[test]
     fn predictors_are_object_safe_and_shareable() {
         let (pipeline, data) = tiny_pipeline(12);
         let direct = pipeline.predict_proba(&data.features).unwrap();
@@ -1176,18 +796,20 @@ pub(crate) mod tests {
 
     #[test]
     fn stage_kinds_are_stable() {
-        let data = higgs(50, 13);
-        assert_eq!(
-            Stage::Quantile(QuantileEncoder::fit_matrix(&data.features, 4)).kind(),
-            "quantile"
-        );
-        assert_eq!(
-            Stage::Thermometer(ThermometerEncoder::fit_matrix(&data.features, 4)).kind(),
-            "thermometer"
-        );
-        assert_eq!(
-            Stage::Standardize(Standardizer::fit_matrix(&data.features)).kind(),
-            "standardize"
-        );
+        // The persisted stage list is the format's stable part: a pipeline
+        // writes its encoder as the one `quantile` stage, a bare network
+        // writes none.
+        let (pipeline, _) = tiny_pipeline(13);
+        let dir = std::env::temp_dir()
+            .join("bcpnn_model_tests")
+            .join(format!("stage_kinds_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        pipeline.save(dir.join("pipeline")).unwrap();
+        crate::save_network(pipeline.network(), dir.join("network")).unwrap();
+        let manifest =
+            |name: &str| std::fs::read_to_string(dir.join(name).join("manifest.txt")).unwrap();
+        assert!(manifest("pipeline").contains("\nstages 1\nstage0 quantile\n"));
+        assert!(manifest("network").ends_with("\nstages 0\n"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

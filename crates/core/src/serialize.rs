@@ -10,24 +10,23 @@
 //!
 //! ## Format
 //!
-//! One format is written and read, `v4`: a self-describing
-//! **stage-tagged** manifest carrying a `stages N` count plus one
-//! `stage<i> <kind>` line per fitted transformer stage (kinds: `quantile`,
-//! `thermometer`, `standardize`; state in `stage<i>.txt`), so an arbitrary
-//! [`Pipeline`](crate::model::Pipeline) chain persists and reloads exactly
-//! (see [`save_pipeline`] / [`load_pipeline`]), and an attached post-hoc
-//! [`Calibration`] as a `calibration <kind>` line (kinds: `temperature`,
-//! `isotonic`) plus the fitted state in `calibration.mat`, written **only
-//! when a calibration is attached**. An unknown stage tag, and any other
-//! header version (`v1`–`v3` were never shipped in a model directory), is
-//! a typed [`CoreError::Format`], never a panic.
+//! One format is written and read, `v4`. Its manifest lists the input
+//! stages in front of the network, and exactly two lists exist: a bare
+//! network ([`save_network`]) writes `stages 0`, and a
+//! [`Pipeline`](crate::model::Pipeline) ([`save_pipeline`]) writes
+//! `stages 1` / `stage0 quantile` with the fitted quantile encoder in
+//! `stage0.txt`. An attached post-hoc [`Calibration`] adds a
+//! `calibration <kind>` line (kinds: `temperature`, `isotonic`) plus the
+//! fitted state in `calibration.mat`, written **only when a calibration is
+//! attached**. Any other stage list, a [`load_pipeline`] of a bare network,
+//! and any other header version (`v1`–`v3` were never shipped in a model
+//! directory) is a typed [`CoreError::Format`], never a panic.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_data::encode::{Standardizer, ThermometerEncoder};
 use bcpnn_data::QuantileEncoder;
 use bcpnn_tensor::{load_matrix, save_matrix, Matrix};
 
@@ -35,7 +34,7 @@ use crate::calibration::{Calibration, IsotonicMap};
 use crate::classifier::BcpnnClassifierParams;
 use crate::error::{CoreError, CoreResult};
 use crate::mask::ReceptiveFieldMask;
-use crate::model::{Pipeline, Stage, Transformer};
+use crate::model::Pipeline;
 use crate::network::{Network, NetworkBuilder, ReadoutKind};
 use crate::params::{HiddenLayerParams, SgdParams};
 use crate::traces::ProbabilityTraces;
@@ -48,38 +47,8 @@ const MAGIC: &str = "bcpnn-network";
 /// accepted by [`load_network`] / [`load_pipeline`].
 const VERSION: &str = "v4";
 
-/// File one fitted stage is stored in.
-fn stage_file(i: usize) -> String {
-    format!("stage{i}.txt")
-}
-
-/// Persist one fitted [`Stage`] to `path` (the per-stage state file of the
-/// stage-tagged directory formats). Public so sibling crates persisting
-/// their own stage-tagged artifacts — e.g. the quantized-pipeline format in
-/// `bcpnn-lowprec` — reuse the exact stage encodings of the model
-/// directories instead of inventing parallel ones.
-pub fn save_stage(stage: &Stage, path: &Path) -> CoreResult<()> {
-    match stage {
-        Stage::Quantile(enc) => enc.save(path)?,
-        Stage::Thermometer(enc) => enc.save(path)?,
-        Stage::Standardize(std) => std.save(path)?,
-    }
-    Ok(())
-}
-
-/// Load one fitted [`Stage`] from `path`, dispatching on its stable
-/// persistence tag ([`Stage::kind`]). An unknown tag is a typed
-/// [`CoreError::Format`]. Counterpart of [`save_stage`].
-pub fn load_stage(kind: &str, path: &Path) -> CoreResult<Stage> {
-    match kind {
-        "quantile" => Ok(Stage::Quantile(QuantileEncoder::load(path)?)),
-        "thermometer" => Ok(Stage::Thermometer(ThermometerEncoder::load(path)?)),
-        "standardize" => Ok(Stage::Standardize(Standardizer::load(path)?)),
-        other => Err(CoreError::Format(format!(
-            "unknown pipeline stage kind {other:?}"
-        ))),
-    }
-}
+/// File the fitted quantile encoder of a pipeline is stored in.
+const ENCODER_FILE: &str = "stage0.txt";
 
 fn vec_to_matrix(v: &[f32]) -> Matrix<f32> {
     Matrix::from_vec(1, v.len(), v.to_vec())
@@ -143,49 +112,29 @@ pub fn load_calibration(kind: &str, path: &Path) -> CoreResult<Calibration> {
     Ok(calibration)
 }
 
-/// Save a network into `dir` (created if missing), without any stages.
+/// Save a network into `dir` (created if missing), without an encoder.
 pub fn save_network<P: AsRef<Path>>(network: &Network, dir: P) -> CoreResult<()> {
-    save_stages(network, &[], None, dir.as_ref())
+    save_dir(network, None, None, dir.as_ref())
 }
 
-/// Save a network into `dir` (created if missing) together with the fitted
-/// input encoder, making the directory a self-contained serving artifact
-/// that accepts raw (un-encoded) feature vectors.
-///
-/// Compatibility spelling for the canonical single-encoder chain; prefer
-/// [`save_pipeline`], which persists arbitrary stage chains.
-pub fn save_network_with_encoder<P: AsRef<Path>>(
-    network: &Network,
-    encoder: Option<&QuantileEncoder>,
-    dir: P,
-) -> CoreResult<()> {
-    let stages: Vec<Stage> = encoder
-        .map(|enc| Stage::Quantile(enc.clone()))
-        .into_iter()
-        .collect();
-    save_stages(network, &stages, None, dir.as_ref())
-}
-
-/// Save a [`Pipeline`] — its fitted stage chain, any attached calibration,
+/// Save a [`Pipeline`] — its fitted encoder, any attached calibration,
 /// plus the trained network — as a self-describing `v4` model directory.
 pub fn save_pipeline<P: AsRef<Path>>(pipeline: &Pipeline, dir: P) -> CoreResult<()> {
-    save_stages(
+    save_dir(
         pipeline.network(),
-        pipeline.stages(),
+        pipeline.encoder(),
         pipeline.calibration(),
         dir.as_ref(),
     )
 }
 
-fn save_stages(
+fn save_dir(
     network: &Network,
-    stages: &[Stage],
+    encoder: Option<&QuantileEncoder>,
     calibration: Option<&Calibration>,
     dir: &Path,
 ) -> CoreResult<()> {
     let hp = network.hidden().params();
-    // Validate the chain before touching the filesystem.
-    crate::model::validate_chain(stages, hp.n_inputs)?;
     fs::create_dir_all(dir)?;
     let mut manifest = String::new();
     manifest.push_str(&format!("{MAGIC} {VERSION}\n"));
@@ -201,10 +150,12 @@ fn save_stages(
     manifest.push_str(&format!("plasticity_interval {}\n", hp.plasticity_interval));
     manifest.push_str(&format!("n_classes {}\n", network.n_classes()));
     manifest.push_str(&format!("readout {}\n", network.readout_kind().name()));
-    manifest.push_str(&format!("stages {}\n", stages.len()));
-    for (i, stage) in stages.iter().enumerate() {
-        manifest.push_str(&format!("stage{i} {}\n", stage.kind()));
-        save_stage(stage, &dir.join(stage_file(i)))?;
+    match encoder {
+        Some(encoder) => {
+            manifest.push_str("stages 1\nstage0 quantile\n");
+            encoder.save(dir.join(ENCODER_FILE))?;
+        }
+        None => manifest.push_str("stages 0\n"),
     }
     // The calibration key (and its state file) exists only when a
     // calibration is attached.
@@ -271,57 +222,51 @@ fn get<T: std::str::FromStr>(map: &HashMap<String, String>, key: &str) -> CoreRe
         .map_err(|_| CoreError::Format(format!("manifest key {key:?} has invalid value {raw:?}")))
 }
 
-/// Load a network previously written by [`save_network`], instantiating it
-/// on the given backend (backends are runtime configuration, not model
-/// state, so the caller chooses). Any stages in the directory are ignored;
-/// use [`load_pipeline`] to get the full artifact.
+/// Load a network previously written by [`save_network`] or
+/// [`save_pipeline`], instantiating it on the given backend (backends are
+/// runtime configuration, not model state, so the caller chooses). A
+/// pipeline's encoder is read and checked, then dropped; use
+/// [`load_pipeline`] to get the full artifact.
 pub fn load_network<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<Network> {
-    Ok(load_stages(dir.as_ref(), backend)?.0)
+    Ok(load_dir(dir.as_ref(), backend)?.0)
 }
 
-/// Load a network together with the fitted input encoder, if the directory
-/// carries the canonical single-encoder chain (written by
-/// [`save_network_with_encoder`], or any directory whose only stage is a
-/// quantile encoder). Other directories yield `None`; use
-/// [`load_pipeline`] for arbitrary stage chains.
-pub fn load_network_with_encoder<P: AsRef<Path>>(
-    dir: P,
-    backend: BackendKind,
-) -> CoreResult<(Network, Option<QuantileEncoder>)> {
-    let (network, mut stages, _) = load_stages(dir.as_ref(), backend)?;
-    let encoder = match (stages.len(), stages.pop()) {
-        (1, Some(Stage::Quantile(enc))) => Some(enc),
-        _ => None,
-    };
-    Ok((network, encoder))
-}
-
-/// Load a full [`Pipeline`] — the fitted stage chain, any attached
-/// calibration, plus the trained network — from a model
-/// directory, instantiating the network on the given backend.
+/// Load a full [`Pipeline`] — the fitted encoder, any attached
+/// calibration, plus the trained network — from a model directory,
+/// instantiating the network on the given backend. A bare network's
+/// directory (`stages 0`) is a typed [`CoreError::Format`].
 pub fn load_pipeline<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<Pipeline> {
-    let (network, stages, calibration) = load_stages(dir.as_ref(), backend)?;
-    let mut pipeline = Pipeline::from_stages(stages, network)?;
+    let (network, encoder, calibration) = load_dir(dir.as_ref(), backend)?;
+    let encoder = encoder.ok_or_else(|| {
+        CoreError::Format("the directory holds a bare network (`stages 0`), not a pipeline".into())
+    })?;
+    let mut pipeline = Pipeline::new(network, encoder)?;
     pipeline.set_calibration(calibration)?;
     Ok(pipeline)
 }
 
-#[allow(clippy::type_complexity)]
-fn load_stages(
+fn load_dir(
     dir: &Path,
     backend: BackendKind,
-) -> CoreResult<(Network, Vec<Stage>, Option<Calibration>)> {
+) -> CoreResult<(Network, Option<QuantileEncoder>, Option<Calibration>)> {
     let manifest = parse_manifest(&dir.join(MANIFEST))?;
-    let n_stages: usize = get(&manifest, "stages")?;
-    let stages: Vec<Stage> = (0..n_stages)
-        .map(|i| {
-            let key = format!("stage{i}");
-            let kind = manifest
-                .get(&key)
-                .ok_or_else(|| CoreError::Format(format!("manifest missing key {key:?}")))?;
-            load_stage(kind, &dir.join(stage_file(i)))
-        })
-        .collect::<CoreResult<_>>()?;
+    let encoder = match get::<usize>(&manifest, "stages")? {
+        0 => None,
+        1 => {
+            let kind: String = get(&manifest, "stage0")?;
+            if kind != "quantile" {
+                return Err(CoreError::Format(format!(
+                    "unsupported pipeline stage kind {kind:?} (only `quantile` is read)"
+                )));
+            }
+            Some(QuantileEncoder::load(dir.join(ENCODER_FILE))?)
+        }
+        n => {
+            return Err(CoreError::Format(format!(
+                "a model directory holds at most one stage, this one lists {n}"
+            )))
+        }
+    };
     // The key is absent when no calibration was attached at save time.
     let calibration = match manifest.get("calibration") {
         Some(kind) => Some(load_calibration(kind, &dir.join(CALIBRATION_FILE))?),
@@ -339,11 +284,10 @@ fn load_stages(
         plasticity_swaps: get(&manifest, "plasticity_swaps")?,
         plasticity_interval: get(&manifest, "plasticity_interval")?,
     };
-    let chain_out = stages.last().map(Transformer::output_width);
-    if let Some(width) = chain_out {
+    if let Some(width) = encoder.as_ref().map(QuantileEncoder::encoded_width) {
         if width != hidden.n_inputs {
             return Err(CoreError::Format(format!(
-                "pipeline stages produce {width} columns but the network expects {} \
+                "the encoder produces {width} columns but the network expects {} \
                  (the stage files do not belong to this model)",
                 hidden.n_inputs
             )));
@@ -395,7 +339,7 @@ fn load_stages(
             .expect("readout checked above")
             .set_parameters(weights, bias)?;
     }
-    Ok((network, stages, calibration))
+    Ok((network, encoder, calibration))
 }
 
 #[cfg(test)]
@@ -527,10 +471,10 @@ mod tests {
         .unwrap();
 
         let dir = temp_dir("with_encoder");
-        save_network_with_encoder(&net, Some(&encoder), &dir).unwrap();
-        let (loaded, enc) = load_network_with_encoder(&dir, BackendKind::Naive).unwrap();
-        let enc = enc.expect("the directory must carry the encoder");
-        assert_eq!(enc, encoder);
+        save_pipeline(&Pipeline::new(net.clone(), encoder.clone()).unwrap(), &dir).unwrap();
+        let loaded = load_pipeline(&dir, BackendKind::Naive).unwrap();
+        let enc = loaded.encoder().unwrap();
+        assert_eq!(enc, &encoder);
 
         // Raw features -> encoded -> predictions match the original model.
         let fresh = generate(&SyntheticHiggsConfig {
@@ -540,6 +484,7 @@ mod tests {
         });
         let direct = net.predict_proba(&encoder.transform(&fresh)).unwrap();
         let served = loaded
+            .network()
             .predict_proba(&enc.transform_rows(&fresh.features))
             .unwrap();
         assert!(direct.max_abs_diff(&served) < 1e-5);
@@ -572,10 +517,9 @@ mod tests {
             .backend(BackendKind::Naive)
             .build()
             .unwrap();
-        let dir = temp_dir("bad_encoder_width");
-        let err = save_network_with_encoder(&net, Some(&encoder), &dir).unwrap_err();
+        // The pair cannot even be bundled, so no directory is ever written.
+        let err = Pipeline::new(net, encoder).unwrap_err();
         assert!(matches!(err, CoreError::DataMismatch(_)));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -600,8 +544,6 @@ mod tests {
         .unwrap();
         let dir = temp_dir("older_headers");
         save_network(&net, &dir).unwrap();
-        let (_, enc) = load_network_with_encoder(&dir, BackendKind::Naive).unwrap();
-        assert!(enc.is_none(), "stage-less directories carry no encoder");
 
         let manifest_path = dir.join(MANIFEST);
         let text = fs::read_to_string(&manifest_path).unwrap();
@@ -640,7 +582,7 @@ mod tests {
             .collect();
         names.sort();
         assert!(names.contains(&MANIFEST.to_string()));
-        assert!(names.contains(&stage_file(0)));
+        assert!(names.contains(&ENCODER_FILE.to_string()));
         for name in &names {
             let a = fs::read(dir_a.join(name)).unwrap();
             let b = fs::read(dir_b.join(name)).unwrap();
@@ -653,59 +595,6 @@ mod tests {
         assert_eq!(pa, pb);
         fs::remove_dir_all(&dir_a).ok();
         fs::remove_dir_all(&dir_b).ok();
-    }
-
-    #[test]
-    fn multi_stage_chains_persist_and_reload() {
-        use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-        let data = generate(&SyntheticHiggsConfig {
-            n_samples: 300,
-            seed: 32,
-            ..Default::default()
-        });
-        let standardizer = Standardizer::fit_matrix(&data.features);
-        let z = standardizer.transform_rows(&data.features);
-        let encoder = QuantileEncoder::fit_matrix(&z, 8);
-        let x = encoder.transform_rows(&z);
-        let mut net = Network::builder()
-            .input(encoder.encoded_width())
-            .hidden(2, 3, 0.4)
-            .classes(2)
-            .readout(ReadoutKind::Hybrid)
-            .backend(BackendKind::Naive)
-            .seed(33)
-            .build()
-            .unwrap();
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 1,
-            supervised_epochs: 1,
-            batch_size: 50,
-            ..Default::default()
-        })
-        .fit(&mut net, &x, &data.labels)
-        .unwrap();
-        let pipeline = Pipeline::from_stages(
-            vec![Stage::Standardize(standardizer), Stage::Quantile(encoder)],
-            net,
-        )
-        .unwrap();
-        let dir = temp_dir("multi_stage");
-        save_pipeline(&pipeline, &dir).unwrap();
-        let manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        assert!(manifest.contains("stages 2"));
-        assert!(manifest.contains("stage0 standardize"));
-        assert!(manifest.contains("stage1 quantile"));
-
-        let loaded = load_pipeline(&dir, BackendKind::Naive).unwrap();
-        assert_eq!(loaded.stages(), pipeline.stages());
-        use crate::model::Predictor;
-        let a = pipeline.predict_proba(&data.features).unwrap();
-        let b = loaded.predict_proba(&data.features).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-6);
-        // The multi-stage chain is not the canonical encoder one.
-        let (_, enc) = load_network_with_encoder(&dir, BackendKind::Naive).unwrap();
-        assert!(enc.is_none());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -788,14 +677,29 @@ mod tests {
         let dir = temp_dir("unknown_stage");
         save_pipeline(&pipeline, &dir).unwrap();
         let manifest_path = dir.join(MANIFEST);
-        let text = fs::read_to_string(&manifest_path)
-            .unwrap()
-            .replace("stage0 quantile", "stage0 wavelet");
-        fs::write(&manifest_path, text).unwrap();
-        let err = load_pipeline(&dir, BackendKind::Naive).unwrap_err();
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        assert!(text.contains("\nstages 1\nstage0 quantile\n"), "{text}");
+        // Every stage list other than the one a pipeline writes is refused:
+        // stage kinds that are gone, unknown ones, and longer chains.
+        for (from, to) in [
+            ("stage0 quantile", "stage0 wavelet"),
+            ("stage0 quantile", "stage0 thermometer"),
+            ("stage0 quantile", "stage0 standardize"),
+            ("stages 1", "stages 2"),
+        ] {
+            fs::write(&manifest_path, text.replace(from, to)).unwrap();
+            let err = load_pipeline(&dir, BackendKind::Naive).unwrap_err();
+            assert!(matches!(err, CoreError::Format(_)), "{to}: got {err:?}");
+            assert!(err.to_string().contains(&to[7..]), "{to}: {err}");
+        }
+        // A bare network's directory loads as a network, not a pipeline.
+        let net_dir = temp_dir("unknown_stage_network");
+        save_network(pipeline.network(), &net_dir).unwrap();
+        assert!(load_network(&net_dir, BackendKind::Naive).is_ok());
+        let err = load_pipeline(&net_dir, BackendKind::Naive).unwrap_err();
         assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
-        assert!(err.to_string().contains("wavelet"));
         fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&net_dir).ok();
     }
 
     #[test]
@@ -803,13 +707,13 @@ mod tests {
         let (pipeline, _) = crate::model::tests::tiny_pipeline(35);
         let dir = temp_dir("corrupt_stage");
         save_pipeline(&pipeline, &dir).unwrap();
-        fs::write(dir.join(stage_file(0)), "not an encoder\n").unwrap();
+        fs::write(dir.join(ENCODER_FILE), "not an encoder\n").unwrap();
         let err = load_pipeline(&dir, BackendKind::Naive).unwrap_err();
         assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
         // NaN boundaries parse as floats but must surface as a typed error
         // (not a panic deep inside the binner's ordering assertions).
         fs::write(
-            dir.join(stage_file(0)),
+            dir.join(ENCODER_FILE),
             "bcpnn-quantile-encoder v1 1 3\nNaN 1.0\n",
         )
         .unwrap();
@@ -821,7 +725,7 @@ mod tests {
         let wrong_width = temp_dir("wrong_width_stage");
         save_pipeline(&other, &wrong_width).unwrap();
         let narrower = QuantileEncoder::fit_matrix(&Matrix::zeros(4, 28), 4);
-        narrower.save(wrong_width.join(stage_file(0))).unwrap();
+        narrower.save(wrong_width.join(ENCODER_FILE)).unwrap();
         let err = load_pipeline(&wrong_width, BackendKind::Naive).unwrap_err();
         assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
         fs::remove_dir_all(&dir).ok();

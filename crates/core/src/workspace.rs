@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the zero-allocation inference and training
 //! data plane.
 //!
-//! Every stage of a forward pass — stage-chain encoding, the hidden-layer
+//! Every step of a forward pass — the input encoding, the hidden-layer
 //! support/softmax, the readout probabilities — needs a batch-sized
 //! temporary. The simple API ([`Network::predict_proba`],
 //! [`Pipeline::predict_proba`]) allocates those temporaries per call, which
@@ -68,16 +68,13 @@ use bcpnn_tensor::Matrix;
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Stage-chain ping buffer (first/odd stage outputs). A predict through
-    /// a chain that ends in the quantile encoder uses it only for the
-    /// stages before the encoder.
-    pub(crate) encode_a: Matrix<f32>,
-    /// Stage-chain pong buffer (even stage outputs of multi-stage chains).
-    pub(crate) encode_b: Matrix<f32>,
-    /// Hot columns of the one-hot code a predict's quantile encoder
-    /// writes instead of a dense matrix (`batch x n_features`, row-major,
-    /// ascending within a row); the hidden layer adds only those weight
-    /// rows. Training never fills it.
+    /// The dense one-hot code of a batch (`batch x encoded_width`), which
+    /// `Pipeline::learn_batch` trains on. A pipeline predict never fills it.
+    pub(crate) encoded: Matrix<f32>,
+    /// Hot columns of the one-hot code a pipeline predict writes instead
+    /// of a dense matrix (`batch x n_features`, row-major, ascending within
+    /// a row); the hidden layer adds only those weight rows. Training never
+    /// fills it.
     pub(crate) hot: Vec<u32>,
     /// Hidden activations (`batch x n_units`).
     pub(crate) hidden: Matrix<f32>,
@@ -114,18 +111,18 @@ impl Workspace {
         Self::default()
     }
 
-    /// Borrow the three inference scratch buffers — stage-chain ping
-    /// (`encode_a`), stage-chain pong (`encode_b`), and hidden activations
-    /// — for a foreign `Predictor` implementation that lives outside this
-    /// crate (e.g. the quantized pipeline in `bcpnn-lowprec`).
+    /// Borrow the two inference scratch buffers — the dense encoded rows
+    /// (`encoded`) and the hidden activations — for a foreign `Predictor`
+    /// implementation that lives outside this crate (e.g. the quantized
+    /// pipeline in `bcpnn-lowprec`).
     ///
     /// The built-in models reach the fields directly; this seam is what
     /// lets external predictors run the same allocation-free
     /// `predict_proba_into` discipline against the same per-worker
     /// workspace, without widening the fields themselves. Contents are
     /// unspecified between calls, exactly like every other slot.
-    pub fn inference_scratch(&mut self) -> (&mut Matrix<f32>, &mut Matrix<f32>, &mut Matrix<f32>) {
-        (&mut self.encode_a, &mut self.encode_b, &mut self.hidden)
+    pub fn inference_scratch(&mut self) -> (&mut Matrix<f32>, &mut Matrix<f32>) {
+        (&mut self.encoded, &mut self.hidden)
     }
 
     /// Take ownership of the cascade scratch buffers — the gather matrix
@@ -160,8 +157,7 @@ impl Workspace {
     /// never-shrinking high-water mark (diagnostic: watch it plateau after
     /// warmup even as batch sizes vary).
     pub fn allocated_elems(&self) -> usize {
-        self.encode_a.capacity()
-            + self.encode_b.capacity()
+        self.encoded.capacity()
             + self.hot.capacity()
             + self.hidden.capacity()
             + self.noise.capacity()

@@ -3,8 +3,8 @@
 //! The paper encodes every feature "as a one-hot vector of size ten, with
 //! the component being hot indicating which quantile the feature belongs
 //! to", giving 28 × 10 = 280 binary inputs. [`QuantileEncoder`] implements
-//! exactly that; [`ThermometerEncoder`] is the interval-code alternative
-//! used by the encoding-ablation example.
+//! exactly that. [`Standardizer`] serves the baselines that read the raw
+//! continuous features instead.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -17,19 +17,16 @@ use crate::quantile::QuantileBinner;
 
 /// Magic tag of the serialized one-hot quantile encoder format.
 const ENCODER_MAGIC: &str = "bcpnn-quantile-encoder";
-/// Magic tag of the serialized thermometer encoder format.
-const THERMOMETER_MAGIC: &str = "bcpnn-thermometer-encoder";
-/// Magic tag of the serialized standardizer format.
-const STANDARDIZER_MAGIC: &str = "bcpnn-standardizer";
 /// Encoder format version.
 const ENCODER_VERSION: &str = "v1";
 
-/// Write a fitted binner in the shared text format (`<magic> v1 n_features
-/// n_bins` header, one line of ascending boundaries per feature).
-fn write_binner<W: Write>(mut w: W, magic: &str, binner: &QuantileBinner) -> Result<(), IoError> {
+/// Write a fitted binner in the encoder's text format (`<magic> v1
+/// n_features n_bins` header, one line of ascending boundaries per
+/// feature).
+fn write_binner<W: Write>(mut w: W, binner: &QuantileBinner) -> Result<(), IoError> {
     writeln!(
         w,
-        "{magic} {ENCODER_VERSION} {} {}",
+        "{ENCODER_MAGIC} {ENCODER_VERSION} {} {}",
         binner.n_features(),
         binner.n_bins()
     )?;
@@ -41,14 +38,14 @@ fn write_binner<W: Write>(mut w: W, magic: &str, binner: &QuantileBinner) -> Res
     Ok(())
 }
 
-/// Read a binner previously written by [`write_binner`] under `magic`.
-fn read_binner<R: BufRead>(r: R, magic: &str) -> Result<QuantileBinner, IoError> {
+/// Read a binner previously written by [`write_binner`].
+fn read_binner<R: BufRead>(r: R) -> Result<QuantileBinner, IoError> {
     let mut lines = r.lines();
     let header = lines
         .next()
         .ok_or_else(|| IoError::Format("empty encoder file".into()))??;
     let mut parts = header.split_whitespace();
-    if parts.next() != Some(magic) || parts.next() != Some(ENCODER_VERSION) {
+    if parts.next() != Some(ENCODER_MAGIC) || parts.next() != Some(ENCODER_VERSION) {
         return Err(IoError::Format(format!("bad encoder header: {header:?}")));
     }
     let n_features: usize = parts
@@ -105,7 +102,7 @@ impl QuantileEncoder {
     }
 
     /// Fit on a bare feature matrix (no labels or names needed) — the
-    /// entry point the `bcpnn_core::model::Transformer` trait uses.
+    /// entry point `bcpnn_core::Pipeline::fit` uses.
     ///
     /// # Panics
     /// Panics if the matrix has no rows or `n_bins < 2`.
@@ -223,13 +220,13 @@ impl QuantileEncoder {
 
     /// Write the fitted encoder to any writer in the text format.
     pub fn write_to<W: Write>(&self, w: W) -> Result<(), IoError> {
-        write_binner(w, ENCODER_MAGIC, &self.binner)
+        write_binner(w, &self.binner)
     }
 
     /// Read an encoder previously written by [`QuantileEncoder::write_to`].
     pub fn read_from<R: BufRead>(r: R) -> Result<Self, IoError> {
         Ok(Self {
-            binner: read_binner(r, ENCODER_MAGIC)?,
+            binner: read_binner(r)?,
         })
     }
 
@@ -256,117 +253,6 @@ impl QuantileEncoder {
     }
 }
 
-/// Thermometer (cumulative interval) encoder: bit `b` of a feature block is
-/// hot when the value lies in bin `b` **or above**. Same width as the
-/// one-hot code but denser; used to ablate the encoding choice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermometerEncoder {
-    binner: QuantileBinner,
-}
-
-impl ThermometerEncoder {
-    /// Fit the per-feature quantile boundaries on a training set.
-    pub fn fit(dataset: &Dataset, n_bins: usize) -> Self {
-        Self {
-            binner: QuantileBinner::fit(dataset, n_bins),
-        }
-    }
-
-    /// Fit on a bare feature matrix (no labels or names needed).
-    ///
-    /// # Panics
-    /// Panics if the matrix has no rows or `n_bins < 2`.
-    pub fn fit_matrix(features: &Matrix<f32>, n_bins: usize) -> Self {
-        Self {
-            binner: QuantileBinner::fit_matrix(features, n_bins),
-        }
-    }
-
-    /// Number of bins per feature.
-    pub fn n_bins(&self) -> usize {
-        self.binner.n_bins()
-    }
-
-    /// Number of raw features the encoder was fitted on.
-    pub fn n_features(&self) -> usize {
-        self.binner.n_features()
-    }
-
-    /// Width of the encoded representation.
-    pub fn encoded_width(&self) -> usize {
-        self.binner.n_features() * self.binner.n_bins()
-    }
-
-    /// Encode a dataset into the cumulative binary representation.
-    pub fn transform(&self, dataset: &Dataset) -> Matrix<f32> {
-        self.transform_rows(&dataset.features)
-    }
-
-    /// Encode a bare feature matrix (`n_rows x n_features`).
-    ///
-    /// # Panics
-    /// Panics if the feature count differs from the fitted one.
-    pub fn transform_rows(&self, features: &Matrix<f32>) -> Matrix<f32> {
-        let mut out = Matrix::zeros(0, 0);
-        self.transform_rows_into(features, &mut out);
-        out
-    }
-
-    /// Encode a bare feature matrix into a caller-provided buffer (reset to
-    /// `n_rows x encoded_width`): the buffer-reusing twin of
-    /// [`ThermometerEncoder::transform_rows`].
-    ///
-    /// # Panics
-    /// Panics if the feature count differs from the fitted one.
-    pub fn transform_rows_into(&self, features: &Matrix<f32>, out: &mut Matrix<f32>) {
-        assert_eq!(
-            features.cols(),
-            self.n_features(),
-            "encoder was fitted on {} features, matrix has {}",
-            self.n_features(),
-            features.cols()
-        );
-        let k = self.binner.n_bins();
-        out.reset(features.rows(), self.encoded_width());
-        for r in 0..features.rows() {
-            let in_row = features.row(r);
-            let out_row = out.row_mut(r);
-            for (f, &v) in in_row.iter().enumerate() {
-                let b = self.binner.bin_of(f, v as f64);
-                for bit in 0..=b {
-                    out_row[f * k + bit] = 1.0;
-                }
-            }
-        }
-    }
-
-    /// Write the fitted encoder to any writer in the text format.
-    pub fn write_to<W: Write>(&self, w: W) -> Result<(), IoError> {
-        write_binner(w, THERMOMETER_MAGIC, &self.binner)
-    }
-
-    /// Read an encoder previously written by
-    /// [`ThermometerEncoder::write_to`].
-    pub fn read_from<R: BufRead>(r: R) -> Result<Self, IoError> {
-        Ok(Self {
-            binner: read_binner(r, THERMOMETER_MAGIC)?,
-        })
-    }
-
-    /// Save the fitted encoder to a file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), IoError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Load an encoder previously written by [`ThermometerEncoder::save`].
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, IoError> {
-        Self::read_from(BufReader::new(File::open(path)?))
-    }
-}
-
 /// Standardise features to zero mean / unit variance (fit on the training
 /// set). Used by the MLP / logistic-regression baselines that consume raw
 /// continuous features rather than the binary code.
@@ -379,13 +265,8 @@ pub struct Standardizer {
 impl Standardizer {
     /// Fit per-feature means and standard deviations.
     pub fn fit(dataset: &Dataset) -> Self {
-        Self::fit_matrix(&dataset.features)
-    }
-
-    /// Fit on a bare feature matrix (no labels or names needed).
-    pub fn fit_matrix(features: &Matrix<f32>) -> Self {
-        let means = bcpnn_tensor::reduce::col_means(features);
-        let vars = bcpnn_tensor::reduce::col_variances(features);
+        let means = bcpnn_tensor::reduce::col_means(&dataset.features);
+        let vars = bcpnn_tensor::reduce::col_variances(&dataset.features);
         let stds = vars.iter().map(|v| v.sqrt().max(1e-6)).collect();
         Self { means, stds }
     }
@@ -396,114 +277,19 @@ impl Standardizer {
     }
 
     /// Standardise a dataset's features.
+    ///
+    /// # Panics
+    /// Panics if the feature count differs from the fitted one.
     pub fn transform(&self, dataset: &Dataset) -> Matrix<f32> {
-        self.transform_rows(&dataset.features)
-    }
-
-    /// Standardise a bare feature matrix (`n_rows x n_features`).
-    ///
-    /// # Panics
-    /// Panics if the feature count differs from the fitted one.
-    pub fn transform_rows(&self, features: &Matrix<f32>) -> Matrix<f32> {
-        let mut out = Matrix::zeros(0, 0);
-        self.transform_rows_into(features, &mut out);
-        out
-    }
-
-    /// Standardise a bare feature matrix into a caller-provided buffer
-    /// (resized to the input shape, every element overwritten): the
-    /// buffer-reusing twin of [`Standardizer::transform_rows`].
-    ///
-    /// # Panics
-    /// Panics if the feature count differs from the fitted one.
-    pub fn transform_rows_into(&self, features: &Matrix<f32>, out: &mut Matrix<f32>) {
+        let x = &dataset.features;
         assert_eq!(
-            features.cols(),
+            x.cols(),
             self.n_features(),
             "standardizer was fitted on a different schema"
         );
-        out.resize(features.rows(), features.cols());
-        for r in 0..features.rows() {
-            let in_row = features.row(r);
-            let out_row = out.row_mut(r);
-            for (c, (o, &v)) in out_row.iter_mut().zip(in_row.iter()).enumerate() {
-                *o = (v - self.means[c]) / self.stds[c];
-            }
-        }
-    }
-
-    /// Write the fitted standardizer to any writer in the text format.
-    pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), IoError> {
-        writeln!(
-            w,
-            "{STANDARDIZER_MAGIC} {ENCODER_VERSION} {}",
-            self.n_features()
-        )?;
-        let means: Vec<String> = self.means.iter().map(|m| m.to_string()).collect();
-        let stds: Vec<String> = self.stds.iter().map(|s| s.to_string()).collect();
-        writeln!(w, "{}", means.join(" "))?;
-        writeln!(w, "{}", stds.join(" "))?;
-        Ok(())
-    }
-
-    /// Read a standardizer previously written by [`Standardizer::write_to`].
-    pub fn read_from<R: BufRead>(r: R) -> Result<Self, IoError> {
-        let mut lines = r.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| IoError::Format("empty standardizer file".into()))??;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some(STANDARDIZER_MAGIC) || parts.next() != Some(ENCODER_VERSION) {
-            return Err(IoError::Format(format!(
-                "bad standardizer header: {header:?}"
-            )));
-        }
-        let n_features: usize = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| IoError::Format("standardizer header missing feature count".into()))?;
-        let mut read_row = |what: &str| -> Result<Vec<f32>, IoError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| IoError::Format(format!("standardizer file missing {what}")))??;
-            let values: Result<Vec<f32>, _> =
-                line.split_whitespace().map(str::parse::<f32>).collect();
-            let values =
-                values.map_err(|_| IoError::Format(format!("non-numeric {what} value")))?;
-            if values.len() != n_features {
-                return Err(IoError::Format(format!(
-                    "expected {n_features} {what} values, got {}",
-                    values.len()
-                )));
-            }
-            Ok(values)
-        };
-        let means = read_row("means")?;
-        let stds = read_row("stds")?;
-        if means.iter().any(|m| !m.is_finite()) {
-            return Err(IoError::Format("means must be finite".into()));
-        }
-        // The finiteness check rejects NaN, which `s <= 0.0` alone would
-        // silently let through (NaN fails every ordering comparison).
-        if stds.iter().any(|&s| !s.is_finite() || s <= 0.0) {
-            return Err(IoError::Format(
-                "standard deviations must be positive and finite".into(),
-            ));
-        }
-        Ok(Self { means, stds })
-    }
-
-    /// Save the fitted standardizer to a file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), IoError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Load a standardizer previously written by [`Standardizer::save`].
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, IoError> {
-        Self::read_from(BufReader::new(File::open(path)?))
+        Matrix::from_fn(x.rows(), x.cols(), |r, c| {
+            (x.get(r, c) - self.means[c]) / self.stds[c]
+        })
     }
 }
 
@@ -558,31 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn thermometer_code_is_cumulative() {
-        let d = higgs(300, 4);
-        let one_hot = QuantileEncoder::fit(&d, 10).transform(&d);
-        let thermo = ThermometerEncoder::fit(&d, 10).transform(&d);
-        assert_eq!(thermo.shape(), one_hot.shape());
-        // Thermometer rows are at least as dense as one-hot rows, and the
-        // hot one-hot bit is always the highest thermometer bit set.
-        for r in 0..d.n_samples() {
-            let oh = one_hot.row(r);
-            let th = thermo.row(r);
-            for f in 0..28 {
-                let block_oh = &oh[f * 10..(f + 1) * 10];
-                let block_th = &th[f * 10..(f + 1) * 10];
-                let hot = block_oh.iter().position(|&v| v == 1.0).unwrap();
-                let th_count = block_th.iter().filter(|&&v| v == 1.0).count();
-                assert_eq!(th_count, hot + 1);
-                assert_eq!(block_th[hot], 1.0);
-                if hot + 1 < 10 {
-                    assert_eq!(block_th[hot + 1], 0.0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn transform_rows_matches_dataset_transform() {
         let d = higgs(300, 6);
         let enc = QuantileEncoder::fit(&d, 10);
@@ -620,12 +381,10 @@ mod tests {
         let one_hot = QuantileEncoder::fit(&d, 10);
         one_hot.transform_rows_into(&d.features, &mut out);
         assert_eq!(out, one_hot.transform_rows(&d.features));
-        let thermo = ThermometerEncoder::fit(&d, 6);
-        thermo.transform_rows_into(&d.features, &mut out);
-        assert_eq!(out, thermo.transform_rows(&d.features));
-        let std = Standardizer::fit(&d);
-        std.transform_rows_into(&d.features, &mut out);
-        assert_eq!(out, std.transform_rows(&d.features));
+        // A larger stale buffer is overwritten, not accumulated into.
+        let small = higgs(20, 16);
+        one_hot.transform_rows_into(&small.features, &mut out);
+        assert_eq!(out, one_hot.transform_rows(&small.features));
     }
 
     #[test]
@@ -676,78 +435,6 @@ mod tests {
             QuantileEncoder::fit(&d, 10),
             QuantileEncoder::fit_matrix(&d.features, 10)
         );
-        assert_eq!(
-            ThermometerEncoder::fit(&d, 10),
-            ThermometerEncoder::fit_matrix(&d.features, 10)
-        );
-        assert_eq!(Standardizer::fit(&d), Standardizer::fit_matrix(&d.features));
-    }
-
-    #[test]
-    fn thermometer_transform_rows_matches_independent_expectation() {
-        let d = higgs(200, 11);
-        let enc = ThermometerEncoder::fit(&d, 8);
-        assert_eq!(enc.n_bins(), 8);
-        assert_eq!(enc.n_features(), 28);
-        let got = enc.transform_rows(&d.features);
-        // Independent expectation: the binner's bin-index matrix with a
-        // cumulative fill, computed without going through transform_rows.
-        let bins = enc.binner.transform(&d);
-        let k = enc.n_bins();
-        let mut expected = Matrix::zeros(d.n_samples(), enc.encoded_width());
-        for r in 0..d.n_samples() {
-            let bin_row = bins.row(r);
-            let out_row = expected.row_mut(r);
-            for (f, &b) in bin_row.iter().enumerate() {
-                for bit in 0..=(b as usize) {
-                    out_row[f * k + bit] = 1.0;
-                }
-            }
-        }
-        assert_eq!(got, expected);
-        assert_eq!(enc.transform(&d), got);
-    }
-
-    #[test]
-    fn thermometer_encoder_roundtrips_through_text() {
-        let d = higgs(300, 12);
-        let enc = ThermometerEncoder::fit(&d, 10);
-        let mut buf = Vec::new();
-        enc.write_to(&mut buf).unwrap();
-        let back = ThermometerEncoder::read_from(&buf[..]).unwrap();
-        assert_eq!(enc, back);
-        // A quantile-encoder file is rejected (wrong magic), and vice versa.
-        assert!(QuantileEncoder::read_from(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn standardizer_roundtrips_through_text() {
-        let d = higgs(250, 13);
-        let std = Standardizer::fit(&d);
-        let mut buf = Vec::new();
-        std.write_to(&mut buf).unwrap();
-        let back = Standardizer::read_from(&buf[..]).unwrap();
-        assert_eq!(std, back);
-        let fresh = higgs(40, 14);
-        assert_eq!(
-            std.transform_rows(&fresh.features),
-            back.transform_rows(&fresh.features)
-        );
-        // Corrupt inputs give typed errors, not panics.
-        assert!(Standardizer::read_from(&b""[..]).is_err());
-        assert!(Standardizer::read_from(&b"wrong v1 2\n0 0\n1 1\n"[..]).is_err());
-        let truncated = b"bcpnn-standardizer v1 2\n0.0 1.0\n";
-        assert!(Standardizer::read_from(&truncated[..]).is_err());
-        let bad_std = b"bcpnn-standardizer v1 1\n0.0\n-1.0\n";
-        assert!(Standardizer::read_from(&bad_std[..]).is_err());
-        // NaN/inf parse as valid floats but must still be rejected — `NaN
-        // <= 0.0` is false, so a naive positivity check would let them in.
-        let nan_std = b"bcpnn-standardizer v1 1\n0.0\nNaN\n";
-        assert!(Standardizer::read_from(&nan_std[..]).is_err());
-        let nan_mean = b"bcpnn-standardizer v1 1\nNaN\n1.0\n";
-        assert!(Standardizer::read_from(&nan_mean[..]).is_err());
-        let inf_std = b"bcpnn-standardizer v1 1\n0.0\ninf\n";
-        assert!(Standardizer::read_from(&inf_std[..]).is_err());
     }
 
     #[test]

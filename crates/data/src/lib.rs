@@ -39,6 +39,6 @@ pub mod split;
 
 pub use batch::BatchIterator;
 pub use dataset::Dataset;
-pub use encode::{QuantileEncoder, Standardizer, ThermometerEncoder};
+pub use encode::{QuantileEncoder, Standardizer};
 pub use higgs::SyntheticHiggsConfig;
 pub use quantile::QuantileBinner;

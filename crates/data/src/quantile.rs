@@ -32,8 +32,8 @@ impl QuantileBinner {
     }
 
     /// Fit `n_bins`-quantile boundaries on every column of a bare feature
-    /// matrix (no labels or names needed) — the entry point the
-    /// `bcpnn_core::model::Transformer` trait uses.
+    /// matrix (no labels or names needed) — the entry point
+    /// [`crate::encode::QuantileEncoder::fit_matrix`] uses.
     ///
     /// # Panics
     /// Panics if the matrix has no rows or `n_bins < 2`.

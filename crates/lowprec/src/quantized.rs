@@ -8,9 +8,9 @@
 //!   ([`QuantPrecision::Int8`], 4x smaller),
 //! * implements the zero-allocation [`Predictor::predict_proba_into`]
 //!   discipline through [`Workspace::inference_scratch`],
-//! * persists as a stage-tagged artifact directory
-//!   ([`QuantizedPipeline::save`] / [`QuantizedPipeline::load`]) reusing
-//!   the model-directory stage encodings via [`bcpnn_core::save_stage`], and
+//! * persists as an artifact directory ([`QuantizedPipeline::save`] /
+//!   [`QuantizedPipeline::load`]) whose one `quantile` stage is the
+//!   pipeline's encoder file, byte for byte, and
 //! * publishes to the serving `ModelRegistry` like any other model
 //!   (`examples/serving.rs` does exactly that).
 //!
@@ -22,14 +22,17 @@
 use std::fs;
 use std::path::Path;
 
-use bcpnn_core::model::{Predictor, Stage, Transformer};
-use bcpnn_core::{load_stage, save_stage, CoreError, CoreResult, Pipeline, ReadoutKind, Workspace};
+use bcpnn_core::model::Predictor;
+use bcpnn_core::{CoreError, CoreResult, Pipeline, ReadoutKind, Workspace};
+use bcpnn_data::QuantileEncoder;
 use bcpnn_tensor::simd::dispatch;
 use bcpnn_tensor::{load_matrix, save_matrix, Matrix};
 
 const MANIFEST: &str = "manifest.txt";
 const MAGIC: &str = "bcpnn-quantized";
 const VERSION: &str = "v1";
+/// File the fitted quantile encoder is stored in.
+const ENCODER_FILE: &str = "stage0.txt";
 
 /// Storage precision of a [`QuantizedPipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +156,7 @@ impl QuantizedLinear {
 }
 
 /// A quantized, servable clone of a fitted [`Pipeline`]: the same fitted
-/// stage chain, the hidden layer and predicting readout head with narrow
+/// quantile encoder, the hidden layer and predicting readout head with narrow
 /// weights, `f32` accumulation, and the zero-allocation `predict_proba_into`
 /// discipline.
 ///
@@ -162,25 +165,25 @@ impl QuantizedLinear {
 /// publishing to a `ModelRegistry` — it is a [`Predictor`] like any other.
 #[derive(Debug, Clone)]
 pub struct QuantizedPipeline {
-    stages: Vec<Stage>,
+    encoder: QuantileEncoder,
     hidden: QuantizedLinear,
     n_mcu: usize,
     readout: QuantizedLinear,
     precision: QuantPrecision,
-    input_width: usize,
 }
 
 impl QuantizedPipeline {
     /// Quantize a fitted pipeline's inference tensors at the given storage
     /// precision.
     ///
-    /// Captures exactly what predictions depend on: the stage chain
-    /// (cloned, still `f32` — stage state is tiny), the hidden layer's
+    /// Captures exactly what predictions depend on: the encoder (cloned,
+    /// still `f64` boundaries — its state is tiny), the hidden layer's
     /// *masked* weights and bias, and the readout head the network's
     /// [`ReadoutKind`] predicts with (hybrid networks predict with the SGD
     /// head, so that is the head captured).
     pub fn quantize(pipeline: &Pipeline, precision: QuantPrecision) -> CoreResult<Self> {
         let network = pipeline.network();
+        let encoder = pipeline.encoder().expect("every pipeline has an encoder");
         let hidden_layer = network.hidden();
         let (ro_weights, ro_bias) = match network.readout_kind() {
             ReadoutKind::Bcpnn => {
@@ -197,12 +200,11 @@ impl QuantizedPipeline {
             }
         };
         Ok(Self {
-            stages: pipeline.stages().to_vec(),
+            encoder: encoder.clone(),
             hidden: QuantizedLinear::quantize(hidden_layer.masked_weights(), hidden_layer.bias()),
             n_mcu: hidden_layer.params().n_mcu,
             readout: QuantizedLinear::quantize(ro_weights, ro_bias),
             precision,
-            input_width: pipeline.input_width(),
         })
     }
 
@@ -211,9 +213,9 @@ impl QuantizedPipeline {
         self.precision
     }
 
-    /// The fitted transformer stages, in application order.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
+    /// The fitted quantile encoder in front of the quantized layers.
+    pub fn encoder(&self) -> &QuantileEncoder {
+        &self.encoder
     }
 
     /// The quantized hidden-layer forward alone: `out = encoded ·
@@ -243,25 +245,15 @@ impl QuantizedPipeline {
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
-        if x.cols() != self.input_width {
+        if x.cols() != self.n_inputs() {
             return Err(CoreError::DataMismatch(format!(
                 "quantized pipeline expects {} columns, rows have {}",
-                self.input_width,
+                self.n_inputs(),
                 x.cols()
             )));
         }
-        let (enc_a, enc_b, hidden) = ws.inference_scratch();
-        // Stage chain, ping-ponged exactly like Pipeline::predict_proba_into.
-        let encoded: &Matrix<f32> = if self.stages.is_empty() {
-            x
-        } else {
-            self.stages[0].transform_into(x, enc_a)?;
-            for stage in &self.stages[1..] {
-                stage.transform_into(enc_a, enc_b)?;
-                std::mem::swap(enc_a, enc_b);
-            }
-            enc_a
-        };
+        let (encoded, hidden) = ws.inference_scratch();
+        self.encoder.transform_rows_into(x, encoded);
         self.hidden.forward_into(encoded, hidden);
         grouped_softmax_rows(hidden, self.n_mcu);
         self.readout.forward_into(hidden, out);
@@ -270,8 +262,9 @@ impl QuantizedPipeline {
     }
 
     /// Save as a self-describing quantized artifact directory: a manifest,
-    /// the code/scale/bias tensors as text matrices, and the fitted stages
-    /// under the same stage encodings as `v4` model directories.
+    /// the code/scale/bias tensors as text matrices, and the fitted encoder
+    /// as the one `quantile` stage, in the same file format as `v4` model
+    /// directories.
     pub fn save<P: AsRef<Path>>(&self, dir: P) -> CoreResult<()> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
@@ -279,11 +272,8 @@ impl QuantizedPipeline {
         manifest.push_str(&format!("{MAGIC} {VERSION}\n"));
         manifest.push_str(&format!("precision {}\n", self.precision.name()));
         manifest.push_str(&format!("n_mcu {}\n", self.n_mcu));
-        manifest.push_str(&format!("input_width {}\n", self.input_width));
-        manifest.push_str(&format!("stages {}\n", self.stages.len()));
-        for (i, stage) in self.stages.iter().enumerate() {
-            manifest.push_str(&format!("stage{i} {}\n", stage.kind()));
-        }
+        manifest.push_str(&format!("input_width {}\n", self.n_inputs()));
+        manifest.push_str("stages 1\nstage0 quantile\n");
         fs::write(dir.join(MANIFEST), manifest)?;
         for (name, layer) in [("hidden", &self.hidden), ("readout", &self.readout)] {
             save_matrix(&layer.codes_matrix(), dir.join(format!("{name}_codes.txt")))?;
@@ -296,9 +286,7 @@ impl QuantizedPipeline {
                 dir.join(format!("{name}_scales.txt")),
             )?;
         }
-        for (i, stage) in self.stages.iter().enumerate() {
-            save_stage(stage, &dir.join(format!("stage{i}.txt")))?;
-        }
+        self.encoder.save(dir.join(ENCODER_FILE))?;
         Ok(())
     }
 
@@ -341,13 +329,18 @@ impl QuantizedPipeline {
         let input_width: usize = get("input_width")?
             .parse()
             .map_err(|_| CoreError::Format("bad input_width".into()))?;
-        let n_stages: usize = get("stages")?
-            .parse()
-            .map_err(|_| CoreError::Format("bad stage count".into()))?;
-        let mut stages = Vec::with_capacity(n_stages);
-        for i in 0..n_stages {
-            let kind = get(&format!("stage{i}"))?;
-            stages.push(load_stage(kind, &dir.join(format!("stage{i}.txt")))?);
+        if (get("stages")?.as_str(), get("stage0")?.as_str()) != ("1", "quantile") {
+            return Err(CoreError::Format(format!(
+                "a quantized artifact holds one quantile stage, not stages {:?} / stage0 {:?}",
+                kv["stages"], kv["stage0"]
+            )));
+        }
+        let encoder = QuantileEncoder::load(dir.join(ENCODER_FILE))?;
+        if encoder.n_features() != input_width {
+            return Err(CoreError::Format(format!(
+                "the encoder reads {} features but the manifest says {input_width}",
+                encoder.n_features()
+            )));
         }
         let load_layer = |name: &str| -> CoreResult<QuantizedLinear> {
             let codes_f32 = load_matrix::<f32, _>(dir.join(format!("{name}_codes.txt")))?;
@@ -389,6 +382,13 @@ impl QuantizedPipeline {
         };
         let hidden = load_layer("hidden")?;
         let readout = load_layer("readout")?;
+        if encoder.encoded_width() != hidden.n_in {
+            return Err(CoreError::Format(format!(
+                "the encoder produces {} columns but hidden expects {}",
+                encoder.encoded_width(),
+                hidden.n_in
+            )));
+        }
         if hidden.n_out != readout.n_in {
             return Err(CoreError::Format(format!(
                 "hidden produces {} units but readout expects {}",
@@ -396,12 +396,11 @@ impl QuantizedPipeline {
             )));
         }
         Ok(Self {
-            stages,
+            encoder,
             hidden,
             n_mcu,
             readout,
             precision,
-            input_width,
         })
     }
 }
@@ -431,7 +430,7 @@ impl Predictor for QuantizedPipeline {
     }
 
     fn n_inputs(&self) -> usize {
-        self.input_width
+        self.encoder.n_features()
     }
 
     fn n_classes(&self) -> usize {
@@ -532,7 +531,7 @@ mod tests {
         q.save(&dir).unwrap();
         let loaded = QuantizedPipeline::load(&dir).unwrap();
         assert_eq!(loaded.precision(), QuantPrecision::Int8);
-        assert_eq!(loaded.stages().len(), q.stages().len());
+        assert_eq!(loaded.encoder(), q.encoder());
         assert_eq!(
             loaded.predict_proba(&data.features).unwrap(),
             q.predict_proba(&data.features).unwrap(),
@@ -559,6 +558,34 @@ mod tests {
                 assert_eq!(msg, "unknown precision \"bf16\"")
             }
             other => panic!("expected a Format error, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn any_other_stage_list_is_a_typed_format_error() {
+        let (pipeline, _) = fitted_pipeline(7);
+        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("bcpnn_quantized_stages_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        q.save(&dir).unwrap();
+        let manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        assert!(
+            manifest.ends_with("\nstages 1\nstage0 quantile\n"),
+            "{manifest}"
+        );
+        for (from, to) in [
+            ("stage0 quantile", "stage0 thermometer"),
+            ("stage0 quantile", "stage0 standardize"),
+            ("stages 1", "stages 2"),
+            ("stages 1\nstage0 quantile\n", "stages 0\n"),
+        ] {
+            fs::write(dir.join(MANIFEST), manifest.replace(from, to)).unwrap();
+            match QuantizedPipeline::load(&dir) {
+                Err(CoreError::Format(_)) => {}
+                other => panic!("{to:?}: expected a Format error, got {other:?}"),
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -18,9 +18,8 @@ use std::sync::Once;
 
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::Predictor;
-use bcpnn_core::{Network, Pipeline, ReadoutKind, Stage, TrainingParams, Workspace};
+use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-use bcpnn_data::{QuantileEncoder, Standardizer};
 use bcpnn_serve::loadgen::{request_stream, RequestStream};
 use bcpnn_serve::{
     BatchConfig, BatchExecutor, InferenceServer, ModelRegistry, RowBlock, ServedModel,
@@ -117,6 +116,15 @@ fn tiny_pipeline_on(backend: BackendKind, seed: u64) -> (Pipeline, RequestStream
     (pipeline, request_stream(64, seed))
 }
 
+/// The first `n` rows of the stream, wrapping around, as one matrix.
+fn stream_rows(stream: &RequestStream, n: usize) -> Matrix<f32> {
+    let mut x = Matrix::zeros(n, stream.width());
+    for r in 0..n {
+        x.row_mut(r).copy_from_slice(stream.row(r % stream.len()));
+    }
+    x
+}
+
 /// Assemble `batch` stream rows into the executor and run one pass.
 fn one_batch(
     executor: &mut BatchExecutor,
@@ -185,35 +193,24 @@ fn warmed_predict_proba_into_allocates_nothing() {
     assert_eq!(out, pipeline.predict_proba(&x).unwrap());
 }
 
-/// A chain that ends in the quantile encoder serves through hot column
-/// indices in the workspace, which the hidden layer gathers weight rows
-/// from. Behind a standardizer, on both backends and past the 512-row
-/// predict block, a warmed predict still allocates nothing.
+/// The pipeline serves through hot column indices in the workspace, which
+/// the hidden layer gathers weight rows from. On both backends and past
+/// the 512-row predict block, a warmed predict allocates nothing.
 #[test]
 fn warmed_hot_column_predict_allocates_nothing() {
     init_single_thread_pool();
     for backend in [BackendKind::Naive, BackendKind::Parallel] {
-        let (fitted, stream) = tiny_pipeline_on(backend, 75);
-        let mut x = Matrix::zeros(600, stream.width());
-        for r in 0..x.rows() {
-            x.row_mut(r).copy_from_slice(stream.row(r % stream.len()));
-        }
-        let standardizer = Standardizer::fit_matrix(&x);
-        let encoder = QuantileEncoder::fit_matrix(&standardizer.transform_rows(&x), 10);
-        let chained = Pipeline::from_stages(
-            vec![Stage::Standardize(standardizer), Stage::Quantile(encoder)],
-            fitted.network().clone(),
-        )
-        .unwrap();
+        let (pipeline, stream) = tiny_pipeline_on(backend, 75);
+        let x = stream_rows(&stream, 600);
         let mut ws = Workspace::new();
         let mut out = Matrix::zeros(0, 0);
-        chained.predict_proba_into(&x, &mut ws, &mut out).unwrap();
+        pipeline.predict_proba_into(&x, &mut ws, &mut out).unwrap();
         let warmed = ws.allocated_elems();
         let small = x.select_rows(&(0..16).collect::<Vec<_>>());
         let (allocs, ()) = count_allocs(|| {
             for round in 0..20 {
                 let batch = if round % 2 == 0 { &x } else { &small };
-                chained
+                pipeline
                     .predict_proba_into(batch, &mut ws, &mut out)
                     .unwrap();
             }
@@ -222,6 +219,30 @@ fn warmed_hot_column_predict_allocates_nothing() {
             allocs, 0,
             "{backend:?}: a warmed hot-column predict allocated"
         );
+        assert_eq!(ws.allocated_elems(), warmed, "{backend:?}");
+    }
+}
+
+/// The online learner folds raw rows through `Pipeline::learn_batch`,
+/// which encodes them densely into the workspace before the network's
+/// trace update. Warmed, ten folds on either backend allocate nothing.
+#[test]
+fn warmed_learn_batch_allocates_nothing() {
+    init_single_thread_pool();
+    for backend in [BackendKind::Naive, BackendKind::Parallel] {
+        let (mut pipeline, stream) = tiny_pipeline_on(backend, 76);
+        let x = stream_rows(&stream, 32);
+        let labels: Vec<usize> = (0..x.rows()).map(|r| r % 2).collect();
+        let mut ws = Workspace::new();
+        pipeline.learn_batch(&x, &labels, &mut ws).unwrap();
+        pipeline.learn_batch(&x, &labels, &mut ws).unwrap();
+        let warmed = ws.allocated_elems();
+        let (allocs, ()) = count_allocs(|| {
+            for _ in 0..10 {
+                pipeline.learn_batch(&x, &labels, &mut ws).unwrap();
+            }
+        });
+        assert_eq!(allocs, 0, "{backend:?}: a warmed learn_batch allocated");
         assert_eq!(ws.allocated_elems(), warmed, "{backend:?}");
     }
 }

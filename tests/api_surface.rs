@@ -5,23 +5,16 @@
 //! downstream crate notices.
 
 // The canonical module-path spellings.
-use bcpnn_core::model::{Estimator, Pipeline, Predictor, Transformer};
+use bcpnn_core::model::{Estimator, Pipeline, Predictor};
 // The crate-root re-exports resolve to the same items.
-use bcpnn_core::{NetworkEstimator, PipelineEstimator, Stage};
+use bcpnn_core::{NetworkEstimator, PipelineEstimator};
 
-fn assert_transformer<T: Transformer>() {}
 fn assert_predictor<T: Predictor>() {}
 fn assert_estimator<E: Estimator>() {}
 fn assert_send_sync<T: Send + Sync>() {}
 
 #[test]
 fn key_model_api_reexports_resolve() {
-    // Transformers: the bcpnn-data encoders and the Stage chain element.
-    assert_transformer::<bcpnn_data::QuantileEncoder>();
-    assert_transformer::<bcpnn_data::encode::ThermometerEncoder>();
-    assert_transformer::<bcpnn_data::encode::Standardizer>();
-    assert_transformer::<Stage>();
-
     // Predictors: network, both readout heads, and the pipeline artifact.
     assert_predictor::<bcpnn_core::Network>();
     assert_predictor::<bcpnn_core::BcpnnClassifier>();
@@ -81,6 +74,7 @@ fn persistence_entry_points_resolve() {
     let via_fn: Pipeline =
         bcpnn_core::load_pipeline(&dir, bcpnn_backend::BackendKind::Naive).unwrap();
     let via_method: Pipeline = Pipeline::load(&dir, bcpnn_backend::BackendKind::Naive).unwrap();
-    assert_eq!(via_fn.stages(), via_method.stages());
+    assert_eq!(via_fn.encoder(), via_method.encoder());
+    assert_eq!(via_fn.encoder(), pipeline.encoder());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,10 +8,10 @@
 //! from the reference results.
 
 use bcpnn_backend::BackendKind;
-use bcpnn_core::model::{Predictor, Transformer};
-use bcpnn_core::{Network, Pipeline, ReadoutKind, Stage, TrainingParams, Workspace};
+use bcpnn_core::model::Predictor;
+use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-use bcpnn_data::{Dataset, QuantileEncoder, Standardizer};
+use bcpnn_data::{Dataset, QuantileEncoder};
 use bcpnn_serve::BatchExecutor;
 use bcpnn_tensor::Matrix;
 
@@ -138,21 +138,14 @@ fn predicts_over_one_block_equal_the_same_rows_scored_in_small_batches() {
 
 #[test]
 fn a_chain_ending_in_the_quantile_encoder_serves_the_dense_answer() {
-    // The last stage hands the network the hot columns of its one-hot
-    // code, not the dense matrix; the standardizer before it still runs
-    // densely. The answer must be the network's dense predict on the
-    // encoded rows, bit for bit, through one workspace across batch
-    // sizes on both sides of the 512-row predict block.
+    // The quantile encoder hands the network the hot columns of its
+    // one-hot code, not the dense matrix. The answer must be the network's
+    // dense predict on the encoded rows, bit for bit, through one
+    // workspace across batch sizes on both sides of the 512-row predict
+    // block.
     let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for backend in [BackendKind::Naive, BackendKind::Parallel] {
-        let (fitted, data) = fit_pipeline(backend, 67);
-        let standardizer = Standardizer::fit_matrix(&data.features);
-        let encoder = QuantileEncoder::fit_matrix(&standardizer.transform_rows(&data.features), 10);
-        let chained = Pipeline::from_stages(
-            vec![Stage::Standardize(standardizer), Stage::Quantile(encoder)],
-            fitted.network().clone(),
-        )
-        .unwrap();
+        let (chained, _) = fit_pipeline(backend, 67);
         let rows = higgs(1100, 68).features;
         let dense = chained
             .network()
@@ -180,9 +173,6 @@ fn transformer_into_variants_are_bit_identical() {
     let mut out = Matrix::filled(1, 1, f32::NAN);
     enc.transform_rows_into(&data.features, &mut out);
     assert_eq!(out, enc.transform_rows(&data.features));
-    // Through the trait too (the spelling Pipeline stages use).
-    Transformer::transform_into(&enc, &data.features, &mut out).unwrap();
-    assert_eq!(out, Transformer::transform(&enc, &data.features).unwrap());
 }
 
 #[test]
