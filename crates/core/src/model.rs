@@ -394,8 +394,8 @@ impl Pipeline {
     /// training [`FitReport`]. The builder's input width is set from the
     /// encoder automatically.
     ///
-    /// This is the shared entry point the quickstart example and the
-    /// serving demo train through; parameterize it differently via
+    /// This is the shared entry point the quickstart example and
+    /// `bcpnn fit` train through; parameterize it differently via
     /// [`PipelineEstimator`].
     pub fn fit(
         data: &Dataset,

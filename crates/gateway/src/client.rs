@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client — just enough to talk to the
-//! gateway from tests, the example walkthrough, and the demo binary's
-//! self-test, without external tooling. One request per connection,
-//! mirroring the server's `Connection: close` policy.
+//! gateway from tests and the example walkthrough, without external
+//! tooling. One request per connection, mirroring the server's
+//! `Connection: close` policy.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

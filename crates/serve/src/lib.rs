@@ -56,10 +56,11 @@
 //!   with [`validate_prometheus`]).
 //! * [`ServeTarget`] — the object-safe submission surface both server
 //!   shapes share (options-carrying `submit_block`, registry access,
-//!   metrics export); the load generator drives one and the `bcpnn-gateway` HTTP
-//!   front-end exposes one on the wire.
-//! * [`loadgen`] — a synthetic-Higgs load generator used by the
-//!   `bcpnn-serve` demo binary and the serving benchmarks.
+//!   metrics export); benches and tests drive one and the `bcpnn-gateway`
+//!   HTTP front-end exposes one on the wire.
+//! * [`loadgen`] — that surface plus [`loadgen::request_stream`], the
+//!   deterministic synthetic-Higgs request stream the serving benches and
+//!   tests send through it.
 //!
 //! ```
 //! use std::sync::Arc;

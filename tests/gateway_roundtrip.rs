@@ -5,7 +5,8 @@
 //! `/metrics` scrape must pass the Prometheus validity
 //! parser, and a hot-swap issued over HTTP mid-flight must be atomic per
 //! request: every row of a multi-row response is served by one model
-//! version, the one the response names.
+//! version, the one the response names. An int8-quantized twin served
+//! beside its f32 source answers on its own name, bit for bit as in process.
 
 mod common;
 
@@ -14,6 +15,7 @@ use std::sync::Arc;
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::Predictor;
 use bcpnn_gateway::{client, json, Gateway, GatewayConfig};
+use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_serve::{
     BatchConfig, ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer,
 };
@@ -282,4 +284,31 @@ fn metrics_scrape_is_valid_and_complete_after_traffic() {
     // Cross-check against the in-process snapshots.
     assert_eq!(server.metrics().responses, 12);
     assert_eq!(gateway.metrics().predict_rows, 12);
+}
+
+#[test]
+fn int8_model_served_beside_its_source_predicts_over_http() {
+    let (pipeline, data) = tiny_pipeline(65, BackendKind::Parallel);
+    let int8 = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
+    let direct = int8.predict_proba(&data.features).unwrap();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish(ServedModel::new("higgs", 1, pipeline));
+    registry.publish(ServedModel::new("higgs-int8", 1, int8));
+    let (gateway, _server) = gateway_over(registry);
+
+    let response = client::request(
+        gateway.local_addr(),
+        "POST",
+        "/v1/models/higgs-int8/predict",
+        &[],
+        rows_body(&data, 0..8).as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(response.status, 200, "body: {}", response.body_str());
+    let got = predictions_of(&response.body_str());
+    assert_eq!(got.len(), 8);
+    for (r, row) in got.iter().enumerate() {
+        let bits = |row: &[f32]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(row), bits(direct.row(r)), "int8 row {r}");
+    }
 }
