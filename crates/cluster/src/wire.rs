@@ -35,6 +35,9 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
+use bcpnn_tensor::io::{put_slice, ByteReader, Word};
+use bcpnn_tensor::IoError;
+
 /// The block of `f32` rows the frames carry (features on the way in, class
 /// probabilities on the way out): the serving stack's own carrier, so a
 /// decoded block is submitted, and an answer encoded, without a copy.
@@ -352,7 +355,7 @@ impl Frame {
         let mut p = Vec::new();
         match self {
             Frame::Ping { nonce } | Frame::Pong { nonce } => {
-                put_u64(&mut p, *nonce);
+                nonce.put(&mut p);
             }
             Frame::Predict {
                 model,
@@ -363,8 +366,8 @@ impl Frame {
             } => {
                 put_str(&mut p, model);
                 p.push(*priority);
-                put_u64(&mut p, *deadline_ms);
-                put_opt_f32(&mut p, *abstain);
+                deadline_ms.put(&mut p);
+                put_opt(&mut p, *abstain);
                 put_rows(&mut p, rows);
             }
             Frame::PredictOk {
@@ -372,12 +375,10 @@ impl Frame {
                 rows,
                 abstained,
             } => {
-                put_opt_u64(&mut p, *version);
+                put_opt(&mut p, *version);
                 put_rows(&mut p, rows);
-                put_u32(&mut p, abstained.len() as u32);
-                for &i in abstained {
-                    put_u32(&mut p, i);
-                }
+                (abstained.len() as u32).put(&mut p);
+                put_slice(&mut p, abstained);
             }
             Frame::Error { code, message } => {
                 p.push(*code as u8);
@@ -391,12 +392,12 @@ impl Frame {
             } => {
                 put_str(&mut p, model);
                 put_str(&mut p, path);
-                put_u64(&mut p, *version);
+                version.put(&mut p);
                 p.push(*backend);
             }
             Frame::PublishOk { version, displaced } => {
-                put_u64(&mut p, *version);
-                put_opt_u64(&mut p, *displaced);
+                version.put(&mut p);
+                put_opt(&mut p, *displaced);
             }
             Frame::MetricsReq | Frame::ModelsReq => {}
             Frame::MetricsOk { text } => put_str(&mut p, text),
@@ -407,25 +408,22 @@ impl Frame {
             } => {
                 put_str(&mut p, model);
                 put_rows(&mut p, rows);
-                put_u32(&mut p, labels.len() as u32);
-                for &label in labels {
-                    put_u32(&mut p, label);
-                }
+                (labels.len() as u32).put(&mut p);
+                put_slice(&mut p, labels);
             }
             Frame::LearnOk {
                 accepted,
                 queue_depth,
             } => {
-                put_u64(&mut p, *accepted);
-                put_u64(&mut p, *queue_depth);
+                accepted.put(&mut p);
+                queue_depth.put(&mut p);
             }
             Frame::ModelsOk { models } => {
-                put_u32(&mut p, models.len() as u32);
+                (models.len() as u32).put(&mut p);
                 for m in models {
                     put_str(&mut p, &m.name);
-                    put_u64(&mut p, m.version);
-                    put_u32(&mut p, m.n_inputs);
-                    put_u32(&mut p, m.n_classes);
+                    m.version.put(&mut p);
+                    put_slice(&mut p, &[m.n_inputs, m.n_classes]);
                 }
             }
         }
@@ -465,33 +463,22 @@ impl Frame {
     /// Decode a payload against its opcode's schema. Trailing bytes are a
     /// decode error: a frame means exactly its schema, nothing more.
     pub fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Frame, WireError> {
-        let mut c = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
+        let mut c = ByteReader::new(payload);
         let frame = match opcode {
-            0x01 => Frame::Ping { nonce: c.u64()? },
-            0x02 => Frame::Pong { nonce: c.u64()? },
+            0x01 => Frame::Ping { nonce: c.word()? },
+            0x02 => Frame::Pong { nonce: c.word()? },
             0x03 => Frame::Predict {
-                model: c.str()?,
-                priority: c.u8()?,
-                deadline_ms: c.u64()?,
-                abstain: c.opt_f32()?,
-                rows: c.rows()?,
+                model: str(&mut c)?,
+                priority: c.word()?,
+                deadline_ms: c.word()?,
+                abstain: opt(&mut c)?,
+                rows: rows(&mut c)?,
             },
             0x04 => {
-                let version = c.opt_u64()?;
-                let rows = c.rows()?;
-                let n = c.u32()? as usize;
-                if n > c.remaining() / 4 {
-                    return Err(WireError::Malformed(format!(
-                        "abstained count {n} exceeds what the payload could hold"
-                    )));
-                }
-                let mut abstained = Vec::with_capacity(n);
-                for _ in 0..n {
-                    abstained.push(c.u32()?);
-                }
+                let version = opt(&mut c)?;
+                let rows = rows(&mut c)?;
+                let n = c.word::<u32>()? as usize;
+                let abstained = c.words(n)?;
                 Frame::PredictOk {
                     version,
                     rows,
@@ -499,61 +486,54 @@ impl Frame {
                 }
             }
             0x05 => {
-                let raw = c.u8()?;
+                let raw = c.word::<u8>()?;
                 let code = ErrorCode::from_u8(raw)
                     .ok_or_else(|| WireError::Malformed(format!("unknown error code {raw}")))?;
                 Frame::Error {
                     code,
-                    message: c.str()?,
+                    message: str(&mut c)?,
                 }
             }
             0x06 => Frame::Publish {
-                model: c.str()?,
-                path: c.str()?,
-                version: c.u64()?,
-                backend: c.u8()?,
+                model: str(&mut c)?,
+                path: str(&mut c)?,
+                version: c.word()?,
+                backend: c.word()?,
             },
             0x07 => Frame::PublishOk {
-                version: c.u64()?,
-                displaced: c.opt_u64()?,
+                version: c.word()?,
+                displaced: opt(&mut c)?,
             },
             0x08 => Frame::MetricsReq,
-            0x09 => Frame::MetricsOk { text: c.str()? },
+            0x09 => Frame::MetricsOk { text: str(&mut c)? },
             0x0A => Frame::ModelsReq,
             0x0B => {
-                let n = c.u32()? as usize;
-                // Each entry is at least 20 bytes; pre-check so a corrupt
-                // count cannot drive a huge reservation.
-                if n > c.remaining() / 20 + 1 {
-                    return Err(WireError::Malformed(format!(
-                        "model count {n} exceeds what the payload could hold"
-                    )));
-                }
-                let mut models = Vec::with_capacity(n);
-                for _ in 0..n {
-                    models.push(ModelInfo {
-                        name: c.str()?,
-                        version: c.u64()?,
-                        n_inputs: c.u32()?,
-                        n_classes: c.u32()?,
-                    });
-                }
+                // Entries are read one by one (never reserved up front), so
+                // a corrupt count fails at the first missing byte.
+                let n = c.word::<u32>()?;
+                let models = (0..n)
+                    .map(|_| {
+                        Ok(ModelInfo {
+                            name: str(&mut c)?,
+                            version: c.word()?,
+                            n_inputs: c.word()?,
+                            n_classes: c.word()?,
+                        })
+                    })
+                    .collect::<Result<_, WireError>>()?;
                 Frame::ModelsOk { models }
             }
             0x0C => {
-                let model = c.str()?;
-                let rows = c.rows()?;
-                let n = c.u32()? as usize;
+                let model = str(&mut c)?;
+                let rows = rows(&mut c)?;
+                let n = c.word::<u32>()? as usize;
                 if n != rows.n_rows() {
                     return Err(WireError::Malformed(format!(
                         "learn frame has {} rows but {n} labels",
                         rows.n_rows()
                     )));
                 }
-                let mut labels = Vec::with_capacity(n);
-                for _ in 0..n {
-                    labels.push(c.u32()?);
-                }
+                let labels = c.words(n)?;
                 Frame::Learn {
                     model,
                     rows,
@@ -561,17 +541,12 @@ impl Frame {
                 }
             }
             0x0D => Frame::LearnOk {
-                accepted: c.u64()?,
-                queue_depth: c.u64()?,
+                accepted: c.word()?,
+                queue_depth: c.word()?,
             },
             other => return Err(WireError::UnknownOpcode(other)),
         };
-        if c.remaining() != 0 {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes after the payload",
-                c.remaining()
-            )));
-        }
+        c.finish()?;
         Ok(frame)
     }
 }
@@ -609,128 +584,63 @@ pub fn decode_options(priority: u8, deadline_ms: u64, abstain: Option<f32>) -> S
     options
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn put_opt_f32(out: &mut Vec<u8>, v: Option<f32>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        None => out.push(0),
+fn put_opt<T: Word>(out: &mut Vec<u8>, v: Option<T>) {
+    out.push(u8::from(v.is_some()));
+    if let Some(v) = v {
+        v.put(out);
     }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
+    (s.len() as u32).put(out);
     out.extend_from_slice(s.as_bytes());
 }
 
 fn put_rows(out: &mut Vec<u8>, rows: &RowBlock) {
-    put_u32(out, rows.n_cols);
-    put_u32(out, rows.n_rows() as u32);
-    for &v in &rows.data {
-        out.extend_from_slice(&v.to_le_bytes());
+    put_slice(out, &[rows.n_cols, rows.n_rows() as u32]);
+    put_slice(out, &rows.data);
+}
+
+impl From<IoError> for WireError {
+    fn from(e: IoError) -> Self {
+        match e {
+            IoError::Io(e) => WireError::Io(e),
+            IoError::Format(msg) => WireError::Malformed(msg),
+        }
     }
 }
 
-/// Bounds-checked payload reader.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn opt<T: Word>(c: &mut ByteReader<'_>) -> Result<Option<T>, WireError> {
+    match c.word::<u8>()? {
+        0 => Ok(None),
+        1 => Ok(Some(c.word()?)),
+        other => Err(WireError::Malformed(format!(
+            "option tag must be 0 or 1, got {other}"
+        ))),
+    }
 }
 
-impl Cursor<'_> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
+fn str(c: &mut ByteReader<'_>) -> Result<String, WireError> {
+    let len = c.word::<u32>()? as usize;
+    String::from_utf8(c.take(len)?.to_vec())
+        .map_err(|_| WireError::Malformed("string is not valid UTF-8".into()))
+}
 
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Malformed(format!(
-                "payload truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+/// A row block; its cell count is overflow-checked and its bytes checked
+/// present before anything is allocated.
+fn rows(c: &mut ByteReader<'_>) -> Result<RowBlock, WireError> {
+    let n_cols = c.word::<u32>()?;
+    let n_rows = c.word::<u32>()? as usize;
+    if n_rows > 0 && n_cols == 0 {
+        return Err(WireError::Malformed("rows with zero width".into()));
     }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(WireError::Malformed(format!(
-                "option tag must be 0 or 1, got {other}"
-            ))),
-        }
-    }
-
-    fn opt_f32(&mut self) -> Result<Option<f32>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let raw = self.take(4)?;
-                Ok(Some(f32::from_le_bytes(raw.try_into().unwrap())))
-            }
-            other => Err(WireError::Malformed(format!(
-                "option tag must be 0 or 1, got {other}"
-            ))),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not valid UTF-8".into()))
-    }
-
-    fn rows(&mut self) -> Result<RowBlock, WireError> {
-        let n_cols = self.u32()?;
-        let n_rows = self.u32()? as usize;
-        let cells = n_rows
-            .checked_mul(n_cols as usize)
-            .ok_or_else(|| WireError::Malformed("row block dimensions overflow".into()))?;
-        if n_rows > 0 && n_cols == 0 {
-            return Err(WireError::Malformed("rows with zero width".into()));
-        }
-        let raw = self.take(cells * 4)?;
-        let mut data = Vec::with_capacity(cells);
-        for chunk in raw.chunks_exact(4) {
-            data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        Ok(RowBlock { n_cols, data })
-    }
+    let cells = n_rows
+        .checked_mul(n_cols as usize)
+        .ok_or_else(|| WireError::Malformed("row block dimensions overflow".into()))?;
+    Ok(RowBlock {
+        n_cols,
+        data: c.words(cells)?,
+    })
 }
 
 #[cfg(test)]
@@ -864,6 +774,22 @@ mod tests {
         tampered[count_at..count_at + 4].copy_from_slice(&1u32.to_le_bytes());
         assert!(matches!(
             Frame::read_from(&mut tampered.as_slice(), DEFAULT_MAX_PAYLOAD),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_row_block_larger_than_its_payload_is_malformed_not_a_panic() {
+        // A 13-byte PredictOk payload: no version, then 2^31 x 2^31 cells
+        // and a zero abstained count. The cell count must be refused
+        // before it is multiplied into a byte count or allocated.
+        let mut payload = vec![0u8];
+        for word in [1u32 << 31, 1 << 31, 0] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(payload.len(), 13);
+        assert!(matches!(
+            Frame::decode_payload(0x04, &payload),
             Err(WireError::Malformed(_))
         ));
     }

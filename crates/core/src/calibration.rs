@@ -23,8 +23,8 @@
 //! are clamped into their segment and every per-element transform is an
 //! order-preserving IEEE operation — so calibrated rows never reorder
 //! classes (`crates/core/tests/calibration_prop.rs` property-tests this).
-//! A fitted calibration rides along in `v4` model directories (one
-//! `calibration.mat` state file) and
+//! A fitted calibration rides along in the model file (its family as a
+//! header tag, its [`Calibration::state`] as one matrix frame) and
 //! round-trips persistence bit-exactly.
 
 use bcpnn_tensor::Matrix;
@@ -38,12 +38,14 @@ const ISOTONIC_FLOOR: f32 = 1e-6;
 /// Which calibration family [`Pipeline::fit_calibration`] fits.
 ///
 /// [`Pipeline::fit_calibration`]: crate::Pipeline::fit_calibration
+/// The discriminant is the model file's calibration tag (0 is none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CalibrationMethod {
     /// One-parameter temperature scaling (NLL grid + refine).
-    Temperature,
+    Temperature = 1,
     /// Nondecreasing piecewise-linear map via pool-adjacent-violators.
-    Isotonic,
+    Isotonic = 2,
 }
 
 /// A fitted, persistable post-hoc calibration map (see the
@@ -126,13 +128,49 @@ impl IsotonicMap {
 }
 
 impl Calibration {
-    /// The stable persistence tag of this calibration kind (manifest value
-    /// of the `calibration` key in `v4` model directories).
-    pub fn kind(&self) -> &'static str {
+    /// The family this calibration was fitted with.
+    pub fn method(&self) -> CalibrationMethod {
         match self {
-            Calibration::Temperature(_) => "temperature",
-            Calibration::Isotonic(_) => "isotonic",
+            Calibration::Temperature(_) => CalibrationMethod::Temperature,
+            Calibration::Isotonic(_) => CalibrationMethod::Isotonic,
         }
+    }
+
+    /// The fitted parameters as one matrix, the persisted form: a
+    /// temperature as `1x1`, an isotonic map as `2xK` (row 0 the
+    /// breakpoints, row 1 the values).
+    pub fn state(&self) -> Matrix<f32> {
+        match self {
+            Calibration::Temperature(t) => Matrix::from_vec(1, 1, vec![*t]),
+            Calibration::Isotonic(map) => {
+                let mut data = map.xs.clone();
+                data.extend_from_slice(&map.ys);
+                Matrix::from_vec(2, map.xs.len(), data)
+            }
+        }
+    }
+
+    /// Rebuild a calibration of family `method` from its
+    /// [`Calibration::state`]. A shape mismatch and parameters that violate
+    /// the calibration invariants are typed errors.
+    pub fn from_state(method: CalibrationMethod, state: &Matrix<f32>) -> CoreResult<Calibration> {
+        let calibration = match method {
+            CalibrationMethod::Temperature if state.shape() == (1, 1) => {
+                Calibration::Temperature(state.as_slice()[0])
+            }
+            CalibrationMethod::Isotonic if state.rows() == 2 => Calibration::Isotonic(
+                IsotonicMap::new(state.row(0).to_vec(), state.row(1).to_vec())?,
+            ),
+            _ => {
+                return Err(CoreError::Format(format!(
+                    "a {method:?} calibration cannot have a {}x{} state",
+                    state.rows(),
+                    state.cols()
+                )))
+            }
+        };
+        calibration.validate()?;
+        Ok(calibration)
     }
 
     /// Validate the invariants a fitted (or loaded) calibration must hold.

@@ -61,37 +61,75 @@ impl HiddenLayer {
         backend: Arc<dyn Backend>,
         seed: u64,
     ) -> CoreResult<Self> {
+        Self::build(params, backend, seed, None)
+    }
+
+    /// [`HiddenLayer::new`], or with `state` a layer holding a loaded
+    /// model's mask and traces (weights recomputed from the traces). The
+    /// RNG advances the same either way, so later training draws the
+    /// support noise a freshly built layer of that seed would.
+    pub(crate) fn build(
+        params: HiddenLayerParams,
+        backend: Arc<dyn Backend>,
+        seed: u64,
+        state: Option<(ReceptiveFieldMask, ProbabilityTraces)>,
+    ) -> CoreResult<Self> {
         params.validate().map_err(CoreError::InvalidParams)?;
         let mut rng = MatrixRng::seed_from(seed);
         let n_units = params.n_units();
-        let mask = ReceptiveFieldMask::random(
+        let random_mask = ReceptiveFieldMask::random(
             params.n_hcu,
             params.n_inputs,
             params.active_connections(),
             &mut rng,
         );
-        // Prior input probability: with one-hot blocks of ~10 bins the
-        // typical input density is ~0.1; a mild 0.1 prior works for all the
-        // datasets used here and washes out after a few batches anyway.
-        let mut traces = ProbabilityTraces::new(params.n_inputs, n_units, params.n_mcu, 0.1);
-        // Symmetry breaking: perturb the joint traces multiplicatively
-        // around independence. Weights are a pure function of the traces
-        // (they are recomputed after every batch), so perturbing the weights
-        // directly would be erased immediately; perturbing p_ij instead
-        // gives every minicolumn a persistent random "preference direction"
-        // (a random projection of the input) that decays with the trace
-        // time constant. Early winners are therefore input-dependent, the
-        // joint traces pick up genuine input/unit correlations, and the
-        // minicolumns differentiate instead of collapsing onto one winner.
-        for i in 0..traces.pij.rows() {
-            let pi = traces.pi[i];
-            for j in 0..traces.pij.cols() {
-                let u: f32 = rng.uniform_scalar(-0.5, 0.5);
-                let perturbed = traces.pij.get(i, j) * (1.0 + u);
-                let ceiling = pi.min(traces.pj[j]);
-                traces.pij.set(i, j, perturbed.clamp(params.eps, ceiling));
+        let (mask, traces) = match state {
+            Some((mask, traces)) => {
+                if mask.n_hcu() != params.n_hcu || mask.n_inputs() != params.n_inputs {
+                    return Err(CoreError::DataMismatch(
+                        "mask dimensions do not match the layer".into(),
+                    ));
+                }
+                if traces.n_inputs() != params.n_inputs || traces.n_units() != n_units {
+                    return Err(CoreError::DataMismatch(
+                        "trace dimensions do not match the layer".into(),
+                    ));
+                }
+                for _ in 0..params.n_inputs * n_units {
+                    rng.uniform_scalar::<f32>(-0.5, 0.5);
+                }
+                (mask, traces)
             }
-        }
+            None => {
+                // Prior input probability: with one-hot blocks of ~10 bins
+                // the typical input density is ~0.1; a mild 0.1 prior works
+                // for all the datasets used here and washes out after a
+                // few batches anyway.
+                let mut traces =
+                    ProbabilityTraces::new(params.n_inputs, n_units, params.n_mcu, 0.1);
+                // Symmetry breaking: perturb the joint traces
+                // multiplicatively around independence. Weights are a pure
+                // function of the traces (they are recomputed after every
+                // batch), so perturbing the weights directly would be erased
+                // immediately; perturbing p_ij instead gives every
+                // minicolumn a persistent random "preference direction" (a
+                // random projection of the input) that decays with the
+                // trace time constant. Early winners are therefore
+                // input-dependent, the joint traces pick up genuine
+                // input/unit correlations, and the minicolumns differentiate
+                // instead of collapsing onto one winner.
+                for i in 0..traces.pij.rows() {
+                    let pi = traces.pi[i];
+                    for j in 0..traces.pij.cols() {
+                        let u: f32 = rng.uniform_scalar(-0.5, 0.5);
+                        let perturbed = traces.pij.get(i, j) * (1.0 + u);
+                        let ceiling = pi.min(traces.pj[j]);
+                        traces.pij.set(i, j, perturbed.clamp(params.eps, ceiling));
+                    }
+                }
+                (random_mask, traces)
+            }
+        };
         let mut weights = Matrix::zeros(params.n_inputs, n_units);
         let mut bias = vec![0.0f32; n_units];
         traces.weights_and_bias(
@@ -344,28 +382,6 @@ impl HiddenLayer {
             &mut self.masked_weights,
         );
         report
-    }
-
-    /// Replace the mask (used when loading a persisted model).
-    pub(crate) fn restore_state(
-        &mut self,
-        mask: ReceptiveFieldMask,
-        traces: ProbabilityTraces,
-    ) -> CoreResult<()> {
-        if mask.n_hcu() != self.params.n_hcu || mask.n_inputs() != self.params.n_inputs {
-            return Err(CoreError::DataMismatch(
-                "mask dimensions do not match the layer".into(),
-            ));
-        }
-        if traces.n_inputs() != self.params.n_inputs || traces.n_units() != self.n_units() {
-            return Err(CoreError::DataMismatch(
-                "trace dimensions do not match the layer".into(),
-            ));
-        }
-        self.mask = mask;
-        self.traces = traces;
-        self.refresh_weights();
-        Ok(())
     }
 }
 

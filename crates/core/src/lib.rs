@@ -63,7 +63,7 @@ pub mod model;
 mod network;
 mod params;
 mod plasticity;
-mod serialize;
+pub mod serialize;
 mod sgd;
 mod traces;
 mod training;
@@ -81,9 +81,7 @@ pub use model::{Estimator, NetworkEstimator, Pipeline, PipelineEstimator, Predic
 pub use network::{Network, NetworkBuilder, ReadoutKind};
 pub use params::{HiddenLayerParams, SgdParams, TrainingParams};
 pub use plasticity::{PlasticityConfig, PlasticityReport, StructuralPlasticity};
-pub use serialize::{
-    load_calibration, load_network, load_pipeline, save_calibration, save_network, save_pipeline,
-};
+pub use serialize::{load_pipeline, save_pipeline};
 pub use sgd::SgdClassifier;
 pub use traces::ProbabilityTraces;
 pub use training::{EpochStats, FitReport, Trainer, TrainingObserver, TrainingPhase};

@@ -8,6 +8,8 @@
 
 use bcpnn_tensor::{Matrix, MatrixRng};
 
+use crate::error::{CoreError, CoreResult};
+
 /// Binary receptive-field masks for all hypercolumns of a layer
 /// (`n_hcu x n_inputs`, entries 0.0 or 1.0).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,33 +55,32 @@ impl ReceptiveFieldMask {
     }
 
     /// Build from an explicit 0/1 matrix (used when loading a saved model).
-    ///
-    /// # Panics
-    /// Panics if the matrix contains values other than 0 and 1 or if rows
-    /// have differing numbers of active entries.
-    pub fn from_matrix(mask: Matrix<f32>) -> Self {
-        assert!(mask.rows() > 0 && mask.cols() > 0, "mask must be non-empty");
-        let mut counts = Vec::with_capacity(mask.rows());
+    /// An empty matrix, values other than 0 and 1, an HCU without active
+    /// connections and rows with differing numbers of active entries are
+    /// typed [`CoreError::Format`] errors.
+    pub fn from_matrix(mask: Matrix<f32>) -> CoreResult<Self> {
+        let bad = |msg: String| Err(CoreError::Format(format!("receptive-field mask: {msg}")));
+        if mask.rows() == 0 || mask.cols() == 0 {
+            return bad("must be non-empty".into());
+        }
+        let mut first = None;
         for h in 0..mask.rows() {
-            let mut c = 0usize;
-            for &v in mask.row(h) {
-                assert!(v == 0.0 || v == 1.0, "mask entries must be 0 or 1, got {v}");
-                if v == 1.0 {
-                    c += 1;
-                }
+            let row = mask.row(h);
+            if let Some(v) = row.iter().find(|&&v| v != 0.0 && v != 1.0) {
+                return bad(format!("entries must be 0 or 1, got {v}"));
             }
-            assert!(c > 0, "HCU {h} has no active connections");
-            counts.push(c);
+            let c = row.iter().filter(|&&v| v == 1.0).count();
+            if c == 0 {
+                return bad(format!("HCU {h} has no active connections"));
+            }
+            if *first.get_or_insert(c) != c {
+                return bad("all HCUs must have the same number of active connections".into());
+            }
         }
-        let first = counts[0];
-        assert!(
-            counts.iter().all(|&c| c == first),
-            "all HCUs must have the same number of active connections"
-        );
-        Self {
+        Ok(Self {
+            active_per_hcu: first.unwrap_or(0),
             mask,
-            active_per_hcu: first,
-        }
+        })
     }
 
     /// Number of hypercolumns.
@@ -258,14 +259,17 @@ mod tests {
     fn from_matrix_roundtrip() {
         let mut rng = MatrixRng::seed_from(7);
         let m = ReceptiveFieldMask::random(3, 40, 10, &mut rng);
-        let rebuilt = ReceptiveFieldMask::from_matrix(m.as_matrix().clone());
+        let rebuilt = ReceptiveFieldMask::from_matrix(m.as_matrix().clone()).unwrap();
         assert_eq!(rebuilt, m);
     }
 
     #[test]
     #[should_panic(expected = "must be 0 or 1")]
     fn from_matrix_rejects_non_binary() {
-        let bad = Matrix::filled(1, 4, 0.5f32);
-        let _ = ReceptiveFieldMask::from_matrix(bad);
+        let uneven = Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, 0.0]);
+        assert!(ReceptiveFieldMask::from_matrix(uneven).is_err());
+        assert!(ReceptiveFieldMask::from_matrix(Matrix::zeros(1, 3)).is_err());
+        // The error is typed; unwrapping it shows the message.
+        ReceptiveFieldMask::from_matrix(Matrix::filled(1, 4, 0.5f32)).unwrap();
     }
 }

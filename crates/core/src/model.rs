@@ -17,7 +17,8 @@
 //! [`Pipeline`] is the deployable artifact: the paper's fitted quantile
 //! encoder (§V) in front of a trained network, plus an optional post-hoc
 //! calibration, so raw feature vectors go in and class probabilities come
-//! out. It persists as a `v4` model directory; `bcpnn-serve` serves any
+//! out. It persists as a `v5` model directory, one `model.bcpnn` file
+//! (see [`crate::serialize`]); `bcpnn-serve` serves any
 //! `Predictor` — a loaded `Pipeline` being the common case.
 //!
 //! # Fitting an estimator
@@ -356,7 +357,7 @@ impl Estimator for PipelineEstimator {
 /// Offline experiments encode the whole dataset once and train on the
 /// binary code; a serving system cannot ask its clients to do that. The
 /// pipeline closes the gap — it is the artifact `bcpnn-serve` publishes,
-/// and it persists as a `v4` model directory ([`Pipeline::save`] /
+/// and it persists as a `v5` model directory ([`Pipeline::save`] /
 /// [`Pipeline::load`]).
 /// `Clone` copies the fitted encoder and the full trainable network state,
 /// so a clone learns independently of the original — the seam the
@@ -526,12 +527,12 @@ impl Pipeline {
         result
     }
 
-    /// Save the artifact as a `v4` model directory.
+    /// Save the artifact as a `v5` model directory (one `model.bcpnn`).
     pub fn save<P: AsRef<std::path::Path>>(&self, dir: P) -> CoreResult<()> {
         crate::serialize::save_pipeline(self, dir)
     }
 
-    /// Load an artifact from a (`v4`) model directory,
+    /// Load an artifact from a `v5` model directory,
     /// instantiating the network on the given backend (backends are
     /// runtime configuration, not model state).
     pub fn load<P: AsRef<std::path::Path>>(
@@ -796,20 +797,24 @@ pub(crate) mod tests {
 
     #[test]
     fn stage_kinds_are_stable() {
-        // The persisted stage list is the format's stable part: a pipeline
-        // writes its encoder as the one `quantile` stage, a bare network
-        // writes none.
+        // The persisted artifact kind is the format's stable part: a
+        // pipeline is one `model.bcpnn` whose header names kind 1 and whose
+        // first frame is the encoder, its one stage.
         let (pipeline, _) = tiny_pipeline(13);
         let dir = std::env::temp_dir()
             .join("bcpnn_model_tests")
             .join(format!("stage_kinds_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        pipeline.save(dir.join("pipeline")).unwrap();
-        crate::save_network(pipeline.network(), dir.join("network")).unwrap();
-        let manifest =
-            |name: &str| std::fs::read_to_string(dir.join(name).join("manifest.txt")).unwrap();
-        assert!(manifest("pipeline").contains("\nstages 1\nstage0 quantile\n"));
-        assert!(manifest("network").ends_with("\nstages 0\n"));
+        pipeline.save(&dir).unwrap();
+        let bytes = std::fs::read(dir.join("model.bcpnn")).unwrap();
+        assert_eq!(&bytes[8..16], b"bcpnnMDL");
+        assert_eq!(bytes[16..20], 5u32.to_le_bytes());
+        assert_eq!(bytes[20], 1, "kind tag of a pipeline");
+        let (_, mut frames) =
+            crate::serialize::read_model_file(&dir, crate::serialize::ArtifactKind::Pipeline)
+                .unwrap();
+        let boundaries: Matrix<f64> = frames.read_matrix().unwrap();
+        assert_eq!(boundaries, pipeline.encoder().unwrap().boundaries());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

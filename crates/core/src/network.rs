@@ -9,9 +9,11 @@ use bcpnn_tensor::Matrix;
 use crate::classifier::{BcpnnClassifier, BcpnnClassifierParams};
 use crate::error::{CoreError, CoreResult};
 use crate::hcu::HiddenLayer;
+use crate::mask::ReceptiveFieldMask;
 use crate::metrics::EvalReport;
 use crate::params::{HiddenLayerParams, SgdParams};
 use crate::sgd::SgdClassifier;
+use crate::traces::ProbabilityTraces;
 use crate::workspace::Workspace;
 
 /// Rows per block of a predict over more rows than this: bounds the hidden
@@ -38,27 +40,25 @@ impl Rows<'_> {
 
 /// Which classification head produces the network's predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum ReadoutKind {
     /// Pure BCPNN: the associative probability-trace readout
     /// (the paper's 68.58 % / 75.5 % AUC configuration).
-    Bcpnn,
+    Bcpnn = 1,
     /// A softmax-regression head trained by SGD on the hidden code.
-    Sgd,
+    Sgd = 2,
     /// Train both heads; predict with the SGD head (the paper's
     /// "BCPNN + SGD" hybrid, 69.15 % / 76.4 % AUC).
     #[default]
-    Hybrid,
+    Hybrid = 3,
 }
 
 impl ReadoutKind {
-    /// Parse a readout name.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "bcpnn" => Some(Self::Bcpnn),
-            "sgd" => Some(Self::Sgd),
-            "hybrid" | "bcpnn+sgd" => Some(Self::Hybrid),
-            _ => None,
-        }
+    /// Parse a persistence tag (the model file's readout byte).
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::Bcpnn, Self::Sgd, Self::Hybrid]
+            .into_iter()
+            .find(|&kind| kind as u8 == tag)
     }
 
     /// Name of the readout kind.
@@ -496,13 +496,27 @@ impl NetworkBuilder {
 
     /// Build the network.
     pub fn build(self) -> CoreResult<Network> {
+        self.build_with(None)
+    }
+
+    /// Build the network, around a persisted hidden layer state (mask and
+    /// traces) when the model loader passes one.
+    pub(crate) fn build_with(
+        self,
+        hidden_state: Option<(ReceptiveFieldMask, ProbabilityTraces)>,
+    ) -> CoreResult<Network> {
         if self.n_classes < 2 {
             return Err(CoreError::InvalidParams(
                 "a classifier needs at least two classes".into(),
             ));
         }
         let backend = self.backend.create();
-        let hidden = HiddenLayer::new(self.hidden.clone(), Arc::clone(&backend), self.seed)?;
+        let hidden = HiddenLayer::build(
+            self.hidden.clone(),
+            Arc::clone(&backend),
+            self.seed,
+            hidden_state,
+        )?;
         let n_hidden_units = hidden.n_units();
         let bcpnn_readout = match self.readout {
             ReadoutKind::Bcpnn | ReadoutKind::Hybrid => Some(BcpnnClassifier::new(
@@ -642,10 +656,11 @@ mod tests {
 
     #[test]
     fn readout_kind_parsing() {
-        assert_eq!(ReadoutKind::parse("bcpnn"), Some(ReadoutKind::Bcpnn));
-        assert_eq!(ReadoutKind::parse("BCPNN+SGD"), Some(ReadoutKind::Hybrid));
-        assert_eq!(ReadoutKind::parse("sgd"), Some(ReadoutKind::Sgd));
-        assert_eq!(ReadoutKind::parse("???"), None);
+        for kind in [ReadoutKind::Bcpnn, ReadoutKind::Sgd, ReadoutKind::Hybrid] {
+            assert_eq!(ReadoutKind::from_tag(kind as u8), Some(kind));
+        }
+        assert_eq!(ReadoutKind::from_tag(0), None);
+        assert_eq!(ReadoutKind::from_tag(4), None);
         assert_eq!(ReadoutKind::Hybrid.name(), "hybrid");
     }
 }

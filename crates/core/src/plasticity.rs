@@ -203,7 +203,7 @@ mod tests {
         for i in 0..3 {
             m.set(0, i, 1.0);
         }
-        let mut mask = ReceptiveFieldMask::from_matrix(m);
+        let mut mask = ReceptiveFieldMask::from_matrix(m).unwrap();
         let plast = StructuralPlasticity::default();
         let report = plast.update(&mut mask, &scores);
         assert_eq!(report.total_swaps(), 0);
@@ -233,7 +233,7 @@ mod tests {
         for i in 0..10 {
             m.set(0, i, 1.0);
         }
-        let mut mask = ReceptiveFieldMask::from_matrix(m);
+        let mut mask = ReceptiveFieldMask::from_matrix(m).unwrap();
         let scores = Matrix::from_fn(1, n_inputs, |_, i| if i < 10 { 0.0 } else { 1.0 });
         let plast = StructuralPlasticity::new(PlasticityConfig {
             max_swaps: 4,

@@ -1,503 +1,382 @@
 //! Model persistence.
 //!
-//! A trained [`Network`] is saved as a directory containing a small
-//! key/value manifest plus one text matrix file (see `bcpnn_tensor::io`)
-//! per state tensor: the hidden mask, the hidden and readout probability
-//! traces, and the SGD head parameters. Weights are *not* stored — they are
-//! deterministic functions of the traces and are recomputed on load, which
-//! both keeps the files small and guarantees the loaded model is internally
-//! consistent.
+//! A saved model is a directory holding exactly one file, `model.bcpnn`,
+//! written with the workspace's one byte codec (`bcpnn_tensor::io`): a
+//! sequence of CRC-framed little-endian frames, read back through a
+//! buffered reader one frame at a time.
 //!
-//! ## Format
+//! ## Format (`v5`)
 //!
-//! One format is written and read, `v4`. Its manifest lists the input
-//! stages in front of the network, and exactly two lists exist: a bare
-//! network ([`save_network`]) writes `stages 0`, and a
-//! [`Pipeline`](crate::model::Pipeline) ([`save_pipeline`]) writes
-//! `stages 1` / `stage0 quantile` with the fitted quantile encoder in
-//! `stage0.txt`. An attached post-hoc [`Calibration`] adds a
-//! `calibration <kind>` line (kinds: `temperature`, `isotonic`) plus the
-//! fitted state in `calibration.mat`, written **only when a calibration is
-//! attached**. Any other stage list, a [`load_pipeline`] of a bare network,
-//! and any other header version (`v1`–`v3` were never shipped in a model
-//! directory) is a typed [`CoreError::Format`], never a panic.
+//! ```text
+//! header  := frame of  magic "bcpnnMDL" | version u32 (5) | kind u8 | kind fields
+//! pipeline fields := n_inputs u64 | n_hcu u64 | n_mcu u64 | receptive_field f64
+//!                  | trace_rate f32 | eps f32 | bias_gain f32 | support_noise f32
+//!                  | plasticity_swaps u64 | plasticity_interval u64
+//!                  | readout u8 | n_classes u8 | calibration u8
+//! pipeline frames := encoder boundaries (f64 matrix) | hidden mask
+//!                  | hidden p_i | p_j | p_ij
+//!                  | [readout p_i | p_j | p_ij]   (BCPNN or hybrid readout)
+//!                  | [SGD weights | SGD bias]     (SGD or hybrid readout)
+//!                  | [calibration state]          (calibration tag ≠ 0)
+//! ```
+//!
+//! The header is the file's manifest: it says what kind of artifact the
+//! file holds ([`ArtifactKind`]; `bcpnn_lowprec` writes the `quantized`
+//! kind into the same container) and which frames follow. Weights are
+//! *not* stored — they are deterministic functions of the probability
+//! traces and are recomputed on load, which keeps the loaded model
+//! internally consistent.
+//!
+//! Every failure to load is a typed [`CoreError`], never a panic: a
+//! missing file, a flipped or truncated byte (the CRC of every frame), a
+//! header of another version or kind, an unknown tag byte, a tensor of
+//! the wrong shape, trailing bytes. A directory without `model.bcpnn`
+//! (such as a `v4` directory of text matrices) is a
+//! [`CoreError::Format`]; re-fit it with `bcpnn fit`.
 
-use std::collections::HashMap;
-use std::fs;
+use std::fs::{self, File};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 use bcpnn_backend::BackendKind;
 use bcpnn_data::QuantileEncoder;
-use bcpnn_tensor::{load_matrix, save_matrix, Matrix};
+use bcpnn_tensor::io::{put_slice, write_frame, ByteReader, Word};
+use bcpnn_tensor::{write_matrix, FrameReader, Matrix};
 
-use crate::calibration::{Calibration, IsotonicMap};
-use crate::classifier::BcpnnClassifierParams;
+use crate::calibration::{Calibration, CalibrationMethod};
 use crate::error::{CoreError, CoreResult};
 use crate::mask::ReceptiveFieldMask;
 use crate::model::Pipeline;
-use crate::network::{Network, NetworkBuilder, ReadoutKind};
-use crate::params::{HiddenLayerParams, SgdParams};
+use crate::network::{NetworkBuilder, ReadoutKind};
+use crate::params::HiddenLayerParams;
 use crate::traces::ProbabilityTraces;
 
-const MANIFEST: &str = "manifest.txt";
-/// File an attached calibration is stored in.
-const CALIBRATION_FILE: &str = "calibration.mat";
-const MAGIC: &str = "bcpnn-network";
-/// The one version written by [`save_network`] / [`save_pipeline`] and
-/// accepted by [`load_network`] / [`load_pipeline`].
-const VERSION: &str = "v4";
+/// The one file of a model directory.
+pub const MODEL_FILE: &str = "model.bcpnn";
+/// Magic bytes opening the header frame.
+const MAGIC: [u8; 8] = *b"bcpnnMDL";
+/// The one version written and read.
+pub const VERSION: u32 = 5;
 
-/// File the fitted quantile encoder of a pipeline is stored in.
-const ENCODER_FILE: &str = "stage0.txt";
+/// What a model file holds: the header's kind byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum ArtifactKind {
+    /// A [`Pipeline`]: encoder, network state, optional calibration.
+    Pipeline = 1,
+    /// An int8 `QuantizedPipeline` (`bcpnn_lowprec`).
+    Quantized = 2,
+}
 
-fn vec_to_matrix(v: &[f32]) -> Matrix<f32> {
+/// Write `dir/model.bcpnn` (creating `dir`): the header frame for `kind`
+/// with the kind's own `fields`, then the frames `body` writes.
+pub fn write_model_file(
+    dir: &Path,
+    kind: ArtifactKind,
+    fields: &[u8],
+    body: impl FnOnce(&mut BufWriter<File>) -> CoreResult<()>,
+) -> CoreResult<()> {
+    fs::create_dir_all(dir)?;
+    let mut header = MAGIC.to_vec();
+    VERSION.put(&mut header);
+    header.push(kind as u8);
+    header.extend_from_slice(fields);
+    let mut w = BufWriter::new(File::create(dir.join(MODEL_FILE))?);
+    write_frame(&mut w, &header)?;
+    body(&mut w)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Open `dir/model.bcpnn` and check its header is a `v5` header of
+/// `kind`. Returns the kind's header fields and the reader positioned at
+/// the first tensor frame; the caller reads its frames, then calls
+/// [`FrameReader::finish`] to refuse trailing bytes.
+pub fn read_model_file(
+    dir: &Path,
+    kind: ArtifactKind,
+) -> CoreResult<(Vec<u8>, FrameReader<BufReader<File>>)> {
+    let file = match File::open(dir.join(MODEL_FILE)) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.is_dir() => {
+            return Err(CoreError::Format(format!(
+                "{} holds no {MODEL_FILE}, so it is not a v{VERSION} model directory \
+                 (v4 and older directories of text matrices must be re-fitted with `bcpnn fit`)",
+                dir.display()
+            )))
+        }
+        file => file?,
+    };
+    let len = file.metadata()?.len();
+    let mut frames = FrameReader::new(BufReader::new(file), len);
+    let header = frames.read_frame()?;
+    let mut r = ByteReader::new(&header);
+    if !matches!(r.take(MAGIC.len()), Ok(magic) if magic == MAGIC) {
+        return Err(CoreError::Format("not a model file (bad magic)".into()));
+    }
+    let version = r.word::<u32>()?;
+    if version != VERSION {
+        return Err(CoreError::Format(format!(
+            "model file version v{version}, this build reads v{VERSION}"
+        )));
+    }
+    let tag = r.word::<u8>()?;
+    if tag != kind as u8 {
+        return Err(CoreError::Format(format!(
+            "the model file holds artifact kind {tag}, expected {kind:?} ({})",
+            kind as u8
+        )));
+    }
+    let fields = header[header.len() - r.remaining()..].to_vec();
+    Ok((fields, frames))
+}
+
+fn row(v: &[f32]) -> Matrix<f32> {
     Matrix::from_vec(1, v.len(), v.to_vec())
 }
 
-fn matrix_to_vec(m: Matrix<f32>) -> Vec<f32> {
-    m.into_vec()
-}
-
-/// Persist one fitted [`Calibration`] to `path` (the `calibration.mat`
-/// state file of `v4` directories). The parameters travel through the
-/// bit-exact text matrix format: temperature as a `1x1` matrix, an
-/// isotonic map as a `2xK` matrix (row 0 the breakpoints, row 1 the
-/// values).
-pub fn save_calibration(calibration: &Calibration, path: &Path) -> CoreResult<()> {
-    let m = match calibration {
-        Calibration::Temperature(t) => Matrix::from_vec(1, 1, vec![*t]),
-        Calibration::Isotonic(map) => {
-            let mut data = Vec::with_capacity(2 * map.xs().len());
-            data.extend_from_slice(map.xs());
-            data.extend_from_slice(map.ys());
-            Matrix::from_vec(2, map.xs().len(), data)
-        }
-    };
-    save_matrix(&m, path)?;
+fn write_traces<W: Write>(w: &mut W, t: &ProbabilityTraces) -> CoreResult<()> {
+    write_matrix(w, &row(&t.pi))?;
+    write_matrix(w, &row(&t.pj))?;
+    write_matrix(w, &t.pij)?;
     Ok(())
 }
 
-/// Load one fitted [`Calibration`] from `path`, dispatching on its stable
-/// persistence tag ([`Calibration::kind`]). Unknown tags, shape
-/// mismatches, and parameter values that violate the calibration
-/// invariants are all typed errors. Counterpart of [`save_calibration`].
-pub fn load_calibration(kind: &str, path: &Path) -> CoreResult<Calibration> {
-    let m: Matrix<f32> = load_matrix(path)?;
-    let calibration = match kind {
-        "temperature" => {
-            if m.shape() != (1, 1) {
-                return Err(CoreError::Format(format!(
-                    "temperature calibration state must be 1x1, got {:?}",
-                    m.shape()
-                )));
-            }
-            Calibration::Temperature(m.as_slice()[0])
-        }
-        "isotonic" => {
-            if m.rows() != 2 {
-                return Err(CoreError::Format(format!(
-                    "isotonic calibration state must have 2 rows, got {}",
-                    m.rows()
-                )));
-            }
-            Calibration::Isotonic(IsotonicMap::new(m.row(0).to_vec(), m.row(1).to_vec())?)
-        }
-        other => {
-            return Err(CoreError::Format(format!(
-                "unknown calibration kind {other:?}"
-            )))
-        }
+fn read_traces<R: std::io::Read>(frames: &mut FrameReader<R>) -> CoreResult<ProbabilityTraces> {
+    let traces = ProbabilityTraces {
+        pi: frames.read_matrix::<f32>()?.into_vec(),
+        pj: frames.read_matrix::<f32>()?.into_vec(),
+        pij: frames.read_matrix()?,
     };
-    calibration.validate()?;
-    Ok(calibration)
-}
-
-/// Save a network into `dir` (created if missing), without an encoder.
-pub fn save_network<P: AsRef<Path>>(network: &Network, dir: P) -> CoreResult<()> {
-    save_dir(network, None, None, dir.as_ref())
-}
-
-/// Save a [`Pipeline`] — its fitted encoder, any attached calibration,
-/// plus the trained network — as a self-describing `v4` model directory.
-pub fn save_pipeline<P: AsRef<Path>>(pipeline: &Pipeline, dir: P) -> CoreResult<()> {
-    save_dir(
-        pipeline.network(),
-        pipeline.encoder(),
-        pipeline.calibration(),
-        dir.as_ref(),
-    )
-}
-
-fn save_dir(
-    network: &Network,
-    encoder: Option<&QuantileEncoder>,
-    calibration: Option<&Calibration>,
-    dir: &Path,
-) -> CoreResult<()> {
-    let hp = network.hidden().params();
-    fs::create_dir_all(dir)?;
-    let mut manifest = String::new();
-    manifest.push_str(&format!("{MAGIC} {VERSION}\n"));
-    manifest.push_str(&format!("n_inputs {}\n", hp.n_inputs));
-    manifest.push_str(&format!("n_hcu {}\n", hp.n_hcu));
-    manifest.push_str(&format!("n_mcu {}\n", hp.n_mcu));
-    manifest.push_str(&format!("receptive_field {}\n", hp.receptive_field));
-    manifest.push_str(&format!("trace_rate {}\n", hp.trace_rate));
-    manifest.push_str(&format!("eps {}\n", hp.eps));
-    manifest.push_str(&format!("bias_gain {}\n", hp.bias_gain));
-    manifest.push_str(&format!("support_noise {}\n", hp.support_noise));
-    manifest.push_str(&format!("plasticity_swaps {}\n", hp.plasticity_swaps));
-    manifest.push_str(&format!("plasticity_interval {}\n", hp.plasticity_interval));
-    manifest.push_str(&format!("n_classes {}\n", network.n_classes()));
-    manifest.push_str(&format!("readout {}\n", network.readout_kind().name()));
-    match encoder {
-        Some(encoder) => {
-            manifest.push_str("stages 1\nstage0 quantile\n");
-            encoder.save(dir.join(ENCODER_FILE))?;
-        }
-        None => manifest.push_str("stages 0\n"),
-    }
-    // The calibration key (and its state file) exists only when a
-    // calibration is attached.
-    if let Some(cal) = calibration {
-        cal.validate()?;
-        manifest.push_str(&format!("calibration {}\n", cal.kind()));
-        save_calibration(cal, &dir.join(CALIBRATION_FILE))?;
-    }
-    fs::write(dir.join(MANIFEST), manifest)?;
-
-    save_matrix(
-        network.hidden().mask().as_matrix(),
-        dir.join("hidden_mask.mat"),
-    )?;
-    let ht = network.hidden().traces();
-    save_matrix(&vec_to_matrix(&ht.pi), dir.join("hidden_pi.mat"))?;
-    save_matrix(&vec_to_matrix(&ht.pj), dir.join("hidden_pj.mat"))?;
-    save_matrix(&ht.pij, dir.join("hidden_pij.mat"))?;
-
-    if let Some(readout) = network.bcpnn_readout() {
-        let rt = readout.traces();
-        save_matrix(&vec_to_matrix(&rt.pi), dir.join("readout_pi.mat"))?;
-        save_matrix(&vec_to_matrix(&rt.pj), dir.join("readout_pj.mat"))?;
-        save_matrix(&rt.pij, dir.join("readout_pij.mat"))?;
-    }
-    if let Some(sgd) = network.sgd_readout() {
-        save_matrix(sgd.weights(), dir.join("sgd_weights.mat"))?;
-        save_matrix(&vec_to_matrix(sgd.bias()), dir.join("sgd_bias.mat"))?;
-    }
-    Ok(())
-}
-
-fn parse_manifest(path: &Path) -> CoreResult<HashMap<String, String>> {
-    let text = fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| CoreError::Format("empty manifest".into()))?;
-    let mut hp = header.split_whitespace();
-    if (hp.next(), hp.next()) != (Some(MAGIC), Some(VERSION)) {
+    if traces.pij.shape() != (traces.pi.len(), traces.pj.len()) {
         return Err(CoreError::Format(format!(
-            "bad manifest header: {header:?}"
+            "p_ij is {:?} but p_i, p_j have {} and {} entries",
+            traces.pij.shape(),
+            traces.pi.len(),
+            traces.pj.len()
         )));
     }
-    let mut map = HashMap::new();
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line
-            .split_once(' ')
-            .ok_or_else(|| CoreError::Format(format!("bad manifest line: {line:?}")))?;
-        map.insert(k.to_string(), v.trim().to_string());
+    Ok(traces)
+}
+
+/// Save a [`Pipeline`] — its fitted encoder, the trained network's state
+/// and any attached calibration — as a `v5` model directory.
+pub fn save_pipeline<P: AsRef<Path>>(pipeline: &Pipeline, dir: P) -> CoreResult<()> {
+    let network = pipeline.network();
+    let calibration = pipeline.calibration();
+    if let Some(cal) = calibration {
+        cal.validate()?;
     }
-    Ok(map)
-}
-
-fn get<T: std::str::FromStr>(map: &HashMap<String, String>, key: &str) -> CoreResult<T> {
-    let raw = map
-        .get(key)
-        .ok_or_else(|| CoreError::Format(format!("manifest missing key {key:?}")))?;
-    raw.parse::<T>()
-        .map_err(|_| CoreError::Format(format!("manifest key {key:?} has invalid value {raw:?}")))
-}
-
-/// Load a network previously written by [`save_network`] or
-/// [`save_pipeline`], instantiating it on the given backend (backends are
-/// runtime configuration, not model state, so the caller chooses). A
-/// pipeline's encoder is read and checked, then dropped; use
-/// [`load_pipeline`] to get the full artifact.
-pub fn load_network<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<Network> {
-    Ok(load_dir(dir.as_ref(), backend)?.0)
-}
-
-/// Load a full [`Pipeline`] — the fitted encoder, any attached
-/// calibration, plus the trained network — from a model directory,
-/// instantiating the network on the given backend. A bare network's
-/// directory (`stages 0`) is a typed [`CoreError::Format`].
-pub fn load_pipeline<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<Pipeline> {
-    let (network, encoder, calibration) = load_dir(dir.as_ref(), backend)?;
-    let encoder = encoder.ok_or_else(|| {
-        CoreError::Format("the directory holds a bare network (`stages 0`), not a pipeline".into())
+    let n_classes = u8::try_from(network.n_classes()).map_err(|_| {
+        CoreError::InvalidParams(format!(
+            "a model file holds at most 255 classes, the network has {}",
+            network.n_classes()
+        ))
     })?;
+    let hp = network.hidden().params();
+    let mut fields = Vec::new();
+    put_slice(
+        &mut fields,
+        &[hp.n_inputs, hp.n_hcu, hp.n_mcu].map(|v| v as u64),
+    );
+    hp.receptive_field.put(&mut fields);
+    put_slice(
+        &mut fields,
+        &[hp.trace_rate, hp.eps, hp.bias_gain, hp.support_noise],
+    );
+    put_slice(
+        &mut fields,
+        &[hp.plasticity_swaps, hp.plasticity_interval].map(|v| v as u64),
+    );
+    fields.extend_from_slice(&[
+        network.readout_kind() as u8,
+        n_classes,
+        calibration.map_or(0, |c| c.method() as u8),
+    ]);
+    let encoder = pipeline.encoder().expect("every pipeline has an encoder");
+    write_model_file(dir.as_ref(), ArtifactKind::Pipeline, &fields, |w| {
+        write_matrix(w, &encoder.boundaries())?;
+        write_matrix(w, network.hidden().mask().as_matrix())?;
+        write_traces(w, network.hidden().traces())?;
+        if let Some(readout) = network.bcpnn_readout() {
+            write_traces(w, readout.traces())?;
+        }
+        if let Some(sgd) = network.sgd_readout() {
+            write_matrix(w, sgd.weights())?;
+            write_matrix(w, &row(sgd.bias()))?;
+        }
+        if let Some(cal) = calibration {
+            write_matrix(w, &cal.state())?;
+        }
+        Ok(())
+    })
+}
+
+/// Load a [`Pipeline`] saved by [`save_pipeline`], instantiating the
+/// network on the given backend (backends are runtime configuration, not
+/// model state, so the caller chooses).
+pub fn load_pipeline<P: AsRef<Path>>(dir: P, backend: BackendKind) -> CoreResult<Pipeline> {
+    let (fields, mut frames) = read_model_file(dir.as_ref(), ArtifactKind::Pipeline)?;
+    let mut r = ByteReader::new(&fields);
+    let mut count = || r.word::<u64>().map(|v| v as usize);
+    let (n_inputs, n_hcu, n_mcu) = (count()?, count()?, count()?);
+    let receptive_field = r.word::<f64>()?;
+    let [trace_rate, eps, bias_gain, support_noise] = r.words::<f32>(4)?[..] else {
+        unreachable!("four words were read");
+    };
+    let hidden = HiddenLayerParams {
+        n_inputs,
+        n_hcu,
+        n_mcu,
+        receptive_field,
+        trace_rate,
+        eps,
+        bias_gain,
+        support_noise,
+        plasticity_swaps: r.word::<u64>()? as usize,
+        plasticity_interval: r.word::<u64>()? as usize,
+    };
+    let [readout, n_classes, calibration] = r.words::<u8>(3)?[..] else {
+        unreachable!("three bytes were read");
+    };
+    r.finish()?;
+    let readout = ReadoutKind::from_tag(readout)
+        .ok_or_else(|| CoreError::Format(format!("unknown readout tag {readout}")))?;
+    let calibration = match calibration {
+        0 => None,
+        1 => Some(CalibrationMethod::Temperature),
+        2 => Some(CalibrationMethod::Isotonic),
+        tag => return Err(CoreError::Format(format!("unknown calibration tag {tag}"))),
+    };
+
+    let encoder = QuantileEncoder::from_boundaries(&frames.read_matrix()?)?;
+    if encoder.encoded_width() != hidden.n_inputs {
+        return Err(CoreError::Format(format!(
+            "the encoder produces {} columns but the network expects {}",
+            encoder.encoded_width(),
+            hidden.n_inputs
+        )));
+    }
+    let mask = ReceptiveFieldMask::from_matrix(frames.read_matrix()?)?;
+    let traces = read_traces(&mut frames)?;
+    // Checked before the network is built, so a header's sizes never
+    // drive an allocation the file's own frames do not back.
+    let units = hidden.n_hcu.saturating_mul(hidden.n_mcu);
+    if traces.pij.shape() != (hidden.n_inputs, units) {
+        return Err(CoreError::Format(format!(
+            "hidden traces are {:?}, the header describes {} inputs x {units} units",
+            traces.pij.shape(),
+            hidden.n_inputs
+        )));
+    }
+    let mut network = NetworkBuilder::default()
+        .hidden_params(hidden)
+        .classes(usize::from(n_classes))
+        .readout(readout)
+        .backend(backend)
+        .build_with(Some((mask, traces)))?;
+    if let Some(head) = network.bcpnn_readout_mut() {
+        head.restore_traces(read_traces(&mut frames)?)?;
+    }
+    if let Some(sgd) = network.sgd_readout_mut() {
+        let weights = frames.read_matrix()?;
+        sgd.set_parameters(weights, frames.read_matrix::<f32>()?.into_vec())?;
+    }
+    let calibration = match calibration {
+        Some(method) => Some(Calibration::from_state(method, &frames.read_matrix()?)?),
+        None => None,
+    };
+    frames.finish()?;
     let mut pipeline = Pipeline::new(network, encoder)?;
     pipeline.set_calibration(calibration)?;
     Ok(pipeline)
 }
 
-fn load_dir(
-    dir: &Path,
-    backend: BackendKind,
-) -> CoreResult<(Network, Option<QuantileEncoder>, Option<Calibration>)> {
-    let manifest = parse_manifest(&dir.join(MANIFEST))?;
-    let encoder = match get::<usize>(&manifest, "stages")? {
-        0 => None,
-        1 => {
-            let kind: String = get(&manifest, "stage0")?;
-            if kind != "quantile" {
-                return Err(CoreError::Format(format!(
-                    "unsupported pipeline stage kind {kind:?} (only `quantile` is read)"
-                )));
-            }
-            Some(QuantileEncoder::load(dir.join(ENCODER_FILE))?)
-        }
-        n => {
-            return Err(CoreError::Format(format!(
-                "a model directory holds at most one stage, this one lists {n}"
-            )))
-        }
-    };
-    // The key is absent when no calibration was attached at save time.
-    let calibration = match manifest.get("calibration") {
-        Some(kind) => Some(load_calibration(kind, &dir.join(CALIBRATION_FILE))?),
-        None => None,
-    };
-    let hidden = HiddenLayerParams {
-        n_inputs: get(&manifest, "n_inputs")?,
-        n_hcu: get(&manifest, "n_hcu")?,
-        n_mcu: get(&manifest, "n_mcu")?,
-        receptive_field: get(&manifest, "receptive_field")?,
-        trace_rate: get(&manifest, "trace_rate")?,
-        eps: get(&manifest, "eps")?,
-        bias_gain: get(&manifest, "bias_gain")?,
-        support_noise: get(&manifest, "support_noise")?,
-        plasticity_swaps: get(&manifest, "plasticity_swaps")?,
-        plasticity_interval: get(&manifest, "plasticity_interval")?,
-    };
-    if let Some(width) = encoder.as_ref().map(QuantileEncoder::encoded_width) {
-        if width != hidden.n_inputs {
-            return Err(CoreError::Format(format!(
-                "the encoder produces {width} columns but the network expects {} \
-                 (the stage files do not belong to this model)",
-                hidden.n_inputs
-            )));
-        }
-    }
-    let n_classes: usize = get(&manifest, "n_classes")?;
-    let readout_name: String = get(&manifest, "readout")?;
-    let readout = ReadoutKind::parse(&readout_name)
-        .ok_or_else(|| CoreError::Format(format!("unknown readout kind {readout_name:?}")))?;
-
-    let mut network = NetworkBuilder::default()
-        .hidden_params(hidden)
-        .classes(n_classes)
-        .readout(readout)
-        .backend(backend)
-        .classifier_params(BcpnnClassifierParams::default())
-        .sgd_params(SgdParams::default())
-        .build()?;
-
-    // Hidden layer state.
-    let mask_m: Matrix<f32> = load_matrix(dir.join("hidden_mask.mat"))?;
-    let mask = ReceptiveFieldMask::from_matrix(mask_m);
-    let traces = ProbabilityTraces {
-        pi: matrix_to_vec(load_matrix(dir.join("hidden_pi.mat"))?),
-        pj: matrix_to_vec(load_matrix(dir.join("hidden_pj.mat"))?),
-        pij: load_matrix(dir.join("hidden_pij.mat"))?,
-    };
-    network.hidden_mut().restore_state(mask, traces)?;
-
-    // BCPNN readout state.
-    if network.bcpnn_readout().is_some() {
-        let traces = ProbabilityTraces {
-            pi: matrix_to_vec(load_matrix(dir.join("readout_pi.mat"))?),
-            pj: matrix_to_vec(load_matrix(dir.join("readout_pj.mat"))?),
-            pij: load_matrix(dir.join("readout_pij.mat"))?,
-        };
-        network
-            .bcpnn_readout_mut()
-            .expect("readout checked above")
-            .restore_traces(traces)?;
-    }
-
-    // SGD readout state.
-    if network.sgd_readout().is_some() {
-        let weights: Matrix<f32> = load_matrix(dir.join("sgd_weights.mat"))?;
-        let bias = matrix_to_vec(load_matrix(dir.join("sgd_bias.mat"))?);
-        network
-            .sgd_readout_mut()
-            .expect("readout checked above")
-            .set_parameters(weights, bias)?;
-    }
-    Ok((network, encoder, calibration))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::TrainingParams;
-    use crate::training::Trainer;
-    use bcpnn_tensor::MatrixRng;
+    use crate::model::tests::tiny_pipeline;
+    use crate::model::Predictor;
+    use crate::network::Network;
+    use bcpnn_tensor::io::crc32;
 
-    fn toy_data(n: usize, d: usize, seed: u64) -> (Matrix<f32>, Vec<usize>) {
-        let mut rng = MatrixRng::seed_from(seed);
-        let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let x = Matrix::from_fn(n, d, |r, c| {
-            let cls = labels[r];
-            let hot = if cls == 0 { c < d / 2 } else { c >= d / 2 };
-            let p = if hot { 0.5 } else { 0.1 };
-            f32::from(rng.uniform_scalar::<f64>(0.0, 1.0) < p)
-        });
-        (x, labels)
-    }
-
-    fn temp_dir(name: &str) -> std::path::PathBuf {
+    /// `tiny_pipeline(seed)` saved into a fresh directory.
+    fn saved(name: &str, seed: u64) -> (Pipeline, bcpnn_data::Dataset, std::path::PathBuf) {
         let dir = std::env::temp_dir()
             .join("bcpnn_serialize_tests")
             .join(format!("{name}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        let (pipeline, data) = tiny_pipeline(seed);
+        save_pipeline(&pipeline, &dir).unwrap();
+        (pipeline, data, dir)
     }
+
+    fn load(dir: &Path) -> CoreResult<Pipeline> {
+        load_pipeline(dir, BackendKind::Naive)
+    }
+
+    /// Rewrite the header frame of `dir`'s model file with `edit`, keeping
+    /// its CRC valid, so a test reaches the checks behind the CRC.
+    fn edit_header(dir: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+        let path = dir.join(MODEL_FILE);
+        let bytes = fs::read(&path).unwrap();
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let mut header = bytes[8..8 + len].to_vec();
+        edit(&mut header);
+        let mut out = Vec::new();
+        write_frame(&mut out, &header).unwrap();
+        out.extend_from_slice(&bytes[8 + len..]);
+        fs::write(&path, out).unwrap();
+    }
+
+    /// Offset of the readout tag in the header payload: magic, version,
+    /// kind, three counts, an `f64`, four `f32`s, two counts.
+    const READOUT_AT: usize = 8 + 4 + 1 + 24 + 8 + 16 + 16;
 
     #[test]
     fn save_load_roundtrip_preserves_predictions() {
-        let (x, y) = toy_data(200, 16, 1);
-        let mut net = Network::builder()
-            .input(16)
-            .hidden(2, 4, 0.5)
-            .classes(2)
-            .readout(ReadoutKind::Hybrid)
-            .backend(BackendKind::Naive)
-            .seed(2)
-            .build()
-            .unwrap();
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 2,
-            supervised_epochs: 3,
-            batch_size: 32,
-            seed: 3,
-            shuffle: true,
-        })
-        .fit(&mut net, &x, &y)
-        .unwrap();
-
-        let dir = temp_dir("roundtrip");
-        save_network(&net, &dir).unwrap();
-        let loaded = load_network(&dir, BackendKind::Naive).unwrap();
-
-        let (xt, _) = toy_data(50, 16, 4);
-        let p_orig = net.predict_proba(&xt).unwrap();
-        let p_load = loaded.predict_proba(&xt).unwrap();
-        assert!(
-            p_orig.max_abs_diff(&p_load) < 1e-4,
-            "loaded network must predict identically (diff {})",
-            p_orig.max_abs_diff(&p_load)
-        );
+        let (pipeline, data, dir) = saved("roundtrip", 1);
+        let loaded = load(&dir).unwrap();
+        let proba = |p: &Pipeline| p.predict_proba(&data.features).unwrap();
+        assert_eq!(proba(&loaded), proba(&pipeline));
         // The pure-BCPNN head also survives the roundtrip.
-        let b_orig = net.predict_proba_with(ReadoutKind::Bcpnn, &xt).unwrap();
-        let b_load = loaded.predict_proba_with(ReadoutKind::Bcpnn, &xt).unwrap();
-        assert!(b_orig.max_abs_diff(&b_load) < 1e-4);
+        let x = pipeline.encode(&data.features).unwrap();
+        let bcpnn = |p: &Pipeline| {
+            p.network()
+                .predict_proba_with(ReadoutKind::Bcpnn, &x)
+                .unwrap()
+        };
+        assert_eq!(bcpnn(&loaded), bcpnn(&pipeline));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn loading_on_a_different_backend_gives_the_same_answers() {
-        let (x, y) = toy_data(150, 16, 5);
-        let mut net = Network::builder()
-            .input(16)
-            .hidden(1, 5, 0.6)
-            .classes(2)
-            .readout(ReadoutKind::Bcpnn)
-            .backend(BackendKind::Parallel)
-            .seed(6)
-            .build()
-            .unwrap();
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 2,
-            supervised_epochs: 2,
-            batch_size: 25,
-            seed: 7,
-            shuffle: false,
-        })
-        .fit(&mut net, &x, &y)
-        .unwrap();
-        let dir = temp_dir("cross_backend");
-        save_network(&net, &dir).unwrap();
-        let loaded = load_network(&dir, BackendKind::Naive).unwrap();
-        let (xt, _) = toy_data(40, 16, 8);
-        let a = net.predict_proba(&xt).unwrap();
-        let b = loaded.predict_proba(&xt).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-3);
+        let (pipeline, data, dir) = saved("cross_backend", 5);
+        let loaded = load_pipeline(&dir, BackendKind::Parallel).unwrap();
+        let a = pipeline.predict_proba(&data.features).unwrap();
+        assert!(a.max_abs_diff(&loaded.predict_proba(&data.features).unwrap()) < 1e-3);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn encoder_rides_along_as_the_single_stage() {
-        use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-
-        let data = generate(&SyntheticHiggsConfig {
-            n_samples: 400,
-            seed: 11,
-            ..Default::default()
-        });
-        let encoder = QuantileEncoder::fit(&data, 10);
-        let x = encoder.transform(&data);
-        let mut net = Network::builder()
-            .input(encoder.encoded_width())
-            .hidden(2, 4, 0.3)
-            .classes(2)
-            .readout(ReadoutKind::Hybrid)
-            .backend(BackendKind::Naive)
-            .seed(12)
-            .build()
-            .unwrap();
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 1,
-            supervised_epochs: 1,
-            batch_size: 50,
-            ..Default::default()
-        })
-        .fit(&mut net, &x, &data.labels)
-        .unwrap();
-
-        let dir = temp_dir("with_encoder");
-        save_pipeline(&Pipeline::new(net.clone(), encoder.clone()).unwrap(), &dir).unwrap();
-        let loaded = load_pipeline(&dir, BackendKind::Naive).unwrap();
+        let (pipeline, data, dir) = saved("with_encoder", 11);
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [MODEL_FILE]);
+        let loaded = load(&dir).unwrap();
         let enc = loaded.encoder().unwrap();
-        assert_eq!(enc, &encoder);
-
+        assert_eq!(enc, pipeline.encoder().unwrap());
         // Raw features -> encoded -> predictions match the original model.
-        let fresh = generate(&SyntheticHiggsConfig {
-            n_samples: 30,
-            seed: 13,
-            ..Default::default()
-        });
-        let direct = net.predict_proba(&encoder.transform(&fresh)).unwrap();
+        let direct = pipeline
+            .network()
+            .predict_proba(&pipeline.encode(&data.features).unwrap());
         let served = loaded
             .network()
-            .predict_proba(&enc.transform_rows(&fresh.features))
-            .unwrap();
-        assert!(direct.max_abs_diff(&served) < 1e-5);
-
-        // Plain load_network still works and ignores the encoder.
-        let plain = load_network(&dir, BackendKind::Naive).unwrap();
-        assert!(
-            plain
-                .predict_proba(&encoder.transform(&fresh))
-                .unwrap()
-                .max_abs_diff(&direct)
-                < 1e-5
-        );
+            .predict_proba(&enc.transform_rows(&data.features));
+        assert_eq!(direct.unwrap(), served.unwrap());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -524,229 +403,127 @@ mod tests {
 
     #[test]
     fn older_headers_are_a_typed_format_error() {
-        let (x, y) = toy_data(120, 16, 20);
-        let mut net = Network::builder()
-            .input(16)
-            .hidden(2, 3, 0.5)
-            .classes(2)
-            .readout(ReadoutKind::Hybrid)
-            .backend(BackendKind::Naive)
-            .seed(21)
-            .build()
-            .unwrap();
-        Trainer::new(TrainingParams {
-            unsupervised_epochs: 1,
-            supervised_epochs: 1,
-            batch_size: 30,
-            ..Default::default()
-        })
-        .fit(&mut net, &x, &y)
-        .unwrap();
-        let dir = temp_dir("older_headers");
-        save_network(&net, &dir).unwrap();
-
-        let manifest_path = dir.join(MANIFEST);
-        let text = fs::read_to_string(&manifest_path).unwrap();
-        for version in ["v1", "v2", "v3"] {
-            fs::write(
-                &manifest_path,
-                text.replacen(
-                    &format!("{MAGIC} {VERSION}"),
-                    &format!("{MAGIC} {version}"),
-                    1,
-                ),
-            )
-            .unwrap();
-            match load_pipeline(&dir, BackendKind::Naive) {
+        let (_, _, dir) = saved("older_headers", 20);
+        for version in 1..=4u32 {
+            edit_header(&dir, |h| h[8..12].copy_from_slice(&version.to_le_bytes()));
+            match load(&dir) {
                 Err(CoreError::Format(msg)) => {
-                    assert_eq!(msg, format!("bad manifest header: \"{MAGIC} {version}\""))
+                    assert_eq!(
+                        msg,
+                        format!("model file version v{version}, this build reads v5")
+                    )
                 }
-                other => panic!("{version}: expected a Format error, got {other:?}"),
+                other => panic!("v{version}: expected a Format error, got {other:?}"),
             }
+        }
+        // A v4 directory (text matrices, no model file) is refused by name.
+        fs::remove_file(dir.join(MODEL_FILE)).unwrap();
+        fs::write(dir.join("hidden_pij.mat"), "bcpnn-matrix v1 1 1\n0.5\n").unwrap();
+        match load(&dir) {
+            Err(CoreError::Format(msg)) => assert!(msg.contains("v4"), "{msg}"),
+            other => panic!("expected a Format error, got {other:?}"),
         }
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn v3_roundtrip_is_bit_exact() {
-        let (pipeline, data) = crate::model::tests::tiny_pipeline(31);
-        let dir_a = temp_dir("v3_exact_a");
-        let dir_b = temp_dir("v3_exact_b");
-        save_pipeline(&pipeline, &dir_a).unwrap();
-        let loaded = load_pipeline(&dir_a, BackendKind::Naive).unwrap();
-        // Re-saving the loaded pipeline reproduces every file byte-exactly.
-        save_pipeline(&loaded, &dir_b).unwrap();
-        let mut names: Vec<String> = fs::read_dir(&dir_a)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        assert!(names.contains(&MANIFEST.to_string()));
-        assert!(names.contains(&ENCODER_FILE.to_string()));
-        for name in &names {
-            let a = fs::read(dir_a.join(name)).unwrap();
-            let b = fs::read(dir_b.join(name)).unwrap();
-            assert_eq!(a, b, "file {name} must round-trip bit-exactly");
-        }
-        // And predictions agree exactly.
-        use crate::model::Predictor;
-        let pa = pipeline.predict_proba(&data.features).unwrap();
-        let pb = loaded.predict_proba(&data.features).unwrap();
-        assert_eq!(pa, pb);
-        fs::remove_dir_all(&dir_a).ok();
-        fs::remove_dir_all(&dir_b).ok();
-    }
-
-    #[test]
-    fn v4_calibration_rides_along_and_roundtrips_bit_exactly() {
-        use crate::calibration::CalibrationMethod;
-        use crate::model::Predictor;
-
-        let (mut pipeline, data) = crate::model::tests::tiny_pipeline(40);
+    fn calibration_rides_along_and_roundtrips_bit_exactly() {
+        let (mut pipeline, data, dir) = saved("calibration", 40);
         let held_out = bcpnn_data::higgs::generate(&bcpnn_data::higgs::SyntheticHiggsConfig {
             n_samples: 120,
             seed: 41,
             ..Default::default()
         });
-        pipeline
-            .fit_calibration(
-                &held_out.features,
-                &held_out.labels,
-                CalibrationMethod::Temperature,
-            )
-            .unwrap();
-        let dir_a = temp_dir("v4_cal_a");
-        let dir_b = temp_dir("v4_cal_b");
-        save_pipeline(&pipeline, &dir_a).unwrap();
-        let manifest = fs::read_to_string(dir_a.join(MANIFEST)).unwrap();
-        assert!(manifest.starts_with("bcpnn-network v4"));
-        assert!(manifest.contains("calibration temperature"));
-
-        // Calibration survives the round trip and predictions agree
-        // bit-exactly; the re-save reproduces every file byte for byte.
-        let loaded = load_pipeline(&dir_a, BackendKind::Naive).unwrap();
-        assert_eq!(loaded.calibration(), pipeline.calibration());
-        assert_eq!(
-            loaded.predict_proba(&data.features).unwrap(),
-            pipeline.predict_proba(&data.features).unwrap()
-        );
-        save_pipeline(&loaded, &dir_b).unwrap();
-        for entry in fs::read_dir(&dir_a).unwrap() {
-            let name = entry.unwrap().file_name();
-            let a = fs::read(dir_a.join(&name)).unwrap();
-            let b = fs::read(dir_b.join(&name)).unwrap();
-            assert_eq!(a, b, "file {name:?} must round-trip bit-exactly");
+        for (method, other) in [
+            (CalibrationMethod::Temperature, CalibrationMethod::Isotonic),
+            (CalibrationMethod::Isotonic, CalibrationMethod::Temperature),
+        ] {
+            pipeline
+                .fit_calibration(&held_out.features, &held_out.labels, method)
+                .unwrap();
+            save_pipeline(&pipeline, &dir).unwrap();
+            let loaded = load(&dir).unwrap();
+            assert_eq!(loaded.calibration(), pipeline.calibration());
+            let proba = |p: &Pipeline| p.predict_proba(&data.features).unwrap();
+            assert_eq!(proba(&loaded), proba(&pipeline));
+            // The other family's tag meets a state of the wrong shape.
+            edit_header(&dir, |h| h[READOUT_AT + 2] = other as u8);
+            assert!(load(&dir).is_err());
         }
-
-        // Isotonic calibrations persist through the same path.
-        let mut iso = load_pipeline(&dir_a, BackendKind::Naive).unwrap();
-        iso.fit_calibration(
-            &held_out.features,
-            &held_out.labels,
-            CalibrationMethod::Isotonic,
-        )
-        .unwrap();
-        let dir_c = temp_dir("v4_cal_c");
-        save_pipeline(&iso, &dir_c).unwrap();
-        let iso_loaded = load_pipeline(&dir_c, BackendKind::Naive).unwrap();
-        assert_eq!(iso_loaded.calibration(), iso.calibration());
-        assert_eq!(
-            iso_loaded.predict_proba(&data.features).unwrap(),
-            iso.predict_proba(&data.features).unwrap()
-        );
-
-        // A corrupted calibration file is a typed error, not a panic.
-        fs::write(dir_c.join(CALIBRATION_FILE), "garbage\n").unwrap();
-        assert!(load_pipeline(&dir_c, BackendKind::Naive).is_err());
-        // An unknown calibration kind is a typed error too.
-        let text = fs::read_to_string(dir_a.join(MANIFEST))
-            .unwrap()
-            .replace("calibration temperature", "calibration platt");
-        fs::write(dir_a.join(MANIFEST), text).unwrap();
-        let err = load_pipeline(&dir_a, BackendKind::Naive).unwrap_err();
-        assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
-        assert!(err.to_string().contains("platt"));
-        fs::remove_dir_all(&dir_a).ok();
-        fs::remove_dir_all(&dir_b).ok();
-        fs::remove_dir_all(&dir_c).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unknown_stage_tag_is_a_typed_error() {
-        let (pipeline, _) = crate::model::tests::tiny_pipeline(34);
-        let dir = temp_dir("unknown_stage");
-        save_pipeline(&pipeline, &dir).unwrap();
-        let manifest_path = dir.join(MANIFEST);
-        let text = fs::read_to_string(&manifest_path).unwrap();
-        assert!(text.contains("\nstages 1\nstage0 quantile\n"), "{text}");
-        // Every stage list other than the one a pipeline writes is refused:
-        // stage kinds that are gone, unknown ones, and longer chains.
-        for (from, to) in [
-            ("stage0 quantile", "stage0 wavelet"),
-            ("stage0 quantile", "stage0 thermometer"),
-            ("stage0 quantile", "stage0 standardize"),
-            ("stages 1", "stages 2"),
+        let (_, _, dir) = saved("unknown_tag", 34);
+        let saved = fs::read(dir.join(MODEL_FILE)).unwrap();
+        // Unknown kind, readout and calibration tags are refused by name,
+        // and so is a trailing header byte.
+        for (at, tag, names) in [
+            (12, 9, "artifact kind 9"),
+            (12, 2, "artifact kind 2"),
+            (READOUT_AT, 7, "readout tag 7"),
+            (READOUT_AT + 2, 3, "calibration tag 3"),
+            (usize::MAX, 0, "trailing"),
         ] {
-            fs::write(&manifest_path, text.replace(from, to)).unwrap();
-            let err = load_pipeline(&dir, BackendKind::Naive).unwrap_err();
-            assert!(matches!(err, CoreError::Format(_)), "{to}: got {err:?}");
-            assert!(err.to_string().contains(&to[7..]), "{to}: {err}");
+            edit_header(&dir, |h| match h.get_mut(at) {
+                Some(byte) => *byte = tag,
+                None => h.push(tag),
+            });
+            let err = load(&dir).unwrap_err();
+            assert!(matches!(err, CoreError::Format(_)), "{names}: got {err:?}");
+            assert!(err.to_string().contains(names), "{names}: {err}");
+            fs::write(dir.join(MODEL_FILE), &saved).unwrap();
         }
-        // A bare network's directory loads as a network, not a pipeline.
-        let net_dir = temp_dir("unknown_stage_network");
-        save_network(pipeline.network(), &net_dir).unwrap();
-        assert!(load_network(&net_dir, BackendKind::Naive).is_ok());
-        let err = load_pipeline(&net_dir, BackendKind::Naive).unwrap_err();
-        assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
         fs::remove_dir_all(&dir).ok();
-        fs::remove_dir_all(&net_dir).ok();
     }
 
     #[test]
     fn corrupted_stage_file_is_a_typed_error() {
-        let (pipeline, _) = crate::model::tests::tiny_pipeline(35);
-        let dir = temp_dir("corrupt_stage");
-        save_pipeline(&pipeline, &dir).unwrap();
-        fs::write(dir.join(ENCODER_FILE), "not an encoder\n").unwrap();
-        let err = load_pipeline(&dir, BackendKind::Naive).unwrap_err();
-        assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
-        // NaN boundaries parse as floats but must surface as a typed error
-        // (not a panic deep inside the binner's ordering assertions).
-        fs::write(
-            dir.join(ENCODER_FILE),
-            "bcpnn-quantile-encoder v1 1 3\nNaN 1.0\n",
-        )
-        .unwrap();
-        let err = load_pipeline(&dir, BackendKind::Naive).unwrap_err();
-        assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
-        // A stage file swapped in from a different model is caught by the
-        // width check.
-        let (other, _) = crate::model::tests::tiny_pipeline(36);
-        let wrong_width = temp_dir("wrong_width_stage");
-        save_pipeline(&other, &wrong_width).unwrap();
-        let narrower = QuantileEncoder::fit_matrix(&Matrix::zeros(4, 28), 4);
-        narrower.save(wrong_width.join(ENCODER_FILE)).unwrap();
-        let err = load_pipeline(&wrong_width, BackendKind::Naive).unwrap_err();
-        assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
+        let (pipeline, _, dir) = saved("corrupt_stage", 35);
+        let bytes = fs::read(dir.join(MODEL_FILE)).unwrap();
+        let frame_at =
+            |at: usize| 8 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let (encoder_at, mask_at) = (frame_at(0), frame_at(0) + frame_at(frame_at(0)));
+        // The encoder frame is replaced (with a valid CRC) by NaN and
+        // descending boundaries, and by a narrower encoder's: all typed
+        // errors, never panics in the binner.
+        let mut nan = pipeline.encoder().unwrap().boundaries();
+        nan.as_mut_slice()[0] = f64::NAN;
+        let mut descending = nan.clone();
+        descending.as_mut_slice()[..2].copy_from_slice(&[1.0, 0.0]);
+        let narrower = QuantileEncoder::fit_matrix(&Matrix::zeros(4, 28), 4).boundaries();
+        for boundaries in [nan, descending, narrower] {
+            let mut out = bytes[..encoder_at].to_vec();
+            write_matrix(&mut out, &boundaries).unwrap();
+            out.extend_from_slice(&bytes[mask_at..]);
+            fs::write(dir.join(MODEL_FILE), out).unwrap();
+            assert!(matches!(load(&dir), Err(CoreError::Format(_))));
+        }
         fs::remove_dir_all(&dir).ok();
-        fs::remove_dir_all(&wrong_width).ok();
     }
 
     #[test]
     fn missing_manifest_is_an_error() {
-        let dir = temp_dir("missing");
+        let (_, _, dir) = saved("missing", 2);
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(load(&dir), Err(CoreError::Io(_))));
         fs::create_dir_all(&dir).unwrap();
-        assert!(load_network(&dir, BackendKind::Naive).is_err());
+        assert!(matches!(load(&dir), Err(CoreError::Format(_))));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_manifest_is_an_error() {
-        let dir = temp_dir("corrupt");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(MANIFEST), "something-else v9\n").unwrap();
-        let err = load_network(&dir, BackendKind::Naive).unwrap_err();
-        assert!(matches!(err, CoreError::Format(_)));
+        let (_, _, dir) = saved("corrupt", 3);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, b"something-else v9").unwrap();
+        fs::write(dir.join(MODEL_FILE), &bytes).unwrap();
+        assert!(load(&dir).unwrap_err().to_string().contains("bad magic"));
+        // A header whose CRC does not match is refused before it is read.
+        bytes[4..8].copy_from_slice(&(crc32(b"something-else v9") ^ 1).to_le_bytes());
+        fs::write(dir.join(MODEL_FILE), &bytes).unwrap();
+        assert!(load(&dir).unwrap_err().to_string().contains("CRC"));
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,11 +7,8 @@
 //! bit-exactly, because a published artifact must serve the same numbers
 //! on every node that loads it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use bcpnn_core::calibration::{Calibration, IsotonicMap};
-use bcpnn_core::{load_calibration, save_calibration};
-use bcpnn_tensor::Matrix;
+use bcpnn_tensor::{write_matrix, FrameReader, Matrix};
 use proptest::prelude::*;
 
 /// A probability row: 2–8 strictly positive entries normalised to sum 1.
@@ -78,15 +75,6 @@ fn fit_inputs_strategy() -> impl Strategy<Value = (Matrix<f32>, Vec<usize>)> {
         })
 }
 
-fn unique_state_path() -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "bcpnn-calibration-prop-{}-{}.mat",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -141,10 +129,14 @@ proptest! {
             Calibration::fit_isotonic(&proba, &labels).expect("valid inputs"),
         ];
         for fitted in fits {
-            let path = unique_state_path();
-            save_calibration(&fitted, &path).expect("state file writes");
-            let loaded = load_calibration(fitted.kind(), &path).expect("state file reads");
-            let _ = std::fs::remove_file(&path);
+            // The model file's path: the state as one matrix frame, the
+            // family as the header's tag.
+            let mut bytes = Vec::new();
+            write_matrix(&mut bytes, &fitted.state()).expect("state frame writes");
+            let state = FrameReader::new(&bytes[..], bytes.len() as u64)
+                .read_matrix()
+                .expect("state frame reads");
+            let loaded = Calibration::from_state(fitted.method(), &state).expect("state is valid");
             match (&fitted, &loaded) {
                 (Calibration::Temperature(a), Calibration::Temperature(b)) => {
                     prop_assert_eq!(a.to_bits(), b.to_bits(), "temperature drifted");

@@ -6,86 +6,10 @@
 //! exactly that. [`Standardizer`] serves the baselines that read the raw
 //! continuous features instead.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
-
 use bcpnn_tensor::{IoError, Matrix};
 
 use crate::dataset::Dataset;
 use crate::quantile::QuantileBinner;
-
-/// Magic tag of the serialized one-hot quantile encoder format.
-const ENCODER_MAGIC: &str = "bcpnn-quantile-encoder";
-/// Encoder format version.
-const ENCODER_VERSION: &str = "v1";
-
-/// Write a fitted binner in the encoder's text format (`<magic> v1
-/// n_features n_bins` header, one line of ascending boundaries per
-/// feature).
-fn write_binner<W: Write>(mut w: W, binner: &QuantileBinner) -> Result<(), IoError> {
-    writeln!(
-        w,
-        "{ENCODER_MAGIC} {ENCODER_VERSION} {} {}",
-        binner.n_features(),
-        binner.n_bins()
-    )?;
-    for f in 0..binner.n_features() {
-        let bounds = binner.feature_boundaries(f);
-        let line: Vec<String> = bounds.iter().map(|b| b.to_string()).collect();
-        writeln!(w, "{}", line.join(" "))?;
-    }
-    Ok(())
-}
-
-/// Read a binner previously written by [`write_binner`].
-fn read_binner<R: BufRead>(r: R) -> Result<QuantileBinner, IoError> {
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| IoError::Format("empty encoder file".into()))??;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some(ENCODER_MAGIC) || parts.next() != Some(ENCODER_VERSION) {
-        return Err(IoError::Format(format!("bad encoder header: {header:?}")));
-    }
-    let n_features: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| IoError::Format("encoder header missing feature count".into()))?;
-    let n_bins: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| IoError::Format("encoder header missing bin count".into()))?;
-    if n_bins < 2 {
-        return Err(IoError::Format(format!("invalid bin count {n_bins}")));
-    }
-    let mut boundaries = Vec::with_capacity(n_features);
-    for f in 0..n_features {
-        let line = lines
-            .next()
-            .ok_or_else(|| IoError::Format(format!("encoder file ends before feature {f}")))??;
-        let bounds: Result<Vec<f64>, _> = line.split_whitespace().map(str::parse::<f64>).collect();
-        let bounds =
-            bounds.map_err(|_| IoError::Format(format!("feature {f}: non-numeric boundary")))?;
-        if bounds.len() != n_bins - 1 {
-            return Err(IoError::Format(format!(
-                "feature {f}: expected {} boundaries, got {}",
-                n_bins - 1,
-                bounds.len()
-            )));
-        }
-        if bounds.iter().any(|b| !b.is_finite()) {
-            return Err(IoError::Format(format!("feature {f}: non-finite boundary")));
-        }
-        if bounds.windows(2).any(|w| w[0] > w[1]) {
-            return Err(IoError::Format(format!(
-                "feature {f}: boundaries are not ascending"
-            )));
-        }
-        boundaries.push(bounds);
-    }
-    Ok(QuantileBinner::from_parts(boundaries, n_bins))
-}
 
 /// One-hot quantile encoder (the paper's preprocessing).
 #[derive(Debug, Clone, PartialEq)]
@@ -218,29 +142,19 @@ impl QuantileEncoder {
         self.binner.n_features()
     }
 
-    /// Write the fitted encoder to any writer in the text format.
-    pub fn write_to<W: Write>(&self, w: W) -> Result<(), IoError> {
-        write_binner(w, &self.binner)
+    /// The fitted state: one `n_features x (n_bins - 1)` matrix of
+    /// ascending interior boundaries, the encoder's persisted form.
+    pub fn boundaries(&self) -> Matrix<f64> {
+        self.binner.boundaries()
     }
 
-    /// Read an encoder previously written by [`QuantileEncoder::write_to`].
-    pub fn read_from<R: BufRead>(r: R) -> Result<Self, IoError> {
+    /// Rebuild an encoder from [`QuantileEncoder::boundaries`]. Fewer than
+    /// two bins and non-finite or descending boundaries are typed
+    /// [`IoError::Format`] errors, never a panic in the binner.
+    pub fn from_boundaries(boundaries: &Matrix<f64>) -> Result<Self, IoError> {
         Ok(Self {
-            binner: read_binner(r)?,
+            binner: QuantileBinner::from_boundaries(boundaries)?,
         })
-    }
-
-    /// Save the fitted encoder to a file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), IoError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Load an encoder previously written by [`QuantileEncoder::save`].
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, IoError> {
-        Self::read_from(BufReader::new(File::open(path)?))
     }
 
     /// Human-readable name of one encoded input column
@@ -388,44 +302,35 @@ mod tests {
     }
 
     #[test]
-    fn encoder_roundtrips_through_text() {
+    fn encoder_roundtrips_through_its_boundaries() {
         let d = higgs(400, 7);
         let enc = QuantileEncoder::fit(&d, 10);
-        let mut buf = Vec::new();
-        enc.write_to(&mut buf).unwrap();
-        let back = QuantileEncoder::read_from(&buf[..]).unwrap();
+        let boundaries = enc.boundaries();
+        assert_eq!(boundaries.shape(), (28, 9));
+        let back = QuantileEncoder::from_boundaries(&boundaries).unwrap();
         assert_eq!(enc, back);
-        // The loaded encoder produces identical codes on fresh data.
+        // The rebuilt encoder produces identical codes on fresh data.
         let fresh = higgs(50, 8);
         assert_eq!(enc.transform(&fresh), back.transform(&fresh));
     }
 
     #[test]
-    fn encoder_save_load_via_files() {
-        let d = higgs(200, 9);
-        let enc = QuantileEncoder::fit(&d, 8);
-        let path =
-            std::env::temp_dir().join(format!("bcpnn_encoder_test_{}.txt", std::process::id()));
-        enc.save(&path).unwrap();
-        let back = QuantileEncoder::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(enc, back);
-    }
-
-    #[test]
     fn corrupt_encoder_files_are_rejected() {
-        assert!(QuantileEncoder::read_from(&b""[..]).is_err());
-        assert!(QuantileEncoder::read_from(&b"wrong-magic v1 2 10\n"[..]).is_err());
-        // Truncated: header promises 2 features, provides 1.
-        let text = b"bcpnn-quantile-encoder v1 2 3\n0.5 1.5\n";
-        assert!(QuantileEncoder::read_from(&text[..]).is_err());
+        let rejects = |rows: usize, cols: usize, values: Vec<f64>| {
+            let m = Matrix::from_vec(rows, cols, values);
+            assert!(matches!(
+                QuantileEncoder::from_boundaries(&m),
+                Err(IoError::Format(_))
+            ));
+        };
+        // One bin: no boundaries at all.
+        rejects(2, 0, vec![]);
         // Non-ascending boundaries.
-        let text = b"bcpnn-quantile-encoder v1 1 3\n2.0 1.0\n";
-        assert!(QuantileEncoder::read_from(&text[..]).is_err());
-        // NaN boundaries parse as floats and defeat ordering comparisons;
-        // they must be rejected with a typed error, not a downstream panic.
-        let text = b"bcpnn-quantile-encoder v1 1 3\nNaN 1.0\n";
-        assert!(QuantileEncoder::read_from(&text[..]).is_err());
+        rejects(1, 2, vec![2.0, 1.0]);
+        // NaN boundaries defeat ordering comparisons; they must be a typed
+        // error, not a downstream panic.
+        rejects(1, 2, vec![f64::NAN, 1.0]);
+        rejects(1, 2, vec![0.0, f64::INFINITY]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! consumes.
 
 use bcpnn_tensor::stats::{bin_index, quantile_boundaries};
-use bcpnn_tensor::Matrix;
+use bcpnn_tensor::{IoError, Matrix};
 
 use crate::dataset::Dataset;
 
@@ -51,28 +51,33 @@ impl QuantileBinner {
         Self { boundaries, n_bins }
     }
 
-    /// Reassemble a binner from previously fitted boundaries (used by the
-    /// encoder's persistence; see [`crate::encode::QuantileEncoder::load`]).
-    ///
-    /// # Panics
-    /// Panics if `n_bins < 2` or any boundary vector has the wrong length
-    /// or is not ascending.
-    pub fn from_parts(boundaries: Vec<Vec<f64>>, n_bins: usize) -> Self {
-        assert!(n_bins >= 2, "need at least two bins");
-        for (f, b) in boundaries.iter().enumerate() {
-            assert_eq!(
-                b.len(),
-                n_bins - 1,
-                "feature {f}: expected {} boundaries, got {}",
-                n_bins - 1,
-                b.len()
-            );
-            assert!(
-                b.windows(2).all(|w| w[0] <= w[1]),
-                "feature {f}: boundaries must be ascending"
-            );
+    /// The fitted boundaries as one `n_features x (n_bins - 1)` matrix:
+    /// the binner's persisted form.
+    pub fn boundaries(&self) -> Matrix<f64> {
+        Matrix::from_fn(self.n_features(), self.n_bins - 1, |f, b| {
+            self.boundaries[f][b]
+        })
+    }
+
+    /// Rebuild a binner from [`QuantileBinner::boundaries`]. Fewer than two
+    /// bins and non-finite or descending boundaries are typed
+    /// [`IoError::Format`] errors, never a panic in [`bin_index`].
+    pub fn from_boundaries(m: &Matrix<f64>) -> Result<Self, IoError> {
+        if m.cols() == 0 {
+            return Err(IoError::Format("a binner needs at least two bins".into()));
         }
-        Self { boundaries, n_bins }
+        let boundaries: Vec<Vec<f64>> = (0..m.rows()).map(|f| m.row(f).to_vec()).collect();
+        for (f, b) in boundaries.iter().enumerate() {
+            if b.iter().any(|v| !v.is_finite()) || b.windows(2).any(|w| w[0] > w[1]) {
+                return Err(IoError::Format(format!(
+                    "feature {f}: boundaries must be finite and ascending"
+                )));
+            }
+        }
+        Ok(Self {
+            boundaries,
+            n_bins: m.cols() + 1,
+        })
     }
 
     /// Number of bins per feature.
@@ -83,11 +88,6 @@ impl QuantileBinner {
     /// Number of features the binner was fitted on.
     pub fn n_features(&self) -> usize {
         self.boundaries.len()
-    }
-
-    /// The fitted interior boundaries of one feature.
-    pub fn feature_boundaries(&self, feature: usize) -> &[f64] {
-        &self.boundaries[feature]
     }
 
     /// Bin index of a single value of a single feature.

@@ -39,7 +39,7 @@ pub enum RouteError {
 /// Model names accepted on the wire: non-empty, ASCII alphanumerics plus
 /// `-`, `_`, and `.` — names that are unambiguous inside a path segment
 /// and a Prometheus label.
-fn valid_model_name(name: &str) -> bool {
+pub fn valid_model_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 128
         && name

@@ -5,10 +5,10 @@
 //! restart by replaying the log over the last checkpoint (folds are
 //! deterministic — see [`bcpnn_core::Network::learn_batch`]).
 //!
-//! The format follows the same defensive framing discipline as
-//! `bcpnn_cluster::wire`: a fixed file header, then length-prefixed
-//! frames, each protected by a CRC-32 so torn writes and bit rot are
-//! detected rather than trained on.
+//! A fixed file header, then the shared codec's frames
+//! (`bcpnn_tensor::io`, the envelope saved models use too): each is
+//! length-prefixed and protected by a CRC-32, so torn writes and bit rot
+//! are detected rather than trained on.
 //!
 //! ```text
 //! file   := magic "bLRN" | version u8 | frame*
@@ -17,18 +17,20 @@
 //! ```
 //!
 //! Recovery policy: [`ReplayLog::open`] scans the file front to back and
-//! keeps the longest valid prefix. The first truncated, oversized,
-//! CRC-mismatching, or structurally malformed frame ends the scan; the
-//! corrupt tail is *dropped* (the file is truncated back to the last good
-//! frame) and appending resumes from there. Corruption is never a panic
+//! keeps the longest valid prefix. The first truncated, CRC-mismatching,
+//! or structurally malformed frame, or one whose length runs past the end
+//! of the file, ends the scan; the corrupt tail is *dropped* (the file is
+//! truncated back to the last good frame) and appending resumes from
+//! there. Corruption is never a panic
 //! and never an error on this path — a learner that crashed mid-append
 //! must come back up.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use bcpnn_tensor::Matrix;
+use bcpnn_tensor::io::{put_slice, write_frame, ByteReader, Word, ENVELOPE_LEN};
+use bcpnn_tensor::{FrameReader, IoError, Matrix};
 
 /// File magic: "bcpnn LeaRN log".
 pub const MAGIC: [u8; 4] = *b"bLRN";
@@ -36,9 +38,6 @@ pub const MAGIC: [u8; 4] = *b"bLRN";
 pub const VERSION: u8 = 1;
 /// Bytes before the first frame (magic + version).
 pub const HEADER_LEN: u64 = 5;
-/// Ceiling on a single frame's payload; anything larger is treated as a
-/// corrupt length prefix, not an allocation request.
-pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// One replayable unit: the labeled rows of exactly one shadow-trainer
 /// fold, in fold order.
@@ -50,48 +49,14 @@ pub struct LearnFrame {
     pub labels: Vec<usize>,
 }
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven; the table is computed at
-/// compile time so the crate stays dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 of `bytes` (IEEE polynomial, the one `cksum`/zlib use).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
-
 /// Serialize one fold's rows + labels as a frame payload (no length/CRC
 /// envelope — [`ReplayLog::append`] adds that). Public for the proptests.
 pub fn encode_payload(rows: &Matrix<f32>, labels: &[usize], out: &mut Vec<u8>) {
     out.clear();
-    out.extend_from_slice(&(rows.rows() as u32).to_le_bytes());
-    out.extend_from_slice(&(rows.cols() as u32).to_le_bytes());
-    for &v in rows.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_slice(out, &[rows.rows() as u32, rows.cols() as u32]);
+    put_slice(out, rows.as_slice());
     for &label in labels {
-        out.extend_from_slice(&(label as u32).to_le_bytes());
+        (label as u32).put(out);
     }
 }
 
@@ -99,35 +64,18 @@ pub fn encode_payload(rows: &Matrix<f32>, labels: &[usize], out: &mut Vec<u8>) {
 /// payload is structurally malformed (bad counts, trailing bytes, size
 /// overflow) — the caller treats that exactly like a CRC mismatch.
 pub fn decode_payload(payload: &[u8]) -> Option<LearnFrame> {
-    if payload.len() < 8 {
-        return None;
-    }
-    let n_rows = u32::from_le_bytes(payload[0..4].try_into().ok()?) as u64;
-    let n_cols = u32::from_le_bytes(payload[4..8].try_into().ok()?) as u64;
+    let mut r = ByteReader::new(payload);
+    let n_rows = r.word::<u32>().ok()? as usize;
+    let n_cols = r.word::<u32>().ok()? as usize;
     if n_rows == 0 || n_cols == 0 {
         return None;
     }
-    let data_bytes = n_rows.checked_mul(n_cols)?.checked_mul(4)?;
-    let expected = 8u64.checked_add(data_bytes)?.checked_add(n_rows * 4)?;
-    if payload.len() as u64 != expected {
-        return None;
-    }
-    let n_rows = n_rows as usize;
-    let n_cols = n_cols as usize;
-    let mut data = Vec::with_capacity(n_rows * n_cols);
-    let mut at = 8;
-    for _ in 0..n_rows * n_cols {
-        data.push(f32::from_le_bytes(payload[at..at + 4].try_into().ok()?));
-        at += 4;
-    }
-    let mut labels = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        labels.push(u32::from_le_bytes(payload[at..at + 4].try_into().ok()?) as usize);
-        at += 4;
-    }
+    let data = r.words::<f32>(n_rows.checked_mul(n_cols)?).ok()?;
+    let labels = r.words::<u32>(n_rows).ok()?;
+    r.finish().ok()?;
     Some(LearnFrame {
         rows: Matrix::from_vec(n_rows, n_cols, data),
-        labels,
+        labels: labels.into_iter().map(|l| l as usize).collect(),
     })
 }
 
@@ -210,32 +158,22 @@ impl ReplayLog {
         // Scan frames; keep the longest valid prefix.
         let mut frames = Vec::new();
         let mut good_end = HEADER_LEN;
-        let mut at = HEADER_LEN;
-        let mut envelope = [0u8; 8];
-        let mut payload = Vec::new();
+        let mut reader = FrameReader::new(BufReader::new(&mut file), total - HEADER_LEN);
         loop {
-            if at + 8 > total {
-                break; // clean EOF or torn envelope
-            }
-            file.seek(SeekFrom::Start(at))?;
-            file.read_exact(&mut envelope)?;
-            let len = u32::from_le_bytes(envelope[0..4].try_into().unwrap());
-            let crc = u32::from_le_bytes(envelope[4..8].try_into().unwrap());
-            if len > MAX_FRAME_PAYLOAD || at + 8 + u64::from(len) > total {
-                break; // corrupt length or torn payload
-            }
-            payload.resize(len as usize, 0);
-            file.read_exact(&mut payload)?;
-            if crc32(&payload) != crc {
-                break; // bit rot / torn write inside the payload
-            }
+            let payload = match reader.read_frame() {
+                Ok(payload) => payload,
+                // Clean EOF, a torn or oversized envelope, a torn payload
+                // or bit rot inside it.
+                Err(IoError::Format(_)) => break,
+                Err(IoError::Io(e)) => return Err(e),
+            };
             let Some(frame) = decode_payload(&payload) else {
                 break; // structurally malformed
             };
             frames.push(frame);
-            at += 8 + u64::from(len);
-            good_end = at;
+            good_end += ENVELOPE_LEN + payload.len() as u64;
         }
+        drop(reader);
         let dropped = total - good_end;
         if dropped > 0 {
             file.set_len(good_end)?;
@@ -262,16 +200,9 @@ impl ReplayLog {
     pub fn append(&mut self, rows: &Matrix<f32>, labels: &[usize]) -> std::io::Result<()> {
         let mut payload = std::mem::take(&mut self.scratch);
         encode_payload(rows, labels, &mut payload);
-        debug_assert!(payload.len() as u64 <= u64::from(MAX_FRAME_PAYLOAD));
-        let mut envelope = [0u8; 8];
-        envelope[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        envelope[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-        let result = self
-            .file
-            .write_all(&envelope)
-            .and_then(|()| self.file.write_all(&payload));
+        let result = write_frame(&mut self.file, &payload);
         if result.is_ok() {
-            self.bytes += 8 + payload.len() as u64;
+            self.bytes += ENVELOPE_LEN + payload.len() as u64;
         }
         self.scratch = payload;
         result
@@ -325,9 +256,18 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // The classic IEEE check value.
+        // The envelope CRC is the IEEE one (the classic check value), so
+        // logs written before the codec moved still verify.
+        use bcpnn_tensor::io::crc32;
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        let path = tmp("crc");
+        let (mut log, _) = ReplayLog::open(&path).unwrap();
+        let (x, y) = frame(1, 2, 3);
+        log.append(&x, &y).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let payload = &bytes[HEADER_LEN as usize + 8..];
+        assert_eq!(bytes[9..13], crc32(payload).to_le_bytes());
     }
 
     #[test]

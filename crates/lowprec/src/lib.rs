@@ -10,13 +10,13 @@
 //! * [`QuantizedPipeline`] — quantize a fitted `bcpnn_core::Pipeline`'s
 //!   weights to int8 once ([`QuantPrecision`]), then run allocation-free
 //!   `predict_proba_into` inference with `f32` accumulation and narrow
-//!   weight storage, persist as a stage-tagged artifact, and publish to
-//!   the serving registry like any other model.
+//!   weight storage, persist in the one-file `v5` model container (kind
+//!   `quantized`), and publish to the serving registry like any other
+//!   model.
 //!
 //! ```
 //! use bcpnn_lowprec::QuantPrecision;
 //!
-//! assert_eq!(QuantPrecision::parse("int8"), Some(QuantPrecision::Int8));
 //! assert_eq!(QuantPrecision::Int8.name(), "int8");
 //! ```
 

@@ -8,9 +8,9 @@
 //!   ([`QuantPrecision::Int8`], 4x smaller),
 //! * implements the zero-allocation [`Predictor::predict_proba_into`]
 //!   discipline through [`Workspace::inference_scratch`],
-//! * persists as an artifact directory ([`QuantizedPipeline::save`] /
-//!   [`QuantizedPipeline::load`]) whose one `quantile` stage is the
-//!   pipeline's encoder file, byte for byte, and
+//! * persists as a `v5` model directory ([`QuantizedPipeline::save`] /
+//!   [`QuantizedPipeline::load`]): the same one-file container a
+//!   [`Pipeline`] is saved in, with artifact kind `quantized`, and
 //! * publishes to the serving `ModelRegistry` like any other model
 //!   (`examples/serving.rs` does exactly that).
 //!
@@ -19,20 +19,15 @@
 //! precision lost is in the stored weights. `tests/quantized_accuracy.rs`
 //! gates the resulting held-out accuracy delta in CI.
 
-use std::fs;
 use std::path::Path;
 
 use bcpnn_core::model::Predictor;
+use bcpnn_core::serialize::{read_model_file, write_model_file, ArtifactKind};
 use bcpnn_core::{CoreError, CoreResult, Pipeline, ReadoutKind, Workspace};
 use bcpnn_data::QuantileEncoder;
+use bcpnn_tensor::io::{ByteReader, Word};
 use bcpnn_tensor::simd::dispatch;
-use bcpnn_tensor::{load_matrix, save_matrix, Matrix};
-
-const MANIFEST: &str = "manifest.txt";
-const MAGIC: &str = "bcpnn-quantized";
-const VERSION: &str = "v1";
-/// File the fitted quantile encoder is stored in.
-const ENCODER_FILE: &str = "stage0.txt";
+use bcpnn_tensor::{write_matrix, FrameReader, Matrix};
 
 /// Storage precision of a [`QuantizedPipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,18 +37,10 @@ pub enum QuantPrecision {
 }
 
 impl QuantPrecision {
-    /// Stable persistence / display tag.
+    /// Stable display tag.
     pub fn name(self) -> &'static str {
         match self {
             Self::Int8 => "int8",
-        }
-    }
-
-    /// Parse a persistence tag.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "int8" | "i8" => Some(Self::Int8),
-            _ => None,
         }
     }
 }
@@ -147,11 +134,53 @@ impl QuantizedLinear {
         }
     }
 
-    /// The codes as an exactly-roundtrippable `f32` text matrix (int8
-    /// values are all exactly representable in `f32`).
-    fn codes_matrix(&self) -> Matrix<f32> {
-        let data: Vec<f32> = self.codes.iter().map(|&c| f32::from(c)).collect();
-        Matrix::from_vec(self.n_in, self.n_out, data)
+    /// Write the codes (as an `f32` matrix: every int8 value is exact in
+    /// `f32`), then the scales and the bias.
+    fn write<W: std::io::Write>(&self, w: &mut W) -> CoreResult<()> {
+        let codes = self.codes.iter().map(|&c| f32::from(c)).collect();
+        write_matrix(w, &Matrix::from_vec(self.n_in, self.n_out, codes))?;
+        write_matrix(w, &Matrix::from_vec(1, self.n_out, self.scales.clone()))?;
+        write_matrix(w, &Matrix::from_vec(1, self.n_out, self.bias.clone()))?;
+        Ok(())
+    }
+
+    /// Read a layer written by [`QuantizedLinear::write`]. A code that is
+    /// not an integer in `-127..=127` and scales or biases of the wrong
+    /// length are typed errors.
+    fn read<R: std::io::Read>(frames: &mut FrameReader<R>, name: &str) -> CoreResult<Self> {
+        let codes: Matrix<f32> = frames.read_matrix()?;
+        let (n_in, n_out) = codes.shape();
+        let mut row = || -> CoreResult<Vec<f32>> {
+            let v = frames.read_matrix::<f32>()?.into_vec();
+            if v.len() != n_out {
+                return Err(CoreError::Format(format!(
+                    "{name}: {} per-output values for {n_out} outputs",
+                    v.len()
+                )));
+            }
+            Ok(v)
+        };
+        let (scales, bias) = (row()?, row()?);
+        let codes = codes
+            .as_slice()
+            .iter()
+            .map(|&v| {
+                if v.round() == v && (-127.0..=127.0).contains(&v) {
+                    Ok(v as i8)
+                } else {
+                    Err(CoreError::Format(format!(
+                        "{name}: {v} is not an int8 code"
+                    )))
+                }
+            })
+            .collect::<CoreResult<Vec<i8>>>()?;
+        Ok(Self {
+            n_in,
+            n_out,
+            codes,
+            scales,
+            bias,
+        })
     }
 }
 
@@ -261,127 +290,38 @@ impl QuantizedPipeline {
         Ok(())
     }
 
-    /// Save as a self-describing quantized artifact directory: a manifest,
-    /// the code/scale/bias tensors as text matrices, and the fitted encoder
-    /// as the one `quantile` stage, in the same file format as `v4` model
-    /// directories.
+    /// Save as a `v5` model directory of kind `quantized`: the header
+    /// holds the precision tag and `n_mcu`; the frames are the encoder's
+    /// boundaries, then codes, scales and bias of the hidden and the
+    /// readout layer.
     pub fn save<P: AsRef<Path>>(&self, dir: P) -> CoreResult<()> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let mut manifest = String::new();
-        manifest.push_str(&format!("{MAGIC} {VERSION}\n"));
-        manifest.push_str(&format!("precision {}\n", self.precision.name()));
-        manifest.push_str(&format!("n_mcu {}\n", self.n_mcu));
-        manifest.push_str(&format!("input_width {}\n", self.n_inputs()));
-        manifest.push_str("stages 1\nstage0 quantile\n");
-        fs::write(dir.join(MANIFEST), manifest)?;
-        for (name, layer) in [("hidden", &self.hidden), ("readout", &self.readout)] {
-            save_matrix(&layer.codes_matrix(), dir.join(format!("{name}_codes.txt")))?;
-            save_matrix(
-                &Matrix::from_vec(1, layer.bias.len(), layer.bias.clone()),
-                dir.join(format!("{name}_bias.txt")),
-            )?;
-            save_matrix(
-                &Matrix::from_vec(1, layer.scales.len(), layer.scales.clone()),
-                dir.join(format!("{name}_scales.txt")),
-            )?;
-        }
-        self.encoder.save(dir.join(ENCODER_FILE))?;
-        Ok(())
+        let mut fields = vec![match self.precision {
+            QuantPrecision::Int8 => 1,
+        }];
+        (self.n_mcu as u64).put(&mut fields);
+        write_model_file(dir.as_ref(), ArtifactKind::Quantized, &fields, |w| {
+            write_matrix(w, &self.encoder.boundaries())?;
+            self.hidden.write(w)?;
+            self.readout.write(w)
+        })
     }
 
     /// Load an artifact saved by [`QuantizedPipeline::save`]. The roundtrip
-    /// is exact: codes, scales and biases reload bit-for-bit (small
-    /// integers and `f32`s survive the text format losslessly), so a loaded
+    /// is exact: codes, scales and biases reload bit-for-bit, so a loaded
     /// artifact predicts identically to the one saved.
     pub fn load<P: AsRef<Path>>(dir: P) -> CoreResult<Self> {
-        let dir = dir.as_ref();
-        let manifest = fs::read_to_string(dir.join(MANIFEST))?;
-        let mut lines = manifest.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| CoreError::Format("empty quantized manifest".into()))?;
-        if header.trim() != format!("{MAGIC} {VERSION}") {
-            return Err(CoreError::Format(format!(
-                "bad quantized manifest header: {header:?}"
-            )));
-        }
-        let mut kv = std::collections::HashMap::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once(' ')
-                .ok_or_else(|| CoreError::Format(format!("bad manifest line: {line:?}")))?;
-            kv.insert(k.to_string(), v.to_string());
-        }
-        let get = |key: &str| -> CoreResult<&String> {
-            kv.get(key)
-                .ok_or_else(|| CoreError::Format(format!("manifest missing key {key:?}")))
+        let (fields, mut frames) = read_model_file(dir.as_ref(), ArtifactKind::Quantized)?;
+        let mut r = ByteReader::new(&fields);
+        let precision = match r.word::<u8>()? {
+            1 => QuantPrecision::Int8,
+            tag => return Err(CoreError::Format(format!("unknown precision tag {tag}"))),
         };
-        let precision = QuantPrecision::parse(get("precision")?)
-            .ok_or_else(|| CoreError::Format(format!("unknown precision {:?}", kv["precision"])))?;
-        let n_mcu: usize = get("n_mcu")?
-            .parse()
-            .map_err(|_| CoreError::Format("bad n_mcu".into()))?;
-        let input_width: usize = get("input_width")?
-            .parse()
-            .map_err(|_| CoreError::Format("bad input_width".into()))?;
-        if (get("stages")?.as_str(), get("stage0")?.as_str()) != ("1", "quantile") {
-            return Err(CoreError::Format(format!(
-                "a quantized artifact holds one quantile stage, not stages {:?} / stage0 {:?}",
-                kv["stages"], kv["stage0"]
-            )));
-        }
-        let encoder = QuantileEncoder::load(dir.join(ENCODER_FILE))?;
-        if encoder.n_features() != input_width {
-            return Err(CoreError::Format(format!(
-                "the encoder reads {} features but the manifest says {input_width}",
-                encoder.n_features()
-            )));
-        }
-        let load_layer = |name: &str| -> CoreResult<QuantizedLinear> {
-            let codes_f32 = load_matrix::<f32, _>(dir.join(format!("{name}_codes.txt")))?;
-            let bias = load_matrix::<f32, _>(dir.join(format!("{name}_bias.txt")))?.into_vec();
-            let (n_in, n_out) = codes_f32.shape();
-            if bias.len() != n_out {
-                return Err(CoreError::Format(format!(
-                    "{name}: bias length {} does not match {n_out} outputs",
-                    bias.len()
-                )));
-            }
-            let scales = load_matrix::<f32, _>(dir.join(format!("{name}_scales.txt")))?.into_vec();
-            if scales.len() != n_out {
-                return Err(CoreError::Format(format!(
-                    "{name}: scale length {} does not match {n_out} outputs",
-                    scales.len()
-                )));
-            }
-            let codes = codes_f32
-                .as_slice()
-                .iter()
-                .map(|&v| {
-                    if v.round() == v && (-127.0..=127.0).contains(&v) {
-                        Ok(v as i8)
-                    } else {
-                        Err(CoreError::Format(format!(
-                            "{name}: {v} is not an int8 code"
-                        )))
-                    }
-                })
-                .collect::<CoreResult<Vec<i8>>>()?;
-            Ok(QuantizedLinear {
-                n_in,
-                n_out,
-                codes,
-                scales,
-                bias,
-            })
-        };
-        let hidden = load_layer("hidden")?;
-        let readout = load_layer("readout")?;
+        let n_mcu = r.word::<u64>()? as usize;
+        r.finish()?;
+        let encoder = QuantileEncoder::from_boundaries(&frames.read_matrix()?)?;
+        let hidden = QuantizedLinear::read(&mut frames, "hidden")?;
+        let readout = QuantizedLinear::read(&mut frames, "readout")?;
+        frames.finish()?;
         if encoder.encoded_width() != hidden.n_in {
             return Err(CoreError::Format(format!(
                 "the encoder produces {} columns but hidden expects {}",
@@ -393,6 +333,12 @@ impl QuantizedPipeline {
             return Err(CoreError::Format(format!(
                 "hidden produces {} units but readout expects {}",
                 hidden.n_out, readout.n_in
+            )));
+        }
+        if n_mcu == 0 || hidden.n_out % n_mcu != 0 {
+            return Err(CoreError::Format(format!(
+                "{} hidden units do not split into HCUs of {n_mcu} MCUs",
+                hidden.n_out
             )));
         }
         Ok(Self {
@@ -454,8 +400,10 @@ fn grouped_softmax_rows(m: &mut Matrix<f32>, group: usize) {
 mod tests {
     use super::*;
     use bcpnn_backend::BackendKind;
+    use bcpnn_core::serialize::MODEL_FILE;
     use bcpnn_core::{Network, TrainingParams};
     use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
+    use std::fs;
 
     fn fitted_pipeline(seed: u64) -> (Pipeline, bcpnn_data::Dataset) {
         let data = generate(&SyntheticHiggsConfig {
@@ -521,14 +469,40 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn save_load_roundtrip_is_bit_exact() {
-        let (pipeline, data) = fitted_pipeline(3);
+    fn saved(seed: u64, tag: &str) -> (QuantizedPipeline, std::path::PathBuf) {
+        let (pipeline, _) = fitted_pipeline(seed);
         let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
         let dir =
-            std::env::temp_dir().join(format!("bcpnn_quantized_roundtrip_{}", std::process::id()));
+            std::env::temp_dir().join(format!("bcpnn_quantized_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         q.save(&dir).unwrap();
+        (q, dir)
+    }
+
+    /// Rewrite the header frame's byte `at` (CRC kept valid).
+    fn set_header_byte(dir: &Path, at: usize, value: u8) {
+        let path = dir.join(MODEL_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        bytes[8 + at] = value;
+        let crc = bcpnn_tensor::io::crc32(&bytes[8..8 + len]);
+        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn save_load_roundtrip_is_bit_exact() {
+        let (q, dir) = saved(3, "roundtrip");
+        let data = generate(&SyntheticHiggsConfig {
+            n_samples: 100,
+            seed: 30,
+            ..Default::default()
+        });
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [MODEL_FILE]);
         let loaded = QuantizedPipeline::load(&dir).unwrap();
         assert_eq!(loaded.precision(), QuantPrecision::Int8);
         assert_eq!(loaded.encoder(), q.encoder());
@@ -542,21 +516,11 @@ mod tests {
 
     #[test]
     fn a_bf16_directory_is_a_typed_format_error() {
-        let (pipeline, _) = fitted_pipeline(6);
-        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
-        let dir = std::env::temp_dir().join(format!("bcpnn_quantized_bf16_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        q.save(&dir).unwrap();
-        let manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        fs::write(
-            dir.join(MANIFEST),
-            manifest.replace("precision int8", "precision bf16"),
-        )
-        .unwrap();
+        // Precision tag 2 would name bf16, which this build does not read.
+        let (_, dir) = saved(6, "bf16");
+        set_header_byte(&dir, 13, 2);
         match QuantizedPipeline::load(&dir) {
-            Err(CoreError::Format(msg)) => {
-                assert_eq!(msg, "unknown precision \"bf16\"")
-            }
+            Err(CoreError::Format(msg)) => assert_eq!(msg, "unknown precision tag 2"),
             other => panic!("expected a Format error, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
@@ -564,29 +528,22 @@ mod tests {
 
     #[test]
     fn any_other_stage_list_is_a_typed_format_error() {
-        let (pipeline, _) = fitted_pipeline(7);
-        let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("bcpnn_quantized_stages_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        q.save(&dir).unwrap();
-        let manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        assert!(
-            manifest.ends_with("\nstages 1\nstage0 quantile\n"),
-            "{manifest}"
-        );
-        for (from, to) in [
-            ("stage0 quantile", "stage0 thermometer"),
-            ("stage0 quantile", "stage0 standardize"),
-            ("stages 1", "stages 2"),
-            ("stages 1\nstage0 quantile\n", "stages 0\n"),
-        ] {
-            fs::write(dir.join(MANIFEST), manifest.replace(from, to)).unwrap();
+        // A quantized file holds the encoder and the quantized layers; an
+        // artifact of any other kind is refused, in both directions.
+        let (_, dir) = saved(7, "kinds");
+        for kind in [1, 3, 0] {
+            set_header_byte(&dir, 12, kind);
             match QuantizedPipeline::load(&dir) {
                 Err(CoreError::Format(_)) => {}
-                other => panic!("{to:?}: expected a Format error, got {other:?}"),
+                other => panic!("kind {kind}: expected a Format error, got {other:?}"),
             }
         }
+        set_header_byte(&dir, 12, 2);
+        assert!(QuantizedPipeline::load(&dir).is_ok());
+        assert!(matches!(
+            Pipeline::load(&dir, BackendKind::Naive),
+            Err(CoreError::Format(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -596,8 +553,6 @@ mod tests {
         let q = QuantizedPipeline::quantize(&pipeline, QuantPrecision::Int8).unwrap();
         let (narrow, wide) = q.weight_bytes();
         assert_eq!(wide, narrow * 4, "int8 stores 4x fewer weight bytes");
-        assert_eq!(QuantPrecision::parse("i8"), Some(QuantPrecision::Int8));
-        assert_eq!(QuantPrecision::parse("bf16"), None);
         // Loading a directory that is not a quantized artifact fails typed.
         let missing = std::env::temp_dir().join("bcpnn_quantized_missing");
         let _ = fs::remove_dir_all(&missing);

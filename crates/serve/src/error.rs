@@ -76,12 +76,6 @@ impl From<CoreError> for ServeError {
     }
 }
 
-impl From<bcpnn_tensor::IoError> for ServeError {
-    fn from(e: bcpnn_tensor::IoError) -> Self {
-        ServeError::Io(e.to_string())
-    }
-}
-
 /// Convenience alias used across the crate.
 pub type ServeResult<T> = Result<T, ServeError>;
 

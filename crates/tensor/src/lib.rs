@@ -7,8 +7,9 @@
 //! substrate for the Rust reproduction: a row-major [`Matrix`] type, naive /
 //! cache-blocked / multi-threaded [`gemm`] kernels (parallelised over the
 //! `bcpnn-parallel` pool), element-wise and reduction kernels, seeded random
-//! generation ([`MatrixRng`]), scalar statistics for preprocessing, and a
-//! small text serialization format.
+//! generation ([`MatrixRng`]), scalar statistics for preprocessing, and
+//! the workspace's one byte codec ([`io`]: CRC-framed little-endian
+//! binary).
 //!
 //! ```
 //! use bcpnn_tensor::{gemm, Matrix, MatrixRng};
@@ -36,7 +37,7 @@ pub mod stats;
 pub mod vector;
 
 pub use gemm::{gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_tn, gemv};
-pub use io::{load_matrix, read_matrix, save_matrix, write_matrix, IoError};
+pub use io::{write_matrix, FrameReader, IoError};
 pub use matrix::Matrix;
 pub use random::MatrixRng;
 pub use scalar::Scalar;

@@ -120,9 +120,11 @@ proptest! {
     #[test]
     fn io_roundtrip_preserves_matrix(m in matrix_strategy(10)) {
         let mut buf = Vec::new();
-        bcpnn_tensor::write_matrix(&m, &mut buf).unwrap();
-        let back: Matrix<f64> = bcpnn_tensor::read_matrix(&buf[..]).unwrap();
-        prop_assert!(m.max_abs_diff(&back) < 1e-9);
+        bcpnn_tensor::write_matrix(&mut buf, &m).unwrap();
+        let back: Matrix<f64> = bcpnn_tensor::FrameReader::new(&buf[..], buf.len() as u64)
+            .read_matrix()
+            .unwrap();
+        prop_assert_eq!(m, back);
     }
 
     #[test]

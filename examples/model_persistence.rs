@@ -1,18 +1,19 @@
 //! Model persistence: train, save, reload, keep classifying.
 //!
 //! A trained BCPNN network is fully described by its probability traces and
-//! receptive-field masks (weights are derived quantities), so models are
-//! saved as a small directory of text matrices plus a manifest. This
-//! example trains a network, saves it, reloads it on the *naive* backend
-//! (backend choice is runtime configuration, not model state), verifies the
-//! predictions agree, and continues training the reloaded model.
+//! receptive-field masks (weights are derived quantities), so a model is
+//! saved as one CRC-framed binary file, `model.bcpnn`, holding the fitted
+//! encoder and those traces. This example trains a pipeline, saves it,
+//! reloads it on the *naive* backend (backend choice is runtime
+//! configuration, not model state), verifies the predictions agree, and
+//! continues training the reloaded network.
 //!
 //! ```text
 //! cargo run --release --example model_persistence
 //! ```
 
 use bcpnn_backend::BackendKind;
-use bcpnn_core::{load_network, save_network, Network, ReadoutKind, Trainer, TrainingParams};
+use bcpnn_core::{Network, Pipeline, Predictor, ReadoutKind, Trainer, TrainingParams};
 use bcpnn_data::encode::QuantileEncoder;
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_data::split::stratified_split;
@@ -54,12 +55,14 @@ fn main() {
     // Save and reload (on a different backend, to show the two are
     // interchangeable at the model level).
     let dir = std::env::temp_dir().join("bcpnn_model_persistence_example");
-    save_network(&network, &dir).expect("saving succeeds");
-    let n_files = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    println!("saved to {} ({n_files} files)", dir.display());
-    let mut reloaded = load_network(&dir, BackendKind::Naive).expect("loading succeeds");
+    let pipeline = Pipeline::new(network, encoder).expect("widths match");
+    pipeline.save(&dir).expect("saving succeeds");
+    let file = dir.join("model.bcpnn");
+    let bytes = std::fs::metadata(&file).map(|m| m.len()).unwrap_or(0);
+    println!("saved to {} ({bytes} bytes)", file.display());
+    let reloaded = Pipeline::load(&dir, BackendKind::Naive).expect("loading succeeds");
     let after = reloaded
-        .evaluate(&x_test, &test.labels)
+        .evaluate(&test.features, &test.labels)
         .expect("evaluation succeeds");
     println!("reloaded model        : {after}");
     let drift = (before.accuracy - after.accuracy).abs();
@@ -68,6 +71,7 @@ fn main() {
     // Continue training the reloaded model (incremental learning is one of
     // the brain-inspired properties the paper highlights: no need to start
     // over when new collisions arrive).
+    let mut reloaded = reloaded.network().clone();
     trainer
         .fit(&mut reloaded, &x_train, &train.labels)
         .expect("continued training succeeds");

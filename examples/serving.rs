@@ -54,12 +54,14 @@ fn main() {
     let dir = std::env::temp_dir().join("bcpnn_serving_example");
     let _ = std::fs::remove_dir_all(&dir);
     train(1).save(&dir).expect("saving succeeds");
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
-    println!("saved model artifact to {}:", dir.display());
-    for line in manifest.lines().take(3) {
-        println!("  {line}");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let entry = entry.unwrap();
+        let bytes = entry.metadata().unwrap().len();
+        println!(
+            "saved model artifact {} ({bytes} bytes)",
+            entry.path().display()
+        );
     }
-    println!("  ... ({} manifest keys)", manifest.lines().count() - 1);
 
     // 2. Load it into a registry and start the micro-batching server.
     let registry = Arc::new(ModelRegistry::new());

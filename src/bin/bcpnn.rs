@@ -11,7 +11,8 @@
 //! 2,000 synthetic collisions, or on the first 200k rows of a HIGGS-format
 //! CSV, and saves it to `OUT`.
 //!
-//! `serve` loads each `DIR` as the model named after the directory, at
+//! `serve` loads each `DIR` as the model named after the directory (a
+//! name the HTTP routes accept: ASCII letters, digits, `-`, `_`, `.`), at
 //! version 1, with an online learner attached. Without `--backends` the
 //! gateway fronts one in-process serving stack; with `--backends N` the
 //! cluster router fronts N in-process backend nodes, each holding every
@@ -34,6 +35,7 @@ use bcpnn_cluster::{BackendConfig, BackendNode, ClusterConfig, ClusterRouter, Ro
 use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams};
 use bcpnn_data::csv::load_higgs_csv;
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
+use bcpnn_gateway::router::valid_model_name;
 use bcpnn_gateway::{FrontConfig, Gateway, GatewayConfig};
 use bcpnn_learn::{LearnerConfig, OnlineLearner};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
@@ -162,15 +164,20 @@ fn serve(args: &Args) {
     }
     let mut models = Vec::new();
     let mut root: Option<PathBuf> = None;
-    for dir in &args.positional {
-        let pipeline = Pipeline::load(dir, BackendKind::Parallel)
-            .unwrap_or_else(|e| fail(format!("cannot load {dir}: {e}")));
-        let dir = Path::new(dir)
+    for raw in &args.positional {
+        let dir = Path::new(raw)
             .canonicalize()
-            .unwrap_or_else(|e| fail(format!("cannot resolve {dir}: {e}")));
+            .unwrap_or_else(|e| fail(format!("cannot resolve {raw}: {e}")));
         let (Some(parent), Some(name)) = (dir.parent(), dir.file_name()) else {
             usage(&format!("{} cannot name a model", dir.display()));
         };
+        if !valid_model_name(&name.to_string_lossy()) {
+            usage(&format!(
+                "{raw}: a model name is 1-128 ASCII letters, digits, '-', '_' or '.'"
+            ));
+        }
+        let pipeline = Pipeline::load(&dir, BackendKind::Parallel)
+            .unwrap_or_else(|e| fail(format!("cannot load {raw}: {e}")));
         match &root {
             Some(root) if root != parent => {
                 usage("every DIR must sit in the same parent directory")

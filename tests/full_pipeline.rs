@@ -4,7 +4,7 @@
 
 use bcpnn_backend::BackendKind;
 use bcpnn_bench::{prepare_higgs, run_bcpnn, BcpnnRunConfig, HiggsDataConfig};
-use bcpnn_core::{load_network, save_network, ReadoutKind};
+use bcpnn_core::{Pipeline, Predictor, ReadoutKind};
 
 fn small_data() -> bcpnn_bench::HiggsExperimentData {
     prepare_higgs(&HiggsDataConfig {
@@ -101,12 +101,14 @@ fn trained_model_survives_a_save_load_roundtrip_across_backends() {
         .fit(&mut network, &data.x_train, &data.y_train)
         .expect("training succeeds");
     let before = network.evaluate(&data.x_test, &data.y_test).unwrap();
+    let pipeline = Pipeline::new(network, data.encoder.clone()).expect("widths match");
+    let raw_test = &data.raw_test.features;
 
     let dir = std::env::temp_dir().join(format!("bcpnn_pipeline_persist_{}", std::process::id()));
-    save_network(&network, &dir).expect("saving succeeds");
+    pipeline.save(&dir).expect("saving succeeds");
     // Reloading on the *same* backend reproduces the evaluation exactly.
-    let same_backend = load_network(&dir, BackendKind::Parallel).expect("loading succeeds");
-    let same = same_backend.evaluate(&data.x_test, &data.y_test).unwrap();
+    let same_backend = Pipeline::load(&dir, BackendKind::Parallel).expect("loading succeeds");
+    let same = same_backend.evaluate(raw_test, &data.y_test).unwrap();
     assert!(
         (before.accuracy - same.accuracy).abs() < 1e-9,
         "persisted model must reproduce its accuracy exactly on the same backend ({} vs {})",
@@ -116,8 +118,8 @@ fn trained_model_survives_a_save_load_roundtrip_across_backends() {
     // Reloading on the naive backend changes only floating-point reduction
     // order, so borderline samples may flip: the evaluation must agree to
     // within a fraction of a point.
-    let loaded = load_network(&dir, BackendKind::Naive).expect("loading succeeds");
-    let after = loaded.evaluate(&data.x_test, &data.y_test).unwrap();
+    let loaded = Pipeline::load(&dir, BackendKind::Naive).expect("loading succeeds");
+    let after = loaded.evaluate(raw_test, &data.y_test).unwrap();
     assert!(
         (before.accuracy - after.accuracy).abs() < 0.01,
         "cross-backend reload drifted too far ({} vs {})",

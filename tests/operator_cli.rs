@@ -289,6 +289,10 @@ fn bad_invocations_exit_2_and_unloadable_models_exit_1() {
     let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
     let empty = root.join("empty");
     std::fs::create_dir(&empty).unwrap();
+    // A directory name no route can address (and no metrics label can
+    // hold unescaped).
+    let unroutable = root.join("a\"b");
+    std::fs::create_dir(&unroutable).unwrap();
 
     let one_line_and_exit = |args: &[&str], code: i32| {
         let out = bcpnn(args);
@@ -309,6 +313,7 @@ fn bad_invocations_exit_2_and_unloadable_models_exit_1() {
     one_line_and_exit(&["serve", a, "--backends", "0"], 2);
     one_line_and_exit(&["serve", a, "--replication", "2"], 2);
     one_line_and_exit(&["serve", a, b], 2);
+    one_line_and_exit(&["serve", unroutable.to_str().unwrap()], 2);
     one_line_and_exit(&["serve", empty.to_str().unwrap()], 1);
     one_line_and_exit(
         &["fit", a, "--csv", empty.join("HIGGS.csv").to_str().unwrap()],
