@@ -29,7 +29,7 @@ use bcpnn_gateway::api::{ApiBackend, PublishRequest};
 use bcpnn_gateway::front::wake_and_join;
 use bcpnn_gateway::{ApiError, LocalNode};
 use bcpnn_learn::OnlineLearner;
-use bcpnn_serve::ServeTarget;
+use bcpnn_serve::{Exposition, ServeTarget};
 
 use crate::wire::{
     decode_options, encode_serve_error, ErrorCode, Frame, ModelInfo, WireError, DEFAULT_MAX_PAYLOAD,
@@ -277,7 +277,7 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
                 queue_depth: l.queue_depth,
             }),
         Frame::MetricsReq => Frame::MetricsOk {
-            text: local.scrape(),
+            text: Exposition::render(|out| local.scrape(out)),
         },
         Frame::ModelsReq => Frame::ModelsOk {
             models: local

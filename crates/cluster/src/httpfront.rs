@@ -21,7 +21,7 @@ use bcpnn_gateway::api::{
     ApiBackend, Learned, ModelEntry, Outcome, PredictFailure, Prediction, PublishRequest, Published,
 };
 use bcpnn_gateway::{ApiError, GatewaySnapshot, HttpFront};
-use bcpnn_serve::SubmitOptions;
+use bcpnn_serve::{Exposition, SubmitOptions};
 
 use crate::router::ClusterRouter;
 use crate::wire::{ErrorCode, Frame, RowBlock};
@@ -188,7 +188,7 @@ impl ApiBackend for ClusterRouter {
         Ok(Outcome::PerNode(results))
     }
 
-    fn scrape(&self) -> String {
-        self.merged_prometheus()
+    fn scrape(&self, out: &mut Exposition) {
+        self.write_metrics(out);
     }
 }

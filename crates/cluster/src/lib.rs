@@ -59,5 +59,5 @@ pub use httpfront::{RouterHttp, RouterHttpConfig};
 pub use metrics::ClusterMetrics;
 pub use placement::Ring;
 pub use pool::BackendPool;
-pub use router::{merge_expositions, ClusterConfig, ClusterRouter};
+pub use router::{ClusterConfig, ClusterRouter};
 pub use wire::{ErrorCode, Frame, ModelInfo, RowBlock, WireError};

@@ -1,17 +1,18 @@
 //! Router-tier metrics: the `bcpnn_cluster_*` family.
 //!
 //! These describe the *fan-out layer* — per-backend health, interior-hop
-//! latency, failovers, retries — while each backend's own
-//! `bcpnn_serve_*` exposition (fetched over the wire and node-labeled by
-//! [`crate::router::merge_expositions`]) describes the scheduling behind
-//! it. All names live under `bcpnn_cluster_`, disjoint from both, so the
-//! merged scrape keeps the one-declaration-per-metric invariant.
+//! latency, failovers, retries — while each backend's own families
+//! (fetched over the wire, then grouped by family and node-labeled by the
+//! router's scrape) describe the scheduling behind it. All names live
+//! under `bcpnn_cluster_`, disjoint from the backends', and everything is
+//! written through the one `bcpnn_serve::Exposition` writer.
 //!
 //! Like the serve and gateway layers, everything is relaxed atomics.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use bcpnn_serve::{Exposition, MetricKind};
 
 /// Upper bounds (seconds) of the fan-out latency histogram buckets; a
 /// `+Inf` bucket is implicit.
@@ -34,10 +35,10 @@ pub struct ClusterMetrics {
     /// Per-backend health: 1 up, 0 down (index = backend index).
     backend_up: Vec<AtomicU64>,
     /// Fan-out latency histogram: non-cumulative per-bucket hit counts
-    /// (rendered cumulatively), plus sum in microseconds and count.
+    /// (written cumulatively; their total is the `_count`), plus the sum
+    /// in microseconds.
     latency_hits: [AtomicU64; LATENCY_BUCKETS.len() + 1],
     latency_sum_us: AtomicU64,
-    latency_count: AtomicU64,
 }
 
 impl ClusterMetrics {
@@ -52,7 +53,6 @@ impl ClusterMetrics {
             backend_up: (0..n_backends).map(|_| AtomicU64::new(0)).collect(),
             latency_hits: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_sum_us: AtomicU64::new(0),
-            latency_count: AtomicU64::new(0),
         }
     }
 
@@ -72,7 +72,6 @@ impl ClusterMetrics {
         self.latency_hits[bucket].fetch_add(1, Ordering::Relaxed);
         self.latency_sum_us
             .fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a request that had to leave its first-choice replica.
@@ -117,86 +116,57 @@ impl ClusterMetrics {
         self.failovers.load(Ordering::Relaxed)
     }
 
-    /// Render the cluster counters as Prometheus text exposition.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
+    /// Write the `bcpnn_cluster_*` families into `out`.
+    pub fn write_metrics(&self, out: &mut Exposition) {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let counters = [
             (
                 "fanouts",
                 "Interior predict calls attempted (one per backend tried).",
-                self.fanouts.load(Ordering::Relaxed),
+                &self.fanouts,
             ),
             (
                 "fanout_ok",
                 "Interior predict calls answered successfully.",
-                self.fanout_ok.load(Ordering::Relaxed),
+                &self.fanout_ok,
             ),
             (
                 "failovers",
                 "Requests that failed over to another replica.",
-                self.failovers.load(Ordering::Relaxed),
+                &self.failovers,
             ),
             (
                 "retries",
                 "Extra interior attempts beyond each request's first.",
-                self.retries.load(Ordering::Relaxed),
+                &self.retries,
             ),
             (
                 "publishes",
                 "Cluster-wide hot-swap broadcasts.",
-                self.publishes.load(Ordering::Relaxed),
+                &self.publishes,
             ),
         ];
-        for (name, help, value) in counters {
-            let full = format!("bcpnn_cluster_{name}_total");
-            let _ = writeln!(out, "# HELP {full} {help}");
-            let _ = writeln!(out, "# TYPE {full} counter");
-            let _ = writeln!(out, "{full} {value}");
+        for (name, help, counter) in counters {
+            let name = format!("bcpnn_cluster_{name}_total");
+            out.family(&name, MetricKind::Counter, help)
+                .sample(&[], load(counter));
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP bcpnn_cluster_backend_up Backend health from the router's prober (1 up, 0 down)."
-        );
-        let _ = writeln!(out, "# TYPE bcpnn_cluster_backend_up gauge");
+        let help = "Backend health from the router's prober (1 up, 0 down).";
+        let mut up = out.family("bcpnn_cluster_backend_up", MetricKind::Gauge, help);
         for (i, gauge) in self.backend_up.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "bcpnn_cluster_backend_up{{backend=\"{i}\"}} {}",
-                gauge.load(Ordering::Relaxed)
-            );
+            up.sample(&[("backend", &i.to_string())], load(gauge));
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP bcpnn_cluster_fanout_latency_seconds Interior predict round-trip latency."
-        );
-        let _ = writeln!(out, "# TYPE bcpnn_cluster_fanout_latency_seconds histogram");
-        let mut cumulative = 0u64;
-        for (i, &le) in LATENCY_BUCKETS.iter().enumerate() {
-            cumulative += self.latency_hits[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "bcpnn_cluster_fanout_latency_seconds_bucket{{le=\"{le}\"}} {cumulative}"
-            );
-        }
-        cumulative += self.latency_hits[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "bcpnn_cluster_fanout_latency_seconds_bucket{{le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(
-            out,
-            "bcpnn_cluster_fanout_latency_seconds_sum {}",
-            self.latency_sum_us.load(Ordering::Relaxed) as f64 / 1e6
-        );
-        let _ = writeln!(
-            out,
-            "bcpnn_cluster_fanout_latency_seconds_count {}",
-            self.latency_count.load(Ordering::Relaxed)
-        );
-        out
+        let counts: Vec<u64> = self.latency_hits.iter().map(load).collect();
+        let sum = load(&self.latency_sum_us) as f64 / 1e6;
+        let help = "Interior predict round-trip latency.";
+        out.family(
+            "bcpnn_cluster_fanout_latency_seconds",
+            MetricKind::Histogram,
+            help,
+        )
+        .histogram(&[], LATENCY_BUCKETS, &counts, sum);
     }
 }
 
@@ -214,7 +184,7 @@ mod tests {
         m.record_failover();
         m.record_publish();
         m.set_backend_up(0, true);
-        let text = m.to_prometheus();
+        let text = Exposition::render(|out| m.write_metrics(out));
         bcpnn_serve::validate_prometheus(&text).expect("cluster exposition is valid");
         assert!(text.contains("bcpnn_cluster_backend_up{backend=\"0\"} 1"));
         assert!(text.contains("bcpnn_cluster_backend_up{backend=\"1\"} 0"));

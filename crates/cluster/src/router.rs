@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use bcpnn_gateway::api::NodeResult;
 use bcpnn_gateway::ApiError;
-use bcpnn_serve::{ServeError, SubmitOptions};
+use bcpnn_serve::{Exposition, MetricKind, ServeError, SubmitOptions};
 
 use crate::metrics::ClusterMetrics;
 use crate::placement::Ring;
@@ -385,12 +385,11 @@ impl ClusterRouter {
         list
     }
 
-    /// One valid Prometheus scrape for the whole cluster: the router's
-    /// `bcpnn_cluster_*` counters followed by every healthy backend's
-    /// exposition, node-labeled and declaration-deduplicated by
-    /// [`merge_expositions`].
-    pub fn merged_prometheus(&self) -> String {
-        let mut sections = Vec::new();
+    /// The whole cluster's families: the router's `bcpnn_cluster_*`
+    /// counters, then every healthy backend's exposition, parsed back into
+    /// families, grouped by family and node-labeled (`node="i"`).
+    pub fn write_metrics(&self, out: &mut Exposition) {
+        let mut nodes = Vec::new();
         for (i, pool) in self.pools.iter().enumerate() {
             if !pool.healthy() {
                 continue;
@@ -398,12 +397,11 @@ impl ClusterRouter {
             if let Ok(Frame::MetricsOk { text }) =
                 pool.call(&Frame::MetricsReq, self.config.request_timeout)
             {
-                sections.push((i.to_string(), text));
+                nodes.push((i.to_string(), text));
             }
         }
-        let mut out = self.metrics.to_prometheus();
-        out.push_str(&merge_expositions(&sections));
-        out
+        self.metrics.write_metrics(out);
+        write_nodes(out, &nodes);
     }
 }
 
@@ -443,56 +441,68 @@ fn probe(
     }
 }
 
-/// Merge per-node Prometheus expositions into one valid scrape: the
-/// first `# HELP`/`# TYPE` declaration of each metric is kept, duplicates
-/// from later nodes are dropped, and every sample line gains a
-/// `node="<label>"` label so same-named series from different backends
-/// stay distinct.
-pub fn merge_expositions(sections: &[(String, String)]) -> String {
-    let mut out = String::new();
-    let mut declared: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for (label, text) in sections {
+/// Write per-node expositions (`(node label, text)`) into `out` as one
+/// group per family: the family's HELP and TYPE once, as the first node
+/// to declare it wrote them, then every node's samples in node order,
+/// each gaining a leading `node="<label>"` label so same-named series from
+/// different backends stay distinct. A sample no node declared becomes an
+/// untyped family of its own.
+fn write_nodes(out: &mut Exposition, nodes: &[(String, String)]) {
+    #[derive(Default)]
+    struct Family<'t> {
+        name: &'t str,
+        kind: MetricKind,
+        help: &'t str,
+        /// `(node, name suffix, label body as written, value)`.
+        samples: Vec<(&'t str, &'t str, &'t str, &'t str)>,
+    }
+    fn find<'f, 't>(families: &'f mut Vec<Family<'t>>, name: &'t str) -> &'f mut Family<'t> {
+        let i = families.iter().position(|f| f.name == name);
+        let i = i.unwrap_or_else(|| {
+            families.push(Family {
+                name,
+                ..Family::default()
+            });
+            families.len() - 1
+        });
+        &mut families[i]
+    }
+    let mut families = Vec::new();
+    for (node, text) in nodes {
         for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line
-                .strip_prefix("# HELP ")
-                .map(|r| ("HELP", r))
-                .or_else(|| line.strip_prefix("# TYPE ").map(|r| ("TYPE", r)))
-            {
-                let (kind, body) = rest;
-                let name = body.split_whitespace().next().unwrap_or("");
-                if declared.insert(format!("{kind} {name}")) {
-                    out.push_str(line);
-                    out.push('\n');
+            if let Some(comment) = line.strip_prefix('#') {
+                let mut words = comment.trim_start().splitn(3, ' ');
+                match (words.next(), words.next(), words.next().unwrap_or("")) {
+                    (Some("HELP"), Some(name), help) => find(&mut families, name).help = help,
+                    (Some("TYPE"), Some(name), kind) => {
+                        find(&mut families, name).kind = MetricKind::parse(kind);
+                    }
+                    _ => {}
                 }
-                continue;
+            } else if let Some((series, value)) = line.rsplit_once(' ') {
+                let (series, labels) = match series.split_once('{') {
+                    Some((name, labels)) => (name, labels.strip_suffix('}').unwrap_or(labels)),
+                    None => (series, ""),
+                };
+                // `_bucket`/`_sum`/`_count` join their declared histogram.
+                let histogram = families.iter().position(|f| {
+                    let suffix = series.strip_prefix(f.name).unwrap_or("");
+                    f.kind == MetricKind::Histogram
+                        && ["_bucket", "_sum", "_count"].contains(&suffix)
+                });
+                let family = match histogram {
+                    Some(i) => &mut families[i],
+                    None => find(&mut families, series),
+                };
+                let suffix = &series[family.name.len()..];
+                family.samples.push((node.as_str(), suffix, labels, value));
             }
-            if line.starts_with('#') {
-                continue;
-            }
-            out.push_str(&label_sample(line, label));
-            out.push('\n');
         }
     }
-    out
-}
-
-/// Inject `node="label"` into one sample line.
-fn label_sample(line: &str, label: &str) -> String {
-    let space = line.find(' ').unwrap_or(line.len());
-    match line.find('{') {
-        Some(brace) if brace < space => {
-            format!(
-                "{}{{node=\"{label}\",{}",
-                &line[..brace],
-                &line[brace + 1..]
-            )
-        }
-        _ => {
-            let (name, rest) = line.split_at(space);
-            format!("{name}{{node=\"{label}\"}}{rest}")
+    for family in &families {
+        let mut writer = out.family(family.name, family.kind, family.help);
+        for &(node, suffix, labels, value) in &family.samples {
+            writer.series(suffix, &[("node", node)], labels, value);
         }
     }
 }
@@ -500,7 +510,30 @@ fn label_sample(line: &str, label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcpnn_serve::ServingMetrics;
+    use bcpnn_serve::{MetricsSnapshot, ServingMetrics};
+
+    /// One source's exposition on its own: what a node ships, and what
+    /// the router writes before the nodes.
+    trait ToPrometheus {
+        fn to_prometheus(&self) -> String;
+    }
+
+    impl ToPrometheus for MetricsSnapshot {
+        fn to_prometheus(&self) -> String {
+            Exposition::render(|out| MetricsSnapshot::write_metrics(out, &[(vec![], self)]))
+        }
+    }
+
+    impl ToPrometheus for ClusterMetrics {
+        fn to_prometheus(&self) -> String {
+            Exposition::render(|out| self.write_metrics(out))
+        }
+    }
+
+    /// The node-labeled, family-grouped merge of `nodes` on its own.
+    fn merge_expositions(nodes: &[(String, String)]) -> String {
+        Exposition::render(|out| write_nodes(out, nodes))
+    }
 
     #[test]
     fn merged_expositions_dedupe_declarations_and_label_nodes() {

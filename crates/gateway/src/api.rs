@@ -7,7 +7,7 @@
 use std::net::SocketAddr;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_serve::{RowBlock, ServeError, SubmitOptions};
+use bcpnn_serve::{Exposition, RowBlock, ServeError, SubmitOptions};
 
 use crate::error::ApiError;
 
@@ -140,7 +140,8 @@ pub trait ApiBackend: Send + Sync {
         labels: Vec<u32>,
     ) -> Result<Outcome<Learned>, ApiError>;
 
-    /// `GET /metrics`: the backend's Prometheus exposition. The front
-    /// appends its own `bcpnn_gateway_*` counters.
-    fn scrape(&self) -> String;
+    /// `GET /metrics`: write the backend's metric families into `out`.
+    /// The front then writes its own `bcpnn_gateway_*` counters into the
+    /// same exposition.
+    fn scrape(&self, out: &mut Exposition);
 }

@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_serve::{Priority, RowBlock, SubmitOptions};
+use bcpnn_serve::{Exposition, Priority, RowBlock, SubmitOptions};
 
 use crate::api::{ApiBackend, Learned, Outcome, Prediction, PublishRequest, Published};
 use crate::error::ApiError;
@@ -265,10 +265,10 @@ fn dispatch(shared: &Shared, request: &Request) -> Result<Response, ApiError> {
     match endpoint {
         Route::Healthz => Ok(handle_healthz(backend)),
         Route::Metrics => {
-            // Disjoint metric names (`bcpnn_gateway_*` after whatever the
-            // backend exposes), so the text stays one valid scrape.
-            let mut text = backend.scrape();
-            text.push_str(&shared.metrics.snapshot().to_prometheus());
+            let text = Exposition::render(|out| {
+                backend.scrape(out);
+                shared.metrics.snapshot().write_metrics(out);
+            });
             Ok(Response::text_with_type(
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bcpnn_learn::{LearnError, OnlineLearner};
-use bcpnn_serve::{Pipeline, RowBlock, ServeTarget, ServedModel, SubmitOptions};
+use bcpnn_serve::{Exposition, Pipeline, RowBlock, ServeTarget, ServedModel, SubmitOptions};
 
 use crate::api::{
     ApiBackend, Learned, ModelEntry, Outcome, PredictFailure, Prediction, PublishRequest, Published,
@@ -163,19 +163,17 @@ impl ApiBackend for LocalNode {
         )?))
     }
 
-    /// The serving stack's exposition (per-shard + aggregate) followed by
-    /// every attached learner's `bcpnn_learn_*` families — disjoint
-    /// metric names, so the text stays one valid scrape.
-    fn scrape(&self) -> String {
-        let mut text = self.target.to_prometheus();
+    /// The serving stack's families (per-shard + aggregate) followed by
+    /// every attached learner's `bcpnn_learn_*` families.
+    fn scrape(&self, out: &mut Exposition) {
+        self.target.write_metrics(out);
         if !self.learners.is_empty() {
             let snapshots: Vec<(&str, bcpnn_learn::LearnSnapshot)> = self
                 .learners
                 .iter()
                 .map(|l| (l.model(), l.metrics()))
                 .collect();
-            text.push_str(&bcpnn_learn::prometheus_exposition(&snapshots));
+            bcpnn_learn::write_metrics(out, &snapshots);
         }
-        text
     }
 }

@@ -1,19 +1,20 @@
 //! Gateway-level metrics: HTTP requests, bytes, and status classes.
 //!
 //! These describe the *network boundary* — what crossed the wire — while
-//! `bcpnn_serve`'s metrics describe the scheduler behind it. The two are
-//! rendered into one `/metrics` exposition, under disjoint name prefixes
-//! (`bcpnn_gateway_*` vs `bcpnn_serve_*`), so the combined scrape keeps
-//! the one-declaration-per-metric invariant the serve-side validity
-//! parser enforces and nothing is ever double-counted between layers: a
+//! `bcpnn_serve`'s metrics describe the scheduler behind it. Both are
+//! written through the one `bcpnn_serve::Exposition` writer into one
+//! `/metrics` scrape, under disjoint name prefixes (`bcpnn_gateway_*` vs
+//! `bcpnn_serve_*`), so every family is declared once and grouped, and
+//! nothing is ever double-counted between layers: a
 //! predict request increments `bcpnn_gateway_requests_total` exactly once
 //! and `bcpnn_serve_requests_total` once *per row* it carries.
 //!
 //! Like [`bcpnn_serve::ServingMetrics`], everything is relaxed atomics:
 //! one `fetch_add` per event on the hot path.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use bcpnn_serve::{Exposition, MetricKind};
 
 /// Lock-free gateway counters, shared by the connection workers.
 #[derive(Debug, Default)]
@@ -118,13 +119,11 @@ pub struct GatewaySnapshot {
 }
 
 impl GatewaySnapshot {
-    /// Render the gateway counters in Prometheus text exposition format.
-    /// Status classes share one metric name with a `class` label; all
-    /// names live under `bcpnn_gateway_`, disjoint from the serve-side
-    /// export this text is concatenated with.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
+    /// Write the gateway counters into `out`. Status classes share one
+    /// family with a `class` label; every name lives under
+    /// `bcpnn_gateway_`, disjoint from the backend families written into
+    /// the same scrape.
+    pub fn write_metrics(&self, out: &mut Exposition) {
         let simple: [(&str, &str, u64); 5] = [
             (
                 "requests",
@@ -153,27 +152,16 @@ impl GatewaySnapshot {
             ),
         ];
         for (name, help, value) in simple {
-            let full = format!("bcpnn_gateway_{name}_total");
-            let _ = writeln!(out, "# HELP {full} {help}");
-            let _ = writeln!(out, "# TYPE {full} counter");
-            let _ = writeln!(out, "{full} {value}");
+            let name = format!("bcpnn_gateway_{name}_total");
+            out.family(&name, MetricKind::Counter, help)
+                .sample(&[], value);
         }
-        let _ = writeln!(
-            out,
-            "# HELP bcpnn_gateway_responses_total Responses by status class."
-        );
-        let _ = writeln!(out, "# TYPE bcpnn_gateway_responses_total counter");
-        for (class, value) in [
-            ("2xx", self.status_2xx),
-            ("4xx", self.status_4xx),
-            ("5xx", self.status_5xx),
-        ] {
-            let _ = writeln!(
-                out,
-                "bcpnn_gateway_responses_total{{class=\"{class}\"}} {value}"
-            );
+        let help = "Responses by status class.";
+        let mut responses = out.family("bcpnn_gateway_responses_total", MetricKind::Counter, help);
+        let classes = [self.status_2xx, self.status_4xx, self.status_5xx];
+        for (class, value) in ["2xx", "4xx", "5xx"].into_iter().zip(classes) {
+            responses.sample(&[("class", class)], value);
         }
-        out
     }
 }
 
@@ -210,9 +198,9 @@ mod tests {
         m.record_request();
         m.record_status(200);
         m.record_bytes_out(10);
-        let text = m.snapshot().to_prometheus();
-        // The gateway text must stay valid when concatenated after the
-        // serve-side exposition: every metric name disjoint (no duplicate
+        let text = Exposition::render(|out| m.snapshot().write_metrics(out));
+        // The gateway families must stay valid beside the serve-side ones
+        // in one scrape: every metric name disjoint (no duplicate
         // HELP/TYPE) and prefixed bcpnn_gateway_.
         bcpnn_serve::validate_prometheus(&text).expect("gateway exposition is valid");
         for line in text.lines().filter(|l| !l.is_empty()) {
@@ -226,12 +214,13 @@ mod tests {
         }
         assert!(text.contains("bcpnn_gateway_requests_total 1"));
         assert!(text.contains("bcpnn_gateway_responses_total{class=\"2xx\"} 1"));
-        // Combined with a serve-side exposition the declarations stay
+        // Written beside the serve-side families the declarations stay
         // unique — this is the no-double-declaration audit for /metrics.
-        let serve = bcpnn_serve::ServingMetrics::new()
-            .snapshot()
-            .to_prometheus();
-        bcpnn_serve::validate_prometheus(&format!("{serve}{text}"))
-            .expect("combined exposition is valid");
+        let serve = bcpnn_serve::ServingMetrics::new().snapshot();
+        let combined = Exposition::render(|out| {
+            bcpnn_serve::MetricsSnapshot::write_metrics(out, &[(vec![], &serve)]);
+            m.snapshot().write_metrics(out);
+        });
+        bcpnn_serve::validate_prometheus(&combined).expect("combined exposition is valid");
     }
 }

@@ -44,7 +44,7 @@ use bcpnn_core::{CoreError, Pipeline, Workspace};
 use bcpnn_serve::{ModelRegistry, ServedModel};
 use bcpnn_tensor::Matrix;
 
-use crate::metrics::{prometheus_exposition, LearnMetrics, LearnSnapshot};
+use crate::metrics::{LearnMetrics, LearnSnapshot};
 use crate::replay::ReplayLog;
 
 /// Why a [`OnlineLearner::submit`] call was refused. Submissions are
@@ -351,15 +351,6 @@ impl OnlineLearner {
     #[must_use]
     pub fn metrics(&self) -> LearnSnapshot {
         self.inner.metrics.snapshot()
-    }
-
-    /// This learner's `bcpnn_learn_*` exposition. When a process runs
-    /// several learners, render them together with
-    /// [`crate::prometheus_exposition`] instead so each family appears
-    /// once.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        prometheus_exposition(&[(self.inner.model.as_str(), self.metrics())])
     }
 
     /// A clone of the current shadow pipeline (what the next publish would

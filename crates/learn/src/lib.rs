@@ -17,9 +17,10 @@
 //!   `bcpnn_cluster::wire`) that a restarted learner replays over its
 //!   last checkpoint to rebuild the shadow bit-for-bit. The log rotates
 //!   on every publish.
-//! - [`prometheus_exposition`] renders the `bcpnn_learn_*` metric
-//!   families (rows ingested/trained/rejected, publishes, accuracy
-//!   gauges, log bytes) for merging into the gateway and cluster scrapes.
+//! - [`write_metrics`] writes the `bcpnn_learn_*` metric families (rows
+//!   ingested/trained/rejected, publishes, accuracy gauges, log bytes)
+//!   through `bcpnn_serve`'s one exposition writer, so they join the
+//!   gateway and cluster scrapes as ordinary families.
 //!
 //! The wire face lives upstream: `POST /v1/models/{name}/learn` on
 //! `bcpnn-gateway`, and the `Learn` opcode (fan-out to every replica of
@@ -32,5 +33,5 @@ pub mod metrics;
 pub mod replay;
 
 pub use learner::{LearnError, LearnerConfig, OnlineLearner};
-pub use metrics::{prometheus_exposition, LearnMetrics, LearnSnapshot};
+pub use metrics::{write_metrics, LearnMetrics, LearnSnapshot};
 pub use replay::{LearnFrame, Recovery, ReplayLog};

@@ -2,13 +2,13 @@
 //!
 //! One [`LearnMetrics`] instance lives inside each [`crate::OnlineLearner`]
 //! (relaxed atomics — these are statistics, not synchronization). Because a
-//! process may run one learner per model, the exposition renderer takes
-//! *all* learners at once and emits each metric family exactly once with a
-//! `model="..."` label per learner, keeping the combined scrape a valid
-//! single exposition (checked by `bcpnn_serve::validate_prometheus` in
-//! tests).
+//! process may run one learner per model, [`write_metrics`] takes *all*
+//! learners at once and writes each family once through the shared
+//! [`Exposition`] writer, with a `model="..."` label per learner.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use bcpnn_serve::{Exposition, MetricKind};
 
 /// Sentinel for "no evaluation has happened yet" in the accuracy gauges.
 const UNSET: u64 = u64::MAX;
@@ -69,8 +69,8 @@ impl LearnMetrics {
     }
 }
 
-/// Plain-value copy of [`LearnMetrics`] (what tests and the exposition
-/// renderer consume).
+/// Plain-value copy of [`LearnMetrics`] (what tests and [`write_metrics`]
+/// consume).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnSnapshot {
     /// Labeled rows accepted into the ingest queue.
@@ -99,97 +99,99 @@ pub struct LearnSnapshot {
     pub live_accuracy: Option<f64>,
 }
 
-/// Render the combined `bcpnn_learn_*` exposition for a set of learners,
-/// one `model`-labeled sample per learner per family.
-pub fn prometheus_exposition(learners: &[(&str, LearnSnapshot)]) -> String {
-    let mut out = String::new();
-    let mut counter = |name: &str, help: &str, get: &dyn Fn(&LearnSnapshot) -> u64| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for (model, snap) in learners {
-            out.push_str(&format!("{name}{{model=\"{model}\"}} {}\n", get(snap)));
+/// Write the `bcpnn_learn_*` families for a set of learners into `out`,
+/// one `model`-labeled sample per learner per family. A gauge no learner
+/// has a value for yet (the accuracies before the first evaluation) is
+/// left out entirely.
+pub fn write_metrics(out: &mut Exposition, learners: &[(&str, LearnSnapshot)]) {
+    type Def<T> = (&'static str, &'static str, fn(&LearnSnapshot) -> T);
+    let counters: [Def<u64>; 8] = [
+        (
+            "bcpnn_learn_rows_total",
+            "Labeled rows accepted by the learn endpoint.",
+            |s| s.rows_ingested,
+        ),
+        (
+            "bcpnn_learn_rows_trained_total",
+            "Rows folded into the shadow model.",
+            |s| s.rows_trained,
+        ),
+        (
+            "bcpnn_learn_rows_heldout_total",
+            "Rows diverted to the held-out evaluation reservoir.",
+            |s| s.rows_heldout,
+        ),
+        (
+            "bcpnn_learn_rows_rejected_total",
+            "Rows refused because the ingest queue was full.",
+            |s| s.rows_rejected,
+        ),
+        (
+            "bcpnn_learn_folds_total",
+            "Shadow-trainer fold batches applied.",
+            |s| s.folds,
+        ),
+        (
+            "bcpnn_learn_publishes_total",
+            "Shadow models published via registry hot-swap.",
+            |s| s.publishes,
+        ),
+        (
+            "bcpnn_learn_publishes_rejected_total",
+            "Publishes blocked by the accuracy gate.",
+            |s| s.publishes_rejected,
+        ),
+        (
+            "bcpnn_learn_replayed_frames_total",
+            "Replay-log frames folded back at startup.",
+            |s| s.replayed_frames,
+        ),
+    ];
+    for (name, help, value) in counters {
+        let mut family = out.family(name, MetricKind::Counter, help);
+        for (model, snapshot) in learners {
+            family.sample(&[("model", model)], value(snapshot));
         }
-    };
-    counter(
-        "bcpnn_learn_rows_total",
-        "Labeled rows accepted by the learn endpoint.",
-        &|s| s.rows_ingested,
-    );
-    counter(
-        "bcpnn_learn_rows_trained_total",
-        "Rows folded into the shadow model.",
-        &|s| s.rows_trained,
-    );
-    counter(
-        "bcpnn_learn_rows_heldout_total",
-        "Rows diverted to the held-out evaluation reservoir.",
-        &|s| s.rows_heldout,
-    );
-    counter(
-        "bcpnn_learn_rows_rejected_total",
-        "Rows refused because the ingest queue was full.",
-        &|s| s.rows_rejected,
-    );
-    counter(
-        "bcpnn_learn_folds_total",
-        "Shadow-trainer fold batches applied.",
-        &|s| s.folds,
-    );
-    counter(
-        "bcpnn_learn_publishes_total",
-        "Shadow models published via registry hot-swap.",
-        &|s| s.publishes,
-    );
-    counter(
-        "bcpnn_learn_publishes_rejected_total",
-        "Publishes blocked by the accuracy gate.",
-        &|s| s.publishes_rejected,
-    );
-    counter(
-        "bcpnn_learn_replayed_frames_total",
-        "Replay-log frames folded back at startup.",
-        &|s| s.replayed_frames,
-    );
-    let mut gauge = |name: &str, help: &str, get: &dyn Fn(&LearnSnapshot) -> Option<f64>| {
-        let mut lines = String::new();
-        for (model, snap) in learners {
-            if let Some(v) = get(snap) {
-                lines.push_str(&format!("{name}{{model=\"{model}\"}} {v}\n"));
+    }
+    let gauges: [Def<Option<f64>>; 5] = [
+        (
+            "bcpnn_learn_replay_log_bytes",
+            "Current replay-log size in bytes.",
+            |s| Some(s.replay_log_bytes as f64),
+        ),
+        (
+            "bcpnn_learn_queue_depth",
+            "Rows waiting in the ingest queue.",
+            |s| Some(s.queue_depth as f64),
+        ),
+        (
+            "bcpnn_learn_shadow_accuracy",
+            "Shadow-model accuracy on the held-out reservoir.",
+            |s| s.shadow_accuracy,
+        ),
+        (
+            "bcpnn_learn_live_accuracy",
+            "Published-model accuracy on the held-out reservoir.",
+            |s| s.live_accuracy,
+        ),
+        (
+            "bcpnn_learn_shadow_vs_live_accuracy",
+            "Shadow minus live accuracy on the held-out reservoir (positive: shadow is ahead).",
+            |s| Some(s.shadow_accuracy? - s.live_accuracy?),
+        ),
+    ];
+    for (name, help, value) in gauges {
+        // A gauge no learner has a value for yet is left out.
+        if learners.iter().all(|(_, s)| value(s).is_none()) {
+            continue;
+        }
+        let mut family = out.family(name, MetricKind::Gauge, help);
+        for (model, snapshot) in learners {
+            if let Some(value) = value(snapshot) {
+                family.sample(&[("model", model)], value);
             }
         }
-        if !lines.is_empty() {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            out.push_str(&lines);
-        }
-    };
-    gauge(
-        "bcpnn_learn_replay_log_bytes",
-        "Current replay-log size in bytes.",
-        &|s| Some(s.replay_log_bytes as f64),
-    );
-    gauge(
-        "bcpnn_learn_queue_depth",
-        "Rows waiting in the ingest queue.",
-        &|s| Some(s.queue_depth as f64),
-    );
-    gauge(
-        "bcpnn_learn_shadow_accuracy",
-        "Shadow-model accuracy on the held-out reservoir.",
-        &|s| s.shadow_accuracy,
-    );
-    gauge(
-        "bcpnn_learn_live_accuracy",
-        "Published-model accuracy on the held-out reservoir.",
-        &|s| s.live_accuracy,
-    );
-    gauge(
-        "bcpnn_learn_shadow_vs_live_accuracy",
-        "Shadow minus live accuracy on the held-out reservoir (positive: shadow is ahead).",
-        &|s| match (s.shadow_accuracy, s.live_accuracy) {
-            (Some(shadow), Some(live)) => Some(shadow - live),
-            _ => None,
-        },
-    );
-    out
+    }
 }
 
 #[cfg(test)]
@@ -202,8 +204,8 @@ mod tests {
         metrics.rows_ingested.store(42, Ordering::Relaxed);
         metrics.set_accuracy(0.8125, 0.75);
         let other = LearnMetrics::new();
-        let text =
-            prometheus_exposition(&[("higgs", metrics.snapshot()), ("mnist", other.snapshot())]);
+        let learners = [("higgs", metrics.snapshot()), ("mnist", other.snapshot())];
+        let text = Exposition::render(|out| write_metrics(out, &learners));
         bcpnn_serve::validate_prometheus(&text).expect("exposition parses");
         assert!(text.contains("bcpnn_learn_rows_total{model=\"higgs\"} 42"));
         assert!(text.contains("bcpnn_learn_rows_total{model=\"mnist\"} 0"));

@@ -26,8 +26,8 @@
 //! Each cascade publishes three monotonically increasing counters —
 //! `bcpnn_cascade_cheap_hits_total`, `bcpnn_cascade_escalations_total`,
 //! and `bcpnn_cascade_abstentions_total`, labeled by model name — through
-//! [`prometheus_exposition`], which the servers append to their `/metrics`
-//! output.
+//! [`write_metrics`], which the servers call when they write their
+//! `/metrics` families.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +36,8 @@ use std::sync::{Arc, Mutex, Weak};
 use bcpnn_core::model::Predictor;
 use bcpnn_core::{uncertainty, CoreError, CoreResult, EvalReport, Workspace};
 use bcpnn_tensor::Matrix;
+
+use crate::metrics::{Exposition, MetricKind};
 
 /// Live counters of one cascade's routing decisions. Shared (`Arc`) between
 /// the model and the metrics exposition; all updates are relaxed atomics on
@@ -83,28 +85,18 @@ fn register_stats(name: &str, stats: &Arc<CascadeStats>) {
     registry.push((name.to_string(), Arc::downgrade(stats)));
 }
 
-/// Render every live cascade's counters in Prometheus text exposition
-/// format, or an empty string when no cascade exists. Appended by
-/// [`InferenceServer::to_prometheus`] and [`ShardedServer::to_prometheus`]
-/// so cascades show up on the same scrape as the serving metrics.
+/// Write every live cascade's counters into `out`, one `model`-labeled
+/// sample per cascade; nothing when no cascade exists. Both servers'
+/// [`ServeTarget::write_metrics`] call it, so cascades show up on the same
+/// scrape as the serving metrics.
 ///
-/// [`InferenceServer::to_prometheus`]: crate::InferenceServer::to_prometheus
-/// [`ShardedServer::to_prometheus`]: crate::ShardedServer::to_prometheus
-#[must_use]
-pub fn prometheus_exposition() -> String {
-    let live: Vec<(String, Arc<CascadeStats>)> = {
-        let mut registry = STATS_REGISTRY.lock().unwrap();
-        registry.retain(|(_, w)| w.strong_count() > 0);
-        registry
-            .iter()
-            .filter_map(|(n, w)| Some((n.clone(), w.upgrade()?)))
-            .collect()
-    };
-    if live.is_empty() {
-        return String::new();
+/// [`ServeTarget::write_metrics`]: crate::ServeTarget::write_metrics
+pub fn write_metrics(out: &mut Exposition) {
+    let mut registry = STATS_REGISTRY.lock().unwrap();
+    registry.retain(|(_, w)| w.strong_count() > 0);
+    if registry.is_empty() {
+        return;
     }
-    use std::fmt::Write as _;
-    let mut out = String::new();
     type Counter = (&'static str, &'static str, fn(&CascadeStats) -> u64);
     let counters: [Counter; 3] = [
         (
@@ -124,15 +116,14 @@ pub fn prometheus_exposition() -> String {
         ),
     ];
     for (name, help, value) in counters {
-        let full = format!("bcpnn_cascade_{name}_total");
-        let _ = writeln!(out, "# HELP {full} {help}");
-        let _ = writeln!(out, "# TYPE {full} counter");
-        for (model, stats) in &live {
-            let escaped = model.replace('\\', "\\\\").replace('"', "\\\"");
-            let _ = writeln!(out, "{full}{{model=\"{escaped}\"}} {}", value(stats));
+        let name = format!("bcpnn_cascade_{name}_total");
+        let mut family = out.family(&name, MetricKind::Counter, help);
+        for (model, stats) in registry.iter() {
+            if let Some(stats) = stats.upgrade() {
+                family.sample(&[("model", model)], value(&stats));
+            }
         }
     }
-    out
 }
 
 /// A two-tier cascade predictor: cheap tier first, full tier for the rows
@@ -387,13 +378,13 @@ mod tests {
     fn exposition_is_valid_and_forgets_dropped_cascades() {
         let (cascade, data) = cascade_fixture("cascade-exposed", 0.5);
         cascade.predict_proba(&data.features).unwrap();
-        let text = prometheus_exposition();
+        let text = Exposition::render(write_metrics);
         assert!(text.contains("bcpnn_cascade_cheap_hits_total{model=\"cascade-exposed\"}"));
         assert!(text.contains("bcpnn_cascade_escalations_total"));
         assert!(text.contains("bcpnn_cascade_abstentions_total"));
         assert!(validate_prometheus(&text).is_ok(), "exposition: {text}");
         drop(cascade);
-        let text = prometheus_exposition();
+        let text = Exposition::render(write_metrics);
         assert!(
             !text.contains("cascade-exposed"),
             "dropped cascades must disappear from the scrape"

@@ -50,10 +50,13 @@
 //!   full-precision parent, bit-identically to running it alone
 //!   (`bcpnn_cascade_*_total` counters ride along on the same scrape).
 //! * [`ServingMetrics`] — request/batch counters, batch-size histogram, and
-//!   p50/p99 latency estimates, exposed as a [`MetricsSnapshot`] that also
-//!   renders Prometheus text exposition format
-//!   ([`MetricsSnapshot::to_prometheus`], structural validity checkable
-//!   with [`validate_prometheus`]).
+//!   p50/p99 latency estimates, exposed as a [`MetricsSnapshot`].
+//! * [`Exposition`] — the one Prometheus text-exposition writer: every
+//!   `/metrics` family in the workspace (serve, cascade, learn, gateway,
+//!   cluster) is declared, labelled, escaped and grouped through it
+//!   ([`MetricsSnapshot::write_metrics`] writes the serving families;
+//!   structural validity, family grouping included, is checkable with
+//!   [`validate_prometheus`]).
 //! * [`ServeTarget`] — the object-safe submission surface both server
 //!   shapes share (options-carrying `submit_block`, registry access,
 //!   metrics export); benches and tests drive one and the `bcpnn-gateway`
@@ -123,7 +126,9 @@ pub use block::RowBlock;
 pub use cascade::{CascadeModel, CascadeStats};
 pub use error::{ServeError, ServeResult};
 pub use loadgen::ServeTarget;
-pub use metrics::{validate_prometheus, MetricsSnapshot, ServingMetrics};
+pub use metrics::{
+    validate_prometheus, Exposition, Family, MetricKind, MetricsSnapshot, ServingMetrics,
+};
 pub use registry::{ModelRegistry, ServedModel};
 pub use server::{
     BatchConfig, BatchExecutor, BlockHandle, BlockPrediction, InferenceServer, PredictionHandle,

@@ -19,7 +19,7 @@ use bcpnn_tensor::Matrix;
 
 use crate::block::RowBlock;
 use crate::error::ServeResult;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Exposition, MetricsSnapshot};
 use crate::registry::ModelRegistry;
 use crate::server::{BlockHandle, InferenceServer, PredictionHandle, SubmitOptions};
 use crate::shard::ShardedServer;
@@ -67,9 +67,11 @@ pub trait ServeTarget: Send + Sync {
     /// Point-in-time metrics (aggregated across shards where relevant).
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Prometheus text exposition of the target's metrics (per-shard and
-    /// aggregate samples for a sharded target).
-    fn to_prometheus(&self) -> String;
+    /// Write the target's `/metrics` families into `out`: the serving
+    /// families (unlabeled for one pool; one `shard="all"` aggregate plus
+    /// one `shard="i"` sample per shard for a sharded target), then the
+    /// counters of every live [`CascadeModel`](crate::CascadeModel).
+    fn write_metrics(&self, out: &mut Exposition);
 
     /// Blocking single-request round trip with default options.
     fn predict(&self, model: &str, features: Vec<f32>) -> ServeResult<Vec<f32>> {
@@ -96,8 +98,9 @@ impl ServeTarget for InferenceServer {
         InferenceServer::metrics(self)
     }
 
-    fn to_prometheus(&self) -> String {
-        InferenceServer::to_prometheus(self)
+    fn write_metrics(&self, out: &mut Exposition) {
+        MetricsSnapshot::write_metrics(out, &[(vec![], &self.metrics())]);
+        crate::cascade::write_metrics(out);
     }
 }
 
@@ -119,8 +122,16 @@ impl ServeTarget for ShardedServer {
         ShardedServer::metrics(self)
     }
 
-    fn to_prometheus(&self) -> String {
-        ShardedServer::to_prometheus(self)
+    fn write_metrics(&self, out: &mut Exposition) {
+        let per_shard = self.shard_metrics();
+        let all = MetricsSnapshot::aggregate(&per_shard);
+        let ids: Vec<String> = (0..per_shard.len()).map(|i| i.to_string()).collect();
+        let mut series = vec![(vec![("shard", "all")], &all)];
+        for (id, snapshot) in ids.iter().zip(&per_shard) {
+            series.push((vec![("shard", id.as_str())], snapshot));
+        }
+        MetricsSnapshot::write_metrics(out, &series);
+        crate::cascade::write_metrics(out);
     }
 }
 

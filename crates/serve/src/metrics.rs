@@ -6,10 +6,13 @@
 //! the counters into an owned [`MetricsSnapshot`] for reporting.
 //!
 //! Snapshots can be merged across shards with
-//! [`MetricsSnapshot::aggregate`] and rendered in Prometheus text
-//! exposition format with [`MetricsSnapshot::to_prometheus`].
+//! [`MetricsSnapshot::aggregate`] and written in Prometheus text
+//! exposition format with [`MetricsSnapshot::write_metrics`], through
+//! [`Exposition`]: the one writer every `/metrics` source in the
+//! workspace writes through.
 
-use std::fmt::Write as _;
+use std::collections::{HashMap, HashSet};
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -281,223 +284,297 @@ impl MetricsSnapshot {
         MetricsSnapshot::from_sums(sums)
     }
 
-    /// Render the snapshot in Prometheus text exposition format with no
-    /// extra labels. See [`MetricsSnapshot::to_prometheus_labeled`].
+    /// Write the serving families into `out`, one sample per labeled
+    /// snapshot in each family (e.g. `shard="all"`, `shard="0"`, …; an
+    /// empty label set for a single pool).
+    ///
+    /// Counters become `_total` counters, the batch-size and latency
+    /// histograms become cumulative-`le` Prometheus histograms with `_sum`
+    /// and `_count`, and the latency quantile estimates are exported as
+    /// gauges.
     ///
     /// ```
     /// use std::time::Duration;
-    /// use bcpnn_serve::ServingMetrics;
+    /// use bcpnn_serve::{Exposition, MetricsSnapshot, ServingMetrics};
     ///
     /// let metrics = ServingMetrics::new();
     /// metrics.record_submit();
     /// metrics.record_batch(1);
     /// metrics.record_response(Duration::from_micros(250));
     ///
-    /// let text = metrics.snapshot().to_prometheus();
+    /// let snapshot = metrics.snapshot();
+    /// let text = Exposition::render(|out| MetricsSnapshot::write_metrics(out, &[(vec![], &snapshot)]));
     /// assert!(text.contains("# TYPE bcpnn_serve_requests_total counter"));
     /// assert!(text.contains("bcpnn_serve_requests_total 1"));
     /// assert!(text.contains("bcpnn_serve_latency_microseconds_count 1"));
     /// assert!(text.contains("bcpnn_serve_queue_depth 0"));
     /// ```
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        self.to_prometheus_labeled(&[])
-    }
-
-    /// Render the snapshot in Prometheus text exposition format
-    /// (`# HELP` / `# TYPE` comments plus `name{labels} value` samples),
-    /// attaching `labels` (e.g. `[("shard", "0")]`) to every sample.
-    ///
-    /// Counters become `_total` counters, the batch-size and latency
-    /// histograms become cumulative-`le` Prometheus histograms with `_sum`
-    /// and `_count`, and the latency quantile estimates are exported as
-    /// gauges.
-    #[must_use]
-    pub fn to_prometheus_labeled(&self, labels: &[(&str, &str)]) -> String {
-        render_prometheus(&[(labels.to_vec(), self)])
-    }
-}
-
-/// One labeled snapshot in a multi-series exposition: the label set (e.g.
-/// `[("shard", "0")]`) and the snapshot its samples come from.
-pub(crate) type LabeledSnapshot<'a> = (Vec<(&'a str, &'a str)>, &'a MetricsSnapshot);
-
-/// A metric definition: name suffix, help text, and value accessor.
-type MetricDef<T> = (&'static str, &'static str, fn(&MetricsSnapshot) -> T);
-
-/// Render one or more labeled snapshots as a single Prometheus text
-/// exposition: `# HELP` / `# TYPE` appear exactly once per metric name,
-/// followed by one sample per snapshot — the grouping the format requires
-/// when the same metrics are exported under several label sets (e.g. one
-/// per shard).
-pub(crate) fn render_prometheus(series: &[LabeledSnapshot<'_>]) -> String {
-    let mut out = String::new();
-
-    let counters: [MetricDef<u64>; 6] = [
-        ("requests", "Requests accepted by submit.", |s| s.requests),
-        ("responses", "Successful responses delivered.", |s| {
-            s.responses
-        }),
-        ("errors", "Error responses delivered.", |s| s.errors),
-        (
-            "deadline_expired",
-            "Requests expired past their deadline without running.",
-            |s| s.expired,
-        ),
-        (
-            "abstained",
-            "Requests the model abstained on (confidence below threshold).",
-            |s| s.abstained,
-        ),
-        ("batches", "Batches dispatched to workers.", |s| s.batches),
-    ];
-    for (name, help, value) in counters {
-        let full = format!("bcpnn_serve_{name}_total");
-        let _ = writeln!(out, "# HELP {full} {help}");
-        let _ = writeln!(out, "# TYPE {full} counter");
-        for (labels, snapshot) in series {
-            let _ = writeln!(
-                out,
-                "{full}{} {}",
-                render_labels(labels, &[]),
-                value(snapshot)
-            );
-        }
-    }
-
-    write_histogram(
-        &mut out,
-        "bcpnn_serve_batch_size",
-        "Requests per dispatched batch.",
-        series,
-        |s| (&s.batch_size_hist, s.batched_requests),
-    );
-    write_histogram(
-        &mut out,
-        "bcpnn_serve_latency_microseconds",
-        "End-to-end request latency in microseconds.",
-        series,
-        |s| (&s.latency_hist_us, s.latency_sum_us),
-    );
-
-    let gauges: [MetricDef<f64>; 4] = [
-        (
-            "queue_depth",
-            "Accepted requests still waiting for a terminal outcome.",
-            |s| s.pending as f64,
-        ),
-        (
-            "latency_p50_microseconds",
-            "Estimated median end-to-end latency.",
-            |s| s.p50_latency_us,
-        ),
-        (
-            "latency_p99_microseconds",
-            "Estimated 99th-percentile end-to-end latency.",
-            |s| s.p99_latency_us,
-        ),
-        (
-            "mean_batch_size",
-            "Mean requests per dispatched batch.",
-            |s| s.mean_batch_size,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        let full = format!("bcpnn_serve_{name}");
-        let _ = writeln!(out, "# HELP {full} {help}");
-        let _ = writeln!(out, "# TYPE {full} gauge");
-        for (labels, snapshot) in series {
-            let _ = writeln!(
-                out,
-                "{full}{} {}",
-                render_labels(labels, &[]),
-                value(snapshot)
-            );
-        }
-    }
-    out
-}
-
-/// Render a `{k="v",...}` label set (empty string when there are none).
-/// `extra` is appended after the shared labels.
-fn render_labels(labels: &[(&str, &str)], extra: &[(&str, &str)]) -> String {
-    if labels.is_empty() && extra.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .chain(extra)
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-/// Append one log2-bucketed histogram as a Prometheus histogram, one
-/// label-set at a time under a single `# HELP`/`# TYPE` pair: cumulative
-/// `_bucket{le="..."}` samples (upper bound of bucket `i` is `2^(i+1)-1`,
-/// the largest integer it holds), then `+Inf`, `_sum`, and `_count`.
-fn write_histogram<'a>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: &'a [LabeledSnapshot<'a>],
-    select: fn(&'a MetricsSnapshot) -> (&'a Vec<u64>, u64),
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (labels, snapshot) in series {
-        let (hist, sum) = select(snapshot);
-        let mut cumulative = 0u64;
-        for (i, &count) in hist.iter().enumerate() {
-            cumulative += count;
-            // The last bucket is open-ended, so its only bound is +Inf
-            // below.
-            if i + 1 < hist.len() {
-                let le = format!("{}", (1u128 << (i + 1)) - 1);
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{} {cumulative}",
-                    render_labels(labels, &[("le", &le)])
-                );
+    pub fn write_metrics(out: &mut Exposition, series: &[(Vec<(&str, &str)>, &MetricsSnapshot)]) {
+        type Def<T> = (&'static str, &'static str, fn(&MetricsSnapshot) -> T);
+        let counters: [Def<u64>; 6] = [
+            ("requests", "Requests accepted by submit.", |s| s.requests),
+            ("responses", "Successful responses delivered.", |s| {
+                s.responses
+            }),
+            ("errors", "Error responses delivered.", |s| s.errors),
+            (
+                "deadline_expired",
+                "Requests expired past their deadline without running.",
+                |s| s.expired,
+            ),
+            (
+                "abstained",
+                "Requests the model abstained on (confidence below threshold).",
+                |s| s.abstained,
+            ),
+            ("batches", "Batches dispatched to workers.", |s| s.batches),
+        ];
+        for (name, help, value) in counters {
+            let name = format!("bcpnn_serve_{name}_total");
+            let mut family = out.family(&name, MetricKind::Counter, help);
+            for (labels, snapshot) in series {
+                family.sample(labels, value(snapshot));
             }
         }
-        let _ = writeln!(
-            out,
-            "{name}_bucket{} {cumulative}",
-            render_labels(labels, &[("le", "+Inf")])
-        );
-        let _ = writeln!(out, "{name}_sum{} {sum}", render_labels(labels, &[]));
-        let _ = writeln!(
-            out,
-            "{name}_count{} {cumulative}",
-            render_labels(labels, &[])
-        );
+
+        // Bucket `i` holds `2^i..2^(i+1)`, so its bound is `2^(i+1) - 1`,
+        // the largest integer it holds; the last bucket is open-ended.
+        type Hist = fn(&MetricsSnapshot) -> (&[u64], u64);
+        let histograms: [(&str, &str, Hist); 2] = [
+            ("batch_size", "Requests per dispatched batch.", |s| {
+                (&s.batch_size_hist, s.batched_requests)
+            }),
+            (
+                "latency_microseconds",
+                "End-to-end request latency in microseconds.",
+                |s| (&s.latency_hist_us, s.latency_sum_us),
+            ),
+        ];
+        for (name, help, value) in histograms {
+            let name = format!("bcpnn_serve_{name}");
+            let mut family = out.family(&name, MetricKind::Histogram, help);
+            for (labels, snapshot) in series {
+                let (counts, sum) = value(snapshot);
+                let bounds = (1..counts.len()).map(|i| (1u128 << i) - 1);
+                family.histogram(labels, bounds, counts, sum);
+            }
+        }
+
+        let gauges: [Def<f64>; 4] = [
+            (
+                "queue_depth",
+                "Accepted requests still waiting for a terminal outcome.",
+                |s| s.pending as f64,
+            ),
+            (
+                "latency_p50_microseconds",
+                "Estimated median end-to-end latency.",
+                |s| s.p50_latency_us,
+            ),
+            (
+                "latency_p99_microseconds",
+                "Estimated 99th-percentile end-to-end latency.",
+                |s| s.p99_latency_us,
+            ),
+            (
+                "mean_batch_size",
+                "Mean requests per dispatched batch.",
+                |s| s.mean_batch_size,
+            ),
+        ];
+        for (name, help, value) in gauges {
+            let name = format!("bcpnn_serve_{name}");
+            let mut family = out.family(&name, MetricKind::Gauge, help);
+            for (labels, snapshot) in series {
+                family.sample(labels, value(snapshot));
+            }
+        }
+    }
+}
+
+/// The type a metric family is declared with on its `# TYPE` line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MetricKind {
+    /// A monotonically increasing count.
+    Counter,
+    /// A value that can go up and down.
+    Gauge,
+    /// Cumulative `_bucket{le=...}` samples plus `_sum` and `_count`.
+    Histogram,
+    /// Declared without a type (what a parsed family without a known
+    /// `# TYPE` line becomes).
+    #[default]
+    Untyped,
+}
+
+impl MetricKind {
+    /// The `# TYPE` keyword.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+            MetricKind::Untyped => "untyped",
+        }
+    }
+
+    /// Parse a `# TYPE` keyword; anything unknown is [`MetricKind::Untyped`].
+    pub fn parse(keyword: &str) -> MetricKind {
+        match keyword {
+            "counter" => MetricKind::Counter,
+            "gauge" => MetricKind::Gauge,
+            "histogram" => MetricKind::Histogram,
+            _ => MetricKind::Untyped,
+        }
+    }
+}
+
+/// The one Prometheus text-exposition writer every `/metrics` source
+/// writes through.
+///
+/// [`Exposition::family`] writes a family's `# HELP`/`# TYPE` pair and
+/// returns a [`Family`] handle that writes its samples. The handle borrows
+/// the writer mutably, so a family's samples are contiguous by
+/// construction; declaring the same family twice is a bug (a debug
+/// assertion). Label rendering, escaping (`\\`, `\"`, `\n`) and histogram
+/// bucket accumulation live here and nowhere else.
+///
+/// ```
+/// use bcpnn_serve::{validate_prometheus, Exposition, MetricKind};
+///
+/// let text = Exposition::render(|out| {
+///     let mut requests = out.family("requests_total", MetricKind::Counter, "Requests seen.");
+///     requests.sample(&[("model", "a\"b")], 3);
+///     requests.sample(&[("model", "c")], 4);
+///     out.family("latency_seconds", MetricKind::Histogram, "Latency.")
+///         .histogram(&[], [0.1, 1.0], &[2, 1, 1], 2.5);
+/// });
+/// assert!(text.contains("requests_total{model=\"a\\\"b\"} 3\n"));
+/// assert!(text.contains("latency_seconds_bucket{le=\"1\"} 3\n"));
+/// assert!(text.contains("latency_seconds_bucket{le=\"+Inf\"} 4\n"));
+/// assert!(text.contains("latency_seconds_count 4\n"));
+/// assert_eq!(validate_prometheus(&text), Ok(7));
+/// ```
+#[derive(Debug, Default)]
+pub struct Exposition {
+    text: String,
+    declared: HashSet<String>,
+}
+
+impl Exposition {
+    /// Run `write` against a fresh writer and return the exposition text.
+    pub fn render(write: impl FnOnce(&mut Exposition)) -> String {
+        let mut out = Exposition::default();
+        write(&mut out);
+        out.text
+    }
+
+    /// Declare a family — its `# HELP` and `# TYPE` lines — and return the
+    /// handle that writes its samples.
+    pub fn family<'a>(&'a mut self, name: &'a str, kind: MetricKind, help: &str) -> Family<'a> {
+        let fresh = self.declared.insert(name.to_owned());
+        debug_assert!(fresh, "metric family {name} declared twice");
+        let _ = writeln!(self.text, "# HELP {name} {help}");
+        let _ = writeln!(self.text, "# TYPE {name} {}", kind.as_str());
+        Family {
+            text: &mut self.text,
+            name,
+        }
+    }
+}
+
+/// The sample writer of one declared family; see [`Exposition`].
+#[derive(Debug)]
+pub struct Family<'a> {
+    text: &'a mut String,
+    name: &'a str,
+}
+
+impl Family<'_> {
+    /// One sample: `name{labels} value` (no braces without labels).
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: impl Display) {
+        self.series("", labels, "", value);
+    }
+
+    /// One histogram series from per-bucket (not cumulative) `counts`:
+    /// bucket `i` is written with `le` = the `i`-th of `bounds`, and the
+    /// counts past the last bound go only into `+Inf`. `_count` is the
+    /// total.
+    pub fn histogram(
+        &mut self,
+        labels: &[(&str, &str)],
+        bounds: impl IntoIterator<Item = impl Display>,
+        counts: &[u64],
+        sum: impl Display,
+    ) {
+        let mut bounds = bounds.into_iter();
+        let mut total = 0u64;
+        for &count in counts {
+            total += count;
+            if let Some(le) = bounds.next() {
+                self.series("_bucket", labels, &format!("le=\"{le}\""), total);
+            }
+        }
+        self.series("_bucket", labels, "le=\"+Inf\"", total);
+        self.series("_sum", labels, "", sum);
+        self.series("_count", labels, "", total);
+    }
+
+    /// One sample of the family's `suffix` series (`_bucket`, `_sum`,
+    /// `_count` or nothing): `labels` are escaped and come first, then
+    /// `written`, a label body already rendered (`k="v",...`), e.g. one
+    /// read back out of another exposition.
+    pub fn series(
+        &mut self,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        written: &str,
+        value: impl Display,
+    ) {
+        let escape = |v: &str| {
+            v.replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n")
+        };
+        let mut pairs: Vec<String> = labels
+            .iter()
+            .map(|(key, v)| format!("{key}=\"{}\"", escape(v)))
+            .collect();
+        pairs.extend((!written.is_empty()).then(|| written.to_string()));
+        let braces = if pairs.is_empty() {
+            String::new()
+        } else {
+            format!("{{{}}}", pairs.join(","))
+        };
+        let _ = writeln!(self.text, "{}{suffix}{braces} {value}", self.name);
     }
 }
 
 /// Check a Prometheus text exposition for structural validity, returning
 /// the number of samples it contains.
 ///
-/// This is the same check the crate's own unit tests apply to
-/// [`MetricsSnapshot::to_prometheus`] output, made public so integration
-/// tests (and anything that concatenates expositions, like the HTTP
-/// gateway's `/metrics` endpoint) can assert their combined output still
-/// parses: every line must be a `# HELP`/`# TYPE` comment or a
-/// `name{labels} value` sample with a parseable value and balanced,
-/// quoted labels, and no metric may be declared more than once — the
-/// constraint real scrapers enforce when several label sets or exporters
-/// share one scrape.
+/// This is the same check the crate's own unit tests apply to what
+/// [`Exposition`] writes, made public so integration tests can assert a
+/// whole `/metrics` scrape still parses: every line must be a
+/// `# HELP`/`# TYPE` comment or a `name{labels} value` sample with a
+/// parseable value and balanced, quoted labels; no metric may be declared
+/// more than once; and each family's samples form one group that follows
+/// its `# HELP`/`# TYPE` lines (`_bucket`/`_sum`/`_count` samples belong to
+/// their declared histogram) — the text format forbids re-opening a
+/// family further down the scrape.
 ///
 /// ```
-/// use bcpnn_serve::{validate_prometheus, ServingMetrics};
+/// use bcpnn_serve::{validate_prometheus, Exposition, MetricsSnapshot, ServingMetrics};
 ///
 /// let metrics = ServingMetrics::new();
 /// metrics.record_submit();
 /// metrics.record_response(std::time::Duration::from_micros(120));
-/// let text = metrics.snapshot().to_prometheus();
+/// let snapshot = metrics.snapshot();
+/// let text = Exposition::render(|out| MetricsSnapshot::write_metrics(out, &[(vec![], &snapshot)]));
 /// let samples = validate_prometheus(&text).expect("exposition is valid");
 /// assert!(samples > 0);
 /// assert!(validate_prometheus("not { prometheus").is_err());
+/// assert!(validate_prometheus("m 1\nn 1\nm 2\n").is_err());
 /// ```
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     fn valid_name(s: &str) -> bool {
@@ -506,7 +583,32 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
     }
     let mut samples = 0usize;
-    let mut declared: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut declared: HashSet<String> = HashSet::new();
+    let mut kinds: HashMap<String, String> = HashMap::new();
+    // The family being written, whether it has samples yet, and every
+    // family left behind: entering one of those again re-opens it.
+    let mut current: Option<(String, bool)> = None;
+    let mut closed: HashSet<String> = HashSet::new();
+    let mut enter = |family: &str, is_sample: bool| -> Result<(), String> {
+        match &mut current {
+            Some((name, has_samples)) if name == family => {
+                if !is_sample && *has_samples {
+                    return Err(format!("{family} is declared after its samples"));
+                }
+                *has_samples |= is_sample;
+                return Ok(());
+            }
+            Some((name, _)) => {
+                closed.insert(std::mem::take(name));
+            }
+            None => {}
+        }
+        if closed.contains(family) {
+            return Err(format!("family {family} is re-opened"));
+        }
+        current = Some((family.to_string(), is_sample));
+        Ok(())
+    };
     for line in text.lines() {
         if line.is_empty() {
             continue;
@@ -529,7 +631,9 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 if !["counter", "gauge", "histogram", "summary", "untyped"].contains(&t) {
                     return Err(format!("bad type {t:?} in {line:?}"));
                 }
+                kinds.insert(name.to_string(), t.to_string());
             }
+            enter(name, false)?;
             continue;
         }
         // Sample line: name[{labels}] value
@@ -563,6 +667,16 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         if !valid_name(name) {
             return Err(format!("bad sample name in {line:?}"));
         }
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|base| {
+                kinds
+                    .get(*base)
+                    .is_some_and(|t| t == "histogram" || t == "summary")
+            })
+            .unwrap_or(name);
+        enter(family, true)?;
         samples += 1;
     }
     if samples == 0 {
@@ -623,6 +737,16 @@ impl std::fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exposition of `series`, one labeled snapshot per sample.
+    fn exposition(series: &[(Vec<(&str, &str)>, &MetricsSnapshot)]) -> String {
+        Exposition::render(|out| MetricsSnapshot::write_metrics(out, series))
+    }
+
+    /// The unlabeled exposition of one snapshot.
+    fn text_of(snapshot: &MetricsSnapshot) -> String {
+        exposition(&[(vec![], snapshot)])
+    }
 
     #[test]
     fn buckets_are_log2() {
@@ -699,7 +823,7 @@ mod tests {
         // Aggregation sums pending across shards.
         let merged = MetricsSnapshot::aggregate([&m.snapshot(), &m.snapshot()]);
         assert_eq!(merged.pending, 4);
-        let text = m.snapshot().to_prometheus();
+        let text = text_of(&m.snapshot());
         assert!(text.contains("bcpnn_serve_queue_depth 2"));
     }
 
@@ -723,7 +847,7 @@ mod tests {
         assert_eq!(s.abstained, 1);
         assert_eq!(s.errors, 1, "abstention is a terminal error outcome");
         assert_eq!(s.pending, 0, "abstention settles the request");
-        let text = s.to_prometheus();
+        let text = text_of(&s);
         assert_valid_prometheus(&text);
         assert!(text.contains("bcpnn_serve_abstained_total 1"));
         let merged = MetricsSnapshot::aggregate([&s, &s]);
@@ -793,6 +917,11 @@ mod tests {
                 "# TYPE m counter\n# TYPE m counter\nm 1\n",
                 "duplicate declaration",
             ),
+            ("m 1\nn 1\nm 2\n", "family re-opened"),
+            (
+                "# TYPE m counter\nm 1\n# HELP m late\n",
+                "declared after samples",
+            ),
             ("m not_a_number\n", "unparseable value"),
             ("m{k=unquoted} 1\n", "unquoted label value"),
             ("m{k=\"v\" 1\n", "unbalanced braces"),
@@ -815,7 +944,7 @@ mod tests {
         }
         m.record_expired();
         let s = m.snapshot();
-        let text = s.to_prometheus();
+        let text = text_of(&s);
         assert_valid_prometheus(&text);
         assert!(text.contains("bcpnn_serve_requests_total 5"));
         assert!(text.contains("bcpnn_serve_responses_total 5"));
@@ -833,7 +962,7 @@ mod tests {
         m.record_batch(1); // bucket 0 (le="1")
         m.record_batch(2); // bucket 1 (le="3")
         m.record_batch(2);
-        let text = m.snapshot().to_prometheus();
+        let text = text_of(&m.snapshot());
         assert!(text.contains("bcpnn_serve_batch_size_bucket{le=\"1\"} 1"));
         assert!(text.contains("bcpnn_serve_batch_size_bucket{le=\"3\"} 3"));
         assert!(text.contains("bcpnn_serve_batch_size_bucket{le=\"+Inf\"} 3"));
@@ -845,7 +974,7 @@ mod tests {
         m.record_submit();
         m.record_batch(1);
         m.record_response(Duration::from_micros(10));
-        let text = m.snapshot().to_prometheus_labeled(&[("shard", "2")]);
+        let text = exposition(&[(vec![("shard", "2")], &m.snapshot())]);
         assert_valid_prometheus(&text);
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert!(
@@ -865,7 +994,7 @@ mod tests {
         let b = ServingMetrics::new();
         b.record_submit();
         let (sa, sb) = (a.snapshot(), b.snapshot());
-        let text = render_prometheus(&[
+        let text = exposition(&[
             (
                 vec![("shard", "all")],
                 &MetricsSnapshot::aggregate([&sa, &sb]),

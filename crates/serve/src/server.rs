@@ -519,20 +519,6 @@ impl InferenceServer {
     pub fn queue_depth(&self) -> u64 {
         self.metrics.queue_depth()
     }
-
-    /// Prometheus text exposition of this pool's metrics (unlabeled; the
-    /// single-pool analogue of
-    /// [`ShardedServer::to_prometheus`](crate::ShardedServer::to_prometheus)),
-    /// plus the counters of any live [`CascadeModel`]s
-    /// ([`crate::cascade::prometheus_exposition`]).
-    ///
-    /// [`CascadeModel`]: crate::CascadeModel
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = self.metrics().to_prometheus();
-        out.push_str(&crate::cascade::prometheus_exposition());
-        out
-    }
 }
 
 impl Drop for InferenceServer {

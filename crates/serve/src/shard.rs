@@ -17,8 +17,9 @@
 //! vectors.
 //!
 //! Per-shard [`MetricsSnapshot`]s aggregate exactly (counters and
-//! histograms add) into one server-wide view, and both levels render in
-//! Prometheus text exposition format via [`ShardedServer::to_prometheus`].
+//! histograms add) into one server-wide view, and both levels are written
+//! into one Prometheus exposition by the server's
+//! [`ServeTarget::write_metrics`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -89,7 +90,7 @@ impl Default for ShardConfig {
 /// use bcpnn_backend::BackendKind;
 /// use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams};
 /// use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
-/// use bcpnn_serve::{ModelRegistry, ServedModel, ShardConfig, ShardedServer};
+/// use bcpnn_serve::{Exposition, ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
 ///
 /// let data = generate(&SyntheticHiggsConfig { n_samples: 300, ..Default::default() });
 /// let (pipeline, _) = Pipeline::fit(
@@ -120,8 +121,8 @@ impl Default for ShardConfig {
 /// let proba = server.predict("higgs", data.features.row(0).to_vec()).unwrap();
 /// assert_eq!(proba.len(), 2);
 ///
-/// // Per-shard and aggregate samples render into one scrape.
-/// let text = server.to_prometheus();
+/// // Per-shard and aggregate samples are written into one scrape.
+/// let text = Exposition::render(|out| server.write_metrics(out));
 /// assert!(text.contains(r#"bcpnn_serve_requests_total{shard="all"} 1"#));
 /// ```
 pub struct ShardedServer {
@@ -231,28 +232,6 @@ impl ShardedServer {
     pub fn shard_metrics(&self) -> Vec<MetricsSnapshot> {
         self.shards.iter().map(|s| s.metrics()).collect()
     }
-
-    /// Prometheus text exposition for the whole server. Each metric is
-    /// declared (`# HELP`/`# TYPE`) exactly once and carries one sample
-    /// per shard labeled `shard="0"`..`shard="N-1"`, plus the aggregate
-    /// labeled `shard="all"` — distinguishable so a PromQL
-    /// `sum by (...) (metric{shard!="all"})` never double-counts. Live
-    /// [`CascadeModel`](crate::CascadeModel) counters are appended
-    /// ([`crate::cascade::prometheus_exposition`]).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let per_shard = self.shard_metrics();
-        let aggregate = MetricsSnapshot::aggregate(&per_shard);
-        let shard_ids: Vec<String> = (0..per_shard.len()).map(|i| i.to_string()).collect();
-        let mut series: Vec<(Vec<(&str, &str)>, &MetricsSnapshot)> =
-            vec![(vec![("shard", "all")], &aggregate)];
-        for (id, snapshot) in shard_ids.iter().zip(&per_shard) {
-            series.push((vec![("shard", id.as_str())], snapshot));
-        }
-        let mut out = crate::metrics::render_prometheus(&series);
-        out.push_str(&crate::cascade::prometheus_exposition());
-        out
-    }
 }
 
 impl std::fmt::Debug for ShardedServer {
@@ -298,6 +277,7 @@ fn fnv1a_f32(features: &[f32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Exposition;
     use crate::registry::ServedModel;
     use crate::server::Priority;
     use crate::testutil::{tiny_pipeline, GatePredictor};
@@ -545,7 +525,7 @@ mod tests {
                 .predict("higgs", data.features.row(r).to_vec())
                 .unwrap();
         }
-        let text = server.to_prometheus();
+        let text = Exposition::render(|out| server.write_metrics(out));
         // One declaration per metric; the aggregate is labeled shard="all"
         // so summing over the real shards never double-counts.
         assert_eq!(text.matches("# TYPE bcpnn_serve_requests_total").count(), 1);

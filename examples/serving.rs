@@ -17,8 +17,8 @@ use bcpnn_core::{Network, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_serve::{
-    BatchConfig, InferenceServer, ModelRegistry, Pipeline, Priority, ServedModel, ShardConfig,
-    ShardRouting, ShardedServer, SubmitOptions,
+    BatchConfig, Exposition, InferenceServer, ModelRegistry, Pipeline, Priority, ServeTarget,
+    ServedModel, ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
 };
 
 fn train(seed: u64) -> Pipeline {
@@ -176,10 +176,12 @@ fn main() {
         .wait();
     println!("zero-deadline request: {}", expired.unwrap_err());
 
-    // 8. Prometheus scrape: aggregated samples first, then per-shard ones
-    //    labeled shard="i".
+    // 8. Prometheus scrape, written through the one exposition writer:
+    //    each family declared once, its aggregate sample (shard="all")
+    //    first, then one sample per shard labeled shard="i".
+    let scrape = Exposition::render(|out| sharded.write_metrics(out));
     println!("\nprometheus exposition (first 12 lines):");
-    for line in sharded.to_prometheus().lines().take(12) {
+    for line in scrape.lines().take(12) {
         println!("  {line}");
     }
 

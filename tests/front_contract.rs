@@ -29,6 +29,8 @@ struct Case {
     status: u16,
     /// The error body names this.
     mentions: &'static str,
+    /// A 405's exact `Allow` header.
+    allow: &'static str,
 }
 
 impl Case {
@@ -40,6 +42,7 @@ impl Case {
             body: body.to_vec(),
             status,
             mentions: "",
+            allow: "",
         }
     }
 
@@ -58,6 +61,10 @@ impl Case {
     fn mentions(self, mentions: &'static str) -> Case {
         Case { mentions, ..self }
     }
+
+    fn allow(self, allow: &'static str) -> Case {
+        Case { allow, ..self }
+    }
 }
 
 /// Every refusal the front owns. `inside` is a directory under the
@@ -69,8 +76,8 @@ fn refusals(inside: &str) -> Vec<Case> {
         // Routing: decided before any body parsing.
         Case::new("GET", "/nope", b"", 404),
         Case::new("GET", "/v2/predict", b"", 404),
-        Case::new("POST", "/healthz", b"", 405),
-        Case::new("GET", "/v1/models/higgs/predict", b"", 405),
+        Case::new("POST", "/healthz", b"", 405).allow("GET"),
+        Case::new("GET", "/v1/models/higgs/predict", b"", 405).allow("POST"),
         Case::new("POST", "/v1/models/bad%20name/predict", b"[[1]]", 400).mentions("model name"),
         // Predict bodies.
         Case::predict(b"\xff\xfe[[1]]").mentions("UTF-8"),
@@ -157,6 +164,11 @@ fn refusals(inside: &str) -> Vec<Case> {
     for bad in ["abc", "NaN", "inf", "-inf", "1.5", "-0.1", "", "0.2.3"] {
         cases.push(Case::header("X-Abstain-Below", bad));
     }
+    // A bad header is refused before the model is looked up: 400, not 404.
+    cases.push(Case {
+        path: "/v1/models/ghost/predict",
+        ..Case::header("X-Abstain-Below", "abc")
+    });
     cases
 }
 
@@ -208,6 +220,7 @@ fn refusals_never_reach_the_serving_stack(front: Front) {
         );
         if case.status == 405 {
             let allow = reply.header("allow").expect("405 carries Allow");
+            assert_eq!(allow, case.allow, "{what}");
             assert!(reply.body_str().contains(allow), "{what}");
         }
     }

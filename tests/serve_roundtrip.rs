@@ -13,8 +13,8 @@ use bcpnn_core::{Network, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_serve::testutil::GatePredictor;
 use bcpnn_serve::{
-    BatchConfig, InferenceServer, ModelRegistry, Pipeline, Priority, RowBlock, ServeError,
-    ServedModel, ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
+    BatchConfig, Exposition, InferenceServer, ModelRegistry, Pipeline, Priority, RowBlock,
+    ServeError, ServeTarget, ServedModel, ShardConfig, ShardRouting, ShardedServer, SubmitOptions,
 };
 use bcpnn_tensor::Matrix;
 
@@ -334,7 +334,7 @@ fn sharded_equals_single_pool_equals_direct_across_hot_swap() {
 
     // The Prometheus view exposes both levels: the aggregate under
     // shard="all" and every individual shard.
-    let text = sharded.to_prometheus();
+    let text = Exposition::render(|out| sharded.write_metrics(out));
     assert!(text.contains("bcpnn_serve_responses_total{shard=\"all\"}"));
     assert!(text.contains("shard=\"3\""));
 
