@@ -21,10 +21,10 @@ json="$(mktemp -t bench-json.XXXXXX)"
 rm -f "$json"
 
 BENCH_JSON="$json" cargo bench -p bcpnn-bench --bench backends
-# The cascade and block groups only (the criterion shim takes substring
-# filters), so the baseline stays scoped to what CI's bench-regression job
-# re-runs.
-BENCH_JSON="$json" cargo bench -p bcpnn-bench --bench serving -- serve_cascade serve_block64
+# The one-row, cascade and block groups only (the criterion shim takes
+# substring filters), so the baseline stays scoped to what CI's
+# bench-regression job re-runs.
+BENCH_JSON="$json" cargo bench -p bcpnn-bench --bench serving -- serve_single serve_cascade serve_block64
 cargo run --release -q -p bcpnn-bench --bin bench_compare -- \
     --current "$json" --write-baseline ci/bench-baseline.json
 rm -f "$json"

@@ -1,7 +1,8 @@
 //! Serving-path benchmarks behind the CI `bench-regression` gate: one
-//! 64-row request as a block against the same rows one by one
-//! (`serve_block64`), and the quantized→f32 cascade against each of its
-//! tiers alone (`serve_cascade`).
+//! one-row request on an idle server (`serve_single`), one 64-row request
+//! as a block against the same rows one by one (`serve_block64`), and the
+//! quantized→f32 cascade against each of its tiers alone
+//! (`serve_cascade`).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -16,8 +17,8 @@ use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_serve::loadgen::request_stream;
 use bcpnn_serve::{
-    CascadeModel, ModelRegistry, Pipeline, RowBlock, ServedModel, ShardConfig, ShardedServer,
-    SubmitOptions,
+    BatchConfig, CascadeModel, InferenceServer, ModelRegistry, Pipeline, RowBlock, ServedModel,
+    ShardConfig, ShardedServer, SubmitOptions,
 };
 use bcpnn_tensor::Matrix;
 
@@ -45,6 +46,25 @@ fn trained_pipeline() -> Pipeline {
     )
     .unwrap();
     pipeline
+}
+
+/// One one-row `submit` → `wait` on an idle single-pool server with the
+/// default batching: the coalescing window, the hand-off to a worker and
+/// back, and one forward pass — the serving stack's share of a lone
+/// `gateway_single` request.
+fn bench_single(c: &mut Criterion) {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish(ServedModel::new("higgs", 1, trained_pipeline()));
+    let server = InferenceServer::start(registry, BatchConfig::default());
+    let row = request_stream(1, 17).row(0).to_vec();
+
+    let mut group = c.benchmark_group("serve_single");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("idle", |b| {
+        b.iter(|| black_box(server.submit("higgs", row.clone()).unwrap().wait().unwrap()));
+    });
+    group.finish();
 }
 
 /// One 64-row request through a default two-shard server, both ways a front
@@ -201,5 +221,5 @@ fn bench_cascade(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(serving, bench_block_vs_rows, bench_cascade);
+criterion_group!(serving, bench_single, bench_block_vs_rows, bench_cascade);
 criterion_main!(serving);

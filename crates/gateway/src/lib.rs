@@ -38,8 +38,8 @@
 //! The gateway does not run models. The rows of a request are parsed in
 //! one pass into one flat [`RowBlock`](bcpnn_serve::RowBlock) and submitted
 //! as that block to the shared [`ServeTarget`](bcpnn_serve::ServeTarget),
-//! so the serving stack's collector coalesces blocks *across HTTP
-//! connections* into vectorized batches, one slow-to-send client never
+//! so the serving stack's workers batch blocks *across HTTP
+//! connections* into vectorized passes, one slow-to-send client never
 //! blocks another's batch, and — a block is never split — one model
 //! version answers every row of a reply.
 //!

@@ -3,8 +3,8 @@
 //!
 //! The predict path preserves the serving stack's micro-batching: the
 //! rows of every in-flight HTTP request are submitted as one block to the
-//! shared [`ServeTarget`], so the collector coalesces blocks *across
-//! connections* into vectorized batches exactly as in-process callers do.
+//! shared [`ServeTarget`], so its workers batch blocks *across
+//! connections* into vectorized passes exactly as for in-process callers.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;

@@ -20,17 +20,18 @@
 //! * [`RowBlock`] — the flat row-major block that carries a request's rows
 //!   (and the answer's probabilities): one allocation, one message to the
 //!   scheduler and one reply, whatever the row count.
-//! * [`InferenceServer`] — the micro-batching scheduler: a collector thread
-//!   coalesces submitted blocks (a single vector is a one-row block) into
-//!   batches of at most [`BatchConfig::max_batch`] rows and worker threads
-//!   run each batch as one vectorized encode → forward → readout pass.
-//!   Worker-driven: a pending batch leaves when it holds `max_batch` rows,
-//!   or when a worker is idle and its oldest block has waited a fixed
-//!   600 µs coalescing window; past that no clock closes a batch — it
-//!   grows while every worker is busy. A block is never split, so one
-//!   model version answers all of it ([`BlockPrediction::version`]).
+//! * [`InferenceServer`] — the micro-batching scheduler: submitted blocks
+//!   (a single vector is a one-row block) wait in one queue, a slot per
+//!   model, and worker threads pull batches of at most
+//!   [`BatchConfig::max_batch`] rows from it, each run as one vectorized
+//!   encode → forward → readout pass. Worker-driven: an idle worker takes
+//!   a slot at once when it holds `max_batch` rows, and otherwise once its
+//!   oldest block has waited a fixed 250 µs coalescing window; past that
+//!   no clock closes a batch — it grows while every worker is busy. A
+//!   block is never split, so one model version answers all of it
+//!   ([`BlockPrediction::version`]).
 //! * [`ShardedServer`] — one model partitioned across `N` independent
-//!   collector+worker pools sharing a registry, routed by a stable hash of
+//!   worker pools sharing a registry, routed by a stable hash of
 //!   the (block's first) feature vector, round-robin, or live pending-queue depth
 //!   ([`ShardRouting::LeastLoaded`]), with per-shard and aggregated
 //!   metrics.

@@ -31,7 +31,7 @@ use crate::shard::ShardedServer;
 /// This is what generalizes "something that serves models": benches and
 /// tests drive one to produce traffic, and the HTTP gateway
 /// (`bcpnn-gateway`) exposes one on the wire — both without caring how
-/// many collector/worker pools sit behind it. A `ServeTarget` can accept
+/// many worker pools sit behind it. A `ServeTarget` can accept
 /// option-carrying submissions, report its shared [`ModelRegistry`] (for
 /// listings and hot-swap), and export its metrics.
 pub trait ServeTarget: Send + Sync {

@@ -59,7 +59,7 @@ impl ServedModel {
         }
     }
 
-    /// Attach a per-model batching policy. The collector cuts this
+    /// Attach a per-model batching policy. The workers cut this
     /// model's batches at its own `max_batch` instead of the server default
     /// (the policy's `workers` field is ignored — the worker pool is shared,
     /// and a ripe batch of any model leaves as soon as one of its workers
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn served_model_is_send_and_sync() {
         // Static assertion: the scheduler moves Arc<ServedModel> across the
-        // collector and worker threads.
+        // submitting and worker threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServedModel>();
         assert_send_sync::<Arc<ServedModel>>();

@@ -2,46 +2,51 @@
 //!
 //! Callers submit [`RowBlock`]s of raw feature rows through a synchronous
 //! API — a whole request through [`InferenceServer::submit_block`], a
-//! single vector (a one-row block) through [`InferenceServer::submit`]. A
-//! *collector* thread coalesces the blocks into per-model batches of at
-//! most [`BatchConfig::max_batch`] rows, and a pool of *worker* threads
-//! runs each batch as one vectorized
+//! single vector (a one-row block) through [`InferenceServer::submit`].
+//! The submitting thread puts the block into its model's *slot* of one
+//! shared queue; a pool of *worker* threads pulls per-model batches of at
+//! most [`BatchConfig::max_batch`] rows from that queue and runs each as
+//! one vectorized
 //! [`Predictor::predict_proba`](bcpnn_core::model::Predictor::predict_proba)
 //! pass — for a [`Pipeline`](crate::Pipeline), encode → hidden-layer
 //! forward → readout — then sends each block its rows of the result over
 //! the block's own channel: one message in, one message out, whatever the
-//! row count. This is the same amortization the paper applies to
-//! training (batch-parallel HCU updates) turned toward the serving
-//! workload. The scheduler only talks to models through the
-//! `Predictor` trait, so any fitted artifact serves.
+//! row count. A one-row request crosses two threads: the caller's and one
+//! worker's. This is the same amortization the paper applies to training
+//! (batch-parallel HCU updates) turned toward the serving workload. The
+//! scheduler only talks to models through the `Predictor` trait, so any
+//! fitted artifact serves.
 //!
-//! The batching policy is **worker-driven**: workers report every finished
-//! batch to the collector, which keeps `outstanding = dispatched − done`
-//! and, while that is below the worker count (a worker is idle), sends the
-//! oldest *ripe* slot, whatever its size. A slot is ripe once its oldest
-//! block has waited the fixed 600 µs coalescing window — so small requests
-//! that arrive together share a batch, and a lone row on an idle server
-//! costs the window plus one forward pass. Past the window no clock closes
-//! a batch: while every worker is busy the slot grows to whatever arrives
-//! during the forward passes, and a slot that holds `max_batch` rows ships
-//! regardless — a request of `max_batch` rows never waits. A block is
-//! never split across batches; one that alone exceeds `max_batch` is its
-//! own batch.
+//! The batching policy is **worker-driven**: only an idle worker takes a
+//! batch. It takes a *full* slot (one holding `max_batch` rows) at once,
+//! and otherwise the oldest *ripe* slot, whatever its size. A slot is ripe
+//! once its oldest block has waited the fixed 250 µs coalescing window — so
+//! small requests that arrive together share a batch, and a lone row on an
+//! idle server costs the window plus one forward pass. Past the window no
+//! clock closes a batch: while every worker is busy the slot grows to
+//! whatever arrives during the forward passes, and a request of `max_batch`
+//! rows never waits. A block is never split across batches; one that alone
+//! exceeds `max_batch` is its own batch.
 //!
 //! Per-model policy: a [`ServedModel`] published with
 //! [`with_batch_policy`](crate::ServedModel::with_batch_policy) overrides
 //! the server-wide `max_batch` for its own requests, and a hot-swap that
 //! changes the policy takes effect on the next batch.
 //!
-//! Requests carry [`SubmitOptions`]: the collector drains high-[`Priority`]
-//! requests first when a dispatch cannot take everything pending, and
+//! Requests carry [`SubmitOptions`]: a worker takes high-[`Priority`]
+//! requests first when a batch cannot hold everything pending, and
 //! requests whose deadline has passed are expired with
 //! [`ServeError::DeadlineExceeded`] instead of wasting forward-pass work.
 //!
 //! Hot-swap safety: the model `Arc` is resolved from the registry once per
-//! batch, at dispatch time. Every row of a block therefore sees one model
-//! version — the one its reply names — swaps never stall the pipeline, and
-//! displaced versions finish their in-flight batches before being dropped.
+//! batch, when a worker takes it. Every row of a block therefore sees one
+//! model version — the one its reply names — swaps never stall the
+//! pipeline, and displaced versions finish their in-flight batches before
+//! being dropped.
+//!
+//! Dropping the server drains the queue: the workers run every queued
+//! block, window or not, before they exit, so no accepted request is left
+//! unanswered.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -54,6 +59,7 @@ use bcpnn_core::model::Predictor;
 use bcpnn_core::{CoreResult, Workspace};
 use bcpnn_tensor::Matrix;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::{Condvar, Mutex};
 
 use crate::block::RowBlock;
 use crate::error::{ServeError, ServeResult};
@@ -64,10 +70,10 @@ use crate::registry::{ModelRegistry, ServedModel};
 /// Micro-batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Largest batch a worker runs: a slot that holds this many rows is
-    /// dispatched even when every worker is busy. Smaller slots leave
-    /// when a worker is idle and their oldest block has waited 600 µs. A
-    /// single block with more rows than this runs as its own batch.
+    /// Largest batch a worker runs: a slot that holds this many rows goes
+    /// to the next idle worker at once. Smaller slots go once their oldest
+    /// block has waited the 250 µs coalescing window. A single block with
+    /// more rows than this runs as its own batch.
     pub max_batch: usize,
     /// Number of worker threads running batches. Ignored when the config
     /// is used as a *per-model* policy (the worker pool is shared).
@@ -90,8 +96,9 @@ impl Default for BatchConfig {
     }
 }
 
-/// Scheduling priority of a request. When a dispatch cannot take every
-/// pending request, higher priorities go first (FIFO within a priority).
+/// Scheduling priority of a request. When a batch cannot hold every
+/// pending request, higher priorities go first (FIFO within a priority):
+/// the derived order, `High < Normal < Low`, is the drain order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Served before Normal and Low traffic.
@@ -101,17 +108,6 @@ pub enum Priority {
     Normal,
     /// Served after everything else.
     Low,
-}
-
-impl Priority {
-    /// Drain order: smaller drains first.
-    fn rank(self) -> u8 {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
-    }
 }
 
 /// Per-request scheduling options for [`InferenceServer::submit_block`]
@@ -209,38 +205,11 @@ impl Request {
     }
 }
 
-/// What the collector receives on the submit channel. Workers report back
-/// on the same channel the callers submit on (the channel shim has no
-/// `select`), so the channel never disconnects by itself: `Drop` says
-/// [`Msg::Shutdown`].
-enum Msg {
-    Request(Request),
-    /// A worker is finished with one dispatched batch.
-    Done,
-    Shutdown,
-}
-
-/// Reports [`Msg::Done`] when the worker lets go of a batch — from `drop`,
-/// so a panic while running it cannot leave the collector's count stuck.
-struct DoneGuard<'a>(&'a Sender<Msg>);
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        // Fails only once the collector is gone, when nobody counts.
-        let _ = self.0.send(Msg::Done);
-    }
-}
-
-/// A dispatched batch: one resolved model version plus its requests.
-struct Batch {
-    model: Arc<ServedModel>,
-    requests: Vec<Request>,
-}
-
 /// Reusable per-worker inference state: the batch-assembly matrix, the
-/// model [`Workspace`], and the output-probability buffer.
+/// model [`Workspace`], the output-probability buffer, and where each
+/// block of the batch sits in the assembly matrix.
 ///
-/// This is the zero-allocation data plane of a serving worker. All three
+/// This is the zero-allocation data plane of a serving worker. All the
 /// buffers grow to the largest batch shape seen and never shrink, so after
 /// warmup an `assemble → run` cycle performs **zero heap allocations**
 /// (`tests/alloc_regression.rs` enforces this with a counting allocator).
@@ -250,6 +219,10 @@ pub struct BatchExecutor {
     x: Matrix<f32>,
     proba: Matrix<f32>,
     ws: Workspace,
+    /// The requests whose feature width matched the model at execution
+    /// time: index into the batch's request list, and the rows of `x` the
+    /// block was copied to.
+    valid: Vec<(usize, Range<usize>)>,
 }
 
 impl BatchExecutor {
@@ -272,25 +245,6 @@ impl BatchExecutor {
     pub fn run(&mut self, predictor: &dyn Predictor) -> CoreResult<&Matrix<f32>> {
         predictor.predict_proba_into(&self.x, &mut self.ws, &mut self.proba)?;
         Ok(&self.proba)
-    }
-}
-
-/// Everything one worker thread reuses across batches: the compute
-/// executor plus the valid-block scratch.
-struct WorkerState {
-    executor: BatchExecutor,
-    /// The requests whose feature width matched the model at execution
-    /// time: index into the batch's request list, and the rows of the
-    /// assembly matrix the block was copied to.
-    valid: Vec<(usize, Range<usize>)>,
-}
-
-impl WorkerState {
-    fn new() -> Self {
-        Self {
-            executor: BatchExecutor::new(),
-            valid: Vec::new(),
-        }
     }
 }
 
@@ -367,49 +321,32 @@ impl PredictionHandle {
     }
 }
 
-/// The running server: collector + workers over a shared [`ModelRegistry`].
+/// The running server: `workers` threads pulling batches from one queue
+/// over a shared [`ModelRegistry`].
 pub struct InferenceServer {
     registry: Arc<ModelRegistry>,
     metrics: Arc<ServingMetrics>,
-    submit_tx: Sender<Msg>,
-    collector: Option<JoinHandle<()>>,
+    queue: Arc<Queue>,
+    /// Server-wide batching defaults; a model's own policy overrides them.
+    config: BatchConfig,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl InferenceServer {
-    /// Start the collector and worker threads.
+    /// Start the worker threads.
     pub fn start(registry: Arc<ModelRegistry>, config: BatchConfig) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.workers > 0, "need at least one worker");
         let metrics = Arc::new(ServingMetrics::new());
-        let (submit_tx, submit_rx) = unbounded::<Msg>();
-        let (batch_tx, batch_rx) = unbounded::<Batch>();
-
-        let collector = {
-            let registry = Arc::clone(&registry);
-            let metrics = Arc::clone(&metrics);
-            std::thread::Builder::new()
-                .name("bcpnn-serve-collector".into())
-                .spawn(move || run_collector(&submit_rx, &batch_tx, &registry, &metrics, config))
-                .expect("failed to spawn collector thread")
-        };
-
+        let queue = Arc::new(Queue::default());
         let workers = (0..config.workers)
             .map(|i| {
-                let batch_rx = batch_rx.clone();
-                let done_tx = submit_tx.clone();
+                let queue = Arc::clone(&queue);
+                let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
                 std::thread::Builder::new()
                     .name(format!("bcpnn-serve-worker-{i}"))
-                    .spawn(move || {
-                        // Persistent per-worker buffers: the steady-state
-                        // batch loop runs allocation-free after warmup.
-                        let mut state = WorkerState::new();
-                        while let Ok(batch) = batch_rx.recv() {
-                            let _done = DoneGuard(&done_tx);
-                            run_batch(batch, &metrics, &mut state);
-                        }
-                    })
+                    .spawn(move || run_worker(&queue, &registry, &metrics))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -417,8 +354,8 @@ impl InferenceServer {
         Self {
             registry,
             metrics,
-            submit_tx,
-            collector: Some(collector),
+            queue,
+            config,
             workers,
         }
     }
@@ -429,11 +366,11 @@ impl InferenceServer {
         &self.registry
     }
 
-    /// Enqueue a block of raw feature rows for the named model — one
-    /// message to the collector and one reply, whatever the row count.
-    /// The block is never split across batches, so one model version
-    /// answers all of it. Unknown models and wrong feature widths fail
-    /// fast, before entering the batch queue.
+    /// Enqueue a block of raw feature rows for the named model — one push
+    /// onto the queue and one reply, whatever the row count. The block is
+    /// never split across batches, so one model version answers all of
+    /// it. Unknown models and wrong feature widths fail fast, before
+    /// entering the batch queue.
     pub fn submit_block(
         &self,
         model: &str,
@@ -462,22 +399,25 @@ impl InferenceServer {
             }));
             return Ok(BlockHandle { rx });
         }
-        let enqueued = Instant::now();
-        let request = Request {
-            model: Arc::from(model),
-            rows,
-            enqueued,
-            priority: options.priority,
-            deadline: options.deadline.map(|d| enqueued + d),
-            abstain_below: options.abstain_below,
-            reply,
-        };
-        self.submit_tx
-            .send(Msg::Request(request))
-            .map_err(|_| ServeError::Disconnected)?;
+        // Counted before a worker can answer it, so the queue depth never
+        // reads a finished block as still pending.
         for _ in 0..n_rows {
             self.metrics.record_submit();
         }
+        let enqueued = Instant::now();
+        let max_batch = served.batch_policy().unwrap_or(self.config).max_batch;
+        self.queue.push(
+            Request {
+                model: Arc::from(model),
+                rows,
+                enqueued,
+                priority: options.priority,
+                deadline: options.deadline.map(|d| enqueued + d),
+                abstain_below: options.abstain_below,
+                reply,
+            },
+            max_batch.max(1),
+        );
         Ok(BlockHandle { rx })
     }
 
@@ -523,12 +463,9 @@ impl InferenceServer {
 
 impl Drop for InferenceServer {
     fn drop(&mut self) {
-        // The collector flushes what it holds and drops the batch channel;
-        // the workers drain it and exit.
-        let _ = self.submit_tx.send(Msg::Shutdown);
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
-        }
+        // The workers drain every slot, ripe or not, and then exit.
+        self.queue.slots.lock().draining = true;
+        self.queue.wake.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -551,10 +488,33 @@ impl std::fmt::Debug for InferenceServer {
 /// a chain of thread wake-ups whose cost differs from run to run by more
 /// than the repo benchmark's `gateway_single` bound allows. Not an option
 /// — nothing in the repo needs another value.
-const COALESCE_WINDOW: Duration = Duration::from_micros(600);
+const COALESCE_WINDOW: Duration = Duration::from_micros(250);
 
-/// A model's requests accumulating toward a dispatch, under that model's
-/// effective batching policy (resolved when the slot was opened).
+/// The one queue the workers pull from: a slot of pending blocks per
+/// model, behind one lock, and the condition variable an idle worker
+/// sleeps on.
+#[derive(Default)]
+struct Queue {
+    slots: Mutex<Slots>,
+    /// Wakes an idle worker: a slot opened or filled up, a worker left
+    /// blocks behind, or the server is being dropped.
+    wake: Condvar,
+}
+
+/// One slot per model ever submitted to. An emptied slot stays, so its
+/// buffer is reused: once warm, a push allocates nothing.
+#[derive(Default)]
+struct Slots {
+    pending: HashMap<Arc<str>, Pending>,
+    /// Set by `Drop`: every slot is due, and a worker that finds none
+    /// exits.
+    draining: bool,
+}
+
+/// A model's requests accumulating toward a batch, under that model's
+/// effective batching policy (resolved when the slot's first block
+/// arrived).
+#[derive(Default)]
 struct Pending {
     requests: Vec<Request>,
     max_batch: usize,
@@ -567,23 +527,96 @@ impl Pending {
     }
 
     /// When the slot may leave for an idle worker: [`COALESCE_WINDOW`]
-    /// after its oldest block arrived.
-    fn ripe_at(&self) -> Instant {
-        let oldest = self.requests.iter().map(|r| r.enqueued).min();
-        oldest.expect("a pending slot holds a request") + COALESCE_WINDOW
+    /// after its oldest block arrived; `None` while it is empty.
+    fn ripe_at(&self) -> Option<Instant> {
+        Some(self.requests.iter().map(|r| r.enqueued).min()? + COALESCE_WINDOW)
+    }
+}
+
+impl Slots {
+    /// The batch due now, if any: the next batch (see [`take_batch`]) of a
+    /// full slot, else of the slot that ripened first — while draining,
+    /// every slot that holds a block is ripe.
+    fn take_due(&mut self, now: Instant) -> Option<(Arc<str>, Vec<Request>)> {
+        let (_, _, model) = self
+            .pending
+            .iter()
+            .filter_map(|(model, slot)| {
+                Some((slot.rows() < slot.max_batch, slot.ripe_at()?, model))
+            })
+            .filter(|&(not_full, ripe_at, _)| !not_full || self.draining || ripe_at <= now)
+            .min()?;
+        let model = Arc::clone(model);
+        let slot = self.pending.get_mut(&model).expect("slot was just found");
+        let batch = take_batch(&mut slot.requests, slot.max_batch);
+        Some((model, batch))
+    }
+
+    /// When the next slot ripens; `None` when no block is queued.
+    fn next_ripe(&self) -> Option<Instant> {
+        self.pending.values().filter_map(Pending::ripe_at).min()
+    }
+}
+
+impl Queue {
+    /// Add a block to its model's slot and wake a worker when an idle one
+    /// has something new to do: time a slot that was empty, or take a
+    /// full one.
+    fn push(&self, request: Request, max_batch: usize) {
+        let mut slots = self.slots.lock();
+        let slot = slots.pending.entry(Arc::clone(&request.model)).or_default();
+        let opened = slot.requests.is_empty();
+        if opened {
+            slot.max_batch = max_batch;
+        }
+        slot.requests.push(request);
+        let full = slot.rows() >= slot.max_batch;
+        drop(slots);
+        if opened || full {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Block until a batch is due and take it, in priority order: the next
+    /// batch of a full slot at once, otherwise of the slot that ripened
+    /// first. While the server is being dropped every slot is due, and
+    /// `None` means nothing is left.
+    fn next_batch(&self) -> Option<(Arc<str>, Vec<Request>)> {
+        let mut slots = self.slots.lock();
+        loop {
+            let now = Instant::now();
+            if let Some(batch) = slots.take_due(now) {
+                // Another idle worker times, or takes, what is left behind.
+                let more = slots.next_ripe().is_some();
+                drop(slots);
+                if more {
+                    self.wake.notify_one();
+                }
+                return Some(batch);
+            }
+            match slots.next_ripe() {
+                _ if slots.draining => return None,
+                Some(at) => {
+                    let _ = self
+                        .wake
+                        .wait_for(&mut slots, at.saturating_duration_since(now));
+                }
+                None => self.wake.wait(&mut slots),
+            }
+        }
     }
 }
 
 /// Stable-sort pending requests into drain order: priority first, FIFO
 /// within a priority (insertion order is FIFO and the sort is stable).
 fn order_for_dispatch(requests: &mut [Request]) {
-    requests.sort_by_key(|r| r.priority.rank());
+    requests.sort_by_key(|r| r.priority);
 }
 
 /// Split one batch off a full slot: whole blocks in drain order while
 /// they fit in `max_batch` rows — at least the first, so a block that alone
 /// exceeds the cap is its own batch; what does not fit stays queued for a
-/// later dispatch. This is where [`Priority`] bites — a burst bigger than
+/// later batch. This is where [`Priority`] bites — a burst bigger than
 /// one batch drains High before Normal before Low.
 fn take_batch(requests: &mut Vec<Request>, max_batch: usize) -> Vec<Request> {
     order_for_dispatch(requests);
@@ -613,143 +646,44 @@ fn expire(requests: Vec<Request>, metrics: &ServingMetrics) {
     }
 }
 
-/// Add a request to its model's pending slot, opening the slot under the
-/// model's effective batching policy (which a hot-swap may have just
-/// changed) if this is its first request.
-fn enqueue(
-    pending: &mut HashMap<Arc<str>, Pending>,
-    request: Request,
-    registry: &ModelRegistry,
-    config: BatchConfig,
-) {
-    let slot = pending
-        .entry(Arc::clone(&request.model))
-        .or_insert_with_key(|model| {
-            let max_batch = registry.batch_policy(model).unwrap_or(config).max_batch;
-            Pending {
-                requests: Vec::new(),
-                max_batch: max_batch.max(1),
+/// A worker thread: take batches until the server is dropped and its
+/// queue is empty, resolving each batch's model version as it is taken.
+fn run_worker(queue: &Queue, registry: &ModelRegistry, metrics: &ServingMetrics) {
+    // Persistent per-worker buffers: the steady-state batch loop runs
+    // allocation-free after warmup.
+    let mut executor = BatchExecutor::new();
+    while let Some((model, requests)) = queue.next_batch() {
+        match registry.get(&model) {
+            Ok(served) => run_batch(&served, requests, metrics, &mut executor),
+            // The model was removed after the requests were accepted: their
+            // rows count as failed, so the queue depth returns to zero.
+            Err(err) => {
+                for request in requests {
+                    request.fail(err.clone(), metrics);
+                }
             }
-        });
-    slot.requests.push(request);
-}
-
-/// Collector loop: coalesce requests into per-model slots; ship a slot when
-/// it is full (the model's `max_batch` rows), and ship the oldest ripe slot
-/// whenever a worker has nothing to do.
-fn run_collector(
-    submit_rx: &Receiver<Msg>,
-    batch_tx: &Sender<Batch>,
-    registry: &ModelRegistry,
-    metrics: &ServingMetrics,
-    config: BatchConfig,
-) {
-    let mut pending: HashMap<Arc<str>, Pending> = HashMap::new();
-    // Batches handed to the workers and not yet reported `Done`.
-    let mut outstanding = 0usize;
-    let mut shutdown = false;
-    while !shutdown {
-        // Sleep until a message arrives or, when a worker is idle, until
-        // the next slot ripens (with every worker busy the next `Done` is
-        // the wake-up). `recv` cannot fail: the server keeps a sender until
-        // it has said `Shutdown`.
-        let idle_worker = outstanding < config.workers;
-        let next_ripe = pending.values().map(Pending::ripe_at).min();
-        let first = match next_ripe.filter(|_| idle_worker) {
-            Some(at) => submit_rx
-                .recv_timeout(at.saturating_duration_since(Instant::now()))
-                .ok(),
-            None => Some(submit_rx.recv().unwrap_or(Msg::Shutdown)),
-        };
-        // Drain the whole burst before dispatching, so a slot can hold
-        // more than max_batch and priority ordering has something to
-        // choose between.
-        let rest = std::iter::from_fn(|| submit_rx.try_recv().ok());
-        for msg in first.into_iter().chain(rest) {
-            match msg {
-                Msg::Request(request) => enqueue(&mut pending, request, registry, config),
-                Msg::Done => outstanding -= 1,
-                Msg::Shutdown => shutdown = true,
-            }
-        }
-        for (model, slot) in &mut pending {
-            while slot.rows() >= slot.max_batch {
-                let batch = take_batch(&mut slot.requests, slot.max_batch);
-                outstanding += usize::from(dispatch(batch_tx, registry, metrics, model, batch));
-            }
-        }
-        // The leftovers (lowest-priority tail) wait for a worker like any
-        // other partial slot; shutdown flushes everything.
-        pending.retain(|_, slot| !slot.requests.is_empty());
-        while shutdown || outstanding < config.workers {
-            let now = Instant::now();
-            let Some(model) = pending
-                .iter()
-                .map(|(model, slot)| (slot.ripe_at(), model))
-                .filter(|(ripe_at, _)| shutdown || *ripe_at <= now)
-                .min()
-                .map(|(_, model)| Arc::clone(model))
-            else {
-                break;
-            };
-            let slot = pending.remove(&model).expect("slot was just found");
-            outstanding +=
-                usize::from(dispatch(batch_tx, registry, metrics, &model, slot.requests));
         }
     }
 }
 
-/// Expire dead requests, order the rest by priority, resolve the model's
-/// *current* version, and hand the batch to a worker. Returns whether a
-/// batch went out (a worker will report it `Done`).
-fn dispatch(
-    batch_tx: &Sender<Batch>,
-    registry: &ModelRegistry,
-    metrics: &ServingMetrics,
-    model: &str,
-    requests: Vec<Request>,
-) -> bool {
-    let (mut live, expired) = split_expired(requests, Instant::now());
-    expire(expired, metrics);
-    if live.is_empty() {
-        return false;
-    }
-    order_for_dispatch(&mut live);
-    match registry.get(model) {
-        Ok(served) => {
-            // Workers exiting early (server drop) orphans the batch; the
-            // per-request reply channels then disconnect, which callers
-            // observe as `Disconnected`.
-            batch_tx
-                .send(Batch {
-                    model: served,
-                    requests: live,
-                })
-                .is_ok()
-        }
-        Err(err) => {
-            // The model was removed after the requests were accepted. Count
-            // their rows as terminal errors so the pending-queue depth
-            // (rows accepted minus terminal outcomes) does not leak.
-            for request in live {
-                request.fail(err.clone(), metrics);
-            }
-            false
-        }
-    }
-}
-
-/// Worker body: run one batch as a single vectorized pass through the
-/// worker's persistent [`BatchExecutor`] and send every block its answer.
-/// Requests whose deadline passed while the batch sat in the queue are
-/// expired here, before any forward-pass work is spent on them.
+/// Worker body: run one batch against the model version resolved for it,
+/// as a single vectorized pass through the worker's persistent
+/// [`BatchExecutor`], and send every block its answer. Requests whose
+/// deadline passed while they sat in the queue are expired here, before
+/// any forward-pass work is spent on them. A pass that fails, panics or
+/// emits a non-finite probability fails every block of the batch with
+/// [`ServeError::Model`]; nothing non-finite is ever answered.
 ///
 /// The compute plane — assembly into the reusable batch matrix plus the
 /// `predict_proba_into` pass through the persistent workspace — performs
 /// zero heap allocations after warmup; only the reply payloads (one owned
 /// probability block per request, handed to the caller) still allocate.
-fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
-    let Batch { model, requests } = batch;
+fn run_batch(
+    model: &ServedModel,
+    requests: Vec<Request>,
+    metrics: &ServingMetrics,
+    executor: &mut BatchExecutor,
+) {
     // Only pay the partition allocation when something actually expired.
     let now = Instant::now();
     let requests = if requests.iter().any(|r| r.expired_at(now)) {
@@ -768,12 +702,12 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
 
     // A hot-swap may have changed the expected width between submit-time
     // validation and dispatch; reject mismatching blocks individually.
-    state.valid.clear();
+    executor.valid.clear();
     let mut rows = 0;
     for (i, request) in requests.iter().enumerate() {
         if request.rows.n_cols as usize == width {
             let end = rows + request.rows.n_rows();
-            state.valid.push((i, rows..end));
+            executor.valid.push((i, rows..end));
             rows = end;
         } else {
             let got = request.rows.n_cols as usize;
@@ -781,32 +715,43 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
             request.fail(ServeError::ShapeMismatch { expected, got }, metrics);
         }
     }
-    if state.valid.is_empty() {
+    if executor.valid.is_empty() {
         return;
     }
 
-    let x = state.executor.begin(rows, width).as_mut_slice();
-    for (i, at) in &state.valid {
+    executor.x.resize(rows, width);
+    let x = executor.x.as_mut_slice();
+    for (i, at) in &executor.valid {
         let block = &requests[*i].rows.data;
         x[at.start * width..at.end * width].copy_from_slice(&block[..at.len() * width]);
     }
-    // A predictor that panics fails its own batch like one that returns an
-    // error, and the worker lives on (its buffers are plain scratch, resized
-    // by the next pass).
-    let outcome = catch_unwind(AssertUnwindSafe(|| state.executor.run(predictor).map(drop)))
+    // A predictor that panics, or emits a NaN or an infinity, fails its own
+    // batch like one that returns an error, and the worker lives on (its
+    // buffers are plain scratch, resized by the next pass).
+    let outcome = catch_unwind(AssertUnwindSafe(|| executor.run(predictor).map(drop)))
         .map_err(|_| ServeError::Model("the predictor panicked".into()))
-        .and_then(|result| result.map_err(ServeError::from));
+        .and_then(|result| result.map_err(ServeError::from))
+        .and_then(|()| {
+            let proba = executor.proba.as_slice();
+            if proba.iter().all(|p| p.is_finite()) {
+                Ok(())
+            } else {
+                Err(ServeError::Model(
+                    "the predictor emitted a non-finite probability".into(),
+                ))
+            }
+        });
     if let Err(err) = outcome {
-        for (i, _) in &state.valid {
+        for (i, _) in &executor.valid {
             requests[*i].fail(err.clone(), metrics);
         }
         return;
     }
 
-    let proba = &state.executor.proba;
+    let proba = &executor.proba;
     let classes = proba.cols();
     let now = Instant::now();
-    for (i, at) in &state.valid {
+    for (i, at) in &executor.valid {
         let request = &requests[*i];
         let mut data = proba.as_slice()[at.start * classes..at.end * classes].to_vec();
         // Abstention gate: the forward pass already ran (margins come from
@@ -843,7 +788,7 @@ fn run_batch(batch: Batch, metrics: &ServingMetrics, state: &mut WorkerState) {
 mod tests {
     use super::*;
     use crate::registry::ServedModel;
-    use crate::testutil::{tiny_pipeline, GatePredictor};
+    use crate::testutil::{tiny_pipeline, GatePredictor, NonFinitePredictor};
 
     fn server_with_model(seed: u64) -> (InferenceServer, bcpnn_data::Dataset) {
         let (pipeline, data) = tiny_pipeline(seed);
@@ -1256,8 +1201,8 @@ mod tests {
         );
         let err = server.predict("touchy", vec![-1.0]).unwrap_err();
         assert!(matches!(err, ServeError::Model(_)), "{err:?}");
-        // The only worker survived, the collector's count is not stuck, and
-        // the failed row is not left pending.
+        // The only worker survived, and the failed row is not left
+        // pending.
         assert_eq!(server.predict("touchy", vec![1.0]).unwrap(), vec![0.5, 0.5]);
         let m = server.metrics();
         assert_eq!((m.errors, m.responses), (1, 1));
@@ -1543,7 +1488,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        drop(server); // joins collector + workers, flushing pending batches
+        drop(server); // joins the workers, which drain every slot first
         for handle in handles {
             // Every request gets *some* terminal answer: a prediction or a
             // disconnect — never a hang.
@@ -1553,6 +1498,48 @@ mod tests {
                 Err(other) => panic!("unexpected error {other}"),
             }
         }
+    }
+
+    #[test]
+    fn dropping_the_server_answers_every_queued_block() {
+        let (server, gate, first) = gated_server(64);
+        let rows: Vec<_> = (0..16)
+            .map(|i| server.submit("gate", vec![i as f32]).unwrap())
+            .collect();
+        let block = server
+            .submit_block("gate", tagged(100, 40), SubmitOptions::default())
+            .unwrap();
+        let metrics = Arc::clone(&server.metrics);
+        assert_eq!(metrics.queue_depth(), 57);
+        // Neither the window nor a free worker is waited for: the drop
+        // itself must see every queued block answered.
+        gate.open();
+        drop(server);
+        assert_eq!(first.wait().unwrap(), vec![0.5, 0.5]);
+        for row in rows {
+            assert_eq!(row.wait().unwrap(), vec![0.5, 0.5]);
+        }
+        let answer = block.wait().unwrap();
+        assert_eq!((answer.version, answer.proba.n_rows()), (1, 40));
+        assert_eq!(metrics.queue_depth(), 0);
+        assert_eq!(metrics.snapshot().responses, 57);
+    }
+
+    #[test]
+    fn a_non_finite_probability_fails_its_batch_as_a_model_error() {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new("broken", 1, NonFinitePredictor));
+        let server = InferenceServer::start(registry, BatchConfig::default());
+        // NaN, then ±inf: neither reaches the caller as an answer.
+        for bad in [-1.0, 0.0] {
+            let err = server.predict("broken", vec![bad]).unwrap_err();
+            assert!(matches!(err, ServeError::Model(_)), "{bad}: {err:?}");
+        }
+        // The workers live on, and no failed row is left pending.
+        assert_eq!(server.predict("broken", vec![1.0]).unwrap(), vec![0.5, 0.5]);
+        let m = server.metrics();
+        assert_eq!((m.errors, m.responses), (2, 1));
+        assert_eq!(server.queue_depth(), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Sharded serving: one model partitioned across several independent
-//! collector+worker pools.
+//! worker pools.
 //!
-//! Once a single micro-batching pool saturates — one collector thread, one
-//! batch queue — the next scaling step is the one the message-passing
+//! Once a single micro-batching pool saturates — one queue behind one
+//! lock — the next scaling step is the one the message-passing
 //! cluster literature takes for Swendsen-Wang: partition the work across
 //! independent workers and keep the per-worker batch vectorization. A
 //! [`ShardedServer`] owns `N` full [`InferenceServer`] pools over one
@@ -56,7 +56,7 @@ pub type RouteMode = ShardRouting;
 /// Configuration for a [`ShardedServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of independent collector+worker pools.
+    /// Number of independent worker pools.
     pub shards: usize,
     /// Batching defaults applied inside every shard (per-model policies
     /// published to the registry still override them).
@@ -133,7 +133,7 @@ pub struct ShardedServer {
 }
 
 impl ShardedServer {
-    /// Start `config.shards` full collector+worker pools over `registry`.
+    /// Start `config.shards` full worker pools over `registry`.
     pub fn start(registry: Arc<ModelRegistry>, config: ShardConfig) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         let shards = (0..config.shards)

@@ -1,6 +1,7 @@
-//! Test support: fixtures for this crate's own tests, and the
+//! Test support: fixtures for this crate's own tests, the
 //! [`GatePredictor`] that scheduler tests here and in `tests/` use to put
-//! the worker pool in a known state instead of racing it.
+//! the worker pool in a known state instead of racing it, and the
+//! [`NonFinitePredictor`] whose broken outputs the server must not ship.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -13,7 +14,7 @@ use bcpnn_tensor::Matrix;
 ///
 /// Clones share one gate: publish one clone, keep another to drive it.
 /// While the gate is closed every worker that picks up a batch stays busy,
-/// so what the collector does with later requests is decided by the
+/// so what the queue does with later requests is decided by the
 /// scheduling policy alone, not by thread timing. Every row is answered
 /// `[0.5, 0.5]`; tests tell rows apart by their first feature.
 #[derive(Debug, Clone)]
@@ -80,6 +81,36 @@ impl Predictor for GatePredictor {
 
     fn n_inputs(&self) -> usize {
         self.n_inputs
+    }
+
+    fn n_classes(&self) -> usize {
+        2
+    }
+}
+
+/// A one-input, two-class [`Predictor`] with a broken forward pass: it
+/// answers `[0.5, 0.5]` for a row whose feature is positive, but `NaN`s
+/// for a negative one and `[inf, -inf]` for zero.
+#[derive(Debug, Clone, Copy)]
+pub struct NonFinitePredictor;
+
+impl Predictor for NonFinitePredictor {
+    fn predict_proba(&self, x: &Matrix<f32>) -> CoreResult<Matrix<f32>> {
+        let answer = |feature: f32| {
+            if feature < 0.0 {
+                [f32::NAN; 2]
+            } else if feature == 0.0 {
+                [f32::INFINITY, f32::NEG_INFINITY]
+            } else {
+                [0.5; 2]
+            }
+        };
+        let data = x.iter_rows().flat_map(|row| answer(row[0])).collect();
+        Ok(Matrix::from_vec(x.rows(), 2, data))
+    }
+
+    fn n_inputs(&self) -> usize {
+        1
     }
 
     fn n_classes(&self) -> usize {

@@ -1,7 +1,8 @@
 //! The HTTP front's contract, run against both fronts: everything a
 //! client can get wrong is answered with the right 4xx before the serving
 //! stack sees a row; a full accept queue sheds with 503; and a listener
-//! bound to a wildcard address still shuts down. One front serves both
+//! bound to a wildcard address still shuts down; a model that emits a
+//! non-finite probability is a 500, never a 200. One front serves both
 //! [`Front::Gateway`] and [`Front::Cluster`], so the two columns of every
 //! table here can only differ in the backend call.
 
@@ -15,7 +16,7 @@ use bcpnn_backend::BackendKind;
 use bcpnn_cluster::{BackendConfig, BackendNode, ClusterConfig, ClusterRouter, RouterHttp};
 use bcpnn_gateway::http::Limits;
 use bcpnn_gateway::{client, FrontConfig, Gateway, GatewayConfig};
-use bcpnn_serve::testutil::GatePredictor;
+use bcpnn_serve::testutil::{GatePredictor, NonFinitePredictor};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
 
 use common::{predictions_of, read_raw, send_raw, tiny_pipeline, Front};
@@ -331,6 +332,31 @@ fn a_full_accept_queue_sheds_with_503_and_the_queued_requests_still_answer() {
             (3, 2, 1)
         );
         assert_eq!(counted.predict_rows, 2, "{front:?}");
+    }
+}
+
+#[test]
+fn a_non_finite_probability_is_a_500_on_both_fronts() {
+    const PREDICT: &str = "/v1/models/broken/predict";
+    for front in Front::BOTH {
+        let stack = front.start(FrontConfig::default(), None, &|registry| {
+            registry.publish(ServedModel::new("broken", 1, NonFinitePredictor));
+        });
+        // NaN, then ±inf, then a healthy row.
+        for (body, status) in [("[[-1]]", 500), ("[[0]]", 500), ("[[1]]", 200)] {
+            let reply =
+                client::request(stack.addr(), "POST", PREDICT, &[], body.as_bytes()).unwrap();
+            assert_eq!(
+                reply.status,
+                status,
+                "{front:?} {body}: {}",
+                reply.body_str()
+            );
+        }
+        assert_eq!(stack.server.queue_depths(), vec![0, 0], "{front:?}");
+        let served = stack.server.metrics();
+        assert_eq!((served.errors, served.responses), (2, 1), "{front:?}");
+        assert_eq!(stack.front_metrics().status_5xx, 2, "{front:?}");
     }
 }
 
