@@ -271,7 +271,7 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
             rows,
             labels,
         } => local
-            .learn(&model, &rows.to_rows(), &labels)
+            .learn(&model, rows, &labels)
             .map_or_else(error_frame, |l| Frame::LearnOk {
                 accepted: l.accepted,
                 queue_depth: l.queue_depth,

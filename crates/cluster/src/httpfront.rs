@@ -162,12 +162,12 @@ impl ApiBackend for ClusterRouter {
     fn learn(
         &self,
         model: &str,
-        rows: Vec<Vec<f32>>,
+        rows: RowBlock,
         labels: Vec<u32>,
     ) -> Result<Outcome<Learned>, ApiError> {
         let frame = Frame::Learn {
             model: model.to_string(),
-            rows: RowBlock::from_rows(&rows),
+            rows,
             labels,
         };
         let decode = |reply| match reply {

@@ -328,9 +328,9 @@ impl ClusterRouter {
     /// broadcast never fails over — every replica must swap to, or fold,
     /// the same thing to stay bit-identical — so a node that cannot be
     /// reached is reported as [`ErrorCode::Disconnected`] ("the node is
-    /// unreachable"; one that refuses answers with its own code) and, for
-    /// learn, falls behind until its next published generation
-    /// resynchronizes it.
+    /// unreachable"; one that refuses answers with its own code). Nothing
+    /// moves state between nodes, so a node that missed a learn diverges
+    /// from its peers until per-model sequence numbers detect the gap.
     pub(crate) fn broadcast<T>(
         &self,
         model: &str,

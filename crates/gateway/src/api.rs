@@ -136,7 +136,7 @@ pub trait ApiBackend: Send + Sync {
     fn learn(
         &self,
         model: &str,
-        rows: Vec<Vec<f32>>,
+        rows: RowBlock,
         labels: Vec<u32>,
     ) -> Result<Outcome<Learned>, ApiError>;
 

@@ -289,7 +289,7 @@ fn dispatch(shared: &Shared, request: &Request) -> Result<Response, ApiError> {
         }
         Route::Learn(name) => {
             let (rows, labels) = parse_learn_body(body_text(request)?)?;
-            let n_rows = rows.len() as u64;
+            let n_rows = rows.n_rows() as u64;
             let outcome = backend.learn(&name, rows, labels)?;
             Ok(render_outcome(
                 ("model", &name),
@@ -544,18 +544,18 @@ fn parse_publish_body(body: &str) -> Result<PublishRequest, ApiError> {
 /// endpoint's rows (same checks, same bit-exact f32 parsing) plus one
 /// integer class label per row, each fitting a `u32`; all checked here,
 /// before any learner or backend node is touched.
-fn parse_learn_body(body: &str) -> Result<(Vec<Vec<f32>>, Vec<u32>), ApiError> {
+fn parse_learn_body(body: &str) -> Result<(RowBlock, Vec<u32>), ApiError> {
     let doc = json::parse(body).map_err(|e| ApiError::new(400, e.to_string()))?;
     let rows = doc
         .get("rows")
         .ok_or_else(|| ApiError::new(400, "missing array field \"rows\""))?;
-    let rows = json::f32_rows(rows).map_err(|e| ApiError::new(400, e.to_string()))?;
+    let rows = json::f32_block(rows).map_err(|e| ApiError::new(400, e.to_string()))?;
     let labels = doc
         .get("labels")
         .and_then(Json::as_array)
         .ok_or_else(|| ApiError::new(400, "missing array field \"labels\""))?;
-    if labels.len() != rows.len() {
-        let counts = format!("{} labels for {} rows", labels.len(), rows.len());
+    if labels.len() != rows.n_rows() {
+        let counts = format!("{} labels for {} rows", labels.len(), rows.n_rows());
         return Err(ApiError::new(400, format!("{counts}; counts must match")));
     }
     let labels = labels

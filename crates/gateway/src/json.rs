@@ -255,11 +255,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 ///
 /// A body that is anything but that is handed to the tree: the result,
 /// error message and offset included, is always what
-/// `f32_rows(&parse(input)?)` gives.
+/// `f32_block(&parse(input)?)` gives.
 pub fn parse_f32_block(input: &str) -> Result<RowBlock, ParseError> {
     match flat_f32_block(input) {
         Some(block) => Ok(block),
-        None => f32_rows(&parse(input)?).map(|rows| RowBlock::from_rows(&rows)),
+        None => f32_block(&parse(input)?),
     }
 }
 
@@ -323,10 +323,10 @@ fn flat_f32_block(input: &str) -> Option<RowBlock> {
 }
 
 /// Feature rows out of a parsed value that must be an array of
-/// equal-length arrays of finite numbers. Numbers are parsed directly to
-/// `f32` (no `f64` detour); an empty array and ragged or empty rows are
-/// rejected.
-pub fn f32_rows(doc: &Json) -> Result<Vec<Vec<f32>>, ParseError> {
+/// equal-length arrays of finite numbers, as one flat block. Numbers are
+/// parsed directly to `f32` (no `f64` detour); an empty array and ragged
+/// or empty rows are rejected.
+pub fn f32_block(doc: &Json) -> Result<RowBlock, ParseError> {
     let outer = doc.as_array().ok_or_else(|| ParseError {
         message: "expected a JSON array of feature rows".into(),
         offset: 0,
@@ -337,7 +337,7 @@ pub fn f32_rows(doc: &Json) -> Result<Vec<Vec<f32>>, ParseError> {
             offset: 0,
         });
     }
-    let mut rows = Vec::with_capacity(outer.len());
+    let mut data = Vec::new();
     let mut width = None;
     for (r, row) in outer.iter().enumerate() {
         let items = row.as_array().ok_or_else(|| ParseError {
@@ -360,20 +360,19 @@ pub fn f32_rows(doc: &Json) -> Result<Vec<Vec<f32>>, ParseError> {
                 offset: 0,
             });
         }
-        let mut features = Vec::with_capacity(items.len());
         for (c, item) in items.iter().enumerate() {
             let value = match item {
                 Json::Num(n) => n.as_f32(),
                 _ => None,
             };
-            features.push(value.ok_or_else(|| ParseError {
+            data.push(value.ok_or_else(|| ParseError {
                 message: format!("row {r} column {c} is not a finite number"),
                 offset: 0,
             })?);
         }
-        rows.push(features);
     }
-    Ok(rows)
+    let n_cols = width.map_or(0, |w| w as u32);
+    Ok(RowBlock { n_cols, data })
 }
 
 struct Parser<'a> {
@@ -747,7 +746,7 @@ mod tests {
     /// What [`parse_f32_block`] must always equal: the tree, then the rows
     /// out of it.
     fn rows_through_the_tree(input: &str) -> Result<Vec<Vec<f32>>, ParseError> {
-        f32_rows(&parse(input)?)
+        f32_block(&parse(input)?).map(|block| block.to_rows())
     }
 
     fn assert_flat_equals_tree(input: &str) {

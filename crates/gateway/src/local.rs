@@ -61,14 +61,10 @@ impl LocalNode {
     ///
     /// Acceptance is durability, not training: `Ok` means every row is in
     /// the learner's bounded queue and will be written to the replay log
-    /// before it is folded. A full queue is backpressure (`429`); a model
-    /// with no learner attached is `404`.
-    pub fn learn(
-        &self,
-        model: &str,
-        rows: &[Vec<f32>],
-        labels: &[u32],
-    ) -> Result<Learned, ApiError> {
+    /// before it is folded. A full queue is backpressure (`429`), a post
+    /// larger than the whole queue is `400`, and a model with no learner
+    /// attached is `404`.
+    pub fn learn(&self, model: &str, rows: RowBlock, labels: &[u32]) -> Result<Learned, ApiError> {
         let learner = self
             .learners
             .iter()
@@ -155,11 +151,11 @@ impl ApiBackend for LocalNode {
     fn learn(
         &self,
         model: &str,
-        rows: Vec<Vec<f32>>,
+        rows: RowBlock,
         labels: Vec<u32>,
     ) -> Result<Outcome<Learned>, ApiError> {
         Ok(Outcome::Local(LocalNode::learn(
-            self, model, &rows, &labels,
+            self, model, rows, &labels,
         )?))
     }
 

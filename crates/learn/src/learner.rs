@@ -2,16 +2,25 @@
 //! hot-swap publishing, and crash recovery.
 //!
 //! One [`OnlineLearner`] continuously improves one registry model. Labeled
-//! rows arrive through a bounded queue ([`OnlineLearner::submit`], fed by
-//! the gateway's learn endpoint); a background trainer thread drains them,
-//! diverts every k-th row into a held-out evaluation reservoir, appends the
-//! rest to the replay log, and folds them into a *shadow* copy of the model
-//! ([`Pipeline::learn_batch`]). Every N trained rows — or T seconds with
-//! rows pending — the shadow is evaluated against the reservoir and, if it
-//! has not regressed past the configured delta, published through the
-//! registry's atomic hot-swap. Serving never blocks on any of this: readers
-//! keep resolving the registry exactly as before, and in-flight batches
-//! finish on the version they started on.
+//! posts arrive through a bounded queue ([`OnlineLearner::submit`], fed by
+//! the gateway's learn endpoint); a background trainer thread takes one
+//! post at a time, diverts every k-th row into a held-out evaluation
+//! reservoir, appends the rest to the replay log, and folds them into a
+//! *shadow* copy of the model ([`Pipeline::learn_batch`]). Every N trained
+//! rows the shadow is evaluated against the reservoir and, if it has not
+//! regressed past the configured delta, published through the registry's
+//! atomic hot-swap. Serving never blocks on any of this: readers keep
+//! resolving the registry exactly as before, and in-flight batches finish
+//! on the version they started on.
+//!
+//! # Fold boundaries
+//!
+//! The EMA traces depend on where the stream is cut into folds, so the
+//! cuts come from the data alone: a post is folded in `fold_rows` chunks
+//! at offsets 0, `fold_rows`, 2·`fold_rows`, …, a fold never spans two
+//! posts, and a publish is tried after the fold that brings the trained-row
+//! count to `publish_rows`. When the trainer wakes plays no part, so two
+//! learners fed the same posts in the same order end bit-identical.
 //!
 //! # Durability
 //!
@@ -36,12 +45,11 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use bcpnn_backend::BackendKind;
 use bcpnn_core::model::Predictor;
 use bcpnn_core::{CoreError, Pipeline, Workspace};
-use bcpnn_serve::{ModelRegistry, ServedModel};
+use bcpnn_serve::{ModelRegistry, RowBlock, ServedModel};
 use bcpnn_tensor::Matrix;
 
 use crate::metrics::{LearnMetrics, LearnSnapshot};
@@ -57,11 +65,11 @@ pub enum LearnError {
         /// Total queue capacity in rows.
         capacity: usize,
     },
-    /// A row's width does not match the model's input width.
+    /// The block's width does not match the model's input width.
     ShapeMismatch {
         /// Feature width the model expects.
         expected: usize,
-        /// Width of the offending row.
+        /// Width of the submitted block.
         got: usize,
     },
     /// A label is outside the model's class range.
@@ -71,7 +79,8 @@ pub enum LearnError {
         /// Number of classes the model has.
         n_classes: usize,
     },
-    /// Rows and labels differ in length, or the batch is empty.
+    /// Rows and labels differ in length, the batch is empty, or it holds
+    /// more rows than the queue ever can (no retry can succeed).
     BadBatch(String),
     /// The learner is shutting down.
     ShuttingDown,
@@ -108,16 +117,16 @@ pub struct LearnerConfig {
     /// configuration, not model state).
     pub backend: BackendKind,
     /// Ingest queue capacity in rows; submissions beyond it are refused
-    /// with [`LearnError::QueueFull`].
+    /// with [`LearnError::QueueFull`], a post larger than it with
+    /// [`LearnError::BadBatch`].
     pub queue_capacity: usize,
-    /// Maximum rows per fold batch (one replay-log frame, one
-    /// `learn_batch` call).
+    /// Rows per fold (one replay-log frame, one `learn_batch` call): a post
+    /// is folded in chunks of this many rows at fixed offsets, its last
+    /// chunk holding the remainder.
     pub fold_rows: usize,
-    /// Publish the shadow after this many trained rows...
+    /// Try to publish the shadow once this many rows were trained since
+    /// the last attempt (checked after every fold).
     pub publish_rows: u64,
-    /// ...or after this long, if any rows were trained since the last
-    /// publish attempt.
-    pub publish_interval: Duration,
     /// Accuracy-gate tolerance: publish only while
     /// `shadow_accuracy + accuracy_delta >= live_accuracy` on the
     /// reservoir. `0.0` demands the shadow never regress at all.
@@ -142,7 +151,6 @@ impl Default for LearnerConfig {
             queue_capacity: 8192,
             fold_rows: 256,
             publish_rows: 1024,
-            publish_interval: Duration::from_secs(30),
             accuracy_delta: 0.01,
             reservoir_capacity: 512,
             reservoir_stride: 10,
@@ -152,7 +160,10 @@ impl Default for LearnerConfig {
 }
 
 struct QueueState {
-    rows: VecDeque<(Vec<f32>, usize)>,
+    /// Accepted posts with their labels; a fold never spans two.
+    posts: VecDeque<(RowBlock, Vec<usize>)>,
+    /// Rows across `posts`, counted against `queue_capacity`.
+    rows: usize,
     ingested: u64,
     applied: u64,
     shutdown: bool,
@@ -166,7 +177,7 @@ struct Inner {
     input_width: usize,
     n_classes: usize,
     queue: Mutex<QueueState>,
-    /// Wakes the trainer thread (new rows / shutdown).
+    /// Wakes the trainer thread (new post / shutdown).
     work: Condvar,
     /// Wakes `drain()` callers (rows applied).
     progress: Condvar,
@@ -250,7 +261,8 @@ impl OnlineLearner {
             input_width,
             n_classes,
             queue: Mutex::new(QueueState {
-                rows: VecDeque::new(),
+                posts: VecDeque::new(),
+                rows: 0,
                 ingested: 0,
                 applied: 0,
                 shutdown: false,
@@ -277,27 +289,27 @@ impl OnlineLearner {
         &self.inner.model
     }
 
-    /// Offer a batch of labeled rows. All-or-nothing: either every row is
-    /// queued (and will be durably logged before it is trained) or none
-    /// is. Returns the number of rows accepted.
-    pub fn submit(&self, rows: &[Vec<f32>], labels: &[usize]) -> Result<usize, LearnError> {
-        if rows.is_empty() {
+    /// Offer a block of labeled rows, one label per row. All-or-nothing:
+    /// either every row is queued (and will be durably logged before it is
+    /// trained) or none is. The block is one post: its fold boundaries
+    /// are fixed offsets into it (see the module docs). Returns the number
+    /// of rows accepted.
+    pub fn submit(&self, rows: RowBlock, labels: &[usize]) -> Result<usize, LearnError> {
+        let n_rows = rows.n_rows();
+        if n_rows == 0 {
             return Err(LearnError::BadBatch("learn batch is empty".into()));
         }
-        if rows.len() != labels.len() {
+        if n_rows != labels.len() {
             return Err(LearnError::BadBatch(format!(
-                "{} rows but {} labels",
-                rows.len(),
+                "{n_rows} rows but {} labels",
                 labels.len()
             )));
         }
-        for row in rows {
-            if row.len() != self.inner.input_width {
-                return Err(LearnError::ShapeMismatch {
-                    expected: self.inner.input_width,
-                    got: row.len(),
-                });
-            }
+        if rows.n_cols as usize != self.inner.input_width {
+            return Err(LearnError::ShapeMismatch {
+                expected: self.inner.input_width,
+                got: rows.n_cols as usize,
+            });
         }
         for &label in labels {
             if label >= self.inner.n_classes {
@@ -307,34 +319,37 @@ impl OnlineLearner {
                 });
             }
         }
+        let capacity = self.inner.config.queue_capacity;
+        if n_rows > capacity {
+            return Err(LearnError::BadBatch(format!(
+                "{n_rows} rows exceed the learn queue's capacity of {capacity}; split the post"
+            )));
+        }
         let mut state = self.inner.queue.lock().unwrap();
         if state.shutdown {
             return Err(LearnError::ShuttingDown);
         }
-        if state.rows.len() + rows.len() > self.inner.config.queue_capacity {
+        if state.rows + n_rows > capacity {
             self.inner
                 .metrics
                 .rows_rejected
-                .fetch_add(rows.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            return Err(LearnError::QueueFull {
-                capacity: self.inner.config.queue_capacity,
-            });
+                .fetch_add(n_rows as u64, std::sync::atomic::Ordering::Relaxed);
+            return Err(LearnError::QueueFull { capacity });
         }
-        for (row, &label) in rows.iter().zip(labels) {
-            state.rows.push_back((row.clone(), label));
-        }
-        state.ingested += rows.len() as u64;
+        state.posts.push_back((rows, labels.to_vec()));
+        state.rows += n_rows;
+        state.ingested += n_rows as u64;
         self.inner
             .metrics
             .rows_ingested
-            .fetch_add(rows.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        self.inner.metrics.queue_depth.store(
-            state.rows.len() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+            .fetch_add(n_rows as u64, std::sync::atomic::Ordering::Relaxed);
+        self.inner
+            .metrics
+            .queue_depth
+            .store(state.rows as u64, std::sync::atomic::Ordering::Relaxed);
         drop(state);
         self.inner.work.notify_one();
-        Ok(rows.len())
+        Ok(n_rows)
     }
 
     /// Block until every row accepted so far has been folded (and any
@@ -413,7 +428,6 @@ struct TrainerState {
     reservoir: VecDeque<(Vec<f32>, usize)>,
     split_counter: u64,
     rows_since_publish: u64,
-    last_publish: Instant,
 }
 
 fn trainer_loop(inner: &Arc<Inner>, generation: u64, log: ReplayLog, ws: Workspace) {
@@ -424,79 +438,54 @@ fn trainer_loop(inner: &Arc<Inner>, generation: u64, log: ReplayLog, ws: Workspa
         reservoir: VecDeque::new(),
         split_counter: 0,
         rows_since_publish: 0,
-        last_publish: Instant::now(),
     };
-    let mut batch = Vec::new();
+    let fold_rows = inner.config.fold_rows.max(1);
     loop {
-        // Wait for rows, shutdown, or the publish timer (which only
-        // matters while trained rows are waiting to be shipped).
-        let drained = {
+        let (rows, labels) = {
             let mut queue = inner.queue.lock().unwrap();
-            loop {
+            let post = loop {
                 if queue.shutdown {
                     return;
                 }
-                if !queue.rows.is_empty() {
-                    break;
+                if let Some(post) = queue.posts.pop_front() {
+                    break post;
                 }
-                if state.rows_since_publish > 0
-                    && state.last_publish.elapsed() >= inner.config.publish_interval
-                {
-                    break;
-                }
-                let (next, _) = inner
-                    .work
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = next;
-            }
-            batch.clear();
-            while batch.len() < inner.config.fold_rows {
-                match queue.rows.pop_front() {
-                    Some(row) => batch.push(row),
-                    None => break,
-                }
-            }
-            inner.metrics.queue_depth.store(
-                queue.rows.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            batch.len() as u64
+                queue = inner.work.wait(queue).unwrap();
+            };
+            queue.rows -= post.0.n_rows();
+            inner
+                .metrics
+                .queue_depth
+                .store(queue.rows as u64, std::sync::atomic::Ordering::Relaxed);
+            post
         };
 
-        if drained > 0 {
-            fold_batch(inner, &mut state, &batch);
-        }
-
-        // Publish policy: every N trained rows, or T seconds with rows
-        // pending. Both counters reset on every attempt, accepted or not,
+        // The publish counter resets on every attempt, accepted or not,
         // so a rejected shadow re-qualifies only after fresh evidence.
-        if state.rows_since_publish >= inner.config.publish_rows
-            || (state.rows_since_publish > 0
-                && state.last_publish.elapsed() >= inner.config.publish_interval)
-        {
-            try_publish(inner, &mut state);
-            state.rows_since_publish = 0;
-            state.last_publish = Instant::now();
+        let chunks = rows.data.chunks(fold_rows * inner.input_width);
+        for (chunk, chunk_labels) in chunks.zip(labels.chunks(fold_rows)) {
+            fold(inner, &mut state, chunk, chunk_labels);
+            if state.rows_since_publish >= inner.config.publish_rows {
+                try_publish(inner, &mut state);
+                state.rows_since_publish = 0;
+            }
         }
 
-        if drained > 0 {
-            let mut queue = inner.queue.lock().unwrap();
-            queue.applied += drained;
-            drop(queue);
-            inner.progress.notify_all();
-        }
+        let mut queue = inner.queue.lock().unwrap();
+        queue.applied += labels.len() as u64;
+        drop(queue);
+        inner.progress.notify_all();
     }
 }
 
-/// Split one drained batch into reservoir and training rows, log the
-/// training rows, and fold them into the shadow.
-fn fold_batch(inner: &Arc<Inner>, state: &mut TrainerState, batch: &[(Vec<f32>, usize)]) {
-    let mut train_data = Vec::new();
-    let mut train_labels = Vec::new();
-    let mut n_train = 0usize;
+/// Split one chunk of a post (row-major `rows`, one label each) into
+/// reservoir and training rows, log the training rows as one frame, and
+/// fold them into the shadow.
+fn fold(inner: &Arc<Inner>, state: &mut TrainerState, rows: &[f32], labels: &[usize]) {
+    let mut train_data = Vec::with_capacity(rows.len());
+    let mut train_labels = Vec::with_capacity(labels.len());
     let mut n_heldout = 0u64;
-    for (row, label) in batch {
+    for (row, &label) in rows.chunks_exact(inner.input_width).zip(labels) {
         state.split_counter += 1;
         let hold_out = inner.config.reservoir_stride > 0
             && state
@@ -506,18 +495,18 @@ fn fold_batch(inner: &Arc<Inner>, state: &mut TrainerState, batch: &[(Vec<f32>, 
             if state.reservoir.len() >= inner.config.reservoir_capacity {
                 state.reservoir.pop_front();
             }
-            state.reservoir.push_back((row.clone(), *label));
+            state.reservoir.push_back((row.to_vec(), label));
             n_heldout += 1;
         } else {
             train_data.extend_from_slice(row);
-            train_labels.push(*label);
-            n_train += 1;
+            train_labels.push(label);
         }
     }
     inner
         .metrics
         .rows_heldout
         .fetch_add(n_heldout, std::sync::atomic::Ordering::Relaxed);
+    let n_train = train_labels.len();
     if n_train == 0 {
         return;
     }
@@ -527,7 +516,7 @@ fn fold_batch(inner: &Arc<Inner>, state: &mut TrainerState, batch: &[(Vec<f32>, 
     // so an acknowledged-and-trained row always survives a restart.
     if state.log.append(&rows, &train_labels).is_err() {
         // An unloggable fold must not be trained either (replay would
-        // silently diverge). Drop the batch; the rejection counter is the
+        // silently diverge). Drop the fold; the rejection counter is the
         // operator's signal.
         inner
             .metrics

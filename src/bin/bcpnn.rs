@@ -28,7 +28,6 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bcpnn_backend::BackendKind;
 use bcpnn_cluster::{BackendConfig, BackendNode, ClusterConfig, ClusterRouter, RouterHttp};
@@ -51,10 +50,8 @@ const CSV_ROWS: usize = 200_000;
 const SHARDS: usize = 2;
 /// HTTP worker threads of the front.
 const FRONT_WORKERS: usize = 4;
-/// Trained rows after which a learner tries to publish its shadow...
+/// Trained rows after which a learner tries to publish its shadow.
 const PUBLISH_ROWS: u64 = 500;
-/// ...or the time after which it tries anyway, if it trained any rows.
-const PUBLISH_INTERVAL: Duration = Duration::from_secs(10);
 
 fn usage(problem: &str) -> ! {
     eprintln!("bcpnn: {problem} ({USAGE})");
@@ -254,7 +251,6 @@ fn stack(
                 state_dir: state.join(name),
                 backend: BackendKind::Parallel,
                 publish_rows: PUBLISH_ROWS,
-                publish_interval: PUBLISH_INTERVAL,
                 ..LearnerConfig::default()
             };
             OnlineLearner::start(Arc::clone(&registry), name, pipeline, config)

@@ -5,7 +5,7 @@
 //! converge every replica with per-node outcomes reported; and hard-killing
 //! one of two replicas under load must lose zero requests for a replicated
 //! model while an unreplicated model on the killed node fails with a clean
-//! 502.
+//! 502; and two replicas fed the same learn posts end bit-identical.
 
 mod common;
 
@@ -20,6 +20,7 @@ use bcpnn_cluster::{
 use bcpnn_core::model::Predictor;
 use bcpnn_core::Pipeline;
 use bcpnn_gateway::{client, json};
+use bcpnn_learn::{LearnerConfig, OnlineLearner};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
 
 use common::{assert_answered_by_one_version, predictions_of, rows_body, tiny_pipeline};
@@ -414,4 +415,114 @@ fn killing_one_of_two_replicas_loses_no_requests() {
             assert_eq!(got[r][c].to_bits(), direct.get(r, c).to_bits());
         }
     }
+}
+
+/// Learn posts through the real cluster path — HTTP front, router
+/// broadcast, `Learn` frames, one learner per backend node — fold and
+/// publish the same way on every replica: fold boundaries are the posts',
+/// so however each node's trainer thread interleaves with the burst, the
+/// two shadows end byte-identical and serve the same version.
+#[test]
+fn replicas_fed_the_same_learn_posts_end_bit_identical() {
+    let kind = BackendKind::Parallel;
+    let (pipeline, data) = tiny_pipeline(74, kind);
+    let root = std::env::temp_dir().join(format!(
+        "bcpnn-cluster-roundtrip-replicas-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let mut replicas = Vec::new();
+    let mut nodes = Vec::new();
+    for node in 0..2 {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish(ServedModel::new("higgs", 1, pipeline.clone()));
+        let learner = Arc::new(
+            OnlineLearner::start(
+                Arc::clone(&registry),
+                "higgs",
+                &pipeline,
+                LearnerConfig {
+                    state_dir: root.join(format!("state-{node}")),
+                    backend: kind,
+                    fold_rows: 32,
+                    publish_rows: 100,
+                    reservoir_stride: 10,
+                    min_eval_rows: 8,
+                    ..LearnerConfig::default()
+                },
+            )
+            .expect("learner starts"),
+        );
+        let server = Arc::new(ShardedServer::start(
+            Arc::clone(&registry),
+            ShardConfig::new(1),
+        ));
+        nodes.push(
+            BackendNode::start_with_learners(
+                server as Arc<dyn ServeTarget>,
+                BackendConfig::default(),
+                vec![Arc::clone(&learner)],
+            )
+            .expect("backend node binds"),
+        );
+        replicas.push((registry, learner));
+    }
+    let router = Arc::new(ClusterRouter::start(ClusterConfig {
+        backends: nodes.iter().map(BackendNode::local_addr).collect(),
+        ..ClusterConfig::default()
+    }));
+    let front = RouterHttp::start(Arc::clone(&router), RouterHttpConfig::default())
+        .expect("router HTTP front binds");
+
+    // A burst of 50-row posts, each acknowledged once both replicas queued
+    // it, none waiting for a trainer.
+    for start in (0..400).step_by(50) {
+        let labels: Vec<String> = data.labels[start..start + 50]
+            .iter()
+            .map(usize::to_string)
+            .collect();
+        let body = format!(
+            "{{\"rows\":{},\"labels\":[{}]}}",
+            rows_body(&data, start..start + 50),
+            labels.join(",")
+        );
+        let reply = client::request(
+            front.local_addr(),
+            "POST",
+            "/v1/models/higgs/learn",
+            &[],
+            body.as_bytes(),
+        )
+        .expect("learn round-trips");
+        assert_eq!(reply.status, 200, "{}", reply.body_str());
+    }
+
+    let mut versions = Vec::new();
+    for (node, (registry, learner)) in replicas.iter().enumerate() {
+        learner.drain();
+        let snapshot = learner.metrics();
+        assert_eq!(snapshot.rows_ingested, 400, "node {node}: {snapshot:?}");
+        learner
+            .shadow_pipeline()
+            .save(root.join(format!("shadow-{node}")))
+            .expect("shadow saves");
+        versions.push(registry.lookup("higgs").expect("model stays").version());
+    }
+    let bytes = |node: usize| {
+        std::fs::read(root.join(format!("shadow-{node}")).join("model.bcpnn"))
+            .expect("saved shadow reads")
+    };
+    assert!(bytes(0) == bytes(1), "the replicas' shadows differ");
+    assert_eq!(
+        versions[0], versions[1],
+        "the replicas serve different versions"
+    );
+    assert!(versions[0] > 1, "no replica published");
+
+    drop(front);
+    drop(router);
+    drop(nodes);
+    drop(replicas);
+    let _ = std::fs::remove_dir_all(&root);
 }

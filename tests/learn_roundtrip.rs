@@ -9,7 +9,6 @@ mod common;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bcpnn_backend::BackendKind;
 use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams};
@@ -123,7 +122,6 @@ fn posted_rows_improve_the_served_model_with_zero_downtime() {
                 backend: BackendKind::Naive,
                 fold_rows: 64,
                 publish_rows: 400,
-                publish_interval: Duration::from_secs(3600),
                 reservoir_stride: 10,
                 min_eval_rows: 32,
                 accuracy_delta: 0.02,
