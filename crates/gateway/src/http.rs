@@ -201,11 +201,21 @@ pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<R
             "chunked transfer encoding is not supported".into(),
         ));
     }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("unparseable Content-Length {v:?}")))?,
-        None => 0,
+    // RFC 9112 §6.3: a repeated Content-Length, or one that is not a bare
+    // run of digits (`usize::from_str` would take a leading `+`), leaves the
+    // body's end unknown, so the request is refused rather than guessed at.
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::BadRequest(
+                "more than one Content-Length header".into(),
+            ))
+        }
+        (Some((_, v)), None) => Some(v)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| HttpError::BadRequest(format!("unparseable Content-Length {v:?}")))?,
     };
     if content_length > limits.max_body_bytes {
         return Err(HttpError::PayloadTooLarge {
@@ -504,6 +514,11 @@ mod tests {
             "get /x HTTP/1.1\r\n\r\n",
             "GET /x HTTP/1.1\r\nbad header\r\n\r\n",
             "GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            "POST /x HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: 4, 4\r\n\r\nabcd",
+            "POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 9\r\n\r\nabcd",
+            "POST /x HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd",
             "GET /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
             let got = read_str(raw, Limits::default());

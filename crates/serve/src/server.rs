@@ -20,7 +20,7 @@
 //! The batching policy is **worker-driven**: only an idle worker takes a
 //! batch. It takes a *full* slot (one holding `max_batch` rows) at once,
 //! and otherwise the oldest *ripe* slot, whatever its size. A slot is ripe
-//! once its oldest block has waited the fixed 250 µs coalescing window — so
+//! once its oldest block has waited the fixed 100 µs coalescing window — so
 //! small requests that arrive together share a batch, and a lone row on an
 //! idle server costs the window plus one forward pass. Past the window no
 //! clock closes a batch: while every worker is busy the slot grows to
@@ -72,7 +72,7 @@ use crate::registry::{ModelRegistry, ServedModel};
 pub struct BatchConfig {
     /// Largest batch a worker runs: a slot that holds this many rows goes
     /// to the next idle worker at once. Smaller slots go once their oldest
-    /// block has waited the 250 µs coalescing window. A single block with
+    /// block has waited the 100 µs coalescing window. A single block with
     /// more rows than this runs as its own batch.
     pub max_batch: usize,
     /// Number of worker threads running batches. Ignored when the config
@@ -482,13 +482,16 @@ impl std::fmt::Debug for InferenceServer {
 }
 
 /// How long a slot's oldest block waits before the slot may leave for an
-/// idle worker (a full slot leaves at once). Long enough for small requests
-/// that arrive together to share a batch, and it keeps the latency of a
-/// lone row on an idle server set by the clock: without it that latency is
-/// a chain of thread wake-ups whose cost differs from run to run by more
-/// than the repo benchmark's `gateway_single` bound allows. Not an option
-/// — nothing in the repo needs another value.
-const COALESCE_WINDOW: Duration = Duration::from_micros(250);
+/// idle worker (a full slot leaves at once). It lets small requests that
+/// arrive together share a batch, and it keeps the latency of a lone row
+/// on an idle server set by the clock: without it that latency is a chain
+/// of thread wake-ups whose cost differs from run to run by more than the
+/// repo benchmark's `gateway_single` bound allows. At 50 µs (Linux's
+/// default timer slack, `PR_SET_TIMERSLACK`, so the shortest window a
+/// timed wait honours) that workload's rows/s already spread over ten runs
+/// by more than a quarter of their median at 250 µs; at 100 µs by under
+/// half that. Not an option — nothing in the repo needs another value.
+const COALESCE_WINDOW: Duration = Duration::from_micros(100);
 
 /// The one queue the workers pull from: a slot of pending blocks per
 /// model, behind one lock, and the condition variable an idle worker

@@ -145,7 +145,10 @@ fn softmax_matches_scalar_reference(rng: &mut MatrixRng) {
 }
 
 /// Naive and parallel backends must stay bit-identical on *every* forced
-/// tier — they share the per-segment softmax kernel.
+/// tier — they share the per-segment softmax kernel. So must the row-parallel
+/// softmax and the sequential one on both sides of the pool cutoff:
+/// readout-shaped (2-column) batches stay on the calling thread,
+/// hidden-shaped (1000-column) ones of 64 and 256 rows go to the pool.
 fn backends_agree_per_tier(rng: &mut MatrixRng) {
     let prev = dispatch::active_tier();
     for tier in TIERS {
@@ -160,6 +163,18 @@ fn backends_agree_per_tier(rng: &mut MatrixRng) {
             bits(b.as_slice()),
             "naive vs parallel on {installed:?}"
         );
+        for (rows, cols) in [(1, 2), (64, 2), (256, 2), (64, 1000), (256, 1000)] {
+            let m: Matrix<f32> = rng.normal(rows, cols, 0.0, 3.0);
+            let mut seq = m.clone();
+            let mut par = m;
+            dispatch::softmax_groups_into(&mut seq, cols);
+            dispatch::softmax_row_groups_par(&mut par, cols);
+            assert_eq!(
+                bits(par.as_slice()),
+                bits(seq.as_slice()),
+                "row-parallel vs sequential softmax {rows}x{cols} on {installed:?}"
+            );
+        }
     }
     dispatch::set_tier(prev);
 }
