@@ -26,7 +26,7 @@
 //!   [`BatchConfig::max_batch`] rows from it, each run as one vectorized
 //!   encode → forward → readout pass. Worker-driven: an idle worker takes
 //!   a slot at once when it holds `max_batch` rows, and otherwise once its
-//!   oldest block has waited a fixed 100 µs coalescing window; past that
+//!   oldest block has waited a fixed 50 µs coalescing window; past that
 //!   no clock closes a batch — it grows while every worker is busy. A
 //!   block is never split, so one model version answers all of it
 //!   ([`BlockPrediction::version`]).

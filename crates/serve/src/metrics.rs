@@ -2,8 +2,9 @@
 //! log-bucketed latency histogram with p50/p99 estimates.
 //!
 //! Everything is lock-free atomics so the hot path (one `fetch_add` per
-//! event) never contends with readers; [`ServingMetrics::snapshot`] folds
-//! the counters into an owned [`MetricsSnapshot`] for reporting.
+//! counter per block of rows) never contends with readers;
+//! [`ServingMetrics::snapshot`] folds the counters into an owned
+//! [`MetricsSnapshot`] for reporting.
 //!
 //! Snapshots can be merged across shards with
 //! [`MetricsSnapshot::aggregate`] and written in Prometheus text
@@ -60,7 +61,12 @@ impl ServingMetrics {
 
     /// Count an accepted request.
     pub fn record_submit(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.record_submits(1);
+    }
+
+    /// Count `rows` accepted requests: one atomic add for a whole block.
+    pub fn record_submits(&self, rows: usize) {
+        self.requests.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Count a dispatched batch of the given size.
@@ -73,21 +79,40 @@ impl ServingMetrics {
 
     /// Count a delivered response and its end-to-end latency.
     pub fn record_response(&self, latency: Duration) {
-        self.responses.fetch_add(1, Ordering::Relaxed);
+        self.record_responses(1, latency);
+    }
+
+    /// Count `rows` delivered responses that share one end-to-end latency
+    /// (the rows of one block): the same totals as `rows` calls of
+    /// [`ServingMetrics::record_response`], in three atomic adds.
+    pub fn record_responses(&self, rows: usize, latency: Duration) {
+        let rows = rows as u64;
+        self.responses.fetch_add(rows, Ordering::Relaxed);
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_hist[bucket_of(us, LATENCY_BUCKETS)].fetch_add(1, Ordering::Relaxed);
+        self.latency_sum_us
+            .fetch_add(us.wrapping_mul(rows), Ordering::Relaxed);
+        self.latency_hist[bucket_of(us, LATENCY_BUCKETS)].fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Count an error response.
     pub fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.record_errors(1);
+    }
+
+    /// Count `rows` error responses.
+    pub fn record_errors(&self, rows: usize) {
+        self.errors.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Count a request expired past its deadline (also an error response).
     pub fn record_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.record_expiries(1);
+    }
+
+    /// Count `rows` requests expired past their deadline.
+    pub fn record_expiries(&self, rows: usize) {
+        self.expired.fetch_add(rows as u64, Ordering::Relaxed);
+        self.errors.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Count a request the model abstained on (also an error response —
@@ -96,8 +121,13 @@ impl ServingMetrics {
     ///
     /// [`ServeError::Abstained`]: crate::ServeError::Abstained
     pub fn record_abstained(&self) {
-        self.abstained.fetch_add(1, Ordering::Relaxed);
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.record_abstentions(1);
+    }
+
+    /// Count `rows` requests the model abstained on.
+    pub fn record_abstentions(&self, rows: usize) {
+        self.abstained.fetch_add(rows as u64, Ordering::Relaxed);
+        self.errors.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Number of accepted requests without a terminal outcome yet
@@ -1023,6 +1053,35 @@ mod tests {
         let merged = MetricsSnapshot::aggregate([&s, &s]);
         assert_eq!(merged.batched_requests, 14);
         assert_eq!(merged.latency_sum_us, 700);
+    }
+
+    #[test]
+    fn counting_a_block_once_equals_counting_its_rows_one_by_one() {
+        let (block, rows) = (ServingMetrics::new(), ServingMetrics::new());
+        let latency = Duration::from_micros(1500);
+        block.record_submits(64);
+        block.record_responses(40, latency);
+        block.record_errors(3);
+        block.record_expiries(5);
+        block.record_abstentions(7);
+        for _ in 0..64 {
+            rows.record_submit();
+        }
+        for _ in 0..40 {
+            rows.record_response(latency);
+        }
+        for _ in 0..3 {
+            rows.record_error();
+        }
+        for _ in 0..5 {
+            rows.record_expired();
+        }
+        for _ in 0..7 {
+            rows.record_abstained();
+        }
+        assert_eq!(block.snapshot(), rows.snapshot());
+        assert_eq!(block.snapshot().latency_sum_us, 40 * 1500);
+        assert_eq!(block.queue_depth(), 9);
     }
 
     #[test]

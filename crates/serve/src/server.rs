@@ -20,7 +20,7 @@
 //! The batching policy is **worker-driven**: only an idle worker takes a
 //! batch. It takes a *full* slot (one holding `max_batch` rows) at once,
 //! and otherwise the oldest *ripe* slot, whatever its size. A slot is ripe
-//! once its oldest block has waited the fixed 100 µs coalescing window — so
+//! once its oldest block has waited the fixed 50 µs coalescing window — so
 //! small requests that arrive together share a batch, and a lone row on an
 //! idle server costs the window plus one forward pass. Past the window no
 //! clock closes a batch: while every worker is busy the slot grows to
@@ -72,7 +72,7 @@ use crate::registry::{ModelRegistry, ServedModel};
 pub struct BatchConfig {
     /// Largest batch a worker runs: a slot that holds this many rows goes
     /// to the next idle worker at once. Smaller slots go once their oldest
-    /// block has waited the 100 µs coalescing window. A single block with
+    /// block has waited the 50 µs coalescing window. A single block with
     /// more rows than this runs as its own batch.
     pub max_batch: usize,
     /// Number of worker threads running batches. Ignored when the config
@@ -198,9 +198,7 @@ impl Request {
 
     /// Answer the whole block with `error`; every row counts as failed.
     fn fail(&self, error: ServeError, metrics: &ServingMetrics) {
-        for _ in 0..self.rows.n_rows() {
-            metrics.record_error();
-        }
+        metrics.record_errors(self.rows.n_rows());
         let _ = self.reply.send(Err(error));
     }
 }
@@ -401,9 +399,7 @@ impl InferenceServer {
         }
         // Counted before a worker can answer it, so the queue depth never
         // reads a finished block as still pending.
-        for _ in 0..n_rows {
-            self.metrics.record_submit();
-        }
+        self.metrics.record_submits(n_rows);
         let enqueued = Instant::now();
         let max_batch = served.batch_policy().unwrap_or(self.config).max_batch;
         self.queue.push(
@@ -485,13 +481,12 @@ impl std::fmt::Debug for InferenceServer {
 /// idle worker (a full slot leaves at once). It lets small requests that
 /// arrive together share a batch, and it keeps the latency of a lone row
 /// on an idle server set by the clock: without it that latency is a chain
-/// of thread wake-ups whose cost differs from run to run by more than the
-/// repo benchmark's `gateway_single` bound allows. At 50 µs (Linux's
-/// default timer slack, `PR_SET_TIMERSLACK`, so the shortest window a
-/// timed wait honours) that workload's rows/s already spread over ten runs
-/// by more than a quarter of their median at 250 µs; at 100 µs by under
-/// half that. Not an option — nothing in the repo needs another value.
-const COALESCE_WINDOW: Duration = Duration::from_micros(100);
+/// of thread wake-ups, and on a shared host the repo benchmark's
+/// `gateway_single` rows/s then spread over ten runs by a quarter of their
+/// median. 50 µs is Linux's default timer slack (`PR_SET_TIMERSLACK`), so
+/// the shortest window a timed wait honours. Not an option — nothing in
+/// the repo needs another value.
+const COALESCE_WINDOW: Duration = Duration::from_micros(50);
 
 /// The one queue the workers pull from: a slot of pending blocks per
 /// model, behind one lock, and the condition variable an idle worker
@@ -537,6 +532,19 @@ impl Pending {
 }
 
 impl Slots {
+    /// Add a block to its model's slot. `true` when an idle worker has
+    /// something new to do: time a slot that was empty, or take one now
+    /// full.
+    fn push(&mut self, request: Request, max_batch: usize) -> bool {
+        let slot = self.pending.entry(Arc::clone(&request.model)).or_default();
+        let opened = slot.requests.is_empty();
+        if opened {
+            slot.max_batch = max_batch;
+        }
+        slot.requests.push(request);
+        opened || slot.rows() >= slot.max_batch
+    }
+
     /// The batch due now, if any: the next batch (see [`take_batch`]) of a
     /// full slot, else of the slot that ripened first — while draining,
     /// every slot that holds a block is ripe.
@@ -563,19 +571,9 @@ impl Slots {
 
 impl Queue {
     /// Add a block to its model's slot and wake a worker when an idle one
-    /// has something new to do: time a slot that was empty, or take a
-    /// full one.
+    /// has something new to do.
     fn push(&self, request: Request, max_batch: usize) {
-        let mut slots = self.slots.lock();
-        let slot = slots.pending.entry(Arc::clone(&request.model)).or_default();
-        let opened = slot.requests.is_empty();
-        if opened {
-            slot.max_batch = max_batch;
-        }
-        slot.requests.push(request);
-        let full = slot.rows() >= slot.max_batch;
-        drop(slots);
-        if opened || full {
+        if self.slots.lock().push(request, max_batch) {
             self.wake.notify_one();
         }
     }
@@ -642,9 +640,7 @@ fn split_expired(requests: Vec<Request>, now: Instant) -> (Vec<Request>, Vec<Req
 /// Reply `DeadlineExceeded` to every expired request and count its rows.
 fn expire(requests: Vec<Request>, metrics: &ServingMetrics) {
     for request in requests {
-        for _ in 0..request.rows.n_rows() {
-            metrics.record_expired();
-        }
+        metrics.record_expiries(request.rows.n_rows());
         let _ = request.reply.send(Err(ServeError::DeadlineExceeded));
     }
 }
@@ -770,11 +766,11 @@ fn run_batch(
             }
         }
         let latency = now.saturating_duration_since(request.enqueued);
-        for _ in 0..abstained.len() {
-            metrics.record_abstained();
+        if !abstained.is_empty() {
+            metrics.record_abstentions(abstained.len());
         }
-        for _ in abstained.len()..at.len() {
-            metrics.record_response(latency);
+        if abstained.len() < at.len() {
+            metrics.record_responses(at.len() - abstained.len(), latency);
         }
         let _ = request.reply.send(Ok(BlockPrediction {
             version: model.version(),
@@ -1479,6 +1475,71 @@ mod tests {
         let (live, expired) = split_expired(requests, now);
         assert_eq!(live.len(), 2);
         assert_eq!(expired.len(), 1);
+    }
+
+    /// A one-row block of `model` tagged `tag`, queued at `enqueued`.
+    fn queued(model: &str, tag: f32, enqueued: Instant) -> Request {
+        Request {
+            model: model.into(),
+            rows: RowBlock {
+                n_cols: 1,
+                data: vec![tag],
+            },
+            enqueued,
+            priority: Priority::Normal,
+            deadline: None,
+            abstain_below: None,
+            reply: unbounded().0,
+        }
+    }
+
+    #[test]
+    fn a_small_slot_is_due_50us_after_its_oldest_block_a_full_one_at_once() {
+        let window = Duration::from_micros(50);
+        let now = Instant::now();
+        let later = now + Duration::from_micros(1);
+        let latest = later + Duration::from_micros(1);
+        let take = |slots: &mut Slots, at: Instant| {
+            let (model, batch) = slots.take_due(at)?;
+            let tags: Vec<f32> = batch.iter().map(|r| r.rows.data[0]).collect();
+            Some((model.to_string(), tags))
+        };
+        let mut slots = Slots::default();
+        // A lone row waits out the window, and not a microsecond more.
+        assert!(slots.push(queued("m", 0.0, now), 64));
+        assert_eq!(take(&mut slots, now), None);
+        assert_eq!(slots.next_ripe(), Some(now + window));
+        assert_eq!(
+            take(&mut slots, now + window),
+            Some(("m".into(), vec![0.0]))
+        );
+        assert_eq!(slots.next_ripe(), None);
+        // The newest slot is full and leaves before any window ends; of the
+        // two that are not, the older leaves first — neither by name.
+        assert!(slots.push(queued("c-old", 1.0, now), 64));
+        assert!(slots.push(queued("a-new", 2.0, later), 64));
+        assert!(slots.push(queued("b-full", 3.0, latest), 2));
+        assert!(!slots.push(queued("a-new", 4.0, latest), 64));
+        assert!(slots.push(queued("b-full", 5.0, latest), 2));
+        assert_eq!(
+            take(&mut slots, latest),
+            Some(("b-full".into(), vec![3.0, 5.0]))
+        );
+        assert_eq!(take(&mut slots, latest), None);
+        let both_ripe = latest + window;
+        assert_eq!(
+            take(&mut slots, both_ripe),
+            Some(("c-old".into(), vec![1.0]))
+        );
+        assert_eq!(
+            take(&mut slots, both_ripe),
+            Some(("a-new".into(), vec![2.0, 4.0]))
+        );
+        assert_eq!(take(&mut slots, both_ripe), None);
+        // A draining server waits for no window.
+        slots.draining = true;
+        assert!(slots.push(queued("m", 6.0, now), 64));
+        assert_eq!(take(&mut slots, now), Some(("m".into(), vec![6.0])));
     }
 
     #[test]
