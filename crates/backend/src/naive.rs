@@ -78,11 +78,10 @@ impl Backend for NaiveBackend {
     }
 
     fn grouped_softmax(&self, m: &mut Matrix<f32>, group: usize) {
-        // The subtract-max / exp / normalise loop that used to live here is
-        // hoisted into the shared dispatch kernel so every backend runs one
-        // definition; the scalar tier of that kernel is this backend's old
-        // loop bit-for-bit, and the other tiers use the documented
-        // `exp_approx` polynomial (relative error ≤ 1e-6).
+        // The subtract-max / exp / normalise loop lives in the shared
+        // dispatch kernel so every backend runs one definition: the
+        // documented `exp_approx` polynomial (relative error ≤ 1e-6), the
+        // same bits on every SIMD tier.
         bcpnn_tensor::simd::dispatch::softmax_groups_into(m, group);
     }
 

@@ -21,8 +21,8 @@
 //!   whose rows are two floats wide. `backend_traces` (64 x 280 → 1024,
 //!   uniform activations) says nothing about this one: here the work per
 //!   output row is tiny, so scheduling overhead is what gets measured.
-//! * `softmax_exp/*` — the grouped-softmax kernel per dispatch tier; this
-//!   is where the polynomial `exp_approx` replaces libm `expf`.
+//! * `softmax_exp/*` — the grouped-softmax kernel per dispatch tier (the
+//!   same bits on both; CI asserts `avx2 < lanes`).
 //! * `quantized_predict/*` — tokens-per-core: end-to-end single-threaded
 //!   `predict_proba_into` for the f32 pipeline against its int8
 //!   [`QuantizedPipeline`] counterpart, as rows/sec
@@ -43,15 +43,11 @@ use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_tensor::simd::dispatch::{self, SimdTier};
 use bcpnn_tensor::{Matrix, MatrixRng};
 
-/// The three dispatch tiers, benchmarked under their `BCPNN_SIMD` names.
+/// The two dispatch tiers, benchmarked under their `BCPNN_SIMD` names.
 /// On a machine without AVX2 the `avx2` entry silently degrades to the
 /// lanes tier (same rule as the env override), so the bench runs anywhere;
 /// CI only asserts `avx2 < lanes` on runners that advertise AVX2.
-const TIERS: [(&str, SimdTier); 3] = [
-    ("scalar", SimdTier::Scalar),
-    ("lanes", SimdTier::Lanes),
-    ("avx2", SimdTier::Avx2),
-];
+const TIERS: [(&str, SimdTier); 2] = [("lanes", SimdTier::Lanes), ("avx2", SimdTier::Avx2)];
 
 /// Serving-shaped forward problem: quantile-encoded sparse binary input
 /// (28 active columns of 280) into the paper model's 1 x 1000 hidden layer,

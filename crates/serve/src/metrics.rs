@@ -59,11 +59,6 @@ impl ServingMetrics {
         Self::default()
     }
 
-    /// Count an accepted request.
-    pub fn record_submit(&self) {
-        self.record_submits(1);
-    }
-
     /// Count `rows` accepted requests: one atomic add for a whole block.
     pub fn record_submits(&self, rows: usize) {
         self.requests.fetch_add(rows as u64, Ordering::Relaxed);
@@ -77,14 +72,9 @@ impl ServingMetrics {
         self.batch_hist[bucket_of(size as u64, BATCH_BUCKETS)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a delivered response and its end-to-end latency.
-    pub fn record_response(&self, latency: Duration) {
-        self.record_responses(1, latency);
-    }
-
     /// Count `rows` delivered responses that share one end-to-end latency
-    /// (the rows of one block): the same totals as `rows` calls of
-    /// [`ServingMetrics::record_response`], in three atomic adds.
+    /// (the rows of one block): the same totals as `rows` one-row calls, in
+    /// three atomic adds.
     pub fn record_responses(&self, rows: usize, latency: Duration) {
         let rows = rows as u64;
         self.responses.fetch_add(rows, Ordering::Relaxed);
@@ -94,37 +84,23 @@ impl ServingMetrics {
         self.latency_hist[bucket_of(us, LATENCY_BUCKETS)].fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Count an error response.
-    pub fn record_error(&self) {
-        self.record_errors(1);
-    }
-
     /// Count `rows` error responses.
     pub fn record_errors(&self, rows: usize) {
         self.errors.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
-    /// Count a request expired past its deadline (also an error response).
-    pub fn record_expired(&self) {
-        self.record_expiries(1);
-    }
-
-    /// Count `rows` requests expired past their deadline.
+    /// Count `rows` requests expired past their deadline (also error
+    /// responses).
     pub fn record_expiries(&self, rows: usize) {
         self.expired.fetch_add(rows as u64, Ordering::Relaxed);
         self.errors.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
-    /// Count a request the model abstained on (also an error response —
-    /// the caller receives [`ServeError::Abstained`] instead of a
+    /// Count `rows` requests the model abstained on (also error responses —
+    /// each caller receives [`ServeError::Abstained`] instead of a
     /// prediction).
     ///
     /// [`ServeError::Abstained`]: crate::ServeError::Abstained
-    pub fn record_abstained(&self) {
-        self.record_abstentions(1);
-    }
-
-    /// Count `rows` requests the model abstained on.
     pub fn record_abstentions(&self, rows: usize) {
         self.abstained.fetch_add(rows as u64, Ordering::Relaxed);
         self.errors.fetch_add(rows as u64, Ordering::Relaxed);
@@ -328,9 +304,9 @@ impl MetricsSnapshot {
     /// use bcpnn_serve::{Exposition, MetricsSnapshot, ServingMetrics};
     ///
     /// let metrics = ServingMetrics::new();
-    /// metrics.record_submit();
+    /// metrics.record_submits(1);
     /// metrics.record_batch(1);
-    /// metrics.record_response(Duration::from_micros(250));
+    /// metrics.record_responses(1, Duration::from_micros(250));
     ///
     /// let snapshot = metrics.snapshot();
     /// let text = Exposition::render(|out| MetricsSnapshot::write_metrics(out, &[(vec![], &snapshot)]));
@@ -597,8 +573,8 @@ impl Family<'_> {
 /// use bcpnn_serve::{validate_prometheus, Exposition, MetricsSnapshot, ServingMetrics};
 ///
 /// let metrics = ServingMetrics::new();
-/// metrics.record_submit();
-/// metrics.record_response(std::time::Duration::from_micros(120));
+/// metrics.record_submits(1);
+/// metrics.record_responses(1, std::time::Duration::from_micros(120));
 /// let snapshot = metrics.snapshot();
 /// let text = Exposition::render(|out| MetricsSnapshot::write_metrics(out, &[(vec![], &snapshot)]));
 /// let samples = validate_prometheus(&text).expect("exposition is valid");
@@ -792,15 +768,13 @@ mod tests {
     #[test]
     fn snapshot_aggregates_counts() {
         let m = ServingMetrics::new();
-        for _ in 0..10 {
-            m.record_submit();
-        }
+        m.record_submits(10);
         m.record_batch(4);
         m.record_batch(6);
         for i in 0..10u64 {
-            m.record_response(Duration::from_micros(100 + i));
+            m.record_responses(1, Duration::from_micros(100 + i));
         }
-        m.record_error();
+        m.record_errors(1);
         let s = m.snapshot();
         assert_eq!(s.requests, 10);
         assert_eq!(s.responses, 10);
@@ -819,10 +793,10 @@ mod tests {
         let m = ServingMetrics::new();
         // 98 fast responses (~8 µs), 2 slow (~8192 µs).
         for _ in 0..98 {
-            m.record_response(Duration::from_micros(8));
+            m.record_responses(1, Duration::from_micros(8));
         }
         for _ in 0..2 {
-            m.record_response(Duration::from_micros(8192));
+            m.record_responses(1, Duration::from_micros(8192));
         }
         let s = m.snapshot();
         assert!(s.p50_latency_us < 32.0, "p50 {}", s.p50_latency_us);
@@ -841,13 +815,11 @@ mod tests {
     fn queue_depth_tracks_unterminated_requests() {
         let m = ServingMetrics::new();
         assert_eq!(m.queue_depth(), 0);
-        for _ in 0..5 {
-            m.record_submit();
-        }
+        m.record_submits(5);
         assert_eq!(m.queue_depth(), 5);
-        m.record_response(Duration::from_micros(10));
-        m.record_error();
-        m.record_expired();
+        m.record_responses(1, Duration::from_micros(10));
+        m.record_errors(1);
+        m.record_expiries(1);
         assert_eq!(m.queue_depth(), 2);
         assert_eq!(m.snapshot().pending, 2);
         // Aggregation sums pending across shards.
@@ -860,9 +832,9 @@ mod tests {
     #[test]
     fn expired_requests_count_as_errors_too() {
         let m = ServingMetrics::new();
-        m.record_expired();
-        m.record_expired();
-        m.record_error();
+        m.record_expiries(1);
+        m.record_expiries(1);
+        m.record_errors(1);
         let s = m.snapshot();
         assert_eq!(s.expired, 2);
         assert_eq!(s.errors, 3);
@@ -871,8 +843,8 @@ mod tests {
     #[test]
     fn abstained_requests_count_as_errors_and_export() {
         let m = ServingMetrics::new();
-        m.record_submit();
-        m.record_abstained();
+        m.record_submits(1);
+        m.record_abstentions(1);
         let s = m.snapshot();
         assert_eq!(s.abstained, 1);
         assert_eq!(s.errors, 1, "abstention is a terminal error outcome");
@@ -895,17 +867,17 @@ mod tests {
             } else {
                 (&b, Duration::from_micros(5000 + i))
             };
-            shard.record_submit();
-            shard.record_response(latency);
-            combined.record_submit();
-            combined.record_response(latency);
+            shard.record_submits(1);
+            shard.record_responses(1, latency);
+            combined.record_submits(1);
+            combined.record_responses(1, latency);
         }
         a.record_batch(4);
         b.record_batch(2);
         combined.record_batch(4);
         combined.record_batch(2);
-        b.record_expired();
-        combined.record_expired();
+        b.record_expiries(1);
+        combined.record_expiries(1);
 
         let merged = MetricsSnapshot::aggregate([&a.snapshot(), &b.snapshot()]);
         let reference = combined.snapshot();
@@ -964,15 +936,13 @@ mod tests {
     #[test]
     fn prometheus_export_is_valid_and_complete() {
         let m = ServingMetrics::new();
-        for _ in 0..5 {
-            m.record_submit();
-        }
+        m.record_submits(5);
         m.record_batch(3);
         m.record_batch(2);
         for _ in 0..5 {
-            m.record_response(Duration::from_micros(120));
+            m.record_responses(1, Duration::from_micros(120));
         }
-        m.record_expired();
+        m.record_expiries(1);
         let s = m.snapshot();
         let text = text_of(&s);
         assert_valid_prometheus(&text);
@@ -1001,9 +971,9 @@ mod tests {
     #[test]
     fn prometheus_labels_are_attached_to_every_sample() {
         let m = ServingMetrics::new();
-        m.record_submit();
+        m.record_submits(1);
         m.record_batch(1);
-        m.record_response(Duration::from_micros(10));
+        m.record_responses(1, Duration::from_micros(10));
         let text = exposition(&[(vec![("shard", "2")], &m.snapshot())]);
         assert_valid_prometheus(&text);
         for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -1018,11 +988,11 @@ mod tests {
     #[test]
     fn multi_series_render_declares_each_metric_once() {
         let a = ServingMetrics::new();
-        a.record_submit();
+        a.record_submits(1);
         a.record_batch(1);
-        a.record_response(Duration::from_micros(50));
+        a.record_responses(1, Duration::from_micros(50));
         let b = ServingMetrics::new();
-        b.record_submit();
+        b.record_submits(1);
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let text = exposition(&[
             (
@@ -1045,8 +1015,8 @@ mod tests {
         let m = ServingMetrics::new();
         m.record_batch(3);
         m.record_batch(4);
-        m.record_response(Duration::from_micros(100));
-        m.record_response(Duration::from_micros(250));
+        m.record_responses(1, Duration::from_micros(100));
+        m.record_responses(1, Duration::from_micros(250));
         let s = m.snapshot();
         assert_eq!(s.batched_requests, 7);
         assert_eq!(s.latency_sum_us, 350);
@@ -1065,19 +1035,19 @@ mod tests {
         block.record_expiries(5);
         block.record_abstentions(7);
         for _ in 0..64 {
-            rows.record_submit();
+            rows.record_submits(1);
         }
         for _ in 0..40 {
-            rows.record_response(latency);
+            rows.record_responses(1, latency);
         }
         for _ in 0..3 {
-            rows.record_error();
+            rows.record_errors(1);
         }
         for _ in 0..5 {
-            rows.record_expired();
+            rows.record_expiries(1);
         }
         for _ in 0..7 {
-            rows.record_abstained();
+            rows.record_abstentions(1);
         }
         assert_eq!(block.snapshot(), rows.snapshot());
         assert_eq!(block.snapshot().latency_sum_us, 40 * 1500);
@@ -1087,9 +1057,9 @@ mod tests {
     #[test]
     fn display_mentions_the_headline_numbers() {
         let m = ServingMetrics::new();
-        m.record_submit();
+        m.record_submits(1);
         m.record_batch(1);
-        m.record_response(Duration::from_micros(500));
+        m.record_responses(1, Duration::from_micros(500));
         let text = m.snapshot().to_string();
         assert!(text.contains("requests 1"));
         assert!(text.contains("p50"));

@@ -26,21 +26,15 @@ impl History {
         // submitted request; `extra_requests` stay pending.
         let submissions =
             self.latencies_us.len() + self.errors + self.expired + self.extra_requests;
-        for _ in 0..submissions {
-            metrics.record_submit();
-        }
+        metrics.record_submits(submissions);
         for &size in &self.batch_sizes {
             metrics.record_batch(size);
         }
         for &us in &self.latencies_us {
-            metrics.record_response(Duration::from_micros(us));
+            metrics.record_responses(1, Duration::from_micros(us));
         }
-        for _ in 0..self.errors {
-            metrics.record_error();
-        }
-        for _ in 0..self.expired {
-            metrics.record_expired();
-        }
+        metrics.record_errors(self.errors);
+        metrics.record_expiries(self.expired);
     }
 
     fn snapshot(&self) -> MetricsSnapshot {

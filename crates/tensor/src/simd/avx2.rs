@@ -1,22 +1,15 @@
-//! Explicit AVX2+FMA implementations of the dispatched kernels.
+//! Explicit AVX2 implementations of the dispatched kernels.
 //!
 //! Everything here is an `unsafe fn` annotated
-//! `#[target_feature(enable = "avx2,fma")]`: the contract (checked by the
-//! only caller, [`super::dispatch`]) is that the running CPU has been probed
+//! `#[target_feature(enable = "avx2")]`: the contract (checked by the only
+//! caller, [`super::dispatch`]) is that the running CPU has been probed
 //! with `is_x86_feature_detected!` before any of these execute. The module
 //! is `pub(crate)` so that contract cannot leak.
 //!
-//! # Numerical contract
-//!
-//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`])
-//! and the index kernel ([`argmax`]) are **bit-identical** to their scalar
-//! counterparts: multiplies and adds stay two distinct roundings
-//! (`_mm256_mul_ps` + `_mm256_add_ps`, never `_mm256_fmadd_ps`),
-//! per-element order is preserved, and integer-to-float conversions are
-//! exact. Only [`softmax_seg`] trades bits for speed, under the documented
-//! tolerance of `simd::exp`: it evaluates the shared `exp_approx`
-//! polynomial with fused multiply-adds (one rounding where the portable
-//! tier has two).
+//! Every kernel is **bit-identical** to its lane-tier counterpart:
+//! multiplies and adds stay two distinct roundings (`_mm256_mul_ps` +
+//! `_mm256_add_ps`, never a fused multiply-add), per-element and summation
+//! order are preserved, and integer-to-float conversions are exact.
 
 #![allow(unsafe_code)]
 // Every unsafe block in this module must say why it is sound.
@@ -33,8 +26,8 @@ use super::exp::{exp_approx, C0, C1, C2, C3, C4, C5, EXP_LO, LN2_HI, LN2_LO, LOG
 /// best — so the chosen index is bit-identical to the scalar result.
 ///
 /// # Safety
-/// The CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
 pub unsafe fn argmax(x: &[f32]) -> usize {
     if x.is_empty() {
         return 0;
@@ -71,8 +64,8 @@ pub unsafe fn argmax(x: &[f32]) -> usize {
 /// to the scalar loop.
 ///
 /// # Safety
-/// The CPU must support AVX2 and FMA. Slices must be equal length (asserted).
-#[target_feature(enable = "avx2,fma")]
+/// The CPU must support AVX2. Slices must be equal length (asserted).
+#[target_feature(enable = "avx2")]
 pub unsafe fn accumulate_i8(dst: &mut [f32], codes: &[i8]) {
     assert_eq!(dst.len(), codes.len(), "accumulate_i8: length mismatch");
     let n = dst.len() / 8 * 8;
@@ -97,8 +90,8 @@ pub unsafe fn accumulate_i8(dst: &mut [f32], codes: &[i8]) {
 /// semantics, bit-identical to the scalar loop.
 ///
 /// # Safety
-/// The CPU must support AVX2 and FMA. Slices must be equal length (asserted).
-#[target_feature(enable = "avx2,fma")]
+/// The CPU must support AVX2. Slices must be equal length (asserted).
+#[target_feature(enable = "avx2")]
 pub unsafe fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
     assert_eq!(dst.len(), codes.len(), "axpy_i8: length mismatch");
     let av = _mm256_set1_ps(a);
@@ -124,7 +117,8 @@ pub unsafe fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
 }
 
 /// Eight-lane `exp_approx` of max-subtracted supports: the shared
-/// Cephes polynomial of `simd::exp` with the multiply-adds fused.
+/// polynomial of `simd::exp` in the same operation order, so each lane is
+/// bit-identical to the scalar `exp_approx`.
 ///
 /// Callers must have subtracted the segment maximum first (arguments are
 /// `<= 0`), which keeps the reassembled exponent strictly below the `f32`
@@ -132,29 +126,31 @@ pub unsafe fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
 /// unreachable and omitted.
 ///
 /// # Safety
-/// The CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
 unsafe fn exp_nonpos_ps(x: __m256) -> __m256 {
     // Arguments are non-positive; only the underflow side needs a clamp.
-    let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
-    let x = _mm256_min_ps(x, _mm256_setzero_ps());
+    // `maxps`/`minps` return the second operand when either is NaN, so `x`
+    // goes second: a NaN passes through, as it does the scalar `clamp`.
+    let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
+    let x = _mm256_min_ps(_mm256_setzero_ps(), x);
+    // Ties-to-even, the integer the scalar magic-constant round yields.
     let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(_mm256_mul_ps(
         x,
         _mm256_set1_ps(LOG2E),
     ));
-    // Cody–Waite: r = x - n·LN2_HI - n·LN2_LO, fused.
-    let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_HI), x);
-    let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_LO), r);
+    // Cody–Waite: r = (x - n·LN2_HI) - n·LN2_LO.
+    let r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI)));
+    let r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)));
     let r2 = _mm256_mul_ps(r, r);
     let mut p = _mm256_set1_ps(C0);
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(C1));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(C2));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(C3));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(C4));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(C5));
-    let poly = _mm256_add_ps(_mm256_fmadd_ps(p, r2, r), _mm256_set1_ps(1.0));
+    for c in [C1, C2, C3, C4, C5] {
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+    }
+    let poly = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, r2), r), _mm256_set1_ps(1.0));
     // 2^n through the exponent field: n ∈ [-126, 0] here, so the biased
-    // exponent 127 + n stays in [1, 127] — always a normal number.
+    // exponent 127 + n stays in [1, 127] — always a normal number, and the
+    // one multiply rounds once, like the scalar two-factor split.
     let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
         _mm256_cvtps_epi32(n),
         _mm256_set1_epi32(127),
@@ -164,13 +160,13 @@ unsafe fn exp_nonpos_ps(x: __m256) -> __m256 {
 
 /// Fused softmax of one group: max, `exp_approx(v - max)` with an in-register
 /// running total, then one normalising division pass. Tail lanes (fewer than
-/// eight trailing elements) run the scalar polynomial. Degenerate totals
-/// (`<= 0`, only reachable with non-finite inputs) fall back to uniform,
-/// like every other tier.
+/// eight trailing elements) run the scalar polynomial. A total that is not
+/// positive (only reachable with a NaN or infinite input) falls back to
+/// uniform, like the lane tier.
 ///
 /// # Safety
-/// The CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
 pub unsafe fn softmax_seg(seg: &mut [f32]) {
     if seg.is_empty() {
         return;

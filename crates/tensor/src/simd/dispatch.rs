@@ -1,33 +1,25 @@
 //! Runtime CPU-feature dispatch for the hot kernels.
 //!
-//! The binary ships every tier and picks one when the process starts:
+//! The binary ships both tiers and picks one when the process starts:
 //!
-//! | tier | implementation | `exp` |
-//! |------|----------------|-------|
-//! | [`SimdTier::Scalar`] | plain loops, the pre-dispatch reference | libm |
-//! | [`SimdTier::Lanes`]  | portable 8-lane kernels (`simd::argmax`, lane softmax) | [`exp::exp_approx`] |
-//! | [`SimdTier::Avx2`]   | explicit AVX2+FMA intrinsics (`simd::avx2`) | same polynomial, fused |
+//! | tier | implementation |
+//! |------|----------------|
+//! | [`SimdTier::Lanes`] | portable 8-lane kernels (`simd::argmax`, lane softmax over [`exp::exp_approx_x8`]) |
+//! | [`SimdTier::Avx2`]  | explicit AVX2 intrinsics (`simd::avx2`) |
 //!
 //! Selection runs once, at the first dispatched call: the `BCPNN_SIMD` env
-//! var (`scalar` / `lanes` / `avx2`) wins if set and valid, otherwise
-//! `is_x86_feature_detected!("avx2")` + `("fma")` promotes to AVX2 and
-//! anything else (including every non-x86 target) gets the portable lane
-//! tier. A request for `avx2` on a CPU without it falls back to `lanes`
-//! with a one-time stderr notice — it never crashes and never executes an
-//! unsupported instruction. Tests and benches may also force a tier
-//! programmatically with [`set_tier`].
+//! var (`lanes` / `avx2`) wins if set and valid, otherwise
+//! `is_x86_feature_detected!("avx2")` promotes to AVX2 and anything else
+//! (including every non-x86 target) gets the portable lane tier. A request
+//! for `avx2` on a CPU without it falls back to `lanes` with a one-time
+//! stderr notice — it never crashes and never executes an unsupported
+//! instruction. Tests and benches may also force a tier programmatically
+//! with [`set_tier`].
 //!
 //! # Numerical contract
 //!
-//! The elementwise kernels ([`accumulate_i8`], [`axpy_i8`])
-//! and the index kernels ([`argmax`], [`row_argmax_into`]) return
-//! **bit-identical** results on every tier — multiply-then-add stays two
-//! roundings everywhere, even in the AVX2 tier. Only the softmax kernels
-//! ([`softmax_groups_into`], [`softmax_row_groups_par`]) differ across
-//! tiers, and those only within the `exp_approx` tolerance documented in
-//! [`exp`]: the scalar tier keeps the legacy libm loop bit-for-bit, the
-//! other two use the shared polynomial (relative error ≤ 1e-6).
-//! `tests/simd_dispatch_equivalence.rs` holds every tier to this table.
+//! Every kernel returns **bit-identical** results on every tier, for every
+//! input; `tests/simd_dispatch_equivalence.rs` holds the tiers to it.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;
@@ -36,7 +28,6 @@ use bcpnn_parallel::par_chunks_mut;
 
 use super::exp;
 use crate::matrix::Matrix;
-use crate::reduce;
 
 #[cfg(target_arch = "x86_64")]
 use super::avx2;
@@ -61,22 +52,19 @@ mod avx2 {
     }
 }
 
-/// Environment variable that forces a dispatch tier: `scalar`, `lanes` or
-/// `avx2` (case-insensitive). Read once, at the first dispatched call.
+/// Environment variable that forces a dispatch tier: `lanes` or `avx2`
+/// (case-insensitive). Read once, at the first dispatched call.
 pub const SIMD_ENV: &str = "BCPNN_SIMD";
 
 /// One dispatch tier. See the [module docs](self) for the selection rules
-/// and the per-tier numerical contract.
+/// and the numerical contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdTier {
-    /// Plain scalar loops with libm `exp` — the pre-dispatch reference
-    /// numerics, bit-for-bit.
-    Scalar,
     /// Portable fixed-width lane kernels (`simd::argmax`,
     /// [`exp::exp_approx_x8`]); compiles on every target and relies on the
     /// auto-vectorizer for width.
     Lanes,
-    /// Explicit AVX2+FMA intrinsics (`core::arch::x86_64`); requires a
+    /// Explicit AVX2 intrinsics (`core::arch::x86_64`); requires a
     /// runtime feature probe and silently degrades to [`SimdTier::Lanes`]
     /// where unsupported.
     Avx2,
@@ -86,18 +74,15 @@ impl SimdTier {
     /// Canonical lower-case name (the accepted `BCPNN_SIMD` values).
     pub fn as_str(self) -> &'static str {
         match self {
-            SimdTier::Scalar => "scalar",
             SimdTier::Lanes => "lanes",
             SimdTier::Avx2 => "avx2",
         }
     }
 
     /// Parse a tier name as accepted by `BCPNN_SIMD` (case-insensitive;
-    /// `scalar`, `lanes` and `avx2`, plus the aliases `libm` → scalar and
-    /// `portable` → lanes).
+    /// `lanes` and `avx2`, plus the alias `portable` → lanes).
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" | "libm" => Some(SimdTier::Scalar),
             "lanes" | "portable" => Some(SimdTier::Lanes),
             "avx2" => Some(SimdTier::Avx2),
             _ => None,
@@ -114,7 +99,7 @@ impl SimdTier {
             NOTICE.call_once(|| {
                 eprintln!(
                     "bcpnn-tensor: avx2 SIMD tier requested but the CPU lacks \
-                     avx2+fma; falling back to the portable lane tier"
+                     avx2; falling back to the portable lane tier"
                 );
             });
             return SimdTier::Lanes;
@@ -123,12 +108,12 @@ impl SimdTier {
     }
 }
 
-/// Whether the running CPU supports the AVX2 tier (AVX2 *and* FMA —
-/// the intrinsic kernels enable both). Always false off x86-64.
+/// Whether the running CPU supports the AVX2 tier. Always false off
+/// x86-64.
 fn avx2_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -177,17 +162,15 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 fn encode(tier: SimdTier) -> u8 {
     match tier {
-        SimdTier::Scalar => 1,
-        SimdTier::Lanes => 2,
-        SimdTier::Avx2 => 3,
+        SimdTier::Lanes => 1,
+        SimdTier::Avx2 => 2,
     }
 }
 
 fn decode(v: u8) -> SimdTier {
     match v {
-        1 => SimdTier::Scalar,
-        2 => SimdTier::Lanes,
-        3 => SimdTier::Avx2,
+        1 => SimdTier::Lanes,
+        2 => SimdTier::Avx2,
         _ => unreachable!("invalid encoded SIMD tier {v}"),
     }
 }
@@ -202,7 +185,7 @@ fn init_tier() -> SimdTier {
                 NOTICE.call_once(|| {
                     eprintln!(
                         "bcpnn-tensor: unrecognised {SIMD_ENV}={raw:?} \
-                         (expected scalar|lanes|avx2); using detection"
+                         (expected lanes|avx2); using detection"
                     );
                 });
                 detected_tier()
@@ -237,13 +220,12 @@ pub fn set_tier(tier: SimdTier) -> SimdTier {
 }
 
 // ---------------------------------------------------------------------------
-// Portable implementations shared by the Scalar/Lanes arms (and the non-x86
-// AVX2 stubs).
+// Portable implementations: the lane tier (and the non-x86 AVX2 stubs).
 // ---------------------------------------------------------------------------
 
 /// `dst[j] += codes[j] as f32` — i8→f32 conversion is exact, so every tier
-/// is bit-identical. The plain loop is the scalar *and* lane tier (the
-/// auto-vectorizer widens it); AVX2 uses `_mm256_cvtepi8_epi32`.
+/// is bit-identical. The plain loop is the lane tier (the auto-vectorizer
+/// widens it); AVX2 uses `_mm256_cvtepi8_epi32`.
 fn portable_accumulate_i8(dst: &mut [f32], codes: &[i8]) {
     assert_eq!(dst.len(), codes.len(), "accumulate_i8: length mismatch");
     for (d, &c) in dst.iter_mut().zip(codes) {
@@ -258,36 +240,11 @@ fn portable_axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
     }
 }
 
-/// The legacy softmax loop, bit-for-bit: libm `exp`, running total, divide
-/// (uniform fallback on a non-positive total). This *is* the pre-dispatch
-/// `NaiveBackend::grouped_softmax` body, hoisted here so every backend
-/// shares one definition.
-fn softmax_seg_scalar(seg: &mut [f32]) {
-    if seg.is_empty() {
-        return;
-    }
-    let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut total = 0.0f32;
-    for v in seg.iter_mut() {
-        *v = (*v - max).exp();
-        total += *v;
-    }
-    if total > 0.0 {
-        for v in seg.iter_mut() {
-            *v /= total;
-        }
-    } else {
-        let u = 1.0 / seg.len() as f32;
-        for v in seg.iter_mut() {
-            *v = u;
-        }
-    }
-}
-
-/// Lane-tier softmax: same structure as the scalar loop, but `exp` is the
-/// shared polynomial ([`exp::exp_approx_x8`] eight lanes at a time, scalar
-/// [`exp::exp_approx`] on the tail) and the eight per-lane partial totals
-/// are reduced in lane order before the tail is added.
+/// Lane-tier softmax: subtract the max, exponentiate with the shared
+/// polynomial ([`exp::exp_approx_x8`] eight lanes at a time, scalar
+/// [`exp::exp_approx`] on the tail), divide by the total (uniform fallback
+/// when it is not positive). The eight per-lane partial totals are reduced
+/// in lane order before the tail is added — the order the AVX2 tier keeps.
 fn softmax_seg_lanes(seg: &mut [f32]) {
     if seg.is_empty() {
         return;
@@ -332,15 +289,14 @@ fn softmax_seg_lanes(seg: &mut [f32]) {
 // re-resolved, so passing `Avx2` is safe on any machine).
 // ---------------------------------------------------------------------------
 
-/// Index of the first maximum (0 for empty) on the given tier. All tiers
+/// Index of the first maximum (0 for empty) on the given tier. Both tiers
 /// implement the exact scalar-scan semantics — strict `>`, first
 /// occurrence, NaNs never win — so the index is identical everywhere.
 pub fn argmax_with(tier: SimdTier, x: &[f32]) -> usize {
     match tier.resolved() {
-        SimdTier::Scalar => crate::vector::argmax(x),
         SimdTier::Lanes => super::argmax(x),
         // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
+        // confirmed avx2 on this CPU (never off x86-64).
         SimdTier::Avx2 => unsafe { avx2::argmax(x) },
     }
 }
@@ -354,12 +310,11 @@ pub fn argmax(x: &[f32]) -> usize {
 /// same semantics as [`argmax_with`]).
 pub fn row_argmax_into_with(tier: SimdTier, m: &Matrix<f32>, out: &mut Vec<usize>) {
     match tier.resolved() {
-        SimdTier::Scalar => reduce::row_argmax_into(m, out),
         SimdTier::Lanes => super::row_argmax_into(m, out),
         SimdTier::Avx2 => {
             out.clear();
             // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-            // confirmed avx2+fma on this CPU (never off x86-64).
+            // confirmed avx2 on this CPU (never off x86-64).
             out.extend(m.iter_rows().map(|row| unsafe { avx2::argmax(row) }));
         }
     }
@@ -382,9 +337,9 @@ pub fn row_argmax(m: &Matrix<f32>) -> Vec<usize> {
 /// bit-identical across tiers (the conversion is exact).
 pub fn accumulate_i8_with(tier: SimdTier, dst: &mut [f32], codes: &[i8]) {
     match tier.resolved() {
-        SimdTier::Scalar | SimdTier::Lanes => portable_accumulate_i8(dst, codes),
+        SimdTier::Lanes => portable_accumulate_i8(dst, codes),
         // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
+        // confirmed avx2 on this CPU (never off x86-64).
         SimdTier::Avx2 => unsafe { avx2::accumulate_i8(dst, codes) },
     }
 }
@@ -398,9 +353,9 @@ pub fn accumulate_i8(dst: &mut [f32], codes: &[i8]) {
 /// bit-identical across tiers.
 pub fn axpy_i8_with(tier: SimdTier, dst: &mut [f32], a: f32, codes: &[i8]) {
     match tier.resolved() {
-        SimdTier::Scalar | SimdTier::Lanes => portable_axpy_i8(dst, a, codes),
+        SimdTier::Lanes => portable_axpy_i8(dst, a, codes),
         // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
+        // confirmed avx2 on this CPU (never off x86-64).
         SimdTier::Avx2 => unsafe { avx2::axpy_i8(dst, a, codes) },
     }
 }
@@ -411,18 +366,14 @@ pub fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
 }
 
 /// Softmax one contiguous group in place on the given tier: subtract-max,
-/// exponentiate, normalise (uniform fallback when the total is not
-/// positive, which only finite inputs never trigger).
-///
-/// The scalar tier is bit-for-bit the legacy libm loop; the lane and AVX2
-/// tiers use the shared [`exp::exp_approx`] polynomial and agree with the
-/// scalar tier within its documented ≤ 1e-6 relative error.
+/// exponentiate with [`exp::exp_approx`], normalise (uniform fallback when
+/// the total is not positive, which only a NaN or infinite input triggers).
+/// Bit-identical on both tiers.
 fn softmax_seg(tier: SimdTier, seg: &mut [f32]) {
     match tier.resolved() {
-        SimdTier::Scalar => softmax_seg_scalar(seg),
         SimdTier::Lanes => softmax_seg_lanes(seg),
         // SAFETY: `resolved()` returns Avx2 only when the runtime probe
-        // confirmed avx2+fma on this CPU (never off x86-64).
+        // confirmed avx2 on this CPU (never off x86-64).
         SimdTier::Avx2 => unsafe { avx2::softmax_seg(seg) },
     }
 }
@@ -499,13 +450,12 @@ mod tests {
 
     #[test]
     fn parse_accepts_canonical_names_and_aliases() {
-        assert_eq!(SimdTier::parse("scalar"), Some(SimdTier::Scalar));
         assert_eq!(SimdTier::parse("LANES"), Some(SimdTier::Lanes));
         assert_eq!(SimdTier::parse(" avx2 "), Some(SimdTier::Avx2));
-        assert_eq!(SimdTier::parse("libm"), Some(SimdTier::Scalar));
         assert_eq!(SimdTier::parse("portable"), Some(SimdTier::Lanes));
+        assert_eq!(SimdTier::parse("scalar"), None);
         assert_eq!(SimdTier::parse("avx512"), None);
-        for t in [SimdTier::Scalar, SimdTier::Lanes, SimdTier::Avx2] {
+        for t in [SimdTier::Lanes, SimdTier::Avx2] {
             assert_eq!(SimdTier::parse(t.as_str()), Some(t));
         }
     }
@@ -518,11 +468,6 @@ mod tests {
         assert!(got == SimdTier::Avx2 || got == SimdTier::Lanes);
         assert_eq!(active_tier(), got);
         assert_eq!(set_tier(prev), prev, "restoring a held tier is exact");
-    }
-
-    #[test]
-    fn detected_tier_is_never_scalar() {
-        assert_ne!(detected_tier(), SimdTier::Scalar);
     }
 
     #[test]

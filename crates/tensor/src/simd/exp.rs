@@ -6,13 +6,13 @@
 //! neither inlines nor vectorizes. This module supplies the classic
 //! Cephes-style alternative — range reduction to `[-½ln2, ½ln2]`, a
 //! degree-6 minimax polynomial, and exponent reassembly via integer bit
-//! arithmetic — in a form the three dispatch tiers share:
+//! arithmetic — in a form both dispatch tiers share:
 //!
 //! * [`exp_approx`] — the scalar reference. The portable-lane softmax tier
 //!   applies it through [`exp_approx_x8`], whose fixed-width array body
-//!   auto-vectorizes; the AVX2 tier re-implements the *same algorithm with
-//!   the same coefficients* in intrinsics (see `simd::avx2`), differing
-//!   only in using fused multiply-adds inside the polynomial.
+//!   auto-vectorizes; the AVX2 tier re-implements the *same operations in
+//!   the same order* in intrinsics (see `simd::avx2`), so every tier gets
+//!   the same bits.
 //!
 //! # Accuracy contract
 //!
@@ -32,10 +32,8 @@
 //!   is *not* guaranteed at range-reduction seams, the same caveat libm
 //!   itself carries.)
 //!
-//! Inputs are assumed finite: a `NaN` propagates through the scalar path
-//! (`clamp` keeps it), while the AVX2 intrinsic path maps it to a clamp
-//! endpoint — the softmax kernels only ever pass max-subtracted finite
-//! supports, so the difference is unobservable from the serving paths.
+//! A `NaN` input propagates on every tier (`clamp` keeps it), so a softmax
+//! group holding a NaN or `+inf` support falls to the uniform fallback.
 
 // The constants below keep every digit of their canonical Cephes decimal
 // forms (some beyond f32 precision) to document provenance.

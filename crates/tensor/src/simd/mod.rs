@@ -14,13 +14,13 @@
 //! speed comes from unrolling and bounds-check elimination, not from
 //! reassociating sums.
 //!
-//! The portable lane kernels in this module are one *tier* of a three-tier
+//! The portable lane kernels in this module are one *tier* of a two-tier
 //! runtime story. [`dispatch`] probes the CPU once at startup (or honours
-//! the `BCPNN_SIMD` env var) and routes each call to the scalar loops, to
-//! these lane kernels, or to the explicit AVX2+FMA intrinsics in the
-//! (private) `avx2` module. New code should call through [`dispatch`]; the
-//! functions here remain public as the portable tier's implementation and
-//! for callers that need the fixed no-detection cost model.
+//! the `BCPNN_SIMD` env var) and routes each call to these lane kernels or
+//! to the explicit AVX2 intrinsics in the (private) `avx2` module; both
+//! tiers return the same bits. New code should call through [`dispatch`];
+//! the functions here remain public as the portable tier's implementation
+//! and for callers that need the fixed no-detection cost model.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;

@@ -64,17 +64,13 @@ fn every_source_writes_the_bytes_it_wrote_before_the_writer() {
     let _serial = serial();
 
     let serving = ServingMetrics::new();
-    for _ in 0..5 {
-        serving.record_submit();
-    }
+    serving.record_submits(5);
     serving.record_batch(3);
     serving.record_batch(2);
-    for _ in 0..4 {
-        serving.record_response(Duration::from_micros(120));
-    }
-    serving.record_response(Duration::from_micros(9000));
-    serving.record_expired();
-    serving.record_abstained();
+    serving.record_responses(4, Duration::from_micros(120));
+    serving.record_responses(1, Duration::from_micros(9000));
+    serving.record_expiries(1);
+    serving.record_abstentions(1);
     let snapshot = serving.snapshot();
     let text =
         Exposition::render(|out| MetricsSnapshot::write_metrics(out, &[(vec![], &snapshot)]));

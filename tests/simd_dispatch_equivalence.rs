@@ -1,24 +1,24 @@
 //! Cross-tier equivalence for the runtime SIMD dispatch layer
 //! (`bcpnn_tensor::simd::dispatch`), in the spirit of
-//! `into_equivalence.rs`: every dispatch tier must agree with the scalar
-//! reference — **bit-for-bit** for the elementwise and index kernels
-//! (i8 / argmax), and within the documented `exp_approx` tolerance
-//! for the softmax kernels.
-//! On top of the kernel checks, a fitted pipeline must predict the same
-//! classes (accuracy delta ≤ 1e-5) on every tier.
+//! `into_equivalence.rs`: every kernel returns the same bits on every
+//! dispatch tier, for every input — finite, NaN, ±inf, or deep enough below
+//! the group maximum to underflow. The lane tier is the portable oracle; it
+//! is checked on its own against plain loops and an `f64` softmax.
+//! On top of the kernel checks, one seeded pipeline fitted on each tier
+//! must write the same model bytes and predict the same probabilities.
 //!
 //! Everything runs inside a single `#[test]` because the later phases force
 //! the process-wide tier with `set_tier`; separate tests would race each
 //! other's global state under the parallel test runner.
 
 use bcpnn_backend::{Backend, BackendKind, NaiveBackend, ParallelBackend};
-use bcpnn_core::metrics::accuracy;
 use bcpnn_core::{Network, Pipeline, Predictor, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_tensor::simd::dispatch::{self, SimdTier};
-use bcpnn_tensor::{Matrix, MatrixRng};
+use bcpnn_tensor::simd::exp::EXP_LO;
+use bcpnn_tensor::{reduce, vector, Matrix, MatrixRng};
 
-const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Lanes, SimdTier::Avx2];
+const TIERS: [SimdTier; 2] = [SimdTier::Lanes, SimdTier::Avx2];
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -38,12 +38,16 @@ fn elementwise_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
         let a = 0.37f32;
 
         let mut want_i8acc = base.clone();
-        dispatch::accumulate_i8_with(SimdTier::Scalar, &mut want_i8acc, &codes_i8);
+        for (d, &c) in want_i8acc.iter_mut().zip(&codes_i8) {
+            *d += f32::from(c);
+        }
         let mut want_i8axpy = base.clone();
-        dispatch::axpy_i8_with(SimdTier::Scalar, &mut want_i8axpy, a, &codes_i8);
-        let want_argmax = dispatch::argmax_with(SimdTier::Scalar, &x);
+        for (d, &c) in want_i8axpy.iter_mut().zip(&codes_i8) {
+            *d += a * f32::from(c);
+        }
+        let want_argmax = vector::argmax(&x);
 
-        for tier in [SimdTier::Lanes, SimdTier::Avx2] {
+        for tier in TIERS {
             let mut got = base.clone();
             dispatch::accumulate_i8_with(tier, &mut got, &codes_i8);
             assert_eq!(
@@ -78,8 +82,8 @@ fn matrix_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
     for (rows, cols) in [(0, 5), (1, 1), (4, 7), (5, 8), (6, 19), (9, 64)] {
         let m: Matrix<f32> = rng.uniform(rows, cols, -3.0, 3.0);
         let mut want_idx = Vec::new();
-        dispatch::row_argmax_into_with(SimdTier::Scalar, &m, &mut want_idx);
-        for tier in [SimdTier::Lanes, SimdTier::Avx2] {
+        reduce::row_argmax_into(&m, &mut want_idx);
+        for tier in TIERS {
             let mut idx = Vec::new();
             dispatch::row_argmax_into_with(tier, &m, &mut idx);
             assert_eq!(idx, want_idx, "row_argmax {tier:?} {rows}x{cols}");
@@ -87,61 +91,105 @@ fn matrix_kernels_are_bit_exact_across_tiers(rng: &mut MatrixRng) {
     }
 }
 
-/// The scalar tier of the shared softmax kernel must be the legacy naive
-/// loop bit-for-bit; the polynomial tiers must agree within the documented
-/// `exp_approx` tolerance (probabilities live in [0, 1], so absolute diff).
-fn softmax_matches_scalar_reference(rng: &mut MatrixRng) {
+/// The lane tier's softmax must stay within 2e-6 (probabilities live in
+/// [0, 1], so absolute difference) of an `f64` softmax, and every group
+/// must still normalise closely enough to serve.
+fn lane_softmax_matches_f64_reference(rng: &mut MatrixRng) {
     for (rows, group, groups) in [(1, 1, 4), (5, 4, 3), (9, 32, 4), (3, 7, 2)] {
         let m: Matrix<f32> = rng.normal(rows, group * groups, 0.0, 3.0);
-
-        // Legacy loop, verbatim from the pre-dispatch NaiveBackend.
-        let mut legacy = m.clone();
-        for r in 0..legacy.rows() {
-            for seg in legacy.row_mut(r).chunks_mut(group) {
-                let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut total = 0.0f32;
-                for v in seg.iter_mut() {
-                    *v = (*v - max).exp();
-                    total += *v;
+        let mut got = m.clone();
+        dispatch::softmax_groups_into_with(SimdTier::Lanes, &mut got, group);
+        for r in 0..m.rows() {
+            for (seg, out) in m.row(r).chunks(group).zip(got.row(r).chunks(group)) {
+                let max = seg.iter().map(|&v| f64::from(v)).fold(f64::MIN, f64::max);
+                let total: f64 = seg.iter().map(|&v| (f64::from(v) - max).exp()).sum();
+                for (&v, &o) in seg.iter().zip(out) {
+                    let want = (f64::from(v) - max).exp() / total;
+                    let diff = (f64::from(o) - want).abs();
+                    assert!(
+                        diff <= 2e-6,
+                        "lane softmax drifted {diff} from f64 ({rows}x{group}x{groups})"
+                    );
                 }
-                if total > 0.0 {
-                    for v in seg.iter_mut() {
-                        *v /= total;
-                    }
-                } else {
-                    let u = 1.0 / seg.len() as f32;
-                    for v in seg.iter_mut() {
-                        *v = u;
-                    }
-                }
-            }
-        }
-
-        let mut scalar = m.clone();
-        dispatch::softmax_groups_into_with(SimdTier::Scalar, &mut scalar, group);
-        assert_eq!(
-            bits(scalar.as_slice()),
-            bits(legacy.as_slice()),
-            "scalar tier must be the legacy loop bit-for-bit ({rows}x{group}x{groups})"
-        );
-
-        for tier in [SimdTier::Lanes, SimdTier::Avx2] {
-            let mut got = m.clone();
-            dispatch::softmax_groups_into_with(tier, &mut got, group);
-            assert!(
-                got.max_abs_diff(&scalar) <= 2e-6,
-                "softmax {tier:?} drifted {} from scalar ({rows}x{group}x{groups})",
-                got.max_abs_diff(&scalar)
-            );
-            // Each group still normalises exactly enough to serve.
-            for r in 0..got.rows() {
-                for seg in got.row(r).chunks(group) {
-                    let s: f32 = seg.iter().sum();
-                    assert!((s - 1.0).abs() < 1e-5, "{tier:?} group sum {s}");
-                }
+                let s: f32 = out.iter().sum();
+                assert!((s - 1.0).abs() < 1e-5, "group sum {s}");
             }
         }
     }
+}
+
+/// Softmax one `len`-wide segment on every tier and require one set of bits.
+fn assert_softmax_tiers_agree(seg: &[f32], what: &str) {
+    let m = Matrix::from_vec(1, seg.len(), seg.to_vec());
+    let mut want = m.clone();
+    dispatch::softmax_groups_into_with(SimdTier::Lanes, &mut want, seg.len());
+    for tier in TIERS {
+        let mut got = m.clone();
+        dispatch::softmax_groups_into_with(tier, &mut got, seg.len());
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(want.as_slice()),
+            "softmax {tier:?} vs lanes on {what}: {seg:?}"
+        );
+    }
+}
+
+/// Every tier's softmax is the lane tier's to the bit: on random groups of
+/// every shape, on groups holding a NaN or ±inf in the 8-lane body or in
+/// the tail, and on groups whose supports sit more than 87 below the
+/// maximum (the `EXP_LO` clamp, subnormal outputs).
+fn softmax_is_bit_exact_across_tiers(rng: &mut MatrixRng) {
+    for (rows, group, groups) in [(1, 1, 4), (5, 4, 3), (9, 32, 4), (3, 7, 2), (4, 17, 3)] {
+        for sd in [3.0, 40.0] {
+            let m: Matrix<f32> = rng.normal(rows, group * groups, 0.0, sd);
+            let mut want = m.clone();
+            dispatch::softmax_groups_into_with(SimdTier::Lanes, &mut want, group);
+            for tier in TIERS {
+                let mut got = m.clone();
+                dispatch::softmax_groups_into_with(tier, &mut got, group);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "softmax {tier:?} ({rows}x{group}x{groups}, sd {sd})"
+                );
+            }
+        }
+    }
+
+    for len in [1usize, 7, 8, 9, 16, 17] {
+        let base: Vec<f32> = rng.normal(1, len, 0.0, 2.0).into_vec();
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // Index 0 is a body lane once len >= 8; len - 1 is a tail lane
+            // unless len is a multiple of 8.
+            for at in [0, len / 2, len - 1] {
+                let mut seg = base.clone();
+                seg[at] = special;
+                assert_softmax_tiers_agree(&seg, &format!("{special} at {at} of {len}"));
+            }
+        }
+        let mut all = vec![f32::NEG_INFINITY; len];
+        assert_softmax_tiers_agree(&all, "all -inf");
+        all.fill(f32::INFINITY);
+        assert_softmax_tiers_agree(&all, "all +inf");
+    }
+
+    // Supports far below the maximum: exp clamps at EXP_LO ≈ -87.34 and the
+    // outputs near it are subnormal.
+    let deep = [
+        0.0, -86.0, -87.0, -87.3, -87.4, -88.0, -90.0, -100.0, -200.0, -1e30, EXP_LO, -50.0,
+        -103.0, -120.0, -3.0, -87.2, -1.0,
+    ];
+    for len in [1usize, 7, 8, 9, 16, 17] {
+        assert_softmax_tiers_agree(&deep[..len], "deep supports");
+        let shifted: Vec<f32> = deep[..len].iter().map(|v| v + 5.0).collect();
+        assert_softmax_tiers_agree(&shifted, "deep supports, shifted");
+    }
+    let mut out = Matrix::from_vec(1, deep.len(), deep.to_vec());
+    dispatch::softmax_groups_into_with(SimdTier::Lanes, &mut out, deep.len());
+    assert!(
+        out.as_slice().iter().any(|v| v.is_subnormal()),
+        "the deep supports must reach subnormal outputs: {out:?}"
+    );
 }
 
 /// Naive and parallel backends must stay bit-identical on *every* forced
@@ -179,67 +227,69 @@ fn backends_agree_per_tier(rng: &mut MatrixRng) {
     dispatch::set_tier(prev);
 }
 
-/// End-to-end: one pipeline fitted on the scalar tier must predict the same
-/// probabilities (≤ 1e-5) and the same accuracy (delta ≤ 1e-5) when served
-/// on every other tier.
-fn end_to_end_predict_agrees_across_tiers() {
+/// End-to-end: the same seeded pipeline, fitted once per tier, must write
+/// the same `model.bcpnn` bytes and predict the same probabilities to the
+/// bit.
+fn end_to_end_fit_is_bit_identical_across_tiers() {
     let prev = dispatch::active_tier();
-    dispatch::set_tier(SimdTier::Scalar);
-
     let data = generate(&SyntheticHiggsConfig {
         n_samples: 400,
         seed: 42,
         ..Default::default()
     });
-    let (pipeline, _) = Pipeline::fit(
-        &data,
-        10,
-        Network::builder()
-            .hidden(2, 8, 0.4)
-            .classes(2)
-            .readout(ReadoutKind::Hybrid)
-            .backend(BackendKind::Naive)
-            .seed(42),
-        TrainingParams {
-            unsupervised_epochs: 1,
-            supervised_epochs: 2,
-            batch_size: 64,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let proba_scalar = pipeline.predict_proba(&data.features).unwrap();
-    let preds_scalar = pipeline.predict(&data.features).unwrap();
-    let acc_scalar = accuracy(&preds_scalar, &data.labels);
-
-    for tier in [SimdTier::Lanes, SimdTier::Avx2] {
+    let root = std::env::temp_dir().join(format!("bcpnn-simd-tiers-{}", std::process::id()));
+    let mut fitted: Vec<(SimdTier, Vec<u8>, Vec<u32>)> = Vec::new();
+    for tier in TIERS {
         let installed = dispatch::set_tier(tier);
+        let (pipeline, _) = Pipeline::fit(
+            &data,
+            10,
+            Network::builder()
+                .hidden(2, 8, 0.4)
+                .classes(2)
+                .readout(ReadoutKind::Hybrid)
+                .backend(BackendKind::Naive)
+                .seed(42),
+            TrainingParams {
+                unsupervised_epochs: 1,
+                supervised_epochs: 2,
+                batch_size: 64,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let dir = root.join(installed.as_str());
+        pipeline.save(&dir).unwrap();
+        let bytes = std::fs::read(dir.join("model.bcpnn")).unwrap();
         let proba = pipeline.predict_proba(&data.features).unwrap();
+        fitted.push((installed, bytes, bits(proba.as_slice())));
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+    dispatch::set_tier(prev);
+
+    let (_, want_bytes, want_proba) = &fitted[0];
+    for (installed, bytes, proba) in &fitted[1..] {
         assert!(
-            proba.max_abs_diff(&proba_scalar) <= 1e-5,
-            "{installed:?} probabilities drifted {} from the libm path",
-            proba.max_abs_diff(&proba_scalar)
+            bytes == want_bytes,
+            "{installed:?} fit wrote different model bytes than lanes"
         );
-        let preds = pipeline.predict(&data.features).unwrap();
-        let acc = accuracy(&preds, &data.labels);
         assert!(
-            (acc - acc_scalar).abs() <= 1e-5,
-            "{installed:?} accuracy {acc} vs scalar {acc_scalar}"
+            proba == want_proba,
+            "{installed:?} probabilities differ from lanes"
         );
     }
-    dispatch::set_tier(prev);
 }
 
 #[test]
-fn every_dispatch_tier_agrees_with_scalar() {
+fn every_dispatch_tier_is_bit_identical() {
     // On machines without AVX2 the Avx2 requests degrade to Lanes — the
     // assertions then compare Lanes against itself, which keeps this test
     // meaningful-and-green on any x86 and on non-x86 targets alike.
     let mut rng = MatrixRng::seed_from(77);
     elementwise_kernels_are_bit_exact_across_tiers(&mut rng);
     matrix_kernels_are_bit_exact_across_tiers(&mut rng);
-    softmax_matches_scalar_reference(&mut rng);
+    lane_softmax_matches_f64_reference(&mut rng);
+    softmax_is_bit_exact_across_tiers(&mut rng);
     backends_agree_per_tier(&mut rng);
-    end_to_end_predict_agrees_across_tiers();
+    end_to_end_fit_is_bit_identical_across_tiers();
 }
