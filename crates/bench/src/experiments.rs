@@ -20,13 +20,12 @@ use bcpnn_core::baseline::{MlpClassifier, MlpParams};
 use bcpnn_core::{EvalReport, SgdClassifier, SgdParams, TrainingObserver, TrainingPhase};
 use bcpnn_data::encode::Standardizer;
 use bcpnn_data::higgs::{noise_feature_indices, FEATURE_NAMES};
-use bcpnn_hyperopt::space::bcpnn_higgs_space;
-use bcpnn_hyperopt::{EvolutionConfig, EvolutionSearch, ParamSet, RandomSearch};
 use bcpnn_tensor::simd::dispatch;
 use bcpnn_tensor::stats::mean;
-use bcpnn_viz::ascii::{render_feature_mask, sparkline};
-use bcpnn_viz::MaskHistory;
 
+use crate::ascii::{render_feature_mask, sparkline};
+use crate::insitu::MaskHistory;
+use crate::search::{bcpnn_higgs_space, EvolutionConfig, EvolutionSearch, ParamSet, RandomSearch};
 use crate::table::{mean_std, pct, pct_mean_std, pct_spread, spread, table};
 use crate::{
     build_network, build_trainer, prepare_higgs, run_bcpnn, run_repeated, Aggregate,
@@ -764,7 +763,7 @@ pub fn fig5(size: Size) -> Experiment {
     e.finish(t0, detail)
 }
 
-/// **§IV — hyperparameter search**: the `bcpnn-hyperopt` stand-ins for Ax
+/// **§IV — hyperparameter search**: the [`crate::search`] stand-ins for Ax
 /// and Nevergrad (random search, a (1 + λ) evolution strategy) over the
 /// canonical BCPNN space, against the untuned default configuration. Every
 /// score is the accuracy on the split the searches optimise.
@@ -829,9 +828,10 @@ pub fn search(size: Size) -> Experiment {
     ] {
         let trial = history.best().expect("non-empty history");
         best = best.max(trial.score);
-        let (trials, found) = (history.len(), describe(&config_from(&trial.params)));
+        let found = describe(&config_from(&trial.params));
         rows.push(format!(
-            "{name} | {trials} | {} | {found}",
+            "{name} | {} | {} | {found}",
+            history.trials().len(),
             pct(trial.score)
         ));
     }

@@ -11,6 +11,11 @@
 //! the same claims on miniature set-ups. Criterion micro-benchmarks of the
 //! kernels live in `benches/`; `bench_compare` gates them in CI.
 //!
+//! [`search`] is the hyperparameter search of the `search` experiment (the
+//! stand-in for the paper's Ax + Nevergrad), and [`ascii`] and [`insitu`]
+//! render and record the receptive fields (the stand-in for its ParaView
+//! Catalyst adaptor).
+//!
 //! This library root holds the pieces the experiments share: Higgs data
 //! preparation (synthetic generator → balanced subset → quantile one-hot
 //! encoding), a single-run driver and repetition/aggregation (the paper
@@ -27,8 +32,11 @@ use bcpnn_data::split::{balanced_subset, stratified_split};
 use bcpnn_data::Dataset;
 use bcpnn_tensor::Matrix;
 
+pub mod ascii;
 pub mod benchjson;
 pub mod experiments;
+pub mod insitu;
+pub mod search;
 pub mod table;
 
 /// Seed mask applied to derive the shuffling seed from the run seed, so the

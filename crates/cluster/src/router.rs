@@ -327,8 +327,9 @@ impl ClusterRouter {
     /// apart, `failure_status` maps a refusal to its HTTP status. A
     /// broadcast never fails over — every replica must swap to, or fold,
     /// the same thing to stay bit-identical — so a node that cannot be
-    /// reached is reported as [`ErrorCode::Disconnected`] ("the node is
-    /// unreachable"; one that refuses answers with its own code). Nothing
+    /// reached, or answers with the wrong frame, is marked down and
+    /// reported as [`ErrorCode::Disconnected`] ("the node is unreachable";
+    /// one that refuses answers with its own code). Nothing
     /// moves state between nodes, so a node that missed a learn diverges
     /// from its peers until per-model sequence numbers detect the gap.
     pub(crate) fn broadcast<T>(
@@ -344,8 +345,11 @@ impl ClusterRouter {
                 let result = match self.pools[b].call(request, self.config.request_timeout) {
                     Ok(Frame::Error { code, message }) => Err((code, message)),
                     Ok(reply) => decode(reply).map_err(|other| {
+                        // Protocol violation: the node is broken, as in
+                        // `predict_rows`, and the client is not to blame.
+                        self.mark_down(b);
                         let message = format!("unexpected reply frame {other:?}");
-                        (ErrorCode::BadRequest, message)
+                        (ErrorCode::Disconnected, message)
                     }),
                     Err(err) => {
                         self.mark_down(b);
@@ -619,6 +623,80 @@ bcpnn_serve_queue_depth 0
         let options = SubmitOptions::new().deadline(Duration::ZERO);
         let err = router.predict_rows("higgs", rows, &options).unwrap_err();
         assert_eq!(err, ServeError::DeadlineExceeded);
+    }
+
+    /// A node that answers every frame with a `Pong` (a ping's own nonce,
+    /// so it probes healthy), counting the pings it has answered.
+    fn pong_node() -> (SocketAddr, Arc<AtomicU64>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pings = Arc::new(AtomicU64::new(0));
+        let answered = Arc::clone(&pings);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { continue };
+                let answered = Arc::clone(&answered);
+                std::thread::spawn(move || {
+                    while let Ok(frame) = Frame::read_from(&mut stream, DEFAULT_MAX_PAYLOAD) {
+                        let nonce = match frame {
+                            Frame::Ping { nonce } => nonce,
+                            _ => 0,
+                        };
+                        if (Frame::Pong { nonce }).write_to(&mut stream).is_err() {
+                            return;
+                        }
+                        if nonce != 0 {
+                            answered.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        (addr, pings)
+    }
+
+    #[test]
+    fn a_wrong_reply_to_a_broadcast_is_a_502_and_marks_the_node_down() {
+        use bcpnn_backend::BackendKind;
+        use bcpnn_gateway::api::{ApiBackend, Outcome, PublishRequest};
+
+        let (addr, pings) = pong_node();
+        let router = ClusterRouter::start(ClusterConfig {
+            backends: vec![addr],
+            default_replication: 1,
+            health_interval: Duration::from_secs(3600),
+            ..ClusterConfig::default()
+        });
+        // The start-up probe and the health thread's first round have both
+        // found the node up; no further probe comes within the test.
+        while pings.load(Ordering::SeqCst) < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(router.pools[0].healthy());
+
+        let request = PublishRequest {
+            path: "models/higgs".into(),
+            version: 2,
+            backend: BackendKind::Naive,
+        };
+        let Ok(Outcome::PerNode(nodes)) = router.publish("higgs", &request) else {
+            panic!("a cluster publish reports per node");
+        };
+        assert_eq!(nodes[0].result.as_ref().unwrap_err().status, 502);
+        assert!(!router.pools[0].healthy());
+        assert_eq!(router.cluster_metrics().backends_up(), 0);
+
+        router.pools[0].set_healthy(true);
+        let rows = RowBlock {
+            n_cols: 2,
+            data: vec![0.0, 1.0],
+        };
+        let Ok(Outcome::PerNode(nodes)) = router.learn("higgs", rows, vec![1]) else {
+            panic!("a cluster learn reports per node");
+        };
+        assert_eq!(nodes[0].result.as_ref().unwrap_err().status, 502);
+        assert!(!router.pools[0].healthy());
     }
 
     #[test]

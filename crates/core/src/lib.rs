@@ -77,7 +77,7 @@ pub use error::{CoreError, CoreResult};
 pub use hcu::HiddenLayer;
 pub use mask::ReceptiveFieldMask;
 pub use metrics::EvalReport;
-pub use model::{Estimator, NetworkEstimator, Pipeline, PipelineEstimator, Predictor};
+pub use model::{NetworkEstimator, Pipeline, Predictor};
 pub use network::{Network, NetworkBuilder, ReadoutKind};
 pub use params::{HiddenLayerParams, SgdParams, TrainingParams};
 pub use plasticity::{PlasticityConfig, PlasticityReport, StructuralPlasticity};

@@ -1,18 +1,13 @@
-//! The unified estimator/predictor model API: one `fit → predict`
-//! surface from core training to serving.
+//! The model API: one `fit → predict` surface from core training to
+//! serving.
 //!
-//! Every layer of the reproduction talks to models through two small
-//! traits, in the scikit-learn tradition of separating the *estimation
-//! procedure* from the *fitted model*:
-//!
-//! * [`Estimator`] — a configuration that consumes training data and
-//!   yields a fitted [`Predictor`]. [`NetworkEstimator`] (builder +
-//!   training schedule → [`Network`]) and [`PipelineEstimator`] (encoder
-//!   bin count + network estimator → [`Pipeline`]) implement it.
 //! * [`Predictor`] — a fitted model: `predict_proba` / `predict` /
 //!   `n_inputs` / `n_classes` (plus a default `evaluate`). Implemented by
 //!   [`Network`], by the readout heads ([`BcpnnClassifier`],
 //!   [`SgdClassifier`] over hidden activations), and by [`Pipeline`].
+//! * [`NetworkEstimator`] — a builder topology plus a training schedule;
+//!   [`NetworkEstimator::fit_report`] builds a fresh [`Network`], trains it
+//!   and returns the per-epoch [`FitReport`].
 //!
 //! [`Pipeline`] is the deployable artifact: the paper's fitted quantile
 //! encoder (§V) in front of a trained network, plus an optional post-hoc
@@ -21,11 +16,11 @@
 //! (see [`crate::serialize`]); `bcpnn-serve` serves any
 //! `Predictor` — a loaded `Pipeline` being the common case.
 //!
-//! # Fitting an estimator
+//! # Fitting a network
 //!
 //! ```
 //! use bcpnn_backend::BackendKind;
-//! use bcpnn_core::model::{Estimator, NetworkEstimator, Predictor};
+//! use bcpnn_core::model::{NetworkEstimator, Predictor};
 //! use bcpnn_core::{Network, TrainingParams};
 //! use bcpnn_tensor::Matrix;
 //!
@@ -49,11 +44,12 @@
 //!         ..Default::default()
 //!     },
 //! );
-//! let fitted = estimator.fit(&x, &labels).unwrap();
-//! assert_eq!(fitted.n_inputs(), 8);
-//! assert_eq!(fitted.n_classes(), 2);
-//! let report = fitted.evaluate(&x, &labels).unwrap();
-//! assert!(report.accuracy > 0.5);
+//! let (fitted, report) = estimator.fit_report(&x, &labels).unwrap();
+//! assert_eq!(report.epochs.len(), 3);
+//! assert_eq!(Predictor::n_inputs(&fitted), 8);
+//! assert_eq!(Predictor::n_classes(&fitted), 2);
+//! let eval = Predictor::evaluate(&fitted, &x, &labels).unwrap();
+//! assert!(eval.accuracy > 0.5);
 //! ```
 //!
 //! # Pipelines
@@ -159,16 +155,6 @@ pub trait Predictor {
     }
 }
 
-/// An estimation procedure: configuration that consumes `(x, labels)` and
-/// yields a fitted [`Predictor`].
-pub trait Estimator {
-    /// The fitted model this estimator produces.
-    type Fitted: Predictor;
-
-    /// Fit on labeled training data.
-    fn fit(&self, x: &Matrix<f32>, labels: &[usize]) -> CoreResult<Self::Fitted>;
-}
-
 // ---------------------------------------------------------------------------
 // Trait retrofits for the existing surface.
 // ---------------------------------------------------------------------------
@@ -243,12 +229,12 @@ impl Predictor for SgdClassifier {
 }
 
 // ---------------------------------------------------------------------------
-// Estimators.
+// The network estimation procedure.
 // ---------------------------------------------------------------------------
 
 /// The network estimation procedure: a [`NetworkBuilder`] topology plus a
-/// [`TrainingParams`] schedule. `fit` builds a fresh [`Network`] and trains
-/// it with the two-phase [`Trainer`].
+/// [`TrainingParams`] schedule. [`NetworkEstimator::fit_report`] builds a
+/// fresh [`Network`] and trains it with the two-phase [`Trainer`].
 #[derive(Debug, Clone, Default)]
 pub struct NetworkEstimator {
     /// The network topology to instantiate per fit.
@@ -263,8 +249,8 @@ impl NetworkEstimator {
         Self { builder, training }
     }
 
-    /// Fit, also returning the per-epoch [`FitReport`] (timings, SGD loss,
-    /// plasticity swaps) that [`Estimator::fit`] discards.
+    /// Build and train a network, returning it with the per-epoch
+    /// [`FitReport`] (timings, SGD loss, plasticity swaps).
     pub fn fit_report(
         &self,
         x: &Matrix<f32>,
@@ -273,76 +259,6 @@ impl NetworkEstimator {
         let mut network = self.builder.clone().build()?;
         let report = Trainer::new(self.training.clone()).fit(&mut network, x, labels)?;
         Ok((network, report))
-    }
-}
-
-impl Estimator for NetworkEstimator {
-    type Fitted = Network;
-
-    fn fit(&self, x: &Matrix<f32>, labels: &[usize]) -> CoreResult<Network> {
-        Ok(self.fit_report(x, labels)?.0)
-    }
-}
-
-/// The end-to-end estimation procedure behind [`Pipeline::fit`]: fit a
-/// quantile encoder on the raw features, then train a network on the
-/// encoded code. Because the encoder configuration (`n_bins`) is part of
-/// the estimator, hyperparameter search over encoder parameters plugs into
-/// the same [`Estimator`] surface as network parameters.
-#[derive(Debug, Clone)]
-pub struct PipelineEstimator {
-    /// Quantile bins per feature for the input encoder (the paper uses 10).
-    pub n_bins: usize,
-    /// The downstream network estimation procedure. Its builder's input
-    /// width is overridden with the encoder's output width at fit time.
-    pub network: NetworkEstimator,
-}
-
-impl Default for PipelineEstimator {
-    fn default() -> Self {
-        Self {
-            n_bins: 10,
-            network: NetworkEstimator::default(),
-        }
-    }
-}
-
-impl PipelineEstimator {
-    /// Pair an encoder bin count with a network estimation procedure.
-    pub fn new(n_bins: usize, network: NetworkEstimator) -> Self {
-        Self { n_bins, network }
-    }
-
-    /// Fit, also returning the network's [`FitReport`].
-    pub fn fit_report(
-        &self,
-        x: &Matrix<f32>,
-        labels: &[usize],
-    ) -> CoreResult<(Pipeline, FitReport)> {
-        if self.n_bins < 2 {
-            return Err(CoreError::InvalidParams(
-                "a quantile encoder needs at least two bins".into(),
-            ));
-        }
-        if x.rows() == 0 {
-            return Err(CoreError::DataMismatch("empty training set".into()));
-        }
-        let encoder = QuantileEncoder::fit_matrix(x, self.n_bins);
-        let encoded = encoder.transform_rows(x);
-        let network = NetworkEstimator::new(
-            self.network.builder.clone().input(encoder.encoded_width()),
-            self.network.training.clone(),
-        );
-        let (network, report) = network.fit_report(&encoded, labels)?;
-        Ok((Pipeline::new(network, encoder)?, report))
-    }
-}
-
-impl Estimator for PipelineEstimator {
-    type Fitted = Pipeline;
-
-    fn fit(&self, x: &Matrix<f32>, labels: &[usize]) -> CoreResult<Pipeline> {
-        Ok(self.fit_report(x, labels)?.0)
     }
 }
 
@@ -396,16 +312,26 @@ impl Pipeline {
     /// encoder automatically.
     ///
     /// This is the shared entry point the quickstart example and
-    /// `bcpnn fit` train through; parameterize it differently via
-    /// [`PipelineEstimator`].
+    /// `bcpnn fit` train through.
     pub fn fit(
         data: &Dataset,
         n_bins: usize,
         builder: NetworkBuilder,
         training: TrainingParams,
     ) -> CoreResult<(Pipeline, FitReport)> {
-        PipelineEstimator::new(n_bins, NetworkEstimator::new(builder, training))
-            .fit_report(&data.features, &data.labels)
+        if n_bins < 2 {
+            return Err(CoreError::InvalidParams(
+                "a quantile encoder needs at least two bins".into(),
+            ));
+        }
+        if data.features.rows() == 0 {
+            return Err(CoreError::DataMismatch("empty training set".into()));
+        }
+        let encoder = QuantileEncoder::fit_matrix(&data.features, n_bins);
+        let encoded = encoder.transform_rows(&data.features);
+        let mut network = builder.input(encoder.encoded_width()).build()?;
+        let report = Trainer::new(training).fit(&mut network, &encoded, &data.labels)?;
+        Ok((Pipeline::new(network, encoder)?, report))
     }
 
     /// The trained network behind the encoder.
@@ -708,26 +634,24 @@ pub(crate) mod tests {
     #[test]
     fn estimators_reject_invalid_configurations() {
         let data = higgs(100, 10);
-        let bad_bins =
-            PipelineEstimator::new(1, NetworkEstimator::new(tiny_builder(), tiny_training()));
         assert!(matches!(
-            bad_bins.fit(&data.features, &data.labels),
+            Pipeline::fit(&data, 1, tiny_builder(), tiny_training()),
             Err(CoreError::InvalidParams(_))
         ));
-        let est =
-            PipelineEstimator::new(10, NetworkEstimator::new(tiny_builder(), tiny_training()));
-        assert!(est.fit(&Matrix::zeros(0, 28), &[]).is_err());
+        let empty = Dataset::new(Matrix::zeros(0, 28), Vec::new(), None);
+        assert!(matches!(
+            Pipeline::fit(&empty, 10, tiny_builder(), tiny_training()),
+            Err(CoreError::DataMismatch(_))
+        ));
         // NetworkEstimator surfaces builder errors.
         let bad_net = NetworkEstimator::new(tiny_builder().classes(1), tiny_training());
-        assert!(bad_net.fit(&data.features, &data.labels).is_err());
+        assert!(bad_net.fit_report(&data.features, &data.labels).is_err());
     }
 
     #[test]
     fn fit_report_exposes_training_stats() {
         let data = higgs(200, 11);
-        let est =
-            PipelineEstimator::new(10, NetworkEstimator::new(tiny_builder(), tiny_training()));
-        let (pipeline, report) = est.fit_report(&data.features, &data.labels).unwrap();
+        let (pipeline, report) = Pipeline::fit(&data, 10, tiny_builder(), tiny_training()).unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert!(report.train_time_seconds() > 0.0);
         assert_eq!(Predictor::n_classes(&pipeline), 2);

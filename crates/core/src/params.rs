@@ -2,8 +2,8 @@
 //!
 //! BCPNN exposes more hyperparameters than a plain backprop network (§IV of
 //! the paper motivates using Ax/Nevergrad to search them); this module
-//! gathers them in one validated struct so the experiment harness and the
-//! `bcpnn-hyperopt` search can manipulate them uniformly.
+//! gathers them in one validated struct so the experiment harness and its
+//! hyperparameter search can manipulate them uniformly.
 
 /// Configuration of the unsupervised hidden layer (the HCU/MCU layer).
 #[derive(Debug, Clone, PartialEq)]

@@ -48,7 +48,7 @@ pub struct EpochStats {
 }
 
 /// Observer invoked at the end of every epoch — the hook behind the in-situ
-/// receptive-field visualization (the `bcpnn-viz` crate implements it with an
+/// receptive-field visualization (`bcpnn_bench::insitu` implements it with an
 /// in-memory mask recorder playing the role of the ParaView Catalyst adaptor).
 pub trait TrainingObserver {
     /// Called after each epoch with the network state and the epoch stats.

@@ -108,7 +108,7 @@ fn main() {
         );
         println!(
             "{}",
-            bcpnn_viz::ascii::render_feature_mask(mask.row(h), &train.feature_names, n_bins)
+            bcpnn_bench::ascii::render_feature_mask(mask.row(h), &train.feature_names, n_bins)
         );
     }
     // Which physics features get the most attention across HCUs?

@@ -14,17 +14,13 @@
 //! * [`backend`] — swappable naive / parallel BCPNN kernel backends.
 //! * [`core`] — the BCPNN network, training loop, and persistence.
 //! * [`data`] — synthetic Higgs data, quantile one-hot encoding, splits.
-//! * [`hyperopt`] — random and evolutionary hyperparameter search.
 //! * [`lowprec`] — int8 / bfloat16 quantized serving (`QuantizedPipeline`).
-//! * [`viz`] — receptive-field and in-situ visualization.
 //! * [`serve`] — micro-batched inference serving with model hot-swap.
 
 pub use bcpnn_backend as backend;
 pub use bcpnn_core as core;
 pub use bcpnn_data as data;
-pub use bcpnn_hyperopt as hyperopt;
 pub use bcpnn_lowprec as lowprec;
 pub use bcpnn_parallel as parallel;
 pub use bcpnn_serve as serve;
 pub use bcpnn_tensor as tensor;
-pub use bcpnn_viz as viz;

@@ -5,12 +5,12 @@
 //! downstream crate notices.
 
 // The canonical module-path spellings.
-use bcpnn_core::model::{Estimator, Pipeline, Predictor};
+use bcpnn_core::model::{Pipeline, Predictor};
 // The crate-root re-exports resolve to the same items.
-use bcpnn_core::{NetworkEstimator, PipelineEstimator};
+use bcpnn_core::{CoreResult, FitReport, Network, NetworkEstimator};
+use bcpnn_tensor::Matrix;
 
 fn assert_predictor<T: Predictor>() {}
-fn assert_estimator<E: Estimator>() {}
 fn assert_send_sync<T: Send + Sync>() {}
 
 #[test]
@@ -21,14 +21,13 @@ fn key_model_api_reexports_resolve() {
     assert_predictor::<bcpnn_core::SgdClassifier>();
     assert_predictor::<Pipeline>();
 
-    // Estimators yield their documented fitted types.
-    assert_estimator::<NetworkEstimator>();
-    assert_estimator::<PipelineEstimator>();
+    // The network estimator yields a network and its fit report.
     fn fitted_types(
-        n: <NetworkEstimator as Estimator>::Fitted,
-        p: <PipelineEstimator as Estimator>::Fitted,
-    ) -> (bcpnn_core::Network, Pipeline) {
-        (n, p)
+        estimator: &NetworkEstimator,
+        x: &Matrix<f32>,
+        labels: &[usize],
+    ) -> CoreResult<(Network, FitReport)> {
+        estimator.fit_report(x, labels)
     }
     let _ = fitted_types;
 
