@@ -7,6 +7,7 @@
 //! parallelised over flat chunks of the underlying storage.
 
 use bcpnn_parallel::par_chunks_mut;
+use bcpnn_tensor::simd::dispatch;
 use bcpnn_tensor::{gemm, gemm_tn, Matrix};
 
 use crate::kernels::{bcpnn_bias, bcpnn_weight, column_mean_traces, mutual_information_term};
@@ -15,9 +16,14 @@ use crate::traits::{
 };
 
 /// Below this many element operations (`B · U · (k + 2)`: `k` hot-row
-/// adds, the zero fill and the bias) a hot-column forward runs on the
-/// calling thread; the pool's hand-off costs more than it saves.
+/// adds, the bias and the store) a hot-column forward runs on the calling
+/// thread; the pool's hand-off costs more than it saves.
 const HOT_PARALLEL_CUTOFF: usize = 1 << 19;
+
+/// Hot weight rows one call of the gather kernel sums per segment; a longer
+/// in-field list is split into batches of this many (exact, see
+/// [`dispatch::sum_rows_with`]). The Higgs encoding has 28 hot columns.
+const GATHER_ROWS: usize = 64;
 
 /// Multi-threaded GEMM-based implementation of every kernel.
 #[derive(Debug, Default, Clone, Copy)]
@@ -64,26 +70,34 @@ impl Backend for ParallelBackend {
         let k = check_hot_shapes(hot, weights, mask, bias, out);
         let n_units = out.cols();
         let n_mcu = n_units / mask.rows();
+        let w = weights.as_slice();
+        let tier = dispatch::active_tier();
         // Per HCU segment, the order the GEMM gives every element of `out`:
         // +0, then the weight rows of the inputs that are on, ascending,
-        // then the bias — but only the rows inside the segment's field.
+        // then the bias — but only the rows inside the segment's field. The
+        // dispatched kernel keeps the sums in registers and stores once; a
+        // field of more than `GATHER_ROWS` hot rows carries its partial sum
+        // through `out` from one batch of rows to the next.
         let row = |start: usize, out_row: &mut [f32]| {
             let cols = &hot[start / n_units * k..][..k];
             let segments = out_row.chunks_mut(n_mcu).zip(bias.chunks(n_mcu));
             for (h, (seg, seg_bias)) in segments.enumerate() {
-                seg.fill(0.0);
+                let mut offsets = [0usize; GATHER_ROWS];
+                let mut len = 0;
+                let mut carry = false;
                 for &i in cols {
                     let i = i as usize;
                     if mask.get(h, i) == 1.0 {
-                        let w = &weights.row(i)[h * n_mcu..(h + 1) * n_mcu];
-                        for (o, &w) in seg.iter_mut().zip(w) {
-                            *o += w;
+                        if len == GATHER_ROWS {
+                            dispatch::sum_rows_with(tier, w, &offsets, carry, None, seg);
+                            carry = true;
+                            len = 0;
                         }
+                        offsets[len] = i * n_units + h * n_mcu;
+                        len += 1;
                     }
                 }
-                for (o, &b) in seg.iter_mut().zip(seg_bias) {
-                    *o += b;
-                }
+                dispatch::sum_rows_with(tier, w, &offsets[..len], carry, Some(seg_bias), seg);
             }
         };
         if out.len() * (k + 2) < HOT_PARALLEL_CUTOFF {
@@ -259,6 +273,44 @@ mod tests {
         ParallelBackend::new().linear_forward(&x, &w, &bias, &mut out_p);
         assert!(out_p.all_finite());
         assert!(out_n.max_abs_diff(&out_p) < 1e-4);
+    }
+
+    /// More in-field hot rows than one gather call takes: the partial sums
+    /// carried through `out` between batches give the dense forward's
+    /// bits, on the calling thread (3 rows) and on the pool (70 rows).
+    #[test]
+    fn hot_forward_carries_long_fields_exactly() {
+        let mut rng = MatrixRng::seed_from(8);
+        let (n_in, n_hcu, n_mcu, k) = (400, 2, 37, 3 * GATHER_ROWS / 2 + 5);
+        let w: Matrix<f32> = rng.normal(n_in, n_hcu * n_mcu, 0.0, 0.5);
+        let bias: Vec<f32> = (0..n_hcu * n_mcu)
+            .map(|_| rng.uniform_scalar(-1.0, 0.0))
+            .collect();
+        // HCU 0 sees every input, HCU 1 every other one.
+        let mask = Matrix::from_fn(n_hcu, n_in, |h, i| f32::from(h == 0 || i % 2 == 0));
+        let mut masked = Matrix::zeros(n_in, n_hcu * n_mcu);
+        ParallelBackend::new().apply_mask(&w, &mask, n_mcu, &mut masked);
+        for rows in [3, 70] {
+            // `choose_indices` is sorted: the strictly ascending hot list.
+            let hot: Vec<u32> = (0..rows)
+                .flat_map(|_| rng.choose_indices(n_in, k))
+                .map(|i| i as u32)
+                .collect();
+            let x = Matrix::from_fn(rows, n_in, |r, i| {
+                f32::from(hot[r * k..(r + 1) * k].contains(&(i as u32)))
+            });
+            let mut dense = Matrix::zeros(rows, n_hcu * n_mcu);
+            let mut gathered = Matrix::filled(rows, n_hcu * n_mcu, f32::NAN);
+            ParallelBackend::new().linear_forward(&x, &masked, &bias, &mut dense);
+            ParallelBackend::new().linear_forward_hot(&hot, &masked, &mask, &bias, &mut gathered);
+            let bits =
+                |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&gathered),
+                bits(&dense),
+                "{rows} rows of {k} hot columns"
+            );
+        }
     }
 
     #[test]

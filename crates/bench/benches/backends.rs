@@ -23,6 +23,14 @@
 //!   output row is tiny, so scheduling overhead is what gets measured.
 //! * `softmax_exp/*` — the grouped-softmax kernel per dispatch tier (the
 //!   same bits on both; CI asserts `avx2 < lanes`).
+//! * `hot_gather/*` — the gather kernel under `backend_forward/active`
+//!   per dispatch tier, on the calling thread: 64 rows of 28 hot columns,
+//!   the in-field ones (40 % field) summed into 1000 units plus the bias.
+//!   CI asserts `avx2 < lanes`.
+//! * `narrow_readout/*` — the narrow GEMM under
+//!   `backend_forward_readout/parallel` per dispatch tier, on the calling
+//!   thread: 256 rows x 1000 into 2 classes (AVX2: eight rows of C to a
+//!   register; lanes: the scalar loop). CI asserts `avx2 < lanes`.
 //! * `quantized_predict/*` — tokens-per-core: end-to-end single-threaded
 //!   `predict_proba_into` for the f32 pipeline against its int8
 //!   [`QuantizedPipeline`] counterpart, as rows/sec
@@ -41,7 +49,7 @@ use bcpnn_core::{Network, Pipeline, ReadoutKind, TrainingParams, Workspace};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_lowprec::{QuantPrecision, QuantizedPipeline};
 use bcpnn_tensor::simd::dispatch::{self, SimdTier};
-use bcpnn_tensor::{Matrix, MatrixRng};
+use bcpnn_tensor::{gemm_blocked, Matrix, MatrixRng};
 
 /// The two dispatch tiers, benchmarked under their `BCPNN_SIMD` names.
 /// On a machine without AVX2 the `avx2` entry silently degrades to the
@@ -114,6 +122,77 @@ fn bench_backend_forward(c: &mut Criterion) {
         });
     });
     group.finish();
+}
+
+/// The hot-column gather kernel alone, per tier: `backend_forward/active`'s
+/// rows, fields and weights, one row after another on the calling thread.
+fn bench_hot_gather(c: &mut Criterion) {
+    let mut rng = MatrixRng::seed_from(21);
+    let x = sparse_input(BATCH);
+    let weights: Matrix<f32> = rng.uniform(N_IN, FWD_OUT, -0.5, 0.5);
+    let bias: Vec<f32> = rng.uniform(1, FWD_OUT, -0.1, 0.1).into_vec();
+    let field = rng.choose_indices(N_IN, N_IN * 2 / 5);
+    // Per row, the offsets of its in-field hot weight rows, ascending.
+    let offsets: Vec<Vec<usize>> = (0..BATCH)
+        .map(|r| {
+            (0..N_IN)
+                .filter(|&i| x.get(r, i) == 1.0 && field.contains(&i))
+                .map(|i| i * FWD_OUT)
+                .collect()
+        })
+        .collect();
+    let mut out = Matrix::zeros(BATCH, FWD_OUT);
+
+    let mut group = c.benchmark_group("hot_gather");
+    group.throughput(Throughput::Elements(BATCH as u64));
+    for (name, tier) in TIERS {
+        group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
+            b.iter(|| {
+                for (row, offsets) in out.as_mut_slice().chunks_mut(FWD_OUT).zip(&offsets) {
+                    dispatch::sum_rows_with(
+                        tier,
+                        weights.as_slice(),
+                        black_box(offsets),
+                        false,
+                        Some(&bias),
+                        row,
+                    );
+                }
+                black_box(&out);
+            });
+        });
+    }
+    group.finish();
+}
+
+/// The readout's narrow GEMM alone, per tier: `backend_forward_readout`'s
+/// 256 x 1000 softmax code into 2 classes on the calling thread. The tier
+/// is installed process-wide for the measurement (the `f32` GEMM reaches
+/// it through the active tier) and restored after.
+fn bench_narrow_readout(c: &mut Criterion) {
+    const ROWS: usize = 256;
+    const HIDDEN: usize = 1000;
+    const CLASSES: usize = 2;
+    let mut rng = MatrixRng::seed_from(27);
+    let mut x = rng.normal(ROWS, HIDDEN, 0.0, 2.0);
+    NaiveBackend::new().grouped_softmax(&mut x, HIDDEN);
+    let weights = rng.uniform(HIDDEN, CLASSES, -0.5, 0.5);
+    let mut out = Matrix::zeros(ROWS, CLASSES);
+
+    let prev = dispatch::active_tier();
+    let mut group = c.benchmark_group("narrow_readout");
+    group.throughput(Throughput::Elements(ROWS as u64));
+    for (name, tier) in TIERS {
+        group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
+            dispatch::set_tier(tier);
+            b.iter(|| {
+                gemm_blocked(1.0, black_box(&x), &weights, 0.0, &mut out);
+                black_box(&out);
+            });
+        });
+    }
+    group.finish();
+    dispatch::set_tier(prev);
 }
 
 /// Serving-shaped grouped softmax: the readout emits one support column per
@@ -344,6 +423,8 @@ criterion_group!(
     backends,
     bench_backend_forward,
     bench_backend_forward_readout,
+    bench_hot_gather,
+    bench_narrow_readout,
     bench_backend_traces,
     bench_backend_traces_readout,
     bench_softmax_exp,

@@ -346,6 +346,137 @@ pub fn assert_faster(records: &[BenchRecord], claim: &str) -> Result<f64, String
     }
 }
 
+/// Schema tag of a perf-history file (`BENCH_<n>.json` at the repository
+/// root): the end-to-end benchmark's parent/change pairs behind one
+/// change's claim.
+pub const HISTORY_SCHEMA: &str = "bcpnn-perf-history/v1";
+
+/// One end-to-end metric of one workload in a perf-history file: the
+/// parent's and the change's first quartile, median and third quartile
+/// over the pairs, and how many pairs the change won.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistoryMetric {
+    /// Metric name, as `BENCHMARK.json` spells it.
+    pub name: String,
+    /// Parent `[q1, median, q3]`.
+    pub parent: [f64; 3],
+    /// Change `[q1, median, q3]`.
+    pub change: [f64; 3],
+    /// Pairs in which the change read better.
+    pub better_pairs: u64,
+}
+
+/// One workload of a perf-history file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistoryWorkload {
+    /// Workload name, as `BENCHMARK.json` spells it.
+    pub name: String,
+    /// The benchmark seed of each pair.
+    pub seeds: Vec<u64>,
+    /// The summarised metrics.
+    pub metrics: Vec<HistoryMetric>,
+}
+
+/// Parse a perf-history file:
+///
+/// ```json
+/// {"schema": "bcpnn-perf-history/v1",
+///  "workloads": {"score_offline": {
+///     "seeds": [3101, 3102],
+///     "pairs": [{"seed": 3101, "first": "parent",
+///                "parent": {"latency_p50_ms": 0.9}, "change": {"latency_p50_ms": 0.6}}],
+///     "metrics": {"latency_p50_ms": {"parent": [0.85, 0.9, 0.95],
+///                                    "change": [0.58, 0.6, 0.62], "better_pairs": 2}}}}}
+/// ```
+///
+/// Other top-level keys (the host regime, the change's description) are
+/// free-form. Checked: the schema tag; every quartile triple is finite and
+/// ordered; `better_pairs` is at most the seed count; each pair names a
+/// listed seed and only summarised metrics.
+pub fn parse_history(text: &str) -> Result<Vec<HistoryWorkload>, String> {
+    let doc = json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some(HISTORY_SCHEMA) {
+        return Err(format!("schema {schema:?}, expected {HISTORY_SCHEMA:?}"));
+    }
+    let Some(Json::Obj(workloads)) = doc.get("workloads") else {
+        return Err("no \"workloads\" object".into());
+    };
+    workloads
+        .iter()
+        .map(|(name, w)| history_workload(name, w).map_err(|e| format!("workload {name:?}: {e}")))
+        .collect()
+}
+
+fn history_workload(name: &str, w: &Json) -> Result<HistoryWorkload, String> {
+    let seeds = w
+        .get("seeds")
+        .and_then(Json::as_array)
+        .ok_or("no \"seeds\" array")?
+        .iter()
+        .map(|s| s.as_u64().ok_or("a seed is not an unsigned integer"))
+        .collect::<Result<Vec<u64>, _>>()?;
+    let Some(Json::Obj(members)) = w.get("metrics") else {
+        return Err("no \"metrics\" object".into());
+    };
+    let mut metrics = Vec::with_capacity(members.len());
+    for (metric, m) in members {
+        let quartiles = |side: &str| -> Result<[f64; 3], String> {
+            let q: Vec<f64> = m
+                .get(side)
+                .and_then(Json::as_array)
+                .map(|q| q.iter().filter_map(as_f64).collect())
+                .unwrap_or_default();
+            match q[..] {
+                [q1, med, q3] if q1.is_finite() && q3.is_finite() && q1 <= med && med <= q3 => {
+                    Ok([q1, med, q3])
+                }
+                _ => Err(format!(
+                    "{metric}: {side} is not an ordered [q1, median, q3]"
+                )),
+            }
+        };
+        let better_pairs = m
+            .get("better_pairs")
+            .and_then(Json::as_u64)
+            .filter(|&n| n <= seeds.len() as u64)
+            .ok_or_else(|| format!("{metric}: better_pairs missing or above the seed count"))?;
+        metrics.push(HistoryMetric {
+            name: metric.clone(),
+            parent: quartiles("parent")?,
+            change: quartiles("change")?,
+            better_pairs,
+        });
+    }
+    for pair in w.get("pairs").and_then(Json::as_array).unwrap_or_default() {
+        if !pair
+            .get("seed")
+            .and_then(Json::as_u64)
+            .is_some_and(|s| seeds.contains(&s))
+        {
+            return Err("a pair's seed is not among the seeds".into());
+        }
+        for side in ["parent", "change"] {
+            let Some(Json::Obj(values)) = pair.get(side) else {
+                return Err(format!("a pair has no {side:?} object"));
+            };
+            if let Some((unknown, _)) = values
+                .iter()
+                .find(|(k, _)| !metrics.iter().any(|m| &m.name == k))
+            {
+                return Err(format!(
+                    "a pair reports {unknown:?}, which is not summarised"
+                ));
+            }
+        }
+    }
+    Ok(HistoryWorkload {
+        name: name.to_string(),
+        seeds,
+        metrics,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,5 +596,28 @@ mod tests {
         assert!(assert_faster(&records, "g/naive<g/vectorized").is_err());
         assert!(assert_faster(&records, "g/vectorized<g/absent").is_err());
         assert!(assert_faster(&records, "no-separator").is_err());
+    }
+
+    #[test]
+    fn history_checks_quartiles_seeds_and_names() {
+        let good = r#"{"schema":"bcpnn-perf-history/v1","host":{"nproc":2},
+            "workloads":{"w":{"seeds":[1,2],
+              "pairs":[{"seed":1,"first":"parent","parent":{"m":1.0},"change":{"m":0.5}}],
+              "metrics":{"m":{"parent":[0.9,1.0,1.1],"change":[0.4,0.5,0.6],"better_pairs":2}}}}}"#;
+        let parsed = parse_history(good).unwrap();
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].name, "w");
+        assert_eq!(parsed[0].seeds, [1, 2]);
+        assert_eq!(parsed[0].metrics[0].change, [0.4, 0.5, 0.6]);
+        assert_eq!(parsed[0].metrics[0].better_pairs, 2);
+        for bad in [
+            good.replace("perf-history/v1", "perf-history/v2"),
+            good.replace("[0.9,1.0,1.1]", "[1.1,1.0,0.9]"),
+            good.replace("\"better_pairs\":2", "\"better_pairs\":3"),
+            good.replace("\"seed\":1", "\"seed\":7"),
+            good.replace("\"change\":{\"m\":0.5}", "\"change\":{\"n\":0.5}"),
+        ] {
+            assert!(parse_history(&bad).is_err(), "accepted {bad}");
+        }
     }
 }

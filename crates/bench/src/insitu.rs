@@ -120,6 +120,21 @@ mod tests {
         assert_eq!(snaps[0].1.shape(), (2, 24));
         // The toy problem concentrates information in half the inputs, so
         // plasticity moves at least some connections over four epochs.
-        assert!(history.total_change_fraction() >= 0.0);
+        assert!(history.total_change_fraction() > 0.0);
+    }
+
+    #[test]
+    fn total_change_fraction_compares_first_and_last_snapshot() {
+        let history = MaskHistory::new();
+        assert_eq!(history.total_change_fraction(), 0.0);
+        let first = Matrix::from_vec(2, 4, vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]);
+        // A middle snapshot that moved everything does not count.
+        let middle = Matrix::from_vec(2, 4, vec![0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]);
+        // Entries 1 and 6 flipped: 2 of 8.
+        let last = Matrix::from_vec(2, 4, vec![1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        history.snapshots.lock().push((0, first));
+        assert_eq!(history.total_change_fraction(), 0.0);
+        history.snapshots.lock().extend([(1, middle), (2, last)]);
+        assert_eq!(history.total_change_fraction(), 0.25);
     }
 }

@@ -24,7 +24,12 @@
 //! element of `C` still starts from `beta * c` (or `+0` when `beta == 0`),
 //! adds its products `alpha * a[i][p] * b[p][j]` in ascending `p`, and
 //! skips a zero `alpha * a[i][p]`, so a NaN in `B` behind a zero in `A`
-//! never reaches it and a `-0.0` in `C` is kept.
+//! never reaches it and a `-0.0` in `C` is kept. (A NaN result may differ
+//! in sign or payload: which of two NaNs an add returns follows the operand
+//! order the compiler picked.) For `f32` on the AVX2 tier the blocks of 8
+//! rows go through [`Scalar::narrow_rows_simd`] instead: one register of 8
+//! rows per column of `C`, and a blend in place of the zero skip, with the
+//! same bits.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -165,7 +170,9 @@ const NARROW_ROWS: usize = 8;
 /// scaled by beta: full blocks of [`NARROW_ROWS`] rows of C, held in
 /// registers while `p` walks `0..k` once in ascending order, so
 /// `NARROW_ROWS * N` independent add chains are in flight instead of `N`.
-/// A zero `alpha * a[i][p]` is skipped as in [`gemm_naive`]. Returns the
+/// A zero `alpha * a[i][p]` is skipped as in [`gemm_naive`]. The blocks
+/// start at the first row [`Scalar::narrow_rows_simd`] left (for `f32` on
+/// the AVX2 tier: all of them, eight rows to a register). Returns the
 /// first row left to the row-at-a-time loop (fewer than [`NARROW_ROWS`]
 /// remain).
 fn narrow_rows<S: Scalar, const N: usize>(
@@ -178,7 +185,7 @@ fn narrow_rows<S: Scalar, const N: usize>(
 ) -> usize {
     let k = a.cols();
     let b_data = &b.as_slice()[..k * N];
-    let mut i0 = row_start;
+    let mut i0 = S::narrow_rows_simd::<N>(alpha, a, b, c_panel, row_start, row_end);
     while i0 + NARROW_ROWS <= row_end {
         let c_block = &mut c_panel[(i0 - row_start) * N..(i0 - row_start + NARROW_ROWS) * N];
         let a_rows: [&[S]; NARROW_ROWS] = std::array::from_fn(|r| &a.row(i0 + r)[..k]);

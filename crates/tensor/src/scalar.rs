@@ -2,6 +2,7 @@
 //! `f32` (what the StreamBrain GPU backend uses) and `f64` (useful for
 //! reference computations and metrics).
 
+use crate::matrix::Matrix;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -63,10 +64,27 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
     /// Machine epsilon for the type.
     fn epsilon() -> Self;
+
+    /// Vector tier of the narrow-output GEMM kernel (`C` of `N ∈ 1..=4`
+    /// columns, on a panel of rows `[row_start, row_end)` already scaled by
+    /// beta): accumulate some leading rows of the panel and return the
+    /// first row left to the scalar loop. The default does nothing; `f32`
+    /// routes to the dispatched SIMD kernel, which must write the scalar
+    /// loop's bits.
+    fn narrow_rows_simd<const N: usize>(
+        _alpha: Self,
+        _a: &Matrix<Self>,
+        _b: &Matrix<Self>,
+        _c_panel: &mut [Self],
+        row_start: usize,
+        _row_end: usize,
+    ) -> usize {
+        row_start
+    }
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $tiny:expr) => {
+    ($t:ty, $tiny:expr $(, $extra:item)*) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -116,11 +134,28 @@ macro_rules! impl_scalar {
             fn epsilon() -> Self {
                 <$t>::EPSILON
             }
+            $($extra)*
         }
     };
 }
 
-impl_scalar!(f32, 1e-8);
+impl_scalar!(
+    f32,
+    1e-8,
+    fn narrow_rows_simd<const N: usize>(
+        alpha: f32,
+        a: &Matrix<f32>,
+        b: &Matrix<f32>,
+        c_panel: &mut [f32],
+        row_start: usize,
+        row_end: usize,
+    ) -> usize {
+        use crate::simd::dispatch::narrow_rows;
+        let k = a.cols();
+        let rows = &a.as_slice()[row_start * k..row_end * k];
+        row_start + narrow_rows::<N>(alpha, rows, k, &b.as_slice()[..k * N], c_panel)
+    }
+);
 impl_scalar!(f64, 1e-12);
 
 #[cfg(test)]

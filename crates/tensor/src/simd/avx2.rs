@@ -240,3 +240,159 @@ pub unsafe fn softmax_seg(seg: &mut [f32]) {
         }
     }
 }
+
+/// `out[j] = ((s + src[o₁ + j]) + … + src[oₙ + j]) + bias[j]` for every
+/// offset `oᵢ` of `offsets` in order, where the start `s` is `out[j]` when
+/// `carry` and `+0` otherwise, and the bias term is left out when `bias` is
+/// `None`. Four `__m256` sums (32 columns) stay in registers while the rows
+/// are added, then the bias, then one store; the remaining full 8-column
+/// chunks take one register, the last `< 8` columns the scalar loop. Every
+/// element sees the same adds in the same order on every path.
+///
+/// # Safety
+/// The CPU must support AVX2. Every row `src[o..o + out.len()]` and the
+/// bias length are checked (asserted) before any load.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sum_rows(
+    src: &[f32],
+    offsets: &[usize],
+    carry: bool,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    super::dispatch::check_sum_rows(src, offsets, bias, n);
+    let s = src.as_ptr();
+    let o = out.as_mut_ptr();
+    let mut j = 0;
+    while j + 32 <= n {
+        // SAFETY: j + 32 <= n = out.len(), every row `src[off..off + n]` and
+        // the bias (length n) were checked in bounds above.
+        unsafe {
+            let mut acc = if carry {
+                [0, 8, 16, 24].map(|d| _mm256_loadu_ps(o.add(j + d)))
+            } else {
+                [_mm256_setzero_ps(); 4]
+            };
+            for &off in offsets {
+                let row = s.add(off + j);
+                for (d, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_loadu_ps(row.add(8 * d)));
+                }
+            }
+            if let Some(b) = bias {
+                for (d, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_loadu_ps(b.as_ptr().add(j + 8 * d)));
+                }
+            }
+            for (d, a) in acc.into_iter().enumerate() {
+                _mm256_storeu_ps(o.add(j + 8 * d), a);
+            }
+        }
+        j += 32;
+    }
+    while j + 8 <= n {
+        // SAFETY: j + 8 <= n, with the same checked bounds as above.
+        unsafe {
+            let mut acc = if carry {
+                _mm256_loadu_ps(o.add(j))
+            } else {
+                _mm256_setzero_ps()
+            };
+            for &off in offsets {
+                acc = _mm256_add_ps(acc, _mm256_loadu_ps(s.add(off + j)));
+            }
+            if let Some(b) = bias {
+                acc = _mm256_add_ps(acc, _mm256_loadu_ps(b.as_ptr().add(j)));
+            }
+            _mm256_storeu_ps(o.add(j), acc);
+        }
+        j += 8;
+    }
+    for jj in j..n {
+        let mut v = if carry { out[jj] } else { 0.0 };
+        for &off in offsets {
+            v += src[off + jj];
+        }
+        if let Some(b) = bias {
+            v += b[jj];
+        }
+        out[jj] = v;
+    }
+}
+
+/// The narrow-output GEMM body for `N` columns of C (`1..=4`): for each full
+/// block of eight rows, one `__m256` per class holds the eight rows' sums
+/// while `p` walks `0..k` in ascending order. Per `p` the eight `a[r][p]`
+/// come in with one gather, `aik = alpha · a`, and each sum becomes
+/// `acc + aik · b[p][j]` (multiply, then add: two roundings) only in the
+/// lanes where `aik != 0` (`NEQ_UQ`, so a NaN counts as nonzero): the blend
+/// is the scalar loop's zero skip, `-0.0` and NaN included. `a` holds the
+/// rows (`rows × k`, row-major), `b` is `k × N`, `c` is `rows × N` and
+/// already scaled by beta. Returns the rows done, a multiple of eight; the
+/// caller's scalar loop takes the rest.
+///
+/// # Safety
+/// The CPU must support AVX2. The slice lengths and `7 · k <= i32::MAX`
+/// (the gather's offsets) are checked (asserted) before any load.
+#[target_feature(enable = "avx2")]
+pub unsafe fn narrow_rows<const N: usize>(
+    alpha: f32,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    c: &mut [f32],
+) -> usize {
+    let rows = c.len() / N;
+    assert!(
+        c.len() == rows * N && a.len() == rows * k && b.len() == k * N,
+        "narrow_rows: slice lengths do not match {rows} x {k} x {N}"
+    );
+    let stride = i32::try_from(k).ok().filter(|s| s.checked_mul(7).is_some());
+    let stride = stride.expect("narrow_rows: 7 * k overflows the gather's i32 offsets");
+    let index = _mm256_setr_epi32(
+        0,
+        stride,
+        2 * stride,
+        3 * stride,
+        4 * stride,
+        5 * stride,
+        6 * stride,
+        7 * stride,
+    );
+    let alpha8 = _mm256_set1_ps(alpha);
+    let zero = _mm256_setzero_ps();
+    let full = rows / 8 * 8;
+    let mut i0 = 0;
+    while i0 < full {
+        let c_block = &mut c[i0 * N..(i0 + 8) * N];
+        let mut acc: [__m256; N] = std::array::from_fn(|j| {
+            let lanes: [f32; 8] = std::array::from_fn(|r| c_block[r * N + j]);
+            // SAFETY: `lanes` is eight floats on the stack.
+            unsafe { _mm256_loadu_ps(lanes.as_ptr()) }
+        });
+        let a_block = a[i0 * k..].as_ptr();
+        for p in 0..k {
+            // SAFETY: lane r reads a[(i0 + r) · k + p] with r < 8 and p < k,
+            // inside `a` (rows · k floats) because i0 + 8 <= rows.
+            let av = unsafe { _mm256_i32gather_ps::<4>(a_block.add(p), index) };
+            let aik = _mm256_mul_ps(alpha8, av);
+            let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(aik, zero);
+            for (j, acc_j) in acc.iter_mut().enumerate() {
+                let bj = _mm256_set1_ps(b[p * N + j]);
+                let sum = _mm256_add_ps(*acc_j, _mm256_mul_ps(aik, bj));
+                *acc_j = _mm256_blendv_ps(*acc_j, sum, live);
+            }
+        }
+        for (j, acc_j) in acc.into_iter().enumerate() {
+            let mut lanes = [0.0f32; 8];
+            // SAFETY: `lanes` is eight floats on the stack.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc_j) };
+            for (r, v) in lanes.into_iter().enumerate() {
+                c_block[r * N + j] = v;
+            }
+        }
+        i0 += 8;
+    }
+    full
+}

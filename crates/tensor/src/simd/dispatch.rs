@@ -7,6 +7,14 @@
 //! | [`SimdTier::Lanes`] | portable 8-lane kernels (`simd::argmax`, lane softmax over [`exp::exp_approx_x8`]) |
 //! | [`SimdTier::Avx2`]  | explicit AVX2 intrinsics (`simd::avx2`) |
 //!
+//! The dispatched kernels: [`argmax_with`] / [`row_argmax_into_with`],
+//! [`accumulate_i8_with`] / [`axpy_i8_with`] (int8 weights),
+//! [`softmax_groups_into_with`] (the hypercolumn softmax), [`sum_rows_with`]
+//! (the hot-column gather: weight rows summed in registers, stored once)
+//! and the readout's narrow GEMM, which `gemm` reaches for `f32` through
+//! [`crate::Scalar::narrow_rows_simd`] (AVX2: eight rows of C per
+//! register; lanes: the scalar loop).
+//!
 //! Selection runs once, at the first dispatched call: the `BCPNN_SIMD` env
 //! var (`lanes` / `avx2`) wins if set and valid, otherwise
 //! `is_x86_feature_detected!("avx2")` promotes to AVX2 and anything else
@@ -49,6 +57,24 @@ mod avx2 {
     }
     pub unsafe fn softmax_seg(seg: &mut [f32]) {
         super::softmax_seg_lanes(seg);
+    }
+    pub unsafe fn sum_rows(
+        src: &[f32],
+        offsets: &[usize],
+        carry: bool,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        super::sum_rows_lanes(src, offsets, carry, bias, out);
+    }
+    pub unsafe fn narrow_rows<const N: usize>(
+        _alpha: f32,
+        _a: &[f32],
+        _k: usize,
+        _b: &[f32],
+        _c: &mut [f32],
+    ) -> usize {
+        0
     }
 }
 
@@ -283,8 +309,78 @@ fn softmax_seg_lanes(seg: &mut [f32]) {
     }
 }
 
+/// The bounds every tier of [`sum_rows_with`] relies on: each row
+/// `src[o..o + n]` lies inside `src`, and the bias (if any) is `n` long.
+pub(crate) fn check_sum_rows(src: &[f32], offsets: &[usize], bias: Option<&[f32]>, n: usize) {
+    assert!(
+        offsets
+            .iter()
+            .all(|&o| o.checked_add(n).is_some_and(|end| end <= src.len())),
+        "sum_rows: a {n}-wide row runs past the {} source values",
+        src.len()
+    );
+    assert!(
+        bias.is_none_or(|b| b.len() == n),
+        "sum_rows: bias length does not match {n} columns"
+    );
+}
+
+/// Columns the lane tier of [`sum_rows_with`] sums side by side: four
+/// 8-lane registers' worth, the AVX2 tier's block.
+const SUM_ROWS_BLOCK: usize = 32;
+
+/// Lane-tier [`sum_rows_with`]: one `[f32; 32]` of sums per column block
+/// (the tail block shorter), rows added in order, then the bias, then one
+/// store.
+fn sum_rows_lanes(
+    src: &[f32],
+    offsets: &[usize],
+    carry: bool,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    check_sum_rows(src, offsets, bias, out.len());
+    let full = out.len() / SUM_ROWS_BLOCK * SUM_ROWS_BLOCK;
+    let (body, tail) = out.split_at_mut(full);
+    for (block, chunk) in body.chunks_exact_mut(SUM_ROWS_BLOCK).enumerate() {
+        let chunk: &mut [f32; SUM_ROWS_BLOCK] = chunk.try_into().expect("exact 32-column chunk");
+        sum_rows_block(src, offsets, carry, bias, block * SUM_ROWS_BLOCK, chunk);
+    }
+    sum_rows_block(src, offsets, carry, bias, full, tail);
+}
+
+/// One column block of [`sum_rows_lanes`], columns `j..j + chunk.len()`.
+/// Inlined so that a full block's width is a constant the loops unroll to.
+#[inline(always)]
+fn sum_rows_block(
+    src: &[f32],
+    offsets: &[usize],
+    carry: bool,
+    bias: Option<&[f32]>,
+    j: usize,
+    chunk: &mut [f32],
+) {
+    let width = chunk.len();
+    let mut sums = [0.0f32; SUM_ROWS_BLOCK];
+    let acc = &mut sums[..width];
+    if carry {
+        acc.copy_from_slice(chunk);
+    }
+    for &o in offsets {
+        for (a, &w) in acc.iter_mut().zip(&src[o + j..o + j + width]) {
+            *a += w;
+        }
+    }
+    if let Some(b) = bias {
+        for (a, &w) in acc.iter_mut().zip(&b[j..j + width]) {
+            *a += w;
+        }
+    }
+    chunk.copy_from_slice(acc);
+}
+
 // ---------------------------------------------------------------------------
-// Dispatched kernels. Each comes in two forms: the un-suffixed function
+// Dispatched kernels. Most come in two forms: the un-suffixed function
 // routes to [`active_tier`]; the `_with` form takes an explicit tier (it is
 // re-resolved, so passing `Avx2` is safe on any machine).
 // ---------------------------------------------------------------------------
@@ -405,6 +501,62 @@ pub fn softmax_groups_into_with(tier: SimdTier, m: &mut Matrix<f32>, group: usiz
 /// Grouped softmax over a matrix in place on the active tier.
 pub fn softmax_groups_into(m: &mut Matrix<f32>, group: usize) {
     softmax_groups_into_with(active_tier(), m, group);
+}
+
+/// Sum of weight rows into one output segment on the given tier (the
+/// hot-column gather): `out[j] = ((s + src[o₁ + j]) + … + src[oₙ + j]) +
+/// bias[j]`, with the rows `src[oᵢ..oᵢ + out.len()]` added in the order of
+/// `offsets`. The start `s` is `out[j]` when `carry` and `+0` otherwise;
+/// `bias: None` leaves the last term out. Both tiers keep a block of sums
+/// in registers and store it once. A long row list may be split over
+/// several calls (`carry` on all but the first, the bias on the last) with
+/// the same bits, because a store and reload is exact. Bit-identical on
+/// both tiers.
+///
+/// # Panics
+/// Panics if a row runs past `src` or the bias length is not `out.len()`.
+pub fn sum_rows_with(
+    tier: SimdTier,
+    src: &[f32],
+    offsets: &[usize],
+    carry: bool,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    match tier.resolved() {
+        SimdTier::Lanes => sum_rows_lanes(src, offsets, carry, bias, out),
+        // SAFETY: `resolved()` returns Avx2 only when the runtime probe
+        // confirmed avx2 on this CPU (never off x86-64).
+        SimdTier::Avx2 => unsafe { avx2::sum_rows(src, offsets, carry, bias, out) },
+    }
+}
+
+/// The vector part of the narrow-output GEMM (`C` of `N ∈ 1..=4` columns,
+/// the readout) on the active tier: `c = alpha · a · b + c` for every full
+/// block of eight rows, with `a` the `rows × k` rows, `b` the `k × N`
+/// weights and `c` the `rows × N` outputs already scaled by beta. Returns
+/// how many leading rows it did; the caller's scalar loop does the rest in
+/// the same order. The lane tier returns 0 — its narrow kernel is the
+/// scalar loop — and so does a `k` whose row offsets `7 · k` overflow the
+/// AVX2 gather's `i32` lanes. Each done element is `to_bits()`-equal to the
+/// scalar loop: products added in ascending `p`, a zero `alpha · a[i][p]`
+/// skipped.
+pub(crate) fn narrow_rows<const N: usize>(
+    alpha: f32,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    c: &mut [f32],
+) -> usize {
+    let gatherable = i32::try_from(k).is_ok_and(|s| s.checked_mul(7).is_some());
+    match active_tier().resolved() {
+        SimdTier::Avx2 if gatherable => {
+            // SAFETY: `resolved()` returns Avx2 only when the runtime probe
+            // confirmed avx2 on this CPU (never off x86-64).
+            unsafe { avx2::narrow_rows::<N>(alpha, a, k, b, c) }
+        }
+        _ => 0,
+    }
 }
 
 /// Below this many values [`softmax_row_groups_par`] runs on the calling

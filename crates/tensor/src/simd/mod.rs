@@ -18,7 +18,15 @@
 //! runtime story. [`dispatch`] probes the CPU once at startup (or honours
 //! the `BCPNN_SIMD` env var) and routes each call to these lane kernels or
 //! to the explicit AVX2 intrinsics in the (private) `avx2` module; both
-//! tiers return the same bits. New code should call through [`dispatch`];
+//! tiers return the same bits. The tiers, kernel by kernel:
+//!
+//! | kernel | `lanes` | `avx2` |
+//! |--------|---------|--------|
+//! | argmax | [`argmax`]: eight-wide prescreen | ordered compare + movemask |
+//! | int8 accumulate / axpy | plain loops | `cvtepi8_epi32` |
+//! | grouped softmax | [`exp::exp_approx_x8`] | the same polynomial in `__m256` |
+//! | hot-column gather | `[f32; 32]` of sums per block | four `__m256` of sums per block |
+//! | narrow GEMM (`C` 1–4 wide) | the scalar loop in `gemm` | one `__m256` of eight C rows per class | New code should call through [`dispatch`];
 //! the functions here remain public as the portable tier's implementation
 //! and for callers that need the fixed no-detection cost model.
 

@@ -16,7 +16,7 @@ use bcpnn_core::{Network, Pipeline, Predictor, ReadoutKind, TrainingParams};
 use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};
 use bcpnn_tensor::simd::dispatch::{self, SimdTier};
 use bcpnn_tensor::simd::exp::EXP_LO;
-use bcpnn_tensor::{reduce, vector, Matrix, MatrixRng};
+use bcpnn_tensor::{gemm, gemm_blocked, gemm_naive, reduce, vector, Matrix, MatrixRng};
 
 const TIERS: [SimdTier; 2] = [SimdTier::Lanes, SimdTier::Avx2];
 
@@ -192,6 +192,186 @@ fn softmax_is_bit_exact_across_tiers(rng: &mut MatrixRng) {
     );
 }
 
+/// Values a weight, a bias or an activation may hold that a plain sum or
+/// product treats specially: signed zeros, NaN, infinities, subnormals.
+const SPECIALS: [f32; 8] = [
+    0.0,
+    -0.0,
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e-40,
+    -1e-45,
+    f32::MIN_POSITIVE,
+];
+
+/// `rows x cols` normals with a special value at every `every`-th element
+/// (none for `every == 0`).
+fn sprinkled(rng: &mut MatrixRng, rows: usize, cols: usize, every: usize) -> Vec<f32> {
+    let mut v = rng.normal(rows.max(1), cols.max(1), 0.0, 1.0).into_vec();
+    v.truncate(rows * cols);
+    if every > 0 {
+        for (i, x) in v.iter_mut().step_by(every).enumerate() {
+            *x = SPECIALS[i % SPECIALS.len()];
+        }
+    }
+    v
+}
+
+/// The gather's definition, one element at a time:
+/// `((s + src[o₁ + j]) + … + src[oₙ + j]) + bias[j]`.
+fn sum_rows_reference(
+    src: &[f32],
+    offsets: &[usize],
+    carry: bool,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut v = if carry { *o } else { 0.0 };
+        for &off in offsets {
+            v += src[off + j];
+        }
+        if let Some(b) = bias {
+            v += b[j];
+        }
+        *o = v;
+    }
+}
+
+/// The hot-column gather kernel writes its definition's bits on every tier:
+/// segments of every width around the 8- and 32-column blocks, no hot row,
+/// one, or all of them in field, weights and bias holding signed zeros,
+/// NaN and ±inf (NaN bits as [`assert_bits_or_nan`] says). A list split over two calls (the second carrying the
+/// partial sum through `out`) gives the one-call bits.
+fn sum_rows_is_bit_exact_across_tiers(rng: &mut MatrixRng) {
+    const ROWS: usize = 24;
+    for width in [1usize, 7, 8, 31, 32, 33, 1000] {
+        // Rows `width + 3` apart, read from column 2 on: the offsets are
+        // neither row starts nor aligned.
+        let stride = width + 3;
+        let src = sprinkled(rng, ROWS, stride, 11);
+        let bias = sprinkled(rng, 1, width, 5);
+        let all: Vec<usize> = (0..ROWS).map(|r| r * stride + 2).collect();
+        let seed_out = sprinkled(rng, 1, width, 3);
+        for offsets in [&all[..0], &all[7..8], &all[..]] {
+            for (carry, with_bias) in [(false, true), (false, false), (true, true)] {
+                let bias = with_bias.then_some(&bias[..]);
+                let mut want = seed_out.clone();
+                sum_rows_reference(&src, offsets, carry, bias, &mut want);
+                for tier in TIERS {
+                    let mut got = seed_out.clone();
+                    dispatch::sum_rows_with(tier, &src, offsets, carry, bias, &mut got);
+                    let what = format!(
+                        "sum_rows {tier:?} width {width}, {} rows, carry {carry}, bias {with_bias}",
+                        offsets.len()
+                    );
+                    assert_bits_or_nan(&got, &want, &what);
+                }
+            }
+        }
+        let (head, tail) = all.split_at(ROWS / 2 + 1);
+        let mut want = seed_out.clone();
+        sum_rows_reference(&src, &all, false, Some(&bias), &mut want);
+        for tier in TIERS {
+            let mut got = seed_out.clone();
+            dispatch::sum_rows_with(tier, &src, head, false, None, &mut got);
+            dispatch::sum_rows_with(tier, &src, tail, true, Some(&bias), &mut got);
+            assert_bits_or_nan(
+                &got,
+                &want,
+                &format!("split sum_rows {tier:?} width {width}"),
+            );
+        }
+    }
+}
+
+/// `got` is `want` to the bit wherever `want` is a number; where `want` is
+/// NaN, `got` must be NaN too. Which NaN an add of two NaNs returns is the
+/// first operand's on x86, and LLVM, for which that choice is unspecified,
+/// orders a commutative add's operands by register allocation: the AVX2
+/// readout's one- and two-class loops put the sum first in one and the
+/// product first in the other. So NaN signs and payloads are not part of
+/// any kernel's contract, and every other bit is.
+fn assert_bits_or_nan(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: lengths differ");
+    for (n, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}: element {n} is {g} ({:#x}), want {w} ({:#x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// The narrow-output GEMM (the readout: `C` two columns wide, eight rows to
+/// a register on AVX2) writes `gemm_naive`'s bits on every tier (NaN bits
+/// as [`assert_bits_or_nan`] says), through the single-threaded and the
+/// row-banded parallel driver. Row counts
+/// around the 8-row block, `k` of 0, 1 and 1000, alpha of 1, 0.5, 0 and -1,
+/// beta of 0 and 1 over C seeded with `-0.0` and NaN, and A holding signed
+/// zeros, NaN, ±inf and subnormals. Column 0 of A is zero in every row and
+/// row 0 of B is NaN, so the zero skip is what keeps most outputs finite.
+fn narrow_gemm_is_bit_exact_across_tiers(rng: &mut MatrixRng) {
+    const N: usize = 2;
+    let prev = dispatch::active_tier();
+    for rows in [0usize, 1, 7, 8, 9, 17, 256] {
+        for k in [0usize, 1, 1000] {
+            // Every third row meets NaN and ±inf, the others only signed
+            // zeros and subnormals.
+            let mut a = sprinkled(rng, rows, k, 0);
+            for (i, row) in a.chunks_mut(k.max(1)).enumerate() {
+                let specials: &[f32] = if i % 3 == 0 {
+                    &SPECIALS
+                } else {
+                    &[0.0, -0.0, 1e-40, -1e-45]
+                };
+                for (p, x) in row.iter_mut().enumerate() {
+                    if p == 0 {
+                        *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    } else if (p + i) % 7 == 0 {
+                        *x = specials[(p / 7 + i) % specials.len()];
+                    }
+                }
+            }
+            let a = Matrix::from_vec(rows, k, a);
+            let mut b = sprinkled(rng, k, N, 0);
+            if k > 0 {
+                b[..N].fill(f32::NAN);
+            }
+            let b = Matrix::from_vec(k, N, b);
+            let seed = Matrix::from_fn(rows, N, |i, j| match (i + j) % 3 {
+                0 => -0.0,
+                1 => f32::NAN,
+                _ => 0.25,
+            });
+            for alpha in [1.0f32, 0.5, 0.0, -1.0] {
+                for beta in [0.0f32, 1.0] {
+                    let what = format!("{rows} x {k}, alpha {alpha}, beta {beta}");
+                    let mut want = seed.clone();
+                    gemm_naive(alpha, &a, &b, beta, &mut want);
+                    for tier in TIERS {
+                        let installed = dispatch::set_tier(tier);
+                        let mut got = seed.clone();
+                        gemm_blocked(alpha, &a, &b, beta, &mut got);
+                        let mut par = seed.clone();
+                        gemm(alpha, &a, &b, beta, &mut par);
+                        for (driver, got) in [("blocked", got), ("parallel", par)] {
+                            assert_bits_or_nan(
+                                got.as_slice(),
+                                want.as_slice(),
+                                &format!("{driver} narrow gemm on {installed:?}: {what}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    dispatch::set_tier(prev);
+}
+
 /// Naive and parallel backends must stay bit-identical on *every* forced
 /// tier — they share the per-segment softmax kernel. So must the row-parallel
 /// softmax and the sequential one on both sides of the pool cutoff:
@@ -290,6 +470,8 @@ fn every_dispatch_tier_is_bit_identical() {
     matrix_kernels_are_bit_exact_across_tiers(&mut rng);
     lane_softmax_matches_f64_reference(&mut rng);
     softmax_is_bit_exact_across_tiers(&mut rng);
+    sum_rows_is_bit_exact_across_tiers(&mut rng);
+    narrow_gemm_is_bit_exact_across_tiers(&mut rng);
     backends_agree_per_tier(&mut rng);
     end_to_end_fit_is_bit_identical_across_tiers();
 }
