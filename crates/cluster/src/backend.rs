@@ -31,9 +31,7 @@ use bcpnn_gateway::{ApiError, LocalNode};
 use bcpnn_learn::OnlineLearner;
 use bcpnn_serve::{Exposition, ServeTarget};
 
-use crate::wire::{
-    decode_options, encode_serve_error, ErrorCode, Frame, ModelInfo, WireError, DEFAULT_MAX_PAYLOAD,
-};
+use crate::wire::{decode_options, Frame, ModelInfo, WireError, DEFAULT_MAX_PAYLOAD};
 
 /// Backend node configuration.
 #[derive(Debug, Clone)]
@@ -237,10 +235,7 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
                     rows: prediction.proba,
                     abstained: prediction.abstained,
                 },
-                Err(failure) => {
-                    let (code, message) = encode_serve_error(&failure.error);
-                    Frame::Error { code, message }
-                }
+                Err(failure) => failure.error.into(),
             }
         }
         Frame::Publish {
@@ -261,7 +256,7 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
             };
             local
                 .publish(&model, &request)
-                .map_or_else(error_frame, |p| Frame::PublishOk {
+                .map_or_else(Frame::from, |p| Frame::PublishOk {
                     version: p.version,
                     displaced: p.displaced,
                 })
@@ -272,7 +267,7 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
             labels,
         } => local
             .learn(&model, rows, &labels)
-            .map_or_else(error_frame, |l| Frame::LearnOk {
+            .map_or_else(Frame::from, |l| Frame::LearnOk {
                 accepted: l.accepted,
                 queue_depth: l.queue_depth,
             }),
@@ -297,33 +292,14 @@ fn handle_frame(shared: &NodeShared, request: Frame) -> Frame {
 }
 
 fn bad_request(message: String) -> Frame {
-    Frame::Error {
-        code: ErrorCode::BadRequest,
-        message,
-    }
-}
-
-/// A refused publish or learn as an error frame: the inverse of the
-/// router front's `ErrorCode` → status tables.
-fn error_frame(err: ApiError) -> Frame {
-    Frame::Error {
-        code: match err.status {
-            403 => ErrorCode::Forbidden,
-            422 => ErrorCode::Io,
-            404 => ErrorCode::UnknownModel,
-            429 => ErrorCode::Overloaded,
-            503 => ErrorCode::Disconnected,
-            _ => ErrorCode::BadRequest,
-        },
-        message: err.message,
-    }
+    ApiError::bad_request(message).into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::BackendPool;
-    use crate::wire::RowBlock;
+    use crate::wire::{ErrorCode, RowBlock};
     use bcpnn_core::model::Predictor;
     use bcpnn_core::{Network, ReadoutKind, TrainingParams};
     use bcpnn_data::higgs::{generate, SyntheticHiggsConfig};

@@ -23,8 +23,8 @@ use bcpnn_gateway::api::{
 use bcpnn_gateway::{ApiError, GatewaySnapshot, HttpFront};
 use bcpnn_serve::{Exposition, SubmitOptions};
 
-use crate::router::ClusterRouter;
-use crate::wire::{ErrorCode, Frame, RowBlock};
+use crate::router::{no_backends, ClusterRouter};
+use crate::wire::{Frame, RowBlock};
 
 /// HTTP front configuration: the gateway's own front settings.
 pub use bcpnn_gateway::FrontConfig as RouterHttpConfig;
@@ -62,30 +62,6 @@ impl RouterHttp {
     #[must_use]
     pub fn metrics(&self) -> GatewaySnapshot {
         self.front.metrics()
-    }
-}
-
-/// The HTTP status a per-node publish refusal maps to.
-fn publish_failure_status(code: ErrorCode) -> u16 {
-    match code {
-        ErrorCode::Forbidden => 403,
-        // The node could not load the artifact: unprocessable content,
-        // the same answer the single-node gateway gives.
-        ErrorCode::Io => 422,
-        ErrorCode::BadRequest => 400,
-        ErrorCode::Disconnected => 502,
-        _ => 500,
-    }
-}
-
-/// The HTTP status a per-node learn refusal maps to.
-fn learn_failure_status(code: ErrorCode) -> u16 {
-    match code {
-        ErrorCode::UnknownModel => 404,
-        ErrorCode::Overloaded => 429,
-        ErrorCode::Disconnected => 502,
-        ErrorCode::BadRequest | ErrorCode::ShapeMismatch => 400,
-        _ => 500,
     }
 }
 
@@ -151,12 +127,7 @@ impl ApiBackend for ClusterRouter {
             Frame::PublishOk { version, displaced } => Ok(Published { version, displaced }),
             other => Err(other),
         };
-        Ok(Outcome::PerNode(self.broadcast(
-            model,
-            &frame,
-            decode,
-            publish_failure_status,
-        )))
+        Ok(Outcome::PerNode(self.broadcast(model, &frame, decode)))
     }
 
     fn learn(
@@ -181,9 +152,9 @@ impl ApiBackend for ClusterRouter {
             }),
             other => Err(other),
         };
-        let results = self.broadcast(model, &frame, decode, learn_failure_status);
+        let results = self.broadcast(model, &frame, decode);
         if results.is_empty() {
-            return Err(ApiError::new(502, "no backend nodes are configured"));
+            return Err(no_backends());
         }
         Ok(Outcome::PerNode(results))
     }

@@ -12,14 +12,17 @@
 //! ## Timeout semantics
 //!
 //! * Request carries a client deadline → the deadline is also the wire
-//!   timeout, and expiry maps to [`ServeError::DeadlineExceeded`] (HTTP
-//!   504 through `bcpnn_gateway::status_of`), with **no** failover: a
-//!   replica retry cannot un-spend the client's budget.
+//!   timeout, and expiry is [`ErrorCode::DeadlineExceeded`], with **no**
+//!   failover: a replica retry cannot un-spend the client's budget.
 //! * No deadline → the configured
 //!   [`request_timeout`](ClusterConfig::request_timeout) applies; expiry
 //!   is treated as a backend failure: mark it out of rotation, fail over,
 //!   and only after every replica is exhausted report
-//!   [`ServeError::Io`] (HTTP 502).
+//!   [`ErrorCode::BadGateway`].
+//!
+//! A node's own refusal reaches the client as the node sent it: the
+//! router builds the [`ApiError`] from the error frame's code and message
+//! unchanged, so a cluster answers as a single gateway does.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -35,9 +38,7 @@ use bcpnn_serve::{Exposition, MetricKind, ServeError, SubmitOptions};
 use crate::metrics::ClusterMetrics;
 use crate::placement::Ring;
 use crate::pool::BackendPool;
-use crate::wire::{
-    decode_serve_error, encode_options, ErrorCode, Frame, ModelInfo, RowBlock, DEFAULT_MAX_PAYLOAD,
-};
+use crate::wire::{encode_options, ErrorCode, Frame, ModelInfo, RowBlock, DEFAULT_MAX_PAYLOAD};
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -214,16 +215,16 @@ impl ClusterRouter {
         model: &str,
         rows: RowBlock,
         options: &SubmitOptions,
-    ) -> Result<(Option<u64>, RowBlock, Vec<u32>), ServeError> {
+    ) -> Result<(Option<u64>, RowBlock, Vec<u32>), ApiError> {
         let replicas = self.replicas_for(model);
         if replicas.is_empty() {
-            return Err(ServeError::Io("no backend nodes are configured".into()));
+            return Err(no_backends());
         }
         // A budget that is already spent is answered here: on the wire 0
         // means "no deadline", so `encode_options` would send it as 1 ms
         // and a backend with an idle worker would beat that.
         if options.deadline == Some(Duration::ZERO) {
-            return Err(ServeError::DeadlineExceeded);
+            return Err(ServeError::DeadlineExceeded.into());
         }
         // Healthy members first, ring order preserved; unhealthy ones
         // still get a shot afterwards in case the prober is stale.
@@ -285,9 +286,7 @@ impl ClusterRouter {
                 // Any other application error is authoritative: every
                 // replica holds the same model bits, so retrying cannot
                 // change the answer.
-                Ok(Frame::Error { code, message }) => {
-                    return Err(decode_serve_error(code, &message));
-                }
+                Ok(Frame::Error { code, message }) => return Err(ApiError::new(code, message)),
                 Ok(_) => {
                     // Protocol violation; treat the node as broken.
                     self.mark_down(b);
@@ -295,7 +294,7 @@ impl ClusterRouter {
                 }
                 Err(err) if err.is_timeout() && options.deadline.is_some() => {
                     // The client's budget is spent; a retry cannot help.
-                    return Err(ServeError::DeadlineExceeded);
+                    return Err(ServeError::DeadlineExceeded.into());
                 }
                 Err(_) => {
                     self.mark_down(b);
@@ -303,10 +302,8 @@ impl ClusterRouter {
                 }
             }
         }
-        Err(ServeError::Io(format!(
-            "all {} replica(s) of {model:?} failed",
-            ordered.len()
-        )))
+        let message = format!("all {} replica(s) of {model:?} failed", ordered.len());
+        Err(ApiError::new(ErrorCode::BadGateway, message))
     }
 
     fn note_failover(&self, already: bool) -> bool {
@@ -324,12 +321,11 @@ impl ClusterRouter {
 
     /// Send `request` to every backend holding a replica of `model` and
     /// report each node's outcome: `decode` picks the expected reply frame
-    /// apart, `failure_status` maps a refusal to its HTTP status. A
+    /// apart, and a refusal is the node's code and message unchanged. A
     /// broadcast never fails over — every replica must swap to, or fold,
     /// the same thing to stay bit-identical — so a node that cannot be
     /// reached, or answers with the wrong frame, is marked down and
-    /// reported as [`ErrorCode::Disconnected`] ("the node is unreachable";
-    /// one that refuses answers with its own code). Nothing
+    /// reported as [`ErrorCode::BadGateway`]. Nothing
     /// moves state between nodes, so a node that missed a learn diverges
     /// from its peers until per-model sequence numbers detect the gap.
     pub(crate) fn broadcast<T>(
@@ -337,31 +333,24 @@ impl ClusterRouter {
         model: &str,
         request: &Frame,
         decode: fn(Frame) -> Result<T, Frame>,
-        failure_status: fn(ErrorCode) -> u16,
     ) -> Vec<NodeResult<T>> {
+        let node_down = |b: usize, message: String| {
+            self.mark_down(b);
+            ApiError::new(ErrorCode::BadGateway, message)
+        };
         self.replicas_for(model)
             .into_iter()
-            .map(|b| {
-                let result = match self.pools[b].call(request, self.config.request_timeout) {
-                    Ok(Frame::Error { code, message }) => Err((code, message)),
-                    Ok(reply) => decode(reply).map_err(|other| {
-                        // Protocol violation: the node is broken, as in
-                        // `predict_rows`, and the client is not to blame.
-                        self.mark_down(b);
-                        let message = format!("unexpected reply frame {other:?}");
-                        (ErrorCode::Disconnected, message)
-                    }),
-                    Err(err) => {
-                        self.mark_down(b);
-                        Err((ErrorCode::Disconnected, err.to_string()))
-                    }
-                };
-                NodeResult {
-                    backend: b,
-                    addr: self.pools[b].addr(),
-                    result: result
-                        .map_err(|(code, message)| ApiError::new(failure_status(code), message)),
-                }
+            .map(|b| NodeResult {
+                backend: b,
+                addr: self.pools[b].addr(),
+                result: match self.pools[b].call(request, self.config.request_timeout) {
+                    Ok(Frame::Error { code, message }) => Err(ApiError::new(code, message)),
+                    // Protocol violation: the node is broken, as in
+                    // `predict_rows`, and the client is not to blame.
+                    Ok(reply) => decode(reply)
+                        .map_err(|other| node_down(b, format!("unexpected reply frame {other:?}"))),
+                    Err(err) => Err(node_down(b, err.to_string())),
+                },
             })
             .collect()
     }
@@ -425,6 +414,11 @@ impl std::fmt::Debug for ClusterRouter {
             .field("default_replication", &self.config.default_replication)
             .finish()
     }
+}
+
+/// The router's answer when it has no node to ask.
+pub(crate) fn no_backends() -> ApiError {
+    ApiError::new(ErrorCode::BadGateway, "no backend nodes are configured")
 }
 
 fn probe(
@@ -515,6 +509,7 @@ fn write_nodes(out: &mut Exposition, nodes: &[(String, String)]) {
 mod tests {
     use super::*;
     use bcpnn_serve::{MetricsSnapshot, ServingMetrics};
+    use std::sync::atomic::AtomicU8;
 
     /// One source's exposition on its own: what a node ships, and what
     /// the router writes before the nodes.
@@ -622,12 +617,16 @@ bcpnn_serve_queue_depth 0
         };
         let options = SubmitOptions::new().deadline(Duration::ZERO);
         let err = router.predict_rows("higgs", rows, &options).unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded);
+        assert_eq!(err.code, ErrorCode::DeadlineExceeded);
     }
 
-    /// A node that answers every frame with a `Pong` (a ping's own nonce,
-    /// so it probes healthy), counting the pings it has answered.
-    fn pong_node() -> (SocketAddr, Arc<AtomicU64>) {
+    /// A node that answers a ping with its `Pong` (so it probes healthy)
+    /// and every other frame with `reply`, counting the pings it has
+    /// answered.
+    fn fake_node(
+        reply: fn(&AtomicU8) -> Frame,
+        state: Arc<AtomicU8>,
+    ) -> (SocketAddr, Arc<AtomicU64>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let pings = Arc::new(AtomicU64::new(0));
@@ -636,16 +635,17 @@ bcpnn_serve_queue_depth 0
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
                 let answered = Arc::clone(&answered);
+                let state = Arc::clone(&state);
                 std::thread::spawn(move || {
                     while let Ok(frame) = Frame::read_from(&mut stream, DEFAULT_MAX_PAYLOAD) {
-                        let nonce = match frame {
-                            Frame::Ping { nonce } => nonce,
-                            _ => 0,
+                        let (answer, ping) = match frame {
+                            Frame::Ping { nonce } => (Frame::Pong { nonce }, true),
+                            _ => (reply(&state), false),
                         };
-                        if (Frame::Pong { nonce }).write_to(&mut stream).is_err() {
+                        if answer.write_to(&mut stream).is_err() {
                             return;
                         }
-                        if nonce != 0 {
+                        if ping {
                             answered.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -653,6 +653,11 @@ bcpnn_serve_queue_depth 0
             }
         });
         (addr, pings)
+    }
+
+    /// A node that answers every request with a `Pong`: the wrong reply.
+    fn pong_node() -> (SocketAddr, Arc<AtomicU64>) {
+        fake_node(|_| Frame::Pong { nonce: 0 }, Arc::default())
     }
 
     #[test]
@@ -683,7 +688,7 @@ bcpnn_serve_queue_depth 0
         let Ok(Outcome::PerNode(nodes)) = router.publish("higgs", &request) else {
             panic!("a cluster publish reports per node");
         };
-        assert_eq!(nodes[0].result.as_ref().unwrap_err().status, 502);
+        assert_eq!(nodes[0].result.as_ref().unwrap_err().status(), 502);
         assert!(!router.pools[0].healthy());
         assert_eq!(router.cluster_metrics().backends_up(), 0);
 
@@ -695,8 +700,62 @@ bcpnn_serve_queue_depth 0
         let Ok(Outcome::PerNode(nodes)) = router.learn("higgs", rows, vec![1]) else {
             panic!("a cluster learn reports per node");
         };
-        assert_eq!(nodes[0].result.as_ref().unwrap_err().status, 502);
+        assert_eq!(nodes[0].result.as_ref().unwrap_err().status(), 502);
         assert!(!router.pools[0].healthy());
+    }
+
+    #[test]
+    fn a_node_refusal_reaches_the_client_unchanged() {
+        use bcpnn_backend::BackendKind;
+        use bcpnn_gateway::api::{ApiBackend, Outcome, PublishRequest};
+
+        /// What the node says: quotes and all, so a second wrapping shows.
+        fn message(code: ErrorCode) -> String {
+            format!("refused {code:?}: no model named \"nope\" is registered")
+        }
+        // The node refuses every publish and learn with the code in `sends`.
+        let sends = Arc::new(AtomicU8::new(0));
+        let (addr, _) = fake_node(
+            |sends| {
+                let code = ErrorCode::from_u8(sends.load(Ordering::SeqCst)).unwrap();
+                let message = message(code);
+                Frame::Error { code, message }
+            },
+            Arc::clone(&sends),
+        );
+        let router = ClusterRouter::start(ClusterConfig {
+            backends: vec![addr],
+            default_replication: 1,
+            health_interval: Duration::from_secs(3600),
+            ..ClusterConfig::default()
+        });
+        let request = PublishRequest {
+            path: "models/higgs".into(),
+            version: 2,
+            backend: BackendKind::Naive,
+        };
+        for code in ErrorCode::ALL {
+            sends.store(code as u8, Ordering::SeqCst);
+            let expected = ApiError::new(code, message(code));
+            let Ok(Outcome::PerNode(published)) = router.publish("higgs", &request) else {
+                panic!("a cluster publish reports per node");
+            };
+            let rows = RowBlock {
+                n_cols: 2,
+                data: vec![0.0, 1.0],
+            };
+            let Ok(Outcome::PerNode(learned)) = router.learn("higgs", rows, vec![1]) else {
+                panic!("a cluster learn reports per node");
+            };
+            let refusals = [
+                ("publish", published[0].result.as_ref().unwrap_err()),
+                ("learn", learned[0].result.as_ref().unwrap_err()),
+            ];
+            for (op, err) in refusals {
+                assert_eq!(err.status(), code.status(), "{op} refused with {code:?}");
+                assert_eq!(err, &expected, "{op} refused with {code:?}");
+            }
+        }
     }
 
     #[test]
@@ -715,6 +774,6 @@ bcpnn_serve_queue_depth 0
                 &SubmitOptions::default(),
             )
             .unwrap_err();
-        assert!(matches!(err, ServeError::Io(_)), "{err:?}");
+        assert_eq!(err.code, ErrorCode::BadGateway, "{err:?}");
     }
 }

@@ -35,6 +35,7 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
+use bcpnn_gateway::ApiError;
 use bcpnn_tensor::io::{put_slice, ByteReader, Word};
 use bcpnn_tensor::IoError;
 
@@ -42,7 +43,7 @@ use bcpnn_tensor::IoError;
 /// probabilities on the way out): the serving stack's own carrier, so a
 /// decoded block is submitted, and an answer encoded, without a copy.
 pub use bcpnn_serve::RowBlock;
-use bcpnn_serve::{Priority, ServeError, SubmitOptions};
+use bcpnn_serve::{Priority, SubmitOptions};
 
 /// The 4 magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"bCLu";
@@ -106,7 +107,7 @@ impl From<std::io::Error> for WireError {
 impl WireError {
     /// Whether this error is a socket-level timeout (the basis for the
     /// router's deadline mapping: a timed-out interior call with a client
-    /// deadline becomes [`ServeError::DeadlineExceeded`]).
+    /// deadline becomes [`ErrorCode::DeadlineExceeded`]).
     pub fn is_timeout(&self) -> bool {
         matches!(
             self,
@@ -118,91 +119,9 @@ impl WireError {
     }
 }
 
-/// Application-level error codes carried by [`Frame::Error`], mirroring
-/// [`ServeError`] so the router can reconstruct the typed error — and
-/// therefore the exact HTTP status — a single-node gateway would have
-/// produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// No model under the requested name ([`ServeError::UnknownModel`]).
-    UnknownModel = 1,
-    /// Feature width mismatch ([`ServeError::ShapeMismatch`]).
-    ShapeMismatch = 2,
-    /// The model rejected the batch ([`ServeError::Model`]).
-    Model = 3,
-    /// Artifact I/O failure ([`ServeError::Io`]).
-    Io = 4,
-    /// Deadline passed before execution ([`ServeError::DeadlineExceeded`]).
-    DeadlineExceeded = 5,
-    /// The backend is shutting down ([`ServeError::Disconnected`]).
-    Disconnected = 6,
-    /// The artifact path is outside the backend's allowlisted root.
-    Forbidden = 7,
-    /// The request frame was semantically invalid (e.g. zero-width rows).
-    BadRequest = 8,
-    /// The node's online-learn queue is full; retry later.
-    Overloaded = 9,
-    /// The model abstained: prediction confidence fell below the
-    /// request's threshold ([`ServeError::Abstained`]). Only appears as a
-    /// whole-frame error on single-row paths; multi-row frames report
-    /// abstention in-band via [`Frame::PredictOk`]'s `abstained` list.
-    Abstained = 10,
-}
-
-impl ErrorCode {
-    /// Decode from the wire byte.
-    pub fn from_u8(code: u8) -> Option<ErrorCode> {
-        Some(match code {
-            1 => ErrorCode::UnknownModel,
-            2 => ErrorCode::ShapeMismatch,
-            3 => ErrorCode::Model,
-            4 => ErrorCode::Io,
-            5 => ErrorCode::DeadlineExceeded,
-            6 => ErrorCode::Disconnected,
-            7 => ErrorCode::Forbidden,
-            8 => ErrorCode::BadRequest,
-            9 => ErrorCode::Overloaded,
-            10 => ErrorCode::Abstained,
-            _ => return None,
-        })
-    }
-}
-
-/// Encode a [`ServeError`] as `(code, message)` for an error frame.
-pub fn encode_serve_error(err: &ServeError) -> (ErrorCode, String) {
-    let code = match err {
-        ServeError::UnknownModel(_) => ErrorCode::UnknownModel,
-        ServeError::ShapeMismatch { .. } => ErrorCode::ShapeMismatch,
-        ServeError::Io(_) => ErrorCode::Io,
-        ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
-        ServeError::Abstained => ErrorCode::Abstained,
-        ServeError::Disconnected => ErrorCode::Disconnected,
-        _ => ErrorCode::Model,
-    };
-    (code, err.to_string())
-}
-
-/// Reconstruct the [`ServeError`] an error frame stands for, so the
-/// router-side HTTP mapping (`bcpnn_gateway::status_of`) yields the same
-/// status a single-node deployment would. `Forbidden` and `BadRequest`
-/// have no `ServeError` twin and are handled by the caller first.
-pub fn decode_serve_error(code: ErrorCode, message: &str) -> ServeError {
-    match code {
-        ErrorCode::UnknownModel => ServeError::UnknownModel(message.to_string()),
-        // The exact widths are only in the message; a zero/zero mismatch
-        // still maps to the right HTTP status (400).
-        ErrorCode::ShapeMismatch => ServeError::ShapeMismatch {
-            expected: 0,
-            got: 0,
-        },
-        ErrorCode::Io => ServeError::Io(message.to_string()),
-        ErrorCode::DeadlineExceeded => ServeError::DeadlineExceeded,
-        ErrorCode::Abstained => ServeError::Abstained,
-        ErrorCode::Disconnected => ServeError::Disconnected,
-        _ => ServeError::Model(message.to_string()),
-    }
-}
+/// The failure code an error frame carries: the serving tier's one
+/// vocabulary, whose [`ErrorCode::status`] both HTTP fronts answer with.
+pub use bcpnn_gateway::ErrorCode;
 
 /// One listed model in a [`Frame::ModelsOk`] reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -551,6 +470,17 @@ impl Frame {
     }
 }
 
+/// A refusal as the error frame a node sends: its code and message,
+/// unchanged.
+impl From<ApiError> for Frame {
+    fn from(err: ApiError) -> Frame {
+        Frame::Error {
+            code: err.code,
+            message: err.message,
+        }
+    }
+}
+
 /// Convert a [`SubmitOptions`] to the wire's `(priority, deadline_ms,
 /// abstain)` triple. Sub-millisecond deadlines round up to 1 ms so a
 /// tiny-but-real deadline does not become "none" on the wire; the
@@ -646,6 +576,7 @@ fn rows(c: &mut ByteReader<'_>) -> Result<RowBlock, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcpnn_serve::ServeError;
 
     fn roundtrip(frame: &Frame) -> Frame {
         let bytes = frame.encode();
@@ -811,33 +742,32 @@ mod tests {
 
     #[test]
     fn serve_errors_map_there_and_back() {
+        // The code bytes a node has always sent for the serving stack's
+        // failures.
         let cases = [
-            ServeError::UnknownModel("m".into()),
-            ServeError::DeadlineExceeded,
-            ServeError::Abstained,
-            ServeError::Disconnected,
-            ServeError::Io("gone".into()),
-            ServeError::Model("bad".into()),
+            (ServeError::UnknownModel("m".into()), 1),
+            (
+                ServeError::ShapeMismatch {
+                    expected: 28,
+                    got: 3,
+                },
+                2,
+            ),
+            (ServeError::Model("bad".into()), 3),
+            (ServeError::DeadlineExceeded, 5),
+            (ServeError::Disconnected, 6),
+            (ServeError::Abstained, 10),
         ];
-        for err in cases {
-            let (code, msg) = encode_serve_error(&err);
-            let back = decode_serve_error(code, &msg);
-            assert_eq!(
-                std::mem::discriminant(&back),
-                std::mem::discriminant(&err),
-                "{err:?}"
-            );
+        for (err, byte) in cases {
+            let sent = ApiError::from(err);
+            let frame = Frame::from(sent.clone());
+            // The payload follows the 10-byte header; its first byte is
+            // the code.
+            assert_eq!(frame.encode()[10], byte, "{sent:?}");
+            let Frame::Error { code, message } = roundtrip(&frame) else {
+                panic!("an error frame decodes as one");
+            };
+            assert_eq!(ApiError::new(code, message), sent);
         }
-        // ShapeMismatch keeps its discriminant even though the widths
-        // travel only in the message.
-        let (code, msg) = encode_serve_error(&ServeError::ShapeMismatch {
-            expected: 28,
-            got: 3,
-        });
-        assert!(matches!(
-            decode_serve_error(code, &msg),
-            ServeError::ShapeMismatch { .. }
-        ));
-        assert!(msg.contains("28"));
     }
 }

@@ -4,7 +4,7 @@
 //! rejected with the *right* [`WireError`] — a router that misreads a
 //! torn frame as a short answer would silently corrupt predictions.
 
-use bcpnn_cluster::wire::{Frame, ModelInfo, RowBlock, WireError, MAGIC, VERSION};
+use bcpnn_cluster::wire::{ErrorCode, Frame, ModelInfo, RowBlock, WireError, MAGIC, VERSION};
 use proptest::prelude::*;
 
 /// Wire-legal model/path strings: the charset the HTTP router admits.
@@ -35,7 +35,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
         (
             0u64..u64::MAX,
             0u8..3,
-            1u8..11,
+            0..ErrorCode::ALL.len(),
             prop::bool::ANY,
             0u64..u64::MAX,
         ),
@@ -73,7 +73,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                     }
                 }
                 4 => Frame::Error {
-                    code: bcpnn_cluster::wire::ErrorCode::from_u8(code).unwrap(),
+                    code: ErrorCode::ALL[code],
                     message: text,
                 },
                 5 => Frame::Publish {
@@ -114,7 +114,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                             name: text,
                             version: n2,
                             n_inputs: u32::from(small),
-                            n_classes: u32::from(code),
+                            n_classes: code as u32,
                         },
                     ],
                 },

@@ -7,7 +7,7 @@
 use std::net::SocketAddr;
 
 use bcpnn_backend::BackendKind;
-use bcpnn_serve::{Exposition, RowBlock, ServeError, SubmitOptions};
+use bcpnn_serve::{Exposition, RowBlock, SubmitOptions};
 
 use crate::error::ApiError;
 
@@ -45,8 +45,8 @@ pub struct PredictFailure {
     /// Rows that reached the serving stack before the failure: all of the
     /// request's or none.
     pub submitted: usize,
-    /// What failed; maps to a status through [`crate::status_of`].
-    pub error: ServeError,
+    /// What failed, as the client reads it.
+    pub error: ApiError,
 }
 
 /// A parsed `PUT /v1/models/{name}` body.
@@ -99,7 +99,7 @@ pub struct NodeResult<T> {
     pub backend: usize,
     /// That backend's address.
     pub addr: SocketAddr,
-    /// The node's result, a refusal already mapped to its status.
+    /// The node's result, or its refusal as the node sent it.
     pub result: Result<T, ApiError>,
 }
 

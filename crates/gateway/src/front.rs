@@ -23,11 +23,11 @@ use bcpnn_backend::BackendKind;
 use bcpnn_serve::{Exposition, Priority, RowBlock, SubmitOptions};
 
 use crate::api::{ApiBackend, Learned, Outcome, Prediction, PublishRequest, Published};
-use crate::error::ApiError;
+use crate::error::{ApiError, ErrorCode};
 use crate::http::{read_request, Limits, Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{GatewayMetrics, GatewaySnapshot};
-use crate::router::{route, Route, RouteError};
+use crate::router::{route, Route};
 
 /// HTTP front configuration, shared by the gateway and the cluster's
 /// router front.
@@ -213,11 +213,14 @@ fn run_accept(listener: &TcpListener, queue: &SyncSender<TcpStream>, shared: &Sh
             // accept thread without reading the request. The short write
             // timeout keeps a non-reading client from stalling accepts.
             let _ = rejected.set_write_timeout(Some(Duration::from_secs(1)));
+            let response = ApiError::new(
+                ErrorCode::Disconnected,
+                "gateway accept queue is full; retry later",
+            )
+            .into_response();
             shared.metrics.record_request();
             shared.metrics.record_rejected_busy();
-            shared.metrics.record_status(503);
-            let response =
-                ApiError::new(503, "gateway accept queue is full; retry later").into_response();
+            shared.metrics.record_status(response.status);
             if let Ok(n) = response.write_to(&mut rejected) {
                 shared.metrics.record_bytes_out(n);
             }
@@ -233,13 +236,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_nodelay(true);
     shared.metrics.record_request();
-    let response = match read_request(&mut stream, shared.config.limits) {
-        Ok(request) => {
+    let response = read_request(&mut stream, shared.config.limits)
+        .and_then(|request| {
             shared.metrics.record_bytes_in(request.body.len() as u64);
-            dispatch(shared, &request).unwrap_or_else(ApiError::into_response)
-        }
-        Err(err) => ApiError::new(err.status(), err.message()).into_response(),
-    };
+            dispatch(shared, &request)
+        })
+        .unwrap_or_else(ApiError::into_response);
     shared.metrics.record_status(response.status);
     if let Ok(n) = response.write_to(&mut stream) {
         shared.metrics.record_bytes_out(n);
@@ -248,19 +250,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
 
 /// Route and run one parsed request.
 fn dispatch(shared: &Shared, request: &Request) -> Result<Response, ApiError> {
-    let endpoint = route(&request.method, &request.path).map_err(|err| match err {
-        RouteError::NotFound => ApiError::new(404, format!("no endpoint at {:?}", request.path)),
-        RouteError::MethodNotAllowed(allow) => ApiError {
-            allow: Some(allow),
-            ..ApiError::new(
-                405,
-                format!("{} is not allowed here (allow: {allow})", request.method),
-            )
-        },
-        RouteError::BadModelName(name) => {
-            ApiError::new(400, format!("invalid model name {name:?}"))
-        }
-    })?;
+    let endpoint = route(&request.method, &request.path)?;
     let backend = &*shared.backend;
     match endpoint {
         Route::Healthz => Ok(handle_healthz(backend)),
@@ -303,7 +293,7 @@ fn dispatch(shared: &Shared, request: &Request) -> Result<Response, ApiError> {
 
 fn body_text(request: &Request) -> Result<&str, ApiError> {
     std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::new(400, "request body is not valid UTF-8"))
+        .map_err(|_| ApiError::bad_request("request body is not valid UTF-8"))
 }
 
 /// `GET /healthz`: liveness, plus the live replica picture when the
@@ -360,34 +350,30 @@ fn options_from_headers(request: &Request) -> Result<SubmitOptions, ApiError> {
             "normal" => Priority::Normal,
             "low" => Priority::Low,
             other => {
-                return Err(ApiError::new(
-                    400,
-                    format!("invalid X-Priority {other:?} (use high, normal, or low)"),
-                ))
+                return Err(ApiError::bad_request(format!(
+                    "invalid X-Priority {other:?} (use high, normal, or low)"
+                )))
             }
         });
     }
     if let Some(deadline) = request.header("x-deadline-ms") {
         let millis: u64 = deadline.parse().map_err(|_| {
-            ApiError::new(
-                400,
-                format!("invalid X-Deadline-Ms {deadline:?} (use integer milliseconds)"),
-            )
+            ApiError::bad_request(format!(
+                "invalid X-Deadline-Ms {deadline:?} (use integer milliseconds)"
+            ))
         })?;
         options = options.deadline(Duration::from_millis(millis));
     }
     if let Some(threshold) = request.header("x-abstain-below") {
         let parsed: f32 = threshold.trim().parse().map_err(|_| {
-            ApiError::new(
-                400,
-                format!("invalid X-Abstain-Below {threshold:?} (use a number in [0, 1])"),
-            )
+            ApiError::bad_request(format!(
+                "invalid X-Abstain-Below {threshold:?} (use a number in [0, 1])"
+            ))
         })?;
         if !parsed.is_finite() || !(0.0..=1.0).contains(&parsed) {
-            return Err(ApiError::new(
-                400,
-                format!("invalid X-Abstain-Below {threshold:?} (must be finite and in [0, 1])"),
-            ));
+            return Err(ApiError::bad_request(format!(
+                "invalid X-Abstain-Below {threshold:?} (must be finite and in [0, 1])"
+            )));
         }
         options = options.abstain_below(parsed);
     }
@@ -398,7 +384,7 @@ fn options_from_headers(request: &Request) -> Result<SubmitOptions, ApiError> {
 fn handle_predict(shared: &Shared, name: &str, request: &Request) -> Result<Response, ApiError> {
     let options = options_from_headers(request)?;
     let rows = json::parse_f32_block(body_text(request)?)
-        .map_err(|e| ApiError::new(400, e.to_string()))?;
+        .map_err(|e| ApiError::bad_request(e.to_string()))?;
 
     // Count exactly what reached the stack, so
     // bcpnn_gateway_predict_rows_total reconciles with the serve-side
@@ -409,7 +395,7 @@ fn handle_predict(shared: &Shared, name: &str, request: &Request) -> Result<Resp
         Err(failure) => failure.submitted,
     };
     shared.metrics.record_predict_rows(submitted as u64);
-    let prediction = result.map_err(|failure| ApiError::from(failure.error))?;
+    let prediction = result.map_err(|failure| failure.error)?;
     Ok(Response::json(200, render_prediction(name, &prediction)))
 }
 
@@ -511,25 +497,22 @@ fn write_answered_rows(
 /// optional (default parallel) and takes every name
 /// [`BackendKind::parse`] does.
 fn parse_publish_body(body: &str) -> Result<PublishRequest, ApiError> {
-    let doc = json::parse(body).map_err(|e| ApiError::new(400, e.to_string()))?;
+    let doc = json::parse(body).map_err(|e| ApiError::bad_request(e.to_string()))?;
     let path = doc
         .get("path")
         .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::new(400, "missing string field \"path\""))?;
+        .ok_or_else(|| ApiError::bad_request("missing string field \"path\""))?;
     let version = doc
         .get("version")
         .and_then(Json::as_u64)
-        .ok_or_else(|| ApiError::new(400, "missing integer field \"version\""))?;
+        .ok_or_else(|| ApiError::bad_request("missing integer field \"version\""))?;
     let backend = match doc.get("backend") {
         None | Some(Json::Null) => BackendKind::Parallel,
         Some(value) => value.as_str().and_then(BackendKind::parse).ok_or_else(|| {
-            ApiError::new(
-                400,
-                format!(
-                    "field \"backend\" must be one of the strings {}",
-                    BackendKind::accepted_names().collect::<Vec<_>>().join(", ")
-                ),
-            )
+            ApiError::bad_request(format!(
+                "field \"backend\" must be one of the strings {}",
+                BackendKind::accepted_names().collect::<Vec<_>>().join(", ")
+            ))
         })?,
     };
     Ok(PublishRequest {
@@ -545,25 +528,27 @@ fn parse_publish_body(body: &str) -> Result<PublishRequest, ApiError> {
 /// integer class label per row, each fitting a `u32`; all checked here,
 /// before any learner or backend node is touched.
 fn parse_learn_body(body: &str) -> Result<(RowBlock, Vec<u32>), ApiError> {
-    let doc = json::parse(body).map_err(|e| ApiError::new(400, e.to_string()))?;
+    let doc = json::parse(body).map_err(|e| ApiError::bad_request(e.to_string()))?;
     let rows = doc
         .get("rows")
-        .ok_or_else(|| ApiError::new(400, "missing array field \"rows\""))?;
-    let rows = json::f32_block(rows).map_err(|e| ApiError::new(400, e.to_string()))?;
+        .ok_or_else(|| ApiError::bad_request("missing array field \"rows\""))?;
+    let rows = json::f32_block(rows).map_err(|e| ApiError::bad_request(e.to_string()))?;
     let labels = doc
         .get("labels")
         .and_then(Json::as_array)
-        .ok_or_else(|| ApiError::new(400, "missing array field \"labels\""))?;
+        .ok_or_else(|| ApiError::bad_request("missing array field \"labels\""))?;
     if labels.len() != rows.n_rows() {
         let counts = format!("{} labels for {} rows", labels.len(), rows.n_rows());
-        return Err(ApiError::new(400, format!("{counts}; counts must match")));
+        return Err(ApiError::bad_request(format!(
+            "{counts}; counts must match"
+        )));
     }
     let labels = labels
         .iter()
         .map(|label| label.as_u64().and_then(|v| u32::try_from(v).ok()))
         .collect::<Option<Vec<u32>>>()
         .ok_or_else(|| {
-            ApiError::new(400, "\"labels\" must be an array of non-negative integers")
+            ApiError::bad_request("\"labels\" must be an array of non-negative integers")
         })?;
     Ok((rows, labels))
 }
@@ -617,9 +602,9 @@ fn render_outcome<T>(
                         Ok(value) => entry.extend(fields(&value)),
                         Err(err) => {
                             if status == 200 {
-                                status = err.status;
+                                status = err.status();
                             }
-                            entry.push(("status".into(), Json::u64(u64::from(err.status))));
+                            entry.push(("status".into(), Json::u64(u64::from(err.status()))));
                             entry.push(("error".into(), Json::str(err.message)));
                         }
                     }

@@ -5,11 +5,13 @@
 //! per connection (`Connection: close`), `Content-Length` bodies, no
 //! chunked transfer encoding, no keep-alive (listed as an open item in the
 //! ROADMAP). What it does speak, it speaks defensively: the request head
-//! and body have byte ceilings, and every malformed input maps to a typed
-//! [`HttpError`] that the server layer renders as a 4xx — a bad request
-//! must never reach a serving worker.
+//! and body have byte ceilings, and every malformed input is an
+//! [`ApiError`] the front renders as a 4xx — a bad request must never
+//! reach a serving worker.
 
 use std::io::{Read, Write};
+
+use crate::error::{ApiError, ErrorCode};
 
 /// Hard limits applied while reading a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,61 +61,26 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. Each variant carries the status code
-/// the server should answer with.
-#[derive(Debug)]
-pub enum HttpError {
-    /// Syntactically invalid request line, header, or framing.
-    BadRequest(String),
-    /// The declared `Content-Length` exceeds the body limit.
-    PayloadTooLarge {
-        /// The limit that was exceeded.
-        limit: usize,
-    },
-    /// The request head (line + headers) exceeds the head limit.
-    HeadTooLarge {
-        /// The limit that was exceeded.
-        limit: usize,
-    },
-    /// The underlying socket failed or timed out.
-    Io(std::io::Error),
+/// A socket that failed or timed out while the request was read.
+fn connection_error(e: std::io::Error) -> ApiError {
+    ApiError::new(ErrorCode::RequestTimeout, format!("connection error: {e}"))
 }
 
-impl HttpError {
-    /// The HTTP status code this error maps to.
-    pub fn status(&self) -> u16 {
-        match self {
-            HttpError::BadRequest(_) => 400,
-            HttpError::PayloadTooLarge { .. } => 413,
-            HttpError::HeadTooLarge { .. } => 431,
-            HttpError::Io(_) => 408,
-        }
-    }
-
-    /// Human-readable description for the error body.
-    pub fn message(&self) -> String {
-        match self {
-            HttpError::BadRequest(m) => m.clone(),
-            HttpError::PayloadTooLarge { limit } => {
-                format!("request body exceeds the {limit}-byte limit")
-            }
-            HttpError::HeadTooLarge { limit } => {
-                format!("request head exceeds the {limit}-byte limit")
-            }
-            HttpError::Io(e) => format!("connection error: {e}"),
-        }
-    }
+/// A request head over the `limit`-byte head limit.
+fn head_too_large(limit: usize) -> ApiError {
+    let message = format!("request head exceeds the {limit}-byte limit");
+    ApiError::new(ErrorCode::HeadTooLarge, message)
 }
 
 /// Read and parse one HTTP/1.x request from `stream`. The stream is also
 /// written to in exactly one case: an interim `100 Continue` when the
 /// client sent `Expect: 100-continue` and the body is acceptable (curl
 /// does this for bodies over 1 KiB and otherwise stalls ~1 s waiting).
-pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<Request, HttpError> {
+pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<Request, ApiError> {
     let started = std::time::Instant::now();
-    let overtime = |started: std::time::Instant| -> Result<(), HttpError> {
+    let overtime = |started: std::time::Instant| -> Result<(), ApiError> {
         if started.elapsed() > limits.max_request_time {
-            Err(HttpError::Io(std::io::Error::new(
+            Err(connection_error(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "request took longer than the per-request time ceiling",
             )))
@@ -130,47 +97,43 @@ pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<R
             break pos;
         }
         if buf.len() > limits.max_head_bytes {
-            return Err(HttpError::HeadTooLarge {
-                limit: limits.max_head_bytes,
-            });
+            return Err(head_too_large(limits.max_head_bytes));
         }
         overtime(started)?;
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
+        let n = stream.read(&mut chunk).map_err(connection_error)?;
         if n == 0 {
-            return Err(HttpError::BadRequest(
-                "connection closed before the request head completed".into(),
+            return Err(ApiError::bad_request(
+                "connection closed before the request head completed",
             ));
         }
         buf.extend_from_slice(&chunk[..n]);
     };
     if head_end > limits.max_head_bytes {
-        return Err(HttpError::HeadTooLarge {
-            limit: limits.max_head_bytes,
-        });
+        return Err(head_too_large(limits.max_head_bytes));
     }
 
     let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpError::BadRequest("request head is not valid UTF-8".into()))?;
+        .map_err(|_| ApiError::bad_request("request head is not valid UTF-8"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines
         .next()
-        .ok_or_else(|| HttpError::BadRequest("empty request".into()))?;
+        .ok_or_else(|| ApiError::bad_request("empty request"))?;
     let mut parts = request_line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => {
-            return Err(HttpError::BadRequest(format!(
+            return Err(ApiError::bad_request(format!(
                 "malformed request line {request_line:?}"
             )))
         }
     };
     if !matches!(version, "HTTP/1.1" | "HTTP/1.0") {
-        return Err(HttpError::BadRequest(format!(
+        return Err(ApiError::bad_request(format!(
             "unsupported protocol version {version:?}"
         )));
     }
     if !method.bytes().all(|b| b.is_ascii_uppercase()) {
-        return Err(HttpError::BadRequest(format!(
+        return Err(ApiError::bad_request(format!(
             "malformed method token {method:?}"
         )));
     }
@@ -182,9 +145,9 @@ pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<R
         }
         let (name, value) = line
             .split_once(':')
-            .ok_or_else(|| HttpError::BadRequest(format!("malformed header line {line:?}")))?;
+            .ok_or_else(|| ApiError::bad_request(format!("malformed header line {line:?}")))?;
         if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::BadRequest(format!(
+            return Err(ApiError::bad_request(format!(
                 "malformed header name {name:?}"
             )));
         }
@@ -197,8 +160,8 @@ pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<R
         .iter()
         .any(|(k, v)| k == "transfer-encoding" && !v.eq_ignore_ascii_case("identity"))
     {
-        return Err(HttpError::BadRequest(
-            "chunked transfer encoding is not supported".into(),
+        return Err(ApiError::bad_request(
+            "chunked transfer encoding is not supported",
         ));
     }
     // RFC 9112 §6.3: a repeated Content-Length, or one that is not a bare
@@ -208,25 +171,23 @@ pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<R
     let content_length = match (lengths.next(), lengths.next()) {
         (None, _) => 0,
         (Some(_), Some(_)) => {
-            return Err(HttpError::BadRequest(
-                "more than one Content-Length header".into(),
-            ))
+            return Err(ApiError::bad_request("more than one Content-Length header"))
         }
         (Some((_, v)), None) => Some(v)
             .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
             .and_then(|v| v.parse::<usize>().ok())
-            .ok_or_else(|| HttpError::BadRequest(format!("unparseable Content-Length {v:?}")))?,
+            .ok_or_else(|| ApiError::bad_request(format!("unparseable Content-Length {v:?}")))?,
     };
     if content_length > limits.max_body_bytes {
-        return Err(HttpError::PayloadTooLarge {
-            limit: limits.max_body_bytes,
-        });
+        let limit = limits.max_body_bytes;
+        let message = format!("request body exceeds the {limit}-byte limit");
+        return Err(ApiError::new(ErrorCode::PayloadTooLarge, message));
     }
 
     let mut body = buf[head_end + 4..].to_vec();
     if body.len() > content_length {
-        return Err(HttpError::BadRequest(
-            "more body bytes than Content-Length declares".into(),
+        return Err(ApiError::bad_request(
+            "more body bytes than Content-Length declares",
         ));
     }
     // The body passed the ceiling check: release a waiting client. Sent
@@ -239,14 +200,14 @@ pub fn read_request<S: Read + Write>(stream: &mut S, limits: Limits) -> Result<R
         stream
             .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
             .and_then(|()| stream.flush())
-            .map_err(HttpError::Io)?;
+            .map_err(connection_error)?;
     }
     while body.len() < content_length {
         overtime(started)?;
         let want = (content_length - body.len()).min(chunk.len());
-        let n = stream.read(&mut chunk[..want]).map_err(HttpError::Io)?;
+        let n = stream.read(&mut chunk[..want]).map_err(connection_error)?;
         if n == 0 {
-            return Err(HttpError::BadRequest("connection closed mid-body".into()));
+            return Err(ApiError::bad_request("connection closed mid-body"));
         }
         body.extend_from_slice(&chunk[..n]);
     }
@@ -385,7 +346,7 @@ mod tests {
         }
     }
 
-    fn read_str(raw: &str, limits: Limits) -> Result<Request, HttpError> {
+    fn read_str(raw: &str, limits: Limits) -> Result<Request, ApiError> {
         read_request(&mut TestStream::new(raw.as_bytes()), limits)
     }
 
@@ -467,7 +428,7 @@ mod tests {
                 ..Limits::default()
             },
         );
-        assert!(matches!(got, Err(HttpError::PayloadTooLarge { .. })));
+        assert_eq!(got.unwrap_err().code, ErrorCode::PayloadTooLarge);
         assert!(over.written.is_empty());
     }
 
@@ -499,7 +460,7 @@ mod tests {
             },
         );
         match got {
-            Err(err @ HttpError::Io(_)) => assert_eq!(err.status(), 408),
+            Err(err) if err.code == ErrorCode::RequestTimeout => assert_eq!(err.status(), 408),
             other => panic!("expected a timeout, got {other:?}"),
         }
     }
@@ -523,7 +484,7 @@ mod tests {
         ] {
             let got = read_str(raw, Limits::default());
             assert!(
-                matches!(got, Err(HttpError::BadRequest(_))),
+                matches!(&got, Err(e) if e.code == ErrorCode::BadRequest),
                 "{raw:?} must be a bad request, got {got:?}"
             );
         }
@@ -540,7 +501,9 @@ mod tests {
                 ..Limits::default()
             },
         );
-        assert!(matches!(got, Err(HttpError::PayloadTooLarge { limit: 64 })));
+        let err = got.unwrap_err();
+        assert_eq!(err.code, ErrorCode::PayloadTooLarge);
+        assert!(err.message.contains("64-byte"), "{err:?}");
     }
 
     #[test]
@@ -554,7 +517,9 @@ mod tests {
                 ..Limits::default()
             },
         );
-        assert!(matches!(got, Err(HttpError::HeadTooLarge { limit: 256 })));
+        let err = got.unwrap_err();
+        assert_eq!(err.code, ErrorCode::HeadTooLarge);
+        assert!(err.message.contains("256-byte"), "{err:?}");
     }
 
     #[test]
@@ -564,7 +529,10 @@ mod tests {
             "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", // body short
         ] {
             let got = read_str(raw, Limits::default());
-            assert!(matches!(got, Err(HttpError::BadRequest(_))), "{raw:?}");
+            assert!(
+                matches!(&got, Err(e) if e.code == ErrorCode::BadRequest),
+                "{raw:?}"
+            );
         }
     }
 
@@ -584,8 +552,8 @@ mod tests {
 
     #[test]
     fn error_variants_map_to_their_status_codes() {
-        assert_eq!(HttpError::BadRequest("x".into()).status(), 400);
-        assert_eq!(HttpError::PayloadTooLarge { limit: 1 }.status(), 413);
-        assert_eq!(HttpError::HeadTooLarge { limit: 1 }.status(), 431);
+        assert_eq!(ApiError::bad_request("x").status(), 400);
+        assert_eq!(ErrorCode::PayloadTooLarge.status(), 413);
+        assert_eq!(ErrorCode::HeadTooLarge.status(), 431);
     }
 }

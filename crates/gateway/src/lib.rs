@@ -29,9 +29,8 @@
 //!
 //! Scheduling options thread through headers — `X-Priority:
 //! high|normal|low`, `X-Deadline-Ms: <millis>`, `X-Abstain-Below:
-//! <margin in [0,1]>` — and [`ServeError`](bcpnn_serve::ServeError)
-//! variants map to proper status codes (`DeadlineExceeded` → 504, unknown
-//! model → 404; see [`error`]).
+//! <margin in [0,1]>` — and every failure answers with the status of its
+//! [`ErrorCode`] ([`ErrorCode::status`]).
 //!
 //! ## Micro-batching still amortizes
 //!
@@ -71,7 +70,7 @@ pub mod router;
 mod server;
 
 pub use api::ApiBackend;
-pub use error::{status_of, ApiError};
+pub use error::{ApiError, ErrorCode};
 pub use front::{FrontConfig, HttpFront};
 pub use local::LocalNode;
 pub use metrics::{GatewayMetrics, GatewaySnapshot};

@@ -9,13 +9,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bcpnn_learn::{LearnError, OnlineLearner};
+use bcpnn_learn::OnlineLearner;
 use bcpnn_serve::{Exposition, Pipeline, RowBlock, ServeTarget, ServedModel, SubmitOptions};
 
 use crate::api::{
     ApiBackend, Learned, ModelEntry, Outcome, PredictFailure, Prediction, PublishRequest, Published,
 };
-use crate::error::ApiError;
+use crate::error::{ApiError, ErrorCode};
 
 /// One in-process serving stack with its online learners and publish
 /// allowlist.
@@ -33,20 +33,22 @@ pub struct LocalNode {
 impl LocalNode {
     /// Load a persisted artifact from a path on this host and publish it
     /// — the registry's atomic hot-swap. A path outside the allowlisted
-    /// root is `403`; a bad artifact is the client's problem (`422`
-    /// unprocessable content), not an internal error.
+    /// root is [`ErrorCode::Forbidden`]; a bad artifact is the client's
+    /// problem ([`ErrorCode::Io`]), not an internal error.
     pub fn publish(&self, model: &str, request: &PublishRequest) -> Result<Published, ApiError> {
         let path = &request.path;
         if let Some(root) = &self.artifact_root {
             if !crate::artifact::path_allowed(root, Path::new(path)) {
                 return Err(ApiError::new(
-                    403,
+                    ErrorCode::Forbidden,
                     format!("artifact path {path:?} is outside the allowed root"),
                 ));
             }
         }
-        let pipeline = Pipeline::load(path, request.backend)
-            .map_err(|e| ApiError::new(422, format!("cannot load artifact at {path:?}: {e}")))?;
+        let pipeline = Pipeline::load(path, request.backend).map_err(|e| {
+            let message = format!("cannot load artifact at {path:?}: {e}");
+            ApiError::new(ErrorCode::Io, message)
+        })?;
         let (handle, displaced) =
             self.target
                 .registry()
@@ -61,9 +63,10 @@ impl LocalNode {
     ///
     /// Acceptance is durability, not training: `Ok` means every row is in
     /// the learner's bounded queue and will be written to the replay log
-    /// before it is folded. A full queue is backpressure (`429`), a post
-    /// larger than the whole queue is `400`, and a model with no learner
-    /// attached is `404`.
+    /// before it is folded. A full queue is backpressure
+    /// ([`ErrorCode::Overloaded`]), a post larger than the whole queue is
+    /// [`ErrorCode::BadRequest`], and a model with no learner attached is
+    /// [`ErrorCode::UnknownModel`].
     pub fn learn(&self, model: &str, rows: RowBlock, labels: &[u32]) -> Result<Learned, ApiError> {
         let learner = self
             .learners
@@ -71,19 +74,12 @@ impl LocalNode {
             .find(|l| l.model() == model)
             .ok_or_else(|| {
                 ApiError::new(
-                    404,
+                    ErrorCode::UnknownModel,
                     format!("no online learner is attached to model {model:?}"),
                 )
             })?;
         let labels: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-        let accepted = learner.submit(rows, &labels).map_err(|err| {
-            let status = match err {
-                LearnError::QueueFull { .. } => 429,
-                LearnError::ShuttingDown => 503,
-                _ => 400,
-            };
-            ApiError::new(status, err.to_string())
-        })?;
+        let accepted = learner.submit(rows, &labels)?;
         let snapshot = learner.metrics();
         Ok(Learned {
             accepted: accepted as u64,
@@ -127,11 +123,11 @@ impl ApiBackend for LocalNode {
             .submit_block(model, rows, options)
             .map_err(|error| PredictFailure {
                 submitted: 0,
-                error,
+                error: error.into(),
             })?;
         let answer = handle.wait().map_err(|error| PredictFailure {
             submitted: n_rows,
-            error,
+            error: error.into(),
         })?;
         Ok(Prediction {
             version: Some(answer.version),

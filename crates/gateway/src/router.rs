@@ -6,6 +6,8 @@
 //! methods named), decided *before* any body parsing — a misrouted
 //! request never costs worker time.
 
+use crate::error::{ApiError, ErrorCode};
+
 /// One resolved endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Route {
@@ -24,18 +26,6 @@ pub enum Route {
     Learn(String),
 }
 
-/// Why routing failed; carries what the server needs for the response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteError {
-    /// No endpoint lives at this path.
-    NotFound,
-    /// The path exists but not under this method; names the methods that
-    /// are allowed (the `Allow` header value).
-    MethodNotAllowed(&'static str),
-    /// The model name segment is empty or contains invalid characters.
-    BadModelName(String),
-}
-
 /// Model names accepted on the wire: non-empty, ASCII alphanumerics plus
 /// `-`, `_`, and `.` — names that are unambiguous inside a path segment
 /// and a Prometheus label.
@@ -47,75 +37,62 @@ pub fn valid_model_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
-/// Resolve a request line to an endpoint.
-pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
+/// Resolve a request line to an endpoint, or to the refusal the front
+/// answers with: `NotFound`, `MethodNotAllowed` naming the allowed
+/// method, or `BadRequest` for a bad model name.
+pub fn route(method: &str, path: &str) -> Result<Route, ApiError> {
+    let only = |allowed: &'static str, route: Route| {
+        if method == allowed {
+            Ok(route)
+        } else {
+            let message = format!("{method} is not allowed here (allow: {allowed})");
+            Err(ApiError {
+                allow: Some(allowed),
+                ..ApiError::new(ErrorCode::MethodNotAllowed, message)
+            })
+        }
+    };
+    let not_found = || {
+        let message = format!("no endpoint at {path:?}");
+        Err(ApiError::new(ErrorCode::NotFound, message))
+    };
     match path {
-        "/healthz" => {
-            return match method {
-                "GET" => Ok(Route::Healthz),
-                _ => Err(RouteError::MethodNotAllowed("GET")),
-            }
-        }
-        "/metrics" => {
-            return match method {
-                "GET" => Ok(Route::Metrics),
-                _ => Err(RouteError::MethodNotAllowed("GET")),
-            }
-        }
-        "/v1/models" => {
-            return match method {
-                "GET" => Ok(Route::ListModels),
-                _ => Err(RouteError::MethodNotAllowed("GET")),
-            }
-        }
+        "/healthz" => return only("GET", Route::Healthz),
+        "/metrics" => return only("GET", Route::Metrics),
+        "/v1/models" => return only("GET", Route::ListModels),
         _ => {}
     }
-    if let Some(rest) = path.strip_prefix("/v1/models/") {
-        let mut segments = rest.split('/');
-        let name = segments.next().unwrap_or("");
-        match (segments.next(), segments.next()) {
-            // /v1/models/{name}
-            (None, _) => {
-                check_name(name)?;
-                match method {
-                    "PUT" => Ok(Route::Publish(name.to_string())),
-                    _ => Err(RouteError::MethodNotAllowed("PUT")),
-                }
-            }
-            // /v1/models/{name}/predict
-            (Some("predict"), None) => {
-                check_name(name)?;
-                match method {
-                    "POST" => Ok(Route::Predict(name.to_string())),
-                    _ => Err(RouteError::MethodNotAllowed("POST")),
-                }
-            }
-            // /v1/models/{name}/learn
-            (Some("learn"), None) => {
-                check_name(name)?;
-                match method {
-                    "POST" => Ok(Route::Learn(name.to_string())),
-                    _ => Err(RouteError::MethodNotAllowed("POST")),
-                }
-            }
-            _ => Err(RouteError::NotFound),
-        }
-    } else {
-        Err(RouteError::NotFound)
+    let Some(rest) = path.strip_prefix("/v1/models/") else {
+        return not_found();
+    };
+    let mut segments = rest.split('/');
+    let name = segments.next().unwrap_or("");
+    let (allowed, route): (_, fn(String) -> Route) = match (segments.next(), segments.next()) {
+        // /v1/models/{name}
+        (None, _) => ("PUT", Route::Publish),
+        // /v1/models/{name}/predict
+        (Some("predict"), None) => ("POST", Route::Predict),
+        // /v1/models/{name}/learn
+        (Some("learn"), None) => ("POST", Route::Learn),
+        _ => return not_found(),
+    };
+    if !valid_model_name(name) {
+        return Err(ApiError::bad_request(format!(
+            "invalid model name {name:?}"
+        )));
     }
-}
-
-fn check_name(name: &str) -> Result<(), RouteError> {
-    if valid_model_name(name) {
-        Ok(())
-    } else {
-        Err(RouteError::BadModelName(name.to_string()))
-    }
+    only(allowed, route(name.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The code and `Allow` header a refused request line answers with.
+    fn refusal(method: &str, path: &str) -> (ErrorCode, Option<&'static str>) {
+        let err = route(method, path).expect_err("the route is refused");
+        (err.code, err.allow)
+    }
 
     #[test]
     fn fixed_routes_resolve() {
@@ -139,24 +116,24 @@ mod tests {
             Ok(Route::Learn("higgs".into()))
         );
         assert_eq!(
-            route("GET", "/v1/models/higgs/learn"),
-            Err(RouteError::MethodNotAllowed("POST"))
+            refusal("GET", "/v1/models/higgs/learn"),
+            (ErrorCode::MethodNotAllowed, Some("POST"))
         );
     }
 
     #[test]
     fn wrong_methods_name_the_allowed_one() {
         assert_eq!(
-            route("POST", "/healthz"),
-            Err(RouteError::MethodNotAllowed("GET"))
+            refusal("POST", "/healthz"),
+            (ErrorCode::MethodNotAllowed, Some("GET"))
         );
         assert_eq!(
-            route("GET", "/v1/models/higgs/predict"),
-            Err(RouteError::MethodNotAllowed("POST"))
+            refusal("GET", "/v1/models/higgs/predict"),
+            (ErrorCode::MethodNotAllowed, Some("POST"))
         );
         assert_eq!(
-            route("DELETE", "/v1/models/higgs"),
-            Err(RouteError::MethodNotAllowed("PUT"))
+            refusal("DELETE", "/v1/models/higgs"),
+            (ErrorCode::MethodNotAllowed, Some("PUT"))
         );
     }
 
@@ -170,13 +147,10 @@ mod tests {
             "/v1/models/higgs/nope",
             "/metricsx",
         ] {
-            let got = route("GET", path);
+            let (code, _) = refusal("GET", path);
             assert!(
-                matches!(
-                    got,
-                    Err(RouteError::NotFound) | Err(RouteError::BadModelName(_))
-                ),
-                "{path:?} resolved to {got:?}"
+                matches!(code, ErrorCode::NotFound | ErrorCode::BadRequest),
+                "{path:?} resolved to {code:?}"
             );
         }
     }
@@ -185,13 +159,10 @@ mod tests {
     fn hostile_model_names_are_rejected() {
         for name in ["", "a b", "a\"b", "héggs", &"x".repeat(200)] {
             let path = format!("/v1/models/{name}/predict");
-            let got = route("POST", &path);
+            let (code, _) = refusal("POST", &path);
             assert!(
-                matches!(
-                    got,
-                    Err(RouteError::BadModelName(_)) | Err(RouteError::NotFound)
-                ),
-                "{name:?} resolved to {got:?}"
+                matches!(code, ErrorCode::BadRequest | ErrorCode::NotFound),
+                "{name:?} resolved to {code:?}"
             );
         }
     }

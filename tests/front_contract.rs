@@ -19,7 +19,7 @@ use bcpnn_gateway::{client, FrontConfig, Gateway, GatewayConfig};
 use bcpnn_serve::testutil::{GatePredictor, NonFinitePredictor};
 use bcpnn_serve::{ModelRegistry, ServeTarget, ServedModel, ShardConfig, ShardedServer};
 
-use common::{predictions_of, read_raw, send_raw, tiny_pipeline, Front};
+use common::{predictions_of, read_raw, rows_body, send_raw, tiny_pipeline, Front};
 
 /// One request the front must refuse.
 struct Case {
@@ -246,6 +246,41 @@ fn gateway_refusals_never_reach_the_serving_stack() {
 #[test]
 fn cluster_refusals_never_reach_the_serving_stack() {
     refusals_never_reach_the_serving_stack(Front::Cluster);
+}
+
+#[test]
+fn the_serving_stack_refuses_alike_on_both_fronts() {
+    const PREDICT: &str = "/v1/models/higgs/predict";
+    let (pipeline, data) = tiny_pipeline(92, BackendKind::Naive);
+    let row = rows_body(&data, 0..1);
+    let no_deadline: &[(&str, &str)] = &[];
+    let cases = [
+        ("/v1/models/nope/predict", no_deadline, row.as_bytes(), 404),
+        (PREDICT, no_deadline, b"[[1,2]]".as_slice(), 400),
+        (PREDICT, &[("X-Deadline-Ms", "0")], row.as_bytes(), 504),
+    ];
+    let answers = Front::BOTH.map(|front| {
+        let stack = front.start(FrontConfig::default(), None, &|registry| {
+            registry.publish(ServedModel::new("higgs", 1, pipeline.clone()));
+        });
+        cases.map(|(path, headers, body, status)| {
+            let reply = client::request(stack.addr(), "POST", path, headers, body).unwrap();
+            assert_eq!(
+                reply.status,
+                status,
+                "{front:?} {path}: {}",
+                reply.body_str()
+            );
+            let body = String::from_utf8(reply.body).expect("a JSON error body");
+            (reply.status, body)
+        })
+    });
+    for (gateway, cluster) in answers[0].iter().zip(&answers[1]) {
+        assert_eq!(
+            gateway, cluster,
+            "a cluster must answer as one gateway does"
+        );
+    }
 }
 
 #[test]
