@@ -8,7 +8,7 @@
 
 use bcpnn_parallel::par_chunks_mut;
 use bcpnn_tensor::simd::dispatch;
-use bcpnn_tensor::{gemm, gemm_tn, Matrix};
+use bcpnn_tensor::{gemm, gemm_blocked, gemm_tn, gemm_tn_serial, Matrix};
 
 use crate::kernels::{bcpnn_bias, bcpnn_weight, column_mean_traces, mutual_information_term};
 use crate::traits::{
@@ -26,19 +26,54 @@ const HOT_PARALLEL_CUTOFF: usize = 1 << 19;
 const GATHER_ROWS: usize = 64;
 
 /// Multi-threaded GEMM-based implementation of every kernel.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ParallelBackend;
+#[derive(Debug, Clone, Copy)]
+pub struct ParallelBackend {
+    /// Whether the kernels share their work out on the pool; `false` only
+    /// for [`SERIAL`], the form [`Backend::serial`] hands out.
+    pooled: bool,
+}
+
+/// The parallel backend's kernels on the calling thread: the same loops
+/// and the same bits, with every pool hand-off taken out.
+static SERIAL: ParallelBackend = ParallelBackend { pooled: false };
 
 impl ParallelBackend {
     /// Create a new parallel backend.
     pub fn new() -> Self {
-        Self
+        Self { pooled: true }
+    }
+
+    /// `f(start, chunk)` over the `chunk`-wide pieces of `data`: on the
+    /// pool through [`par_chunks_mut`], or in order on the calling thread
+    /// in the serial form.
+    fn chunks_mut<F>(&self, data: &mut [f32], chunk: usize, f: F)
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        let chunk = chunk.max(1);
+        if self.pooled {
+            par_chunks_mut(data, chunk, f);
+        } else {
+            for (i, piece) in data.chunks_mut(chunk).enumerate() {
+                f(i * chunk, piece);
+            }
+        }
+    }
+}
+
+impl Default for ParallelBackend {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl Backend for ParallelBackend {
     fn name(&self) -> &'static str {
         "parallel"
+    }
+
+    fn serial(&self) -> Option<&dyn Backend> {
+        self.pooled.then_some(&SERIAL)
     }
 
     fn linear_forward(
@@ -50,9 +85,13 @@ impl Backend for ParallelBackend {
     ) {
         check_forward_shapes(x, weights, bias, out);
         // out = x · W  (GEMM), then add the bias row to every output row.
-        gemm(1.0, x, weights, 0.0, out);
+        if self.pooled {
+            gemm(1.0, x, weights, 0.0, out);
+        } else {
+            gemm_blocked(1.0, x, weights, 0.0, out);
+        }
         let cols = out.cols();
-        par_chunks_mut(out.as_mut_slice(), cols.max(1), |_, row| {
+        self.chunks_mut(out.as_mut_slice(), cols, |_, row| {
             for (v, &b) in row.iter_mut().zip(bias.iter()) {
                 *v += b;
             }
@@ -101,18 +140,20 @@ impl Backend for ParallelBackend {
             }
         };
         if out.len() * (k + 2) < HOT_PARALLEL_CUTOFF {
-            for (r, out_row) in out.as_mut_slice().chunks_mut(n_units.max(1)).enumerate() {
-                row(r * n_units, out_row);
-            }
+            SERIAL.chunks_mut(out.as_mut_slice(), n_units, row);
         } else {
-            par_chunks_mut(out.as_mut_slice(), n_units.max(1), row);
+            self.chunks_mut(out.as_mut_slice(), n_units, row);
         }
     }
 
     fn grouped_softmax(&self, m: &mut Matrix<f32>, group: usize) {
         // Rows in parallel, each segment through the shared dispatch kernel
         // (same per-segment numerics as the naive backend).
-        bcpnn_tensor::simd::dispatch::softmax_row_groups_par(m, group);
+        if self.pooled {
+            dispatch::softmax_row_groups_par(m, group);
+        } else {
+            dispatch::softmax_groups_into(m, group);
+        }
     }
 
     fn update_traces(
@@ -139,7 +180,11 @@ impl Backend for ParallelBackend {
         // alpha = rate/B and beta = (1 - rate), i.e. the whole trace update
         // is a single GEMM call — the formulation the paper highlights as
         // accelerator-friendly.
-        gemm_tn(rate * inv_b, x, act, 1.0 - rate, pij);
+        if self.pooled {
+            gemm_tn(rate * inv_b, x, act, 1.0 - rate, pij);
+        } else {
+            gemm_tn_serial(rate * inv_b, x, act, 1.0 - rate, pij);
+        }
     }
 
     fn recompute_weights(
@@ -158,7 +203,7 @@ impl Backend for ParallelBackend {
         assert_eq!(pj.len(), bias.len(), "bias must have one entry per unit");
         let n_units = pij.cols();
         let pij_slice = pij.as_slice();
-        par_chunks_mut(weights.as_mut_slice(), n_units.max(1), |start, w_row| {
+        self.chunks_mut(weights.as_mut_slice(), n_units, |start, w_row| {
             let i = start / n_units.max(1);
             let p_i = pi[i];
             let p_row = &pij_slice[start..start + w_row.len()];
@@ -181,7 +226,7 @@ impl Backend for ParallelBackend {
         check_mask_shapes(weights, mask, n_mcu, out);
         let n_units = weights.cols();
         let w_slice = weights.as_slice();
-        par_chunks_mut(out.as_mut_slice(), n_units.max(1), |start, out_row| {
+        self.chunks_mut(out.as_mut_slice(), n_units, |start, out_row| {
             let i = start / n_units.max(1);
             let w_row = &w_slice[start..start + out_row.len()];
             // One mask value per (input, HCU): hoisted out of the MCU loop.
@@ -223,7 +268,7 @@ impl Backend for ParallelBackend {
         // keep writes disjoint we parallelise over the HCU-major output
         // rows instead.
         let out_cols = out.cols();
-        par_chunks_mut(out.as_mut_slice(), out_cols.max(1), |start, out_row| {
+        self.chunks_mut(out.as_mut_slice(), out_cols, |start, out_row| {
             let h = start / out_cols.max(1);
             for (i, o) in out_row.iter_mut().enumerate().take(n_in) {
                 let mut mi = 0.0f32;
@@ -311,6 +356,65 @@ mod tests {
                 "{rows} rows of {k} hot columns"
             );
         }
+    }
+
+    /// The serial form hands nothing to the pool and gives the pooled
+    /// kernels' bits, on problems above every pool cutoff.
+    #[test]
+    fn serial_form_matches_the_pooled_kernels_bit_for_bit() {
+        let pooled = ParallelBackend::new();
+        let serial = pooled
+            .serial()
+            .expect("the parallel backend has a serial form");
+        assert!(
+            serial.serial().is_none(),
+            "the serial form is already serial"
+        );
+        assert!(NaiveBackend::new().serial().is_none());
+        let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = MatrixRng::seed_from(9);
+        let (x, w, bias, mask) = random_problem(&mut rng, 300, 64, 8, 64);
+        let mut masked = Matrix::zeros(64, 512);
+        pooled.apply_mask(&w, &mask, 64, &mut masked);
+        let mut masked_serial = Matrix::filled(64, 512, f32::NAN);
+        serial.apply_mask(&w, &mask, 64, &mut masked_serial);
+        assert_eq!(bits(&masked_serial), bits(&masked), "apply_mask");
+
+        let mut want = Matrix::zeros(300, 512);
+        let mut got = Matrix::filled(300, 512, f32::NAN);
+        pooled.linear_forward(&x, &masked, &bias, &mut want);
+        serial.linear_forward(&x, &masked, &bias, &mut got);
+        assert_eq!(bits(&got), bits(&want), "linear_forward");
+
+        let hot: Vec<u32> = (0..300)
+            .flat_map(|_| rng.choose_indices(64, 10))
+            .map(|i| i as u32)
+            .collect();
+        pooled.linear_forward_hot(&hot, &masked, &mask, &bias, &mut want);
+        serial.linear_forward_hot(&hot, &masked, &mask, &bias, &mut got);
+        assert_eq!(bits(&got), bits(&want), "linear_forward_hot");
+
+        pooled.grouped_softmax(&mut want, 64);
+        serial.grouped_softmax(&mut got, 64);
+        assert_eq!(bits(&got), bits(&want), "grouped_softmax");
+
+        let (mut pi, mut pj) = (vec![0.1f32; 64], vec![0.2f32; 512]);
+        let mut pij = Matrix::filled(64, 512, 0.05);
+        let (mut pi_s, mut pj_s, mut pij_s) = (pi.clone(), pj.clone(), pij.clone());
+        pooled.update_traces(&x, &want, 0.01, &mut pi, &mut pj, &mut pij);
+        serial.update_traces(&x, &got, 0.01, &mut pi_s, &mut pj_s, &mut pij_s);
+        assert_eq!(bits(&pij_s), bits(&pij), "update_traces");
+
+        let (mut wp, mut ws) = (Matrix::zeros(64, 512), Matrix::zeros(64, 512));
+        let (mut bp, mut bs) = (vec![0.0f32; 512], vec![0.0f32; 512]);
+        pooled.recompute_weights(&pi, &pj, &pij, 1e-8, 1.0, &mut wp, &mut bp);
+        serial.recompute_weights(&pi, &pj, &pij, 1e-8, 1.0, &mut ws, &mut bs);
+        assert_eq!(bits(&ws), bits(&wp), "recompute_weights");
+
+        let (mut mp, mut ms) = (Matrix::zeros(8, 64), Matrix::zeros(8, 64));
+        pooled.mutual_information(&pi, &pj, &pij, 64, &mut mp);
+        serial.mutual_information(&pi, &pj, &pij, 64, &mut ms);
+        assert_eq!(bits(&ms), bits(&mp), "mutual_information");
     }
 
     #[test]

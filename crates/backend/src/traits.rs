@@ -29,6 +29,15 @@ pub trait Backend: Send + Sync {
     /// Human-readable backend name (used in logs and benchmark tables).
     fn name(&self) -> &'static str;
 
+    /// These kernels with the same bits, every one of them on the calling
+    /// thread: what a row band of a banded predict runs, so that a band
+    /// handed to the pool never re-enters it. `None` (the default) for a
+    /// backend whose kernels never leave the calling thread; a predict on
+    /// it runs its bands in order on the caller.
+    fn serial(&self) -> Option<&dyn Backend> {
+        None
+    }
+
     /// Dense forward pass: `out = x · weights + bias` (bias broadcast over
     /// rows). `out` must be pre-allocated as `B x U`; its previous contents
     /// are overwritten, never read.

@@ -127,7 +127,11 @@ impl ApiBackend for ClusterRouter {
             Frame::PublishOk { version, displaced } => Ok(Published { version, displaced }),
             other => Err(other),
         };
-        Ok(Outcome::PerNode(self.broadcast(model, &frame, decode)))
+        let results = self.broadcast(model, &frame, decode);
+        if results.is_empty() {
+            return Err(no_backends());
+        }
+        Ok(Outcome::PerNode(results))
     }
 
     fn learn(

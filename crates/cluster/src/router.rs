@@ -776,4 +776,32 @@ bcpnn_serve_queue_depth 0
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::BadGateway, "{err:?}");
     }
+
+    /// With no node to write to, a publish has published nothing: it is
+    /// the same 502 as a learn, never a 200 with an empty result list.
+    #[test]
+    fn publish_and_learn_with_no_backends_are_502() {
+        use bcpnn_backend::BackendKind;
+        use bcpnn_gateway::api::{ApiBackend, PublishRequest};
+
+        let router = ClusterRouter::start(ClusterConfig {
+            health_interval: Duration::from_secs(3600),
+            ..ClusterConfig::default()
+        });
+        let request = PublishRequest {
+            path: "models/higgs".into(),
+            version: 2,
+            backend: BackendKind::Naive,
+        };
+        let rows = RowBlock {
+            n_cols: 2,
+            data: vec![0.0, 1.0],
+        };
+        let published = router.publish("higgs", &request).map(|_| ());
+        let learned = router.learn("higgs", rows, vec![1]).map(|_| ());
+        for (op, result) in [("publish", published), ("learn", learned)] {
+            assert_eq!(result, Err(no_backends()), "{op}");
+            assert_eq!(no_backends().status(), 502);
+        }
+    }
 }

@@ -248,11 +248,21 @@ impl BcpnnClassifier {
         hidden: &Matrix<f32>,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
+        self.predict_proba_on(self.backend.as_ref(), hidden, out)
+    }
+
+    /// [`BcpnnClassifier::predict_proba_into`] through the given kernels
+    /// (the classifier's backend, or its serial form inside a predict band).
+    pub(crate) fn predict_proba_on(
+        &self,
+        kernels: &dyn Backend,
+        hidden: &Matrix<f32>,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
         self.check_input(hidden)?;
         out.reset(hidden.rows(), self.n_classes);
-        self.backend
-            .linear_forward(hidden, &self.weights, &self.bias, out);
-        self.backend.grouped_softmax(out, self.n_classes);
+        kernels.linear_forward(hidden, &self.weights, &self.bias, out);
+        kernels.grouped_softmax(out, self.n_classes);
         Ok(())
     }
 

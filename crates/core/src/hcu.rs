@@ -206,7 +206,7 @@ impl HiddenLayer {
         self.mask.as_matrix().clone()
     }
 
-    fn check_input(&self, x: &Matrix<f32>) -> CoreResult<()> {
+    pub(crate) fn check_input(&self, x: &Matrix<f32>) -> CoreResult<()> {
         if x.cols() != self.params.n_inputs {
             return Err(CoreError::DataMismatch(format!(
                 "input has {} columns but the layer expects {}",
@@ -232,11 +232,21 @@ impl HiddenLayer {
     /// reset to `batch x n_units` and fully overwritten. Reusing `out`
     /// across batches keeps the inference hot path off the allocator.
     pub fn forward_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) -> CoreResult<()> {
+        self.forward_on(self.backend.as_ref(), x, out)
+    }
+
+    /// [`HiddenLayer::forward_into`] through the given kernels (the
+    /// layer's backend, or its serial form inside a predict band).
+    pub(crate) fn forward_on(
+        &self,
+        kernels: &dyn Backend,
+        x: &Matrix<f32>,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
         self.check_input(x)?;
         out.reset(x.rows(), self.n_units());
-        self.backend
-            .linear_forward(x, &self.masked_weights, &self.bias, out);
-        self.backend.grouped_softmax(out, self.params.n_mcu);
+        kernels.linear_forward(x, &self.masked_weights, &self.bias, out);
+        kernels.grouped_softmax(out, self.params.n_mcu);
         Ok(())
     }
 
@@ -248,6 +258,18 @@ impl HiddenLayer {
     /// `forward_into` on the dense one-hot rows.
     pub fn forward_hot_into(
         &self,
+        hot: &[u32],
+        rows: usize,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
+        self.forward_hot_on(self.backend.as_ref(), hot, rows, out)
+    }
+
+    /// [`HiddenLayer::forward_hot_into`] through the given kernels (see
+    /// [`HiddenLayer::forward_on`]).
+    pub(crate) fn forward_hot_on(
+        &self,
+        kernels: &dyn Backend,
         hot: &[u32],
         rows: usize,
         out: &mut Matrix<f32>,
@@ -269,14 +291,14 @@ impl HiddenLayer {
             }
         }
         out.resize(rows, self.n_units());
-        self.backend.linear_forward_hot(
+        kernels.linear_forward_hot(
             hot,
             &self.masked_weights,
             self.mask.as_matrix(),
             &self.bias,
             out,
         );
-        self.backend.grouped_softmax(out, self.params.n_mcu);
+        kernels.grouped_softmax(out, self.params.n_mcu);
         Ok(())
     }
 

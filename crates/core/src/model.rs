@@ -420,15 +420,8 @@ impl Pipeline {
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
         self.check_width(x, "rows")?;
-        let mut hot = std::mem::take(&mut ws.hot);
-        self.encoder.transform_rows_hot_into(x, &mut hot);
-        let result = self.network.predict_proba_hot_into(&hot, x.rows(), ws, out);
-        ws.hot = hot;
-        result?;
-        if let Some(cal) = &self.calibration {
-            cal.apply_rows(out);
-        }
-        Ok(())
+        self.network
+            .predict_raw_into(&self.encoder, self.calibration.as_ref(), x, ws, out)
     }
 
     /// Fold one labeled batch of *raw* feature rows into the trained

@@ -1,11 +1,14 @@
 //! The full three-layer network (input → hidden HCUs → classification) and
 //! its Keras-like builder, mirroring StreamBrain's layer-by-layer interface.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bcpnn_backend::{Backend, BackendKind};
+use bcpnn_data::encode::QuantileEncoder;
+use bcpnn_parallel::{global_pool, par_for_each_with};
 use bcpnn_tensor::Matrix;
 
+use crate::calibration::Calibration;
 use crate::classifier::{BcpnnClassifier, BcpnnClassifierParams};
 use crate::error::{CoreError, CoreResult};
 use crate::hcu::HiddenLayer;
@@ -14,28 +17,41 @@ use crate::metrics::EvalReport;
 use crate::params::{HiddenLayerParams, SgdParams};
 use crate::sgd::SgdClassifier;
 use crate::traces::ProbabilityTraces;
-use crate::workspace::Workspace;
+use crate::workspace::{BandScratch, Workspace};
 
-/// Rows per block of a predict over more rows than this: bounds the hidden
-/// scratch (4,000 held-out rows x 1000 units would be 16 MB) while leaving
-/// every serving batch on the single-pass path.
-const PREDICT_BLOCK: usize = 512;
+/// Rows per band of a predict. Each band runs the whole pipeline on its
+/// own rows — encode, hidden forward, grouped softmax, readout, class
+/// softmax, calibration — with every kernel in its serial form, and the
+/// bands of one call go to the pool in one scope. A multiple of 8, so that
+/// a full band's readout stays in the eight-row narrow GEMM kernel.
+pub(crate) const PREDICT_BAND: usize = 16;
 
-/// The input rows of a predict: dense encoded rows, or one-hot rows given
-/// by their hot columns (`cols.len() / rows` per row).
+/// The input rows of a predict: dense encoded rows, or raw feature rows
+/// that each band encodes to the hot columns of their one-hot code.
 #[derive(Clone, Copy)]
 enum Rows<'a> {
     Dense(&'a Matrix<f32>),
-    Hot { cols: &'a [u32], rows: usize },
+    Raw {
+        x: &'a Matrix<f32>,
+        encoder: &'a QuantileEncoder,
+    },
 }
 
-impl Rows<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Rows::Dense(x) => x.rows(),
-            Rows::Hot { rows, .. } => *rows,
-        }
-    }
+/// The head a predict reads out with.
+#[derive(Clone, Copy)]
+enum Readout<'a> {
+    Bcpnn(&'a BcpnnClassifier),
+    Sgd(&'a SgdClassifier),
+}
+
+/// What every band of one predict shares: the kernels the bands run on,
+/// the head, the input rows and the calibration.
+#[derive(Clone, Copy)]
+struct BandJob<'a> {
+    kernels: &'a dyn Backend,
+    readout: Readout<'a>,
+    input: Rows<'a>,
+    calibration: Option<&'a Calibration>,
 }
 
 /// Which classification head produces the network's predictions.
@@ -208,10 +224,13 @@ impl Network {
     /// authoritative encode → readout kernel sequence every predict
     /// spelling routes through.
     ///
-    /// More than 512 rows are walked in 512-row blocks, so the hidden
-    /// scratch stays at `512 x n_units` however many rows the caller scores
-    /// at once. Rows are independent, so the result is bit-identical to a
-    /// single pass.
+    /// The rows are cut into bands of `PREDICT_BAND` rows and each band
+    /// runs the whole sequence on its own rows, the bands shared out among
+    /// the pool's threads in one dispatch (in order on the caller for a
+    /// backend without a serial form, or a one-thread pool). Rows are
+    /// independent and every kernel's serial form gives its pooled form's
+    /// bits, so the result is bit-identical to a single pass; the scratch
+    /// stays one band tall per thread however many rows are scored.
     pub fn predict_proba_with_into(
         &self,
         head: ReadoutKind,
@@ -219,95 +238,144 @@ impl Network {
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
-        self.predict_rows(head, Rows::Dense(x), ws, out)
+        self.predict_rows(head, Rows::Dense(x), None, ws, out)
     }
 
-    /// [`Network::predict_proba_into`] for `rows` one-hot rows given by
-    /// their hot columns (see [`HiddenLayer::forward_hot_into`]): the
-    /// serving path of a pipeline whose last stage is the quantile encoder.
-    pub(crate) fn predict_proba_hot_into(
+    /// [`Network::predict_proba_into`] for raw feature rows behind `encoder`,
+    /// with `calibration` applied to each probability row: the serving path
+    /// of a [`crate::Pipeline`]. Each band encodes its rows to the hot
+    /// columns of their one-hot code, and the hidden layer adds only those
+    /// weight rows (see [`HiddenLayer::forward_hot_into`]).
+    pub(crate) fn predict_raw_into(
         &self,
-        hot: &[u32],
-        rows: usize,
+        encoder: &QuantileEncoder,
+        calibration: Option<&Calibration>,
+        x: &Matrix<f32>,
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
-        let input = Rows::Hot { cols: hot, rows };
-        self.predict_rows(self.readout_kind, input, ws, out)
+        let input = Rows::Raw { x, encoder };
+        self.predict_rows(self.readout_kind, input, calibration, ws, out)
     }
 
-    /// The blocked walk behind every predict: more than [`PREDICT_BLOCK`]
-    /// rows go through [`Network::predict_block`] one block at a time.
+    /// The banded walk behind every predict (see
+    /// [`Network::predict_proba_with_into`]). A failed band's error is the
+    /// one of the lowest failing band, as in the serial walk.
     fn predict_rows(
         &self,
         head: ReadoutKind,
         input: Rows<'_>,
+        calibration: Option<&Calibration>,
         ws: &mut Workspace,
         out: &mut Matrix<f32>,
     ) -> CoreResult<()> {
-        let n_rows = input.rows();
-        if n_rows <= PREDICT_BLOCK {
-            return self.predict_block(head, input, ws, out);
+        let readout = match head {
+            ReadoutKind::Bcpnn => {
+                Readout::Bcpnn(self.bcpnn_readout.as_ref().ok_or_else(|| {
+                    CoreError::InvalidParams("network has no BCPNN readout".into())
+                })?)
+            }
+            ReadoutKind::Sgd | ReadoutKind::Hybrid => Readout::Sgd(
+                self.sgd_readout
+                    .as_ref()
+                    .ok_or_else(|| CoreError::InvalidParams("network has no SGD readout".into()))?,
+            ),
+        };
+        let n_rows = match input {
+            Rows::Dense(x) => {
+                self.hidden.check_input(x)?;
+                x.rows()
+            }
+            Rows::Raw { x, .. } => x.rows(),
+        };
+        let serial = self.backend.serial();
+        let job = BandJob {
+            kernels: serial.unwrap_or(self.backend.as_ref()),
+            readout,
+            input,
+            calibration,
+        };
+        let n_bands = n_rows.div_ceil(PREDICT_BAND);
+        let threads = match serial {
+            Some(_) => global_pool().num_threads().min(n_bands).max(1),
+            None => 1,
+        };
+        if ws.bands.len() < threads {
+            ws.bands.resize_with(threads, BandScratch::default);
         }
         let n_out = self.n_classes;
-        let mut xb = std::mem::take(&mut ws.batch);
-        let mut pb = std::mem::take(&mut ws.proba);
         out.resize(n_rows, n_out);
-        let result = (0..n_rows).step_by(PREDICT_BLOCK).try_for_each(|r0| {
-            let r1 = (r0 + PREDICT_BLOCK).min(n_rows);
-            let block = match input {
-                Rows::Dense(x) => {
-                    let n_in = x.cols();
-                    xb.resize(r1 - r0, n_in);
-                    xb.as_mut_slice()
-                        .copy_from_slice(&x.as_slice()[r0 * n_in..r1 * n_in]);
-                    Rows::Dense(&xb)
+        let bands = out
+            .as_mut_slice()
+            .chunks_mut(PREDICT_BAND * n_out)
+            .enumerate();
+        let failure = Mutex::new(None::<(usize, CoreError)>);
+        par_for_each_with(&mut ws.bands[..threads], bands, |scratch, (band, rows)| {
+            if let Err(err) = self.predict_band(job, band * PREDICT_BAND, scratch, rows) {
+                let mut failure = failure.lock().unwrap_or_else(PoisonError::into_inner);
+                if failure.as_ref().is_none_or(|(first, _)| band < *first) {
+                    *failure = Some((band, err));
                 }
-                // Hot columns are a flat slice: a block is a sub-slice.
-                Rows::Hot { cols, rows } => {
-                    let k = cols.len() / rows;
-                    Rows::Hot {
-                        cols: &cols[r0 * k..r1 * k],
-                        rows: r1 - r0,
-                    }
-                }
-            };
-            self.predict_block(head, block, ws, &mut pb)?;
-            out.as_mut_slice()[r0 * n_out..r1 * n_out].copy_from_slice(pb.as_slice());
-            Ok(())
+            }
         });
-        ws.batch = xb;
-        ws.proba = pb;
-        result
+        match failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some((_, err)) => Err(err),
+            None => Ok(()),
+        }
     }
 
-    /// Encode → readout for one block of rows, hidden scratch from `ws`.
-    fn predict_block(
+    /// One band: rows `r0..` of the job's input, as many as `out`
+    /// (row-major, `n_classes` wide) holds, through encode → hidden
+    /// forward → readout → calibration on the job's kernels, in `scratch`.
+    fn predict_band(
         &self,
-        head: ReadoutKind,
-        input: Rows<'_>,
-        ws: &mut Workspace,
-        out: &mut Matrix<f32>,
+        job: BandJob<'_>,
+        r0: usize,
+        scratch: &mut BandScratch,
+        out: &mut [f32],
     ) -> CoreResult<()> {
-        let mut hidden = std::mem::take(&mut ws.hidden);
-        let forward = match input {
-            Rows::Dense(x) => self.hidden.forward_into(x, &mut hidden),
-            Rows::Hot { cols, rows } => self.hidden.forward_hot_into(cols, rows, &mut hidden),
-        };
-        let result = forward.and_then(|()| match head {
-            ReadoutKind::Bcpnn => self
-                .bcpnn_readout
-                .as_ref()
-                .ok_or_else(|| CoreError::InvalidParams("network has no BCPNN readout".into()))?
-                .predict_proba_into(&hidden, out),
-            ReadoutKind::Sgd | ReadoutKind::Hybrid => self
-                .sgd_readout
-                .as_ref()
-                .ok_or_else(|| CoreError::InvalidParams("network has no SGD readout".into()))?
-                .predict_proba_into(&hidden, out),
-        });
-        ws.hidden = hidden;
-        result
+        let BandJob {
+            kernels,
+            readout,
+            input,
+            calibration,
+        } = job;
+        let rows = out.len() / self.n_classes;
+        match input {
+            Rows::Dense(x) => {
+                let n_in = x.cols();
+                scratch.rows.resize(rows, n_in);
+                scratch
+                    .rows
+                    .as_mut_slice()
+                    .copy_from_slice(&x.as_slice()[r0 * n_in..(r0 + rows) * n_in]);
+                self.hidden
+                    .forward_on(kernels, &scratch.rows, &mut scratch.hidden)?;
+            }
+            Rows::Raw { x, encoder } => {
+                let n_in = x.cols();
+                scratch.hot.resize(rows * n_in, 0);
+                encoder.transform_hot_into(
+                    &x.as_slice()[r0 * n_in..(r0 + rows) * n_in],
+                    &mut scratch.hot,
+                );
+                self.hidden
+                    .forward_hot_on(kernels, &scratch.hot, rows, &mut scratch.hidden)?;
+            }
+        }
+        match readout {
+            Readout::Bcpnn(head) => {
+                head.predict_proba_on(kernels, &scratch.hidden, &mut scratch.proba)?
+            }
+            Readout::Sgd(head) => {
+                head.predict_proba_on(false, &scratch.hidden, &mut scratch.proba)?
+            }
+        }
+        if let Some(cal) = calibration {
+            cal.apply_rows(&mut scratch.proba);
+        }
+        out.copy_from_slice(scratch.proba.as_slice());
+        Ok(())
     }
 
     /// Hard class predictions via [`Network::predict_proba`].

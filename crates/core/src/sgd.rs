@@ -7,7 +7,8 @@
 //! weight decay and exponential learning-rate decay. It also doubles as the
 //! logistic-regression baseline when applied to raw encoded features.
 
-use bcpnn_tensor::{gemm, gemm_tn, Matrix, MatrixRng};
+use bcpnn_tensor::simd::dispatch;
+use bcpnn_tensor::{gemm, gemm_blocked, gemm_tn, Matrix, MatrixRng};
 
 use crate::error::{CoreError, CoreResult};
 use crate::params::SgdParams;
@@ -120,9 +121,25 @@ impl SgdClassifier {
     /// Class-probability predictions written into a caller-provided buffer
     /// (reset to `batch x n_classes` and fully overwritten).
     pub fn predict_proba_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) -> CoreResult<()> {
+        self.predict_proba_on(true, x, out)
+    }
+
+    /// [`SgdClassifier::predict_proba_into`] with the GEMM and the softmax
+    /// on the pool (`pooled`) or in their serial forms on the calling
+    /// thread, as inside a predict band; the same bits either way.
+    pub(crate) fn predict_proba_on(
+        &self,
+        pooled: bool,
+        x: &Matrix<f32>,
+        out: &mut Matrix<f32>,
+    ) -> CoreResult<()> {
         self.check_input(x)?;
         out.reset(x.rows(), self.n_classes);
-        gemm(1.0, x, &self.weights, 0.0, out);
+        if pooled {
+            gemm(1.0, x, &self.weights, 0.0, out);
+        } else {
+            gemm_blocked(1.0, x, &self.weights, 0.0, out);
+        }
         for r in 0..out.rows() {
             for (v, &b) in out.row_mut(r).iter_mut().zip(self.bias.iter()) {
                 *v += b;
@@ -130,7 +147,12 @@ impl SgdClassifier {
         }
         // Full-width groups = one softmax per row, through the SIMD dispatch
         // kernel (vectorized exp on the lane/avx2 tiers).
-        bcpnn_tensor::simd::dispatch::softmax_row_groups_par(out, out.cols());
+        let cols = out.cols();
+        if pooled {
+            dispatch::softmax_row_groups_par(out, cols);
+        } else {
+            dispatch::softmax_groups_into(out, cols);
+        }
         Ok(())
     }
 

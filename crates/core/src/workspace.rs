@@ -71,17 +71,17 @@ pub struct Workspace {
     /// The dense one-hot code of a batch (`batch x encoded_width`), which
     /// `Pipeline::learn_batch` trains on. A pipeline predict never fills it.
     pub(crate) encoded: Matrix<f32>,
-    /// Hot columns of the one-hot code a pipeline predict writes instead
-    /// of a dense matrix (`batch x n_features`, row-major, ascending within
-    /// a row); the hidden layer adds only those weight rows. Training never
-    /// fills it.
-    pub(crate) hot: Vec<u32>,
-    /// Hidden activations (`batch x n_units`).
+    /// One scratch per thread of a banded predict (see [`BandScratch`]);
+    /// grows to the widest pool a predict has used. Training never fills
+    /// it.
+    pub(crate) bands: Vec<BandScratch>,
+    /// Hidden activations (`batch x n_units`) of a training step or a
+    /// learn fold.
     pub(crate) hidden: Matrix<f32>,
     /// Gaussian support noise for training forward passes.
     pub(crate) noise: Matrix<f32>,
-    /// Readout probabilities / logits scratch (`batch x n_classes`); also
-    /// one block's probabilities in a predict over more than one block.
+    /// Readout probabilities / logits scratch (`batch x n_classes`) of a
+    /// training step.
     pub(crate) proba: Matrix<f32>,
     /// One-hot target scratch for the BCPNN readout (`batch x n_classes`).
     pub(crate) targets: Matrix<f32>,
@@ -89,9 +89,7 @@ pub struct Workspace {
     pub(crate) grad_w: Matrix<f32>,
     /// SGD bias-gradient scratch (`n_classes`).
     pub(crate) grad_b: Vec<f32>,
-    /// Batch-assembly scratch for epoch loops (`batch x features`); also
-    /// one block's input rows in a dense predict over more than one block
-    /// (a hot-column predict takes each block as a sub-slice of `hot`).
+    /// Batch-assembly scratch for epoch loops (`batch x features`).
     pub(crate) batch: Matrix<f32>,
     /// Label-assembly scratch for epoch loops.
     pub(crate) labels: Vec<usize>,
@@ -102,6 +100,31 @@ pub struct Workspace {
     pub(crate) cascade_out: Matrix<f32>,
     /// Escalated row indices for the cascade scatter step.
     pub(crate) cascade_rows: Vec<usize>,
+}
+
+/// What one thread of a banded predict works in: it takes its bands of
+/// `PREDICT_BAND` rows one after another through these buffers, so they
+/// stay `PREDICT_BAND` rows tall and in cache however many rows the
+/// predict has.
+#[derive(Debug, Default)]
+pub(crate) struct BandScratch {
+    /// The band's input rows, in a dense predict.
+    pub(crate) rows: Matrix<f32>,
+    /// The hot columns of the band's one-hot code, in a pipeline predict
+    /// (`rows x n_features`, row-major, ascending within a row): the hidden
+    /// layer adds only those weight rows.
+    pub(crate) hot: Vec<u32>,
+    /// The band's hidden activations (`rows x n_units`).
+    pub(crate) hidden: Matrix<f32>,
+    /// The band's class probabilities (`rows x n_classes`), copied into
+    /// the caller's output once calibrated.
+    pub(crate) proba: Matrix<f32>,
+}
+
+impl BandScratch {
+    fn allocated_elems(&self) -> usize {
+        self.rows.capacity() + self.hot.capacity() + self.hidden.capacity() + self.proba.capacity()
+    }
 }
 
 impl Workspace {
@@ -158,7 +181,11 @@ impl Workspace {
     /// warmup even as batch sizes vary).
     pub fn allocated_elems(&self) -> usize {
         self.encoded.capacity()
-            + self.hot.capacity()
+            + self
+                .bands
+                .iter()
+                .map(BandScratch::allocated_elems)
+                .sum::<usize>()
             + self.hidden.capacity()
             + self.noise.capacity()
             + self.proba.capacity()

@@ -4,8 +4,8 @@
 //! properties pin the two to each other `to_bits()`-equal on both
 //! backends: 1–4 HCUs, fields so narrow that a row reaches no live input
 //! in some HCU, NaN-filled recycled outputs, 0 / 1 / 63 / 64 / 513 rows
-//! (both sides of the 512-row predict block and of the parallel backend's
-//! serial cutoff), trained weights, and the mask after a
+//! (both sides of the parallel backend's serial cutoff), trained weights,
+//! and the mask after a
 //! structural-plasticity step.
 
 use bcpnn_backend::BackendKind;

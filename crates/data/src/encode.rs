@@ -93,10 +93,26 @@ impl QuantileEncoder {
     /// # Panics
     /// Panics if the feature count differs from the fitted one.
     pub fn transform_rows_hot_into(&self, features: &Matrix<f32>, out: &mut Vec<u32>) {
-        let k = self.n_features();
-        out.resize(features.rows() * k, 0);
-        for (r, cols) in out.chunks_exact_mut(k.max(1)).enumerate() {
-            for (c, hot) in cols.iter_mut().zip(self.hot_columns(features.row(r))) {
+        out.resize(features.rows() * self.n_features(), 0);
+        self.transform_hot_into(features.as_slice(), out);
+    }
+
+    /// [`QuantileEncoder::transform_rows_hot_into`] for row-major rows of
+    /// `n_features` values in a flat slice, into a slice already
+    /// `n_rows · n_features` long: what one band of a served predict
+    /// encodes.
+    ///
+    /// # Panics
+    /// Panics if `out` is not one hot column per value of `features`.
+    pub fn transform_hot_into(&self, features: &[f32], out: &mut [u32]) {
+        assert_eq!(
+            features.len(),
+            out.len(),
+            "one hot column per feature value"
+        );
+        let k = self.n_features().max(1);
+        for (row, cols) in features.chunks_exact(k).zip(out.chunks_exact_mut(k)) {
+            for (c, hot) in cols.iter_mut().zip(self.hot_columns(row)) {
                 *c = hot as u32;
             }
         }

@@ -13,6 +13,8 @@
 //! * [`parallel_for`] / [`parallel_for_chunks`] — OpenMP-`parallel for`
 //!   style index-range sharing,
 //! * [`parallel_map_reduce`] — chunked map + sequential combine,
+//! * [`par_for_each_with`] — items shared out among threads that each keep
+//!   a state of their own (the banded predict's per-thread scratch),
 //! * slice helpers ([`par_chunks_mut`], [`par_zip_chunks_mut`]) used by the
 //!   GEMM and trace-update kernels in `bcpnn-tensor` / `bcpnn-backend`.
 //!
@@ -50,6 +52,6 @@ pub use partition::{chunk_ranges, even_ranges, Range};
 pub use pool::{global_pool, ThreadPool};
 pub use scope::Scope;
 pub use slice_ops::{
-    par_chunks_mut, par_map_collect, par_zip_chunks_mut, parallel_for, parallel_for_chunks,
-    parallel_map_reduce,
+    par_chunks_mut, par_for_each_with, par_map_collect, par_zip_chunks_mut, parallel_for,
+    parallel_for_chunks, parallel_map_reduce,
 };

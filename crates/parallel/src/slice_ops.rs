@@ -4,6 +4,8 @@
 //! small or when the global pool has a single thread, so they are safe to
 //! call unconditionally from inner layers of the library.
 
+use parking_lot::Mutex;
+
 use crate::partition::{chunk_bands, chunk_ranges, even_ranges, Range};
 use crate::pool::global_pool;
 
@@ -156,6 +158,45 @@ where
         .collect()
 }
 
+/// Run `f(state, item)` for every item of `items`, on `states.len()`
+/// threads at once, each with a state of its own: the caller takes
+/// `states[0]` and one pool task per further state takes the rest, all in
+/// one scope. A thread takes the next item as soon as it is done with the
+/// last, so an item that costs more does not hold the others up. With one
+/// state the items run in order on the caller, with no pool hand-off.
+///
+/// # Panics
+/// Panics if `states` is empty.
+pub fn par_for_each_with<S, I, F>(states: &mut [S], items: I, f: F)
+where
+    S: Send,
+    I: Iterator + Send,
+    F: Fn(&mut S, I::Item) + Sync,
+{
+    let Some((first, rest)) = states.split_first_mut() else {
+        panic!("par_for_each_with needs at least one state");
+    };
+    if rest.is_empty() {
+        items.for_each(|item| f(first, item));
+        return;
+    }
+    let queue = Mutex::new(items);
+    let drain = |state: &mut S| loop {
+        // The guard is dropped at the end of this statement, before `f`.
+        let Some(item) = queue.lock().next() else {
+            return;
+        };
+        f(state, item);
+    };
+    let drain = &drain;
+    global_pool().scope(|s| {
+        for state in rest {
+            s.spawn(move || drain(state));
+        }
+        drain(first);
+    });
+}
+
 /// Chunked parallel map-reduce over the index range `[0, len)`.
 ///
 /// Each chunk `[r.start, r.end)` is mapped to a partial result with `map`,
@@ -238,6 +279,30 @@ mod tests {
             }
         });
         assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn par_for_each_with_takes_every_item_once_per_state() {
+        for n_states in [1usize, 2, 3] {
+            let mut states = vec![Vec::new(); n_states];
+            let mut out = vec![0usize; 101];
+            par_for_each_with(&mut states, out.iter_mut().enumerate(), |seen, (i, v)| {
+                *v = i + 1;
+                seen.push(i);
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
+            let mut seen: Vec<usize> = states.concat();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..101).collect::<Vec<_>>(), "{n_states} states");
+        }
+        // One state: in order, on the caller.
+        let caller = std::thread::current().id();
+        let mut order = [Vec::new()];
+        par_for_each_with(&mut order, 0..10, |seen, i| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.push(i);
+        });
+        assert_eq!(order[0], (0..10).collect::<Vec<_>>());
     }
 
     #[test]

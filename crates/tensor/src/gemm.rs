@@ -8,7 +8,8 @@
 //! * [`gemm_naive`] — triple loop reference used for correctness testing,
 //! * [`gemm_blocked`] — cache-blocked single-threaded kernel,
 //! * [`gemm`] / [`gemm_tn`] / [`gemm_nt`] — parallel drivers that split the
-//!   output into row bands executed on the `bcpnn-parallel` pool.
+//!   output into row bands executed on the `bcpnn-parallel` pool
+//!   ([`gemm_tn_serial`]: `gemm_tn` on the calling thread).
 //!
 //! All kernels compute `C = alpha * op(A) · op(B) + beta * C` with row-major
 //! storage and BLAS semantics for `beta == 0`: `C` is overwritten, never
@@ -270,6 +271,29 @@ pub fn gemm<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut 
 ///
 /// This is the kernel behind the batched trace update `P_ij += Xᵀ·Π / B`.
 pub fn gemm_tn<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut Matrix<S>) {
+    gemm_tn_on(true, alpha, a, b, beta, c);
+}
+
+/// [`gemm_tn`] on the calling thread, whatever the size, with the same
+/// bits: rows of C are independent.
+pub fn gemm_tn_serial<S: Scalar>(
+    alpha: S,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    beta: S,
+    c: &mut Matrix<S>,
+) {
+    gemm_tn_on(false, alpha, a, b, beta, c);
+}
+
+fn gemm_tn_on<S: Scalar>(
+    pooled: bool,
+    alpha: S,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    beta: S,
+    c: &mut Matrix<S>,
+) {
     let (k, m) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_tn: inner dimensions differ ({k} vs {kb})");
@@ -300,7 +324,7 @@ pub fn gemm_tn<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &m
             }
         }
     };
-    if work < PARALLEL_FLOP_CUTOFF || m < 2 {
+    if !pooled || work < PARALLEL_FLOP_CUTOFF || m < 2 {
         for i in 0..m {
             run_row(i, &mut c_data[i * n_cols..(i + 1) * n_cols]);
         }

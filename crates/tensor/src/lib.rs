@@ -36,7 +36,7 @@ pub mod simd;
 pub mod stats;
 pub mod vector;
 
-pub use gemm::{gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_tn, gemv};
+pub use gemm::{gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_tn, gemm_tn_serial, gemv};
 pub use io::{write_matrix, FrameReader, IoError};
 pub use matrix::Matrix;
 pub use random::MatrixRng;

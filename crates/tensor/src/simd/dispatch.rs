@@ -464,8 +464,9 @@ pub fn axpy_i8(dst: &mut [f32], a: f32, codes: &[i8]) {
 /// Softmax one contiguous group in place on the given tier: subtract-max,
 /// exponentiate with [`exp::exp_approx`], normalise (uniform fallback when
 /// the total is not positive, which only a NaN or infinite input triggers).
-/// Bit-identical on both tiers.
-fn softmax_seg(tier: SimdTier, seg: &mut [f32]) {
+/// Bit-identical on both tiers. The generic kernel: every width takes it
+/// except the 2-wide groups of [`softmax_groups_into_with`].
+pub fn softmax_seg(tier: SimdTier, seg: &mut [f32]) {
     match tier.resolved() {
         SimdTier::Lanes => softmax_seg_lanes(seg),
         // SAFETY: `resolved()` returns Avx2 only when the runtime probe
@@ -490,11 +491,37 @@ pub fn softmax_groups_into_with(tier: SimdTier, m: &mut Matrix<f32>, group: usiz
         "softmax group {group} does not divide {} columns",
         m.cols()
     );
+    if group == 2 {
+        for pair in m.as_mut_slice().chunks_exact_mut(2) {
+            softmax_pair(pair);
+        }
+        return;
+    }
     let tier = tier.resolved();
     for r in 0..m.rows() {
         for seg in m.row_mut(r).chunks_mut(group) {
             softmax_seg(tier, seg);
         }
+    }
+}
+
+/// [`softmax_seg`] on a 2-wide group (the 2-class readout), straight-line
+/// and the same on both tiers: both tiers run a segment shorter than eight
+/// lanes through this scalar tail — the max folded from `-inf`, the
+/// exponentials totalled from `+0` in order, the divide or the uniform
+/// fallback — so the bits are the generic kernel's, NaN and infinities
+/// included, without its per-segment set-up.
+#[inline]
+fn softmax_pair(pair: &mut [f32]) {
+    let max = f32::NEG_INFINITY.max(pair[0]).max(pair[1]);
+    let e0 = exp::exp_approx(pair[0] - max);
+    let e1 = exp::exp_approx(pair[1] - max);
+    let total = (0.0 + e0) + e1;
+    if total > 0.0 {
+        pair[0] = e0 / total;
+        pair[1] = e1 / total;
+    } else {
+        pair.fill(0.5);
     }
 }
 

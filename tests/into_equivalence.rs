@@ -100,11 +100,10 @@ fn network_and_heads_into_variants_are_bit_identical_on_both_backends() {
 
 #[test]
 fn predicts_over_one_block_equal_the_same_rows_scored_in_small_batches() {
-    // More than 512 rows are walked in 512-row blocks to bound the hidden
-    // scratch; 1,100 is two whole blocks and a ragged third. Scored 100 at
-    // a time, every batch takes the single-pass path, so equality here pins
-    // the blocked walk to the unblocked kernels row for row — through the
-    // same workspace, after it has already served a small batch.
+    // A predict walks its rows in fixed bands; 1,100 rows end in a ragged
+    // band, and 100-row batches cut the bands at other rows. Equality here
+    // pins a row's bits to nothing but the row — through the same
+    // workspace, after it has already served a small batch.
     for backend in [BackendKind::Naive, BackendKind::Parallel] {
         let (pipeline, _) = fit_pipeline(backend, 65);
         let data = higgs(1100, 66);
@@ -141,8 +140,7 @@ fn a_chain_ending_in_the_quantile_encoder_serves_the_dense_answer() {
     // The quantile encoder hands the network the hot columns of its
     // one-hot code, not the dense matrix. The answer must be the network's
     // dense predict on the encoded rows, bit for bit, through one
-    // workspace across batch sizes on both sides of the 512-row predict
-    // block.
+    // workspace across batch sizes from one band to many.
     let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for backend in [BackendKind::Naive, BackendKind::Parallel] {
         let (chained, _) = fit_pipeline(backend, 67);

@@ -409,9 +409,9 @@ fn queued_rows_leave_as_one_batch_in_priority_then_fifo_order() {
     assert_eq!(server.queue_depths(), vec![0; SHARDS]);
 }
 
-/// One block far over `max_batch`, and over the 512 rows a predict pass
-/// walks at a time, is one batch — and answers every row with the bits the
-/// same row gets when it is submitted alone.
+/// One block far over `max_batch`, and many predict bands long, is one
+/// batch — and answers every row with the bits the same row gets when it
+/// is submitted alone.
 #[test]
 fn a_1100_row_block_equals_the_same_rows_submitted_one_by_one() {
     const ROWS: usize = 1100;

@@ -192,6 +192,50 @@ fn softmax_is_bit_exact_across_tiers(rng: &mut MatrixRng) {
     );
 }
 
+/// The 2-wide groups of `softmax_groups_into_with` (the 2-class readout)
+/// take a straight-line kernel of their own; it must give the generic
+/// per-segment kernel's bits on every tier, over every pair drawn from
+/// ±0, NaN, ±inf, subnormals, ties, values past the `EXP_LO` clamp and
+/// ordinary ones.
+fn pair_softmax_is_the_generic_kernel(rng: &mut MatrixRng) {
+    let mut specials: Vec<f32> = vec![
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::MIN_POSITIVE,
+        1.0,
+        -1.0,
+        EXP_LO,
+        -100.0,
+        88.0,
+        f32::MAX,
+        f32::MIN,
+    ];
+    let drawn: Matrix<f32> = rng.normal(1, 8, 0.0, 5.0);
+    specials.extend(drawn.into_vec());
+    let pairs: Vec<f32> = specials
+        .iter()
+        .flat_map(|&a| specials.iter().flat_map(move |&b| [a, b]))
+        .collect();
+    for tier in TIERS {
+        let mut got = Matrix::from_vec(pairs.len() / 2, 2, pairs.clone());
+        dispatch::softmax_groups_into_with(tier, &mut got, 2);
+        for (pair, want) in pairs.chunks_exact(2).zip(got.as_slice().chunks_exact(2)) {
+            let mut generic = pair.to_vec();
+            dispatch::softmax_seg(tier, &mut generic);
+            assert_eq!(
+                bits(want),
+                bits(&generic),
+                "2-wide softmax {tier:?} on {pair:?}"
+            );
+        }
+    }
+}
+
 /// Values a weight, a bias or an activation may hold that a plain sum or
 /// product treats specially: signed zeros, NaN, infinities, subnormals.
 const SPECIALS: [f32; 8] = [
@@ -470,6 +514,7 @@ fn every_dispatch_tier_is_bit_identical() {
     matrix_kernels_are_bit_exact_across_tiers(&mut rng);
     lane_softmax_matches_f64_reference(&mut rng);
     softmax_is_bit_exact_across_tiers(&mut rng);
+    pair_softmax_is_the_generic_kernel(&mut rng);
     sum_rows_is_bit_exact_across_tiers(&mut rng);
     narrow_gemm_is_bit_exact_across_tiers(&mut rng);
     backends_agree_per_tier(&mut rng);
