@@ -147,8 +147,9 @@ impl Backend for ParallelBackend {
     }
 
     fn grouped_softmax(&self, m: &mut Matrix<f32>, group: usize) {
-        // Rows in parallel, each segment through the shared dispatch kernel
-        // (same per-segment numerics as the naive backend).
+        // Rows in parallel (in order in the serial form), each segment
+        // through the shared dispatch kernel (same per-segment numerics as
+        // the naive backend).
         if self.pooled {
             dispatch::softmax_row_groups_par(m, group);
         } else {
